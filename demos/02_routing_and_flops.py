@@ -8,21 +8,19 @@ sparse layer against its dense equivalent.
 import numpy as np
 
 from avmoe.moe_layer import MoELayer, MoELayerConfig, flops_report
-from avmoe.routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, route_hierarchical,
-    route_sparse,
-)
+from avmoe.routing import MOD_AV, RouterParams, route_hierarchical, route_sparse
 from avmoe.tensor import Tensor
 
 rng = np.random.default_rng(3)
 d = 16
-x = Tensor(rng.normal(size=d))
+x = Tensor(rng.normal(size=(1, d)))  # routers take [tokens x d] batches
 
 # Flat routing: softmax over 8 experts, keep the top 2, renormalize.
 router = RouterParams.init(d, 8, rng, scale=0.5)
 flat = route_sparse(router, x, k=2)
+ids = flat.selected[0]
 print("sparse top-2:")
-print(f"  experts {flat.selected_experts}, weights {np.round(flat.selected_weights.data, 3)}")
+print(f"  experts {ids.tolist()}, weights {np.round(flat.weights.data[0, ids], 3)}")
 
 # Two-level routing: an inter router picks m groups, then each chosen group
 # runs its own argmax over 4 experts. The inter router starts at zero, so an
@@ -31,9 +29,10 @@ inter = RouterParams.zeros(d, 2)
 intras = [RouterParams.init(d, 4, rng, scale=0.5) for _ in range(2)]
 hier = route_hierarchical(inter, intras, x, m=2, k_per_group=1)
 print("hierarchical m=2, top-1 per group:")
-print(f"  group weights {np.round(hier.group_weights.data, 3)}")
-for gid, (ids, w) in sorted(hier.per_group_selection.items()):
-    print(f"  group {gid}: flat expert {ids}, within-group weight {np.round(w.data, 3)}")
+print(f"  group probabilities {np.round(hier.group_probs.data[0], 3)}")
+for e in hier.selected[0]:
+    print(f"  group {e // 4}: flat expert {e}, combine weight {hier.weights.data[0, e]:.3f}")
+print(f"  combine-weight row over all 8 experts {np.round(hier.weights.data[0], 3)}")
 
 # The layer counts actual expert forward calls: exactly k per token when
 # sparse, m * k_per_group per token when hierarchical.

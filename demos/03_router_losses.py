@@ -42,15 +42,17 @@ audio_dir = rng.normal(size=d)
 video_dir = rng.normal(size=d)
 
 for step in range(200):
-    decisions, modalities = [], []
+    rows, modalities = [], []
     for _ in range(8):
         if rng.uniform() < 0.5:
             x, tag = audio_dir + 0.3 * rng.normal(size=d), MOD_AUDIO
         else:
             x, tag = video_dir + 0.3 * rng.normal(size=d), MOD_VIDEO
-        decisions.append(route_hierarchical(inter, intras, Tensor(x), m=2))
+        rows.append(x)
         modalities.append(tag)
-    stats = dispatch_stats(decisions, modalities)
+    routing = route_hierarchical(inter, intras, Tensor(np.stack(rows)), m=2,
+                                 modalities=modalities)
+    stats = dispatch_stats([routing])
     loss = load_biasing_loss(stats)
     loss.backward()
     inter.weight.data -= 0.5 * inter.weight.grad

@@ -6,7 +6,8 @@ Subcommands:
   gradcheck [--module M] [--seeds N]
   report --run-dir DIR
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numeric abort.
+Exit codes: 0 success, 2 configuration/usage error, 3 numeric abort. Any
+other exception is an internal error and propagates with its traceback.
 The AVMOE_SEED environment variable overrides the config seed; an explicit
 --seed flag wins over both.
 """
@@ -18,9 +19,11 @@ import json
 import os
 import sys
 
+from .corruption import PRESETS
 from .gradcheck import CASES, DEFAULT_SEEDS, TOLERANCE
 from .gradcheck import run as run_gradcheck
 from .moe_losses import UnsupportedConfigError
+from .routing import RoutingConfigError
 from .tensor import NumericError, ShapeError
 from .trainer import (
     ConfigError, DivergenceError, TrainConfig, build_model,
@@ -45,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--config", default=None,
                         help="config JSON; defaults to config.json beside the checkpoint")
-    p_eval.add_argument("--preset", default="none")
+    p_eval.add_argument("--preset", choices=PRESETS, default="none")
     p_eval.add_argument("--snr-sweep", action="store_true",
                         help="emit the group load vs SNR table")
     p_eval.add_argument("--pairs", type=int, default=16)
@@ -160,10 +163,7 @@ def main(argv=None) -> int:
                 "gradcheck": _cmd_gradcheck, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (ConfigError, UnsupportedConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as e:
+    except (ConfigError, UnsupportedConfigError, RoutingConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NumericError) as e:

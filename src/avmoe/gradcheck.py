@@ -18,10 +18,11 @@ from .moe_losses import (
     router_z_loss, total_aux_loss,
 )
 from .routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, dispatch_stats,
-    route_dense_batch, route_hierarchical, route_sparse,
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, dispatch_stats, route_dense,
+    route_sparse,
 )
 from .tensor import Tensor, grad_check
+from .trainer import ConfigError
 
 DEFAULT_SEEDS = 20
 TOLERANCE = 1e-4
@@ -114,6 +115,12 @@ def _case_softmax_rows(seed):
     return lambda t: T.tsum(T.mul(T.softmax(t), w)), _mat(seed)
 
 
+def _case_normalize_rows(seed):
+    w = _mat(seed + 1000)
+    x = np.abs(_rng(seed).normal(size=(3, 4))) + 0.5
+    return lambda t: T.tsum(T.mul(T.normalize_rows(t), w)), Tensor(x)
+
+
 def _case_logsumexp(seed):
     return lambda t: T.tsum(T.logsumexp(t)), _mat(seed)
 
@@ -145,6 +152,12 @@ def _case_take(seed):
 def _case_scatter_rows(seed):
     w = _mat(seed + 1000, 5, 4)
     return lambda t: T.tsum(T.mul(T.scatter_rows(t, [0, 3, 4], 5), w)), _mat(seed)
+
+
+def _case_scatter(seed):
+    w = _mat(seed + 1000, 4, 5)
+    idx = np.array([[0, 7, 19], [3, 3, 12], [5, 11, 18]])
+    return lambda t: T.tsum(T.mul(T.scatter(t, idx, (4, 5)), w)), _mat(seed, 3, 3)
 
 
 def _case_concat_rows(seed):
@@ -223,6 +236,19 @@ def _case_moe_forward_hier(seed):
     return lambda t: T.tsum(layer.forward(t, modalities=tags)[0]), _mat(seed)
 
 
+def _case_moe_forward_hier_inter(seed):
+    # the q~ combine path: layer output through the inter-router weights
+    layer = _moe_layer(seed, "hierarchical")
+    x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
+    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
+
+    def f(t):
+        layer.inter_router.weight = t
+        return T.tsum(layer.forward(x, modalities=tags)[0])
+
+    return f, _mat(seed, 4, 2)
+
+
 def _case_moe_router_weights(seed):
     layer = _moe_layer(seed, "sparse_topk")
     x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
@@ -237,13 +263,7 @@ def _case_moe_router_weights(seed):
 # -- loss cases with gradient paths through P/Q -------------------------------
 
 def _sparse_stats(layer, X):
-    decisions = [route_sparse(layer.router, _row_of(X, i), layer.cfg.k)
-                 for i in range(X.data.shape[0])]
-    return dispatch_stats(decisions, [MOD_AV] * X.data.shape[0])
-
-
-def _row_of(X, i):
-    return T.reshape(T.index_rows(X, [i]), (X.data.shape[1],))
+    return dispatch_stats([route_sparse(layer.router, X, layer.cfg.k)])
 
 
 def _case_balance_through_P(seed):
@@ -258,9 +278,7 @@ def _case_balance_direct(seed):
 
 
 def _hier_stats(layer, X, tags):
-    decisions = [layer.route(_row_of(X, i), tags[i])
-                 for i in range(X.data.shape[0])]
-    return dispatch_stats(decisions, tags)
+    return dispatch_stats([layer.route(X, tags)])
 
 
 def _case_bias_through_Q(seed):
@@ -287,7 +305,7 @@ def _case_z_loss(seed):
 
 def _case_z_through_router(seed):
     router = RouterParams.init(4, 4, _rng(seed + 1000))
-    return lambda t: router_z_loss(route_dense_batch(router, t)[0]), _mat(seed)
+    return lambda t: router_z_loss(route_dense(router, t)[0]), _mat(seed)
 
 
 def _case_total_aux(seed):
@@ -313,11 +331,12 @@ CASES = {
         ("tmean", _case_tmean), ("mean_axis0", _case_mean_axis0),
         ("tanh", _case_tanh), ("gelu", _case_gelu), ("relu", _case_relu),
         ("softmax", _case_softmax), ("softmax_rows", _case_softmax_rows),
+        ("normalize_rows", _case_normalize_rows),
         ("logsumexp", _case_logsumexp), ("mse", _case_mse),
         ("cross_entropy", _case_cross_entropy),
         ("cross_entropy_rows", _case_cross_entropy_rows),
         ("index_rows", _case_index_rows), ("take", _case_take),
-        ("scatter_rows", _case_scatter_rows),
+        ("scatter", _case_scatter), ("scatter_rows", _case_scatter_rows),
         ("concat_rows", _case_concat_rows), ("concat_cols", _case_concat_cols),
         ("stack_rows", _case_stack_rows),
         ("standardize_rows", _case_standardize),
@@ -328,6 +347,7 @@ CASES = {
         ("expert_forward_weights", _case_expert_weights),
         ("moe_forward_sparse", _case_moe_forward_sparse),
         ("moe_forward_hierarchical", _case_moe_forward_hier),
+        ("moe_forward_hierarchical_inter_router", _case_moe_forward_hier_inter),
         ("moe_router_weights", _case_moe_router_weights),
     ],
     "losses": [
@@ -346,8 +366,8 @@ def run(module: str | None = None, seeds: int = DEFAULT_SEEDS,
         eps: float = EPS) -> dict[str, float]:
     """Max relative gradient error per case name over ``seeds`` seeds."""
     if module is not None and module not in CASES:
-        raise KeyError(f"unknown gradcheck module {module!r}; "
-                       f"choose from {sorted(CASES)}")
+        raise ConfigError(f"unknown gradcheck module {module!r}; "
+                          f"choose from {sorted(CASES)}")
     selected = [module] if module is not None else sorted(CASES)
     results: dict[str, float] = {}
     for mod in selected:

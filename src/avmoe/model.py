@@ -125,11 +125,10 @@ class DecoderBlock:
     def forward(self, X: Tensor, memory: Tensor, mask, modalities):
         X = self.self_attn.forward(X, mask=mask)
         X = self.cross_attn.forward(X, memory=memory)
-        out, decisions, _ = self.moe.forward(X, modalities=modalities)
-        logit_rows = ([] if self.moe.cfg.mode == "dense_ffn"
-                      else self.moe.router_logit_rows(X))
+        out, routing, _ = self.moe.forward(X, modalities=modalities)
+        logit_rows = [] if routing is None else self.moe.router_logit_rows(routing)
         X = T.standardize_rows(T.add(X, out))
-        return X, decisions, logit_rows
+        return X, routing, logit_rows
 
     def params(self):
         return self.self_attn.params() + self.cross_attn.params() + self.moe.params()
@@ -221,15 +220,17 @@ class Model:
         return T.add(emb, Tensor(self.positions[:len(token_ids)]))
 
     def decode_step(self, features: Tensor, token_ids: list[int], modality: str):
-        """One teacher-forced decoder pass; returns (logits, moe aux per layer)."""
+        """One teacher-forced decoder pass; returns (logits, moe aux per layer).
+
+        Each layer's aux holds its Routing (None in dense mode) and its
+        expert-router logit matrices."""
         X = self._embed_tokens(token_ids)
         mask = self._causal_mask(len(token_ids))
         modalities = [modality] * len(token_ids)
         aux = []
         for blk in self.decoder_blocks:
-            X, decisions, logit_rows = blk.forward(X, features, mask, modalities)
-            aux.append({"decisions": decisions, "logit_rows": logit_rows,
-                        "modalities": modalities})
+            X, routing, logit_rows = blk.forward(X, features, mask, modalities)
+            aux.append({"routing": routing, "logit_rows": logit_rows})
         return T.matmul(X, self.head), aux
 
     def decode_train(self, features: Tensor, labels, modality: str = MOD_AV):
@@ -257,7 +258,7 @@ class Model:
                 if nxt == self.cfg.eos_id:
                     break
                 out.append(nxt)
-                tokens.append(nxt if nxt < self.cfg.n_classes else self.cfg.bos_id)
+                tokens.append(nxt)
         return out
 
     # -- checkpoints ----------------------------------------------------------

@@ -8,22 +8,16 @@ makes that checkable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .routing import (
-    AUDIO_GROUP, MOD_AV, RouterParams, RoutingConfigError, RoutingDecision,
-    dispatch_stats, route_dense_batch, route_hard, route_hierarchical,
-    route_sparse, topk_ids,
+    RouterParams, Routing, RoutingConfigError, dispatch_stats, route_hard,
+    route_hierarchical, route_sparse,
 )
 from .tensor import Tensor
-
-# documentation constants from published large-scale measurements (MFLOPs per
-# FFN position, 500-frame sequence); recorded for context, never asserted
-REFERENCE_FFN_MFLOPS = {"dense_base": 472, "moe_base": 921,
-                        "dense_large": 839, "moe_large": 1630}
 
 
 @dataclass
@@ -79,6 +73,18 @@ class MoELayerConfig:
         if min(self.d, self.h, self.n_experts, self.k, self.n_groups,
                self.n_per_group, self.m, self.k_per_group) < 1:
             raise ValueError("all MoE dimensions must be positive")
+        if self.mode == "sparse_topk" and self.k > self.n_experts:
+            raise RoutingConfigError(f"k={self.k} exceeds {self.n_experts} experts")
+        if self.mode == "hard" and (self.n_groups != 2 or self.k > self.n_per_group):
+            raise RoutingConfigError(
+                "hard routing needs n_groups=2 and k <= n_per_group, got "
+                f"n_groups={self.n_groups}, k={self.k}, n_per_group={self.n_per_group}")
+        if self.mode == "hierarchical" and (self.m > self.n_groups
+                                            or self.k_per_group > self.n_per_group):
+            raise RoutingConfigError(
+                "hierarchical routing needs m <= n_groups and k_per_group <= n_per_group, "
+                f"got m={self.m}, n_groups={self.n_groups}, "
+                f"k_per_group={self.k_per_group}, n_per_group={self.n_per_group}")
 
 
 class MoELayer:
@@ -137,106 +143,62 @@ class MoELayer:
 
     # -- routing --------------------------------------------------------------
 
-    def route(self, x: Tensor, modality: str = MOD_AV) -> RoutingDecision:
+    def route(self, X: Tensor, modalities: list[str] | None = None) -> Routing:
         cfg = self.cfg
         if cfg.mode == "sparse_topk":
-            return route_sparse(self.router, x, cfg.k)
+            return route_sparse(self.router, X, cfg.k, modalities)
         if cfg.mode == "hard":
-            return route_hard(modality, tuple(self.intra_routers), x, cfg.k)
+            return route_hard(modalities, tuple(self.intra_routers), X, cfg.k)
         if cfg.mode == "hierarchical":
-            x_inter = T.sub(x, Tensor(self.inter_center))
-            return route_hierarchical(self.inter_router, self.intra_routers, x,
-                                      cfg.m, cfg.k_per_group, x_inter=x_inter)
-        raise RoutingConfigError("dense_ffn mode has no routing decision")
+            X_inter = T.sub(X, Tensor(self.inter_center))
+            return route_hierarchical(self.inter_router, self.intra_routers, X,
+                                      cfg.m, cfg.k_per_group, X_inter=X_inter,
+                                      modalities=modalities)
+        raise RoutingConfigError("dense_ffn mode has no routing")
 
     # -- forward --------------------------------------------------------------
 
     def forward(self, X: Tensor, modalities: list[str] | None = None):
         """Process a [B x d] token batch.
 
-        Returns (outputs [B x d], decisions, DispatchStats); stats is None in
-        dense mode."""
-        B = X.data.shape[0]
+        Returns (outputs [B x d], Routing, DispatchStats); the routing and
+        the stats are None in dense mode."""
         cfg = self.cfg
         if cfg.mode == "dense_ffn":
-            return self.experts[0].forward(X), [], None
-        if modalities is None:
-            modalities = [MOD_AV] * B
+            return self.experts[0].forward(X), None, None
         if cfg.mode == "hierarchical" and T.grad_enabled():
             mom = self.center_momentum
             self.inter_center = mom * self.inter_center + (1 - mom) * X.data.mean(axis=0)
-        decisions = [self.route(_row(X, i), modalities[i]) for i in range(B)]
-        out = self.combine(X, decisions)
-        stats = dispatch_stats(decisions, modalities)
-        return out, decisions, stats
+        routing = self.route(X, modalities)
+        return self.combine(X, routing), routing, dispatch_stats([routing])
 
-    def combine(self, X: Tensor, decisions: list[RoutingDecision]) -> Tensor:
-        """y_t = weighted sum of selected expert outputs per token."""
-        cfg = self.cfg
-        B = X.data.shape[0]
-        if cfg.mode == "dense_ffn":
-            return self.experts[0].forward(X)
-        if decisions and decisions[0].mode != cfg.mode and not (
-                decisions[0].mode == "sparse_topk" and cfg.mode == "sparse_topk"):
+    def combine(self, X: Tensor, routing: Routing) -> Tensor:
+        """y_t = sum over the experts e token t selected of weights[t, e] * e(x_t).
+
+        Each expert runs once, on the rows that selected it; the weighted
+        outputs of all experts are scattered back in one step."""
+        B, E = routing.weights.data.shape
+        if E != len(self.experts):
             raise RoutingConfigError(
-                f"routing mode {decisions[0].mode!r} does not match layer mode {cfg.mode!r}")
+                f"routing over {E} experts does not match a layer of {len(self.experts)}")
+        # (token, expert) pairs of the selection, grouped by expert in
+        # ascending order with tokens ascending inside each group
+        experts = routing.selected.ravel()
+        order = np.argsort(experts, kind="stable")
+        experts = experts[order]
+        rows = np.repeat(np.arange(B), routing.selected.shape[1])[order]
+        bounds = np.flatnonzero(np.diff(experts)) + 1
+        outputs = [self.experts[e[0]].forward(T.index_rows(X, r))
+                   for e, r in zip(np.split(experts, bounds), np.split(rows, bounds))]
+        w = T.take(routing.weights, (rows * E + experts)[:, None])
+        return T.scatter_rows(T.mul(T.concat_rows(outputs), w), rows, B)
 
-        # (expert -> rows to process, each with a scalar weight Tensor)
-        jobs: dict[int, list[tuple[int, Tensor]]] = {}
-        for t, d in enumerate(decisions):
-            if d.mode == "sparse_topk":
-                for slot, e in enumerate(d.selected_experts):
-                    w = T.take(d.selected_weights, [slot])
-                    jobs.setdefault(e, []).append((t, w))
-            elif d.mode == "hard":
-                if len(d.selected_groups) == 1:
-                    gid = d.selected_groups[0]
-                    ids, weights = d.per_group_selection[gid]
-                    for slot, e in enumerate(ids):
-                        jobs.setdefault(e, []).append((t, T.take(weights, [slot])))
-                else:  # audiovisual: equal-weight mean of the two group outputs
-                    for gid in d.selected_groups:
-                        ids, weights = d.per_group_selection[gid]
-                        for slot, e in enumerate(ids):
-                            w = T.scale(T.take(weights, [slot]), 0.5)
-                            jobs.setdefault(e, []).append((t, w))
-            else:  # hierarchical
-                for pos, gid in enumerate(d.selected_groups):
-                    ids, weights = d.per_group_selection[gid]
-                    qw = T.take(d.group_weights, [pos])
-                    for slot, e in enumerate(ids):
-                        w = T.mul(qw, T.take(weights, [slot]))
-                        jobs.setdefault(e, []).append((t, w))
-
-        total = None
-        for e_id in sorted(jobs):
-            rows_w = jobs[e_id]
-            token_ids = [t for t, _ in rows_w]
-            weights = T.reshape(T.concat_rows([T.reshape(w, (1, 1)) for _, w in rows_w]),
-                                (len(rows_w), 1))
-            rows = T.index_rows(X, token_ids)
-            y = T.mul(self.experts[e_id].forward(rows), weights)
-            scattered = T.scatter_rows(y, token_ids, B)
-            total = scattered if total is None else T.add(total, scattered)
-        if total is None:
-            total = Tensor(np.zeros_like(X.data))
-        return total
-
-    def router_logit_rows(self, X: Tensor) -> list[Tensor]:
-        """Expert-router logit matrices for this batch (z-loss inputs).
+    def router_logit_rows(self, routing: Routing) -> list[Tensor]:
+        """Expert-router logit matrices of this routing (z-loss inputs).
 
         The z-loss is defined over the expert logits; the inter-modal router
         of the hierarchical mode is deliberately left out."""
-        rows = []
-        if self.router is not None:
-            rows.append(route_dense_batch(self.router, X)[0])
-        for r in self.intra_routers:
-            rows.append(route_dense_batch(r, X)[0])
-        return rows
-
-
-def _row(X: Tensor, i: int) -> Tensor:
-    return T.reshape(T.index_rows(X, [i]), (X.data.shape[1],))
+        return routing.logits
 
 
 def flops_report(cfg: MoELayerConfig, tokens: int) -> dict:

@@ -11,7 +11,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,152 +51,158 @@ class RouterParams:
 
 
 @dataclass
-class RoutingDecision:
-    """Per-token routing outcome.
+class Routing:
+    """Routing of one [B x d] token batch.
 
-    ``expert_probs`` is the full router distribution (one per group in grouped
-    modes). ``selected_weights`` sums to 1; in grouped modes
-    ``per_group_selection`` maps selected group -> (flat expert ids, weights
-    within the group, also summing to 1) and ``group_weights`` carries the
-    normalized inter-router weights.
+    ``selected`` holds each row's flat expert ids in selection order, and it
+    alone decides which experts run: a selected expert's weight may underflow
+    to 0. ``weights`` is the [B x E] combine matrix, zero outside the
+    selection; in grouped modes it already folds in the group weights.
+    ``logits`` and ``expert_probs`` hold one [B x n_g] matrix per expert
+    router; ``group_probs`` is the [B x G] inter-router distribution of the
+    hierarchical mode.
     """
 
-    mode: str
-    expert_probs: list[Tensor]            # one [n_g] prob vector per group
-    group_sizes: list[int]
-    selected_experts: list[int] = field(default_factory=list)   # flat ids
-    selected_weights: Tensor | None = None
-    group_probs: Tensor | None = None     # [G]
-    selected_groups: list[int] = field(default_factory=list)
-    group_weights: Tensor | None = None   # normalized over selected groups
-    per_group_selection: dict = field(default_factory=dict)
+    modalities: list[str]
+    logits: list[Tensor]
+    expert_probs: list[Tensor]
+    selected: np.ndarray
+    weights: Tensor
+    group_probs: Tensor | None = None
 
     @property
-    def top1_expert(self) -> int:
-        """Flat id of the overall highest-probability expert (lowest id wins)."""
-        best_id, best_p = -1, -np.inf
-        offset = 0
-        for probs, n in zip(self.expert_probs, self.group_sizes):
-            local = int(np.argmax(probs.data))
-            if probs.data[local] > best_p:
-                best_id, best_p = offset + local, float(probs.data[local])
-            offset += n
-        return best_id
+    def group_sizes(self) -> list[int]:
+        return [p.data.shape[1] for p in self.expert_probs]
 
 
-def route_dense(router: RouterParams, x: Tensor) -> Tensor:
-    """softmax(W^T x) over experts for a single token vector."""
-    if x.data.ndim != 1 or x.data.shape[0] != router.weight.shape[0]:
+def _tags(modalities, n: int) -> list[str]:
+    """One validated modality tag per row; untagged batches are audio-visual."""
+    tags = [MOD_AV] * n if modalities is None else list(modalities)
+    if len(tags) != n:
+        raise RoutingConfigError(f"{len(tags)} modality tags for {n} tokens")
+    for tag in tags:
+        if tag not in MODALITIES:
+            raise RoutingConfigError(f"unknown modality {tag!r}")
+    return tags
+
+
+def route_dense(router: RouterParams, X: Tensor) -> tuple[Tensor, Tensor]:
+    """(logits, row softmax) of one router over a [B x d] batch."""
+    if X.data.ndim != 2 or X.data.shape[1] != router.weight.shape[0]:
         raise ShapeError(
-            f"token shape {x.data.shape} incompatible with router {router.weight.shape}")
-    return T.softmax(T.matmul(x, router.weight))
-
-
-def route_dense_batch(router: RouterParams, X: Tensor) -> tuple[Tensor, Tensor]:
-    """(logits, probs) for a [B x d] batch."""
+            f"token batch shape {X.data.shape} incompatible with router {router.weight.shape}")
     logits = T.matmul(X, router.weight)
     return logits, T.softmax(logits)
 
 
-def topk_ids(probs: np.ndarray, k: int) -> list[int]:
-    """Indices of the k largest entries, ties broken toward lower indices."""
-    order = np.argsort(-probs, kind="stable")
-    return [int(i) for i in order[:k]]
+def topk_ids(probs: np.ndarray, k: int) -> np.ndarray:
+    """Per row (last axis), the indices of the k largest entries, ties broken
+    toward lower indices."""
+    return np.argsort(-probs, axis=-1, kind="stable")[..., :k]
 
 
-def select_topk(probs: Tensor, k: int) -> tuple[list[int], Tensor]:
-    """Top-k ids plus renormalized weights over the selection."""
+def _flat(ids: np.ndarray, n: int) -> np.ndarray:
+    """Row-major flat indices of per-row column ids into rows of width n."""
+    return ids if ids.ndim == 1 else ids + n * np.arange(ids.shape[0])[:, None]
+
+
+def select_topk(probs: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
+    """Per-row top-k ids plus their weights renormalized over the selection."""
     n = probs.data.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     ids = topk_ids(probs.data, k)
-    picked = T.take(probs, ids)
-    total = T.tsum(picked)
-    return ids, T.div(picked, total)
+    return ids, T.normalize_rows(T.take(probs, _flat(ids, n)))
 
 
-def route_sparse(router: RouterParams, x: Tensor, k: int) -> RoutingDecision:
-    """Dense softmax routing followed by top-k selection (single group)."""
-    probs = route_dense(router, x)
+def _topk_combine(probs: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
+    """select_topk with the weights spread into a matrix of probs' shape."""
     ids, weights = select_topk(probs, k)
-    return RoutingDecision(mode="sparse_topk", expert_probs=[probs],
-                           group_sizes=[router.n_outputs],
-                           selected_experts=ids, selected_weights=weights)
+    return ids, T.scatter(weights, _flat(ids, probs.data.shape[-1]), probs.data.shape)
 
 
-def route_hard(modality: str, routers: tuple[RouterParams, RouterParams],
-               x: Tensor, k: int) -> RoutingDecision:
+def route_sparse(router: RouterParams, X: Tensor, k: int,
+                 modalities: list[str] | None = None) -> Routing:
+    """Dense softmax routing followed by top-k selection (single group)."""
+    logits, probs = route_dense(router, X)
+    ids, weights = _topk_combine(probs, k)
+    return Routing(_tags(modalities, X.data.shape[0]), [logits], [probs], ids, weights)
+
+
+def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, RouterParams],
+               X: Tensor, k: int) -> Routing:
     """Manual group activation: unimodal tokens use only their group's
-    experts; audio-visual tokens take the top-(k/2) of each group."""
-    if modality not in MODALITIES:
-        raise RoutingConfigError(f"unknown modality {modality!r}")
+    experts; audio-visual tokens take the top-(k/2) of each group, and the
+    two group outputs are averaged."""
+    B = X.data.shape[0]
+    tag_list = _tags(modalities, B)
+    tags = np.asarray(tag_list)
     router_a, router_v = routers
-    n_a, n_v = router_a.n_outputs, router_v.n_outputs
-    probs_a = route_dense(router_a, x)
-    probs_v = route_dense(router_v, x)
-    decision = RoutingDecision(mode="hard", expert_probs=[probs_a, probs_v],
-                               group_sizes=[n_a, n_v])
-    if modality == MOD_AUDIO:
-        ids, weights = select_topk(probs_a, k)
-        decision.selected_experts = ids
-        decision.selected_weights = weights
-        decision.selected_groups = [AUDIO_GROUP]
-        decision.per_group_selection = {AUDIO_GROUP: (ids, weights)}
-    elif modality == MOD_VIDEO:
-        ids, weights = select_topk(probs_v, k)
-        decision.selected_experts = [n_a + i for i in ids]
-        decision.selected_weights = weights
-        decision.selected_groups = [VIDEO_GROUP]
-        decision.per_group_selection = {VIDEO_GROUP: (decision.selected_experts, weights)}
-    else:
-        if k % 2 != 0:
-            raise RoutingConfigError(f"audiovisual hard routing needs even k, got {k}")
-        ids_a, w_a = select_topk(probs_a, k // 2)
-        ids_v, w_v = select_topk(probs_v, k // 2)
-        flat_v = [n_a + i for i in ids_v]
-        decision.selected_experts = ids_a + flat_v
-        decision.selected_groups = [AUDIO_GROUP, VIDEO_GROUP]
-        decision.per_group_selection = {AUDIO_GROUP: (ids_a, w_a),
-                                        VIDEO_GROUP: (flat_v, w_v)}
-    return decision
+    n_a = router_a.n_outputs
+    E = n_a + router_v.n_outputs
+    logits_a, probs_a = route_dense(router_a, X)
+    logits_v, probs_v = route_dense(router_v, X)
+    if k % 2 != 0 and MOD_AV in tags:
+        raise RoutingConfigError(f"audiovisual hard routing needs even k, got {k}")
+    # modality -> (group probs, flat id offset, experts taken, output share)
+    plans = {MOD_AUDIO: [(probs_a, 0, k, 1.0)],
+             MOD_VIDEO: [(probs_v, n_a, k, 1.0)],
+             MOD_AV: [(probs_a, 0, k // 2, 0.5), (probs_v, n_a, k // 2, 0.5)]}
+    selected = np.zeros((B, k), dtype=np.int64)
+    weights = None
+    for tag, plan in plans.items():
+        rows = np.flatnonzero(tags == tag)
+        if rows.size == 0:
+            continue
+        col = 0
+        for probs, offset, kg, share in plan:
+            ids, w = select_topk(T.index_rows(probs, rows), kg)
+            selected[rows, col:col + kg] = offset + ids
+            col += kg
+            part = T.scatter(w if share == 1.0 else T.scale(w, share),
+                             rows[:, None] * E + offset + ids, (B, E))
+            weights = part if weights is None else T.add(weights, part)
+    return Routing(tag_list, [logits_a, logits_v], [probs_a, probs_v], selected, weights)
 
 
-def route_hierarchical(inter: RouterParams, intras: list[RouterParams], x: Tensor,
-                       m: int, k_per_group: int = 1,
-                       x_inter: Tensor | None = None) -> RoutingDecision:
+def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tensor,
+                       m: int, k_per_group: int = 1, X_inter: Tensor | None = None,
+                       modalities: list[str] | None = None) -> Routing:
     """Inter-modal router picks top-m groups; within each selected group the
     intra router picks the argmax expert (k_per_group == 1, Kronecker-delta
-    weights carrying no gradient) or a renormalized top-k_per_group.
+    weights carrying no gradient) or a renormalized top-k_per_group. A
+    token's weight on a selected expert is its renormalized group weight
+    times its within-group weight.
 
-    ``x_inter`` optionally substitutes the inter router's input (for example
-    a mean-centered view of ``x``); intra routers always see ``x``."""
+    ``X_inter`` optionally substitutes the inter router's input (for example
+    a mean-centered view of ``X``); intra routers always see ``X``."""
     G = len(intras)
     if m > G:
         raise RoutingConfigError(f"m={m} exceeds {G} groups")
-    q = route_dense(inter, x if x_inter is None else x_inter)
-    group_ids = topk_ids(q.data, m)
-    picked = T.take(q, group_ids)
-    q_tilde = T.div(picked, T.tsum(picked))
-    group_sizes = [r.n_outputs for r in intras]
-    offsets = np.concatenate(([0], np.cumsum(group_sizes)))
-    expert_probs = [route_dense(r, x) for r in intras]
-    per_group = {}
-    flat_selected = []
-    for g in group_ids:
+    B = X.data.shape[0]
+    _, q = route_dense(inter, X if X_inter is None else X_inter)
+    group_ids, q_tilde = select_topk(q, m)
+    q_full = T.scatter(q_tilde, _flat(group_ids, G), (B, G))  # 0 off the selection
+    logits, probs, flat_ids, inner = [], [], [], []
+    offset = 0
+    for router in intras:
+        lg, p = route_dense(router, X)
+        n = router.n_outputs
         if k_per_group == 1:
-            local = int(np.argmax(expert_probs[g].data))
-            flat = int(offsets[g]) + local
-            per_group[g] = ([flat], Tensor(np.ones(1)))  # delta weight, no gradient
-            flat_selected.append(flat)
+            ids = topk_ids(p.data, 1)
+            w = Tensor(np.eye(n)[ids[:, 0]])
         else:
-            ids, weights = select_topk(expert_probs[g], k_per_group)
-            flats = [int(offsets[g]) + i for i in ids]
-            per_group[g] = (flats, weights)
-            flat_selected.extend(flats)
-    return RoutingDecision(mode="hierarchical", expert_probs=expert_probs,
-                           group_sizes=group_sizes, selected_experts=flat_selected,
-                           group_probs=q, selected_groups=group_ids,
-                           group_weights=q_tilde, per_group_selection=per_group)
+            ids, w = _topk_combine(p, k_per_group)
+        logits.append(lg)
+        probs.append(p)
+        flat_ids.append(offset + ids)
+        inner.append(w)
+        offset += n
+    group_of = np.repeat(np.arange(G), [r.n_outputs for r in intras])
+    q_per_expert = T.take(q_full, G * np.arange(B)[:, None] + group_of)
+    weights = T.mul(q_per_expert, T.concat_cols(inner))
+    selected = np.stack(flat_ids, axis=1)[np.arange(B)[:, None], group_ids].reshape(B, -1)
+    return Routing(_tags(modalities, B), logits, probs, selected, weights, group_probs=q)
 
 
 @dataclass
@@ -218,42 +224,38 @@ class DispatchStats:
     n_groups: int
 
 
-def dispatch_stats(decisions: list[RoutingDecision], modalities: list[str]) -> DispatchStats:
-    """Aggregate f/P per expert group and g/Q per modality subset."""
-    if not decisions:
+def _stacked(parts: list[Tensor]) -> Tensor:
+    return parts[0] if len(parts) == 1 else T.concat_rows(parts)
+
+
+def dispatch_stats(routings: list[Routing]) -> DispatchStats:
+    """Aggregate f/P per expert group and g/Q per modality subset over the
+    rows of every routing record."""
+    if not routings:
         raise ValueError("dispatch_stats needs a non-empty batch")
-    if len(modalities) != len(decisions):
-        raise ValueError("one modality tag per decision required")
-    n_tok = len(decisions)
-    group_sizes = decisions[0].group_sizes
-    n_groups = len(group_sizes)
+    tags = np.asarray([t for r in routings for t in r.modalities])
+    n_tok = tags.size
+    group_sizes = routings[0].group_sizes
 
     expert_f = []
     expert_P = []
     for gi, n in enumerate(group_sizes):
-        ones = np.zeros(n)
-        for d in decisions:
-            ones[int(np.argmax(d.expert_probs[gi].data))] += 1.0
-        expert_f.append(ones / n_tok)
-        stacked = T.stack_rows([d.expert_probs[gi] for d in decisions])
-        expert_P.append(T.mean_axis0(stacked))
+        probs = _stacked([r.expert_probs[gi] for r in routings])
+        expert_f.append(np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok)
+        expert_P.append(T.mean_axis0(probs))
 
     g: dict[str, np.ndarray] = {}
     Q: dict[str, Tensor] = {}
     counts = {key: 0 for key in MODALITIES}
-    if decisions[0].group_probs is not None:
-        by_subset: dict[str, list[RoutingDecision]] = {}
-        for d, tag in zip(decisions, modalities):
-            by_subset.setdefault(tag, []).append(d)
-        for tag, ds in by_subset.items():
-            counts[tag] = len(ds)
-            freq = np.zeros(n_groups)
-            for d in ds:
-                freq[int(np.argmax(d.group_probs.data))] += 1.0
-            g[tag] = freq / len(ds)
-            Q[tag] = T.mean_axis0(T.stack_rows([d.group_probs for d in ds]))
-    else:
-        for tag in modalities:
-            counts[tag] += 1
+    group_probs = (_stacked([r.group_probs for r in routings])
+                   if routings[0].group_probs is not None else None)
+    for tag in dict.fromkeys(tags.tolist()):
+        rows = np.flatnonzero(tags == tag)
+        counts[tag] = rows.size
+        if group_probs is not None:
+            q = group_probs if rows.size == n_tok else T.index_rows(group_probs, rows)
+            g[tag] = np.bincount(q.data.argmax(axis=1),
+                                 minlength=q.data.shape[1]) / rows.size
+            Q[tag] = T.mean_axis0(q)
     return DispatchStats(expert_f=expert_f, expert_P=expert_P, g=g, Q=Q,
-                         counts=counts, n_groups=n_groups)
+                         counts=counts, n_groups=len(group_sizes))

@@ -223,7 +223,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return Tensor(data)
 
     def backward(g):
-        ga = np.atleast_2d(g) if False else g
         ad, bd = a.data, b.data
         if ad.ndim == 1 and bd.ndim == 1:
             a._accum(g * bd)
@@ -345,6 +344,17 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
+def normalize_rows(a: Tensor) -> Tensor:
+    """Divide each row (last axis) by its sum."""
+    a = _as_tensor(a)
+    total = a.data.sum(axis=-1, keepdims=True)
+    y = a.data / total
+    if not _track(a):
+        return Tensor(y)
+    return _make(y, (a,), lambda g: a._accum(
+        (g - (g * y).sum(axis=-1, keepdims=True)) / total))
+
+
 def logsumexp(a: Tensor) -> Tensor:
     """Row-wise (last axis) logsumexp; returns shape ``a.shape[:-1]``."""
     a = _as_tensor(a)
@@ -433,6 +443,23 @@ def take(a: Tensor, flat_idx) -> Tensor:
         a._accum(buf.reshape(a.data.shape))
 
     return _make(data, (a,), backward)
+
+
+def scatter(values: Tensor, flat_idx, shape) -> Tensor:
+    """Place ``values`` at flat (row-major) positions of an all-zero tensor
+    of ``shape``; ``flat_idx`` has the shape of ``values``.
+
+    Duplicate indices add, making this the adjoint of take.
+    """
+    values = _as_tensor(values)
+    flat_idx = np.asarray(flat_idx, dtype=np.int64)
+    if flat_idx.shape != values.data.shape:
+        raise ShapeError(f"{flat_idx.shape} indices for values of shape {values.data.shape}")
+    data = np.bincount(flat_idx.reshape(-1), weights=values.data.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
+    if not _track(values):
+        return Tensor(data)
+    return _make(data, (values,), lambda g: values._accum(g.reshape(-1)[flat_idx]))
 
 
 def scatter_rows(rows: Tensor, idx, n_rows: int) -> Tensor:

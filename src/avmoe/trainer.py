@@ -182,6 +182,8 @@ class MetricsReport:
     flops: dict
     group_affinity: dict
     run_dir: str | None = None
+    # the trained model, for in-process callers
+    model: Model | None = None
     # (layer, group) -> mean within-group top-1 frequency vector over the
     # last 10% of supervised steps; empty for pure uptraining runs
     expert_load_tail: dict = field(default_factory=dict)
@@ -333,24 +335,21 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     """Forward one batch; returns (scalars, total loss Tensor, per-layer
     DispatchStats or None)."""
     ces = []
-    layer_decisions: dict[int, list] = {}
-    layer_tags: dict[int, list] = {}
+    layer_routings: dict[int, list] = {}
     logit_rows: list[Tensor] = []
     for audio, video, labels, tag in batch:
         feats, _ = model.encode(audio, video)
         _, ce, aux = model.decode_train(feats, labels, modality=tag)
         ces.append(ce)
         for li, layer_aux in enumerate(aux):
-            if layer_aux["decisions"]:
-                layer_decisions.setdefault(li, []).extend(layer_aux["decisions"])
-                layer_tags.setdefault(li, []).extend(layer_aux["modalities"])
+            if layer_aux["routing"] is not None:
+                layer_routings.setdefault(li, []).append(layer_aux["routing"])
             logit_rows.extend(layer_aux["logit_rows"])
     ce = _mean_scalars(ces)
     zero = Tensor(np.zeros(()))
     stats = None
-    if layer_decisions:
-        stats = {li: dispatch_stats(layer_decisions[li], layer_tags[li])
-                 for li in layer_decisions}
+    if layer_routings:
+        stats = {li: dispatch_stats(routings) for li, routings in layer_routings.items()}
         balance = _mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
         first = next(iter(stats.values()))
         if first.n_groups == 2 and first.g:
@@ -553,11 +552,12 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
     return total / pairs
 
 
-def _collect_decisions(model: Model, audio, video, labels, tag):
+def _collect_routings(model: Model, audio, video, labels, tag) -> list:
+    """The Routing of every routed decoder layer on one teacher-forced pass."""
     with T.no_grad():
         feats, _ = model.encode(audio, video)
         _, _, aux = model.decode_train(feats, labels, modality=tag)
-    return aux
+    return [layer_aux["routing"] for layer_aux in aux]
 
 
 def _is_hierarchical(model: Model) -> bool:
@@ -580,11 +580,9 @@ def eval_group_load_vs_snr(model: Model, gen_cfg: GeneratorConfig,
             audio, video = corrupt_pair(pair.audio, pair.video, plan,
                                         int(rng.integers(2 ** 31)),
                                         audio_snr_db=float(snr))
-            aux = _collect_decisions(model, audio, video, pair.labels, MOD_AV)
-            for layer_aux in aux:
-                for d in layer_aux["decisions"]:
-                    if d.group_probs is not None:
-                        weights.append(float(d.group_probs.data[VIDEO_GROUP]))
+            for r in _collect_routings(model, audio, video, pair.labels, MOD_AV):
+                if r is not None and r.group_probs is not None:
+                    weights.extend(r.group_probs.data[:, VIDEO_GROUP])
         arr = np.asarray(weights)
         table.append([float(snr), float(arr.mean()), float(arr.std())])
     return table
@@ -597,16 +595,16 @@ def group_affinity(model: Model, gen_cfg: GeneratorConfig, pairs: int,
         raise UnsupportedConfigError("group affinity needs a hierarchical model")
     sums = {MOD_AUDIO: [], MOD_VIDEO: []}
     for pair in _eval_pairs(gen_cfg, pairs, seed):
-        audio_only = _collect_decisions(model, pair.audio,
-                                        np.zeros_like(pair.video),
-                                        pair.labels, MOD_AUDIO)
-        video_only = _collect_decisions(model, np.zeros_like(pair.audio),
-                                        pair.video, pair.labels, MOD_VIDEO)
-        for aux, tag, gid in ((audio_only, MOD_AUDIO, AUDIO_GROUP),
-                              (video_only, MOD_VIDEO, VIDEO_GROUP)):
-            for layer_aux in aux:
-                for d in layer_aux["decisions"]:
-                    sums[tag].append(float(d.group_probs.data[gid]))
+        audio_only = _collect_routings(model, pair.audio,
+                                       np.zeros_like(pair.video),
+                                       pair.labels, MOD_AUDIO)
+        video_only = _collect_routings(model, np.zeros_like(pair.audio),
+                                       pair.video, pair.labels, MOD_VIDEO)
+        for routings, tag, gid in ((audio_only, MOD_AUDIO, AUDIO_GROUP),
+                                   (video_only, MOD_VIDEO, VIDEO_GROUP)):
+            for r in routings:
+                if r is not None:
+                    sums[tag].extend(r.group_probs.data[:, gid])
     return {"audio_group_on_audio_tokens": float(np.mean(sums[MOD_AUDIO])),
             "video_group_on_video_tokens": float(np.mean(sums[MOD_VIDEO]))}
 
@@ -617,24 +615,18 @@ def expert_load_table(model: Model, gen_cfg: GeneratorConfig, pairs: int,
     table = CsvTable(["layer", "group", "expert", "raw_freq", "weighted_freq"])
     per_layer: dict[int, list] = {}
     for pair in _eval_pairs(gen_cfg, pairs, seed):
-        aux = _collect_decisions(model, pair.audio, pair.video, pair.labels, MOD_AV)
-        for li, layer_aux in enumerate(aux):
-            per_layer.setdefault(li, []).extend(layer_aux["decisions"])
-    for li, decisions in sorted(per_layer.items()):
-        if not decisions:
-            continue
-        n_groups = len(decisions[0].expert_probs)
-        for gi in range(n_groups):
-            n_exp = decisions[0].expert_probs[gi].data.shape[0]
-            raw = np.zeros(n_exp)
-            weighted = np.zeros(n_exp)
-            for d in decisions:
-                top = int(np.argmax(d.expert_probs[gi].data))
-                raw[top] += 1.0
-                q = (float(d.group_probs.data[gi])
-                     if d.group_probs is not None else 1.0)
-                weighted[top] += q
-            raw /= raw.sum()
+        routings = _collect_routings(model, pair.audio, pair.video, pair.labels, MOD_AV)
+        for li, r in enumerate(routings):
+            if r is not None:
+                per_layer.setdefault(li, []).append(r)
+    for li, routings in sorted(per_layer.items()):
+        for gi, n_exp in enumerate(routings[0].group_sizes):
+            top = np.concatenate([r.expert_probs[gi].data.argmax(axis=1)
+                                  for r in routings])
+            q = (np.concatenate([r.group_probs.data[:, gi] for r in routings])
+                 if routings[0].group_probs is not None else np.ones(top.size))
+            raw = np.bincount(top, minlength=n_exp) / top.size
+            weighted = np.bincount(top, weights=q, minlength=n_exp)
             if weighted.sum() > 0:
                 weighted /= weighted.sum()
             for e in range(n_exp):
@@ -713,10 +705,10 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     report = MetricsReport(final_losses=final, steps_table=table,
                            expert_load=expert_load, group_load=group_load,
                            ter=ter, flops=flops, group_affinity=affinity,
-                           run_dir=run_dir, expert_load_tail=load_tail)
+                           run_dir=run_dir, model=model,
+                           expert_load_tail=load_tail)
     if run_dir is not None:
         _write_run(report, model, cfg, run_dir)
-    report.model = model  # handy for in-process callers
     return report
 
 

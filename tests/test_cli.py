@@ -146,3 +146,51 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["gradcheck", "--turbo"]) == EXIT_CONFIG
+
+
+def test_gradcheck_run_unknown_module_raises_config_error():
+    from avmoe.gradcheck import run
+    from avmoe.trainer import ConfigError
+    with pytest.raises(ConfigError):
+        run(module="nonsense", seeds=1)
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    import avmoe.trainer as trainer
+
+    def broken_step(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(trainer, "_supervised_step", broken_step)
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    # an internal bug propagates with its traceback instead of exiting 2
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")])
+
+
+def test_eval_unknown_preset_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "none.json"),
+               "--config", str(cfg_path), "--preset", "nonsense"])
+    assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("moe", [
+    {"mode": "hierarchical", "n_groups": 2, "n_per_group": 4, "m": 3},
+    {"mode": "hierarchical", "n_groups": 2, "n_per_group": 4, "k_per_group": 5},
+    {"mode": "sparse_topk", "n_experts": 4, "k": 5},
+    {"mode": "hard", "n_groups": 3, "n_per_group": 4, "k": 2},
+])
+def test_infeasible_routing_shape_is_config_error(tmp_path, moe):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, model={"moe": moe})
+    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+def test_odd_k_hard_routing_of_audiovisual_tokens_is_config_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, modality_dropout=0.0,
+                  model={"moe": {"mode": "hard", "n_per_group": 4, "k": 3}})
+    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG

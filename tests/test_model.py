@@ -107,8 +107,9 @@ class TestDecodeTrain:
         feats, _ = model.encode(A, V)
         _, _, aux = model.decode_train(feats, [1, 2, 3], modality=MOD_AV)
         assert len(aux) == model.cfg.n_dec
-        # BOS + 3 labels = 4 decoder tokens, each with a routing decision
-        assert len(aux[0]["decisions"]) == 4
+        # BOS + 3 labels = 4 decoder tokens, each with a routing row
+        assert aux[0]["routing"].selected.shape == (4, 2)
+        assert aux[0]["routing"].weights.data.shape == (4, 4)
         assert aux[0]["logit_rows"][0].data.shape == (4, 4)
 
 

@@ -47,9 +47,9 @@ class TestMoEForward:
     def test_k1_equals_single_expert(self):
         layer = make_layer("sparse_topk", n_experts=4, k=1)
         X = Tensor(np.random.default_rng(3).normal(size=(5, 6)))
-        out, decisions, _ = layer.forward(X)
-        for t, d in enumerate(decisions):
-            e = d.selected_experts[0]
+        out, routing, _ = layer.forward(X)
+        for t in range(5):
+            e = routing.selected[t, 0]
             want = layer.experts[e].forward(Tensor(X.data[t:t + 1]))
             assert np.allclose(out.data[t], want.data[0], atol=1e-12)
 
@@ -69,12 +69,14 @@ class TestMoEForward:
     def test_dense_evaluation_oracle(self):
         layer = make_layer("sparse_topk", n_experts=4, k=2, seed=5)
         X = Tensor(np.random.default_rng(6).normal(size=(6, 6)))
-        out, decisions, _ = layer.forward(X)
-        for t, d in enumerate(decisions):
+        out, routing, _ = layer.forward(X)
+        probs = routing.expert_probs[0].data
+        for t in range(6):
             dense = np.zeros(6)
-            for slot, e in enumerate(d.selected_experts):
+            ids = routing.selected[t]
+            for e in ids:
                 y = layer.experts[e].forward(Tensor(X.data[t:t + 1])).data[0]
-                dense += d.selected_weights.data[slot] * y
+                dense += probs[t, e] / probs[t, ids].sum() * y
             assert np.max(np.abs(out.data[t] - dense)) < 1e-12
 
     def test_sparsity_contract(self):
@@ -94,33 +96,30 @@ class TestMoEForward:
     def test_hard_audiovisual_mean_of_groups(self):
         layer = make_layer("hard", n_groups=2, n_per_group=4, k=2, seed=11)
         X = Tensor(np.random.default_rng(12).normal(size=(3, 6)))
-        out, decisions, _ = layer.forward(X, modalities=[MOD_AV] * 3)
-        for t, d in enumerate(decisions):
+        out, routing, _ = layer.forward(X, modalities=[MOD_AV] * 3)
+        for t in range(3):
             acc = np.zeros(6)
-            for gid in d.selected_groups:
-                ids, w = d.per_group_selection[gid]
-                group_out = np.zeros(6)
-                for slot, e in enumerate(ids):
-                    group_out += w.data[slot] * layer.experts[e].forward(
-                        Tensor(X.data[t:t + 1])).data[0]
-                acc += 0.5 * group_out
+            for gid, e in enumerate(routing.selected[t]):
+                # one expert per group: its within-group weight is 1
+                assert e // 4 == gid
+                acc += 0.5 * layer.experts[e].forward(Tensor(X.data[t:t + 1])).data[0]
             assert np.max(np.abs(out.data[t] - acc)) < 1e-12
 
     def test_hard_unimodal_group_confinement(self):
         layer = make_layer("hard", n_groups=2, n_per_group=4, k=2, seed=13)
         X = Tensor(np.random.default_rng(14).normal(size=(4, 6)))
-        _, decisions, _ = layer.forward(X, modalities=[MOD_AUDIO, MOD_VIDEO] * 2)
-        for d, tag in zip(decisions, [MOD_AUDIO, MOD_VIDEO] * 2):
+        _, routing, _ = layer.forward(X, modalities=[MOD_AUDIO, MOD_VIDEO] * 2)
+        for ids, tag in zip(routing.selected, [MOD_AUDIO, MOD_VIDEO] * 2):
             lo, hi = (0, 4) if tag == MOD_AUDIO else (4, 8)
-            assert all(lo <= e < hi for e in d.selected_experts)
+            assert all(lo <= e < hi for e in ids)
 
     def test_unselected_experts_zero_gradient(self):
         layer = make_layer("sparse_topk", n_experts=4, k=1, seed=15)
         X = Tensor(np.random.default_rng(16).normal(size=(2, 6)))
-        out, decisions, _ = layer.forward(X)
+        out, routing, _ = layer.forward(X)
         loss = T.tsum(T.mul(out, out))
         loss.backward()
-        selected = {e for d in decisions for e in d.selected_experts}
+        selected = set(routing.selected.ravel().tolist())
         for i, e in enumerate(layer.experts):
             if i in selected:
                 assert e.W1.grad is not None

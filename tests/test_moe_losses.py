@@ -142,13 +142,13 @@ class TestLoadBiasing:
         # loss path: inter-router params -> q -> Q -> L_S, checked numerically
         rng = np.random.default_rng(3)
         intras = [RouterParams(Tensor.param(rng.normal(size=(4, 3)))) for _ in range(2)]
-        xs = [rng.normal(size=4) for _ in range(4)]
+        X = Tensor(rng.normal(size=(4, 4)))
         tags = [MOD_AUDIO, MOD_AUDIO, MOD_VIDEO, MOD_VIDEO]
 
         def loss_of(weight: Tensor):
             inter = RouterParams(weight)
-            ds = [route_hierarchical(inter, intras, Tensor(x), m=2) for x in xs]
-            return load_biasing_loss(dispatch_stats(ds, tags))
+            routing = route_hierarchical(inter, intras, X, m=2, modalities=tags)
+            return load_biasing_loss(dispatch_stats([routing]))
 
         W = Tensor(rng.normal(size=(4, 2)))
         assert grad_check(loss_of, W, eps=1e-4) < 1e-4

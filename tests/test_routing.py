@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from avmoe import tensor as T
 from avmoe.routing import (
-    AUDIO_GROUP, MOD_AUDIO, MOD_AV, MOD_VIDEO, VIDEO_GROUP, RouterParams,
-    RoutingConfigError, dispatch_stats, route_dense, route_hard,
-    route_hierarchical, route_sparse, select_topk, topk_ids,
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, RoutingConfigError,
+    dispatch_stats, route_dense, route_hard, route_hierarchical, route_sparse,
+    select_topk,
 )
 from avmoe.tensor import ShapeError, Tensor
 
@@ -18,42 +17,56 @@ def make_router(d, n, seed=0, scale=1.0):
     return RouterParams(Tensor.param(scale * rng.normal(size=(d, n))))
 
 
+def row(x):
+    """A one-token batch."""
+    return Tensor(np.asarray(x, dtype=np.float64).reshape(1, -1))
+
+
+def weights_at(routing, t):
+    """Row t's combine weights on its selected experts, in selection order."""
+    return routing.weights.data[t, routing.selected[t]]
+
+
 class TestRouteDense:
     def test_zero_weights_uniform(self):
         router = RouterParams(Tensor.param(np.zeros((4, 5))))
-        probs = route_dense(router, Tensor(np.ones(4)))
+        _, probs = route_dense(router, row(np.ones(4)))
         assert np.allclose(probs.data, 0.2, atol=1e-12)
 
     def test_closed_form(self):
         router = RouterParams(Tensor.param(np.array([[0.0, math.log(3.0)]])))
-        probs = route_dense(router, Tensor([1.0]))
-        assert np.allclose(probs.data, [0.25, 0.75], atol=1e-12)
+        _, probs = route_dense(router, row([1.0]))
+        assert np.allclose(probs.data, [[0.25, 0.75]], atol=1e-12)
 
     def test_matches_compositional_oracle(self):
         rng = np.random.default_rng(1)
         W = rng.normal(size=(6, 4))
-        x = rng.normal(size=6)
-        got = route_dense(RouterParams(Tensor.param(W)), Tensor(x)).data
-        logits = W.T @ x
-        want = np.exp(logits - logits.max())
-        want /= want.sum()
-        assert np.max(np.abs(got - want)) < 1e-12
+        X = rng.normal(size=(5, 6))
+        logits, probs = route_dense(RouterParams(Tensor.param(W)), Tensor(X))
+        for t in range(5):
+            want_logits = W.T @ X[t]
+            want = np.exp(want_logits - want_logits.max())
+            want /= want.sum()
+            assert np.max(np.abs(logits.data[t] - want_logits)) < 1e-12
+            assert np.max(np.abs(probs.data[t] - want)) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            route_dense(make_router(3, 2), Tensor(np.ones(4)))
+            route_dense(make_router(3, 2), row(np.ones(4)))
+        with pytest.raises(ShapeError):
+            route_dense(make_router(4, 2), Tensor(np.ones(4)))  # 1-D: not a batch
 
 
 class TestSelectTopk:
     def test_closed_form(self):
         ids, w = select_topk(Tensor([0.1, 0.4, 0.3, 0.2]), 2)
-        assert ids == [1, 2]
+        assert ids.tolist() == [1, 2]
         assert np.allclose(w.data, [4 / 7, 3 / 7], atol=1e-12)
 
     def test_k_equals_n(self):
         probs = Tensor([0.2, 0.5, 0.3])
         ids, w = select_topk(probs, 3)
-        assert ids == [1, 2, 0]
+        assert ids.tolist() == [1, 2, 0]
         assert np.allclose(np.sort(w.data), np.sort(probs.data), atol=1e-12)
 
     def test_k_out_of_range(self):
@@ -62,7 +75,7 @@ class TestSelectTopk:
 
     def test_ties_lowest_id_first(self):
         ids, _ = select_topk(Tensor([0.25, 0.25, 0.25, 0.25]), 2)
-        assert ids == [0, 1]
+        assert ids.tolist() == [0, 1]
 
     def test_brute_force_subset_oracle(self):
         rng = np.random.default_rng(2)
@@ -78,149 +91,177 @@ class TestSelectTopk:
             assert sorted(ids) == sorted(best)
             assert abs(float(w.data.sum()) - 1.0) < 1e-9
 
+    def test_rows_select_independently(self):
+        rng = np.random.default_rng(3)
+        probs = rng.uniform(size=(6, 5))
+        ids, w = select_topk(Tensor(probs), 2)
+        for t in range(6):
+            row_ids, row_w = select_topk(Tensor(probs[t]), 2)
+            assert ids[t].tolist() == row_ids.tolist()
+            assert np.array_equal(w.data[t], row_w.data)
+
 
 class TestRouteHard:
     def test_audio_token_zero_visual_weight(self):
         routers = (make_router(4, 3, seed=1), make_router(4, 3, seed=2))
-        d = route_hard(MOD_AUDIO, routers, Tensor(np.ones(4)), k=2)
-        assert all(e < 3 for e in d.selected_experts)
-        assert d.selected_groups == [AUDIO_GROUP]
-        assert VIDEO_GROUP not in d.per_group_selection
+        r = route_hard([MOD_AUDIO], routers, row(np.ones(4)), k=2)
+        assert all(e < 3 for e in r.selected[0])
+        assert np.array_equal(r.weights.data[0, 3:], np.zeros(3))
 
     def test_audiovisual_one_per_group(self):
         routers = (make_router(4, 4, seed=3), make_router(4, 4, seed=4))
-        d = route_hard(MOD_AV, routers, Tensor(np.ones(4)), k=2)
-        assert len(d.per_group_selection[AUDIO_GROUP][0]) == 1
-        assert len(d.per_group_selection[VIDEO_GROUP][0]) == 1
+        r = route_hard([MOD_AV], routers, row(np.ones(4)), k=2)
+        audio, video = r.selected[0]
+        assert audio < 4 <= video
+        assert np.allclose(weights_at(r, 0), [0.5, 0.5], atol=1e-15)
 
     def test_audio_reduces_to_select_topk(self):
         rng = np.random.default_rng(5)
         routers = (make_router(4, 5, seed=6), make_router(4, 5, seed=7))
-        x = Tensor(rng.normal(size=4))
-        d = route_hard(MOD_AUDIO, routers, x, k=2)
-        probs = route_dense(routers[0], x)
-        ids, w = select_topk(probs, 2)
-        assert d.selected_experts == ids
-        assert np.allclose(d.selected_weights.data, w.data, atol=1e-15)
+        X = Tensor(rng.normal(size=(6, 4)))
+        r = route_hard([MOD_AUDIO] * 6, routers, X, k=2)
+        _, probs = route_dense(routers[0], X)
+        for t in range(6):
+            ids, w = select_topk(Tensor(probs.data[t]), 2)
+            assert r.selected[t].tolist() == ids.tolist()
+            assert np.allclose(weights_at(r, t), w.data, atol=1e-15)
 
     def test_odd_k_audiovisual_rejected(self):
         routers = (make_router(4, 4), make_router(4, 4))
         with pytest.raises(RoutingConfigError):
-            route_hard(MOD_AV, routers, Tensor(np.ones(4)), k=3)
+            route_hard([MOD_AV], routers, row(np.ones(4)), k=3)
+
+    def test_unknown_modality_rejected(self):
+        routers = (make_router(4, 4), make_router(4, 4))
+        with pytest.raises(RoutingConfigError):
+            route_hard(["smell"], routers, row(np.ones(4)), k=2)
 
 
 class TestRouteHierarchical:
     def test_symmetric_inter_router(self):
         inter = RouterParams(Tensor.param(np.zeros((4, 2))))
         intras = [make_router(4, 4, seed=8), make_router(4, 4, seed=9)]
-        d = route_hierarchical(inter, intras, Tensor(np.ones(4)), m=2)
-        assert np.allclose(d.group_weights.data, [0.5, 0.5], atol=1e-12)
+        r = route_hierarchical(inter, intras, row(np.ones(4)), m=2)
+        assert np.allclose(weights_at(r, 0), [0.5, 0.5], atol=1e-12)
 
     def test_m1_single_group(self):
         inter = make_router(4, 2, seed=10)
         intras = [make_router(4, 4, seed=11), make_router(4, 4, seed=12)]
-        d = route_hierarchical(inter, intras, Tensor(np.ones(4)), m=1)
-        assert len(d.selected_groups) == 1
-        assert np.allclose(d.group_weights.data, [1.0])
+        r = route_hierarchical(inter, intras, row(np.ones(4)), m=1)
+        assert r.selected.shape == (1, 1)
+        assert np.allclose(weights_at(r, 0), [1.0])
 
     def test_argmax_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(13)
         inter = make_router(4, 2, seed=14)
         intras = [make_router(4, 4, seed=15), make_router(4, 4, seed=16)]
-        for _ in range(50):
-            x = Tensor(rng.normal(size=4))
-            d = route_hierarchical(inter, intras, x, m=2)
-            for g in d.selected_groups:
-                probs = route_dense(intras[g], x).data
+        X = Tensor(rng.normal(size=(50, 4)))
+        r = route_hierarchical(inter, intras, X, m=2)
+        for t in range(50):
+            for flat in r.selected[t]:
+                g = int(flat) // 4
+                _, probs = route_dense(intras[g], Tensor(X.data[t:t + 1]))
+                probs = probs.data[0]
                 best, best_p = 0, probs[0]
                 for j in range(1, probs.size):
                     if probs[j] > best_p:
                         best, best_p = j, probs[j]
-                assert d.per_group_selection[g][0][0] == g * 4 + best
+                assert flat == g * 4 + best
 
     def test_m_exceeds_groups(self):
         inter = make_router(4, 2)
         intras = [make_router(4, 4), make_router(4, 4)]
         with pytest.raises(RoutingConfigError):
-            route_hierarchical(inter, intras, Tensor(np.ones(4)), m=3)
+            route_hierarchical(inter, intras, row(np.ones(4)), m=3)
 
     def test_g1_reduces_to_dense_topk(self):
         rng = np.random.default_rng(17)
         shared = make_router(6, 8, seed=18)
         inter = make_router(6, 1, seed=19)
-        for _ in range(30):
-            x = Tensor(rng.normal(size=6))
-            hier = route_hierarchical(inter, [shared], x, m=1, k_per_group=2)
-            dense = route_sparse(shared, x, k=2)
-            assert hier.selected_experts == dense.selected_experts
-            # weights: hierarchical q~ is exactly 1 for a single group
-            hw = hier.per_group_selection[0][1].data
-            assert np.array_equal(hw, dense.selected_weights.data)
+        X = Tensor(rng.normal(size=(30, 6)))
+        hier = route_hierarchical(inter, [shared], X, m=1, k_per_group=2)
+        dense = route_sparse(shared, X, k=2)
+        assert np.array_equal(hier.selected, dense.selected)
+        # weights: hierarchical q~ is exactly 1 for a single group
+        assert np.array_equal(hier.weights.data, dense.weights.data)
 
     def test_normalization_invariants(self):
         rng = np.random.default_rng(20)
         inter = make_router(4, 3, seed=21)
         intras = [make_router(4, 4, seed=22 + i) for i in range(3)]
-        for _ in range(100):
-            x = Tensor(rng.normal(size=4))
-            d = route_hierarchical(inter, intras, x, m=2)
-            assert abs(float(d.group_weights.data.sum()) - 1.0) < 1e-9
+        r = route_hierarchical(inter, intras, Tensor(rng.normal(size=(100, 4))), m=2)
+        assert np.max(np.abs(r.weights.data.sum(axis=1) - 1.0)) < 1e-9
 
     def test_argmax_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(23)
         router = make_router(5, 6, seed=24)
-        for _ in range(100):
-            x = rng.normal(size=5)
-            a = route_sparse(router, Tensor(x), k=2).selected_experts
-            b = route_sparse(router, Tensor(7.3 * x), k=2).selected_experts
-            assert a == b
+        X = rng.normal(size=(100, 5))
+        a = route_sparse(router, Tensor(X), k=2).selected
+        b = route_sparse(router, Tensor(7.3 * X), k=2).selected
+        assert np.array_equal(a, b)
 
 
 class TestDispatchStats:
     def test_single_token_top1(self):
         probs = np.array([0.1, 0.2, 0.6, 0.1])
-        d = route_sparse(RouterParams(Tensor.param(np.log(probs)[None, :])),
-                         Tensor([1.0]), k=1)
-        stats = dispatch_stats([d], [MOD_AV])
+        r = route_sparse(RouterParams(Tensor.param(np.log(probs)[None, :])),
+                         row([1.0]), k=1)
+        stats = dispatch_stats([r])
         assert np.array_equal(stats.expert_f[0], [0, 0, 1, 0])
 
     def test_uniform_probs_uniform_P(self):
         router = RouterParams(Tensor.param(np.zeros((3, 4))))
-        ds = [route_sparse(router, Tensor(np.random.default_rng(s).normal(size=3)), 2)
-              for s in range(5)]
-        stats = dispatch_stats(ds, [MOD_AV] * 5)
+        r = route_sparse(router, Tensor(np.random.default_rng(0).normal(size=(5, 3))), 2)
+        stats = dispatch_stats([r])
         assert np.allclose(stats.expert_P[0].data, 0.25, atol=1e-12)
 
     def test_hand_count_oracle(self):
         inter = make_router(2, 2, seed=30)
         intras = [make_router(2, 2, seed=31), make_router(2, 2, seed=32)]
-        xs = [Tensor(v) for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
-                                  [-1.0, 0.0], [0.0, -1.0], [2.0, -1.0])]
+        X = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                             [-1.0, 0.0], [0.0, -1.0], [2.0, -1.0]]))
         tags = [MOD_AUDIO, MOD_AUDIO, MOD_AV, MOD_VIDEO, MOD_VIDEO, MOD_AV]
-        ds = [route_hierarchical(inter, intras, x, m=2) for x in xs]
-        stats = dispatch_stats(ds, tags)
+        r = route_hierarchical(inter, intras, X, m=2, modalities=tags)
+        stats = dispatch_stats([r])
         # hand-count group top-1 frequencies per subset
         for tag, idxs in ((MOD_AUDIO, [0, 1]), (MOD_VIDEO, [3, 4]), (MOD_AV, [2, 5])):
             freq = np.zeros(2)
             for i in idxs:
-                freq[int(np.argmax(ds[i].group_probs.data))] += 1
+                freq[int(np.argmax(r.group_probs.data[i]))] += 1
             assert np.array_equal(stats.g[tag], freq / len(idxs))
             assert stats.counts[tag] == len(idxs)
         # expert f per group over all 6 tokens
         for gi in range(2):
             freq = np.zeros(2)
-            for d in ds:
-                freq[int(np.argmax(d.expert_probs[gi].data))] += 1
+            for t in range(6):
+                freq[int(np.argmax(r.expert_probs[gi].data[t]))] += 1
             assert np.array_equal(stats.expert_f[gi], freq / 6)
+
+    def test_records_concatenate(self):
+        inter = make_router(3, 2, seed=35)
+        intras = [make_router(3, 4, seed=36), make_router(3, 4, seed=37)]
+        X = np.random.default_rng(38).normal(size=(7, 3))
+        tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV, MOD_AUDIO, MOD_AV, MOD_VIDEO, MOD_AUDIO]
+        whole = dispatch_stats([route_hierarchical(inter, intras, Tensor(X), m=2,
+                                                   modalities=tags)])
+        parts = dispatch_stats([
+            route_hierarchical(inter, intras, Tensor(X[:3]), m=2, modalities=tags[:3]),
+            route_hierarchical(inter, intras, Tensor(X[3:]), m=2, modalities=tags[3:])])
+        for gi in range(2):
+            assert np.array_equal(whole.expert_f[gi], parts.expert_f[gi])
+            assert np.allclose(whole.expert_P[gi].data, parts.expert_P[gi].data, atol=1e-15)
+        assert whole.counts == parts.counts
+        for tag in (MOD_AUDIO, MOD_VIDEO, MOD_AV):
+            assert np.array_equal(whole.g[tag], parts.g[tag])
+            assert np.allclose(whole.Q[tag].data, parts.Q[tag].data, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            dispatch_stats([], [])
+            dispatch_stats([])
 
     def test_frequency_vectors_sum_to_one(self):
         rng = np.random.default_rng(33)
         router = make_router(3, 5, seed=34)
-        ds = [route_sparse(router, Tensor(rng.normal(size=3)), 2) for _ in range(20)]
-        stats = dispatch_stats(ds, [MOD_AV] * 20)
+        stats = dispatch_stats([route_sparse(router, Tensor(rng.normal(size=(20, 3))), 2)])
         assert abs(stats.expert_f[0].sum() - 1.0) < 1e-9
         assert (stats.expert_f[0] >= 0).all() and (stats.expert_f[0] <= 1).all()
