@@ -140,6 +140,13 @@ def _case_cross_entropy_rows(seed):
     return lambda t: T.cross_entropy_rows(t, ids), _mat(seed)
 
 
+def _case_cross_entropy_rows_weighted(seed):
+    rng = _rng(seed + 1000)
+    ids = [int(i) for i in rng.integers(0, 4, size=3)]
+    w = rng.uniform(0.1, 1.0, size=3)
+    return lambda t: T.cross_entropy_rows(t, ids, row_weights=w), _mat(seed)
+
+
 def _case_index_rows(seed):
     return lambda t: T.tsum(T.mul(T.index_rows(t, [0, 2, 0]),
                                   T.index_rows(t, [0, 2, 0]))), _mat(seed)
@@ -191,6 +198,16 @@ def _case_attention(seed):
     K = Tensor(rng.normal(size=(5, 4)))
     V = Tensor(rng.normal(size=(5, 4)))
     return lambda t: T.tsum(T.attention(t, K, V)), _mat(seed)
+
+
+def _case_attention_masked(seed):
+    """Block-diagonal mask of two packed segments, rows 0-1 and row 2."""
+    rng = _rng(seed + 1000)
+    K = Tensor(rng.normal(size=(5, 4)))
+    V = Tensor(rng.normal(size=(5, 4)))
+    same = np.array([0, 0, 1])[:, None] == np.array([0, 0, 0, 1, 1])[None, :]
+    mask = np.where(same, 0.0, -np.inf)
+    return lambda t: T.tsum(T.attention(t, K, V, mask=mask)), _mat(seed)
 
 
 def _case_attention_keys(seed):
@@ -303,6 +320,11 @@ def _case_z_loss(seed):
     return lambda t: router_z_loss(t), _mat(seed)
 
 
+def _case_z_loss_weighted(seed):
+    w = _rng(seed + 1000).uniform(0.1, 1.0, size=3)
+    return lambda t: router_z_loss(t, row_weights=w), _mat(seed)
+
+
 def _case_z_through_router(seed):
     router = RouterParams.init(4, 4, _rng(seed + 1000))
     return lambda t: router_z_loss(route_dense(router, t)[0]), _mat(seed)
@@ -335,12 +357,14 @@ CASES = {
         ("logsumexp", _case_logsumexp), ("mse", _case_mse),
         ("cross_entropy", _case_cross_entropy),
         ("cross_entropy_rows", _case_cross_entropy_rows),
+        ("cross_entropy_rows_weighted", _case_cross_entropy_rows_weighted),
         ("index_rows", _case_index_rows), ("take", _case_take),
         ("scatter", _case_scatter), ("scatter_rows", _case_scatter_rows),
         ("concat_rows", _case_concat_rows), ("concat_cols", _case_concat_cols),
         ("stack_rows", _case_stack_rows),
         ("standardize_rows", _case_standardize),
-        ("attention", _case_attention), ("attention_keys", _case_attention_keys),
+        ("attention", _case_attention), ("attention_masked", _case_attention_masked),
+        ("attention_keys", _case_attention_keys),
     ],
     "moe": [
         ("expert_forward", _case_expert_forward),
@@ -356,6 +380,7 @@ CASES = {
         ("load_biasing_through_Q", _case_bias_through_Q),
         ("load_biasing_router_weights", _case_bias_router_weights),
         ("router_z_loss", _case_z_loss),
+        ("router_z_loss_weighted", _case_z_loss_weighted),
         ("router_z_through_router", _case_z_through_router),
         ("total_aux_loss", _case_total_aux),
     ],

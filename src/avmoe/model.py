@@ -5,6 +5,13 @@ single-head self-attention + FFN with residuals and per-feature
 standardization. Decoder: causal self-attention, cross-attention to the
 encoder features, and an FFN position that is either a plain FFN or a MoE
 layer. An absent modality is passed as all-zero frames.
+
+Several sequences run as one by packing: their rows are laid end to end and
+0/-inf attention masks built from per-row segment ids keep them apart
+(encoder self-attention block-diagonal, decoder self-attention block-diagonal
+and causal, decoder segment i attending to encoder segment i only), while
+decoder positions restart in each segment. One sequence is the one-segment
+case: no encoder or cross-attention mask.
 """
 
 from __future__ import annotations
@@ -66,6 +73,35 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     return enc
 
 
+def segment_ids(lengths) -> np.ndarray:
+    """Segment id of each row of sequences of ``lengths`` packed end to end."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
+def segment_mask(q_lengths, k_lengths, causal: bool = False) -> np.ndarray | None:
+    """0/-inf attention mask letting each query row of a packed sequence see
+    only the key rows of its own segment and, when ``causal``, no later row.
+
+    None (attend everywhere) for one non-causal segment."""
+    if len(q_lengths) != len(k_lengths):
+        raise T.ShapeError(
+            f"{len(q_lengths)} query segments against {len(k_lengths)} key segments")
+    if len(q_lengths) == 1 and not causal:
+        return None
+    q, k = segment_ids(q_lengths), segment_ids(k_lengths)
+    allowed = q[:, None] == k[None, :]
+    if causal:
+        allowed &= np.tri(q.size, k.size, dtype=bool)
+    return np.where(allowed, 0.0, -np.inf)
+
+
+def sequence_mean_weights(lengths) -> np.ndarray:
+    """Row weights that turn a weighted row sum into the mean over sequences
+    of each sequence's mean over its own rows."""
+    lengths = np.asarray(lengths)
+    return np.repeat(1.0 / (lengths.size * lengths), lengths)
+
+
 def _linear(rng, n_in, n_out, scale=None):
     scale = scale if scale is not None else 1.0 / np.sqrt(n_in)
     return Tensor.param(scale * rng.normal(size=(n_in, n_out)))
@@ -106,8 +142,8 @@ class EncoderBlock:
         self.attn = AttentionBlock(d, rng)
         self.ffn = FFNBlock(d, h, rng)
 
-    def forward(self, X: Tensor) -> Tensor:
-        return self.ffn.forward(self.attn.forward(X))
+    def forward(self, X: Tensor, mask=None) -> Tensor:
+        return self.ffn.forward(self.attn.forward(X, mask=mask))
 
     def params(self):
         return self.attn.params() + self.ffn.params()
@@ -122,10 +158,11 @@ class DecoderBlock:
         self.cross_attn = AttentionBlock(d, rng)
         self.moe = MoELayer(cfg.moe, rng)
 
-    def forward(self, X: Tensor, memory: Tensor, mask, modalities):
-        X = self.self_attn.forward(X, mask=mask)
-        X = self.cross_attn.forward(X, memory=memory)
-        out, routing, _ = self.moe.forward(X, modalities=modalities)
+    def forward(self, X: Tensor, memory: Tensor, self_mask, cross_mask, modalities,
+                segments):
+        X = self.self_attn.forward(X, mask=self_mask)
+        X = self.cross_attn.forward(X, memory=memory, mask=cross_mask)
+        out, routing, _ = self.moe.forward(X, modalities=modalities, segments=segments)
         logit_rows = [] if routing is None else self.moe.router_logit_rows(routing)
         X = T.standardize_rows(T.add(X, out))
         return X, routing, logit_rows
@@ -191,59 +228,107 @@ class Model:
 
     # -- encoder --------------------------------------------------------------
 
-    def encode(self, audio: np.ndarray, video: np.ndarray):
-        """Returns (final features [T x d], per-block outputs)."""
-        if audio.shape[0] != video.shape[0]:
-            raise T.ShapeError(
-                f"audio has {audio.shape[0]} frames, video has {video.shape[0]}")
-        a = T.matmul(Tensor(audio), self.audio_proj)
-        v = T.matmul(Tensor(video), self.video_proj)
+    def encode(self, audio, video):
+        """Encode one sequence, or a list of sequences packed into one.
+
+        ``audio`` and ``video`` are [T x D] frame arrays, or equally long
+        lists of them; packed sequences attend only within themselves.
+        Returns (final features [sum of T x d], per-block outputs)."""
+        audios = [audio] if isinstance(audio, np.ndarray) else list(audio)
+        videos = [video] if isinstance(video, np.ndarray) else list(video)
+        if len(audios) != len(videos):
+            raise T.ShapeError(f"{len(audios)} audio against {len(videos)} video sequences")
+        for a, v in zip(audios, videos):
+            if a.shape[0] != v.shape[0]:
+                raise T.ShapeError(
+                    f"audio has {a.shape[0]} frames, video has {v.shape[0]}")
+        lengths = [a.shape[0] for a in audios]
+        mask = segment_mask(lengths, lengths)
+        a = T.matmul(Tensor(np.concatenate(audios)), self.audio_proj)
+        v = T.matmul(Tensor(np.concatenate(videos)), self.video_proj)
         X = T.matmul(T.concat_cols([a, v]), self.fusion)
         per_block = []
         for blk in self.encoder_blocks:
-            X = blk.forward(X)
+            X = blk.forward(X, mask=mask)
             per_block.append(X)
         return X, per_block
 
     # -- decoder --------------------------------------------------------------
 
-    def _causal_mask(self, n: int) -> np.ndarray:
+    def _self_mask(self, lengths) -> np.ndarray:
+        """Decoder self-attention mask; one-segment masks are cached by
+        length, since greedy decoding asks for each length once per token."""
+        if len(lengths) > 1:
+            return segment_mask(lengths, lengths, causal=True)
+        n = lengths[0]
         if n not in self._causal_masks:
-            m = np.triu(np.full((n, n), -np.inf), k=1)
-            self._causal_masks[n] = m
+            self._causal_masks[n] = segment_mask([n], [n], causal=True)
         return self._causal_masks[n]
 
-    def _embed_tokens(self, token_ids: list[int]) -> Tensor:
+    def _decode(self, features: Tensor, token_ids: list[int], lengths, feature_lengths,
+                modalities: list[str]):
+        """Teacher-forced pass over token sequences of ``lengths`` packed end
+        to end, segment i attending to the ``feature_lengths[i]`` rows of
+        segment i of ``features``; returns (logits, moe aux per layer)."""
         if max(token_ids) >= self.cfg.n_classes or min(token_ids) < 0:
             raise IndexError(f"token id outside [0, {self.cfg.n_classes})")
-        emb = T.index_rows(self.token_emb, token_ids)
-        return T.add(emb, Tensor(self.positions[:len(token_ids)]))
+        if max(lengths) > self.cfg.max_len:
+            raise T.ShapeError(f"sequence of {max(lengths)} tokens exceeds "
+                               f"max_len={self.cfg.max_len}")
+        if sum(feature_lengths) != features.data.shape[0]:
+            raise T.ShapeError(f"segments of {sum(feature_lengths)} rows for "
+                               f"{features.data.shape[0]} feature rows")
+        segments = segment_ids(lengths)
+        starts = np.cumsum(lengths) - lengths
+        positions = self.positions[np.arange(segments.size) - starts[segments]]
+        X = T.add(T.index_rows(self.token_emb, token_ids), Tensor(positions))
+        self_mask = self._self_mask(lengths)
+        cross_mask = segment_mask(lengths, feature_lengths)
+        aux = []
+        for blk in self.decoder_blocks:
+            X, routing, logit_rows = blk.forward(X, features, self_mask, cross_mask,
+                                                 modalities, segments)
+            aux.append({"routing": routing, "logit_rows": logit_rows})
+        return T.matmul(X, self.head), aux
 
     def decode_step(self, features: Tensor, token_ids: list[int], modality: str):
         """One teacher-forced decoder pass; returns (logits, moe aux per layer).
 
         Each layer's aux holds its Routing (None in dense mode) and its
         expert-router logit matrices."""
-        X = self._embed_tokens(token_ids)
-        mask = self._causal_mask(len(token_ids))
-        modalities = [modality] * len(token_ids)
-        aux = []
-        for blk in self.decoder_blocks:
-            X, routing, logit_rows = blk.forward(X, features, mask, modalities)
-            aux.append({"routing": routing, "logit_rows": logit_rows})
-        return T.matmul(X, self.head), aux
+        n = len(token_ids)
+        return self._decode(features, token_ids, [n], [features.data.shape[0]],
+                            [modality] * n)
 
-    def decode_train(self, features: Tensor, labels, modality: str = MOD_AV):
+    def decode_train(self, features: Tensor, labels, modality=MOD_AV,
+                     feature_lengths=None):
         """Teacher-forced next-token prediction.
 
-        Returns (logits [L+1 x n_classes], mean cross-entropy, moe aux)."""
-        labels = [int(t) for t in labels]
-        if any(t < 0 or t >= self.cfg.vocab for t in labels):
+        With ``feature_lengths`` None, ``labels`` is one label sequence over
+        all of ``features``. Otherwise ``labels`` is a list of sequences
+        packed into one pass, sequence i attending to the next
+        ``feature_lengths[i]`` rows of ``features`` (as ``encode`` packs
+        them), and ``modality`` is one tag, or one tag per sequence.
+
+        Returns (logits [sum of (L + 1) x n_classes], the mean over
+        sequences of each one's mean cross-entropy, moe aux)."""
+        if feature_lengths is None:
+            labels, feature_lengths = [labels], [features.data.shape[0]]
+        seqs = [[int(t) for t in seq] for seq in labels]
+        tags = [modality] * len(seqs) if isinstance(modality, str) else list(modality)
+        if len(tags) != len(seqs):
+            raise T.ShapeError(f"{len(tags)} modality tags for {len(seqs)} sequences")
+        if any(t < 0 or t >= self.cfg.vocab for seq in seqs for t in seq):
             raise IndexError(f"label outside vocab of size {self.cfg.vocab}")
-        inputs = [self.cfg.bos_id] + labels
-        targets = labels + [self.cfg.eos_id]
-        logits, aux = self.decode_step(features, inputs, modality)
-        ce = T.cross_entropy_rows(logits, targets)
+        inputs, targets, lengths, modalities = [], [], [], []
+        for seq, tag in zip(seqs, tags):
+            inputs += [self.cfg.bos_id] + seq
+            targets += seq + [self.cfg.eos_id]
+            lengths.append(len(seq) + 1)
+            modalities += [tag] * (len(seq) + 1)
+        logits, aux = self._decode(features, inputs, lengths, feature_lengths, modalities)
+        weights = None if len(seqs) == 1 else sequence_mean_weights(lengths)
+        ce = T.cross_entropy_rows(logits, targets, row_weights=weights)
         return logits, ce, aux
 
     def decode_greedy(self, features: Tensor, max_len: int, modality: str = MOD_AV) -> list[int]:

@@ -143,33 +143,57 @@ class MoELayer:
 
     # -- routing --------------------------------------------------------------
 
-    def route(self, X: Tensor, modalities: list[str] | None = None) -> Routing:
+    def route(self, X: Tensor, modalities: list[str] | None = None,
+              centers: np.ndarray | None = None) -> Routing:
+        """Route a [B x d] batch; in hierarchical mode the inter router sees
+        each row minus its entry of ``centers`` ([B x d]; default
+        ``inter_center`` for every row)."""
         cfg = self.cfg
         if cfg.mode == "sparse_topk":
             return route_sparse(self.router, X, cfg.k, modalities)
         if cfg.mode == "hard":
             return route_hard(modalities, tuple(self.intra_routers), X, cfg.k)
         if cfg.mode == "hierarchical":
-            X_inter = T.sub(X, Tensor(self.inter_center))
+            X_inter = T.sub(X, Tensor(self.inter_center if centers is None else centers))
             return route_hierarchical(self.inter_router, self.intra_routers, X,
                                       cfg.m, cfg.k_per_group, X_inter=X_inter,
                                       modalities=modalities)
         raise RoutingConfigError("dense_ffn mode has no routing")
 
+    def _advance_center(self, X: np.ndarray, segments) -> np.ndarray:
+        """Fold each segment's row mean into ``inter_center``, segment after
+        segment as if each were its own batch; returns the [B x d] center
+        each row is routed against."""
+        bounds = np.flatnonzero(np.diff(segments)) + 1
+        mom = self.center_momentum
+        centers = []
+        for part in np.split(X, bounds):
+            self.inter_center = mom * self.inter_center + (1 - mom) * part.mean(axis=0)
+            centers.append(self.inter_center)
+        return np.repeat(np.stack(centers), np.diff([0, *bounds, X.shape[0]]), axis=0)
+
     # -- forward --------------------------------------------------------------
 
-    def forward(self, X: Tensor, modalities: list[str] | None = None):
+    def forward(self, X: Tensor, modalities: list[str] | None = None, segments=None):
         """Process a [B x d] token batch.
+
+        ``segments`` gives each row's sequence (the rows of one sequence
+        are contiguous); None means one sequence. With gradients enabled
+        the hierarchical mode advances ``inter_center`` per sequence.
 
         Returns (outputs [B x d], Routing, DispatchStats); the routing and
         the stats are None in dense mode."""
         cfg = self.cfg
         if cfg.mode == "dense_ffn":
             return self.experts[0].forward(X), None, None
+        centers = None
         if cfg.mode == "hierarchical" and T.grad_enabled():
-            mom = self.center_momentum
-            self.inter_center = mom * self.inter_center + (1 - mom) * X.data.mean(axis=0)
-        routing = self.route(X, modalities)
+            B = X.data.shape[0]
+            segments = np.zeros(B, dtype=np.int64) if segments is None else np.asarray(segments)
+            if segments.shape != (B,):
+                raise T.ShapeError(f"{segments.shape} segment ids for {B} rows")
+            centers = self._advance_center(X.data, segments)
+        routing = self.route(X, modalities, centers)
         return self.combine(X, routing), routing, dispatch_stats([routing])
 
     def combine(self, X: Tensor, routing: Routing) -> Tensor:

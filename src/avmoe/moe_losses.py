@@ -60,12 +60,19 @@ def load_balancing_from_stats(stats: DispatchStats) -> Tensor:
     return total
 
 
-def router_z_loss(logit_rows: Tensor) -> Tensor:
-    """Mean over tokens of squared logsumexp of the router logits."""
+def router_z_loss(logit_rows: Tensor, row_weights=None) -> Tensor:
+    """Mean over tokens of squared logsumexp of the router logits, or, given
+    ``row_weights``, their sum weighted by them."""
     if logit_rows.data.ndim == 1:
         logit_rows = T.reshape(logit_rows, (1, -1))
     lse = T.logsumexp(logit_rows)
-    return T.tmean(T.mul(lse, lse))
+    sq = T.mul(lse, lse)
+    if row_weights is None:
+        return T.tmean(sq)
+    w = np.asarray(row_weights, dtype=np.float64)
+    if w.shape != sq.data.shape:
+        raise T.ShapeError(f"{w.shape} row weights for {sq.data.shape[0]} rows")
+    return T.tsum(T.mul(sq, Tensor(w)))
 
 
 def load_biasing_loss(stats: DispatchStats) -> Tensor:

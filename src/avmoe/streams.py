@@ -12,6 +12,7 @@ is, which additive noise dilutes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -55,17 +56,23 @@ class SyntheticPair:
         return self.audio.shape[0]
 
 
+@functools.lru_cache(maxsize=8)
 def codebooks(cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-modality codebooks, deterministic in codebook_seed.
 
     Rows are orthogonal with unit RMS, shifted by a common offset direction
     per modality (scaled by offset_scale). The offset cancels in
-    nearest-centroid distances, so decoding is unaffected."""
+    nearest-centroid distances, so decoding is unaffected.
+
+    Built once per config (the QR factorizations cost most of a
+    ``generate_pair`` call); every caller shares the same read-only arrays."""
     rng = np.random.default_rng(cfg.codebook_seed)
     audio = _orthonormal_rows(rng, cfg.vocab, cfg.dim_audio)
     video = _orthonormal_rows(rng, cfg.vocab, cfg.dim_video)
     audio = audio + cfg.offset_scale * _unit_rms(rng, cfg.dim_audio)
     video = video + cfg.offset_scale * _unit_rms(rng, cfg.dim_video)
+    audio.setflags(write=False)
+    video.setflags(write=False)
     return audio, video
 
 

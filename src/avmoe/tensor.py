@@ -272,7 +272,7 @@ def mean_axis0(a: Tensor) -> Tensor:
     """Column means of a 2-D tensor."""
     a = _as_tensor(a)
     n = a.data.shape[0]
-    data = a.data.mean(axis=0)
+    data = np.add.reduce(a.data, axis=0) / n
     if not _track(a):
         return Tensor(data)
     return _make(data, (a,), lambda g: a._accum(np.broadcast_to(g / n, a.data.shape)))
@@ -295,14 +295,14 @@ def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
     if not _track(a):
         return Tensor(data)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         a._accum(g * d)
 
@@ -326,14 +326,20 @@ ACTIVATIONS = {"gelu": gelu, "tanh": tanh, "relu": relu, "linear": identity}
 
 # -- softmax family -----------------------------------------------------------
 
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise (last axis) softmax with max subtraction."""
+def softmax(a: Tensor, mask=None) -> Tensor:
+    """Row-wise (last axis) softmax with max subtraction, of ``a + mask``
+    when a constant ``mask`` is given."""
     a = _as_tensor(a)
     if a.data.size == 0:
         raise ShapeError("softmax of an empty tensor")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # one new array, updated in place: attention over a packed batch is [T x T]
+    if mask is None:
+        y = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        y = a.data + mask
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     if not _track(a):
         return Tensor(y)
 
@@ -396,8 +402,9 @@ def cross_entropy_with_logits(logits: Tensor, target_id: int) -> Tensor:
     return sub(lse, tsum(picked))
 
 
-def cross_entropy_rows(logits: Tensor, target_ids) -> Tensor:
-    """Mean cross-entropy over rows of a 2-D logit matrix."""
+def cross_entropy_rows(logits: Tensor, target_ids, row_weights=None) -> Tensor:
+    """Mean cross-entropy over rows of a 2-D logit matrix, or, given
+    ``row_weights``, the sum of the rows' cross-entropies weighted by them."""
     logits = _as_tensor(logits)
     n_rows, n_cls = logits.data.shape
     ids = np.asarray(target_ids, dtype=np.int64)
@@ -408,7 +415,12 @@ def cross_entropy_rows(logits: Tensor, target_ids) -> Tensor:
     lse = logsumexp(logits)  # [rows]
     flat = ids + np.arange(n_rows) * n_cls
     picked = take(logits, flat)
-    return scale(sub(tsum(lse), tsum(picked)), 1.0 / n_rows)
+    if row_weights is None:
+        return scale(sub(tsum(lse), tsum(picked)), 1.0 / n_rows)
+    w = np.asarray(row_weights, dtype=np.float64)
+    if w.shape != (n_rows,):
+        raise ShapeError(f"need {n_rows} row weights, got shape {w.shape}")
+    return tsum(mul(sub(lse, picked), Tensor(w)))
 
 
 # -- indexing -----------------------------------------------------------------
@@ -530,17 +542,18 @@ def standardize_rows(a: Tensor, eps: float = 1e-6) -> Tensor:
     """Zero-mean unit-variance per row (last axis), no learned affine."""
     a = _as_tensor(a)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # the arithmetic of x.mean and x.var without their Python-level wrappers
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
+    y = centered * inv
     if not _track(a):
         return Tensor(y)
 
     def backward(g):
-        n = x.shape[-1]
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
+        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+        gy = np.add.reduce(g * y, axis=-1, keepdims=True) / n
         a._accum(inv * (g - gm - y * gy))
 
     return _make(y, (a,), backward)
@@ -552,7 +565,7 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
     """Single-head scaled dot-product attention.
 
     ``mask`` is an optional [Tq x Tk] array of 0/-inf added to the scores
-    (used for causal decoding).
+    (causal decoding, and keeping packed sequences apart).
     """
     Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
     if Q.data.ndim != 2 or K.data.ndim != 2 or V.data.ndim != 2:
@@ -564,9 +577,7 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
         raise ShapeError(
             f"attention dims disagree: Q {Q.data.shape}, K {K.data.shape}, V {V.data.shape}")
     scores = scale(matmul(Q, transpose(K)), 1.0 / math.sqrt(d))
-    if mask is not None:
-        scores = add(scores, Tensor(mask))
-    return matmul(softmax(scores), V)
+    return matmul(softmax(scores, mask), V)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -35,7 +35,7 @@ from .distill import (
     make_teacher, masked_prediction_loss, mlm_loss, teacher_targets,
 )
 from .metrics import CsvTable, write_table
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, sequence_mean_weights
 from .moe_layer import MoELayerConfig, flops_report
 from .moe_losses import (
     DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, load_balancing_from_stats,
@@ -332,24 +332,21 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
 # -- supervised regime --------------------------------------------------------
 
 def _supervised_step(model: Model, cfg: TrainConfig, batch):
-    """Forward one batch; returns (scalars, total loss Tensor, per-layer
-    DispatchStats or None)."""
-    ces = []
-    layer_routings: dict[int, list] = {}
-    logit_rows: list[Tensor] = []
-    for audio, video, labels, tag in batch:
-        feats, _ = model.encode(audio, video)
-        _, ce, aux = model.decode_train(feats, labels, modality=tag)
-        ces.append(ce)
-        for li, layer_aux in enumerate(aux):
-            if layer_aux["routing"] is not None:
-                layer_routings.setdefault(li, []).append(layer_aux["routing"])
-            logit_rows.extend(layer_aux["logit_rows"])
-    ce = _mean_scalars(ces)
+    """Forward one batch, packed into one sequence; returns (scalars, total
+    loss Tensor, per-layer DispatchStats or None).
+
+    CE and the z-loss weigh every sequence equally, as the mean of
+    per-sequence means."""
+    audios, videos, labels, tags = (list(col) for col in zip(*batch))
+    feats, _ = model.encode(audios, videos)
+    _, ce, aux = model.decode_train(feats, labels, modality=tags,
+                                    feature_lengths=[a.shape[0] for a in audios])
     zero = Tensor(np.zeros(()))
     stats = None
-    if layer_routings:
-        stats = {li: dispatch_stats(routings) for li, routings in layer_routings.items()}
+    routings = {li: layer_aux["routing"] for li, layer_aux in enumerate(aux)
+                if layer_aux["routing"] is not None}
+    if routings:
+        stats = {li: dispatch_stats([r]) for li, r in routings.items()}
         balance = _mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
         first = next(iter(stats.values()))
         if first.n_groups == 2 and first.g:
@@ -358,7 +355,10 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
             bias = zero
     else:
         balance, bias = zero, zero
-    z = _mean_scalars([router_z_loss(rows) for rows in logit_rows]) if logit_rows else zero
+    row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
+    logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
+    z = (_mean_scalars([router_z_loss(rows, row_weights) for rows in logit_rows])
+         if logit_rows else zero)
     bundle = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
                             c_bias=cfg.c_bias, c_z=cfg.c_z)
     return bundle.scalars(), bundle.total, stats
@@ -552,11 +552,13 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
     return total / pairs
 
 
-def _collect_routings(model: Model, audio, video, labels, tag) -> list:
-    """The Routing of every routed decoder layer on one teacher-forced pass."""
+def _collect_routings(model: Model, audios, videos, labels, tags) -> list:
+    """The Routing of every decoder layer (None in dense layers) on one
+    teacher-forced pass over all the given sequences, packed."""
     with T.no_grad():
-        feats, _ = model.encode(audio, video)
-        _, _, aux = model.decode_train(feats, labels, modality=tag)
+        feats, _ = model.encode(audios, videos)
+        _, _, aux = model.decode_train(feats, labels, modality=tags,
+                                       feature_lengths=[a.shape[0] for a in audios])
     return [layer_aux["routing"] for layer_aux in aux]
 
 
@@ -573,17 +575,19 @@ def eval_group_load_vs_snr(model: Model, gen_cfg: GeneratorConfig,
     eval_pairs = _eval_pairs(gen_cfg, pairs, seed)
     for snr in snr_list:
         rng = np.random.default_rng(seed + 7)
-        weights = []
+        audios, videos = [], []
         for pair in eval_pairs:
             plan = CorruptionPlan(seq_len=pair.num_frames,
                                   audio_corrupt=np.arange(pair.num_frames))
             audio, video = corrupt_pair(pair.audio, pair.video, plan,
                                         int(rng.integers(2 ** 31)),
                                         audio_snr_db=float(snr))
-            for r in _collect_routings(model, audio, video, pair.labels, MOD_AV):
-                if r is not None and r.group_probs is not None:
-                    weights.extend(r.group_probs.data[:, VIDEO_GROUP])
-        arr = np.asarray(weights)
+            audios.append(audio)
+            videos.append(video)
+        routings = _collect_routings(model, audios, videos,
+                                     [p.labels for p in eval_pairs], MOD_AV)
+        arr = np.concatenate([r.group_probs.data[:, VIDEO_GROUP] for r in routings
+                              if r is not None and r.group_probs is not None])
         table.append([float(snr), float(arr.mean()), float(arr.std())])
     return table
 
@@ -593,38 +597,39 @@ def group_affinity(model: Model, gen_cfg: GeneratorConfig, pairs: int,
     """Mean inter-router weight of the matching group on unimodal tokens."""
     if not _is_hierarchical(model):
         raise UnsupportedConfigError("group affinity needs a hierarchical model")
-    sums = {MOD_AUDIO: [], MOD_VIDEO: []}
-    for pair in _eval_pairs(gen_cfg, pairs, seed):
-        audio_only = _collect_routings(model, pair.audio,
-                                       np.zeros_like(pair.video),
-                                       pair.labels, MOD_AUDIO)
-        video_only = _collect_routings(model, np.zeros_like(pair.audio),
-                                       pair.video, pair.labels, MOD_VIDEO)
-        for routings, tag, gid in ((audio_only, MOD_AUDIO, AUDIO_GROUP),
-                                   (video_only, MOD_VIDEO, VIDEO_GROUP)):
-            for r in routings:
-                if r is not None:
-                    sums[tag].extend(r.group_probs.data[:, gid])
-    return {"audio_group_on_audio_tokens": float(np.mean(sums[MOD_AUDIO])),
-            "video_group_on_video_tokens": float(np.mean(sums[MOD_VIDEO]))}
+    eval_pairs = _eval_pairs(gen_cfg, pairs, seed)
+    # every pair twice: audio only, then video only
+    audios = ([p.audio for p in eval_pairs]
+              + [np.zeros_like(p.audio) for p in eval_pairs])
+    videos = ([np.zeros_like(p.video) for p in eval_pairs]
+              + [p.video for p in eval_pairs])
+    labels = [p.labels for p in eval_pairs] * 2
+    tags = [MOD_AUDIO] * pairs + [MOD_VIDEO] * pairs
+    routings = [r for r in _collect_routings(model, audios, videos, labels, tags)
+                if r is not None]
+    out = {}
+    for key, tag, gid in (("audio_group_on_audio_tokens", MOD_AUDIO, AUDIO_GROUP),
+                          ("video_group_on_video_tokens", MOD_VIDEO, VIDEO_GROUP)):
+        rows = np.asarray(routings[0].modalities) == tag
+        out[key] = float(np.mean(np.concatenate(
+            [r.group_probs.data[rows, gid] for r in routings])))
+    return out
 
 
 def expert_load_table(model: Model, gen_cfg: GeneratorConfig, pairs: int,
                       seed: int = 0) -> CsvTable:
     """Raw and q-weighted per-expert top-1 load histograms per layer/group."""
     table = CsvTable(["layer", "group", "expert", "raw_freq", "weighted_freq"])
-    per_layer: dict[int, list] = {}
-    for pair in _eval_pairs(gen_cfg, pairs, seed):
-        routings = _collect_routings(model, pair.audio, pair.video, pair.labels, MOD_AV)
-        for li, r in enumerate(routings):
-            if r is not None:
-                per_layer.setdefault(li, []).append(r)
-    for li, routings in sorted(per_layer.items()):
-        for gi, n_exp in enumerate(routings[0].group_sizes):
-            top = np.concatenate([r.expert_probs[gi].data.argmax(axis=1)
-                                  for r in routings])
-            q = (np.concatenate([r.group_probs.data[:, gi] for r in routings])
-                 if routings[0].group_probs is not None else np.ones(top.size))
+    eval_pairs = _eval_pairs(gen_cfg, pairs, seed)
+    routings = _collect_routings(model, [p.audio for p in eval_pairs],
+                                 [p.video for p in eval_pairs],
+                                 [p.labels for p in eval_pairs], MOD_AV)
+    for li, r in enumerate(routings):
+        if r is None:
+            continue
+        for gi, n_exp in enumerate(r.group_sizes):
+            top = r.expert_probs[gi].data.argmax(axis=1)
+            q = r.group_probs.data[:, gi] if r.group_probs is not None else np.ones(top.size)
             raw = np.bincount(top, minlength=n_exp) / top.size
             weighted = np.bincount(top, weights=q, minlength=n_exp)
             if weighted.sum() > 0:

@@ -16,6 +16,16 @@ def test_zero_noise_frames_equal_codebook_rows():
     assert np.array_equal(pair.video, cb_v[frame_labels])
 
 
+def test_codebooks_cached_read_only_and_equal_to_a_fresh_build():
+    cfg = GeneratorConfig(vocab=5, offset_scale=0.5)
+    cached = codebooks(cfg)
+    assert codebooks(GeneratorConfig(vocab=5, offset_scale=0.5)) is cached
+    for arr, fresh in zip(cached, codebooks.__wrapped__(cfg)):
+        assert np.array_equal(arr, fresh)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 def test_same_seed_bit_identical():
     cfg = GeneratorConfig()
     a = generate_pair(cfg, 8, rng_seed=3)
