@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,24 +104,32 @@ def _parse_cell(s: str):
         return s
 
 
-def write_table(table: CsvTable, path: str):
-    """Atomic whole-file write (temp file then rename)."""
-    lines = [",".join(table.header)]
-    for row in table.rows:
-        if len(row) != len(table.header):
-            raise CsvError(f"row width {len(row)} != header width {len(table.header)}")
-        lines.append(",".join(_format_cell(v) for v in row))
-    payload = "\n".join(lines) + "\n"
+@contextmanager
+def atomic_open(path: str):
+    """Open a text file whose contents replace ``path`` whole, or not at
+    all: writes go to a temp file in the same directory, renamed over
+    ``path`` when the block exits without an error."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(payload)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_table(table: CsvTable, path: str):
+    """Atomic whole-file write of ``table`` as CSV."""
+    lines = [",".join(table.header)]
+    for row in table.rows:
+        if len(row) != len(table.header):
+            raise CsvError(f"row width {len(row)} != header width {len(table.header)}")
+        lines.append(",".join(_format_cell(v) for v in row))
+    with atomic_open(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def read_table(path: str) -> CsvTable:

@@ -12,6 +12,10 @@ Several sequences run as one by packing: their rows are laid end to end and
 and causal, decoder segment i attending to encoder segment i only), while
 decoder positions restart in each segment. One sequence is the one-segment
 case: no encoder or cross-attention mask.
+
+Greedy decoding is incremental: each step runs one decoder position, the
+newest token, against per-layer caches of the earlier positions' keys and
+values and of the encoder features' cross-attention keys and values.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .metrics import atomic_open
 from .moe_layer import ExpertFFN, MoELayer, MoELayerConfig
 from .routing import MOD_AV
 from .tensor import Tensor
@@ -116,10 +121,16 @@ class AttentionBlock:
         self.Wv = _linear(rng, d, d)
         self.Wo = _linear(rng, d, d)
 
-    def forward(self, X: Tensor, memory: Tensor | None = None, mask=None) -> Tensor:
-        mem = X if memory is None else memory
-        att = T.attention(T.matmul(X, self.Wq), T.matmul(mem, self.Wk),
-                          T.matmul(mem, self.Wv), mask=mask)
+    def keys_values(self, memory: Tensor) -> tuple[Tensor, Tensor]:
+        return T.matmul(memory, self.Wk), T.matmul(memory, self.Wv)
+
+    def forward(self, X: Tensor, memory: Tensor | None = None, mask=None,
+                kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """Attend from ``X`` to ``memory`` (default ``X`` itself), or to the
+        precomputed keys and values ``kv`` when given."""
+        q = T.matmul(X, self.Wq)
+        K, V = self.keys_values(X if memory is None else memory) if kv is None else kv
+        att = T.attention(q, K, V, mask=mask)
         return T.standardize_rows(T.add(X, T.matmul(att, self.Wo)))
 
     def params(self):
@@ -149,6 +160,28 @@ class EncoderBlock:
         return self.attn.params() + self.ffn.params()
 
 
+class LayerCache:
+    """One decoder layer's keys and values during incremental decoding: the
+    self-attention rows of every position fed so far, appended into
+    preallocated [rows x d] arrays, and the cross-attention keys and values
+    of the encoder features, computed once."""
+
+    def __init__(self, block: "DecoderBlock", features: Tensor, rows: int):
+        d = features.data.shape[1]
+        self.keys = np.empty((rows, d))
+        self.values = np.empty((rows, d))
+        self.length = 0
+        self.cross = block.cross_attn.keys_values(features)
+
+    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the newest rows; returns the keys and values of all rows."""
+        n = self.length + k.data.shape[0]
+        self.keys[self.length:n] = k.data
+        self.values[self.length:n] = v.data
+        self.length = n
+        return Tensor(self.keys[:n]), Tensor(self.values[:n])
+
+
 class DecoderBlock:
     """Causal self-attention, cross-attention, then the (MoE) FFN position."""
 
@@ -159,9 +192,15 @@ class DecoderBlock:
         self.moe = MoELayer(cfg.moe, rng)
 
     def forward(self, X: Tensor, memory: Tensor, self_mask, cross_mask, modalities,
-                segments):
-        X = self.self_attn.forward(X, mask=self_mask)
-        X = self.cross_attn.forward(X, memory=memory, mask=cross_mask)
+                segments, cache: LayerCache | None = None):
+        """With ``cache``, ``X`` is the row after the cached ones: its keys
+        and values are appended, and it attends to every cached row."""
+        self_kv = cross_kv = None
+        if cache is not None:
+            self_kv = cache.append(*self.self_attn.keys_values(X))
+            cross_kv = cache.cross
+        X = self.self_attn.forward(X, mask=self_mask, kv=self_kv)
+        X = self.cross_attn.forward(X, memory=memory, mask=cross_mask, kv=cross_kv)
         out, routing, _ = self.moe.forward(X, modalities=modalities, segments=segments)
         logit_rows = [] if routing is None else self.moe.router_logit_rows(routing)
         X = T.standardize_rows(T.add(X, out))
@@ -184,7 +223,6 @@ class Model:
         self.decoder_blocks = [DecoderBlock(cfg, rng) for _ in range(cfg.n_dec)]
         self.head = _linear(rng, d, cfg.n_classes)
         self.positions = sinusoidal_positions(cfg.max_len, d)
-        self._causal_masks: dict[int, np.ndarray] = {}
 
     # -- parameters -----------------------------------------------------------
 
@@ -255,39 +293,35 @@ class Model:
 
     # -- decoder --------------------------------------------------------------
 
-    def _self_mask(self, lengths) -> np.ndarray:
-        """Decoder self-attention mask; one-segment masks are cached by
-        length, since greedy decoding asks for each length once per token."""
-        if len(lengths) > 1:
-            return segment_mask(lengths, lengths, causal=True)
-        n = lengths[0]
-        if n not in self._causal_masks:
-            self._causal_masks[n] = segment_mask([n], [n], causal=True)
-        return self._causal_masks[n]
-
     def _decode(self, features: Tensor, token_ids: list[int], lengths, feature_lengths,
-                modalities: list[str]):
+                modalities: list[str], cache: list[LayerCache] | None = None):
         """Teacher-forced pass over token sequences of ``lengths`` packed end
         to end, segment i attending to the ``feature_lengths[i]`` rows of
-        segment i of ``features``; returns (logits, moe aux per layer)."""
+        segment i of ``features``; returns (logits, moe aux per layer).
+
+        With ``cache`` (one LayerCache per decoder layer), ``token_ids`` is
+        one token of one sequence, at the position after the cached rows."""
         if max(token_ids) >= self.cfg.n_classes or min(token_ids) < 0:
             raise IndexError(f"token id outside [0, {self.cfg.n_classes})")
-        if max(lengths) > self.cfg.max_len:
-            raise T.ShapeError(f"sequence of {max(lengths)} tokens exceeds "
+        offset = 0 if cache is None else cache[0].length
+        if offset + max(lengths) > self.cfg.max_len:
+            raise T.ShapeError(f"sequence of {offset + max(lengths)} tokens exceeds "
                                f"max_len={self.cfg.max_len}")
         if sum(feature_lengths) != features.data.shape[0]:
             raise T.ShapeError(f"segments of {sum(feature_lengths)} rows for "
                                f"{features.data.shape[0]} feature rows")
         segments = segment_ids(lengths)
         starts = np.cumsum(lengths) - lengths
-        positions = self.positions[np.arange(segments.size) - starts[segments]]
+        positions = self.positions[offset + np.arange(segments.size) - starts[segments]]
         X = T.add(T.index_rows(self.token_emb, token_ids), Tensor(positions))
-        self_mask = self._self_mask(lengths)
+        # the newest row of a causal prefix attends to every cached row
+        self_mask = segment_mask(lengths, lengths, causal=True) if cache is None else None
         cross_mask = segment_mask(lengths, feature_lengths)
+        caches = [None] * len(self.decoder_blocks) if cache is None else cache
         aux = []
-        for blk in self.decoder_blocks:
+        for blk, layer_cache in zip(self.decoder_blocks, caches):
             X, routing, logit_rows = blk.forward(X, features, self_mask, cross_mask,
-                                                 modalities, segments)
+                                                 modalities, segments, layer_cache)
             aux.append({"routing": routing, "logit_rows": logit_rows})
         return T.matmul(X, self.head), aux
 
@@ -332,18 +366,23 @@ class Model:
         return logits, ce, aux
 
     def decode_greedy(self, features: Tensor, max_len: int, modality: str = MOD_AV) -> list[int]:
+        """Greedy transcript of at most ``max_len`` tokens, decoded
+        incrementally: each step feeds only the newest token through the
+        decoder, against the cached keys and values of the earlier ones."""
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        tokens = [self.cfg.bos_id]
+        n_feat = features.data.shape[0]
+        nxt = self.cfg.bos_id
         out: list[int] = []
         with T.no_grad():
+            rows = min(max_len, self.cfg.max_len)
+            cache = [LayerCache(blk, features, rows) for blk in self.decoder_blocks]
             for _ in range(max_len):
-                logits, _ = self.decode_step(features, tokens, modality)
+                logits, _ = self._decode(features, [nxt], [1], [n_feat], [modality], cache)
                 nxt = int(np.argmax(logits.data[-1]))
                 if nxt == self.cfg.eos_id:
                     break
                 out.append(nxt)
-                tokens.append(nxt)
         return out
 
     # -- checkpoints ----------------------------------------------------------
@@ -359,7 +398,8 @@ class Model:
                               for name, arr in self.state_dict().items()},
                    "buffers": {name: arr.tolist()
                                for name, arr in self.buffers().items()}}
-        with open(path, "w") as f:
+        # json.dump streams; json.dumps would hold the whole text in memory
+        with atomic_open(path) as f:
             json.dump(payload, f)
 
     def load_checkpoint(self, path: str):

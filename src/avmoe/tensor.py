@@ -121,10 +121,16 @@ class Tensor:
             self.grad = self.grad + g
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a gradient reaching ``t`` can reach a parameter; constant
+    operands (positions, routing centers, row weights, input frames) get none."""
+    return bool(t.requires_grad or t._parents)
+
+
 def _track(*tensors: Tensor) -> bool:
     if not _GRAD_ENABLED:
         return False
-    return any(t.requires_grad or t._parents for t in tensors)
+    return any(_needs_grad(t) for t in tensors)
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -156,8 +162,10 @@ def _binary(a: Tensor, b: Tensor, data, da, db) -> Tensor:
         return Tensor(data)
 
     def backward(g):
-        a._accum(_unbroadcast(da(g), a.data.shape))
-        b._accum(_unbroadcast(db(g), b.data.shape))
+        if _needs_grad(a):
+            a._accum(_unbroadcast(da(g), a.data.shape))
+        if _needs_grad(b):
+            b._accum(_unbroadcast(db(g), b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -224,20 +232,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            a._accum(g * bd)
-            b._accum(g * ad)
-        elif ad.ndim == 2 and bd.ndim == 2:
-            a._accum(g @ bd.T)
-            b._accum(ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            a._accum(g @ bd.T)
-            b._accum(np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:
-            a._accum(np.outer(g, bd))
-            b._accum(ad.T @ g)
-        else:
+        if ad.ndim > 2 or bd.ndim > 2:
             raise ShapeError(f"matmul supports rank 1/2 only: {ad.shape}, {bd.shape}")
+        if _needs_grad(a):
+            if bd.ndim == 2:
+                a._accum(g @ bd.T)
+            else:
+                a._accum(g * bd if ad.ndim == 1 else np.outer(g, bd))
+        if _needs_grad(b):
+            if ad.ndim == 2:
+                b._accum(ad.T @ g)
+            else:
+                b._accum(g * ad if bd.ndim == 1 else np.outer(ad, g))
 
     return _make(data, (a, b), backward)
 
@@ -499,7 +505,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     def backward(g):
         off = 0
         for p, n in zip(parts, sizes):
-            p._accum(g[off:off + n])
+            if _needs_grad(p):
+                p._accum(g[off:off + n])
             off += n
 
     return _make(data, tuple(parts), backward)
@@ -516,7 +523,8 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     def backward(g):
         off = 0
         for p, w in zip(parts, widths):
-            p._accum(g[:, off:off + w])
+            if _needs_grad(p):
+                p._accum(g[:, off:off + w])
             off += w
 
     return _make(data, tuple(parts), backward)
@@ -531,7 +539,8 @@ def stack_rows(vecs: list[Tensor]) -> Tensor:
 
     def backward(g):
         for i, v in enumerate(vecs):
-            v._accum(g[i])
+            if _needs_grad(v):
+                v._accum(g[i])
 
     return _make(data, tuple(vecs), backward)
 

@@ -34,7 +34,7 @@ from .distill import (
     corrupted_prediction_loss, ema_update, eta_schedule, make_centroids,
     make_teacher, masked_prediction_loss, mlm_loss, teacher_targets,
 )
-from .metrics import CsvTable, write_table
+from .metrics import CsvTable, atomic_open, write_table
 from .model import Model, ModelConfig, sequence_mean_weights
 from .moe_layer import MoELayerConfig, flops_report
 from .moe_losses import (
@@ -546,7 +546,8 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
                                   int(rng.integers(2 ** 31)), drop_prob=0.0)
         audio, video = corrupt_pair(pair.audio, pair.video, plan,
                                     int(rng.integers(2 ** 31)), audio_snr_db=snr_db)
-        feats, _ = model.encode(audio, video)
+        with T.no_grad():
+            feats, _ = model.encode(audio, video)
         hyp = model.decode_greedy(feats, max_len=len(pair.labels) + 4)
         total += token_error_rate(hyp, pair.labels)
     return total / pairs
@@ -724,7 +725,7 @@ def _write_run(report: MetricsReport, model: Model, cfg: TrainConfig, run_dir: s
     if report.group_load is not None:
         write_table(report.group_load, os.path.join(run_dir, "group_load_vs_snr.csv"))
     model.save_checkpoint(os.path.join(run_dir, "checkpoint.json"))
-    with open(os.path.join(run_dir, "config.json"), "w") as f:
+    with atomic_open(os.path.join(run_dir, "config.json")) as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
     summary = {
         "schema_version": cfg.schema_version,
@@ -738,5 +739,5 @@ def _write_run(report: MetricsReport, model: Model, cfg: TrainConfig, run_dir: s
         "group_affinity": report.group_affinity,
         "param_count": model.param_count(),
     }
-    with open(os.path.join(run_dir, "summary.json"), "w") as f:
+    with atomic_open(os.path.join(run_dir, "summary.json")) as f:
         json.dump(summary, f, indent=2, sort_keys=True)

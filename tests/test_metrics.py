@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from avmoe.metrics import (
-    CsvError, CsvTable, coeff_of_variation, normalize_histogram, read_table,
-    spearman, write_table,
+    CsvError, CsvTable, atomic_open, coeff_of_variation, normalize_histogram,
+    read_table, spearman, write_table,
 )
 
 
@@ -92,6 +92,17 @@ def test_csv_round_trip_bit_exact(tmp_path):
         assert row_a[0] == row_b[0]
         assert repr(row_a[1]) == repr(row_b[1])
         assert row_a[2] == row_b[2]
+
+
+def test_failed_atomic_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as f:
+            f.write("half written")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 def test_csv_mismatched_row_width(tmp_path):

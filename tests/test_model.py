@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -194,6 +195,21 @@ class TestCheckpoints:
         other.load_checkpoint(path)
         for name, arr in model.state_dict().items():
             assert np.array_equal(arr, other.state_dict()[name]), name
+
+    def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        model = Model(tiny_cfg(), seed=22)
+        path = tmp_path / "ckpt.json"
+        model.save_checkpoint(str(path))
+        before = path.read_bytes()
+
+        def failing_dump(obj, f):
+            f.write('{"format": ')
+            raise OSError("disk full")
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError):
+            model.save_checkpoint(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -237,3 +237,20 @@ def test_no_grad_blocks_tape():
     with T.no_grad():
         y = T.tsum(x * x)
     assert y._parents == ()
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    h = T.tanh(x)  # a non-leaf operand still gets its gradient
+    consts = {name: Tensor(rng.normal(size=shape)) for name, shape in
+              [("add", (3, 4)), ("mul", (4,)), ("left", (2, 3)), ("right", (4, 5)),
+               ("vec", (4,)), ("rows", (1, 4)), ("cols", (3, 2)), ("stack", (4,))]}
+    c = consts
+    row = T.reshape(T.index_rows(x, [0]), (4,))
+    outs = [T.add(x, c["add"]), T.mul(c["mul"], h), matmul(c["left"], x),
+            matmul(h, c["right"]), matmul(x, c["vec"]), T.concat_rows([x, c["rows"]]),
+            T.concat_cols([c["cols"], h]), T.stack_rows([c["stack"], row])]
+    T.tsum(T.stack_rows([T.tsum(o) for o in outs])).backward()
+    assert x.grad is not None
+    assert {name: t.grad for name, t in consts.items() if t.grad is not None} == {}

@@ -163,9 +163,9 @@ def test_steps_one_logs_exactly_one_row(tmp_path):
 def test_run_artifacts_written(tmp_path):
     run_dir = tmp_path / "run"
     train(_cfg(steps=2), str(run_dir))
-    for name in ("steps.csv", "summary.json", "expert_load.csv",
-                 "group_load_vs_snr.csv", "checkpoint.json", "config.json"):
-        assert (run_dir / name).exists(), name
+    names = {"steps.csv", "summary.json", "expert_load.csv",
+             "group_load_vs_snr.csv", "checkpoint.json", "config.json"}
+    assert set(os.listdir(run_dir)) == names  # no temp file left behind
     summary = json.loads((run_dir / "summary.json").read_text())
     for key in ("loss_curves", "expert_load", "group_load_vs_snr",
                 "flops", "ter"):
@@ -260,6 +260,18 @@ def test_eval_ter_deterministic_and_bounded():
     t2 = eval_ter(model, _cfg().generator, pairs=3, preset="none", seed=4)
     assert t1 == t2
     assert t1 >= 0.0
+
+
+def test_eval_ter_builds_no_tape(monkeypatch):
+    model = build_model(_cfg())
+    make, nodes = T._make, []
+
+    def counted(data, parents, backward):
+        nodes.extend([data] if parents else [])
+        return make(data, parents, backward)
+    monkeypatch.setattr(T, "_make", counted)
+    eval_ter(model, _cfg().generator, pairs=2, preset="eval-fullnoise", seed=4)
+    assert nodes == []
 
 
 def test_group_load_curve_shape_and_range():
