@@ -9,8 +9,7 @@ SNR and shows the named presets.
 import numpy as np
 
 from avmoe.corruption import (
-    CorruptionPlan, PRESETS, allocate_masks, corrupt_pair, mix_at_snr,
-    sample_plan_preset,
+    PRESETS, allocate_masks, corrupt_pair, mix_at_snr, sample_plan_preset,
 )
 
 rng = np.random.default_rng(7)

@@ -97,6 +97,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "config.json")
     cfg = _load_config(config_path, args.seed)

@@ -187,11 +187,6 @@ def mix_at_snr(frames: np.ndarray, noise: np.ndarray, snr_db: float,
     return out
 
 
-def corrupt_audio(frames: np.ndarray, noise: np.ndarray, snr_db: float,
-                  indices) -> np.ndarray:
-    return mix_at_snr(frames, noise, snr_db, indices)
-
-
 def _contiguous_runs(idx: np.ndarray):
     if idx.size == 0:
         return

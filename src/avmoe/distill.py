@@ -31,20 +31,17 @@ class TaskVariant:
     """(student input, teacher target, loss index set) for one task."""
 
     name: str
-    input_mode: str   # which student input is fed: "av", "audio", "video"
-    target_mode: str  # teacher target: MODE_AV / MODE_A_ONLY / MODE_V_ONLY
+    input_mode: str   # student input: MODE_AV / MODE_A_ONLY / MODE_V_ONLY
+    target_mode: str  # teacher target, likewise
     index_set: str    # "union" (C^a u C^v), "audio" (C^a), "video" (C^v)
 
 
 VARIANTS = {
-    "AVCP": TaskVariant("AVCP", "av", MODE_AV, "union"),
-    "mACP": TaskVariant("mACP", "av", MODE_A_ONLY, "video"),
-    "mVCP": TaskVariant("mVCP", "av", MODE_V_ONLY, "audio"),
-    "ACP": TaskVariant("ACP", "video", MODE_A_ONLY, "video"),
-    "VCP": TaskVariant("VCP", "audio", MODE_V_ONLY, "audio"),
-    # within-modal forms: target the same modality that was corrupted
-    "ACP_within": TaskVariant("ACP_within", "audio", MODE_A_ONLY, "audio"),
-    "VCP_within": TaskVariant("VCP_within", "video", MODE_V_ONLY, "video"),
+    "AVCP": TaskVariant("AVCP", MODE_AV, MODE_AV, "union"),
+    "mACP": TaskVariant("mACP", MODE_AV, MODE_A_ONLY, "video"),
+    "mVCP": TaskVariant("mVCP", MODE_AV, MODE_V_ONLY, "audio"),
+    "ACP": TaskVariant("ACP", MODE_V_ONLY, MODE_A_ONLY, "video"),
+    "VCP": TaskVariant("VCP", MODE_A_ONLY, MODE_V_ONLY, "audio"),
 }
 
 
@@ -163,15 +160,7 @@ def masked_prediction_loss(student_out: Tensor, targets: DistillTargets,
 def _student_features(student: Model, variant: TaskVariant,
                       A_corr: np.ndarray, V_corr: np.ndarray,
                       head: Tensor | None) -> Tensor:
-    if variant.input_mode == "av":
-        a_in, v_in = A_corr, V_corr
-    elif variant.input_mode == "audio":
-        a_in, v_in = A_corr, np.zeros_like(V_corr)
-    elif variant.input_mode == "video":
-        a_in, v_in = np.zeros_like(A_corr), V_corr
-    else:
-        raise VariantError(f"unknown input mode {variant.input_mode!r}")
-    feats, _ = student.encode(a_in, v_in)
+    feats, _ = student.encode(*_apply_mode(A_corr, V_corr, variant.input_mode))
     if head is not None:
         feats = T.matmul(feats, head)
     return feats

@@ -92,47 +92,38 @@ class MoELayer:
 
     def __init__(self, cfg: MoELayerConfig, rng):
         self.cfg = cfg
-        self.experts: list[ExpertFFN] = []
-        self.inter_router: RouterParams | None = None
-        self.intra_routers: list[RouterParams] = []
-        self.router: RouterParams | None = None
-        d, h = cfg.d, cfg.h
-        if cfg.mode == "dense_ffn":
-            self.experts = [ExpertFFN.init(d, h, rng, cfg.activation)]
-        elif cfg.mode == "sparse_topk":
-            self.experts = [ExpertFFN.init(d, h, rng, cfg.activation)
-                            for _ in range(cfg.n_experts)]
-            self.router = RouterParams.init(d, cfg.n_experts, rng)
-        elif cfg.mode == "hard":
-            self.experts = [ExpertFFN.init(d, h, rng, cfg.activation)
-                            for _ in range(cfg.n_groups * cfg.n_per_group)]
-            self.intra_routers = [RouterParams.init(d, cfg.n_per_group, rng)
-                                  for _ in range(cfg.n_groups)]
-        else:  # hierarchical
-            self.experts = [ExpertFFN.init(d, h, rng, cfg.activation)
-                            for _ in range(cfg.n_groups * cfg.n_per_group)]
-            self.inter_router = RouterParams.zeros(d, cfg.n_groups)
-            self.intra_routers = [RouterParams.init(d, cfg.n_per_group, rng)
-                                  for _ in range(cfg.n_groups)]
+        self.experts = [ExpertFFN.init(cfg.d, cfg.h, rng, cfg.activation)
+                        for _ in range(len_experts(cfg))]
+        self.init_routers(rng)
         # running mean of routed tokens; the inter router sees centered inputs
         # so that group logits react to how a token differs from the typical
         # token rather than to the shared mean component
-        self.inter_center = np.zeros(d)
+        self.inter_center = np.zeros(cfg.d)
         self.center_momentum = 0.99
 
     # -- parameters -----------------------------------------------------------
 
+    def init_routers(self, rng):
+        """Draw the routers of the mode from ``rng``: the sparse router or one
+        intra router per group. The inter router starts at zero, so that no
+        group is preferred at the start."""
+        cfg = self.cfg
+        self.router = (RouterParams.init(cfg.d, cfg.n_experts, rng)
+                       if cfg.mode == "sparse_topk" else None)
+        self.inter_router = (RouterParams.zeros(cfg.d, cfg.n_groups)
+                             if cfg.mode == "hierarchical" else None)
+        self.intra_routers = ([RouterParams.init(cfg.d, cfg.n_per_group, rng)
+                               for _ in range(cfg.n_groups)]
+                              if cfg.mode in ("hard", "hierarchical") else [])
+
+    def router_params(self) -> list[Tensor]:
+        """Router weights: ``router``, then ``inter_router``, then the intra
+        routers."""
+        return [r.weight for r in (self.router, self.inter_router, *self.intra_routers)
+                if r is not None]
+
     def params(self) -> list[Tensor]:
-        out = []
-        for e in self.experts:
-            out.extend(e.params())
-        if self.router is not None:
-            out.append(self.router.weight)
-        if self.inter_router is not None:
-            out.append(self.inter_router.weight)
-        for r in self.intra_routers:
-            out.append(r.weight)
-        return out
+        return [p for e in self.experts for p in e.params()] + self.router_params()
 
     def reset_eval_counts(self):
         for e in self.experts:
@@ -250,6 +241,8 @@ def flops_report(cfg: MoELayerConfig, tokens: int) -> dict:
 
 
 def len_experts(cfg: MoELayerConfig) -> int:
+    """Experts in one layer: one dense FFN, ``n_experts`` in sparse top-k,
+    one group of ``n_per_group`` per group otherwise."""
     if cfg.mode == "dense_ffn":
         return 1
     if cfg.mode == "sparse_topk":

@@ -65,10 +65,6 @@ class Tensor:
     def param(data) -> "Tensor":
         return Tensor(data, requires_grad=True)
 
-    @staticmethod
-    def zeros(*shape) -> "Tensor":
-        return Tensor(np.zeros(shape))
-
     @property
     def shape(self):
         return self.data.shape
@@ -79,9 +75,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -134,11 +127,7 @@ def _track(*tensors: Tensor) -> bool:
 
 
 def _make(data, parents, backward) -> Tensor:
-    if parents:
-        out = Tensor(data, _parents=parents, _backward=backward)
-    else:
-        out = Tensor(data)
-    return out
+    return Tensor(data, _parents=parents, _backward=backward)
 
 
 def _as_tensor(x) -> Tensor:

@@ -30,9 +30,10 @@ from .corruption import (
     apply_modality_dropout, corrupt_pair, sample_plan_preset, PRESETS,
 )
 from .distill import (
-    VARIANTS, DistillHeads, TaskWeights, cav2vec_total_loss,
-    corrupted_prediction_loss, ema_update, eta_schedule, make_centroids,
-    make_teacher, masked_prediction_loss, mlm_loss, teacher_targets,
+    MODE_A_ONLY, MODE_AV, MODE_V_ONLY, VARIANTS, DistillHeads, TaskWeights,
+    cav2vec_total_loss, corrupted_prediction_loss, ema_update, eta_schedule,
+    make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
+    teacher_targets,
 )
 from .metrics import CsvTable, atomic_open, write_table
 from .model import Model, ModelConfig, sequence_mean_weights
@@ -42,8 +43,7 @@ from .moe_losses import (
     load_biasing_loss, router_z_loss, total_aux_loss, UnsupportedConfigError,
 )
 from .routing import (
-    AUDIO_GROUP, MOD_AUDIO, MOD_AV, MOD_VIDEO, VIDEO_GROUP, RouterParams,
-    dispatch_stats,
+    AUDIO_GROUP, MOD_AUDIO, MOD_AV, MOD_VIDEO, VIDEO_GROUP, dispatch_stats,
 )
 from .streams import GeneratorConfig, generate_pair, token_error_rate
 from .tensor import Tensor
@@ -109,9 +109,6 @@ class TrainConfig:
     # stationary representation to specialize against before the task loss
     # starts moving everything else
     router_warmup_steps: int = 0
-    # last N steps update only the router weights, letting the bias loss
-    # settle the group assignment against the final representations
-    router_tune_steps: int = 0
     # step-size multiplier for the inter-modal router weights; the bias loss
     # gradient is c_S-scaled and needs a faster router to act within budget
     inter_lr_scale: float = 1.0
@@ -128,6 +125,8 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.eval_pairs < 1:
+            raise ConfigError("eval_pairs must be >= 1")
         if min(self.c_balance, self.c_bias, self.c_z) < 0:
             raise ConfigError("loss coefficients must be nonnegative")
         if not 1 <= self.tokens_min <= self.tokens_max:
@@ -151,6 +150,9 @@ class TrainConfig:
         version = d.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
+        # config.json files written before the field was removed carry it as 0
+        if d.pop("router_tune_steps", 0):
+            raise ConfigError("router_tune_steps is no longer supported")
         try:
             if "model" in d:
                 md = dict(d["model"])
@@ -205,15 +207,10 @@ def build_model(cfg: TrainConfig) -> Model:
     model = Model(cfg.model, seed=streams["model_init"])
     rng = np.random.default_rng(streams["routing_init"])
     for blk in model.decoder_blocks:
-        moe = blk.moe
-        if moe.router is not None:
-            moe.router = RouterParams.init(cfg.model.d, moe.cfg.n_experts, rng)
-        moe.intra_routers = [RouterParams.init(cfg.model.d, moe.cfg.n_per_group, rng)
-                             for _ in moe.intra_routers]
-        # the inter router stays zero-initialized for a symmetric start
-        if cfg.identical_expert_init and len(moe.experts) > 1:
-            proto = moe.experts[0]
-            for e in moe.experts[1:]:
+        blk.moe.init_routers(rng)
+        if cfg.identical_expert_init and len(blk.moe.experts) > 1:
+            proto = blk.moe.experts[0]
+            for e in blk.moe.experts[1:]:
                 for dst, src in zip(e.params(), proto.params()):
                     dst.data[:] = src.data
     return model
@@ -290,6 +287,13 @@ def _mean_scalars(ts: list[Tensor]) -> Tensor:
 
 # -- data sampling ------------------------------------------------------------
 
+def _corrupt_all_audio(audio: np.ndarray, video: np.ndarray, rng, snr_db: float):
+    """Mix noise into every audio frame at ``snr_db``, seeded by one draw
+    from ``rng``."""
+    plan = CorruptionPlan(seq_len=audio.shape[0], audio_corrupt=np.arange(audio.shape[0]))
+    return corrupt_pair(audio, video, plan, int(rng.integers(2 ** 31)), audio_snr_db=snr_db)
+
+
 def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
     """One supervised batch: list of (audio, video, labels, modality tag)."""
     batch = []
@@ -305,11 +309,8 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
             # audio stream (not just an absent one) calls for the visual
             # group; this is what lets group load shift with noise level
             if corr_rng.uniform() < 0.5:
-                plan = CorruptionPlan(seq_len=audio.shape[0],
-                                      audio_corrupt=np.arange(audio.shape[0]))
-                audio, video = corrupt_pair(audio, video, plan,
-                                            int(corr_rng.integers(2 ** 31)),
-                                            audio_snr_db=min(cfg.av_snr_choices))
+                audio, video = _corrupt_all_audio(audio, video, corr_rng,
+                                                  min(cfg.av_snr_choices))
             else:
                 audio = np.zeros_like(audio)
             tag = MOD_VIDEO
@@ -320,11 +321,7 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
             tag = MOD_AV
             if corr_rng.uniform() < cfg.av_corrupt_prob:
                 snr = float(corr_rng.choice(np.asarray(cfg.av_snr_choices)))
-                plan = CorruptionPlan(seq_len=audio.shape[0],
-                                      audio_corrupt=np.arange(audio.shape[0]))
-                audio, video = corrupt_pair(audio, video, plan,
-                                            int(corr_rng.integers(2 ** 31)),
-                                            audio_snr_db=snr)
+                audio, video = _corrupt_all_audio(audio, video, corr_rng, snr)
         batch.append((audio, video, pair.labels, tag))
     return batch
 
@@ -376,9 +373,7 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
     lr_scales = {id(blk.moe.inter_router.weight): cfg.inter_lr_scale
                  for blk in model.decoder_blocks
                  if blk.moe.inter_router is not None}
-    routers = set(id(r.weight) for blk in model.decoder_blocks
-                  for r in ([blk.moe.router, blk.moe.inter_router]
-                            + blk.moe.intra_routers) if r is not None)
+    routers = set(id(p) for blk in model.decoder_blocks for p in blk.moe.router_params())
     opt = make_optimizer(cfg.optimizer, cfg.lr, lr_scales)
     last_finite: dict = {}
     # within-group top-1 frequencies averaged over the last 10% of steps,
@@ -402,8 +397,7 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
             tail_n += 1
         total.backward()
         skip = set()
-        if (step < cfg.router_warmup_steps
-                or step >= cfg.steps - cfg.router_tune_steps):
+        if step < cfg.router_warmup_steps:
             skip |= set(id(p) for p in params) - routers
         if step < cfg.freeze_encoder_steps:
             skip |= encoder
@@ -447,12 +441,11 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
         if plan.video_mask.size:
             V_in[plan.video_mask] = 0.0
         topk = model.cfg.topk_blocks
+        mask_idx = sorted(set(plan.audio_mask.tolist()) | set(plan.video_mask.tolist()))
         if "MASK" in cfg.tasks:
-            mask_idx = sorted(set(plan.audio_mask.tolist())
-                              | set(plan.video_mask.tolist()))
             # when a modality is dropped the clean target uses the kept one
-            mode = {DROP_AUDIO: "V_only", DROP_VIDEO: "A_only"}.get(
-                plan.modality_drop, "AV")
+            mode = {DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}.get(
+                plan.modality_drop, MODE_AV)
             targets = teacher_targets(teacher.model, A, V, topk, mode=mode)
             feats, _ = model.encode(A_in, V_in)
             pred = T.matmul(feats, heads.heads["MASK"])
@@ -465,16 +458,14 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
                                              head=heads.heads[name],
                                              topk_blocks=topk)
             target_mode = VARIANTS[name].target_mode
-            if target_mode == "A_only":
+            if target_mode == MODE_A_ONLY:
                 acps.append(loss)
-            elif target_mode == "V_only":
+            elif target_mode == MODE_V_ONLY:
                 vcps.append(loss)
             else:  # AV target counts toward both halves
                 acps.append(T.scale(loss, 0.5))
                 vcps.append(T.scale(loss, 0.5))
         if "MLM" in cfg.tasks:
-            mask_idx = sorted(set(plan.audio_mask.tolist())
-                              | set(plan.video_mask.tolist()))
             t_feats = teacher_targets(teacher.model, A, V, topk).vectors
             feats, _ = model.encode(A_in, V_in)
             mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx,
@@ -576,16 +567,9 @@ def eval_group_load_vs_snr(model: Model, gen_cfg: GeneratorConfig,
     eval_pairs = _eval_pairs(gen_cfg, pairs, seed)
     for snr in snr_list:
         rng = np.random.default_rng(seed + 7)
-        audios, videos = [], []
-        for pair in eval_pairs:
-            plan = CorruptionPlan(seq_len=pair.num_frames,
-                                  audio_corrupt=np.arange(pair.num_frames))
-            audio, video = corrupt_pair(pair.audio, pair.video, plan,
-                                        int(rng.integers(2 ** 31)),
-                                        audio_snr_db=float(snr))
-            audios.append(audio)
-            videos.append(video)
-        routings = _collect_routings(model, audios, videos,
+        audios, videos = zip(*[_corrupt_all_audio(p.audio, p.video, rng, float(snr))
+                               for p in eval_pairs])
+        routings = _collect_routings(model, list(audios), list(videos),
                                      [p.labels for p in eval_pairs], MOD_AV)
         arr = np.concatenate([r.group_probs.data[:, VIDEO_GROUP] for r in routings
                               if r is not None and r.group_probs is not None])

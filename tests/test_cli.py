@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -101,6 +100,21 @@ def test_eval_roundtrip_with_snr_sweep(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "ter[eval-fullnoise]" in out
     assert "snr,mean_qV,std_qV" in out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_eval_rejects_pairs_below_one(tmp_path, capsys, pairs):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, steps=1)
+    run_dir = tmp_path / "out"
+    main(["train", str(cfg_path), "--run-dir", str(run_dir)])
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+               "--pairs", pairs])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert "--pairs" in captured.err
+    assert "ter[" not in captured.out
 
 
 def test_eval_missing_checkpoint(tmp_path):

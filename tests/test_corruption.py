@@ -4,7 +4,7 @@ import pytest
 from avmoe.corruption import (
     DROP_AUDIO, DROP_NONE, DROP_VIDEO, CorruptionOp, CorruptionPlan,
     DegenerateNoiseError, InfeasiblePlanError, allocate_masks,
-    apply_modality_dropout, corrupt_audio, corrupt_pair, corrupt_video,
+    apply_modality_dropout, corrupt_pair, corrupt_video,
     mix_at_snr, sample_corruption_plan, sample_plan_preset,
 )
 
@@ -103,15 +103,15 @@ class TestCorruptAudio:
     def test_empty_indices_unchanged(self):
         rng = np.random.default_rng(0)
         frames = rng.normal(size=(20, 4))
-        out = corrupt_audio(frames, rng.normal(size=(20, 4)), -10.0, [])
+        out = mix_at_snr(frames, rng.normal(size=(20, 4)), -10.0, [])
         assert np.array_equal(out, frames)
 
     def test_alpha_closed_forms(self):
         frames = np.ones((8, 2))
         noise = np.ones((8, 2))
-        out0 = corrupt_audio(frames, noise, 0.0, np.arange(8))
+        out0 = mix_at_snr(frames, noise, 0.0, np.arange(8))
         assert np.allclose(out0[0], 1.0 + 1.0)  # alpha = 1
-        outm10 = corrupt_audio(frames, noise, -10.0, np.arange(8))
+        outm10 = mix_at_snr(frames, noise, -10.0, np.arange(8))
         assert np.allclose(outm10[0], 1.0 + np.sqrt(10.0), atol=1e-12)
 
     @pytest.mark.parametrize("snr", [-10, -5, 0, 5, 10])
@@ -121,14 +121,14 @@ class TestCorruptAudio:
             frames = rng.normal(size=(128, 6))
             noise = rng.normal(size=(128, 6))
             idx = np.arange(20, 20 + 64)
-            out = corrupt_audio(frames, noise, float(snr), idx)
+            out = mix_at_snr(frames, noise, float(snr), idx)
             assert abs(measured_snr_db(out, frames, idx) - snr) < 0.05
             untouched = np.setdiff1d(np.arange(128), idx)
             assert np.array_equal(out[untouched], frames[untouched])
 
     def test_zero_energy_noise_rejected(self):
         with pytest.raises(DegenerateNoiseError):
-            corrupt_audio(np.ones((4, 2)), np.zeros((4, 2)), 0.0, np.arange(4))
+            mix_at_snr(np.ones((4, 2)), np.zeros((4, 2)), 0.0, np.arange(4))
 
 
 class TestCorruptVideo:

@@ -5,8 +5,8 @@ import pytest
 
 from avmoe import tensor as T
 from avmoe.moe_losses import (
-    LossBundle, UnsupportedConfigError, load_balancing_from_stats,
-    load_balancing_loss, load_biasing_loss, router_z_loss, total_aux_loss,
+    UnsupportedConfigError, load_balancing_loss, load_biasing_loss,
+    router_z_loss, total_aux_loss,
 )
 from avmoe.routing import (
     MOD_AUDIO, MOD_AV, MOD_VIDEO, DispatchStats, RouterParams,

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.model import Model, ModelConfig, segment_mask
-from avmoe.moe_layer import MoELayerConfig
 from avmoe.moe_losses import (
     load_balancing_from_stats, load_biasing_loss, router_z_loss, total_aux_loss,
 )

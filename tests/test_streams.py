@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from avmoe.streams import (
-    GeneratorConfig, SyntheticPair, codebooks, dump_pairs, edit_distance,
+    GeneratorConfig, codebooks, dump_pairs, edit_distance,
     generate_pair, load_pairs, nearest_centroid_decode, token_error_rate,
 )
 

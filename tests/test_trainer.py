@@ -62,6 +62,19 @@ def test_config_rejects_unknown_task():
         _cfg(tasks=("MASK", "XYZ"))
 
 
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_config_rejects_eval_pairs_below_one(pairs):
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict({"eval_pairs": pairs})
+
+
+def test_config_reads_legacy_router_tune_steps():
+    # config.json files of earlier runs carry the removed field as 0
+    assert TrainConfig.from_dict({"router_tune_steps": 0}) == TrainConfig()
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict({"router_tune_steps": 5})
+
+
 def test_config_round_trips_through_dict():
     cfg = _cfg(steps=7, c_bias=0.5)
     again = TrainConfig.from_dict(cfg.to_dict())
@@ -73,6 +86,63 @@ def test_config_round_trips_through_dict():
 def test_config_vocab_mismatch_rejected():
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"model": {"vocab": 16}, "generator": {"vocab": 8}})
+
+
+# -- parameter layout --------------------------------------------------------
+
+def _layout_cfg(mode, seed=0):
+    return TrainConfig.from_dict({
+        "seed": seed, "generator": {"vocab": 7},
+        "model": {"dim_audio": 5, "dim_video": 6, "d": 8, "h": 12, "n_enc": 1,
+                  "n_dec": 2, "vocab": 7, "topk_blocks": 1,
+                  "moe": {"mode": mode, "n_experts": 5, "k": 2, "n_groups": 2,
+                          "n_per_group": 3, "m": 1, "k_per_group": 1}},
+    })
+
+
+_ATTN = [(8, 8)] * 4
+_FFN = [(8, 12), (12,), (12, 8), (8,)]
+_MOE_LAYOUT = {
+    "dense_ffn": _FFN,
+    "sparse_topk": _FFN * 5 + [(8, 5)],
+    "hard": _FFN * 6 + [(8, 3), (8, 3)],
+    "hierarchical": _FFN * 6 + [(8, 2), (8, 3), (8, 3)],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MOE_LAYOUT))
+def test_named_params_layout(mode):
+    """Checkpoints store parameters under these names, in this order: per
+    decoder block self- and cross-attention, the experts, then the sparse,
+    inter and intra routers."""
+    model = build_model(_layout_cfg(mode))
+    want = [("audio_proj", (5, 8)), ("video_proj", (6, 8)), ("fusion", (16, 8)),
+            ("token_emb", (9, 8)), ("head", (8, 9))]
+    want += [(f"enc0.p{j}", shape) for j, shape in enumerate(_ATTN + _FFN)]
+    for i in range(2):
+        want += [(f"dec{i}.p{j}", shape)
+                 for j, shape in enumerate(_ATTN * 2 + _MOE_LAYOUT[mode])]
+    assert [(name, p.data.shape) for name, p in model.named_params().items()] == want
+
+
+@pytest.mark.parametrize("mode", ["sparse_topk", "hard", "hierarchical"])
+def test_build_model_draws_routers_from_routing_init_stream(mode):
+    model = build_model(_layout_cfg(mode, seed=3))
+    rng = np.random.default_rng(seed_streams(3)["routing_init"])
+    for blk in model.decoder_blocks:
+        moe = blk.moe
+        if mode == "sparse_topk":
+            assert np.array_equal(moe.router.weight.data, 0.02 * rng.normal(size=(8, 5)))
+            assert moe.intra_routers == []
+        else:
+            assert moe.router is None
+            assert len(moe.intra_routers) == 2
+            for r in moe.intra_routers:
+                assert np.array_equal(r.weight.data, 0.02 * rng.normal(size=(8, 3)))
+        if mode == "hierarchical":
+            assert np.array_equal(moe.inter_router.weight.data, np.zeros((8, 2)))
+        else:
+            assert moe.inter_router is None
 
 
 # -- seed streams ------------------------------------------------------------
