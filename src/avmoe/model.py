@@ -201,10 +201,10 @@ class DecoderBlock:
             cross_kv = cache.cross
         X = self.self_attn.forward(X, mask=self_mask, kv=self_kv)
         X = self.cross_attn.forward(X, memory=memory, mask=cross_mask, kv=cross_kv)
-        out, routing, _ = self.moe.forward(X, modalities=modalities, segments=segments)
+        out, routing, stats = self.moe.forward(X, modalities=modalities, segments=segments)
         logit_rows = [] if routing is None else self.moe.router_logit_rows(routing)
         X = T.standardize_rows(T.add(X, out))
-        return X, routing, logit_rows
+        return X, routing, logit_rows, stats
 
     def params(self):
         return self.self_attn.params() + self.cross_attn.params() + self.moe.params()
@@ -320,16 +320,16 @@ class Model:
         caches = [None] * len(self.decoder_blocks) if cache is None else cache
         aux = []
         for blk, layer_cache in zip(self.decoder_blocks, caches):
-            X, routing, logit_rows = blk.forward(X, features, self_mask, cross_mask,
-                                                 modalities, segments, layer_cache)
-            aux.append({"routing": routing, "logit_rows": logit_rows})
+            X, routing, logit_rows, stats = blk.forward(
+                X, features, self_mask, cross_mask, modalities, segments, layer_cache)
+            aux.append({"routing": routing, "logit_rows": logit_rows, "stats": stats})
         return T.matmul(X, self.head), aux
 
     def decode_step(self, features: Tensor, token_ids: list[int], modality: str):
         """One teacher-forced decoder pass; returns (logits, moe aux per layer).
 
-        Each layer's aux holds its Routing (None in dense mode) and its
-        expert-router logit matrices."""
+        Each layer's aux holds its Routing and its DispatchStats (both None
+        in dense mode) and its expert-router logit matrices."""
         n = len(token_ids)
         return self._decode(features, token_ids, [n], [features.data.shape[0]],
                             [modality] * n)

@@ -1,14 +1,15 @@
 """Training regimes, evaluation metrics, and run artifacts.
 
-Three regimes share one SGD loop skeleton:
+Two training loops serve three regimes:
 
 - supervised_moe: token cross-entropy plus the router losses (balance, bias,
   z), with modality dropout and optional audio corruption on AV sequences so
-  the routers see both unimodal and noisy inputs.
+  the routers see both unimodal and noisy inputs. A parameter frozen for a
+  step is a constant on that step's tape: no tape node, no gradient.
 - cav2vec_uptrain: encoder-only self-distillation against an EMA teacher with
   masked and corrupted prediction tasks.
-- combined_pipeline: uptrain first, then supervised finetuning of the same
-  model, optionally freezing the encoder for the first steps.
+- combined_pipeline: both loops on one config, uptraining for
+  ``uptrain_steps`` and then supervised finetuning of the same model.
 
 Every run writes steps.csv, expert_load.csv, summary.json, and (for
 hierarchical models) group_load_vs_snr.csv into its run directory, plus a
@@ -19,8 +20,9 @@ config seed: model-init, routing-init, data, corruption.
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -117,10 +119,16 @@ class TrainConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be >= 1")
+        if self.regime == "combined_pipeline" and self.uptrain_steps < 1:
+            raise ConfigError("combined_pipeline needs uptrain_steps >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.optimizer not in ("sgd", "adam"):
@@ -135,6 +143,14 @@ class TrainConfig:
             raise ConfigError("modality_dropout must lie in [0, 0.5]")
         if self.corruption_preset not in PRESETS:
             raise ConfigError(f"unknown corruption preset {self.corruption_preset!r}")
+        if not self.av_snr_choices:
+            raise ConfigError("av_snr_choices must not be empty")
+        if min(self.audio_mask_span, self.video_mask_span) < 1:
+            raise ConfigError("audio_mask_span and video_mask_span must be >= 1")
+        if not (0.0 <= self.audio_mask_prob <= 1.0 and 0.0 <= self.video_mask_prob <= 1.0):
+            raise ConfigError("audio_mask_prob and video_mask_prob must lie in [0, 1]")
+        if not 2 <= self.n_centroids <= self.model.d:
+            raise ConfigError(f"n_centroids must lie in [2, model.d={self.model.d}]")
         for t in self.tasks:
             if t not in VARIANTS and t not in ("MASK", "MLM"):
                 raise ConfigError(f"unknown distillation task {t!r}")
@@ -273,11 +289,6 @@ def make_optimizer(name: str, lr: float, lr_scales: dict | None = None):
     raise ConfigError(f"unknown optimizer {name!r}; expected 'sgd' or 'adam'")
 
 
-def _clear_grads(params: list[Tensor]):
-    for p in params:
-        p.grad = None
-
-
 def _mean_scalars(ts: list[Tensor]) -> Tensor:
     total = ts[0]
     for t in ts[1:]:
@@ -330,7 +341,7 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
 
 def _supervised_step(model: Model, cfg: TrainConfig, batch):
     """Forward one batch, packed into one sequence; returns (scalars, total
-    loss Tensor, per-layer DispatchStats or None).
+    loss Tensor, the DispatchStats of each MoE layer keyed by layer index).
 
     CE and the z-loss weigh every sequence equally, as the mean of
     per-sequence means."""
@@ -339,19 +350,13 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     _, ce, aux = model.decode_train(feats, labels, modality=tags,
                                     feature_lengths=[a.shape[0] for a in audios])
     zero = Tensor(np.zeros(()))
-    stats = None
-    routings = {li: layer_aux["routing"] for li, layer_aux in enumerate(aux)
-                if layer_aux["routing"] is not None}
-    if routings:
-        stats = {li: dispatch_stats([r]) for li, r in routings.items()}
-        balance = _mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
-        first = next(iter(stats.values()))
-        if first.n_groups == 2 and first.g:
-            bias = _mean_scalars([load_biasing_loss(s) for s in stats.values()])
-        else:
-            bias = zero
-    else:
-        balance, bias = zero, zero
+    stats = {li: layer_aux["stats"] for li, layer_aux in enumerate(aux)
+             if layer_aux["stats"] is not None}
+    first = next(iter(stats.values()), None)
+    balance = (_mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
+               if stats else zero)
+    bias = (_mean_scalars([load_biasing_loss(s) for s in stats.values()])
+            if first is not None and first.n_groups == 2 and first.g else zero)
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
     z = (_mean_scalars([router_z_loss(rows, row_weights) for rows in logit_rows])
@@ -367,13 +372,16 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
     data_rng = np.random.default_rng(streams["data"])
     corr_rng = np.random.default_rng(streams["corruption"])
     params = model.params()
-    encoder = set(id(p) for p in model.encoder_params())
-    experts = set(id(p) for blk in model.decoder_blocks
-                  for e in blk.moe.experts for p in e.params())
+    blocks = model.decoder_blocks
+    routers = set(id(p) for blk in blocks for p in blk.moe.router_params())
+    # (steps, ids) of each freeze; a frozen parameter is a constant on the
+    # tape of each of those steps, so it gets no tape node and no gradient
+    freezes = [(cfg.router_warmup_steps, set(id(p) for p in params) - routers),
+               (cfg.freeze_encoder_steps, set(id(p) for p in model.encoder_params())),
+               (cfg.freeze_experts_steps,
+                set(id(p) for blk in blocks for e in blk.moe.experts for p in e.params()))]
     lr_scales = {id(blk.moe.inter_router.weight): cfg.inter_lr_scale
-                 for blk in model.decoder_blocks
-                 if blk.moe.inter_router is not None}
-    routers = set(id(p) for blk in model.decoder_blocks for p in blk.moe.router_params())
+                 for blk in blocks if blk.moe.inter_router is not None}
     opt = make_optimizer(cfg.optimizer, cfg.lr, lr_scales)
     last_finite: dict = {}
     # within-group top-1 frequencies averaged over the last 10% of steps,
@@ -381,34 +389,32 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
     tail_start = cfg.steps - max(1, cfg.steps // 10)
     tail_f: dict = {}
     tail_n = 0
-    for step in range(cfg.steps):
-        batch = _sample_batch(cfg, data_rng, corr_rng)
-        try:
-            scalars, total, stats = _supervised_step(model, cfg, batch)
-        except T.NumericError:
-            raise DivergenceError(step_offset + step, last_finite)
-        if not np.isfinite(float(total.data)):
-            raise DivergenceError(step_offset + step, last_finite)
-        if step >= tail_start and stats:
-            for li, s in stats.items():
-                for gi, f in enumerate(s.expert_f):
-                    key = (li, gi)
-                    tail_f[key] = tail_f.get(key, 0.0) + f
-            tail_n += 1
-        total.backward()
-        skip = set()
-        if step < cfg.router_warmup_steps:
-            skip |= set(id(p) for p in params) - routers
-        if step < cfg.freeze_encoder_steps:
-            skip |= encoder
-        if step < cfg.freeze_experts_steps:
-            skip |= experts
-        opt([p for p in params if id(p) not in skip])
-        _clear_grads(params)
-        last_finite = scalars
-        table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
-                      scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
-                      scalars["total"]])
+    try:
+        for step in range(cfg.steps):
+            frozen = set().union(*(ids for until, ids in freezes if step < until))
+            for p in params:
+                p.requires_grad = id(p) not in frozen
+            batch = _sample_batch(cfg, data_rng, corr_rng)
+            try:
+                scalars, total, stats = _supervised_step(model, cfg, batch)
+            except T.NumericError:
+                raise DivergenceError(step_offset + step, last_finite)
+            if not np.isfinite(float(total.data)):
+                raise DivergenceError(step_offset + step, last_finite)
+            if step >= tail_start and stats:
+                for li, s in stats.items():
+                    for gi, f in enumerate(s.expert_f):
+                        tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
+                tail_n += 1
+            total.backward()
+            opt([p for p in params if p.requires_grad])
+            last_finite = scalars
+            table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
+                          scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
+                          scalars["total"]])
+    finally:
+        for p in params:
+            p.requires_grad = True
     tail = {key: f / tail_n for key, f in tail_f.items()} if tail_n else {}
     return last_finite, tail
 
@@ -482,8 +488,7 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
     return scalars, total
 
 
-def _train_uptrain(model: Model, cfg: TrainConfig, table: CsvTable,
-                   step_offset: int = 0):
+def _train_uptrain(model: Model, cfg: TrainConfig, table: CsvTable):
     streams = seed_streams(cfg.seed)
     data_rng = np.random.default_rng(streams["data"])
     corr_rng = np.random.default_rng(streams["corruption"])
@@ -500,16 +505,15 @@ def _train_uptrain(model: Model, cfg: TrainConfig, table: CsvTable,
             scalars, total = _uptrain_step(model, teacher, heads, centroids,
                                            cfg, data_rng, corr_rng)
         except T.NumericError:
-            raise DivergenceError(step_offset + step, last_finite)
+            raise DivergenceError(step, last_finite)
         if not np.isfinite(float(total.data)):
-            raise DivergenceError(step_offset + step, last_finite)
+            raise DivergenceError(step, last_finite)
         total.backward()
         opt(params)
-        _clear_grads(params)
         teacher.current_step = step
         ema_update(teacher, model, eta_schedule(teacher))
         last_finite = scalars
-        table.append([step_offset + step, 0.0, 0.0, 0.0, 0.0,
+        table.append([step, 0.0, 0.0, 0.0, 0.0,
                       scalars["L_ACP"], scalars["L_VCP"], scalars["L_MASK"],
                       scalars["L_MLM"], scalars["total"]])
     return last_finite
@@ -612,10 +616,10 @@ def expert_load_table(model: Model, gen_cfg: GeneratorConfig, pairs: int,
     for li, r in enumerate(routings):
         if r is None:
             continue
-        for gi, n_exp in enumerate(r.group_sizes):
+        raw_f = dispatch_stats([r]).expert_f
+        for gi, (n_exp, raw) in enumerate(zip(r.group_sizes, raw_f)):
             top = r.expert_probs[gi].data.argmax(axis=1)
             q = r.group_probs.data[:, gi] if r.group_probs is not None else np.ones(top.size)
-            raw = np.bincount(top, minlength=n_exp) / top.size
             weighted = np.bincount(top, weights=q, minlength=n_exp)
             if weighted.sum() > 0:
                 weighted /= weighted.sum()
@@ -668,13 +672,8 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     elif cfg.regime == "cav2vec_uptrain":
         final = _train_uptrain(model, cfg, table)
     else:  # combined_pipeline: uptrain, then supervised finetune
-        up_cfg = TrainConfig.from_dict(
-            {**cfg.to_dict(), "regime": "cav2vec_uptrain",
-             "steps": cfg.uptrain_steps})
-        _train_uptrain(model, up_cfg, table)
-        sup_cfg = TrainConfig.from_dict(
-            {**cfg.to_dict(), "regime": "supervised_moe"})
-        final, load_tail = _train_supervised(model, sup_cfg, table,
+        _train_uptrain(model, replace(cfg, steps=cfg.uptrain_steps), table)
+        final, load_tail = _train_supervised(model, cfg, table,
                                              step_offset=cfg.uptrain_steps)
 
     eval_seed = cfg.seed + 101

@@ -166,6 +166,7 @@ def specialization_runs():
     return biased, control
 
 
+@pytest.mark.slow
 def test_06_group_specialization(specialization_runs):
     biased, control = specialization_runs
     gen = TrainConfig.from_dict(SPECIALIZATION_BASE).generator
@@ -182,6 +183,7 @@ def test_06_group_specialization(specialization_runs):
           f"{ctrl['video_group_on_video_tokens']:.3f})")
 
 
+@pytest.mark.slow
 def test_07_noise_adaptive_routing(specialization_runs):
     biased, _ = specialization_runs
     gen = TrainConfig.from_dict(SPECIALIZATION_BASE).generator
@@ -193,6 +195,7 @@ def test_07_noise_adaptive_routing(specialization_runs):
 
 # -- criterion 8: corrupted-representation tightening ------------------------
 
+@pytest.mark.slow
 def test_08_representation_tightening():
     full_cfg = TrainConfig.from_dict({**UPTRAIN_BASE,
                                       "tasks": ("MASK", "ACP", "VCP")})

@@ -45,6 +45,20 @@ def test_train_invalid_config_value(tmp_path):
     assert main(["train", str(cfg_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("over", [
+    {"eval_pairs": 2.5}, {"batch_size": 2.0}, {"steps": True},
+    {"n_centroids": 64}, {"audio_mask_span": 0}, {"video_mask_prob": 1.5},
+    {"av_snr_choices": []}, {"regime": "combined_pipeline", "uptrain_steps": 0},
+])
+def test_train_rejects_bad_counts_and_settings_before_training(tmp_path, capsys, over):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, **over)
+    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert list(over)[-1] in err and "Traceback" not in err
+
+
 def test_train_numeric_abort_exit_code(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path, lr=1e300, optimizer="sgd", steps=10,

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import avmoe.trainer as trainer_mod
 from avmoe import tensor as T
 from avmoe.metrics import coeff_of_variation, read_table
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
@@ -86,6 +87,41 @@ def test_config_round_trips_through_dict():
 def test_config_vocab_mismatch_rejected():
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"model": {"vocab": 16}, "generator": {"vocab": 8}})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval_pairs", 2.5), ("batch_size", 2.0), ("steps", True), ("seed", False),
+    ("tokens_max", "5"), ("n_centroids", 4.0), ("audio_mask_span", None),
+    ("uptrain_steps", 1.5), ("freeze_encoder_steps", 1.0), ("router_warmup_steps", [2]),
+])
+def test_config_rejects_non_integer_counts(key, value):
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig.from_dict({key: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = TrainConfig.from_dict({"steps": np.int64(3), "batch_size": np.int32(2),
+                                 "seed": np.uint16(4)})
+    assert (cfg.steps, cfg.batch_size, cfg.seed) == (3, 2, 4)
+
+
+@pytest.mark.parametrize("over", [
+    {"n_centroids": 1}, {"n_centroids": 33}, {"n_centroids": 9, "model": {"d": 8}},
+    {"audio_mask_span": 0}, {"video_mask_span": -1},
+    {"audio_mask_prob": -0.1}, {"video_mask_prob": 1.5}, {"audio_mask_prob": float("nan")},
+    {"av_snr_choices": []},
+    {"regime": "combined_pipeline", "uptrain_steps": 0},
+])
+def test_config_rejects_bad_uptraining_and_sampling_settings(over):
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict(over)
+
+
+def test_config_accepts_edge_uptraining_settings():
+    TrainConfig.from_dict({"n_centroids": 2, "audio_mask_prob": 0.0, "video_mask_prob": 1.0,
+                           "audio_mask_span": 1, "av_snr_choices": [0.0]})
+    TrainConfig.from_dict({"n_centroids": 8, "model": {"d": 8}})
+    TrainConfig.from_dict({"regime": "supervised_moe", "uptrain_steps": 0})
 
 
 # -- parameter layout --------------------------------------------------------
@@ -283,6 +319,38 @@ def test_combined_pipeline_runs_both_phases(tmp_path):
     assert len(table) == 5
     assert table.column("L_MASK")[0] > 0.0    # uptraining rows first
     assert table.column("L_CE")[-1] > 0.0     # supervised rows after
+
+
+def test_combined_pipeline_starts_with_the_uptraining_run(tmp_path):
+    """The uptraining rows of a combined run are, byte for byte, the rows of
+    an uptraining run of ``uptrain_steps`` steps with the same seed."""
+    train(_cfg(regime="combined_pipeline", steps=2, uptrain_steps=3, seed=4, eval_pairs=2),
+          str(tmp_path / "both"))
+    train(_cfg(regime="cav2vec_uptrain", steps=3, seed=4, eval_pairs=2), str(tmp_path / "up"))
+    both = (tmp_path / "both" / "steps.csv").read_bytes().splitlines(keepends=True)
+    up = (tmp_path / "up" / "steps.csv").read_bytes().splitlines(keepends=True)
+    assert len(up) == 4 and len(both) == 6
+    assert both[:4] == up
+
+
+@pytest.mark.parametrize("regime, step_fn, fail_call, want_step", [
+    ("cav2vec_uptrain", "_uptrain_step", 3, 2),
+    ("combined_pipeline", "_supervised_step", 2, 4),   # after 3 uptraining steps
+    ("combined_pipeline", "_uptrain_step", 1, 0),
+])
+def test_divergence_reports_the_global_step(monkeypatch, regime, step_fn, fail_call,
+                                            want_step):
+    real, calls = getattr(trainer_mod, step_fn), []
+
+    def diverging(*args):
+        calls.append(None)
+        if len(calls) == fail_call:
+            raise T.NumericError("injected")
+        return real(*args)
+    monkeypatch.setattr(trainer_mod, step_fn, diverging)
+    with pytest.raises(DivergenceError) as exc:
+        train(_cfg(regime=regime, steps=3, uptrain_steps=3, eval_pairs=2))
+    assert exc.value.step == want_step
 
 
 def test_freeze_encoder_keeps_encoder_params():
