@@ -193,6 +193,16 @@ def _case_standardize(seed):
     return lambda t: T.tsum(T.mul(T.standardize_rows(t), w)), _mat(seed)
 
 
+def _case_standardize_residual(seed):
+    w, residual = _mat(seed + 1000), _mat(seed + 2000)
+    return lambda t: T.tsum(T.mul(T.standardize_rows(t, residual), w)), _mat(seed)
+
+
+def _case_standardize_residual_operand(seed):
+    w, a = _mat(seed + 1000), _mat(seed + 2000)
+    return lambda t: T.tsum(T.mul(T.standardize_rows(a, t), w)), _mat(seed)
+
+
 def _case_attention(seed):
     rng = _rng(seed + 1000)
     K = Tensor(rng.normal(size=(5, 4)))
@@ -215,6 +225,40 @@ def _case_attention_keys(seed):
     Q = Tensor(rng.normal(size=(3, 4)))
     V = Tensor(rng.normal(size=(5, 4)))
     return lambda t: T.tsum(T.attention(Q, t, V)), _mat(seed, 5, 4)
+
+
+def _case_attention_values(seed):
+    rng = _rng(seed + 1000)
+    Q = Tensor(rng.normal(size=(3, 4)))
+    K = Tensor(rng.normal(size=(5, 4)))
+    w = Tensor(rng.normal(size=(3, 4)))
+    return lambda t: T.tsum(T.mul(T.attention(Q, K, t), w)), _mat(seed, 5, 4)
+
+
+_FFN_OPERANDS = ("x", "W1", "b1", "W2", "b2")
+
+
+def _ffn_case(activation, operand):
+    """``ffn`` with respect to one operand; under relu every pre-activation
+    stays away from the kink at 0."""
+    def build(seed):
+        rng = _rng(seed + 1000)
+        while True:
+            ops = {"x": rng.normal(size=(3, 4)), "W1": rng.normal(size=(4, 5)),
+                   "b1": rng.normal(size=5), "W2": rng.normal(size=(5, 4)),
+                   "b2": rng.normal(size=4)}
+            pre = ops["x"] @ ops["W1"] + ops["b1"]
+            if activation != "relu" or np.abs(pre).min() > 0.05:
+                break
+        w = Tensor(rng.normal(size=(3, 4)))
+
+        def f(t):
+            args = {name: t if name == operand else Tensor(v) for name, v in ops.items()}
+            out = T.ffn(*(args[name] for name in _FFN_OPERANDS), activation)
+            return T.tsum(T.mul(out, w))
+
+        return f, Tensor(ops[operand])
+    return build
 
 
 # -- MoE layer cases ----------------------------------------------------------
@@ -363,8 +407,12 @@ CASES = {
         ("concat_rows", _case_concat_rows), ("concat_cols", _case_concat_cols),
         ("stack_rows", _case_stack_rows),
         ("standardize_rows", _case_standardize),
+        ("standardize_rows_residual", _case_standardize_residual),
+        ("standardize_rows_residual_operand", _case_standardize_residual_operand),
         ("attention", _case_attention), ("attention_masked", _case_attention_masked),
-        ("attention_keys", _case_attention_keys),
+        ("attention_keys", _case_attention_keys), ("attention_values", _case_attention_values),
+        *((f"ffn_{act}_{operand}", _ffn_case(act, operand))
+          for act in ("gelu", "tanh", "relu", "linear") for operand in _FFN_OPERANDS),
     ],
     "moe": [
         ("expert_forward", _case_expert_forward),

@@ -131,7 +131,7 @@ class AttentionBlock:
         q = T.matmul(X, self.Wq)
         K, V = self.keys_values(X if memory is None else memory) if kv is None else kv
         att = T.attention(q, K, V, mask=mask)
-        return T.standardize_rows(T.add(X, T.matmul(att, self.Wo)))
+        return T.standardize_rows(X, T.matmul(att, self.Wo))
 
     def params(self):
         return [self.Wq, self.Wk, self.Wv, self.Wo]
@@ -142,7 +142,7 @@ class FFNBlock:
         self.ffn = ExpertFFN.init(d, h, rng)
 
     def forward(self, X: Tensor) -> Tensor:
-        return T.standardize_rows(T.add(X, self.ffn.forward(X)))
+        return T.standardize_rows(X, self.ffn.forward(X))
 
     def params(self):
         return self.ffn.params()
@@ -203,7 +203,7 @@ class DecoderBlock:
         X = self.cross_attn.forward(X, memory=memory, mask=cross_mask, kv=cross_kv)
         out, routing, stats = self.moe.forward(X, modalities=modalities, segments=segments)
         logit_rows = [] if routing is None else self.moe.router_logit_rows(routing)
-        X = T.standardize_rows(T.add(X, out))
+        X = T.standardize_rows(X, out)
         return X, routing, logit_rows, stats
 
     def params(self):

@@ -46,9 +46,7 @@ class ExpertFFN:
             raise T.ShapeError(
                 f"expert input {x.data.shape} incompatible with W1 {self.W1.data.shape}")
         self.eval_count += x.data.shape[0] if x.data.ndim == 2 else 1
-        act = T.ACTIVATIONS[self.activation]
-        hidden = act(T.add(T.matmul(x, self.W1), self.b1))
-        return T.add(T.matmul(hidden, self.W2), self.b2)
+        return T.ffn(x, self.W1, self.b1, self.W2, self.b2, self.activation)
 
     def params(self) -> list[Tensor]:
         return [self.W1, self.b1, self.W2, self.b2]

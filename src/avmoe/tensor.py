@@ -4,7 +4,13 @@ Everything downstream (routers, experts, the toy encoder/decoder, all losses)
 computes through the ops defined here. Values are float64 numpy arrays; each
 op optionally records a backward closure on an implicit tape (the graph of
 ``_parents`` links), replayed in reverse topological order by
-``Tensor.backward``.
+``Tensor.backward``. ``_make`` is the one constructor of tape nodes.
+
+The model's hot layers are fused ops, one node each with a hand-written
+backward: ``attention`` (scores, softmax and the value product), ``ffn``
+(both projections, biases and the activation) and ``standardize_rows`` with
+an optional residual operand (the add before the norm). Each runs the numpy
+arithmetic of the primitive-op chain it stands for, in the same order.
 """
 
 from __future__ import annotations
@@ -87,24 +93,26 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
+        self.grad = np.ones_like(self.data)
+        if self._backward is None:
+            return
+        # depth-first post-order of the interior nodes; a leaf (parameter or
+        # constant) has no backward, so it is never pushed
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+            elif node not in visited:
+                visited.add(node)
+                stack.append((node, True))
+                for p in node._parents:
+                    if p._backward is not None and p not in visited:
+                        stack.append((p, False))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
 
     def _accum(self, g):
@@ -275,74 +283,88 @@ def mean_axis0(a: Tensor) -> Tensor:
 
 # -- nonlinearities -----------------------------------------------------------
 
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    t = np.tanh(a.data)
-    if not _track(a):
-        return Tensor(t)
-    return _make(t, (a,), lambda g: a._accum(g * (1.0 - t * t)))
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu_forward(x):
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_derivative(g, x, t):
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return g * d
+
+
+def _tanh_forward(x):
+    t = np.tanh(x)
+    return t, t
+
+
+# name -> (forward, derivative): forward maps an input array to (output,
+# saved); derivative maps (upstream gradient, input, saved) to the input's
+# gradient. The element-wise ops and ``ffn`` both use these.
+_ACTIVATIONS = {
+    "gelu": (_gelu_forward, _gelu_derivative),
+    "tanh": (_tanh_forward, lambda g, x, t: g * (1.0 - t * t)),
+    "relu": (lambda x: (np.maximum(x, 0.0), None), lambda g, x, _: g * (x > 0)),
+    "linear": (lambda x: (x, None), lambda g, x, _: g),
+}
+
+
+def _activate(a, name: str) -> Tensor:
+    a = _as_tensor(a)
+    forward, derivative = _ACTIVATIONS[name]
+    y, saved = forward(a.data)
+    if not _track(a):
+        return Tensor(y)
+    return _make(y, (a,), lambda g: a._accum(derivative(g, a.data, saved)))
+
+
+def tanh(a: Tensor) -> Tensor:
+    return _activate(a, "tanh")
 
 
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU."""
-    a = _as_tensor(a)
-    x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
-    if not _track(a):
-        return Tensor(data)
-
-    def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        a._accum(g * d)
-
-    return _make(data, (a,), backward)
+    return _activate(a, "gelu")
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-    if not _track(a):
-        return Tensor(data)
-    return _make(data, (a,), lambda g: a._accum(g * (a.data > 0)))
-
-
-def identity(a: Tensor) -> Tensor:
-    return _as_tensor(a)
-
-
-ACTIVATIONS = {"gelu": gelu, "tanh": tanh, "relu": relu, "linear": identity}
+    return _activate(a, "relu")
 
 
 # -- softmax family -----------------------------------------------------------
+
+def _softmax_rows(x, mask):
+    if x.size == 0:
+        raise ShapeError("softmax of an empty tensor")
+    # one new array, updated in place: attention over a packed batch is [T x T]
+    if mask is None:
+        y = x - x.max(axis=-1, keepdims=True)
+    else:
+        y = x + mask
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_derivative(g, y):
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
 
 def softmax(a: Tensor, mask=None) -> Tensor:
     """Row-wise (last axis) softmax with max subtraction, of ``a + mask``
     when a constant ``mask`` is given."""
     a = _as_tensor(a)
-    if a.data.size == 0:
-        raise ShapeError("softmax of an empty tensor")
-    # one new array, updated in place: attention over a packed batch is [T x T]
-    if mask is None:
-        y = a.data - a.data.max(axis=-1, keepdims=True)
-    else:
-        y = a.data + mask
-        y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(a.data, mask)
     if not _track(a):
         return Tensor(y)
-
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accum(y * (g - dot))
-
-    return _make(y, (a,), backward)
+    return _make(y, (a,), lambda g: a._accum(_softmax_derivative(g, y)))
 
 
 def normalize_rows(a: Tensor) -> Tensor:
@@ -536,34 +558,49 @@ def stack_rows(vecs: list[Tensor]) -> Tensor:
 
 # -- normalization ------------------------------------------------------------
 
-def standardize_rows(a: Tensor, eps: float = 1e-6) -> Tensor:
-    """Zero-mean unit-variance per row (last axis), no learned affine."""
+def standardize_rows(a: Tensor, residual: Tensor | None = None,
+                     eps: float = 1e-6) -> Tensor:
+    """Zero-mean unit-variance per row (last axis) of ``a``, or of
+    ``a + residual`` (same shape) as one node, with no learned affine."""
     a = _as_tensor(a)
-    x = a.data
+    x, operands = a.data, (a,)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        if residual.data.shape != x.shape:
+            raise ShapeError(f"residual {residual.data.shape} for rows of shape {x.shape}")
+        x, operands = x + residual.data, (a, residual)
     n = x.shape[-1]
     # the arithmetic of x.mean and x.var without their Python-level wrappers
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
-    if not _track(a):
+    if not _track(*operands):
         return Tensor(y)
 
     def backward(g):
         gm = np.add.reduce(g, axis=-1, keepdims=True) / n
         gy = np.add.reduce(g * y, axis=-1, keepdims=True) / n
-        a._accum(inv * (g - gm - y * gy))
+        gx = inv * (g - gm - y * gy)
+        for t in operands:
+            if _needs_grad(t):
+                t._accum(gx)
 
-    return _make(y, (a,), backward)
+    return _make(y, operands, backward)
 
 
-# -- composite ops ------------------------------------------------------------
+# -- fused layers -------------------------------------------------------------
+# One node each, with the numpy arithmetic, in the same order, of the chain of
+# primitive ops it stands for, so results agree with that chain bit for bit.
 
 def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
-    """Single-head scaled dot-product attention.
+    """Single-head scaled dot-product attention, softmax(Q K^T / sqrt(d) +
+    mask) V.
 
     ``mask`` is an optional [Tq x Tk] array of 0/-inf added to the scores
-    (causal decoding, and keeping packed sequences apart).
+    (causal decoding, and keeping packed sequences apart). Only operands
+    that can reach a parameter get a gradient, so cached keys and values
+    stay constants.
     """
     Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
     if Q.data.ndim != 2 or K.data.ndim != 2 or V.data.ndim != 2:
@@ -574,8 +611,63 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
     if K.data.shape[1] != d or V.data.shape[0] != K.data.shape[0]:
         raise ShapeError(
             f"attention dims disagree: Q {Q.data.shape}, K {K.data.shape}, V {V.data.shape}")
-    scores = scale(matmul(Q, transpose(K)), 1.0 / math.sqrt(d))
-    return matmul(softmax(scores, mask), V)
+    c = 1.0 / math.sqrt(d)
+    p = _softmax_rows((Q.data @ K.data.T) * c, mask)
+    data = p @ V.data
+    if not _track(Q, K, V):
+        return Tensor(data)
+
+    def backward(g):
+        if _needs_grad(V):
+            V._accum(p.T @ g)
+        if not (_needs_grad(Q) or _needs_grad(K)):
+            return
+        gs = _softmax_derivative(g @ V.data.T, p) * c
+        if _needs_grad(Q):
+            Q._accum(gs @ K.data)
+        if _needs_grad(K):
+            # a transposed view, as the chain's transpose node passed it on:
+            # the copy _accum makes keeps that memory order
+            K._accum((Q.data.T @ gs).T)
+
+    return _make(data, (Q, K, V), backward)
+
+
+def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
+        activation: str = "gelu") -> Tensor:
+    """Two-layer feed-forward network act(x W1 + b1) W2 + b2 of a [n x d]
+    row batch or one [d] row; ``activation`` is gelu, tanh, relu or linear."""
+    x, W1, b1, W2, b2 = (_as_tensor(t) for t in (x, W1, b1, W2, b2))
+    forward, derivative = _ACTIVATIONS[activation]
+    if not (x.data.ndim in (1, 2) and W1.data.ndim == 2 and W2.data.ndim == 2
+            and x.data.shape[-1] == W1.data.shape[0] and b1.data.shape == W1.data.shape[1:]
+            and W2.data.shape[0] == W1.data.shape[1] and b2.data.shape == W2.data.shape[1:]):
+        raise ShapeError(f"ffn shapes disagree: x {x.data.shape}, W1 {W1.data.shape}, "
+                         f"b1 {b1.data.shape}, W2 {W2.data.shape}, b2 {b2.data.shape}")
+    pre = x.data @ W1.data + b1.data
+    hidden, saved = forward(pre)
+    data = hidden @ W2.data + b2.data
+    if not _track(x, W1, b1, W2, b2):
+        return Tensor(data)
+    # a weight's gradient is the outer product for one row, a matmul for many
+    outer = np.outer if x.data.ndim == 1 else (lambda a, g: a.T @ g)
+
+    def backward(g):
+        if _needs_grad(b2):
+            b2._accum(_unbroadcast(g, b2.data.shape))
+        if _needs_grad(W2):
+            W2._accum(outer(hidden, g))
+        if not (_needs_grad(x) or _needs_grad(W1) or _needs_grad(b1)):
+            return
+        gpre = derivative(g @ W2.data.T, pre, saved)
+        if _needs_grad(b1):
+            b1._accum(_unbroadcast(gpre, b1.data.shape))
+        if _needs_grad(x):
+            x._accum(gpre @ W1.data.T)
+        if _needs_grad(W1):
+            W1._accum(outer(x.data, gpre))
+
+    return _make(data, (x, W1, b1, W2, b2), backward)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -149,6 +149,12 @@ class TrainConfig:
             raise ConfigError("audio_mask_span and video_mask_span must be >= 1")
         if not (0.0 <= self.audio_mask_prob <= 1.0 and 0.0 <= self.video_mask_prob <= 1.0):
             raise ConfigError("audio_mask_prob and video_mask_prob must lie in [0, 1]")
+        moe = self.model.moe
+        if moe.mode == "hard" and moe.k % 2:
+            # every run decodes audio-visual tokens in eval_ter, and hard
+            # routing splits their k experts evenly between the two groups
+            raise ConfigError(
+                f"hard routing of audio-visual tokens needs an even k, got k={moe.k}")
         if not 2 <= self.n_centroids <= self.model.d:
             raise ConfigError(f"n_centroids must lie in [2, model.d={self.model.d}]")
         for t in self.tasks:

@@ -61,3 +61,39 @@ def test_greedy_decoding_calls_the_wrapped_layers(monkeypatch):
         feats, _ = model.encode(rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
     model.decode_greedy(feats, max_len=3)
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("workload", ["sup_hier", "uptrain_long"])
+def test_every_tape_node_comes_from_make(workload, monkeypatch):
+    """``tensor.tape_nodes`` counts the calls of ``tensor._make``, so every
+    interior node reachable from a training step's loss must have been built
+    there: an op that built its own node would escape the count."""
+    import worker
+    from avmoe import tensor as T
+    from avmoe.trainer import TrainConfig, train
+
+    config = {"sup_hier": worker.sup_hier_config,
+              "uptrain_long": worker.uptrain_long_config}[workload]
+    made, interior_per_step = set(), []
+    make, backward = T._make, T.Tensor.backward
+
+    def recorded_make(data, parents, backward):
+        node = make(data, parents, backward)
+        made.add(node)
+        return node
+
+    def checked_backward(self):
+        stack, seen = [self], set()
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(node._parents)
+        interior = [node for node in seen if node._parents]
+        assert all(node in made for node in interior)
+        interior_per_step.append(len(interior))
+        backward(self)
+    monkeypatch.setattr(T, "_make", recorded_make)
+    monkeypatch.setattr(T.Tensor, "backward", checked_backward)
+    train(TrainConfig.from_dict(config(seed=1, steps=2, eval_pairs=1)))
+    assert len(interior_per_step) == 2 and min(interior_per_step) > 0

@@ -217,8 +217,14 @@ def test_infeasible_routing_shape_is_config_error(tmp_path, moe):
     assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_odd_k_hard_routing_of_audiovisual_tokens_is_config_error(tmp_path):
+def test_odd_k_hard_routing_of_audiovisual_tokens_is_config_error(tmp_path, capsys):
+    """Every run decodes audio-visual tokens in its eval probe, so odd k is
+    refused before training starts."""
     cfg_path = tmp_path / "cfg.json"
-    _write_config(cfg_path, modality_dropout=0.0,
-                  model={"moe": {"mode": "hard", "n_per_group": 4, "k": 3}})
-    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    for regime in ("supervised_moe", "cav2vec_uptrain"):
+        _write_config(cfg_path, regime=regime, modality_dropout=0.0,
+                      model={"moe": {"mode": "hard", "n_per_group": 4, "k": 3}})
+        assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "k=3" in err and "Traceback" not in err

@@ -8,6 +8,7 @@ import pytest
 import avmoe.trainer as trainer_mod
 from avmoe import tensor as T
 from avmoe.metrics import coeff_of_variation, read_table
+from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
@@ -115,6 +116,16 @@ def test_config_accepts_numpy_integer_counts():
 def test_config_rejects_bad_uptraining_and_sampling_settings(over):
     with pytest.raises(ConfigError):
         TrainConfig.from_dict(over)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_config_rejects_odd_k_in_hard_mode(k):
+    moe = {"mode": "hard", "n_groups": 2, "n_per_group": 4, "k": k}
+    with pytest.raises(ConfigError, match=f"k={k}"):
+        TrainConfig.from_dict({"model": {"moe": moe}})
+    # a layer that only ever routes unimodal tokens may use odd k
+    assert MoELayerConfig(**moe).k == k
+    TrainConfig.from_dict({"model": {"moe": {**moe, "k": 2}}})
 
 
 def test_config_accepts_edge_uptraining_settings():
