@@ -71,6 +71,9 @@ class MoELayerConfig:
         if min(self.d, self.h, self.n_experts, self.k, self.n_groups,
                self.n_per_group, self.m, self.k_per_group) < 1:
             raise ValueError("all MoE dimensions must be positive")
+        if self.activation not in T._ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}; "
+                             f"expected one of {sorted(T._ACTIVATIONS)}")
         if self.mode == "sparse_topk" and self.k > self.n_experts:
             raise RoutingConfigError(f"k={self.k} exceeds {self.n_experts} experts")
         if self.mode == "hard" and (self.n_groups != 2 or self.k > self.n_per_group):

@@ -11,6 +11,12 @@ Two training loops serve three regimes:
 - combined_pipeline: both loops on one config, uptraining for
   ``uptrain_steps`` and then supervised finetuning of the same model.
 
+Each loop builds its optimizer over the parameters it trains. ``SGD`` and
+``Adam`` pack those parameters, in order, into one flat float64 vector and
+make each ``p.data`` a view of its slice; a step updates each run of
+consecutive parameters that got a gradient in place, and a parameter
+without one keeps its data and optimizer state.
+
 Every run writes steps.csv, expert_load.csv, summary.json, and (for
 hierarchical models) group_load_vs_snr.csv into its run directory, plus a
 checkpoint. All randomness flows from four named streams derived from the
@@ -240,58 +246,121 @@ def build_model(cfg: TrainConfig) -> Model:
 
 # -- optimizers ---------------------------------------------------------------
 
-def sgd_step(params: list[Tensor], lr: float, lr_scales: dict | None = None):
-    lr_scales = lr_scales or {}
-    for p in params:
-        if p.grad is not None:
-            p.data -= lr * lr_scales.get(id(p), 1.0) * p.grad
-            p.grad = None
+class _PackedOptimizer:
+    """The parameter layout SGD and Adam share.
 
+    The constructor copies the parameters, in list order, into one
+    contiguous float64 vector ``flat`` and makes each ``p.data`` a reshaped
+    view of its slice, so an update of a slice of ``flat`` is an in-place
+    update of the parameter. Whatever writes a parameter afterwards must
+    write into ``p.data`` too; a step raises if a live parameter's ``data``
+    was rebound.
 
-class Adam:
-    """Standard Adam with bias correction; state is keyed by parameter.
+    A step works on runs: maximal runs of consecutive live parameters
+    (``grad`` not None) that share one ``lr_scales`` factor. ``lr_scales``
+    maps id(param) to a step-size multiplier. A dead parameter (an
+    unselected expert, a frozen parameter) ends a run and keeps its data and
+    optimizer state untouched."""
 
-    ``lr_scales`` maps id(param) to a step-size multiplier (Adam itself is
-    invariant to gradient scaling, so per-parameter rates must scale the
-    update, not the gradient)."""
-
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, lr_scales: dict | None = None):
+    def __init__(self, params: list[Tensor], lr: float, lr_scales: dict | None = None):
+        lr_scales = lr_scales or {}
         self.lr = lr
+        self.flat = np.empty(sum(p.data.size for p in params))
+        # each live gradient is copied here, so a run's arithmetic reads
+        # one slice and may overwrite it
+        self.grad = np.empty_like(self.flat)
+        self._slots = []
+        start = 0
+        for p in params:
+            end = start + p.data.size
+            view = self.flat[start:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append((p, view, self.grad[start:end].reshape(view.shape),
+                                start, end, lr_scales.get(id(p), 1.0)))
+            start = end
+
+    def _live_runs(self) -> list[list]:
+        """Stage and clear every live gradient; return the runs as
+        [start, end, lr scale]."""
+        runs: list[list] = []
+        for p, view, grad, start, end, scale in self._slots:
+            if p.grad is None:
+                continue
+            if p.data is not view:
+                raise RuntimeError("a parameter's data was rebound after the optimizer "
+                                   "packed it; write into p.data[...] instead")
+            grad[...] = p.grad
+            p.grad = None
+            if runs and runs[-1][1] == start and runs[-1][2] == scale:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end, scale])
+        return runs
+
+
+class SGD(_PackedOptimizer):
+    """Plain gradient descent on packed parameters (see ``_PackedOptimizer``)."""
+
+    def step(self):
+        for start, end, scale in self._live_runs():
+            g = self.grad[start:end]
+            g *= self.lr * scale
+            self.flat[start:end] -= g
+
+
+class Adam(_PackedOptimizer):
+    """Standard Adam with bias correction on packed parameters (see
+    ``_PackedOptimizer``).
+
+    ``m`` and ``v`` are flat vectors in the parameter layout, so the state
+    of a parameter is its slice. A run is updated in place through one
+    scratch vector and the staged gradient; a dead run keeps its ``m`` and
+    ``v``. ``lr_scales`` scales the update, not the gradient, since Adam is
+    invariant to gradient scaling."""
+
+    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, lr_scales: dict | None = None):
+        super().__init__(params, lr, lr_scales)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.lr_scales = lr_scales or {}
         self.t = 0
-        self.m: dict[int, np.ndarray] = {}
-        self.v: dict[int, np.ndarray] = {}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
 
-    def step(self, params: list[Tensor]):
+    def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p in params:
-            if p.grad is None:
-                continue
-            key = id(p)
-            m = self.m.setdefault(key, np.zeros_like(p.data))
-            v = self.v.setdefault(key, np.zeros_like(p.data))
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for start, end, scale in self._live_runs():
+            g, m, v = self.grad[start:end], self.m[start:end], self.v[start:end]
+            u = self._scratch[start:end]
             m *= b1
-            m += (1 - b1) * p.grad
+            m += np.multiply(1 - b1, g, out=u)
             v *= b2
-            v += (1 - b2) * p.grad ** 2
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= (self.lr * self.lr_scales.get(key, 1.0)
-                       * m_hat / (np.sqrt(v_hat) + self.eps))
-            p.grad = None
+            g *= g
+            g *= 1 - b2
+            v += g
+            m_hat = np.divide(m, c1, out=u)
+            v_hat = np.divide(v, c2, out=g)
+            denom = np.sqrt(v_hat, out=g)
+            denom += self.eps
+            m_hat *= self.lr * scale
+            m_hat /= denom
+            self.flat[start:end] -= m_hat
 
 
-def make_optimizer(name: str, lr: float, lr_scales: dict | None = None):
-    """Returns a step(params) callable for the configured optimizer."""
+def make_optimizer(name: str, lr: float, params: list[Tensor],
+                   lr_scales: dict | None = None):
+    """Packs ``params`` into the optimizer (each ``p.data`` becomes a view
+    of its optimizer's flat vector) and returns its ``step()``, which updates
+    the live ones."""
     if name == "sgd":
-        return lambda params: sgd_step(params, lr, lr_scales)
+        return SGD(params, lr, lr_scales).step
     if name == "adam":
-        return Adam(lr, lr_scales=lr_scales).step
+        return Adam(params, lr, lr_scales=lr_scales).step
     raise ConfigError(f"unknown optimizer {name!r}; expected 'sgd' or 'adam'")
 
 
@@ -388,7 +457,7 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
                 set(id(p) for blk in blocks for e in blk.moe.experts for p in e.params()))]
     lr_scales = {id(blk.moe.inter_router.weight): cfg.inter_lr_scale
                  for blk in blocks if blk.moe.inter_router is not None}
-    opt = make_optimizer(cfg.optimizer, cfg.lr, lr_scales)
+    opt = make_optimizer(cfg.optimizer, cfg.lr, params, lr_scales)
     last_finite: dict = {}
     # within-group top-1 frequencies averaged over the last 10% of steps,
     # keyed (layer, group); the balance invariant is checked against these
@@ -413,7 +482,7 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
                         tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
                 tail_n += 1
             total.backward()
-            opt([p for p in params if p.requires_grad])
+            opt()
             last_finite = scalars
             table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
                           scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
@@ -504,7 +573,7 @@ def _train_uptrain(model: Model, cfg: TrainConfig, table: CsvTable):
     centroids = make_centroids(cfg.n_centroids, cfg.model.d,
                                seed=cfg.generator.codebook_seed)
     params = model.params() + heads.params()
-    opt = make_optimizer(cfg.optimizer, cfg.lr)
+    opt = make_optimizer(cfg.optimizer, cfg.lr, params)
     last_finite: dict = {}
     for step in range(cfg.steps):
         try:
@@ -515,7 +584,7 @@ def _train_uptrain(model: Model, cfg: TrainConfig, table: CsvTable):
         if not np.isfinite(float(total.data)):
             raise DivergenceError(step, last_finite)
         total.backward()
-        opt(params)
+        opt()
         teacher.current_step = step
         ema_update(teacher, model, eta_schedule(teacher))
         last_finite = scalars

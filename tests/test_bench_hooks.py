@@ -97,3 +97,25 @@ def test_every_tape_node_comes_from_make(workload, monkeypatch):
     monkeypatch.setattr(T.Tensor, "backward", checked_backward)
     train(TrainConfig.from_dict(config(seed=1, steps=2, eval_pairs=1)))
     assert len(interior_per_step) == 2 and min(interior_per_step) > 0
+
+
+@pytest.mark.parametrize("workload, regime", [("sup_hier", "supervised_moe"),
+                                              ("uptrain_long", "cav2vec_uptrain")])
+def test_training_calls_adam_step_once_per_step(workload, regime, monkeypatch):
+    """The benchmark's ``trainer.optimizer`` span wraps ``Adam.step`` on its
+    class, so ``train()`` must look the method up there, once per step."""
+    import worker
+    from avmoe import trainer
+
+    config = {"sup_hier": worker.sup_hier_config,
+              "uptrain_long": worker.uptrain_long_config}[workload]
+    cfg = config(seed=1, steps=3, eval_pairs=1)
+    assert cfg["regime"] == regime and cfg["optimizer"] == "adam"
+    calls, step = [], trainer.Adam.step
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return step(self, *args, **kwargs)
+    monkeypatch.setattr(trainer.Adam, "step", counted)
+    trainer.train(trainer.TrainConfig.from_dict(cfg))
+    assert len(calls) == 3 and len(set(map(id, calls))) == 1

@@ -228,3 +228,13 @@ def test_odd_k_hard_routing_of_audiovisual_tokens_is_config_error(tmp_path, caps
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert "k=3" in err and "Traceback" not in err
+
+
+def test_unknown_activation_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, model={"moe": {"mode": "sparse_topk", "n_experts": 4, "k": 2,
+                                           "activation": "swish"}})
+    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "swish" in err and "Traceback" not in err

@@ -1,10 +1,11 @@
 """Frozen parameters as tape constants against the loop they replaced.
 
-The reference loop backpropagates into every parameter, leaves the ones
-frozen for the step out of the optimizer call, and then clears every
-gradient. ``_train_supervised`` instead marks frozen parameters as
-constants, so their ops build no tape node and get no gradient. The
-trained parameters and the steps table must agree bit for bit.
+The reference loop backpropagates into every parameter and clears the
+gradients of the ones frozen for the step before the optimizer step, which
+leaves them dead for it. ``_train_supervised`` instead marks frozen
+parameters as constants, so their ops build no tape node and get no
+gradient. The trained parameters and the steps table must agree bit for
+bit.
 """
 
 import numpy as np
@@ -41,8 +42,8 @@ def make_cfg(mode, optimizer, warmup, freeze_encoder, freeze_experts, seed):
 
 
 def reference_train(model, cfg, table):
-    """Every gradient computed, the frozen ones filtered out of the
-    optimizer call, then every gradient cleared."""
+    """Every gradient computed, the frozen ones cleared before the
+    optimizer step."""
     streams = seed_streams(cfg.seed)
     data_rng = np.random.default_rng(streams["data"])
     corr_rng = np.random.default_rng(streams["corruption"])
@@ -53,7 +54,7 @@ def reference_train(model, cfg, table):
     lr_scales = {id(blk.moe.inter_router.weight): cfg.inter_lr_scale
                  for blk in model.decoder_blocks if blk.moe.inter_router is not None}
     routers = set(id(p) for blk in model.decoder_blocks for p in blk.moe.router_params())
-    opt = make_optimizer(cfg.optimizer, cfg.lr, lr_scales)
+    opt = make_optimizer(cfg.optimizer, cfg.lr, params, lr_scales)
     for step in range(cfg.steps):
         batch = _sample_batch(cfg, data_rng, corr_rng)
         scalars, total, _ = _supervised_step(model, cfg, batch)
@@ -65,9 +66,10 @@ def reference_train(model, cfg, table):
             skip |= encoder
         if step < cfg.freeze_experts_steps:
             skip |= experts
-        opt([p for p in params if id(p) not in skip])
         for p in params:
-            p.grad = None
+            if id(p) in skip:
+                p.grad = None
+        opt()
         table.append([step, scalars["L_CE"], scalars["L_B"], scalars["L_S"],
                       scalars["L_Z"], 0.0, 0.0, 0.0, 0.0, scalars["total"]])
 

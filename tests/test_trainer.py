@@ -12,9 +12,9 @@ from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
-    Adam, ConfigError, DivergenceError, TrainConfig, _sample_batch,
+    Adam, ConfigError, DivergenceError, SGD, TrainConfig, _sample_batch,
     build_model, eval_group_load_vs_snr, eval_ter, group_affinity,
-    make_optimizer, repr_distance_report, seed_streams, sgd_step, train,
+    make_optimizer, repr_distance_report, seed_streams, train,
 )
 
 
@@ -128,6 +128,14 @@ def test_config_rejects_odd_k_in_hard_mode(k):
     TrainConfig.from_dict({"model": {"moe": {**moe, "k": 2}}})
 
 
+def test_config_rejects_unknown_activation():
+    moe = {"mode": "sparse_topk", "n_experts": 4, "k": 2, "activation": "swish"}
+    with pytest.raises(ConfigError, match="swish"):
+        TrainConfig.from_dict({"model": {"moe": moe}})
+    for name in ("gelu", "tanh", "relu", "linear"):
+        TrainConfig.from_dict({"model": {"moe": {**moe, "activation": name}}})
+
+
 def test_config_accepts_edge_uptraining_settings():
     TrainConfig.from_dict({"n_centroids": 2, "audio_mask_prob": 0.0, "video_mask_prob": 1.0,
                            "audio_mask_span": 1, "av_snr_choices": [0.0]})
@@ -211,7 +219,7 @@ def test_different_seeds_give_different_streams():
 def test_sgd_step_matches_closed_form():
     p = Tensor.param(np.array([1.0, 2.0]))
     p.grad = np.array([0.5, -1.0])
-    sgd_step([p], lr=0.1)
+    SGD([p], lr=0.1).step()
     assert np.allclose(p.data, [0.95, 2.1])
     assert p.grad is None
 
@@ -220,7 +228,7 @@ def test_adam_first_step_is_signed_lr():
     # with bias correction the first update is lr * sign(grad)
     p = Tensor.param(np.array([0.0, 0.0]))
     p.grad = np.array([3.0, -0.001])
-    Adam(lr=0.01).step([p])
+    Adam([p], lr=0.01).step()
     assert np.allclose(p.data, [-0.01, 0.01], atol=1e-6)
 
 
@@ -229,14 +237,13 @@ def test_lr_scales_multiply_the_update():
     b = Tensor.param(np.zeros(2))
     a.grad = np.array([1.0, 1.0])
     b.grad = np.array([1.0, 1.0])
-    opt = Adam(lr=0.01, lr_scales={id(b): 5.0})
-    opt.step([a, b])
+    Adam([a, b], lr=0.01, lr_scales={id(b): 5.0}).step()
     assert np.allclose(b.data, 5.0 * a.data)
 
 
 def test_make_optimizer_rejects_unknown():
     with pytest.raises(ConfigError):
-        make_optimizer("newton", 0.1)
+        make_optimizer("newton", 0.1, [])
 
 
 # -- batches -----------------------------------------------------------------
