@@ -13,14 +13,24 @@ and causal, decoder segment i attending to encoder segment i only), while
 decoder positions restart in each segment. One sequence is the one-segment
 case: no encoder or cross-attention mask.
 
-Greedy decoding is incremental: each step runs one decoder position, the
-newest token, against per-layer caches of the earlier positions' keys and
-values and of the encoder features' cross-attention keys and values.
+Greedy decoding is incremental: each step runs one decoder position per
+sequence, its newest token, against per-layer caches of the earlier
+positions' keys and values and of the encoder features' cross-attention keys
+and values. Packed sequences decode in lockstep: every cached row records its
+sequence, 0/-inf masks keep each new row on its own cached rows and its own
+encoder segment, and a sequence leaves the step's rows once it emits EOS or
+reaches its own length bound. One sequence builds no mask.
+
+Checkpoints (format v2) are one JSON object whose arrays are base64 text of
+their little-endian float64 bytes, so a save and load round trip is exact;
+format v1 (decimal float lists) still loads.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +41,7 @@ from .moe_layer import ExpertFFN, MoELayer, MoELayerConfig
 from .routing import MOD_AV
 from .tensor import Tensor
 
-CHECKPOINT_FORMAT = "avmoe-checkpoint-v1"
+CHECKPOINT_FORMAT = "avmoe-checkpoint-v2"
 
 
 @dataclass
@@ -93,10 +103,15 @@ def segment_mask(q_lengths, k_lengths, causal: bool = False) -> np.ndarray | Non
             f"{len(q_lengths)} query segments against {len(k_lengths)} key segments")
     if len(q_lengths) == 1 and not causal:
         return None
-    q, k = segment_ids(q_lengths), segment_ids(k_lengths)
-    allowed = q[:, None] == k[None, :]
+    return owner_mask(segment_ids(q_lengths), segment_ids(k_lengths), causal)
+
+
+def owner_mask(q_owners: np.ndarray, k_owners: np.ndarray, causal: bool = False) -> np.ndarray:
+    """0/-inf attention mask letting query row i see only the key rows with
+    the same owner (sequence) as itself and, when ``causal``, no later row."""
+    allowed = q_owners[:, None] == k_owners[None, :]
     if causal:
-        allowed &= np.tri(q.size, k.size, dtype=bool)
+        allowed &= np.tri(q_owners.size, k_owners.size, dtype=bool)
     return np.where(allowed, 0.0, -np.inf)
 
 
@@ -162,23 +177,29 @@ class EncoderBlock:
 
 class LayerCache:
     """One decoder layer's keys and values during incremental decoding: the
-    self-attention rows of every position fed so far, appended into
-    preallocated [rows x d] arrays, and the cross-attention keys and values
-    of the encoder features, computed once."""
+    self-attention rows of every position fed so far, of every sequence
+    decoding in lockstep, appended into preallocated [rows x d] arrays with
+    the sequence each row belongs to, and the cross-attention keys and
+    values of the encoder features, computed once."""
 
     def __init__(self, block: "DecoderBlock", features: Tensor, rows: int):
         d = features.data.shape[1]
         self.keys = np.empty((rows, d))
         self.values = np.empty((rows, d))
+        self.owners = np.empty(rows, dtype=np.int64)
         self.length = 0
+        self.steps = 0  # appends so far: the position of the next rows
         self.cross = block.cross_attn.keys_values(features)
 
-    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the newest rows; returns the keys and values of all rows."""
+    def append(self, k: Tensor, v: Tensor, owners: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Append the newest rows, one per sequence in ``owners``; returns
+        the keys and values of all rows."""
         n = self.length + k.data.shape[0]
         self.keys[self.length:n] = k.data
         self.values[self.length:n] = v.data
+        self.owners[self.length:n] = owners
         self.length = n
+        self.steps += 1
         return Tensor(self.keys[:n]), Tensor(self.values[:n])
 
 
@@ -193,11 +214,12 @@ class DecoderBlock:
 
     def forward(self, X: Tensor, memory: Tensor, self_mask, cross_mask, modalities,
                 segments, cache: LayerCache | None = None):
-        """With ``cache``, ``X`` is the row after the cached ones: its keys
-        and values are appended, and it attends to every cached row."""
+        """With ``cache``, ``X`` holds the next row of each sequence in
+        ``segments``: its keys and values are appended, and it attends to the
+        cached rows ``self_mask`` lets it see."""
         self_kv = cross_kv = None
         if cache is not None:
-            self_kv = cache.append(*self.self_attn.keys_values(X))
+            self_kv = cache.append(*self.self_attn.keys_values(X), segments)
             cross_kv = cache.cross
         X = self.self_attn.forward(X, mask=self_mask, kv=self_kv)
         X = self.cross_attn.forward(X, memory=memory, mask=cross_mask, kv=cross_kv)
@@ -253,16 +275,19 @@ class Model:
         return {name: p.data.copy() for name, p in self.named_params().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Copy ``state`` into the parameters, after checking every name and
+        shape, so that a rejected state changes nothing."""
         named = self.named_params()
         if set(state) != set(named):
             missing = set(named) ^ set(state)
             raise KeyError(f"state dict keys mismatch: {sorted(missing)[:5]}")
-        for name, values in state.items():
-            p = named[name]
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise T.ShapeError(f"{name}: checkpoint {arr.shape} vs model {p.data.shape}")
-            p.data[:] = arr
+        arrays = {name: np.asarray(values, dtype=np.float64) for name, values in state.items()}
+        for name, arr in arrays.items():
+            if arr.shape != named[name].data.shape:
+                raise T.ShapeError(
+                    f"{name}: checkpoint {arr.shape} vs model {named[name].data.shape}")
+        for name, arr in arrays.items():
+            named[name].data[:] = arr
 
     # -- encoder --------------------------------------------------------------
 
@@ -294,30 +319,43 @@ class Model:
     # -- decoder --------------------------------------------------------------
 
     def _decode(self, features: Tensor, token_ids: list[int], lengths, feature_lengths,
-                modalities: list[str], cache: list[LayerCache] | None = None):
+                modalities: list[str], cache: list[LayerCache] | None = None,
+                live: np.ndarray | None = None):
         """Teacher-forced pass over token sequences of ``lengths`` packed end
         to end, segment i attending to the ``feature_lengths[i]`` rows of
         segment i of ``features``; returns (logits, moe aux per layer).
 
         With ``cache`` (one LayerCache per decoder layer), ``token_ids`` is
-        one token of one sequence, at the position after the cached rows."""
+        the next token of each sequence in ``live`` (ascending indices into
+        ``feature_lengths``; ``lengths`` is all ones), at the position after
+        the cached rows. Sequence i attends to its own cached rows and to
+        segment i of ``features``."""
         if max(token_ids) >= self.cfg.n_classes or min(token_ids) < 0:
             raise IndexError(f"token id outside [0, {self.cfg.n_classes})")
-        offset = 0 if cache is None else cache[0].length
+        offset = 0 if cache is None else cache[0].steps
         if offset + max(lengths) > self.cfg.max_len:
             raise T.ShapeError(f"sequence of {offset + max(lengths)} tokens exceeds "
                                f"max_len={self.cfg.max_len}")
         if sum(feature_lengths) != features.data.shape[0]:
             raise T.ShapeError(f"segments of {sum(feature_lengths)} rows for "
                                f"{features.data.shape[0]} feature rows")
-        segments = segment_ids(lengths)
-        starts = np.cumsum(lengths) - lengths
-        positions = self.positions[offset + np.arange(segments.size) - starts[segments]]
+        if cache is None:
+            segments = segment_ids(lengths)
+            starts = np.cumsum(lengths) - lengths
+            positions = self.positions[np.arange(segments.size) - starts[segments]]
+            self_mask = segment_mask(lengths, lengths, causal=True)
+            cross_mask = segment_mask(lengths, feature_lengths)
+            caches = [None] * len(self.decoder_blocks)
+        else:
+            segments, caches = live, cache
+            positions = self.positions[np.full(live.size, offset)]
+            # one sequence owns every cached and feature row: no mask
+            self_mask = cross_mask = None
+            if len(feature_lengths) > 1:
+                owners = np.concatenate([cache[0].owners[:cache[0].length], live])
+                self_mask = owner_mask(live, owners)
+                cross_mask = owner_mask(live, segment_ids(feature_lengths))
         X = T.add(T.index_rows(self.token_emb, token_ids), Tensor(positions))
-        # the newest row of a causal prefix attends to every cached row
-        self_mask = segment_mask(lengths, lengths, causal=True) if cache is None else None
-        cross_mask = segment_mask(lengths, feature_lengths)
-        caches = [None] * len(self.decoder_blocks) if cache is None else cache
         aux = []
         for blk, layer_cache in zip(self.decoder_blocks, caches):
             X, routing, logit_rows, stats = blk.forward(
@@ -365,25 +403,47 @@ class Model:
         ce = T.cross_entropy_rows(logits, targets, row_weights=weights)
         return logits, ce, aux
 
-    def decode_greedy(self, features: Tensor, max_len: int, modality: str = MOD_AV) -> list[int]:
-        """Greedy transcript of at most ``max_len`` tokens, decoded
-        incrementally: each step feeds only the newest token through the
-        decoder, against the cached keys and values of the earlier ones."""
-        if max_len < 1:
+    def decode_greedy(self, features: Tensor, max_len, modality=MOD_AV,
+                      feature_lengths=None):
+        """Greedy transcripts, decoded incrementally: each step feeds only
+        the newest token of each sequence through the decoder, against the
+        cached keys and values of the earlier ones.
+
+        With ``feature_lengths`` None, one transcript of at most ``max_len``
+        tokens over all of ``features``. Otherwise the sequences packed as
+        ``encode`` packs them, sequence i over the next ``feature_lengths[i]``
+        rows, decoded in lockstep: ``max_len`` holds one bound per sequence,
+        ``modality`` is one tag or one per sequence, and the result is one
+        transcript per sequence. A sequence stops at EOS or at its bound."""
+        single = feature_lengths is None
+        if single:
+            max_len, feature_lengths = [max_len], [features.data.shape[0]]
+        bounds = list(max_len)
+        tags = [modality] * len(bounds) if isinstance(modality, str) else list(modality)
+        if not len(bounds) == len(tags) == len(feature_lengths):
+            raise T.ShapeError(f"{len(bounds)} length bounds and {len(tags)} modality "
+                               f"tags for {len(feature_lengths)} sequences")
+        if min(bounds) < 1:
             raise ValueError("max_len must be >= 1")
-        n_feat = features.data.shape[0]
-        nxt = self.cfg.bos_id
-        out: list[int] = []
+        outs: list[list[int]] = [[] for _ in bounds]
+        live = np.arange(len(bounds))
+        nxt = [self.cfg.bos_id] * live.size
         with T.no_grad():
-            rows = min(max_len, self.cfg.max_len)
+            rows = sum(min(n, self.cfg.max_len) for n in bounds)
             cache = [LayerCache(blk, features, rows) for blk in self.decoder_blocks]
-            for _ in range(max_len):
-                logits, _ = self._decode(features, [nxt], [1], [n_feat], [modality], cache)
-                nxt = int(np.argmax(logits.data[-1]))
-                if nxt == self.cfg.eos_id:
-                    break
-                out.append(nxt)
-        return out
+            while live.size:
+                logits, _ = self._decode(features, nxt, [1] * live.size, feature_lengths,
+                                         [tags[i] for i in live], cache, live)
+                going = []
+                for i, token in zip(live, logits.data.argmax(axis=1)):
+                    if token == self.cfg.eos_id:
+                        continue
+                    outs[i].append(int(token))
+                    if len(outs[i]) < bounds[i]:
+                        going.append(i)
+                live = np.asarray(going, dtype=np.int64)
+                nxt = [outs[i][-1] for i in going]
+        return outs[0] if single else outs
 
     # -- checkpoints ----------------------------------------------------------
 
@@ -393,24 +453,94 @@ class Model:
                 for i, blk in enumerate(self.decoder_blocks)}
 
     def save_checkpoint(self, path: str):
+        """Write every parameter and buffer to ``path`` as one JSON object
+        (format v2: see ``_encode_array``)."""
         payload = {"format": CHECKPOINT_FORMAT,
-                   "params": {name: {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
-                              for name, arr in self.state_dict().items()},
-                   "buffers": {name: arr.tolist()
+                   "params": {name: _encode_array(p.data)
+                              for name, p in self.named_params().items()},
+                   "buffers": {name: _encode_array(arr)
                                for name, arr in self.buffers().items()}}
         # json.dump streams; json.dumps would hold the whole text in memory
         with atomic_open(path) as f:
             json.dump(payload, f)
 
     def load_checkpoint(self, path: str):
+        """Load a format v2 or v1 checkpoint. A malformed checkpoint, or one
+        whose buffers do not match the model's, raises ValueError or
+        ShapeError, and parameter names that do not match raise KeyError;
+        the model is then left unchanged."""
         with open(path) as f:
             payload = json.load(f)
-        if payload.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(payload, dict):
+            raise ValueError(f"checkpoint holds a JSON {type(payload).__name__}, not an object")
+        readers = _CHECKPOINT_READERS.get(payload.get("format"))
+        if readers is None:
             raise ValueError(f"unknown checkpoint format {payload.get('format')!r}")
-        state = {name: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-                 for name, entry in payload["params"].items()}
+        read_param, read_buffer = readers
+        state = {name: read_param(entry)
+                 for name, entry in _checkpoint_section(payload, "params").items()}
+        buffers = {name: read_buffer(entry)
+                   for name, entry in _checkpoint_section(payload, "buffers").items()}
+        named = self.buffers()
+        if set(buffers) != set(named):
+            raise ValueError(f"checkpoint buffers {sorted(buffers)} do not match "
+                             f"the model's {sorted(named)}")
+        for name, arr in buffers.items():
+            if arr.shape != named[name].shape:
+                raise T.ShapeError(
+                    f"{name}: checkpoint {arr.shape} vs model {named[name].shape}")
         self.load_state_dict(state)
-        for i, blk in enumerate(self.decoder_blocks):
-            key = f"dec{i}.moe_center"
-            if key in payload.get("buffers", {}):
-                blk.moe.inter_center = np.asarray(payload["buffers"][key], dtype=np.float64)
+        for name, arr in buffers.items():
+            named[name][...] = arr
+
+
+def _encode_array(arr: np.ndarray) -> dict:
+    """Checkpoint entry of a float64 array: its shape, and its little-endian
+    float64 bytes in C order as base64 text. The round trip is exact, and
+    equal arrays give equal text."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _decode_array(entry) -> np.ndarray:
+    """The array of an ``_encode_array`` entry, as a new native float64 array;
+    ValueError when the entry is malformed."""
+    if not isinstance(entry, dict) or set(entry) != {"shape", "f8"}:
+        raise ValueError("checkpoint array entry must be an object with 'shape' and 'f8'")
+    shape, text = entry["shape"], entry["f8"]
+    if (not isinstance(shape, list) or not isinstance(text, str)
+            or not all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError("checkpoint array entry needs a list of sizes and a base64 string")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes of float64 data for shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _read_v1_param(entry) -> np.ndarray:
+    """A format-v1 parameter: ``{"shape": [...], "values": [flat floats]}``."""
+    if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
+        raise ValueError("v1 parameter entry must be an object with 'shape' and 'values'")
+    try:
+        return np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+    except TypeError as e:
+        raise ValueError(f"malformed v1 parameter entry: {e}") from e
+
+
+def _read_v1_buffer(entry) -> np.ndarray:
+    """A format-v1 buffer: a (nested) list of floats."""
+    try:
+        return np.asarray(entry, dtype=np.float64)
+    except TypeError as e:
+        raise ValueError(f"malformed v1 buffer: {e}") from e
+
+
+_CHECKPOINT_READERS = {CHECKPOINT_FORMAT: (_decode_array, _decode_array),
+                       "avmoe-checkpoint-v1": (_read_v1_param, _read_v1_buffer)}
+
+
+def _checkpoint_section(payload: dict, key: str) -> dict:
+    section = payload.get(key)
+    if not isinstance(section, dict):
+        raise ValueError(f"checkpoint {key!r} must be a JSON object")
+    return section

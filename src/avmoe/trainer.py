@@ -608,19 +608,29 @@ def _eval_pairs(cfg_gen: GeneratorConfig, n: int, seed: int,
 
 def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
              seed: int = 0, snr_db: float = -10.0) -> float:
-    """Mean token error rate of greedy decoding under a corruption preset."""
+    """Mean token error rate of greedy decoding under a corruption preset.
+
+    Every pair is corrupted first, then all are encoded packed in one
+    no-grad pass and decoded together in lockstep, each up to four tokens
+    past its label length."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
-    total = 0.0
-    for pair in _eval_pairs(gen_cfg, pairs, seed + 1):
+    eval_pairs = _eval_pairs(gen_cfg, pairs, seed + 1)
+    audios, videos = [], []
+    for pair in eval_pairs:
         plan = sample_plan_preset(preset, pair.num_frames,
                                   int(rng.integers(2 ** 31)), drop_prob=0.0)
         audio, video = corrupt_pair(pair.audio, pair.video, plan,
                                     int(rng.integers(2 ** 31)), audio_snr_db=snr_db)
-        with T.no_grad():
-            feats, _ = model.encode(audio, video)
-        hyp = model.decode_greedy(feats, max_len=len(pair.labels) + 4)
-        total += token_error_rate(hyp, pair.labels)
-    return total / pairs
+        audios.append(audio)
+        videos.append(video)
+    with T.no_grad():
+        feats, _ = model.encode(audios, videos)
+    hyps = model.decode_greedy(feats, [len(p.labels) + 4 for p in eval_pairs],
+                               feature_lengths=[a.shape[0] for a in audios])
+    return sum((token_error_rate(hyp, p.labels) for hyp, p in zip(hyps, eval_pairs)),
+               0.0) / pairs
 
 
 def _collect_routings(model: Model, audios, videos, labels, tags) -> list:

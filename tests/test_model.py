@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 
 from avmoe import tensor as T
+from avmoe.cli import EXIT_CONFIG, EXIT_OK, main
 from avmoe.model import Model, ModelConfig, sinusoidal_positions
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AV
 from avmoe.tensor import Tensor
+from avmoe.trainer import TrainConfig, build_model
 
 
 def tiny_cfg(mode="dense_ffn", **moe_kw):
@@ -186,15 +189,97 @@ class TestParameterAccounting:
         assert count > 0
 
 
+def write_v1_checkpoint(model: Model, path):
+    """A checkpoint as the format-v1 writer produced it: decimal float lists."""
+    payload = {"format": "avmoe-checkpoint-v1",
+               "params": {name: {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
+                          for name, arr in model.state_dict().items()},
+               "buffers": {name: arr.tolist() for name, arr in model.buffers().items()}}
+    path.write_text(json.dumps(payload))
+
+
+def nonzero_centers(model: Model, seed: int) -> Model:
+    rng = np.random.default_rng(seed)
+    for blk in model.decoder_blocks:
+        blk.moe.inter_center = rng.normal(size=model.cfg.d)
+    return model
+
+
+def assert_same_state(a: Model, b: Model):
+    for name, arr in a.state_dict().items():
+        assert arr.tobytes() == b.state_dict()[name].tobytes(), name
+    for name, arr in a.buffers().items():
+        assert arr.tobytes() == b.buffers()[name].tobytes(), name
+
+
+def write_checkpoint(model: Model, path, fmt: str):
+    if fmt == "v1":
+        write_v1_checkpoint(model, path)
+    else:
+        model.save_checkpoint(str(path))
+
+
+def _edit_payload(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _wrong_shape_buffer(payload):
+    name = sorted(payload["buffers"])[0]
+    entry = payload["buffers"][name]
+    if isinstance(entry, list):  # v1: the values themselves
+        payload["buffers"][name] = entry[:-1]
+    else:
+        values = np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8")[:-1]
+        payload["buffers"][name] = {"shape": [values.size],
+                                    "f8": base64.b64encode(values.tobytes()).decode()}
+
+
+def _rename_buffer(payload):
+    name = sorted(payload["buffers"])[0]
+    payload["buffers"]["dec9.moe_center"] = payload["buffers"].pop(name)
+
+
+def _drop_buffer(payload):
+    payload["buffers"].pop(sorted(payload["buffers"])[0])
+
+
+# the loader faults: each one must be refused, never loaded
+CHECKPOINT_FAULTS = {
+    "wrong_shape_buffer": lambda path: _edit_payload(path, _wrong_shape_buffer),
+    "unknown_buffer": lambda path: _edit_payload(path, _rename_buffer),
+    "missing_buffer": lambda path: _edit_payload(path, _drop_buffer),
+    "not_an_object": lambda path: path.write_text(
+        json.dumps([json.loads(path.read_text())])),
+}
+
+
 class TestCheckpoints:
     def test_round_trip_bitexact(self, tmp_path):
-        model = Model(tiny_cfg(mode="sparse_topk", n_experts=2, k=1), seed=18)
+        model = nonzero_centers(Model(tiny_cfg(mode="sparse_topk", n_experts=2, k=1), seed=18), 18)
         path = str(tmp_path / "ckpt.json")
         model.save_checkpoint(path)
         other = Model(model.cfg, seed=99)
         other.load_checkpoint(path)
-        for name, arr in model.state_dict().items():
-            assert np.array_equal(arr, other.state_dict()[name]), name
+        assert_same_state(model, other)
+
+    def test_two_saves_give_identical_bytes(self, tmp_path):
+        model = nonzero_centers(Model(tiny_cfg(mode="hierarchical"), seed=23), 23)
+        model.save_checkpoint(str(tmp_path / "a.json"))
+        model.save_checkpoint(str(tmp_path / "b.json"))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        payload = json.loads((tmp_path / "a.json").read_text())
+        assert payload["format"] == "avmoe-checkpoint-v2"
+        assert set(payload["buffers"]) == set(model.buffers())
+
+    def test_v1_checkpoint_loads_bitexact(self, tmp_path):
+        model = nonzero_centers(Model(tiny_cfg(mode="hierarchical"), seed=24), 24)
+        path = tmp_path / "v1.json"
+        write_v1_checkpoint(model, path)
+        other = Model(model.cfg, seed=98)
+        other.load_checkpoint(str(path))
+        assert_same_state(model, other)
 
     def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         model = Model(tiny_cfg(), seed=22)
@@ -218,6 +303,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             model.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+    def test_faulty_checkpoint_leaves_the_model_unchanged(self, tmp_path, fmt, fault):
+        model = Model(tiny_cfg(mode="hierarchical"), seed=25)
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(model, path, fmt)
+        CHECKPOINT_FAULTS[fault](path)
+        other = nonzero_centers(Model(model.cfg, seed=97), 97)
+        before = nonzero_centers(Model(model.cfg, seed=97), 97)
+        with pytest.raises(ValueError):  # ShapeError is a ValueError
+            other.load_checkpoint(str(path))
+        assert_same_state(other, before)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         model = Model(tiny_cfg(), seed=20)
         path = str(tmp_path / "ckpt.json")
@@ -226,6 +324,27 @@ class TestCheckpoints:
         bigger.audio_proj = Tensor.param(np.zeros((9, 8)))
         with pytest.raises((T.ShapeError, KeyError, ValueError)):
             bigger.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fmt", ["v1", "v2"])
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_avmoe_eval_refuses_a_faulty_checkpoint(tmp_path, capsys, fmt, fault):
+    raw = {"regime": "supervised_moe", "steps": 1, "batch_size": 2, "seed": 0,
+           "model": {"moe": {"mode": "hierarchical", "n_groups": 2,
+                             "n_per_group": 4, "m": 2, "k_per_group": 1}},
+           "generator": {"vocab": 16}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    path = tmp_path / "checkpoint.json"
+    write_checkpoint(build_model(TrainConfig.from_dict(raw)), path, fmt)
+    args = ["eval", "--checkpoint", str(path), "--config", str(cfg_path), "--pairs", "2"]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    CHECKPOINT_FAULTS[fault](path)
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "cannot load checkpoint" in captured.err and "Traceback" not in captured.err
+    assert "ter[" not in captured.out
 
 
 class TestPositions:

@@ -10,9 +10,11 @@ from avmoe import tensor as T
 from avmoe.metrics import coeff_of_variation, read_table
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
+from avmoe.corruption import corrupt_pair, sample_plan_preset
+from avmoe.streams import token_error_rate
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
-    Adam, ConfigError, DivergenceError, SGD, TrainConfig, _sample_batch,
+    Adam, ConfigError, DivergenceError, SGD, TrainConfig, _eval_pairs, _sample_batch,
     build_model, eval_group_load_vs_snr, eval_ter, group_affinity,
     make_optimizer, repr_distance_report, seed_streams, train,
 )
@@ -416,6 +418,47 @@ def test_eval_ter_deterministic_and_bounded():
     t2 = eval_ter(model, _cfg().generator, pairs=3, preset="none", seed=4)
     assert t1 == t2
     assert t1 >= 0.0
+
+
+def per_pair_eval_ter(model, gen_cfg, pairs, preset, seed, snr_db=-10.0):
+    """The per-pair loop lockstep ``eval_ter`` replaced: corrupt, encode and
+    decode one pair at a time."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for pair in _eval_pairs(gen_cfg, pairs, seed + 1):
+        plan = sample_plan_preset(preset, pair.num_frames,
+                                  int(rng.integers(2 ** 31)), drop_prob=0.0)
+        audio, video = corrupt_pair(pair.audio, pair.video, plan,
+                                    int(rng.integers(2 ** 31)), audio_snr_db=snr_db)
+        with T.no_grad():
+            feats, _ = model.encode(audio, video)
+        hyp = model.decode_greedy(feats, max_len=len(pair.labels) + 4)
+        total += token_error_rate(hyp, pair.labels)
+    return total / pairs
+
+
+@pytest.mark.parametrize("mode, seed, eos_scale, preset, pairs", [
+    ("hierarchical", 2, 1.0, "eval-fullnoise", 6), ("sparse_topk", 2, 2.0, "none", 6),
+    ("dense_ffn", 1, 3.0, "none", 6), ("dense_ffn", 1, 3.0, "none", 1),
+])
+def test_eval_ter_matches_the_per_pair_loop(mode, seed, eos_scale, preset, pairs):
+    moe = {"hierarchical": {"mode": "hierarchical", "n_groups": 2, "n_per_group": 4,
+                            "m": 2, "k_per_group": 1},
+           "sparse_topk": {"mode": "sparse_topk", "n_experts": 4, "k": 2},
+           "dense_ffn": {"mode": "dense_ffn"}}[mode]
+    cfg = _cfg(model={"moe": moe}, seed=seed)
+    model = build_model(cfg)
+    # a stronger EOS column makes some pairs stop early and others run to
+    # their bound, so the lockstep live set shrinks unevenly
+    model.head.data[:, model.cfg.eos_id] *= eos_scale
+    want = per_pair_eval_ter(model, cfg.generator, pairs, preset, seed=7)
+    assert eval_ter(model, cfg.generator, pairs, preset, seed=7) == want
+
+
+@pytest.mark.parametrize("pairs", [0, -2])
+def test_eval_ter_rejects_pairs_below_one(pairs):
+    with pytest.raises(ValueError, match="pairs"):
+        eval_ter(build_model(_cfg()), _cfg().generator, pairs, "none")
 
 
 def test_eval_ter_builds_no_tape(monkeypatch):
