@@ -20,7 +20,7 @@ router = RouterParams.init(d, 8, rng, scale=0.5)
 flat = route_sparse(router, x, k=2)
 ids = flat.selected[0]
 print("sparse top-2:")
-print(f"  experts {ids.tolist()}, weights {np.round(flat.weights.data[0, ids], 3)}")
+print(f"  experts {ids.tolist()}, weights {np.round(flat.weights.data[0], 3)}")
 
 # Two-level routing: an inter router picks m groups, then each chosen group
 # runs its own argmax over 4 experts. The inter router starts at zero, so an
@@ -30,9 +30,9 @@ intras = [RouterParams.init(d, 4, rng, scale=0.5) for _ in range(2)]
 hier = route_hierarchical(inter, intras, x, m=2, k_per_group=1)
 print("hierarchical m=2, top-1 per group:")
 print(f"  group probabilities {np.round(hier.group_probs.data[0], 3)}")
-for e in hier.selected[0]:
-    print(f"  group {e // 4}: flat expert {e}, combine weight {hier.weights.data[0, e]:.3f}")
-print(f"  combine-weight row over all 8 experts {np.round(hier.weights.data[0], 3)}")
+# A routing keeps one weight per selected expert, in selection order.
+for e, w in zip(hier.selected[0], hier.weights.data[0]):
+    print(f"  group {e // 4}: flat expert {e}, combine weight {w:.3f}")
 
 # The layer counts actual expert forward calls: exactly k per token when
 # sparse, m * k_per_group per token when hierarchical.

@@ -2,14 +2,15 @@
 
 Subcommands:
   train <config.json> [--run-dir DIR] [--seed N]
-  eval --checkpoint CKPT [--config CFG] [--preset P] [--snr-sweep] [--seed N]
+  eval --checkpoint CKPT [--config CFG] [--preset P] [--snr-sweep] [--pairs N] [--seed N]
   gradcheck [--module M] [--seeds N]
   report --run-dir DIR
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric abort. Any
 other exception is an internal error and propagates with its traceback.
 The AVMOE_SEED environment variable overrides the config seed; an explicit
---seed flag wins over both.
+--seed flag wins over both. `eval` uses the eval seed and pair count of
+`train`, so it reproduces a run's reported TERs and group-load table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .moe_losses import UnsupportedConfigError
 from .routing import RoutingConfigError
 from .tensor import NumericError, ShapeError
 from .trainer import (
-    ConfigError, DivergenceError, TrainConfig, build_model,
+    EVAL_SEED_OFFSET, ConfigError, DivergenceError, TrainConfig, build_model,
     eval_group_load_vs_snr, eval_ter, train,
 )
 
@@ -51,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--preset", choices=PRESETS, default="none")
     p_eval.add_argument("--snr-sweep", action="store_true",
                         help="emit the group load vs SNR table")
-    p_eval.add_argument("--pairs", type=int, default=16)
+    p_eval.add_argument("--pairs", type=int, default=None,
+                        help="eval pairs; defaults to the config's eval_pairs")
     p_eval.add_argument("--seed", type=int, default=None)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -97,7 +99,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.pairs < 1:
+    if args.pairs is not None and args.pairs < 1:
         raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "config.json")
@@ -107,13 +109,13 @@ def _cmd_eval(args) -> int:
         model.load_checkpoint(args.checkpoint)
     except (OSError, KeyError, ValueError, ShapeError) as e:
         raise ConfigError(f"cannot load checkpoint: {e}")
-    ter = eval_ter(model, cfg.generator, args.pairs, args.preset, seed=cfg.seed)
+    pairs = cfg.eval_pairs if args.pairs is None else args.pairs
+    seed = cfg.seed + EVAL_SEED_OFFSET
+    ter = eval_ter(model, cfg.generator, pairs, args.preset, seed=seed)
     print(f"ter[{args.preset}]: {ter:.4f}")
     if args.snr_sweep:
-        table = eval_group_load_vs_snr(model, cfg.generator,
-                                       list(cfg.av_snr_choices),
-                                       pairs=max(args.pairs // 2, 4),
-                                       seed=cfg.seed)
+        table = eval_group_load_vs_snr(model, cfg.generator, list(cfg.av_snr_choices),
+                                       pairs=max(pairs // 2, 4), seed=seed)
         print(",".join(table.header))
         for row in table.rows:
             print(",".join(repr(float(v)) for v in row))

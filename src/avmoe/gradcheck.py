@@ -9,6 +9,8 @@ probability paths (P/Q) alike by making the probe tensor play those roles.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import tensor as T
@@ -280,9 +282,9 @@ def _case_expert_weights(seed):
     return f, _mat(seed, 4, 6)
 
 
-def _moe_layer(seed, mode):
+def _moe_layer(seed, mode, k_per_group=1):
     cfg = MoELayerConfig(mode=mode, d=4, h=6, n_experts=4, k=2,
-                         n_groups=2, n_per_group=2, m=2, k_per_group=1)
+                         n_groups=2, n_per_group=2, m=2, k_per_group=k_per_group)
     return MoELayer(cfg, _rng(seed + 1000))
 
 
@@ -291,15 +293,15 @@ def _case_moe_forward_sparse(seed):
     return lambda t: T.tsum(layer.forward(t)[0]), _mat(seed)
 
 
-def _case_moe_forward_hier(seed):
-    layer = _moe_layer(seed, "hierarchical")
+def _case_moe_forward_hier(seed, k_per_group=1):
+    layer = _moe_layer(seed, "hierarchical", k_per_group)
     tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
     return lambda t: T.tsum(layer.forward(t, modalities=tags)[0]), _mat(seed)
 
 
-def _case_moe_forward_hier_inter(seed):
+def _case_moe_forward_hier_inter(seed, k_per_group=1):
     # the q~ combine path: layer output through the inter-router weights
-    layer = _moe_layer(seed, "hierarchical")
+    layer = _moe_layer(seed, "hierarchical", k_per_group)
     x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
     tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
 
@@ -420,6 +422,9 @@ CASES = {
         ("moe_forward_sparse", _case_moe_forward_sparse),
         ("moe_forward_hierarchical", _case_moe_forward_hier),
         ("moe_forward_hierarchical_inter_router", _case_moe_forward_hier_inter),
+        ("moe_forward_hierarchical_kpg2", partial(_case_moe_forward_hier, k_per_group=2)),
+        ("moe_forward_hierarchical_kpg2_inter_router",
+         partial(_case_moe_forward_hier_inter, k_per_group=2)),
         ("moe_router_weights", _case_moe_router_weights),
     ],
     "losses": [

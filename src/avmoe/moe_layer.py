@@ -189,24 +189,24 @@ class MoELayer:
         return self.combine(X, routing), routing, dispatch_stats([routing])
 
     def combine(self, X: Tensor, routing: Routing) -> Tensor:
-        """y_t = sum over the experts e token t selected of weights[t, e] * e(x_t).
+        """y_t = sum over j of weights[t, j] * e_j(x_t), e_j = selected[t, j].
 
         Each expert runs once, on the rows that selected it; the weighted
         outputs of all experts are scattered back in one step."""
-        B, E = routing.weights.data.shape
+        E = sum(routing.group_sizes)
         if E != len(self.experts):
             raise RoutingConfigError(
                 f"routing over {E} experts does not match a layer of {len(self.experts)}")
-        # (token, expert) pairs of the selection, grouped by expert in
-        # ascending order with tokens ascending inside each group
-        experts = routing.selected.ravel()
-        order = np.argsort(experts, kind="stable")
-        experts = experts[order]
-        rows = np.repeat(np.arange(B), routing.selected.shape[1])[order]
+        B, k = routing.selected.shape
+        # selection positions grouped by expert in ascending order, with
+        # tokens ascending inside each group
+        order = np.argsort(routing.selected.ravel(), kind="stable")
+        experts = routing.selected.ravel()[order]
+        rows = order // k
         bounds = np.flatnonzero(np.diff(experts)) + 1
         outputs = [self.experts[e[0]].forward(T.index_rows(X, r))
                    for e, r in zip(np.split(experts, bounds), np.split(rows, bounds))]
-        w = T.take(routing.weights, (rows * E + experts)[:, None])
+        w = T.take(routing.weights, order[:, None])
         return T.scatter_rows(T.mul(T.concat_rows(outputs), w), rows, B)
 
     def router_logit_rows(self, routing: Routing) -> list[Tensor]:

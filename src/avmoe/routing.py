@@ -5,6 +5,8 @@ statistics.
 Conventions:
 - tie-breaking everywhere is lowest index first;
 - expert ids are flat across groups (group g, local j -> g * n_per_group + j);
+- a routing keeps k weights per token, in selection order: [B x k] beside
+  the [B x k] selected ids, never spread over all experts;
 - top-1 frequencies (f, g) are non-differentiable statistics; gradients flow
   only through mean probabilities (P, Q).
 """
@@ -56,8 +58,9 @@ class Routing:
 
     ``selected`` holds each row's flat expert ids in selection order, and it
     alone decides which experts run: a selected expert's weight may underflow
-    to 0. ``weights`` is the [B x E] combine matrix, zero outside the
-    selection; in grouped modes it already folds in the group weights.
+    to 0. ``weights`` is [B x k] like ``selected``: column j is the combine
+    weight of expert ``selected[:, j]``; in grouped modes it already folds in
+    the group weights.
     ``logits`` and ``expert_probs`` hold one [B x n_g] matrix per expert
     router; ``group_probs`` is the [B x G] inter-router distribution of the
     hierarchical mode.
@@ -115,17 +118,11 @@ def select_topk(probs: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     return ids, T.normalize_rows(T.take(probs, _flat(ids, n)))
 
 
-def _topk_combine(probs: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
-    """select_topk with the weights spread into a matrix of probs' shape."""
-    ids, weights = select_topk(probs, k)
-    return ids, T.scatter(weights, _flat(ids, probs.data.shape[-1]), probs.data.shape)
-
-
 def route_sparse(router: RouterParams, X: Tensor, k: int,
                  modalities: list[str] | None = None) -> Routing:
     """Dense softmax routing followed by top-k selection (single group)."""
     logits, probs = route_dense(router, X)
-    ids, weights = _topk_combine(probs, k)
+    ids, weights = select_topk(probs, k)
     return Routing(_tags(modalities, X.data.shape[0]), [logits], [probs], ids, weights)
 
 
@@ -139,7 +136,6 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
     tags = np.asarray(tag_list)
     router_a, router_v = routers
     n_a = router_a.n_outputs
-    E = n_a + router_v.n_outputs
     logits_a, probs_a = route_dense(router_a, X)
     logits_v, probs_v = route_dense(router_v, X)
     if k % 2 != 0 and MOD_AV in tags:
@@ -158,9 +154,9 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
         for probs, offset, kg, share in plan:
             ids, w = select_topk(T.index_rows(probs, rows), kg)
             selected[rows, col:col + kg] = offset + ids
-            col += kg
             part = T.scatter(w if share == 1.0 else T.scale(w, share),
-                             rows[:, None] * E + offset + ids, (B, E))
+                             rows[:, None] * k + np.arange(col, col + kg), (B, k))
+            col += kg
             weights = part if weights is None else T.add(weights, part)
     return Routing(tag_list, [logits_a, logits_v], [probs_a, probs_v], selected, weights)
 
@@ -172,7 +168,8 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
     intra router picks the argmax expert (k_per_group == 1, Kronecker-delta
     weights carrying no gradient) or a renormalized top-k_per_group. A
     token's weight on a selected expert is its renormalized group weight
-    times its within-group weight.
+    times its within-group weight. Selection order is the groups in
+    inter-router order, each group's experts in intra-router order.
 
     ``X_inter`` optionally substitutes the inter router's input (for example
     a mean-centered view of ``X``); intra routers always see ``X``."""
@@ -182,27 +179,20 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
     B = X.data.shape[0]
     _, q = route_dense(inter, X if X_inter is None else X_inter)
     group_ids, q_tilde = select_topk(q, m)
-    q_full = T.scatter(q_tilde, _flat(group_ids, G), (B, G))  # 0 off the selection
-    logits, probs, flat_ids, inner = [], [], [], []
-    offset = 0
-    for router in intras:
-        lg, p = route_dense(router, X)
-        n = router.n_outputs
-        if k_per_group == 1:
-            ids = topk_ids(p.data, 1)
-            w = Tensor(np.eye(n)[ids[:, 0]])
-        else:
-            ids, w = _topk_combine(p, k_per_group)
-        logits.append(lg)
-        probs.append(p)
-        flat_ids.append(offset + ids)
-        inner.append(w)
-        offset += n
-    group_of = np.repeat(np.arange(G), [r.n_outputs for r in intras])
-    q_per_expert = T.take(q_full, G * np.arange(B)[:, None] + group_of)
-    weights = T.mul(q_per_expert, T.concat_cols(inner))
-    selected = np.stack(flat_ids, axis=1)[np.arange(B)[:, None], group_ids].reshape(B, -1)
-    return Routing(_tags(modalities, B), logits, probs, selected, weights, group_probs=q)
+    logits, probs = zip(*(route_dense(router, X) for router in intras))
+    if k_per_group == 1:  # each within-group weight is exactly 1
+        local_ids, weights = [topk_ids(p.data, 1) for p in probs], q_tilde
+    else:
+        local_ids, inner = zip(*(select_topk(p, k_per_group) for p in probs))
+        # column j * k_per_group + i: the i-th intra weight of group group_ids[:, j]
+        cols = (group_ids[..., None] * k_per_group + np.arange(k_per_group)).reshape(B, -1)
+        q_rep = T.take(q_tilde, np.repeat(np.arange(B * m).reshape(B, m), k_per_group, axis=1))
+        weights = T.mul(q_rep, T.take(T.concat_cols(inner), _flat(cols, G * k_per_group)))
+    offsets = np.cumsum([0] + [r.n_outputs for r in intras[:-1]])
+    flat_ids = np.stack(local_ids, axis=1) + offsets[:, None]  # [B x G x k_per_group]
+    selected = flat_ids[np.arange(B)[:, None], group_ids].reshape(B, -1)
+    return Routing(_tags(modalities, B), list(logits), list(probs), selected, weights,
+                   group_probs=q)
 
 
 @dataclass

@@ -58,6 +58,7 @@ from .tensor import Tensor
 
 SCHEMA_VERSION = 1
 REGIMES = ("supervised_moe", "cav2vec_uptrain", "combined_pipeline")
+EVAL_SEED_OFFSET = 101  # a run's post-training evaluations use seed + this
 
 STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z",
                 "L_ACP", "L_VCP", "L_MASK", "L_MLM", "total"]
@@ -761,7 +762,7 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
         final, load_tail = _train_supervised(model, cfg, table,
                                              step_offset=cfg.uptrain_steps)
 
-    eval_seed = cfg.seed + 101
+    eval_seed = cfg.seed + EVAL_SEED_OFFSET
     ter = {"none": eval_ter(model, cfg.generator, cfg.eval_pairs, "none", eval_seed),
            "eval-fullnoise": eval_ter(model, cfg.generator, cfg.eval_pairs,
                                       "eval-fullnoise", eval_seed)}

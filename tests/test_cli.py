@@ -116,6 +116,21 @@ def test_eval_roundtrip_with_snr_sweep(tmp_path, capsys):
     assert "snr,mean_qV,std_qV" in out
 
 
+def test_eval_reproduces_the_runs_own_ter_and_group_load(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, seed=1, eval_pairs=6)
+    run_dir = tmp_path / "out"
+    main(["train", str(cfg_path), "--run-dir", str(run_dir)])
+    capsys.readouterr()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    for preset, ter in summary["ter"].items():
+        args = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--preset", preset]
+        assert main(args + ["--snr-sweep"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"ter[{preset}]: {ter:.4f}"
+        assert out[1:] == (run_dir / "group_load_vs_snr.csv").read_text().splitlines()
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_eval_rejects_pairs_below_one(tmp_path, capsys, pairs):
     cfg_path = tmp_path / "cfg.json"

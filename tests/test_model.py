@@ -113,7 +113,7 @@ class TestDecodeTrain:
         assert len(aux) == model.cfg.n_dec
         # BOS + 3 labels = 4 decoder tokens, each with a routing row
         assert aux[0]["routing"].selected.shape == (4, 2)
-        assert aux[0]["routing"].weights.data.shape == (4, 4)
+        assert aux[0]["routing"].weights.data.shape == (4, 2)
         assert aux[0]["logit_rows"][0].data.shape == (4, 4)
 
 

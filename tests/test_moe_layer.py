@@ -3,7 +3,7 @@ import pytest
 
 from avmoe import tensor as T
 from avmoe.moe_layer import ExpertFFN, MoELayer, MoELayerConfig, flops_report
-from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
+from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO, RoutingConfigError
 from avmoe.tensor import Tensor, grad_check
 
 
@@ -167,6 +167,21 @@ class TestMoEForward:
         out_h, _, _ = layer_h.forward(X)
         out_s, _, _ = layer_s.forward(X)
         assert np.array_equal(out_h.data, out_s.data)
+
+    @pytest.mark.parametrize("mode, kw, other", [
+        ("sparse_topk", {"n_experts": 4, "k": 2}, {"n_experts": 6}),
+        ("sparse_topk", {"n_experts": 6, "k": 2}, {"n_experts": 4}),
+        ("hard", {"n_per_group": 3, "k": 2}, {"n_per_group": 4}),
+        ("hierarchical", {"n_groups": 2, "n_per_group": 4}, {"n_groups": 3}),
+    ])
+    def test_combine_rejects_routing_of_another_expert_count(self, mode, kw, other):
+        layer = make_layer(mode, seed=24, **kw)
+        router_source = make_layer(mode, seed=25, **{**kw, **other})
+        X = Tensor(np.random.default_rng(26).normal(size=(5, 6)))
+        routing = router_source.route(X, [MOD_AUDIO] * 5)
+        with pytest.raises(RoutingConfigError, match="experts does not match"):
+            layer.combine(X, routing)
+        assert sum(layer.eval_counts()) == 0
 
 
 class TestFlops:

@@ -11,8 +11,13 @@ and those experts must still run.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from avmoe import tensor as T
 from avmoe.moe_layer import MoELayer, MoELayerConfig
-from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES
+from avmoe.moe_losses import load_balancing_from_stats, load_biasing_loss, router_z_loss
+from avmoe.routing import (
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, Routing, dispatch_stats, route_dense,
+    select_topk, topk_ids,
+)
 from avmoe.tensor import Tensor
 
 SCALES = (0.0, 1.0, 1e4)
@@ -85,10 +90,9 @@ def layer_cases(draw):
             draw(st.sampled_from(SCALES)), draw(st.sampled_from(SCALES)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(layer_cases())
-def test_batched_layer_matches_per_token_oracle(case):
-    cfg, B, tags, seed, router_scale, inter_scale = case
+def _random_layer(cfg, seed, router_scale, inter_scale):
+    """A layer with the given router scales and random expert biases, plus
+    the rng that drew it."""
     rng = np.random.default_rng(seed)
     layer = MoELayer(cfg, rng)
     for r in [layer.router] + layer.intra_routers:
@@ -101,9 +105,18 @@ def test_batched_layer_matches_per_token_oracle(case):
     for e in layer.experts:
         e.b1.data[:] = rng.normal(size=e.b1.data.shape)
         e.b2.data[:] = rng.normal(size=e.b2.data.shape)
+    return layer, rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layer_cases())
+def test_batched_layer_matches_per_token_oracle(case):
+    cfg, B, tags, seed, router_scale, inter_scale = case
+    layer, rng = _random_layer(cfg, seed, router_scale, inter_scale)
     X = rng.normal(size=(B, cfg.d))
 
     out, routing, _ = layer.forward(Tensor(X), modalities=tags)
+    assert routing.weights.data.shape == routing.selected.shape
 
     # forward updates the running center before routing, so the oracle
     # reads the center after the call
@@ -111,9 +124,7 @@ def test_batched_layer_matches_per_token_oracle(case):
     for t in range(B):
         ids, weights = _route_token(layer, X[t], tags[t])
         assert routing.selected[t].tolist() == ids
-        want_w = np.zeros(len(layer.experts))
-        want_w[ids] = weights
-        assert np.max(np.abs(routing.weights.data[t] - want_w)) <= 1e-12
+        assert np.max(np.abs(routing.weights.data[t] - weights)) <= 1e-12
         want = sum(w * _expert(layer.experts[e], X[t]) for e, w in zip(ids, weights))
         assert np.max(np.abs(out.data[t] - want)) <= 1e-12
         counts[ids] += 1
@@ -129,6 +140,131 @@ def test_underflowed_group_weight_still_evaluates():
     layer = MoELayer(cfg, rng)
     layer.inter_router.weight.data[:] = 1e4 * rng.normal(size=(4, 3))
     _, routing, _ = layer.forward(Tensor(rng.normal(size=(5, 4))))
-    picked = np.take_along_axis(routing.weights.data, routing.selected, axis=1)
-    assert (picked == 0.0).any()
+    assert routing.weights.data.shape == (5, 4)
+    assert (routing.weights.data == 0.0).any()
     assert sum(layer.eval_counts()) == 5 * 2 * 2
+
+
+# -- the dense [B x E] combine matrix, as routing built it before it kept
+# weights in selection order; the layer must reproduce it bit for bit --------
+
+def _dense_topk(probs, k):
+    """select_topk with the weights spread into a matrix of probs' shape."""
+    ids, w = select_topk(probs, k)
+    B, n = probs.data.shape
+    return ids, T.scatter(w, ids + n * np.arange(B)[:, None], (B, n))
+
+
+def _dense_route(layer, X, tags, centers):
+    cfg = layer.cfg
+    B = X.data.shape[0]
+    if cfg.mode == "sparse_topk":
+        logits, probs = route_dense(layer.router, X)
+        ids, weights = _dense_topk(probs, cfg.k)
+        return Routing(tags, [logits], [probs], ids, weights)
+    if cfg.mode == "hard":
+        (lg_a, p_a), (lg_v, p_v) = (route_dense(r, X) for r in layer.intra_routers)
+        n_a, k = cfg.n_per_group, cfg.k
+        E = 2 * n_a
+        plans = {MOD_AUDIO: [(p_a, 0, k, 1.0)], MOD_VIDEO: [(p_v, n_a, k, 1.0)],
+                 MOD_AV: [(p_a, 0, k // 2, 0.5), (p_v, n_a, k // 2, 0.5)]}
+        selected = np.zeros((B, k), dtype=np.int64)
+        weights = None
+        for tag, plan in plans.items():
+            rows = np.flatnonzero(np.asarray(tags) == tag)
+            if rows.size == 0:
+                continue
+            col = 0
+            for probs, offset, kg, share in plan:
+                ids, w = select_topk(T.index_rows(probs, rows), kg)
+                selected[rows, col:col + kg] = offset + ids
+                col += kg
+                part = T.scatter(w if share == 1.0 else T.scale(w, share),
+                                 rows[:, None] * E + offset + ids, (B, E))
+                weights = part if weights is None else T.add(weights, part)
+        return Routing(tags, [lg_a, lg_v], [p_a, p_v], selected, weights)
+    G, n = cfg.n_groups, cfg.n_per_group
+    _, q = route_dense(layer.inter_router, T.sub(X, Tensor(centers)))
+    group_ids, q_tilde = select_topk(q, cfg.m)
+    q_full = T.scatter(q_tilde, group_ids + G * np.arange(B)[:, None], (B, G))
+    logits, probs, flat_ids, inner = [], [], [], []
+    for g, router in enumerate(layer.intra_routers):
+        lg, p = route_dense(router, X)
+        if cfg.k_per_group == 1:
+            ids = topk_ids(p.data, 1)
+            w = Tensor(np.eye(n)[ids[:, 0]])
+        else:
+            ids, w = _dense_topk(p, cfg.k_per_group)
+        logits.append(lg)
+        probs.append(p)
+        flat_ids.append(g * n + ids)
+        inner.append(w)
+    group_of = np.repeat(np.arange(G), n)
+    q_per_expert = T.take(q_full, G * np.arange(B)[:, None] + group_of)
+    weights = T.mul(q_per_expert, T.concat_cols(inner))
+    selected = np.stack(flat_ids, axis=1)[np.arange(B)[:, None], group_ids].reshape(B, -1)
+    return Routing(tags, logits, probs, selected, weights, group_probs=q)
+
+
+def _dense_combine(layer, X, routing):
+    B, E = routing.weights.data.shape
+    experts = routing.selected.ravel()
+    order = np.argsort(experts, kind="stable")
+    experts = experts[order]
+    rows = np.repeat(np.arange(B), routing.selected.shape[1])[order]
+    bounds = np.flatnonzero(np.diff(experts)) + 1
+    outputs = [layer.experts[e[0]].forward(T.index_rows(X, r))
+               for e, r in zip(np.split(experts, bounds), np.split(rows, bounds))]
+    w = T.take(routing.weights, (rows * E + experts)[:, None])
+    return T.scatter_rows(T.mul(T.concat_rows(outputs), w), rows, B)
+
+
+def _train_loss(layer, out, routing, R):
+    """The layer's share of a supervised loss: a projection of the output,
+    load balancing through P, the z-loss and, with two groups, biasing."""
+    stats = dispatch_stats([routing])
+    loss = T.add(T.tsum(T.mul(out, Tensor(R))), load_balancing_from_stats(stats))
+    for lg in routing.logits:
+        loss = T.add(loss, router_z_loss(lg))
+    if layer.cfg.mode == "hierarchical" and layer.cfg.n_groups == 2:
+        loss = T.add(loss, load_biasing_loss(stats))
+    return loss
+
+
+def _grads(layer, X, R, tags, centers, route, combine):
+    params = [X] + layer.params()
+    for p in params:
+        p.grad = None
+    routing = route(layer, X, tags, centers)
+    out = combine(layer, X, routing)
+    _train_loss(layer, out, routing, R).backward()
+    return out.data, routing.selected, [p.grad for p in params]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layer_cases())
+def test_selection_order_weights_match_dense_combine_matrix(case):
+    cfg, B, tags, seed, router_scale, inter_scale = case
+    layer, rng = _random_layer(cfg, seed, router_scale, inter_scale)
+    X = Tensor.param(rng.normal(size=(B, cfg.d)))
+    R = rng.normal(size=(B, cfg.d))
+    centers = rng.normal(size=(B, cfg.d)) if cfg.mode == "hierarchical" else None
+
+    out, selected, grads = _grads(layer, X, R, tags, centers,
+                                  lambda lay, x, t, c: lay.route(x, t, c),
+                                  lambda lay, x, r: lay.combine(x, r))
+    want_out, want_selected, want_grads = _grads(layer, X, R, tags, centers,
+                                                 _dense_route, _dense_combine)
+    assert np.array_equal(selected, want_selected)
+    assert np.array_equal(out, want_out)
+    # q~ sums its k_per_group contributions in selection order rather than
+    # expert order, which only 3 or more terms can tell apart
+    exact = cfg.mode != "hierarchical" or cfg.k_per_group <= 2
+    for g, want in zip(grads, want_grads):
+        assert (g is None) == (want is None)
+        if want is None:
+            continue
+        if exact:
+            assert np.array_equal(g, want)
+        else:
+            assert np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(want))
