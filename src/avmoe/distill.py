@@ -4,10 +4,17 @@ The teacher is a frozen copy of the student updated only by `ema_update`.
 Targets come from running the teacher on clean inputs and averaging the last
 few encoder blocks. The task losses predict those targets from masked or
 corrupted student inputs, restricted to the masked or corrupted frames.
+
+The losses take features and targets; they encode nothing themselves. One
+pair's inputs all have the pair's length, so a caller encodes them as
+stacks: `teacher_targets` runs every target mode it is given in one
+no-grad encode, and the student's task inputs (`student_input`) go through
+one encode whose slices (`tensor.stack_slice`) feed the task losses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,29 +126,34 @@ def _apply_mode(A: np.ndarray, V: np.ndarray, mode: str):
 
 
 def _standardize_frames(X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    mu = X.mean(axis=1, keepdims=True)
-    var = X.var(axis=1, keepdims=True)
+    mu = X.mean(axis=-1, keepdims=True)
+    var = X.var(axis=-1, keepdims=True)
     return (X - mu) / np.sqrt(var + eps)
 
 
 def teacher_targets(teacher: Model, A: np.ndarray, V: np.ndarray,
-                    topk_blocks: int, mode: str = MODE_AV,
-                    standardize: bool = True) -> DistillTargets:
+                    topk_blocks: int, mode: str | Sequence[str] = MODE_AV,
+                    standardize: bool = True):
     """Clean teacher features, averaged over the last topk_blocks encoder
-    blocks; the absent modality is zeroed in unimodal modes."""
+    blocks; the absent modality is zeroed in unimodal modes.
+
+    One ``mode`` gives one DistillTargets. A sequence of modes gives one per
+    mode, from one stacked encode of the pair under each mode."""
     if topk_blocks < 1:
         raise ValueError("topk_blocks must be >= 1")
     if topk_blocks > len(teacher.encoder_blocks):
         raise ValueError(f"topk_blocks {topk_blocks} exceeds encoder depth "
                          f"{len(teacher.encoder_blocks)}")
-    a_in, v_in = _apply_mode(A, V, mode)
+    modes = [mode] if isinstance(mode, str) else list(mode)
+    inputs = [_apply_mode(A, V, m) for m in modes]
     with T.no_grad():
-        _, per_block = teacher.encode(a_in, v_in)
-    stack = np.stack([b.data for b in per_block[-topk_blocks:]])
-    avg = stack.mean(axis=0)
+        _, per_block = teacher.encode(np.stack([a for a, _ in inputs]),
+                                      np.stack([v for _, v in inputs]))
+    avg = np.stack([b.data for b in per_block[-topk_blocks:]]).mean(axis=0)
     if standardize:
         avg = _standardize_frames(avg)
-    return DistillTargets(vectors=avg)
+    targets = [DistillTargets(vectors=vectors) for vectors in avg]
+    return targets[0] if isinstance(mode, str) else targets
 
 
 def masked_prediction_loss(student_out: Tensor, targets: DistillTargets,
@@ -157,40 +169,42 @@ def masked_prediction_loss(student_out: Tensor, targets: DistillTargets,
     return T.mse(picked, Tensor(targets.vectors[idx]))
 
 
-def _student_features(student: Model, variant: TaskVariant,
-                      A_corr: np.ndarray, V_corr: np.ndarray,
-                      head: Tensor | None) -> Tensor:
-    feats, _ = student.encode(*_apply_mode(A_corr, V_corr, variant.input_mode))
-    if head is not None:
-        feats = T.matmul(feats, head)
-    return feats
+def _variant(variant: TaskVariant | str) -> TaskVariant:
+    if isinstance(variant, TaskVariant):
+        return variant
+    if variant not in VARIANTS:
+        raise VariantError(f"unknown variant {variant!r}")
+    return VARIANTS[variant]
 
 
-def corrupted_prediction_loss(variant: TaskVariant | str, student: Model,
-                              teacher: Model, A: np.ndarray, A_corr: np.ndarray,
-                              V: np.ndarray, V_corr: np.ndarray,
-                              plan: CorruptionPlan, head: Tensor | None = None,
-                              topk_blocks: int = 1,
-                              standardize: bool = True) -> Tensor:
-    """One corrupted-prediction task: student sees the variant's (possibly
-    unimodal) corrupted input, targets are clean teacher features, and the
-    MSE runs over the variant's corrupted index set."""
-    if isinstance(variant, str):
-        if variant not in VARIANTS:
-            raise VariantError(f"unknown variant {variant!r}")
-        variant = VARIANTS[variant]
+def corrupted_frames(variant: TaskVariant | str, plan: CorruptionPlan) -> list[int]:
+    """The frames a variant's loss runs over: its corrupted index set."""
+    variant = _variant(variant)
     if variant.index_set == "union":
-        idx = sorted(set(plan.audio_corrupt.tolist()) | set(plan.video_corrupt.tolist()))
-    elif variant.index_set == "audio":
-        idx = plan.audio_corrupt.tolist()
-    else:
-        idx = plan.video_corrupt.tolist()
-    if not idx:
+        return sorted(set(plan.audio_corrupt.tolist()) | set(plan.video_corrupt.tolist()))
+    if variant.index_set == "audio":
+        return plan.audio_corrupt.tolist()
+    return plan.video_corrupt.tolist()
+
+
+def student_input(variant: TaskVariant | str, A_corr: np.ndarray, V_corr: np.ndarray):
+    """The variant's (possibly unimodal) corrupted student input (A, V)."""
+    return _apply_mode(A_corr, V_corr, _variant(variant).input_mode)
+
+
+def corrupted_prediction_loss(features: Tensor | None, targets: DistillTargets | None,
+                              frames: list[int], head: Tensor | None = None) -> Tensor:
+    """One corrupted-prediction task: the MSE over ``frames``, a variant's
+    corrupted index set (``corrupted_frames``), between the student's
+    ``features`` of the variant's input (``student_input``), through ``head``
+    when given, and the clean teacher ``targets`` of its target mode. 0 when
+    ``frames`` is empty, and then ``features`` and ``targets`` are not read
+    (None will do)."""
+    if not frames:
         return Tensor(np.zeros(()))
-    targets = teacher_targets(teacher, A, V, topk_blocks, variant.target_mode,
-                              standardize=standardize)
-    feats = _student_features(student, variant, A_corr, V_corr, head)
-    return masked_prediction_loss(feats, targets, idx)
+    if head is not None:
+        features = T.matmul(features, head)
+    return masked_prediction_loss(features, targets, frames)
 
 
 def make_centroids(n_centroids: int, d: int, seed: int = 0) -> np.ndarray:

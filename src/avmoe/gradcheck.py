@@ -43,6 +43,10 @@ def _mat(seed, r=3, c=4):
     return Tensor(_rng(seed).normal(size=(r, c)))
 
 
+def _stack(seed, n=2, r=3, c=4):
+    return Tensor(_rng(seed).normal(size=(n, r, c)))
+
+
 # -- tensor primitive cases ---------------------------------------------------
 
 def _case_add(seed):
@@ -72,6 +76,16 @@ def _case_scale(seed):
 def _case_matmul(seed):
     b = _mat(seed + 1000, 4, 3)
     return lambda t: T.tsum(T.matmul(t, b)), _mat(seed)
+
+
+def _case_matmul_stacked(seed):
+    b, w = _mat(seed + 1000, 4, 3), _stack(seed + 2000, 2, 3, 3)
+    return lambda t: T.tsum(T.mul(T.matmul(t, b), w)), _stack(seed)
+
+
+def _case_matmul_stacked_right(seed):
+    a, w = _stack(seed + 1000), _stack(seed + 2000, 2, 3, 3)
+    return lambda t: T.tsum(T.mul(T.matmul(a, t), w)), _mat(seed, 4, 3)
 
 
 def _case_transpose(seed):
@@ -181,6 +195,18 @@ def _case_concat_cols(seed):
                                    T.concat_cols([t, b]))), _mat(seed)
 
 
+def _case_concat_cols_stacked(seed):
+    b = _stack(seed + 1000, 2, 3, 2)
+    return lambda t: T.tmean(T.mul(T.concat_cols([t, b]),
+                                   T.concat_cols([t, b]))), _stack(seed)
+
+
+def _case_stack_slice(seed):
+    w = _mat(seed + 1000)
+    return lambda t: T.tsum(T.mul(T.mul(T.stack_slice(t, 1), w),
+                                  T.stack_slice(t, 0))), _stack(seed)
+
+
 def _case_stack_rows(seed):
     def f(t):
         rows = [T.reshape(T.index_rows(t, [i]), (4,)) for i in range(3)]
@@ -203,6 +229,11 @@ def _case_standardize_residual(seed):
 def _case_standardize_residual_operand(seed):
     w, a = _mat(seed + 1000), _mat(seed + 2000)
     return lambda t: T.tsum(T.mul(T.standardize_rows(a, t), w)), _mat(seed)
+
+
+def _case_standardize_stacked_residual(seed):
+    w, residual = _stack(seed + 1000), _stack(seed + 2000)
+    return lambda t: T.tsum(T.mul(T.standardize_rows(t, residual), w)), _stack(seed)
 
 
 def _case_attention(seed):
@@ -237,22 +268,38 @@ def _case_attention_values(seed):
     return lambda t: T.tsum(T.mul(T.attention(Q, K, t), w)), _mat(seed, 5, 4)
 
 
+def _stacked_attention_case(operand):
+    """``attention`` of [2 x T x 4] stacks with respect to Q, K or V."""
+    def build(seed):
+        rng = _rng(seed + 1000)
+        ops = {"Q": rng.normal(size=(2, 3, 4)), "K": rng.normal(size=(2, 5, 4)),
+               "V": rng.normal(size=(2, 5, 4))}
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+
+        def f(t):
+            args = [t if name == operand else Tensor(v) for name, v in ops.items()]
+            return T.tsum(T.mul(T.attention(*args), w))
+
+        return f, Tensor(ops[operand])
+    return build
+
+
 _FFN_OPERANDS = ("x", "W1", "b1", "W2", "b2")
 
 
-def _ffn_case(activation, operand):
+def _ffn_case(activation, operand, x_shape=(3, 4)):
     """``ffn`` with respect to one operand; under relu every pre-activation
     stays away from the kink at 0."""
     def build(seed):
         rng = _rng(seed + 1000)
         while True:
-            ops = {"x": rng.normal(size=(3, 4)), "W1": rng.normal(size=(4, 5)),
+            ops = {"x": rng.normal(size=x_shape), "W1": rng.normal(size=(4, 5)),
                    "b1": rng.normal(size=5), "W2": rng.normal(size=(5, 4)),
                    "b2": rng.normal(size=4)}
             pre = ops["x"] @ ops["W1"] + ops["b1"]
             if activation != "relu" or np.abs(pre).min() > 0.05:
                 break
-        w = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=x_shape))
 
         def f(t):
             args = {name: t if name == operand else Tensor(v) for name, v in ops.items()}
@@ -395,6 +442,8 @@ CASES = {
     "tensor": [
         ("add", _case_add), ("sub", _case_sub), ("mul", _case_mul),
         ("div", _case_div), ("scale", _case_scale), ("matmul", _case_matmul),
+        ("matmul_stacked", _case_matmul_stacked),
+        ("matmul_stacked_right", _case_matmul_stacked_right),
         ("transpose", _case_transpose), ("reshape", _case_reshape),
         ("tmean", _case_tmean), ("mean_axis0", _case_mean_axis0),
         ("tanh", _case_tanh), ("gelu", _case_gelu), ("relu", _case_relu),
@@ -407,14 +456,20 @@ CASES = {
         ("index_rows", _case_index_rows), ("take", _case_take),
         ("scatter", _case_scatter), ("scatter_rows", _case_scatter_rows),
         ("concat_rows", _case_concat_rows), ("concat_cols", _case_concat_cols),
-        ("stack_rows", _case_stack_rows),
+        ("concat_cols_stacked", _case_concat_cols_stacked),
+        ("stack_rows", _case_stack_rows), ("stack_slice", _case_stack_slice),
         ("standardize_rows", _case_standardize),
         ("standardize_rows_residual", _case_standardize_residual),
         ("standardize_rows_residual_operand", _case_standardize_residual_operand),
+        ("standardize_rows_stacked_residual", _case_standardize_stacked_residual),
         ("attention", _case_attention), ("attention_masked", _case_attention_masked),
         ("attention_keys", _case_attention_keys), ("attention_values", _case_attention_values),
+        *((f"attention_stacked_{operand}", _stacked_attention_case(operand))
+          for operand in ("Q", "K", "V")),
         *((f"ffn_{act}_{operand}", _ffn_case(act, operand))
           for act in ("gelu", "tanh", "relu", "linear") for operand in _FFN_OPERANDS),
+        *((f"ffn_stacked_gelu_{operand}", _ffn_case("gelu", operand, x_shape=(2, 3, 4)))
+          for operand in _FFN_OPERANDS),
     ],
     "moe": [
         ("expert_forward", _case_expert_forward),

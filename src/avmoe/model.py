@@ -6,6 +6,11 @@ standardization. Decoder: causal self-attention, cross-attention to the
 encoder features, and an FFN position that is either a plain FFN or a MoE
 layer. An absent modality is passed as all-zero frames.
 
+``Model.encode`` takes three input forms: one sequence ([T x D] frames), a
+stack of n sequences of one length ([n x T x D], encoded side by side along
+a leading axis with no mask: uptraining's inputs of one pair), and a list of
+sequences of any lengths, packed.
+
 Several sequences run as one by packing: their rows are laid end to end and
 0/-inf attention masks built from per-row segment ids keep them apart
 (encoder self-attention block-diagonal, decoder self-attention block-diagonal
@@ -292,11 +297,19 @@ class Model:
     # -- encoder --------------------------------------------------------------
 
     def encode(self, audio, video):
-        """Encode one sequence, or a list of sequences packed into one.
+        """Encode one sequence, a stack of equally long sequences, or a list
+        of sequences packed into one.
 
-        ``audio`` and ``video`` are [T x D] frame arrays, or equally long
-        lists of them; packed sequences attend only within themselves.
-        Returns (final features [sum of T x d], per-block outputs)."""
+        ``audio`` and ``video`` are [T x D] frame arrays; or [n x T x D]
+        stacks, whose n sequences run side by side with no mask; or equally
+        long lists of [T x D] arrays, packed, each attending only within
+        itself. Returns (final features, per-block outputs): [n x T x d]
+        for a stack, [sum of T x d] otherwise."""
+        if isinstance(audio, np.ndarray) and audio.ndim == 3:
+            if not (isinstance(video, np.ndarray) and video.ndim == 3
+                    and video.shape[:2] == audio.shape[:2]):
+                raise T.ShapeError(f"audio stack {audio.shape} against video {np.shape(video)}")
+            return self._encode_frames(audio, video, None)
         audios = [audio] if isinstance(audio, np.ndarray) else list(audio)
         videos = [video] if isinstance(video, np.ndarray) else list(video)
         if len(audios) != len(videos):
@@ -306,9 +319,12 @@ class Model:
                 raise T.ShapeError(
                     f"audio has {a.shape[0]} frames, video has {v.shape[0]}")
         lengths = [a.shape[0] for a in audios]
-        mask = segment_mask(lengths, lengths)
-        a = T.matmul(Tensor(np.concatenate(audios)), self.audio_proj)
-        v = T.matmul(Tensor(np.concatenate(videos)), self.video_proj)
+        return self._encode_frames(np.concatenate(audios), np.concatenate(videos),
+                                   segment_mask(lengths, lengths))
+
+    def _encode_frames(self, audio: np.ndarray, video: np.ndarray, mask):
+        a = T.matmul(Tensor(audio), self.audio_proj)
+        v = T.matmul(Tensor(video), self.video_proj)
         X = T.matmul(T.concat_cols([a, v]), self.fusion)
         per_block = []
         for blk in self.encoder_blocks:

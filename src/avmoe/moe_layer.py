@@ -8,6 +8,7 @@ makes that checkable."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ class ExpertFFN:
         if x.data.shape[-1] != self.W1.data.shape[0]:
             raise T.ShapeError(
                 f"expert input {x.data.shape} incompatible with W1 {self.W1.data.shape}")
-        self.eval_count += x.data.shape[0] if x.data.ndim == 2 else 1
+        # one evaluation per row: a [d] row, [n x d] rows, [n x T x d] stacked rows
+        self.eval_count += math.prod(x.data.shape[:-1])
         return T.ffn(x, self.W1, self.b1, self.W2, self.b2, self.activation)
 
     def params(self) -> list[Tensor]:

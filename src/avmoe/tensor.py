@@ -6,6 +6,14 @@ op optionally records a backward closure on an implicit tape (the graph of
 ``_parents`` links), replayed in reverse topological order by
 ``Tensor.backward``. ``_make`` is the one constructor of tape nodes.
 
+A leading stack axis runs n equally long sequences side by side: ``matmul``
+takes an [n x T x k] left operand with a [k x m] right one, and
+``attention``, ``ffn``, ``standardize_rows`` and ``concat_cols`` work on
+[n x T x d] operands, each slice with the arithmetic of the 2-D op, so a
+stacked forward equals the per-slice forwards bit for bit. A weight's
+gradient is one gemm over all n*T rows. ``stack_slice`` hands slice i of a
+stack on as a [T x d] tensor.
+
 The model's hot layers are fused ops, one node each with a hand-written
 backward: ``attention`` (scores, softmax and the value product), ``ffn``
 (both projections, biases and the activation) and ``standardize_rows`` with
@@ -216,31 +224,40 @@ Tensor.__truediv__ = lambda self, other: div(self, other)
 
 # -- linear algebra -----------------------------------------------------------
 
+def _weight_grad(x, g):
+    """Gradient of W in ``x @ W`` from the upstream ``g``: the outer product
+    for one row, else one gemm over all rows, a stack's slices included."""
+    if x.ndim == 1:
+        return np.outer(x, g)
+    if x.ndim == 3:
+        x, g = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    return x.T @ g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy 1-D/2-D semantics."""
+    """Matrix product with numpy 1-D/2-D semantics, or of an [n x T x k]
+    stack with a [k x m] matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
-    ka = a.data.shape[-1]
-    kb = b.data.shape[0] if b.data.ndim >= 1 else None
-    if ka != kb:
-        raise ShapeError(f"matmul inner extents disagree: {a.data.shape} vs {b.data.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
+    if bd.ndim > 2 or ad.ndim > 2 and (ad.ndim > 3 or bd.ndim != 2):
+        raise ShapeError(f"matmul takes 1-D/2-D operands, or a 3-D stack and a matrix: "
+                         f"{ad.shape} vs {bd.shape}")
+    kb = bd.shape[0] if bd.ndim >= 1 else None
+    if ad.shape[-1] != kb:
+        raise ShapeError(f"matmul inner extents disagree: {ad.shape} vs {bd.shape}")
+    data = ad @ bd
     if not _track(a, b):
         return Tensor(data)
 
     def backward(g):
         ad, bd = a.data, b.data
-        if ad.ndim > 2 or bd.ndim > 2:
-            raise ShapeError(f"matmul supports rank 1/2 only: {ad.shape}, {bd.shape}")
         if _needs_grad(a):
             if bd.ndim == 2:
                 a._accum(g @ bd.T)
             else:
                 a._accum(g * bd if ad.ndim == 1 else np.outer(g, bd))
         if _needs_grad(b):
-            if ad.ndim == 2:
-                b._accum(ad.T @ g)
-            else:
-                b._accum(g * ad if bd.ndim == 1 else np.outer(ad, g))
+            b._accum(g * ad if ad.ndim == bd.ndim == 1 else _weight_grad(ad, g))
 
     return _make(data, (a, b), backward)
 
@@ -524,18 +541,18 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 1."""
+    """Concatenate tensors along their last axis."""
     parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=1)
+    data = np.concatenate([p.data for p in parts], axis=-1)
     if not _track(*parts):
         return Tensor(data)
-    widths = [p.data.shape[1] for p in parts]
+    widths = [p.data.shape[-1] for p in parts]
 
     def backward(g):
         off = 0
         for p, w in zip(parts, widths):
             if _needs_grad(p):
-                p._accum(g[:, off:off + w])
+                p._accum(g[..., off:off + w])
             off += w
 
     return _make(data, tuple(parts), backward)
@@ -554,6 +571,22 @@ def stack_rows(vecs: list[Tensor]) -> Tensor:
                 v._accum(g[i])
 
     return _make(data, tuple(vecs), backward)
+
+
+def stack_slice(stack: Tensor, i: int) -> Tensor:
+    """Slice ``i`` of a stack along its leading axis; backward places the
+    gradient in that slice of an all-zero stack."""
+    stack = _as_tensor(stack)
+    data = stack.data[i]
+    if not _track(stack):
+        return Tensor(data)
+
+    def backward(g):
+        buf = np.zeros_like(stack.data)
+        buf[i] = g
+        stack._accum(buf)
+
+    return _make(data, (stack,), backward)
 
 
 # -- normalization ------------------------------------------------------------
@@ -595,7 +628,7 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None,
 
 def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
     """Single-head scaled dot-product attention, softmax(Q K^T / sqrt(d) +
-    mask) V.
+    mask) V, of 2-D operands or of [n x T x d] stacks, slice by slice.
 
     ``mask`` is an optional [Tq x Tk] array of 0/-inf added to the scores
     (causal decoding, and keeping packed sequences apart). Only operands
@@ -603,43 +636,47 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
     stay constants.
     """
     Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
-    if Q.data.ndim != 2 or K.data.ndim != 2 or V.data.ndim != 2:
-        raise ShapeError("attention expects 2-D Q, K, V")
-    d = Q.data.shape[1]
+    qs, ks, vs = Q.data.shape, K.data.shape, V.data.shape
+    rank = len(qs)
+    if not (rank == len(ks) == len(vs) and rank in (2, 3)):
+        raise ShapeError(f"attention expects 2-D Q, K, V, or three 3-D stacks: "
+                         f"Q {qs}, K {ks}, V {vs}")
+    d = qs[-1]
     if d == 0:
         raise ShapeError("attention feature dimension must be positive")
-    if K.data.shape[1] != d or V.data.shape[0] != K.data.shape[0]:
-        raise ShapeError(
-            f"attention dims disagree: Q {Q.data.shape}, K {K.data.shape}, V {V.data.shape}")
+    if (ks[-1] != d or vs[-2] != ks[-2]
+            or rank == 3 and not qs[0] == ks[0] == vs[0]):
+        raise ShapeError(f"attention dims disagree: Q {qs}, K {ks}, V {vs}")
     c = 1.0 / math.sqrt(d)
-    p = _softmax_rows((Q.data @ K.data.T) * c, mask)
+    p = _softmax_rows((Q.data @ K.data.swapaxes(-1, -2)) * c, mask)
     data = p @ V.data
     if not _track(Q, K, V):
         return Tensor(data)
 
     def backward(g):
         if _needs_grad(V):
-            V._accum(p.T @ g)
+            V._accum(p.swapaxes(-1, -2) @ g)
         if not (_needs_grad(Q) or _needs_grad(K)):
             return
-        gs = _softmax_derivative(g @ V.data.T, p) * c
+        gs = _softmax_derivative(g @ V.data.swapaxes(-1, -2), p) * c
         if _needs_grad(Q):
             Q._accum(gs @ K.data)
         if _needs_grad(K):
             # a transposed view, as the chain's transpose node passed it on:
             # the copy _accum makes keeps that memory order
-            K._accum((Q.data.T @ gs).T)
+            K._accum((Q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
 
     return _make(data, (Q, K, V), backward)
 
 
 def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
         activation: str = "gelu") -> Tensor:
-    """Two-layer feed-forward network act(x W1 + b1) W2 + b2 of a [n x d]
-    row batch or one [d] row; ``activation`` is gelu, tanh, relu or linear."""
+    """Two-layer feed-forward network act(x W1 + b1) W2 + b2 of one [d] row,
+    a [n x d] row batch or an [n x T x d] stack; ``activation`` is gelu,
+    tanh, relu or linear."""
     x, W1, b1, W2, b2 = (_as_tensor(t) for t in (x, W1, b1, W2, b2))
     forward, derivative = _ACTIVATIONS[activation]
-    if not (x.data.ndim in (1, 2) and W1.data.ndim == 2 and W2.data.ndim == 2
+    if not (x.data.ndim in (1, 2, 3) and W1.data.ndim == 2 and W2.data.ndim == 2
             and x.data.shape[-1] == W1.data.shape[0] and b1.data.shape == W1.data.shape[1:]
             and W2.data.shape[0] == W1.data.shape[1] and b2.data.shape == W2.data.shape[1:]):
         raise ShapeError(f"ffn shapes disagree: x {x.data.shape}, W1 {W1.data.shape}, "
@@ -649,14 +686,12 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
     data = hidden @ W2.data + b2.data
     if not _track(x, W1, b1, W2, b2):
         return Tensor(data)
-    # a weight's gradient is the outer product for one row, a matmul for many
-    outer = np.outer if x.data.ndim == 1 else (lambda a, g: a.T @ g)
 
     def backward(g):
         if _needs_grad(b2):
             b2._accum(_unbroadcast(g, b2.data.shape))
         if _needs_grad(W2):
-            W2._accum(outer(hidden, g))
+            W2._accum(_weight_grad(hidden, g))
         if not (_needs_grad(x) or _needs_grad(W1) or _needs_grad(b1)):
             return
         gpre = derivative(g @ W2.data.T, pre, saved)
@@ -665,7 +700,7 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
         if _needs_grad(x):
             x._accum(gpre @ W1.data.T)
         if _needs_grad(W1):
-            W1._accum(outer(x.data, gpre))
+            W1._accum(_weight_grad(x.data, gpre))
 
     return _make(data, (x, W1, b1, W2, b2), backward)
 

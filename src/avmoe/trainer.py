@@ -39,9 +39,9 @@ from .corruption import (
 )
 from .distill import (
     MODE_A_ONLY, MODE_AV, MODE_V_ONLY, VARIANTS, DistillHeads, TaskWeights,
-    cav2vec_total_loss, corrupted_prediction_loss, ema_update, eta_schedule,
-    make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
-    teacher_targets,
+    cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
+    eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
+    student_input, teacher_targets,
 )
 from .metrics import CsvTable, atomic_open, write_table
 from .model import Model, ModelConfig, sequence_mean_weights
@@ -499,7 +499,14 @@ def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
 
 def _uptrain_step(model: Model, teacher, heads: DistillHeads,
                   centroids: np.ndarray, cfg: TrainConfig, data_rng, corr_rng):
+    """One uptraining step. Each pair makes one no-grad teacher encode of
+    its distinct target modes and one student encode of its distinct task
+    inputs, both stacked; a task with no frames to score adds 0 and needs
+    neither."""
     weights = cfg.task_weights
+    topk = model.cfg.topk_blocks
+    variants = [VARIANTS[name] for name in cfg.tasks if name in VARIANTS]
+    zero = Tensor(np.zeros(()))
     acps, vcps, masks, mlms = [], [], [], []
     for _ in range(cfg.batch_size):
         length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
@@ -522,37 +529,50 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
             A_in[plan.audio_mask] = 0.0
         if plan.video_mask.size:
             V_in[plan.video_mask] = 0.0
-        topk = model.cfg.topk_blocks
         mask_idx = sorted(set(plan.audio_mask.tolist()) | set(plan.video_mask.tolist()))
+        # when a modality is dropped MASK's clean target uses the kept one
+        mask_mode = {DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}.get(
+            plan.modality_drop, MODE_AV)
+
+        # the student input and teacher mode of each task with frames to
+        # score; MASK and MLM share the masked input
+        frames = {v.name: corrupted_frames(v, plan) for v in variants}
+        inputs, modes = {}, []
+        if mask_idx:
+            for name, mode in (("MASK", mask_mode), ("MLM", MODE_AV)):
+                if name in cfg.tasks:
+                    inputs["masked"] = (A_in, V_in)
+                    modes.append(mode)
+        for v in variants:
+            if frames[v.name]:
+                inputs.setdefault(v.input_mode, student_input(v, A_corr, V_corr))
+                modes.append(v.target_mode)
+        targets, rows = {}, {}
+        if inputs:
+            modes = list(dict.fromkeys(modes))
+            targets = dict(zip(modes, teacher_targets(teacher.model, A, V, topk, mode=modes)))
+            feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
+                                    np.stack([v for _, v in inputs.values()]))
+            rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
+
         if "MASK" in cfg.tasks:
-            # when a modality is dropped the clean target uses the kept one
-            mode = {DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}.get(
-                plan.modality_drop, MODE_AV)
-            targets = teacher_targets(teacher.model, A, V, topk, mode=mode)
-            feats, _ = model.encode(A_in, V_in)
-            pred = T.matmul(feats, heads.heads["MASK"])
-            masks.append(masked_prediction_loss(pred, targets, mask_idx))
-        for name in cfg.tasks:
-            if name not in VARIANTS:
-                continue
-            loss = corrupted_prediction_loss(name, model, teacher.model,
-                                             A, A_corr, V, V_corr, plan,
-                                             head=heads.heads[name],
-                                             topk_blocks=topk)
-            target_mode = VARIANTS[name].target_mode
-            if target_mode == MODE_A_ONLY:
+            masks.append(masked_prediction_loss(
+                T.matmul(rows["masked"], heads.heads["MASK"]), targets[mask_mode],
+                mask_idx) if mask_idx else zero)
+        for v in variants:
+            loss = corrupted_prediction_loss(rows.get(v.input_mode),
+                                             targets.get(v.target_mode), frames[v.name],
+                                             head=heads.heads[v.name])
+            if v.target_mode == MODE_A_ONLY:
                 acps.append(loss)
-            elif target_mode == MODE_V_ONLY:
+            elif v.target_mode == MODE_V_ONLY:
                 vcps.append(loss)
             else:  # AV target counts toward both halves
                 acps.append(T.scale(loss, 0.5))
                 vcps.append(T.scale(loss, 0.5))
         if "MLM" in cfg.tasks:
-            t_feats = teacher_targets(teacher.model, A, V, topk).vectors
-            feats, _ = model.encode(A_in, V_in)
-            mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx,
-                                 heads.mlm_head))
-    zero = Tensor(np.zeros(()))
+            mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV].vectors,
+                                 mask_idx, heads.mlm_head) if mask_idx else zero)
     acp = _mean_scalars(acps) if acps else zero
     vcp = _mean_scalars(vcps) if vcps else zero
     mask = _mean_scalars(masks) if masks else zero

@@ -195,24 +195,37 @@ def test_07_noise_adaptive_routing(specialization_runs):
 
 # -- criterion 8: corrupted-representation tightening ------------------------
 
-@pytest.mark.slow
-def test_08_representation_tightening():
-    full_cfg = TrainConfig.from_dict({**UPTRAIN_BASE,
-                                      "tasks": ("MASK", "ACP", "VCP")})
-    ctrl_cfg = TrainConfig.from_dict({**UPTRAIN_BASE, "tasks": ("MASK",)})
+MAX_DISTANCE_CHANGE = -0.30  # full uptraining against the MASK-only control
+
+
+def criterion_8(seed: int) -> dict:
+    """Criterion 8's measurements at ``seed``: the relative representation
+    distance change of the full (MASK, ACP, VCP) uptraining against the
+    MASK-only control, and the eval-fullnoise TER of both after fine-tuning
+    through combined_pipeline. tools/margins.py reports them at other seeds."""
+    base = {**UPTRAIN_BASE, "seed": seed}
+    full_cfg = TrainConfig.from_dict({**base, "tasks": ("MASK", "ACP", "VCP")})
+    ctrl_cfg = TrainConfig.from_dict({**base, "tasks": ("MASK",)})
     full = train(full_cfg, tempfile.mkdtemp())
     ctrl = train(ctrl_cfg, tempfile.mkdtemp())
     rep = repr_distance_report(ctrl.model, full.model, full_cfg.generator,
                                pairs=12, preset="eval-fullnoise", seed=3)
-    assert rep["relative_change"] <= -0.30, rep
 
-    combined = {**UPTRAIN_BASE, "regime": "combined_pipeline",
+    combined = {**base, "regime": "combined_pipeline",
                 "uptrain_steps": 400, "steps": 1500, "batch_size": 6}
     full_ter = train(TrainConfig.from_dict({**combined,
                                             "tasks": ("MASK", "ACP", "VCP")}),
                      tempfile.mkdtemp()).ter["eval-fullnoise"]
     ctrl_ter = train(TrainConfig.from_dict({**combined, "tasks": ("MASK",)}),
                      tempfile.mkdtemp()).ter["eval-fullnoise"]
+    return {"distance": rep, "full_ter": full_ter, "ctrl_ter": ctrl_ter}
+
+
+@pytest.mark.slow
+def test_08_representation_tightening():
+    result = criterion_8(UPTRAIN_BASE["seed"])
+    rep, full_ter, ctrl_ter = result["distance"], result["full_ter"], result["ctrl_ter"]
+    assert rep["relative_change"] <= MAX_DISTANCE_CHANGE, rep
     assert full_ter < ctrl_ter, (full_ter, ctrl_ter)
     print(f"criterion 8 PASS: distance change {rep['relative_change']:.1%}, "
           f"ter {full_ter:.3f} < control {ctrl_ter:.3f}")

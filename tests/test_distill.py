@@ -7,9 +7,9 @@ from avmoe import tensor as T
 from avmoe.corruption import CorruptionPlan
 from avmoe.distill import (
     VARIANTS, DistillHeads, DistillTargets, TaskWeights, VariantError,
-    cav2vec_total_loss, corrupted_prediction_loss, ema_update, eta_schedule,
-    make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
-    nearest_centroid_ids, teacher_targets,
+    cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
+    eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
+    nearest_centroid_ids, student_input, teacher_targets,
 )
 from avmoe.model import Model, ModelConfig
 from avmoe.moe_layer import MoELayerConfig
@@ -108,7 +108,7 @@ class _StubEncoder:
         self.encoder_blocks = block_values  # only len() is consulted
 
     def encode(self, A, V):
-        outs = [Tensor(np.broadcast_to(np.asarray(v, dtype=float), (A.shape[0], 8)).copy())
+        outs = [Tensor(np.broadcast_to(np.asarray(v, dtype=float), A.shape[:-1] + (8,)).copy())
                 for v in self.block_values]
         return outs[-1], outs
 
@@ -209,16 +209,23 @@ class TestCorruptedPredictionLoss:
         for p in self.teacher.params():
             p.data += 0.01  # distinct from the student
 
+    def loss(self, name, plan):
+        """The variant's loss on the student's features of its input, against
+        teacher targets of its target mode."""
+        feats, _ = self.student.encode(*student_input(name, self.A_corr, self.V_corr))
+        targets = teacher_targets(self.teacher, self.A, self.V, 1,
+                                  mode=VARIANTS[name].target_mode)
+        return corrupted_prediction_loss(feats, targets, corrupted_frames(name, plan))
+
     def test_empty_index_set_zero(self):
         plan = CorruptionPlan(seq_len=8)
-        loss = corrupted_prediction_loss("AVCP", self.student, self.teacher,
-                                         self.A, self.A_corr, self.V, self.V_corr, plan)
-        assert float(loss.data) == 0.0
+        assert float(self.loss("AVCP", plan).data) == 0.0
+        # an empty index set reads neither features nor targets
+        assert float(corrupted_prediction_loss(None, None, []).data) == 0.0
 
     def test_acp_reduces_to_masked_prediction(self):
         plan = CorruptionPlan(seq_len=8, video_corrupt=np.array([2, 3, 4]))
-        got = corrupted_prediction_loss("ACP", self.student, self.teacher,
-                                        self.A, self.A_corr, self.V, self.V_corr, plan)
+        got = self.loss("ACP", plan)
         targets = teacher_targets(self.teacher, self.A, self.V, 1, mode="A_only")
         feats, _ = self.student.encode(np.zeros_like(self.A_corr), self.V_corr)
         want = masked_prediction_loss(feats, targets, [2, 3, 4])
@@ -228,31 +235,27 @@ class TestCorruptedPredictionLoss:
         plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([0, 1]),
                               video_corrupt=np.array([5, 6]))
         for name in VARIANTS:
-            loss = corrupted_prediction_loss(name, self.student, self.teacher,
-                                             self.A, self.A_corr, self.V,
-                                             self.V_corr, plan)
-            assert np.isfinite(float(loss.data)), name
+            assert np.isfinite(float(self.loss(name, plan).data)), name
 
     def test_avcp_uses_union_of_indices(self):
         plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([1]),
                               video_corrupt=np.array([1, 4]))
-        got = corrupted_prediction_loss("AVCP", self.student, self.teacher,
-                                        self.A, self.A_corr, self.V, self.V_corr, plan)
+        got = self.loss("AVCP", plan)
         targets = teacher_targets(self.teacher, self.A, self.V, 1, mode="AV")
         feats, _ = self.student.encode(self.A_corr, self.V_corr)
         want = masked_prediction_loss(feats, targets, [1, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
 
     def test_unknown_variant(self):
-        plan = CorruptionPlan(seq_len=8)
+        plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([1]))
         with pytest.raises(VariantError):
-            corrupted_prediction_loss("XCP", self.student, self.teacher,
-                                      self.A, self.A_corr, self.V, self.V_corr, plan)
+            corrupted_frames("XCP", plan)
+        with pytest.raises(VariantError):
+            student_input("XCP", self.A_corr, self.V_corr)
 
     def test_teacher_isolation_no_teacher_gradients(self):
         plan = CorruptionPlan(seq_len=8, video_corrupt=np.array([2, 3]))
-        loss = corrupted_prediction_loss("ACP", self.student, self.teacher,
-                                         self.A, self.A_corr, self.V, self.V_corr, plan)
+        loss = self.loss("ACP", plan)
         loss.backward()
         for p in self.teacher.params():
             assert p.grad is None

@@ -147,6 +147,50 @@ def test_fused_ops_reject_mismatched_shapes():
         T.attention(x, Tensor(normal(rng, 2, 3)), Tensor(normal(rng, 2, 4)))
 
 
+def test_stacked_ops_reject_mismatched_ranks():
+    rng = np.random.default_rng(1)
+    stack, mat = Tensor(normal(rng, 2, 3, 4)), Tensor(normal(rng, 4, 5))
+    # a 3-D right operand, a 4-D left one, and a stack times a vector
+    for a, b in [(Tensor(normal(rng, 3, 4)), Tensor(normal(rng, 2, 4, 5))),
+                 (stack, Tensor(normal(rng, 2, 4, 5))),
+                 (Tensor(normal(rng, 1, 2, 3, 4)), mat),
+                 (stack, Tensor(normal(rng, 4)))]:
+        with pytest.raises(T.ShapeError):
+            T.matmul(a, b)
+    q2, k2, v2 = (Tensor(normal(rng, 3, 4)) for _ in range(3))
+    q3, k3, v3 = (Tensor(normal(rng, 2, 3, 4)) for _ in range(3))
+    for Q, K, V in [(q3, k2, v2), (q2, k3, v2), (q2, k2, v3), (q3, k3, v2),
+                    (q3, Tensor(normal(rng, 3, 3, 4)), Tensor(normal(rng, 3, 3, 4)))]:
+        with pytest.raises(T.ShapeError):
+            T.attention(Q, K, V)
+    with pytest.raises(T.ShapeError):
+        T.ffn(Tensor(normal(rng, 1, 2, 3, 4)), mat, Tensor(np.zeros(5)),
+              Tensor(normal(rng, 5, 4)), Tensor(np.zeros(4)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), rows=st.integers(1, 5),
+       d=st.integers(1, 5), activation=st.sampled_from(sorted(ACTIVATIONS)))
+def test_stacked_forward_equals_each_slice(seed, n, rows, d, activation):
+    """Each slice of a stacked op's output equals the 2-D op on that slice,
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    X, Y, Z = (normal(rng, n, rows, d) for _ in range(3))
+    W1, b1, W2, b2 = normal(rng, d, 3), normal(rng, 3), normal(rng, 3, d), normal(rng, d)
+    ops = [
+        (lambda x, y, z: T.matmul(x, Tensor(W1)), (X, Y, Z)),
+        (lambda x, y, z: T.attention(x, y, z), (X, Y, Z)),
+        (lambda x, y, z: T.ffn(x, Tensor(W1), Tensor(b1), Tensor(W2), Tensor(b2),
+                               activation), (X, Y, Z)),
+        (lambda x, y, z: T.standardize_rows(x, y), (X, Y, Z)),
+        (lambda x, y, z: T.concat_cols([x, y]), (X, Y, Z)),
+    ]
+    for op, arrays in ops:
+        stacked = op(*(Tensor(a) for a in arrays)).data
+        for i in range(n):
+            assert np.array_equal(stacked[i], op(*(Tensor(a[i]) for a in arrays)).data)
+
+
 def test_backward_from_a_leaf_is_a_no_op():
     for requires_grad in (False, True):
         x = Tensor(np.array(2.0), requires_grad=requires_grad)

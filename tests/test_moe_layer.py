@@ -35,6 +35,14 @@ class TestExpertFFN:
         want = np.tanh(x @ e.W1.data + e.b1.data) @ e.W2.data + e.b2.data
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("shape,rows", [((5,), 1), ((3, 5), 3), ((2, 3, 5), 6),
+                                            ((1, 4, 5), 4)])
+    def test_eval_count_adds_one_per_row(self, shape, rows):
+        e = ExpertFFN.init(5, 7, np.random.default_rng(2))
+        e.forward(Tensor(np.ones(shape)))
+        e.forward(Tensor(np.ones(shape)))
+        assert e.eval_count == 2 * rows
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         e = ExpertFFN.init(4, 6, rng)

@@ -11,6 +11,8 @@ from avmoe.metrics import coeff_of_variation, read_table
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
 from avmoe.corruption import corrupt_pair, sample_plan_preset
+from avmoe.distill import DistillHeads, make_centroids, make_teacher
+from avmoe.model import Model
 from avmoe.streams import token_error_rate
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
@@ -328,6 +330,70 @@ def test_uptrain_regime_logs_distill_columns(tmp_path):
     table = read_table(str(run_dir / "steps.csv"))
     assert table.column("L_MASK")[0] > 0.0
     assert all(v == 0.0 for v in table.column("L_CE"))
+
+
+def _record_uptrain_step(monkeypatch, **over):
+    """Run one uptraining step and split what it called by pair: each pair's
+    teacher_targets mode lists and the (grad enabled, stack size) of each of
+    its encodes."""
+    cfg = _cfg(regime="cav2vec_uptrain", steps=1, batch_size=4, tokens_min=4,
+               tokens_max=8, model={"moe": {"mode": "dense_ffn"}}, **over)
+    model = build_model(cfg)
+    pairs = []
+    real_pair, real_targets = trainer_mod.generate_pair, trainer_mod.teacher_targets
+    real_encode = Model.encode
+
+    def generate_pair(*args, **kw):
+        pairs.append({"teacher": [], "encode": []})
+        return real_pair(*args, **kw)
+
+    def teacher_targets(teacher, A, V, topk, mode):
+        pairs[-1]["teacher"].append(list(mode))
+        return real_targets(teacher, A, V, topk, mode=mode)
+
+    def encode(self, audio, video):
+        pairs[-1]["encode"].append((T.grad_enabled(), audio.shape[0]))
+        return real_encode(self, audio, video)
+
+    monkeypatch.setattr(trainer_mod, "generate_pair", generate_pair)
+    monkeypatch.setattr(trainer_mod, "teacher_targets", teacher_targets)
+    monkeypatch.setattr(Model, "encode", encode)
+    streams = seed_streams(cfg.seed)
+    teacher = make_teacher(model, total_steps=1)
+    heads = DistillHeads.init(cfg.model.d, cfg.n_centroids)
+    centroids = make_centroids(cfg.n_centroids, cfg.model.d)
+    trainer_mod._uptrain_step(model, teacher, heads, centroids, cfg,
+                              np.random.default_rng(streams["data"]),
+                              np.random.default_rng(streams["corruption"]))
+    return pairs
+
+
+@pytest.mark.parametrize("tasks", [("MASK",), ("MASK", "ACP", "VCP"),
+                                   ("MASK", "MLM", "AVCP", "mACP", "mVCP", "ACP", "VCP")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uptrain_step_encodes_each_pair_as_two_stacks(monkeypatch, tasks, seed):
+    """One teacher_targets call with no repeated mode and one grad-enabled
+    student encode per pair with frames to score; the teacher encodes its
+    modes as one no-grad stack; AVCP, mACP and mVCP share one student input,
+    MASK and MLM another."""
+    pairs = _record_uptrain_step(monkeypatch, tasks=tasks, seed=seed)
+    assert len(pairs) == 4
+    working = [pair for pair in pairs if pair["teacher"] or pair["encode"]]
+    assert working  # a pair may draw no mask and no corruption
+    for pair in working:
+        (modes,) = pair["teacher"]
+        assert 1 <= len(modes) == len(set(modes)) <= 3
+        (teacher_call, student_call) = pair["encode"]
+        assert teacher_call == (False, len(modes))
+        assert student_call[0] and 1 <= student_call[1] <= min(len(tasks), 4)
+
+
+def test_uptrain_step_skips_tasks_with_no_frames_to_score(monkeypatch):
+    """No mask and no corruption: every task adds 0, and no pair encodes."""
+    pairs = _record_uptrain_step(monkeypatch, tasks=("MASK", "MLM", "AVCP", "ACP"),
+                                 corruption_preset="none", audio_mask_prob=0.0,
+                                 video_mask_prob=0.0, modality_dropout=0.0)
+    assert pairs == [{"teacher": [], "encode": []}] * 4
 
 
 def test_combined_pipeline_runs_both_phases(tmp_path):
