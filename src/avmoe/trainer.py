@@ -1,6 +1,6 @@
 """Training regimes, evaluation metrics, and run artifacts.
 
-Two training loops serve three regimes:
+One training loop, ``_train``, runs each regime as a list of phases:
 
 - supervised_moe: token cross-entropy plus the router losses (balance, bias,
   z), with modality dropout and optional audio corruption on AV sequences so
@@ -8,10 +8,11 @@ Two training loops serve three regimes:
   step is a constant on that step's tape: no tape node, no gradient.
 - cav2vec_uptrain: encoder-only self-distillation against an EMA teacher with
   masked and corrupted prediction tasks.
-- combined_pipeline: both loops on one config, uptraining for
-  ``uptrain_steps`` and then supervised finetuning of the same model.
+- combined_pipeline: an uptraining phase of ``uptrain_steps`` and then a
+  supervised phase that finetunes the same model.
 
-Each loop builds its optimizer over the parameters it trains. ``SGD`` and
+Each phase starts the data and corruption streams afresh from the config
+seed and builds its optimizer over the parameters it trains. ``SGD`` and
 ``Adam`` pack those parameters, in order, into one flat float64 vector and
 make each ``p.data`` a view of its slice; a step updates each run of
 consecutive parameters that got a gradient in place, and a parameter
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -167,6 +168,10 @@ class TrainConfig:
         for t in self.tasks:
             if t not in VARIANTS and t not in ("MASK", "MLM"):
                 raise ConfigError(f"unknown distillation task {t!r}")
+        if len(set(self.tasks)) < len(self.tasks):
+            raise ConfigError(f"repeated distillation task in {list(self.tasks)}")
+        if not self.tasks and self.regime != "supervised_moe":
+            raise ConfigError(f"{self.regime} needs at least one distillation task")
         if self.generator.vocab != self.model.vocab:
             raise ConfigError(
                 f"generator vocab {self.generator.vocab} != model vocab {self.model.vocab}")
@@ -366,6 +371,8 @@ def make_optimizer(name: str, lr: float, params: list[Tensor],
 
 
 def _mean_scalars(ts: list[Tensor]) -> Tensor:
+    if not ts:
+        return Tensor(np.zeros(()))
     total = ts[0]
     for t in ts[1:]:
         total = T.add(total, t)
@@ -429,70 +436,33 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     stats = {li: layer_aux["stats"] for li, layer_aux in enumerate(aux)
              if layer_aux["stats"] is not None}
     first = next(iter(stats.values()), None)
-    balance = (_mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
-               if stats else zero)
+    balance = _mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
     bias = (_mean_scalars([load_biasing_loss(s) for s in stats.values()])
             if first is not None and first.n_groups == 2 and first.g else zero)
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
-    z = (_mean_scalars([router_z_loss(rows, row_weights) for rows in logit_rows])
-         if logit_rows else zero)
+    z = _mean_scalars([router_z_loss(rows, row_weights) for rows in logit_rows])
     bundle = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
                             c_bias=cfg.c_bias, c_z=cfg.c_z)
     return bundle.scalars(), bundle.total, stats
 
 
-def _train_supervised(model: Model, cfg: TrainConfig, table: CsvTable,
-                      step_offset: int = 0):
-    streams = seed_streams(cfg.seed)
-    data_rng = np.random.default_rng(streams["data"])
-    corr_rng = np.random.default_rng(streams["corruption"])
+def _supervised_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
+    """Finetuning: every model parameter, under the config's freezes, with
+    the inter routers' step scaled by ``inter_lr_scale``."""
     params = model.params()
     blocks = model.decoder_blocks
     routers = set(id(p) for blk in blocks for p in blk.moe.router_params())
-    # (steps, ids) of each freeze; a frozen parameter is a constant on the
-    # tape of each of those steps, so it gets no tape node and no gradient
-    freezes = [(cfg.router_warmup_steps, set(id(p) for p in params) - routers),
+    freezes = ((cfg.router_warmup_steps, set(id(p) for p in params) - routers),
                (cfg.freeze_encoder_steps, set(id(p) for p in model.encoder_params())),
                (cfg.freeze_experts_steps,
-                set(id(p) for blk in blocks for e in blk.moe.experts for p in e.params()))]
+                set(id(p) for blk in blocks for e in blk.moe.experts for p in e.params())))
     lr_scales = {id(blk.moe.inter_router.weight): cfg.inter_lr_scale
                  for blk in blocks if blk.moe.inter_router is not None}
-    opt = make_optimizer(cfg.optimizer, cfg.lr, params, lr_scales)
-    last_finite: dict = {}
-    # within-group top-1 frequencies averaged over the last 10% of steps,
-    # keyed (layer, group); the balance invariant is checked against these
-    tail_start = cfg.steps - max(1, cfg.steps // 10)
-    tail_f: dict = {}
-    tail_n = 0
-    try:
-        for step in range(cfg.steps):
-            frozen = set().union(*(ids for until, ids in freezes if step < until))
-            for p in params:
-                p.requires_grad = id(p) not in frozen
-            batch = _sample_batch(cfg, data_rng, corr_rng)
-            try:
-                scalars, total, stats = _supervised_step(model, cfg, batch)
-            except T.NumericError:
-                raise DivergenceError(step_offset + step, last_finite)
-            if not np.isfinite(float(total.data)):
-                raise DivergenceError(step_offset + step, last_finite)
-            if step >= tail_start and stats:
-                for li, s in stats.items():
-                    for gi, f in enumerate(s.expert_f):
-                        tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
-                tail_n += 1
-            total.backward()
-            opt()
-            last_finite = scalars
-            table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
-                          scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
-                          scalars["total"]])
-    finally:
-        for p in params:
-            p.requires_grad = True
-    tail = {key: f / tail_n for key, f in tail_f.items()} if tail_n else {}
-    return last_finite, tail
+
+    def take_step(data_rng, corr_rng):
+        return _supervised_step(model, cfg, _sample_batch(cfg, data_rng, corr_rng))
+    return params, take_step, freezes, lr_scales, None
 
 
 # -- uptraining regime --------------------------------------------------------
@@ -573,10 +543,7 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
         if "MLM" in cfg.tasks:
             mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV].vectors,
                                  mask_idx, heads.mlm_head) if mask_idx else zero)
-    acp = _mean_scalars(acps) if acps else zero
-    vcp = _mean_scalars(vcps) if vcps else zero
-    mask = _mean_scalars(masks) if masks else zero
-    mlm = _mean_scalars(mlms) if mlms else zero
+    acp, vcp, mask, mlm = (_mean_scalars(ts) for ts in (acps, vcps, masks, mlms))
     total = cav2vec_total_loss(acp, vcp, mask, mlm, weights)
     scalars = {"L_ACP": float(acp.data), "L_VCP": float(vcp.data),
                "L_MASK": float(mask.data), "L_MLM": float(mlm.data),
@@ -584,35 +551,76 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
     return scalars, total
 
 
-def _train_uptrain(model: Model, cfg: TrainConfig, table: CsvTable):
-    streams = seed_streams(cfg.seed)
-    data_rng = np.random.default_rng(streams["data"])
-    corr_rng = np.random.default_rng(streams["corruption"])
-    teacher = make_teacher(model, total_steps=cfg.steps)
+def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
+    """Uptraining: the model and the distillation heads, against a teacher
+    snapshotted now that follows the student by EMA after each step."""
+    teacher = make_teacher(model, total_steps=steps)
     heads = DistillHeads.init(cfg.model.d, cfg.n_centroids,
                               seed=seed_streams(cfg.seed)["model_init"] ^ 0x5F)
     centroids = make_centroids(cfg.n_centroids, cfg.model.d,
                                seed=cfg.generator.codebook_seed)
-    params = model.params() + heads.params()
-    opt = make_optimizer(cfg.optimizer, cfg.lr, params)
-    last_finite: dict = {}
-    for step in range(cfg.steps):
-        try:
-            scalars, total = _uptrain_step(model, teacher, heads, centroids,
-                                           cfg, data_rng, corr_rng)
-        except T.NumericError:
-            raise DivergenceError(step, last_finite)
-        if not np.isfinite(float(total.data)):
-            raise DivergenceError(step, last_finite)
-        total.backward()
-        opt()
+
+    def take_step(data_rng, corr_rng):
+        return *_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng), {}
+
+    def follow_student(step: int):
         teacher.current_step = step
         ema_update(teacher, model, eta_schedule(teacher))
-        last_finite = scalars
-        table.append([step, 0.0, 0.0, 0.0, 0.0,
-                      scalars["L_ACP"], scalars["L_VCP"], scalars["L_MASK"],
-                      scalars["L_MLM"], scalars["total"]])
-    return last_finite
+    return model.params() + heads.params(), take_step, (), None, follow_student
+
+
+# -- the training loop --------------------------------------------------------
+
+def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> tuple[dict, dict]:
+    """Train ``model`` through the phases of ``cfg.regime``, one ``table``
+    row per step, numbered (as is a DivergenceError's step) by the rows
+    before it; returns the last finite scalars and the expert-load tail."""
+    phases = {"supervised_moe": [(_supervised_phase, cfg.steps)],
+              "cav2vec_uptrain": [(_uptrain_phase, cfg.steps)],
+              "combined_pipeline": [(_uptrain_phase, cfg.uptrain_steps),
+                                    (_supervised_phase, cfg.steps)]}[cfg.regime]
+    last_finite: dict = {}
+    # within-group top-1 frequencies over the last 10% of a phase's steps,
+    # keyed (layer, group); only supervised steps report them
+    tail_f: dict = {}
+    tail_n = 0
+    for make_phase, steps in phases:
+        # the phase's parameters; take_step(data_rng, corr_rng) -> (scalars,
+        # loss, stats by layer); freezes (N, ids frozen for N steps); lr_scales
+        params, take_step, freezes, lr_scales, after_step = make_phase(model, cfg, steps)
+        streams = seed_streams(cfg.seed)
+        data_rng = np.random.default_rng(streams["data"])
+        corr_rng = np.random.default_rng(streams["corruption"])
+        opt = make_optimizer(cfg.optimizer, cfg.lr, params, lr_scales)
+        tail_start = steps - max(1, steps // 10)
+        try:
+            for step in range(steps):
+                frozen = set().union(*(ids for until, ids in freezes if step < until))
+                for p in params:
+                    p.requires_grad = id(p) not in frozen
+                numeric = None
+                try:
+                    scalars, total, stats = take_step(data_rng, corr_rng)
+                except T.NumericError as exc:
+                    numeric = exc
+                if numeric is not None or not np.isfinite(float(total.data)):
+                    raise DivergenceError(len(table), last_finite) from numeric
+                if step >= tail_start and stats:
+                    for li, s in stats.items():
+                        for gi, f in enumerate(s.expert_f):
+                            tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
+                    tail_n += 1
+                total.backward()
+                opt()
+                if after_step is not None:
+                    after_step(step)
+                last_finite = scalars
+                table.append([len(table)] + [scalars.get(c, 0.0) for c in STEP_COLUMNS[1:]])
+        finally:
+            for p in params:
+                p.requires_grad = True
+    tail = {key: f / tail_n for key, f in tail_f.items()} if tail_n else {}
+    return last_finite, tail
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -772,15 +780,7 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     """Run a regime end to end and emit the report artifacts."""
     model = build_model(cfg)
     table = CsvTable(STEP_COLUMNS)
-    load_tail: dict = {}
-    if cfg.regime == "supervised_moe":
-        final, load_tail = _train_supervised(model, cfg, table)
-    elif cfg.regime == "cav2vec_uptrain":
-        final = _train_uptrain(model, cfg, table)
-    else:  # combined_pipeline: uptrain, then supervised finetune
-        _train_uptrain(model, replace(cfg, steps=cfg.uptrain_steps), table)
-        final, load_tail = _train_supervised(model, cfg, table,
-                                             step_offset=cfg.uptrain_steps)
+    final, load_tail = _train(model, cfg, table)
 
     eval_seed = cfg.seed + EVAL_SEED_OFFSET
     ter = {"none": eval_ter(model, cfg.generator, cfg.eval_pairs, "none", eval_seed),

@@ -158,11 +158,11 @@ def test_05_corruption_protocol():
 # -- criteria 6 and 7: specialization and noise response ---------------------
 
 @pytest.fixture(scope="module")
-def specialization_runs():
+def specialization_runs(tmp_path_factory):
     biased = train(TrainConfig.from_dict({**SPECIALIZATION_BASE, "c_bias": 1e-2}),
-                   tempfile.mkdtemp())
+                   str(tmp_path_factory.mktemp("biased")))
     control = train(TrainConfig.from_dict({**SPECIALIZATION_BASE, "c_bias": 0.0}),
-                    tempfile.mkdtemp())
+                    str(tmp_path_factory.mktemp("control")))
     return biased, control
 
 
@@ -198,6 +198,12 @@ def test_07_noise_adaptive_routing(specialization_runs):
 MAX_DISTANCE_CHANGE = -0.30  # full uptraining against the MASK-only control
 
 
+def _train_in_temp_dir(cfg: TrainConfig):
+    """``train`` into a run directory that is removed when it returns."""
+    with tempfile.TemporaryDirectory() as run_dir:
+        return train(cfg, run_dir)
+
+
 def criterion_8(seed: int) -> dict:
     """Criterion 8's measurements at ``seed``: the relative representation
     distance change of the full (MASK, ACP, VCP) uptraining against the
@@ -206,18 +212,17 @@ def criterion_8(seed: int) -> dict:
     base = {**UPTRAIN_BASE, "seed": seed}
     full_cfg = TrainConfig.from_dict({**base, "tasks": ("MASK", "ACP", "VCP")})
     ctrl_cfg = TrainConfig.from_dict({**base, "tasks": ("MASK",)})
-    full = train(full_cfg, tempfile.mkdtemp())
-    ctrl = train(ctrl_cfg, tempfile.mkdtemp())
+    full = _train_in_temp_dir(full_cfg)
+    ctrl = _train_in_temp_dir(ctrl_cfg)
     rep = repr_distance_report(ctrl.model, full.model, full_cfg.generator,
                                pairs=12, preset="eval-fullnoise", seed=3)
 
     combined = {**base, "regime": "combined_pipeline",
                 "uptrain_steps": 400, "steps": 1500, "batch_size": 6}
-    full_ter = train(TrainConfig.from_dict({**combined,
-                                            "tasks": ("MASK", "ACP", "VCP")}),
-                     tempfile.mkdtemp()).ter["eval-fullnoise"]
-    ctrl_ter = train(TrainConfig.from_dict({**combined, "tasks": ("MASK",)}),
-                     tempfile.mkdtemp()).ter["eval-fullnoise"]
+    full_ter = _train_in_temp_dir(TrainConfig.from_dict(
+        {**combined, "tasks": ("MASK", "ACP", "VCP")})).ter["eval-fullnoise"]
+    ctrl_ter = _train_in_temp_dir(TrainConfig.from_dict(
+        {**combined, "tasks": ("MASK",)})).ter["eval-fullnoise"]
     return {"distance": rep, "full_ter": full_ter, "ctrl_ter": ctrl_ter}
 
 

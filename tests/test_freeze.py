@@ -2,7 +2,7 @@
 
 The reference loop backpropagates into every parameter and clears the
 gradients of the ones frozen for the step before the optimizer step, which
-leaves them dead for it. ``_train_supervised`` instead marks frozen
+leaves them dead for it. The training loop, ``_train``, instead marks frozen
 parameters as constants, so their ops build no tape node and get no
 gradient. The trained parameters and the steps table must agree bit for
 bit.
@@ -17,7 +17,7 @@ from avmoe import trainer
 from avmoe.metrics import CsvTable
 from avmoe.trainer import (
     STEP_COLUMNS, DivergenceError, TrainConfig, _sample_batch, _supervised_step,
-    _train_supervised, build_model, make_optimizer, seed_streams,
+    _train, build_model, make_optimizer, seed_streams,
 )
 
 MOE = {
@@ -93,7 +93,7 @@ def test_constant_freeze_matches_filtered_optimizer(mode, optimizer, warmup, fre
     want_model, want = build_model(cfg), CsvTable(STEP_COLUMNS)
     reference_train(want_model, cfg, want)
     model, table = build_model(cfg), CsvTable(STEP_COLUMNS)
-    _train_supervised(model, cfg, table)
+    _train(model, cfg, table)
     assert table.rows == want.rows
     for name, p in model.named_params().items():
         assert p.data.tobytes() == want_model.named_params()[name].data.tobytes(), name
@@ -114,7 +114,7 @@ def test_flags_are_released_after_divergence(mode, monkeypatch):
         return real(*args)
     monkeypatch.setattr(trainer, "_supervised_step", diverging)
     with pytest.raises(DivergenceError) as exc:
-        _train_supervised(model, cfg, CsvTable(STEP_COLUMNS))
+        _train(model, cfg, CsvTable(STEP_COLUMNS))
     assert exc.value.step == 2
     assert_released(model)
 
@@ -158,7 +158,7 @@ def test_warmup_step_records_no_node_for_frozen_ops(monkeypatch):
         return nodes[-1]
     monkeypatch.setattr(T, "_make", recorded)
     per_run = []
-    for loop in (reference_train, _train_supervised):
+    for loop in (reference_train, _train):
         nodes.clear()
         model = build_model(cfg)
         loop(model, cfg, CsvTable(STEP_COLUMNS))

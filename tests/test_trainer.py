@@ -68,6 +68,26 @@ def test_config_rejects_unknown_task():
         _cfg(tasks=("MASK", "XYZ"))
 
 
+@pytest.mark.parametrize("regime", ["cav2vec_uptrain", "combined_pipeline"])
+def test_config_rejects_no_tasks_when_uptraining(regime):
+    # uptraining without a task would train nothing: every row all zeros
+    with pytest.raises(ConfigError, match="at least one distillation task"):
+        _cfg(regime=regime, tasks=[])
+    with pytest.raises(ConfigError, match="at least one distillation task"):
+        TrainConfig(regime=regime, tasks=())
+
+
+def test_supervised_regime_needs_no_tasks():
+    assert _cfg(tasks=[]).tasks == ()
+
+
+@pytest.mark.parametrize("regime", ["supervised_moe", "cav2vec_uptrain", "combined_pipeline"])
+@pytest.mark.parametrize("tasks", [("ACP", "ACP"), ("MASK", "VCP", "MLM", "VCP")])
+def test_config_rejects_a_repeated_task(regime, tasks):
+    with pytest.raises(ConfigError, match="repeated distillation task"):
+        _cfg(regime=regime, tasks=list(tasks))
+
+
 @pytest.mark.parametrize("pairs", [0, -3])
 def test_config_rejects_eval_pairs_below_one(pairs):
     with pytest.raises(ConfigError):
@@ -439,15 +459,46 @@ def test_divergence_reports_the_global_step(monkeypatch, regime, step_fn, fail_c
     assert exc.value.step == want_step
 
 
+@pytest.mark.parametrize("step_fn, fail_call, want_step", [
+    ("_uptrain_step", 2, 1),     # the last uptraining step
+    ("_supervised_step", 1, 2),  # the first finetuning step
+])
+def test_divergence_at_the_phase_boundary_keeps_the_last_losses(monkeypatch, step_fn,
+                                                                fail_call, want_step):
+    """A divergence on either side of the combined_pipeline boundary carries
+    the scalars of the row before it."""
+    from avmoe.metrics import CsvTable
+    from avmoe.trainer import STEP_COLUMNS, _train
+    cfg = _cfg(regime="combined_pipeline", steps=2, uptrain_steps=2,
+               model={"moe": {"mode": "dense_ffn"}})
+    table = CsvTable(STEP_COLUMNS)
+    _train(build_model(cfg), cfg, table)
+    real, calls = getattr(trainer_mod, step_fn), []
+
+    def diverging(*args):
+        calls.append(None)
+        if len(calls) == fail_call:
+            raise T.NumericError("injected")
+        return real(*args)
+    monkeypatch.setattr(trainer_mod, step_fn, diverging)
+    with pytest.raises(DivergenceError) as exc:
+        _train(build_model(cfg), cfg, CsvTable(STEP_COLUMNS))
+    assert exc.value.step == want_step
+    assert isinstance(exc.value.__cause__, T.NumericError)
+    previous = dict(zip(STEP_COLUMNS, table.rows[want_step - 1]))
+    assert exc.value.last_losses
+    assert exc.value.last_losses == {k: previous[k] for k in exc.value.last_losses}
+
+
 def test_freeze_encoder_keeps_encoder_params():
     cfg = _cfg(steps=3, freeze_encoder_steps=3)
     model = build_model(cfg)
     before = [p.data.copy() for p in model.encoder_params()]
     # drive the same model through the training loop by reusing internals
-    from avmoe.trainer import _train_supervised
+    from avmoe.trainer import _train
     from avmoe.metrics import CsvTable
     from avmoe.trainer import STEP_COLUMNS
-    _train_supervised(model, cfg, CsvTable(STEP_COLUMNS))
+    _train(model, cfg, CsvTable(STEP_COLUMNS))
     for prev, p in zip(before, model.encoder_params()):
         assert np.array_equal(prev, p.data)
 
@@ -458,10 +509,10 @@ def test_router_warmup_moves_only_routers():
     router_ids = set(id(r.weight) for blk in model.decoder_blocks
                      for r in [blk.moe.inter_router] + blk.moe.intra_routers)
     before = {name: p.data.copy() for name, p in model.named_params().items()}
-    from avmoe.trainer import _train_supervised
+    from avmoe.trainer import _train
     from avmoe.metrics import CsvTable
     from avmoe.trainer import STEP_COLUMNS
-    _train_supervised(model, cfg, CsvTable(STEP_COLUMNS))
+    _train(model, cfg, CsvTable(STEP_COLUMNS))
     for name, p in model.named_params().items():
         if id(p) not in router_ids:
             assert np.array_equal(before[name], p.data), name
