@@ -20,36 +20,46 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corruption import CorruptionPlan
+from .corruption import DROP_AUDIO, DROP_NONE, DROP_VIDEO, CorruptionPlan
 from .model import Model
 from .tensor import Tensor
 
 MODE_AV = "AV"
 MODE_A_ONLY = "A_only"
 MODE_V_ONLY = "V_only"
+MODE_MASKED = "masked"  # student input: the corrupted pair, masked frames zeroed
+MODE_KEPT = "kept"      # teacher target: the modality a dropout kept, else AV
+# the task losses' steps.csv columns, in cav2vec_total_loss's argument order
+LOSS_COLUMNS = ("L_ACP", "L_VCP", "L_MASK", "L_MLM")
+_KEPT_MODES = {DROP_NONE: MODE_AV, DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}
 
 
 class VariantError(ValueError):
-    """Unknown corrupted-prediction task variant."""
+    """Unknown distillation task."""
 
 
 @dataclass(frozen=True)
-class TaskVariant:
-    """(student input, teacher target, loss index set) for one task."""
+class Task:
+    """One row of `TASKS`: how a task reads a pair, and where its loss goes."""
 
     name: str
-    input_mode: str   # student input: MODE_AV / MODE_A_ONLY / MODE_V_ONLY
-    target_mode: str  # teacher target, likewise
-    index_set: str    # "union" (C^a u C^v), "audio" (C^a), "video" (C^v)
+    input_mode: str   # MODE_MASKED, or a modality mode of the corrupted pair
+    target_mode: str  # MODE_KEPT, or a modality mode of the clean pair
+    index_set: str    # "masked" (M^a u M^v), "union" (C^a u C^v), "audio", "video"
+    columns: tuple[str, ...]  # steps.csv columns, sharing the loss equally
+    loss: str = "corrupted"   # scored by {masked,corrupted}_prediction_loss or mlm_loss
 
 
-VARIANTS = {
-    "AVCP": TaskVariant("AVCP", MODE_AV, MODE_AV, "union"),
-    "mACP": TaskVariant("mACP", MODE_AV, MODE_A_ONLY, "video"),
-    "mVCP": TaskVariant("mVCP", MODE_AV, MODE_V_ONLY, "audio"),
-    "ACP": TaskVariant("ACP", MODE_V_ONLY, MODE_A_ONLY, "video"),
-    "VCP": TaskVariant("VCP", MODE_A_ONLY, MODE_V_ONLY, "audio"),
-}
+TASKS = {task.name: task for task in (
+    Task("AVCP", MODE_AV, MODE_AV, "union", ("L_ACP", "L_VCP")),
+    Task("mACP", MODE_AV, MODE_A_ONLY, "video", ("L_ACP",)),
+    Task("mVCP", MODE_AV, MODE_V_ONLY, "audio", ("L_VCP",)),
+    Task("ACP", MODE_V_ONLY, MODE_A_ONLY, "video", ("L_ACP",)),
+    Task("VCP", MODE_A_ONLY, MODE_V_ONLY, "audio", ("L_VCP",)),
+    Task("MASK", MODE_MASKED, MODE_KEPT, "masked", ("L_MASK",), loss="masked"),
+    Task("MLM", MODE_MASKED, MODE_AV, "masked", ("L_MLM",), loss="mlm"),
+)}
+VARIANTS = {name: task for name, task in TASKS.items() if task.input_mode != MODE_MASKED}
 
 
 @dataclass
@@ -115,13 +125,18 @@ def ema_update(teacher: TeacherState, student: Model, eta: float) -> TeacherStat
     return teacher
 
 
-def _apply_mode(A: np.ndarray, V: np.ndarray, mode: str):
+def _apply_mode(A: np.ndarray, V: np.ndarray, mode: str, plan: CorruptionPlan | None = None):
     if mode == MODE_AV:
         return A, V
     if mode == MODE_A_ONLY:
         return A, np.zeros_like(V)
     if mode == MODE_V_ONLY:
         return np.zeros_like(A), V
+    if mode == MODE_MASKED:  # copies with the plan's masked frames zeroed
+        A, V = A.copy(), V.copy()
+        A[plan.audio_mask] = 0.0
+        V[plan.video_mask] = 0.0
+        return A, V
     raise ValueError(f"unknown modality mode {mode!r}")
 
 
@@ -169,27 +184,31 @@ def masked_prediction_loss(student_out: Tensor, targets: DistillTargets,
     return T.mse(picked, Tensor(targets.vectors[idx]))
 
 
-def _variant(variant: TaskVariant | str) -> TaskVariant:
-    if isinstance(variant, TaskVariant):
-        return variant
-    if variant not in VARIANTS:
-        raise VariantError(f"unknown variant {variant!r}")
-    return VARIANTS[variant]
+def _task(name: str) -> Task:
+    if name not in TASKS:
+        raise VariantError(f"unknown distillation task {name!r}")
+    return TASKS[name]
 
 
-def corrupted_frames(variant: TaskVariant | str, plan: CorruptionPlan) -> list[int]:
-    """The frames a variant's loss runs over: its corrupted index set."""
-    variant = _variant(variant)
-    if variant.index_set == "union":
-        return sorted(set(plan.audio_corrupt.tolist()) | set(plan.video_corrupt.tolist()))
-    if variant.index_set == "audio":
-        return plan.audio_corrupt.tolist()
-    return plan.video_corrupt.tolist()
+def corrupted_frames(task: str, plan: CorruptionPlan) -> list[int]:
+    """The frames a task's loss runs over: its masked or corrupted index set."""
+    sets = {"masked": (plan.audio_mask, plan.video_mask),
+            "union": (plan.audio_corrupt, plan.video_corrupt),
+            "audio": (plan.audio_corrupt,), "video": (plan.video_corrupt,)}
+    return sorted(set().union(*(frames.tolist() for frames in sets[_task(task).index_set])))
 
 
-def student_input(variant: TaskVariant | str, A_corr: np.ndarray, V_corr: np.ndarray):
-    """The variant's (possibly unimodal) corrupted student input (A, V)."""
-    return _apply_mode(A_corr, V_corr, _variant(variant).input_mode)
+def student_input(task: str, A_corr: np.ndarray, V_corr: np.ndarray,
+                  plan: CorruptionPlan | None = None):
+    """The task's student input (A, V): a modality mode of the corrupted pair,
+    or for MODE_MASKED a copy with ``plan``'s masked frames zeroed."""
+    return _apply_mode(A_corr, V_corr, _task(task).input_mode, plan)
+
+
+def teacher_mode(task: str, plan: CorruptionPlan) -> str:
+    """The modality mode of the task's teacher target on a pair with ``plan``."""
+    mode = _task(task).target_mode
+    return _KEPT_MODES[plan.modality_drop] if mode == MODE_KEPT else mode
 
 
 def corrupted_prediction_loss(features: Tensor | None, targets: DistillTargets | None,
@@ -257,7 +276,8 @@ class DistillHeads:
 
     @staticmethod
     def init(d: int, n_centroids: int, seed: int = 0,
-             tasks: tuple[str, ...] = ("AVCP", "mACP", "mVCP", "ACP", "VCP", "MASK")):
+             tasks: tuple[str, ...] = tuple(name for name, task in TASKS.items()
+                                            if task.loss != "mlm")):
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d)
         heads = {name: Tensor.param(scale * rng.normal(size=(d, d))) for name in tasks}

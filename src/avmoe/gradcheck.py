@@ -329,9 +329,9 @@ def _case_expert_weights(seed):
     return f, _mat(seed, 4, 6)
 
 
-def _moe_layer(seed, mode, k_per_group=1):
+def _moe_layer(seed, mode, k_per_group=1, n_per_group=2):
     cfg = MoELayerConfig(mode=mode, d=4, h=6, n_experts=4, k=2,
-                         n_groups=2, n_per_group=2, m=2, k_per_group=k_per_group)
+                         n_groups=2, n_per_group=n_per_group, m=2, k_per_group=k_per_group)
     return MoELayer(cfg, _rng(seed + 1000))
 
 
@@ -357,6 +357,27 @@ def _case_moe_forward_hier_inter(seed, k_per_group=1):
         return T.tsum(layer.forward(x, modalities=tags)[0])
 
     return f, _mat(seed, 4, 2)
+
+
+def _case_moe_forward_hard(seed):
+    # unimodal rows take k=2 of their group's 3 experts, the AV row 1 + 1
+    layer = _moe_layer(seed, "hard", n_per_group=3)
+    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
+    return lambda t: T.tsum(layer.forward(t, modalities=tags)[0]), _mat(seed)
+
+
+def _case_moe_forward_hard_intra(seed):
+    # the scattered, 0.5-shared and added combine weights through the
+    # audio group's intra router
+    layer = _moe_layer(seed, "hard", n_per_group=3)
+    x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
+    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
+
+    def f(t):
+        layer.intra_routers[0].weight = t
+        return T.tsum(layer.forward(x, modalities=tags)[0])
+
+    return f, _mat(seed, 4, 3)
 
 
 def _case_moe_router_weights(seed):
@@ -480,6 +501,8 @@ CASES = {
         ("moe_forward_hierarchical_kpg2", partial(_case_moe_forward_hier, k_per_group=2)),
         ("moe_forward_hierarchical_kpg2_inter_router",
          partial(_case_moe_forward_hier_inter, k_per_group=2)),
+        ("moe_forward_hard", _case_moe_forward_hard),
+        ("moe_forward_hard_intra_router", _case_moe_forward_hard_intra),
         ("moe_router_weights", _case_moe_router_weights),
     ],
     "losses": [
@@ -501,6 +524,8 @@ def run(module: str | None = None, seeds: int = DEFAULT_SEEDS,
     if module is not None and module not in CASES:
         raise ConfigError(f"unknown gradcheck module {module!r}; "
                           f"choose from {sorted(CASES)}")
+    if seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {seeds}")
     selected = [module] if module is not None else sorted(CASES)
     results: dict[str, float] = {}
     for mod in selected:

@@ -1,6 +1,7 @@
-"""Stable CSV serialization and the small statistical helpers shared by the
-trainer (Spearman rank correlation, coefficient of variation, histogram
-normalization)."""
+"""Stable CSV serialization and atomic file writes for run artifacts, plus
+small statistical helpers for measuring runs (Spearman rank correlation,
+coefficient of variation, histogram normalization). The trainer uses none
+of the helpers; the acceptance checks, tests and demos measure with them."""
 
 from __future__ import annotations
 

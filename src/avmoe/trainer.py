@@ -7,7 +7,7 @@ One training loop, ``_train``, runs each regime as a list of phases:
   the routers see both unimodal and noisy inputs. A parameter frozen for a
   step is a constant on that step's tape: no tape node, no gradient.
 - cav2vec_uptrain: encoder-only self-distillation against an EMA teacher with
-  masked and corrupted prediction tasks.
+  masked and corrupted prediction tasks: the configured rows of ``distill.TASKS``.
 - combined_pipeline: an uptraining phase of ``uptrain_steps`` and then a
   supervised phase that finetunes the same model.
 
@@ -35,14 +35,14 @@ import numpy as np
 
 from . import tensor as T
 from .corruption import (
-    DROP_AUDIO, DROP_VIDEO, CorruptionPlan, allocate_masks,
-    apply_modality_dropout, corrupt_pair, sample_plan_preset, PRESETS,
+    CorruptionPlan, allocate_masks, apply_modality_dropout, corrupt_pair,
+    sample_plan_preset, PRESETS,
 )
 from .distill import (
-    MODE_A_ONLY, MODE_AV, MODE_V_ONLY, VARIANTS, DistillHeads, TaskWeights,
-    cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
-    eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
-    student_input, teacher_targets,
+    LOSS_COLUMNS, MODE_MASKED, TASKS, DistillHeads, TaskWeights, cav2vec_total_loss,
+    corrupted_frames, corrupted_prediction_loss, ema_update, eta_schedule,
+    make_centroids, make_teacher, masked_prediction_loss, mlm_loss, student_input,
+    teacher_mode, teacher_targets,
 )
 from .metrics import CsvTable, atomic_open, write_table
 from .model import Model, ModelConfig, sequence_mean_weights
@@ -60,9 +60,10 @@ from .tensor import Tensor
 SCHEMA_VERSION = 1
 REGIMES = ("supervised_moe", "cav2vec_uptrain", "combined_pipeline")
 EVAL_SEED_OFFSET = 101  # a run's post-training evaluations use seed + this
+EVAL_TOKENS = (3, 5)    # label lengths of the evaluation pairs, inclusive
+EVAL_DECODE_SLACK = 4   # eval_ter decodes up to this many tokens past the labels
 
-STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z",
-                "L_ACP", "L_VCP", "L_MASK", "L_MLM", "total"]
+STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z", *LOSS_COLUMNS, "total"]
 
 
 class ConfigError(ValueError):
@@ -153,10 +154,24 @@ class TrainConfig:
             raise ConfigError(f"unknown corruption preset {self.corruption_preset!r}")
         if not self.av_snr_choices:
             raise ConfigError("av_snr_choices must not be empty")
+        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+                   for s in self.av_snr_choices):
+            raise ConfigError(f"av_snr_choices must be numbers, "
+                              f"got {list(self.av_snr_choices)}")
+        if not 0.0 <= self.av_corrupt_prob <= 1.0:
+            raise ConfigError("av_corrupt_prob must lie in [0, 1]")
         if min(self.audio_mask_span, self.video_mask_span) < 1:
             raise ConfigError("audio_mask_span and video_mask_span must be >= 1")
         if not (0.0 <= self.audio_mask_prob <= 1.0 and 0.0 <= self.video_mask_prob <= 1.0):
             raise ConfigError("audio_mask_prob and video_mask_prob must lie in [0, 1]")
+        longest = EVAL_TOKENS[1] + EVAL_DECODE_SLACK
+        if self.model.max_len < longest:
+            raise ConfigError(f"model.max_len {self.model.max_len} is below {longest}, the "
+                              f"longest transcript eval_ter decodes")
+        if self.regime != "cav2vec_uptrain" and self.tokens_max + 1 > self.model.max_len:
+            # a supervised step feeds the decoder BOS and up to tokens_max labels
+            raise ConfigError(f"tokens_max + 1 = {self.tokens_max + 1} exceeds "
+                              f"model.max_len {self.model.max_len}")
         moe = self.model.moe
         if moe.mode == "hard" and moe.k % 2:
             # every run decodes audio-visual tokens in eval_ter, and hard
@@ -166,7 +181,7 @@ class TrainConfig:
         if not 2 <= self.n_centroids <= self.model.d:
             raise ConfigError(f"n_centroids must lie in [2, model.d={self.model.d}]")
         for t in self.tasks:
-            if t not in VARIANTS and t not in ("MASK", "MLM"):
+            if t not in TASKS:
                 raise ConfigError(f"unknown distillation task {t!r}")
         if len(set(self.tasks)) < len(self.tasks):
             raise ConfigError(f"repeated distillation task in {list(self.tasks)}")
@@ -469,21 +484,22 @@ def _supervised_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
 
 def _uptrain_step(model: Model, teacher, heads: DistillHeads,
                   centroids: np.ndarray, cfg: TrainConfig, data_rng, corr_rng):
-    """One uptraining step. Each pair makes one no-grad teacher encode of
-    its distinct target modes and one student encode of its distinct task
-    inputs, both stacked; a task with no frames to score adds 0 and needs
-    neither."""
-    weights = cfg.task_weights
+    """One uptraining step: per pair, one loop over the rows of
+    ``distill.TASKS`` in ``cfg.tasks``. A pair makes one no-grad teacher
+    encode of its tasks' distinct target modes and one student encode of
+    their distinct inputs; a task with no frames to score adds 0."""
     topk = model.cfg.topk_blocks
-    variants = [VARIANTS[name] for name in cfg.tasks if name in VARIANTS]
+    # the masked input, when scored, leads the student stack: a weight
+    # gradient sums the stack's rows in order, so the order sets its rounding
+    tasks = sorted((TASKS[name] for name in cfg.tasks),
+                   key=lambda task: task.input_mode != MODE_MASKED)
     zero = Tensor(np.zeros(()))
-    acps, vcps, masks, mlms = [], [], [], []
+    losses = {column: [] for column in LOSS_COLUMNS}
     for _ in range(cfg.batch_size):
         length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
         pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
         A, V = pair.audio, pair.video
-        n_frames = A.shape[0]
-        plan = sample_plan_preset(cfg.corruption_preset, n_frames,
+        plan = sample_plan_preset(cfg.corruption_preset, A.shape[0],
                                   int(corr_rng.integers(2 ** 31)),
                                   drop_prob=cfg.modality_dropout)
         plan = allocate_masks(plan, cfg.audio_mask_prob, cfg.audio_mask_span,
@@ -493,62 +509,40 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
         A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
                                       audio_snr_db=snr)
         A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
-        # masked student input: masked frames zeroed per modality
-        A_in, V_in = A_corr.copy(), V_corr.copy()
-        if plan.audio_mask.size:
-            A_in[plan.audio_mask] = 0.0
-        if plan.video_mask.size:
-            V_in[plan.video_mask] = 0.0
-        mask_idx = sorted(set(plan.audio_mask.tolist()) | set(plan.video_mask.tolist()))
-        # when a modality is dropped MASK's clean target uses the kept one
-        mask_mode = {DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}.get(
-            plan.modality_drop, MODE_AV)
 
-        # the student input and teacher mode of each task with frames to
-        # score; MASK and MLM share the masked input
-        frames = {v.name: corrupted_frames(v, plan) for v in variants}
-        inputs, modes = {}, []
-        if mask_idx:
-            for name, mode in (("MASK", mask_mode), ("MLM", MODE_AV)):
-                if name in cfg.tasks:
-                    inputs["masked"] = (A_in, V_in)
-                    modes.append(mode)
-        for v in variants:
-            if frames[v.name]:
-                inputs.setdefault(v.input_mode, student_input(v, A_corr, V_corr))
-                modes.append(v.target_mode)
-        targets, rows = {}, {}
-        if inputs:
-            modes = list(dict.fromkeys(modes))
-            targets = dict(zip(modes, teacher_targets(teacher.model, A, V, topk, mode=modes)))
+        frames = {task.name: corrupted_frames(task.name, plan) for task in tasks}
+        live = [task for task in tasks if frames[task.name]]
+        inputs, modes = {}, {}
+        for task in live:
+            inputs.setdefault(task.input_mode, student_input(task.name, A_corr, V_corr, plan))
+            modes[task.name] = teacher_mode(task.name, plan)
+        if live:
+            distinct = list(dict.fromkeys(modes.values()))
+            targets = dict(zip(distinct, teacher_targets(teacher.model, A, V, topk,
+                                                         mode=distinct)))
             feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
 
-        if "MASK" in cfg.tasks:
-            masks.append(masked_prediction_loss(
-                T.matmul(rows["masked"], heads.heads["MASK"]), targets[mask_mode],
-                mask_idx) if mask_idx else zero)
-        for v in variants:
-            loss = corrupted_prediction_loss(rows.get(v.input_mode),
-                                             targets.get(v.target_mode), frames[v.name],
-                                             head=heads.heads[v.name])
-            if v.target_mode == MODE_A_ONLY:
-                acps.append(loss)
-            elif v.target_mode == MODE_V_ONLY:
-                vcps.append(loss)
-            else:  # AV target counts toward both halves
-                acps.append(T.scale(loss, 0.5))
-                vcps.append(T.scale(loss, 0.5))
-        if "MLM" in cfg.tasks:
-            mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV].vectors,
-                                 mask_idx, heads.mlm_head) if mask_idx else zero)
-    acp, vcp, mask, mlm = (_mean_scalars(ts) for ts in (acps, vcps, masks, mlms))
-    total = cav2vec_total_loss(acp, vcp, mask, mlm, weights)
-    scalars = {"L_ACP": float(acp.data), "L_VCP": float(vcp.data),
-               "L_MASK": float(mask.data), "L_MLM": float(mlm.data),
-               "total": float(total.data)}
-    return scalars, total
+        for task in tasks:
+            idx, loss = frames[task.name], zero
+            if idx:
+                student, target = rows[task.input_mode], targets[modes[task.name]]
+                if task.loss == "mlm":
+                    loss = mlm_loss(student, centroids, target.vectors, idx, heads.mlm_head)
+                elif task.loss == "masked":
+                    loss = masked_prediction_loss(T.matmul(student, heads.heads[task.name]),
+                                                  target, idx)
+                else:
+                    loss = corrupted_prediction_loss(student, target, idx,
+                                                     head=heads.heads[task.name])
+            share = 1 / len(task.columns)  # AVCP's loss adds a half to each half
+            for column in task.columns:
+                losses[column].append(loss if share == 1 else T.scale(loss, share))
+    parts = {column: _mean_scalars(ts) for column, ts in losses.items()}
+    total = cav2vec_total_loss(*parts.values(), cfg.task_weights)
+    parts["total"] = total
+    return {name: float(part.data) for name, part in parts.items()}, total
 
 
 def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
@@ -625,12 +619,11 @@ def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> tuple[dict, dict]
 
 # -- evaluation ---------------------------------------------------------------
 
-def _eval_pairs(cfg_gen: GeneratorConfig, n: int, seed: int,
-                tokens: tuple[int, int] = (3, 5)):
+def _eval_pairs(cfg_gen: GeneratorConfig, n: int, seed: int):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        length = int(rng.integers(tokens[0], tokens[1] + 1))
+        length = int(rng.integers(EVAL_TOKENS[0], EVAL_TOKENS[1] + 1))
         out.append(generate_pair(cfg_gen, length, int(rng.integers(2 ** 31))))
     return out
 
@@ -640,8 +633,8 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
     """Mean token error rate of greedy decoding under a corruption preset.
 
     Every pair is corrupted first, then all are encoded packed in one
-    no-grad pass and decoded together in lockstep, each up to four tokens
-    past its label length."""
+    no-grad pass and decoded together in lockstep, each up to
+    ``EVAL_DECODE_SLACK`` tokens past its label length."""
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
@@ -656,8 +649,8 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
         videos.append(video)
     with T.no_grad():
         feats, _ = model.encode(audios, videos)
-    hyps = model.decode_greedy(feats, [len(p.labels) + 4 for p in eval_pairs],
-                               feature_lengths=[a.shape[0] for a in audios])
+    bounds = [len(p.labels) + EVAL_DECODE_SLACK for p in eval_pairs]
+    hyps = model.decode_greedy(feats, bounds, feature_lengths=[a.shape[0] for a in audios])
     return sum((token_error_rate(hyp, p.labels) for hyp, p in zip(hyps, eval_pairs)),
                0.0) / pairs
 

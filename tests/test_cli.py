@@ -49,6 +49,10 @@ def test_train_invalid_config_value(tmp_path):
     {"eval_pairs": 2.5}, {"batch_size": 2.0}, {"steps": True},
     {"n_centroids": 64}, {"audio_mask_span": 0}, {"video_mask_prob": 1.5},
     {"av_snr_choices": []}, {"regime": "combined_pipeline", "uptrain_steps": 0},
+    {"model": {"max_len": 6}}, {"model": {"max_len": 8}},
+    {"model": {"max_len": 9}, "tokens_max": 9},
+    {"regime": "combined_pipeline", "model": {"max_len": 9}, "tokens_max": 9},
+    {"av_snr_choices": ["loud"]}, {"av_corrupt_prob": 1.5}, {"av_corrupt_prob": -0.1},
 ])
 def test_train_rejects_bad_counts_and_settings_before_training(tmp_path, capsys, over):
     cfg_path = tmp_path / "cfg.json"
@@ -57,6 +61,14 @@ def test_train_rejects_bad_counts_and_settings_before_training(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert list(over)[-1] in err and "Traceback" not in err
+
+
+def test_uptraining_alone_may_draw_sequences_longer_than_max_len():
+    """Only a supervised phase feeds the training labels to the decoder."""
+    from avmoe.trainer import TrainConfig
+    cfg = TrainConfig.from_dict({"regime": "cav2vec_uptrain", "tokens_max": 12,
+                                 "model": {"max_len": 9}})
+    assert cfg.tokens_max + 1 > cfg.model.max_len
 
 
 def test_train_numeric_abort_exit_code(tmp_path):
@@ -160,6 +172,15 @@ def test_gradcheck_passes_and_prints_errors(capsys):
     assert rc == EXIT_OK
     assert "losses.router_z_loss" in out
     assert "ok:" in out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_gradcheck_rejects_seeds_below_one(capsys, seeds):
+    rc = main(["gradcheck", "--module", "losses", "--seeds", seeds])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert "--seeds" in captured.err
+    assert "ok:" not in captured.out
 
 
 def test_gradcheck_unknown_module_is_usage_error():
