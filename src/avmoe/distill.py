@@ -1,9 +1,10 @@
 """Self-distillation with an exponential-moving-average teacher.
 
-The teacher is a frozen copy of the student updated only by `ema_update`.
-Targets come from running the teacher on clean inputs and averaging the last
-few encoder blocks. The task losses predict those targets from masked or
-corrupted student inputs, restricted to the masked or corrupted frames.
+The teacher is a frozen copy of the student whose encoder follows the
+student's by `ema_update`. Targets come from running the teacher on clean
+inputs and averaging the last few encoder blocks. The task losses predict
+those targets from masked or corrupted student inputs, restricted to the
+masked or corrupted frames, each task through its own `DistillHeads` head.
 
 The losses take features and targets; they encode nothing themselves. One
 pair's inputs all have the pair's length, so a caller encodes them as
@@ -14,6 +15,7 @@ one encode whose slices (`tensor.stack_slice`) feed the task losses.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -70,8 +72,8 @@ class TaskWeights:
     mlm: float = 2.0
 
     def __post_init__(self):
-        if min(self.acp, self.vcp, self.mask, self.mlm) < 0:
-            raise ValueError("task weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in (self.acp, self.vcp, self.mask, self.mlm)):
+            raise ValueError("task weights must be finite and nonnegative")
 
 
 @dataclass
@@ -112,15 +114,13 @@ def eta_schedule(state: TeacherState) -> float:
 
 
 def ema_update(teacher: TeacherState, student: Model, eta: float) -> TeacherState:
-    """teacher <- eta * teacher + (1 - eta) * student, elementwise."""
+    """teacher <- eta * teacher + (1 - eta) * student, elementwise, over the
+    encoder: the only part of the teacher that `teacher_targets` runs."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta {eta} outside [0, 1]")
-    t_params = teacher.model.named_params()
-    s_params = student.named_params()
-    for name, tp in t_params.items():
-        sp = s_params[name]
+    for tp, sp in zip(teacher.model.encoder_params(), student.encoder_params(), strict=True):
         if tp.data.shape != sp.data.shape:
-            raise T.ShapeError(f"{name}: teacher {tp.data.shape} vs student {sp.data.shape}")
+            raise T.ShapeError(f"encoder: teacher {tp.data.shape} vs student {sp.data.shape}")
         tp.data[:] = eta * tp.data + (1.0 - eta) * sp.data
     return teacher
 
@@ -269,23 +269,19 @@ def cav2vec_total_loss(acp: Tensor, vcp: Tensor, mask: Tensor, mlm: Tensor,
 
 @dataclass
 class DistillHeads:
-    """Single-layer predictor heads, discarded after training."""
+    """Single-layer predictor heads, one per task, discarded after training."""
 
     heads: dict[str, Tensor] = field(default_factory=dict)
-    mlm_head: Tensor | None = None
 
     @staticmethod
-    def init(d: int, n_centroids: int, seed: int = 0,
-             tasks: tuple[str, ...] = tuple(name for name, task in TASKS.items()
-                                            if task.loss != "mlm")):
+    def init(d: int, n_centroids: int, seed: int = 0, tasks: Sequence[str] = tuple(TASKS)):
+        # every row's head is drawn, in table order, so none depends on the
+        # tasks kept; MLM's scores the n_centroids centroid ids
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d)
-        heads = {name: Tensor.param(scale * rng.normal(size=(d, d))) for name in tasks}
-        mlm_head = Tensor.param(scale * rng.normal(size=(d, n_centroids)))
-        return DistillHeads(heads=heads, mlm_head=mlm_head)
+        drawn = {name: scale * rng.normal(size=(d, n_centroids if task.loss == "mlm" else d))
+                 for name, task in TASKS.items()}
+        return DistillHeads({name: Tensor.param(drawn[_task(name).name]) for name in tasks})
 
     def params(self) -> list[Tensor]:
-        out = [self.heads[k] for k in sorted(self.heads)]
-        if self.mlm_head is not None:
-            out.append(self.mlm_head)
-        return out
+        return list(self.heads.values())

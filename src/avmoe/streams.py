@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,10 @@ class GeneratorConfig:
             raise ValueError(f"vocab must be >= 2, got {self.vocab}")
         if self.frames_per_token < 1:
             raise ValueError("frames_per_token must be >= 1")
-        if self.sigma_audio < 0 or self.sigma_video < 0:
-            raise ValueError("noise scales must be nonnegative")
-        if self.offset_scale < 0:
-            raise ValueError("offset_scale must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in (self.sigma_audio, self.sigma_video)):
+            raise ValueError("noise scales must be finite and nonnegative")
+        if not 0.0 <= self.offset_scale < math.inf:
+            raise ValueError("offset_scale must be finite and nonnegative")
         if self.vocab > min(self.dim_audio, self.dim_video):
             raise ValueError("orthonormal codebook needs vocab <= min(dim_audio, dim_video)")
 

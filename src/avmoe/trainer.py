@@ -6,8 +6,9 @@ One training loop, ``_train``, runs each regime as a list of phases:
   z), with modality dropout and optional audio corruption on AV sequences so
   the routers see both unimodal and noisy inputs. A parameter frozen for a
   step is a constant on that step's tape: no tape node, no gradient.
-- cav2vec_uptrain: encoder-only self-distillation against an EMA teacher with
-  masked and corrupted prediction tasks: the configured rows of ``distill.TASKS``.
+- cav2vec_uptrain: self-distillation of the encoder, through one head per
+  configured row of ``distill.TASKS`` (masked and corrupted prediction
+  tasks), against a teacher whose encoder follows the student's by EMA.
 - combined_pipeline: an uptraining phase of ``uptrain_steps`` and then a
   supervised phase that finetunes the same model.
 
@@ -27,6 +28,7 @@ config seed: model-init, routing-init, data, corruption.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -68,6 +70,10 @@ STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z", *LOSS_COLUMNS, "total"]
 
 class ConfigError(ValueError):
     """Invalid or unparseable training configuration."""
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class DivergenceError(RuntimeError):
@@ -132,14 +138,18 @@ class TrainConfig:
             v = getattr(self, f.name)
             if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
                 raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "float" and not _finite(v):
+                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be >= 1")
         if self.regime == "combined_pipeline" and self.uptrain_steps < 1:
             raise ConfigError("combined_pipeline needs uptrain_steps >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.lr, self.inter_lr_scale) <= 0:
+            raise ConfigError("lr and inter_lr_scale must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.eval_pairs < 1:
@@ -154,9 +164,8 @@ class TrainConfig:
             raise ConfigError(f"unknown corruption preset {self.corruption_preset!r}")
         if not self.av_snr_choices:
             raise ConfigError("av_snr_choices must not be empty")
-        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
-                   for s in self.av_snr_choices):
-            raise ConfigError(f"av_snr_choices must be numbers, "
+        if not all(_finite(s) for s in self.av_snr_choices):
+            raise ConfigError(f"av_snr_choices must be finite numbers, "
                               f"got {list(self.av_snr_choices)}")
         if not 0.0 <= self.av_corrupt_prob <= 1.0:
             raise ConfigError("av_corrupt_prob must lie in [0, 1]")
@@ -187,9 +196,10 @@ class TrainConfig:
             raise ConfigError(f"repeated distillation task in {list(self.tasks)}")
         if not self.tasks and self.regime != "supervised_moe":
             raise ConfigError(f"{self.regime} needs at least one distillation task")
-        if self.generator.vocab != self.model.vocab:
-            raise ConfigError(
-                f"generator vocab {self.generator.vocab} != model vocab {self.model.vocab}")
+        for key in ("vocab", "dim_audio", "dim_video"):
+            if getattr(self.generator, key) != getattr(self.model, key):
+                raise ConfigError(f"generator {key} {getattr(self.generator, key)} "
+                                  f"!= model {key} {getattr(self.model, key)}")
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -206,12 +216,20 @@ class TrainConfig:
             if "model" in d:
                 md = dict(d["model"])
                 if "moe" in md:
-                    md["moe"] = MoELayerConfig(**md["moe"])
+                    moe = dict(md["moe"])
+                    for key in ("d", "h"):  # the model sets them; a config.json repeats them
+                        width = md.get(key, getattr(ModelConfig, key))
+                        if moe.get(key, width) != width:
+                            raise ConfigError(f"model.moe.{key} {moe[key]} != model.{key} "
+                                              f"{width}; the MoE layers take the model's")
+                    md["moe"] = MoELayerConfig(**moe)
                 d["model"] = ModelConfig(**md)
-            if "generator" in d:
-                d["generator"] = GeneratorConfig(**d["generator"])
-            if "task_weights" in d:
-                d["task_weights"] = TaskWeights(**d["task_weights"])
+            for key, sub in (("generator", GeneratorConfig), ("task_weights", TaskWeights)):
+                if key in d:
+                    try:
+                        d[key] = sub(**d[key])
+                    except (TypeError, ValueError) as exc:
+                        raise ConfigError(f"{key}: {exc}") from exc
             for key in ("tasks", "av_snr_choices"):
                 if key in d:
                     d[key] = tuple(d[key])
@@ -528,14 +546,13 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
             idx, loss = frames[task.name], zero
             if idx:
                 student, target = rows[task.input_mode], targets[modes[task.name]]
+                head = heads.heads[task.name]
                 if task.loss == "mlm":
-                    loss = mlm_loss(student, centroids, target.vectors, idx, heads.mlm_head)
+                    loss = mlm_loss(student, centroids, target.vectors, idx, head)
                 elif task.loss == "masked":
-                    loss = masked_prediction_loss(T.matmul(student, heads.heads[task.name]),
-                                                  target, idx)
+                    loss = masked_prediction_loss(T.matmul(student, head), target, idx)
                 else:
-                    loss = corrupted_prediction_loss(student, target, idx,
-                                                     head=heads.heads[task.name])
+                    loss = corrupted_prediction_loss(student, target, idx, head=head)
             share = 1 / len(task.columns)  # AVCP's loss adds a half to each half
             for column in task.columns:
                 losses[column].append(loss if share == 1 else T.scale(loss, share))
@@ -546,10 +563,10 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
 
 
 def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
-    """Uptraining: the model and the distillation heads, against a teacher
-    snapshotted now that follows the student by EMA after each step."""
+    """Uptraining: the encoder and one head per configured task, against a
+    teacher snapshotted now whose encoder follows the student's by EMA."""
     teacher = make_teacher(model, total_steps=steps)
-    heads = DistillHeads.init(cfg.model.d, cfg.n_centroids,
+    heads = DistillHeads.init(cfg.model.d, cfg.n_centroids, tasks=cfg.tasks,
                               seed=seed_streams(cfg.seed)["model_init"] ^ 0x5F)
     centroids = make_centroids(cfg.n_centroids, cfg.model.d,
                                seed=cfg.generator.codebook_seed)
@@ -560,7 +577,7 @@ def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
     def follow_student(step: int):
         teacher.current_step = step
         ema_update(teacher, model, eta_schedule(teacher))
-    return model.params() + heads.params(), take_step, (), None, follow_student
+    return model.encoder_params() + heads.params(), take_step, (), None, follow_student
 
 
 # -- the training loop --------------------------------------------------------

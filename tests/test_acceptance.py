@@ -157,25 +157,45 @@ def test_05_corruption_protocol():
 
 # -- criteria 6 and 7: specialization and noise response ---------------------
 
+MIN_AFFINITY = 0.9                # biased run: matching-group weight, each modality
+CONTROL_AFFINITY = (0.35, 0.65)   # control run (no bias loss): about even
+MAX_RHO = -0.8                    # Spearman(snr, mean_qV) of the biased run
+
+
+def _train_in_temp_dir(cfg: TrainConfig):
+    """``train`` into a run directory that is removed when it returns."""
+    with tempfile.TemporaryDirectory() as run_dir:
+        return train(cfg, run_dir)
+
+
+def specialization(seed: int) -> dict:
+    """Criteria 6 and 7's measurements at ``seed``: the group affinities of
+    the biased (c_bias 1e-2) and the control (c_bias 0) run of
+    SPECIALIZATION_BASE, and the biased run's Spearman rho between audio SNR
+    and visual group load. tools/margins.py reports them at other seeds."""
+    base = {**SPECIALIZATION_BASE, "seed": seed}
+    biased = _train_in_temp_dir(TrainConfig.from_dict({**base, "c_bias": 1e-2}))
+    control = _train_in_temp_dir(TrainConfig.from_dict({**base, "c_bias": 0.0}))
+    gen = TrainConfig.from_dict(base).generator
+    table = eval_group_load_vs_snr(biased.model, gen, SNR_GRID, pairs=12, seed=11)
+    return {"biased": group_affinity(biased.model, gen, pairs=16, seed=5),
+            "control": group_affinity(control.model, gen, pairs=16, seed=5),
+            "rho": spearman(table.column("snr"), table.column("mean_qV")),
+            "mean_qV": table.column("mean_qV")}
+
+
 @pytest.fixture(scope="module")
-def specialization_runs(tmp_path_factory):
-    biased = train(TrainConfig.from_dict({**SPECIALIZATION_BASE, "c_bias": 1e-2}),
-                   str(tmp_path_factory.mktemp("biased")))
-    control = train(TrainConfig.from_dict({**SPECIALIZATION_BASE, "c_bias": 0.0}),
-                    str(tmp_path_factory.mktemp("control")))
-    return biased, control
+def specialization_runs():
+    return specialization(SPECIALIZATION_BASE["seed"])
 
 
 @pytest.mark.slow
 def test_06_group_specialization(specialization_runs):
-    biased, control = specialization_runs
-    gen = TrainConfig.from_dict(SPECIALIZATION_BASE).generator
-    aff = group_affinity(biased.model, gen, pairs=16, seed=5)
-    assert aff["audio_group_on_audio_tokens"] >= 0.9, aff
-    assert aff["video_group_on_video_tokens"] >= 0.9, aff
-    ctrl = group_affinity(control.model, gen, pairs=16, seed=5)
+    aff, ctrl = specialization_runs["biased"], specialization_runs["control"]
+    assert aff["audio_group_on_audio_tokens"] >= MIN_AFFINITY, aff
+    assert aff["video_group_on_video_tokens"] >= MIN_AFFINITY, aff
     for key, value in ctrl.items():
-        assert 0.35 <= value <= 0.65, (key, ctrl)
+        assert CONTROL_AFFINITY[0] <= value <= CONTROL_AFFINITY[1], (key, ctrl)
     print(f"criterion 6 PASS: biased affinity "
           f"({aff['audio_group_on_audio_tokens']:.3f}, "
           f"{aff['video_group_on_video_tokens']:.3f}), control "
@@ -185,23 +205,14 @@ def test_06_group_specialization(specialization_runs):
 
 @pytest.mark.slow
 def test_07_noise_adaptive_routing(specialization_runs):
-    biased, _ = specialization_runs
-    gen = TrainConfig.from_dict(SPECIALIZATION_BASE).generator
-    table = eval_group_load_vs_snr(biased.model, gen, SNR_GRID, pairs=12, seed=11)
-    rho = spearman(table.column("snr"), table.column("mean_qV"))
-    assert rho <= -0.8, (rho, table.column("mean_qV"))
+    rho = specialization_runs["rho"]
+    assert rho <= MAX_RHO, (rho, specialization_runs["mean_qV"])
     print(f"criterion 7 PASS: Spearman(snr, mean_qV) = {rho:.3f}")
 
 
 # -- criterion 8: corrupted-representation tightening ------------------------
 
 MAX_DISTANCE_CHANGE = -0.30  # full uptraining against the MASK-only control
-
-
-def _train_in_temp_dir(cfg: TrainConfig):
-    """``train`` into a run directory that is removed when it returns."""
-    with tempfile.TemporaryDirectory() as run_dir:
-        return train(cfg, run_dir)
 
 
 def criterion_8(seed: int) -> dict:

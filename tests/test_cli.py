@@ -5,12 +5,15 @@ import pytest
 from avmoe.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
+NAN = float("nan")
+HIER = {"mode": "hierarchical", "n_groups": 2, "n_per_group": 4, "m": 2, "k_per_group": 1}
+
+
 def _write_config(path, **over):
     cfg = {
         "regime": "supervised_moe", "steps": 3, "batch_size": 2,
         "lr": 1e-3, "optimizer": "adam", "seed": 0,
-        "model": {"moe": {"mode": "hierarchical", "n_groups": 2,
-                          "n_per_group": 4, "m": 2, "k_per_group": 1}},
+        "model": {"moe": HIER},
         "generator": {"vocab": 16},
     }
     cfg.update(over)
@@ -53,6 +56,15 @@ def test_train_invalid_config_value(tmp_path):
     {"model": {"max_len": 9}, "tokens_max": 9},
     {"regime": "combined_pipeline", "model": {"max_len": 9}, "tokens_max": 9},
     {"av_snr_choices": ["loud"]}, {"av_corrupt_prob": 1.5}, {"av_corrupt_prob": -0.1},
+    {"generator": {"vocab": 16, "dim_audio": 20}}, {"generator": {"vocab": 16, "dim_video": 20}},
+    {"seed": -1}, {"lr": NAN}, {"lr": float("inf")}, {"c_balance": NAN}, {"c_bias": NAN},
+    {"c_z": NAN}, {"task_weights": {"mlm": NAN}}, {"task_weights": {"acp": float("inf")}},
+    {"generator": {"vocab": 16, "sigma_audio": NAN}},
+    {"generator": {"vocab": 16, "sigma_video": NAN}},
+    {"generator": {"vocab": 16, "offset_scale": NAN}},
+    {"av_snr_choices": [0.0, NAN]}, {"av_snr_choices": [float("-inf")]},
+    {"inter_lr_scale": -1.0}, {"inter_lr_scale": 0.0}, {"inter_lr_scale": NAN},
+    {"model": {"moe": {**HIER, "h": 128}}}, {"model": {"d": 16, "moe": {**HIER, "d": 32}}},
 ])
 def test_train_rejects_bad_counts_and_settings_before_training(tmp_path, capsys, over):
     cfg_path = tmp_path / "cfg.json"
@@ -105,6 +117,27 @@ def test_explicit_seed_beats_env(tmp_path, monkeypatch):
     main(["train", str(cfg_path), "--run-dir", str(tmp_path / "a"), "--seed", "4"])
     saved = json.loads((tmp_path / "a" / "config.json").read_text())
     assert saved["seed"] == 4
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["train", str(cfg_path), "--run-dir", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_negative_env_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    monkeypatch.setenv("AVMOE_SEED", "-1")
+    out = tmp_path / "out"
+    assert main(["train", str(cfg_path), "--run-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
 
 
 def test_bad_env_seed_is_config_error(tmp_path, monkeypatch):

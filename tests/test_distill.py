@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from avmoe import tensor as T
 from avmoe.corruption import CorruptionPlan
 from avmoe.distill import (
-    VARIANTS, DistillHeads, DistillTargets, TaskWeights, VariantError,
+    TASKS, VARIANTS, DistillHeads, DistillTargets, TaskWeights, VariantError,
     cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
     eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
     nearest_centroid_ids, student_input, teacher_targets,
@@ -44,8 +45,8 @@ class TestEmaUpdate:
         for p in student.params():
             p.data += 0.5
         ema_update(teacher, student, eta=0.0)
-        for name, arr in student.state_dict().items():
-            assert np.array_equal(arr, teacher.model.state_dict()[name])
+        for sp, tp in zip(student.encoder_params(), teacher.model.encoder_params()):
+            assert np.array_equal(sp.data, tp.data)
 
     def test_closed_form_convex_combination(self):
         student = tiny_model(2)
@@ -55,8 +56,25 @@ class TestEmaUpdate:
         for p in student.params():
             p.data[:] = 0.0
         ema_update(teacher, student, eta=0.999)
-        for arr in teacher.model.state_dict().values():
-            assert np.allclose(arr, 0.999, atol=1e-15)
+        for p in teacher.model.encoder_params():
+            assert np.allclose(p.data, 0.999, atol=1e-15)
+
+    def test_only_the_encoder_follows(self):
+        """The decoder, token embedding and output head are never run by
+        teacher_targets, so the EMA leaves their bytes alone."""
+        student = tiny_model(6)
+        teacher = make_teacher(student, total_steps=10)
+        for p in student.params():
+            p.data += 0.25
+        encoder = teacher.model.encoder_params()
+        rest = {name: p for name, p in teacher.model.named_params().items()
+                if all(p is not q for q in encoder)}
+        assert {"token_emb", "head"} <= set(rest) and any(n.startswith("dec") for n in rest)
+        before = {name: p.data.tobytes() for name, p in rest.items()}
+        encoder_before = [p.data.copy() for p in encoder]
+        ema_update(teacher, student, eta=0.3)
+        assert {name: p.data.tobytes() for name, p in rest.items()} == before
+        assert not any(np.array_equal(p.data, b) for p, b in zip(encoder, encoder_before))
 
     def test_student_untouched(self):
         student = tiny_model(3)
@@ -349,7 +367,33 @@ class TestTotalLoss:
 class TestHeads:
     def test_init_shapes(self):
         heads = DistillHeads.init(d=8, n_centroids=4, seed=0)
-        for h in heads.heads.values():
-            assert h.data.shape == (8, 8)
-        assert heads.mlm_head.data.shape == (8, 4)
-        assert len(heads.params()) == 7
+        assert list(heads.heads) == list(TASKS)
+        for name, h in heads.heads.items():
+            assert h.data.shape == ((8, 4) if name == "MLM" else (8, 8))
+        assert [id(p) for p in heads.params()] == [id(h) for h in heads.heads.values()]
+
+    def test_default_heads_keep_their_draws(self):
+        """The six [d x d] heads, then MLM's [d x n_centroids], from one
+        generator: the values every run has trained from."""
+        rng = np.random.default_rng(3)
+        scale = 1.0 / np.sqrt(8)
+        want = {name: scale * rng.normal(size=(8, 8))
+                for name in ("AVCP", "mACP", "mVCP", "ACP", "VCP", "MASK")}
+        want["MLM"] = scale * rng.normal(size=(8, 4))
+        heads = DistillHeads.init(d=8, n_centroids=4, seed=3)
+        assert {name: h.data.tobytes() for name, h in heads.heads.items()} == \
+               {name: w.tobytes() for name, w in want.items()}
+
+    def test_every_task_set_keeps_the_default_heads(self):
+        full = DistillHeads.init(d=4, n_centroids=3, seed=11)
+        for k in range(len(TASKS) + 1):
+            for tasks in itertools.permutations(TASKS, k):
+                heads = DistillHeads.init(d=4, n_centroids=3, seed=11, tasks=tasks)
+                assert tuple(heads.heads) == tasks
+                assert [id(p) for p in heads.params()] == [id(h) for h in heads.heads.values()]
+                for name, head in heads.heads.items():
+                    assert head.data.tobytes() == full.heads[name].data.tobytes(), (tasks, name)
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(VariantError):
+            DistillHeads.init(d=4, n_centroids=3, tasks=("MASK", "XYZ"))

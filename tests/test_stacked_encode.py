@@ -188,7 +188,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
         if "MLM" in cfg.tasks:
             t_feats = per_mode_targets(teacher.model, A, V, topk, MODE_AV).vectors
             feats, _ = model.encode(A_in, V_in)
-            mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.mlm_head))
+            mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.heads["MLM"]))
     parts = [_mean_scalars(ts) if ts else zero for ts in (acps, vcps, masks, mlms)]
     w = cfg.task_weights
     total = T.add(T.add(T.scale(parts[0], w.acp), T.scale(parts[1], w.vcp)),

@@ -109,7 +109,7 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
                 vcps.append(T.scale(loss, 0.5))
         if "MLM" in cfg.tasks:
             mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV].vectors,
-                                 mask_idx, heads.mlm_head) if mask_idx else zero)
+                                 mask_idx, heads.heads["MLM"]) if mask_idx else zero)
     acp, vcp, mask, mlm = (_mean_scalars(ts) for ts in (acps, vcps, masks, mlms))
     total = cav2vec_total_loss(acp, vcp, mask, mlm, weights)
     scalars = {"L_ACP": float(acp.data), "L_VCP": float(vcp.data),
@@ -179,7 +179,8 @@ def test_table_rows():
     assert {c for task in TASKS.values() for c in task.columns} == set(LOSS_COLUMNS)
     # the heads, and so their draws, are the ones allocated before the table
     heads = DistillHeads.init(8, 4)
-    assert list(heads.heads) == ["AVCP", "mACP", "mVCP", "ACP", "VCP", "MASK"]
+    assert list(heads.heads) == ["AVCP", "mACP", "mVCP", "ACP", "VCP", "MASK", "MLM"]
+    assert heads.heads["MLM"].data.shape == (8, 4)
 
 
 def test_masked_rows_read_the_plan():

@@ -171,9 +171,9 @@ def test_config_accepts_edge_uptraining_settings():
 
 def _layout_cfg(mode, seed=0):
     return TrainConfig.from_dict({
-        "seed": seed, "generator": {"vocab": 7},
+        "seed": seed, "generator": {"vocab": 5, "dim_audio": 5, "dim_video": 6},
         "model": {"dim_audio": 5, "dim_video": 6, "d": 8, "h": 12, "n_enc": 1,
-                  "n_dec": 2, "vocab": 7, "topk_blocks": 1,
+                  "n_dec": 2, "vocab": 5, "topk_blocks": 1,
                   "moe": {"mode": mode, "n_experts": 5, "k": 2, "n_groups": 2,
                           "n_per_group": 3, "m": 1, "k_per_group": 1}},
     })
@@ -196,7 +196,7 @@ def test_named_params_layout(mode):
     inter and intra routers."""
     model = build_model(_layout_cfg(mode))
     want = [("audio_proj", (5, 8)), ("video_proj", (6, 8)), ("fusion", (16, 8)),
-            ("token_emb", (9, 8)), ("head", (8, 9))]
+            ("token_emb", (7, 8)), ("head", (8, 7))]
     want += [(f"enc0.p{j}", shape) for j, shape in enumerate(_ATTN + _FFN)]
     for i in range(2):
         want += [(f"dec{i}.p{j}", shape)
@@ -437,6 +437,23 @@ def test_combined_pipeline_starts_with_the_uptraining_run(tmp_path):
     up = (tmp_path / "up" / "steps.csv").read_bytes().splitlines(keepends=True)
     assert len(up) == 4 and len(both) == 6
     assert both[:4] == up
+
+
+@pytest.mark.parametrize("tasks", [("MASK",), ("VCP", "MLM", "AVCP"), ("mVCP", "AVCP")])
+def test_uptrain_phase_trains_the_encoder_and_the_configured_heads(tasks):
+    """The encoder's parameters, then one head per configured task with the
+    values the default (every task) heads have; no decoder parameter."""
+    cfg = _cfg(regime="cav2vec_uptrain", tasks=list(tasks), seed=3)
+    model = build_model(cfg)
+    params = trainer_mod._uptrain_phase(model, cfg, cfg.steps)[0]
+    encoder = model.encoder_params()
+    assert [id(p) for p in params[:len(encoder)]] == [id(p) for p in encoder]
+    heads = DistillHeads.init(cfg.model.d, cfg.n_centroids,
+                              seed=seed_streams(cfg.seed)["model_init"] ^ 0x5F)
+    assert [p.data.tobytes() for p in params[len(encoder):]] == \
+           [heads.heads[name].data.tobytes() for name in tasks]
+    decoder = {id(p) for p in model.params()} - {id(p) for p in encoder}
+    assert decoder and not decoder & {id(p) for p in params}
 
 
 @pytest.mark.parametrize("regime, step_fn, fail_call, want_step", [

@@ -9,7 +9,7 @@ subprocess with ``PYTHONHASHSEED=0``, one BLAS thread and no ``AVMOE_SEED``.
 Usage, from the repository root (about 20 s on one core)::
 
     python tools/same_runs.py --against HEAD
-    python tools/same_runs.py --against 2c7bec9
+    python tools/same_runs.py --against 776d069
 
 It prints one line per config and exits 0 when every artifact
 (``checkpoint.json`` included) is byte-identical, and 1 after naming every
@@ -60,6 +60,8 @@ CONFIGS = {
     "uptrain_sgd": {**UPTRAIN, "optimizer": "sgd", "lr": 0.1},
     "uptrain_acp_mlm": {**UPTRAIN, "tasks": ["ACP", "MLM"]},
     "uptrain_mask_only": {**UPTRAIN, "tasks": ["MASK"]},
+    # no masked input: the variant heads only
+    "uptrain_variants_only": {**UPTRAIN, "tasks": ["AVCP", "mVCP"]},
     # perfbench/worker.py's uptrain_long workload at its seed-1 settings
     "uptrain_long": {**UPTRAIN, "steps": 100, "batch_size": 4, "seed": 1,
                      "tokens_min": 8, "tokens_max": 16, "tasks": ["MASK", "ACP", "VCP"],
@@ -68,6 +70,9 @@ CONFIGS = {
                                                    "AVCP", "mVCP"]},
     "combined_sparse_topk_sgd": {**COMBINED, "optimizer": "sgd", "lr": 0.1,
                                  "model": {"moe": MOE["sparse_topk"]}},
+    "combined_kpg2_mlm_vcp_sgd": {**COMBINED, "optimizer": "sgd", "lr": 0.1,
+                                  "tasks": ["MLM", "VCP"],
+                                  "model": {"moe": {**MOE["hierarchical"], "k_per_group": 2}}},
     "supervised_seed1": {"seed": 1},
     "combined_seed2": {**COMBINED, "seed": 2},
 }
