@@ -1,10 +1,11 @@
 """Self-distillation with an exponential-moving-average teacher.
 
-The teacher is a frozen copy of the student whose encoder follows the
-student's by `ema_update`. Targets come from running the teacher on clean
-inputs and averaging the last few encoder blocks. The task losses predict
-those targets from masked or corrupted student inputs, restricted to the
-masked or corrupted frames, each task through its own `DistillHeads` head.
+The teacher is a copy of the student's encoder (`model.Encoder`) that
+follows the student's by `ema_update`. Targets are [T x d] arrays: the
+teacher's features of clean inputs, averaged over the last few encoder
+blocks. The task losses predict those targets from masked or corrupted
+student inputs, restricted to the masked or corrupted frames, each task
+through its own `DistillHeads` head.
 
 The losses take features and targets; they encode nothing themselves. One
 pair's inputs all have the pair's length, so a caller encodes them as
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .corruption import DROP_AUDIO, DROP_NONE, DROP_VIDEO, CorruptionPlan
-from .model import Model
+from .model import Encoder
 from .tensor import Tensor
 
 MODE_AV = "AV"
@@ -34,6 +35,7 @@ MODE_KEPT = "kept"      # teacher target: the modality a dropout kept, else AV
 # the task losses' steps.csv columns, in cav2vec_total_loss's argument order
 LOSS_COLUMNS = ("L_ACP", "L_VCP", "L_MASK", "L_MLM")
 _KEPT_MODES = {DROP_NONE: MODE_AV, DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}
+ETA_START, ETA_END = 0.99, 0.999  # the EMA rate's linear ramp over the teacher's steps
 
 
 class VariantError(ValueError):
@@ -77,48 +79,37 @@ class TaskWeights:
 
 
 @dataclass
-class DistillTargets:
-    vectors: np.ndarray                 # [T x d], gradient-free
-    centroid_ids: np.ndarray | None = None
-
-
-@dataclass
 class TeacherState:
-    model: Model
-    eta_start: float = 0.99
-    eta_end: float = 0.999
+    encoder: Encoder
     total_steps: int = 1
     current_step: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.eta_start <= 1.0 and 0.0 <= self.eta_end <= 1.0):
-            raise ValueError("eta endpoints must lie in [0, 1]")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
 
 
-def make_teacher(student: Model, total_steps: int,
-                 eta_start: float = 0.99, eta_end: float = 0.999) -> TeacherState:
-    """Snapshot the student as the initial teacher."""
-    twin = Model(student.cfg, seed=0)
-    twin.load_state_dict(student.state_dict())
-    return TeacherState(model=twin, eta_start=eta_start, eta_end=eta_end,
-                        total_steps=total_steps)
+def make_teacher(student: Encoder, total_steps: int) -> TeacherState:
+    """Snapshot the student's encoder as the initial teacher."""
+    encoder = Encoder(student.cfg, np.random.default_rng(0))
+    for tp, sp in zip(encoder.encoder_params(), student.encoder_params(), strict=True):
+        tp.data[:] = sp.data
+    return TeacherState(encoder=encoder, total_steps=total_steps)
 
 
 def eta_schedule(state: TeacherState) -> float:
-    """Linear ramp from eta_start to eta_end, clamped at the endpoints."""
+    """Linear ramp from ETA_START to ETA_END, clamped at the endpoints."""
     frac = state.current_step / state.total_steps
     frac = min(max(frac, 0.0), 1.0)
-    return state.eta_start + frac * (state.eta_end - state.eta_start)
+    return ETA_START + frac * (ETA_END - ETA_START)
 
 
-def ema_update(teacher: TeacherState, student: Model, eta: float) -> TeacherState:
+def ema_update(teacher: TeacherState, student: Encoder, eta: float) -> TeacherState:
     """teacher <- eta * teacher + (1 - eta) * student, elementwise, over the
-    encoder: the only part of the teacher that `teacher_targets` runs."""
+    encoder parameters."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta {eta} outside [0, 1]")
-    for tp, sp in zip(teacher.model.encoder_params(), student.encoder_params(), strict=True):
+    for tp, sp in zip(teacher.encoder.encoder_params(), student.encoder_params(), strict=True):
         if tp.data.shape != sp.data.shape:
             raise T.ShapeError(f"encoder: teacher {tp.data.shape} vs student {sp.data.shape}")
         tp.data[:] = eta * tp.data + (1.0 - eta) * sp.data
@@ -146,20 +137,17 @@ def _standardize_frames(X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return (X - mu) / np.sqrt(var + eps)
 
 
-def teacher_targets(teacher: Model, A: np.ndarray, V: np.ndarray,
-                    topk_blocks: int, mode: str | Sequence[str] = MODE_AV,
-                    standardize: bool = True):
+def teacher_targets(teacher: Encoder, A: np.ndarray, V: np.ndarray, topk_blocks: int,
+                    modes: Sequence[str], standardize: bool = True) -> list[np.ndarray]:
     """Clean teacher features, averaged over the last topk_blocks encoder
-    blocks; the absent modality is zeroed in unimodal modes.
-
-    One ``mode`` gives one DistillTargets. A sequence of modes gives one per
-    mode, from one stacked encode of the pair under each mode."""
+    blocks; the absent modality is zeroed in unimodal modes. One gradient-free
+    [T x d] array per mode in ``modes``, from one stacked encode of the pair
+    under each mode."""
     if topk_blocks < 1:
         raise ValueError("topk_blocks must be >= 1")
     if topk_blocks > len(teacher.encoder_blocks):
         raise ValueError(f"topk_blocks {topk_blocks} exceeds encoder depth "
                          f"{len(teacher.encoder_blocks)}")
-    modes = [mode] if isinstance(mode, str) else list(mode)
     inputs = [_apply_mode(A, V, m) for m in modes]
     with T.no_grad():
         _, per_block = teacher.encode(np.stack([a for a, _ in inputs]),
@@ -167,21 +155,25 @@ def teacher_targets(teacher: Model, A: np.ndarray, V: np.ndarray,
     avg = np.stack([b.data for b in per_block[-topk_blocks:]]).mean(axis=0)
     if standardize:
         avg = _standardize_frames(avg)
-    targets = [DistillTargets(vectors=vectors) for vectors in avg]
-    return targets[0] if isinstance(mode, str) else targets
+    return list(avg)
 
 
-def masked_prediction_loss(student_out: Tensor, targets: DistillTargets,
-                           M) -> Tensor:
-    """MSE between student features and targets over frames in M; 0 if empty."""
+def _frame_indices(M, n: int) -> list[int]:
+    """The distinct frame indices in M, ascending; IndexError when one lies
+    outside [0, n)."""
     idx = sorted(set(int(i) for i in M))
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise IndexError(f"mask index outside [0, {n})")
+    return idx
+
+
+def masked_prediction_loss(student_out: Tensor, targets: np.ndarray, M) -> Tensor:
+    """MSE between student features and targets over frames in M; 0 if empty."""
+    idx = _frame_indices(M, student_out.data.shape[0])
     if not idx:
         return Tensor(np.zeros(()))
-    n = student_out.data.shape[0]
-    if idx[0] < 0 or idx[-1] >= n:
-        raise IndexError(f"mask index outside [0, {n})")
     picked = T.index_rows(student_out, idx)
-    return T.mse(picked, Tensor(targets.vectors[idx]))
+    return T.mse(picked, Tensor(targets[idx]))
 
 
 def _task(name: str) -> Task:
@@ -211,7 +203,7 @@ def teacher_mode(task: str, plan: CorruptionPlan) -> str:
     return _KEPT_MODES[plan.modality_drop] if mode == MODE_KEPT else mode
 
 
-def corrupted_prediction_loss(features: Tensor | None, targets: DistillTargets | None,
+def corrupted_prediction_loss(features: Tensor | None, targets: np.ndarray | None,
                               frames: list[int], head: Tensor | None = None) -> Tensor:
     """One corrupted-prediction task: the MSE over ``frames``, a variant's
     corrupted index set (``corrupted_frames``), between the student's
@@ -249,7 +241,7 @@ def mlm_loss(student_features: Tensor, centroids: np.ndarray,
     the masked frames only."""
     if centroids.shape[0] < 2:
         raise ValueError("need at least 2 centroids")
-    idx = sorted(set(int(i) for i in M))
+    idx = _frame_indices(M, student_features.data.shape[0])
     if not idx:
         return Tensor(np.zeros(()))
     target_ids = nearest_centroid_ids(teacher_features[idx], centroids)

@@ -1,12 +1,13 @@
 """Desk-scale multimodal encoder/decoder.
 
-Encoder: per-modality linear projectors, concatenation fusion, then blocks of
-single-head self-attention + FFN with residuals and per-feature
-standardization. Decoder: causal self-attention, cross-attention to the
-encoder features, and an FFN position that is either a plain FFN or a MoE
-layer. An absent modality is passed as all-zero frames.
+``Encoder``: per-modality linear projectors, concatenation fusion, then blocks
+of single-head self-attention + FFN with residuals and per-feature
+standardization; an EMA teacher holds one alone. ``Model`` adds the decoder:
+causal self-attention, cross-attention to the encoder features, and an FFN
+position that is either a plain FFN or a MoE layer. An absent modality is
+passed as all-zero frames.
 
-``Model.encode`` takes three input forms: one sequence ([T x D] frames), a
+``Encoder.encode`` takes three input forms: one sequence ([T x D] frames), a
 stack of n sequences of one length ([n x T x D], encoded side by side along
 a leading axis with no mask: uptraining's inputs of one pair), and a list of
 sequences of any lengths, packed.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,9 +69,8 @@ class ModelConfig:
             raise ValueError("all model dimensions must be positive")
         if self.topk_blocks > self.n_enc:
             raise ValueError("topk_blocks cannot exceed encoder depth")
-        # keep the MoE layer dims in lockstep with the model width
-        self.moe.d = self.d
-        self.moe.h = self.h
+        # the MoE layers take the model's width, in a copy of their own
+        self.moe = replace(self.moe, d=self.d, h=self.h)
 
     @property
     def bos_id(self) -> int:
@@ -237,64 +237,23 @@ class DecoderBlock:
         return self.self_attn.params() + self.cross_attn.params() + self.moe.params()
 
 
-class Model:
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+class Encoder:
+    """Per-modality projectors, concatenation fusion and the encoder blocks:
+    the part of a ``Model`` that an EMA teacher holds."""
+
+    def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
         d = cfg.d
         self.audio_proj = _linear(rng, cfg.dim_audio, d)
         self.video_proj = _linear(rng, cfg.dim_video, d)
         self.fusion = _linear(rng, 2 * d, d)
         self.encoder_blocks = [EncoderBlock(d, cfg.h, rng) for _ in range(cfg.n_enc)]
-        self.token_emb = Tensor.param(0.1 * rng.normal(size=(cfg.n_classes, d)))
-        self.decoder_blocks = [DecoderBlock(cfg, rng) for _ in range(cfg.n_dec)]
-        self.head = _linear(rng, d, cfg.n_classes)
-        self.positions = sinusoidal_positions(cfg.max_len, d)
-
-    # -- parameters -----------------------------------------------------------
-
-    def named_params(self) -> dict[str, Tensor]:
-        out = {"audio_proj": self.audio_proj, "video_proj": self.video_proj,
-               "fusion": self.fusion, "token_emb": self.token_emb, "head": self.head}
-        for i, blk in enumerate(self.encoder_blocks):
-            for j, p in enumerate(blk.params()):
-                out[f"enc{i}.p{j}"] = p
-        for i, blk in enumerate(self.decoder_blocks):
-            for j, p in enumerate(blk.params()):
-                out[f"dec{i}.p{j}"] = p
-        return out
-
-    def params(self) -> list[Tensor]:
-        return list(self.named_params().values())
 
     def encoder_params(self) -> list[Tensor]:
         out = [self.audio_proj, self.video_proj, self.fusion]
         for blk in self.encoder_blocks:
             out.extend(blk.params())
         return out
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params())
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_params().items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Copy ``state`` into the parameters, after checking every name and
-        shape, so that a rejected state changes nothing."""
-        named = self.named_params()
-        if set(state) != set(named):
-            missing = set(named) ^ set(state)
-            raise KeyError(f"state dict keys mismatch: {sorted(missing)[:5]}")
-        arrays = {name: np.asarray(values, dtype=np.float64) for name, values in state.items()}
-        for name, arr in arrays.items():
-            if arr.shape != named[name].data.shape:
-                raise T.ShapeError(
-                    f"{name}: checkpoint {arr.shape} vs model {named[name].data.shape}")
-        for name, arr in arrays.items():
-            named[name].data[:] = arr
-
-    # -- encoder --------------------------------------------------------------
 
     def encode(self, audio, video):
         """Encode one sequence, a stack of equally long sequences, or a list
@@ -331,6 +290,54 @@ class Model:
             X = blk.forward(X, mask=mask)
             per_block.append(X)
         return X, per_block
+
+
+class Model(Encoder):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        super().__init__(cfg, rng)
+        d = cfg.d
+        self.token_emb = Tensor.param(0.1 * rng.normal(size=(cfg.n_classes, d)))
+        self.decoder_blocks = [DecoderBlock(cfg, rng) for _ in range(cfg.n_dec)]
+        self.head = _linear(rng, d, cfg.n_classes)
+        self.positions = sinusoidal_positions(cfg.max_len, d)
+
+    # -- parameters -----------------------------------------------------------
+
+    def named_params(self) -> dict[str, Tensor]:
+        out = {"audio_proj": self.audio_proj, "video_proj": self.video_proj,
+               "fusion": self.fusion, "token_emb": self.token_emb, "head": self.head}
+        for i, blk in enumerate(self.encoder_blocks):
+            for j, p in enumerate(blk.params()):
+                out[f"enc{i}.p{j}"] = p
+        for i, blk in enumerate(self.decoder_blocks):
+            for j, p in enumerate(blk.params()):
+                out[f"dec{i}.p{j}"] = p
+        return out
+
+    def params(self) -> list[Tensor]:
+        return list(self.named_params().values())
+
+    def param_count(self) -> int:
+        return sum(p.data.size for p in self.params())
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {name: p.data.copy() for name, p in self.named_params().items()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Copy ``state`` into the parameters, after checking every name and
+        shape, so that a rejected state changes nothing."""
+        named = self.named_params()
+        if set(state) != set(named):
+            missing = set(named) ^ set(state)
+            raise KeyError(f"state dict keys mismatch: {sorted(missing)[:5]}")
+        arrays = {name: np.asarray(values, dtype=np.float64) for name, values in state.items()}
+        for name, arr in arrays.items():
+            if arr.shape != named[name].data.shape:
+                raise T.ShapeError(
+                    f"{name}: checkpoint {arr.shape} vs model {named[name].data.shape}")
+        for name, arr in arrays.items():
+            named[name].data[:] = arr
 
     # -- decoder --------------------------------------------------------------
 

@@ -8,7 +8,7 @@ One training loop, ``_train``, runs each regime as a list of phases:
   step is a constant on that step's tape: no tape node, no gradient.
 - cav2vec_uptrain: self-distillation of the encoder, through one head per
   configured row of ``distill.TASKS`` (masked and corrupted prediction
-  tasks), against a teacher whose encoder follows the student's by EMA.
+  tasks), against an EMA teacher: a copy of the student's encoder.
 - combined_pipeline: an uptraining phase of ``uptrain_steps`` and then a
   supervised phase that finetunes the same model.
 
@@ -536,8 +536,8 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
             modes[task.name] = teacher_mode(task.name, plan)
         if live:
             distinct = list(dict.fromkeys(modes.values()))
-            targets = dict(zip(distinct, teacher_targets(teacher.model, A, V, topk,
-                                                         mode=distinct)))
+            targets = dict(zip(distinct, teacher_targets(teacher.encoder, A, V, topk,
+                                                         modes=distinct)))
             feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
@@ -548,7 +548,7 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
                 student, target = rows[task.input_mode], targets[modes[task.name]]
                 head = heads.heads[task.name]
                 if task.loss == "mlm":
-                    loss = mlm_loss(student, centroids, target.vectors, idx, head)
+                    loss = mlm_loss(student, centroids, target, idx, head)
                 elif task.loss == "masked":
                     loss = masked_prediction_loss(T.matmul(student, head), target, idx)
                 else:
@@ -563,8 +563,8 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
 
 
 def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
-    """Uptraining: the encoder and one head per configured task, against a
-    teacher snapshotted now whose encoder follows the student's by EMA."""
+    """Uptraining: the encoder and one head per configured task, against an
+    EMA teacher snapshotted now from the student's encoder."""
     teacher = make_teacher(model, total_steps=steps)
     heads = DistillHeads.init(cfg.model.d, cfg.n_centroids, tasks=cfg.tasks,
                               seed=seed_streams(cfg.seed)["model_init"] ^ 0x5F)

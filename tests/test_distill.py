@@ -7,7 +7,7 @@ import pytest
 from avmoe import tensor as T
 from avmoe.corruption import CorruptionPlan
 from avmoe.distill import (
-    TASKS, VARIANTS, DistillHeads, DistillTargets, TaskWeights, VariantError,
+    MODE_A_ONLY, MODE_AV, TASKS, VARIANTS, DistillHeads, TaskWeights, VariantError,
     cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
     eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
     nearest_centroid_ids, student_input, teacher_targets,
@@ -31,13 +31,14 @@ class TestEmaUpdate:
     def test_eta_one_teacher_unchanged(self):
         student = tiny_model(0)
         teacher = make_teacher(student, total_steps=10)
-        before = teacher.model.state_dict()
+        before = [p.data.copy() for p in teacher.encoder.encoder_params()]
         for p in student.params():
             p.data += 1.0
         ema_update(teacher, student, eta=1.0)
-        after = teacher.model.state_dict()
-        for name in before:
-            assert np.array_equal(before[name], after[name])
+        after = teacher.encoder.encoder_params()
+        assert len(after) == len(before)
+        for b, p in zip(before, after):
+            assert np.array_equal(b, p.data)
 
     def test_eta_zero_copies_student(self):
         student = tiny_model(1)
@@ -45,35 +46,41 @@ class TestEmaUpdate:
         for p in student.params():
             p.data += 0.5
         ema_update(teacher, student, eta=0.0)
-        for sp, tp in zip(student.encoder_params(), teacher.model.encoder_params()):
+        for sp, tp in zip(student.encoder_params(), teacher.encoder.encoder_params(),
+                          strict=True):
             assert np.array_equal(sp.data, tp.data)
 
     def test_closed_form_convex_combination(self):
         student = tiny_model(2)
         teacher = make_teacher(student, total_steps=10)
-        for p in teacher.model.params():
+        for p in teacher.encoder.encoder_params():
             p.data[:] = 1.0
         for p in student.params():
             p.data[:] = 0.0
         ema_update(teacher, student, eta=0.999)
-        for p in teacher.model.encoder_params():
+        for p in teacher.encoder.encoder_params():
             assert np.allclose(p.data, 0.999, atol=1e-15)
 
-    def test_only_the_encoder_follows(self):
-        """The decoder, token embedding and output head are never run by
-        teacher_targets, so the EMA leaves their bytes alone."""
+    def test_teacher_is_a_copy_of_the_encoder(self):
+        """The teacher holds the student's encoder parameters, by shape and
+        value, in arrays of its own, and no decoder, token embedding or head;
+        the EMA moves every one of them."""
         student = tiny_model(6)
         teacher = make_teacher(student, total_steps=10)
+        encoder = teacher.encoder.encoder_params()
+        assert ([p.data.shape for p in encoder]
+                == [p.data.shape for p in student.encoder_params()])
+        for tp, sp in zip(encoder, student.encoder_params()):
+            assert np.array_equal(tp.data, sp.data)
+        student_arrays = [p.data for p in student.params()]
+        assert not any(np.shares_memory(tp.data, sa)
+                       for tp in encoder for sa in student_arrays)
+        for name in ("decoder_blocks", "token_emb", "head"):
+            assert not hasattr(teacher.encoder, name), name
         for p in student.params():
             p.data += 0.25
-        encoder = teacher.model.encoder_params()
-        rest = {name: p for name, p in teacher.model.named_params().items()
-                if all(p is not q for q in encoder)}
-        assert {"token_emb", "head"} <= set(rest) and any(n.startswith("dec") for n in rest)
-        before = {name: p.data.tobytes() for name, p in rest.items()}
         encoder_before = [p.data.copy() for p in encoder]
         ema_update(teacher, student, eta=0.3)
-        assert {name: p.data.tobytes() for name, p in rest.items()} == before
         assert not any(np.array_equal(p.data, b) for p, b in zip(encoder, encoder_before))
 
     def test_student_untouched(self):
@@ -136,79 +143,82 @@ class TestTeacherTargets:
         model = tiny_model(8)
         A, V = rand_pair(np.random.default_rng(8))
         _, per_block = model.encode(A, V)
-        got = teacher_targets(model, A, V, topk_blocks=1, standardize=False)
-        assert np.array_equal(got.vectors, per_block[-1].data)
+        (got,) = teacher_targets(model, A, V, topk_blocks=1, modes=[MODE_AV],
+                                 standardize=False)
+        assert np.array_equal(got, per_block[-1].data)
 
     def test_identical_blocks_average_is_that_output(self):
         stub = _StubEncoder([3.0, 3.0])
         A = np.zeros((4, 4))
-        got = teacher_targets(stub, A, A, topk_blocks=2, standardize=False)
-        assert np.allclose(got.vectors, 3.0, atol=1e-15)
+        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV],
+                                 standardize=False)
+        assert np.allclose(got, 3.0, atol=1e-15)
 
     def test_two_constant_blocks_direct_average(self):
         stub = _StubEncoder([1.0, 5.0])
         A = np.zeros((3, 4))
-        got = teacher_targets(stub, A, A, topk_blocks=2, standardize=False)
-        assert np.allclose(got.vectors, 3.0, atol=1e-15)  # (1 + 5) / 2
+        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV],
+                                 standardize=False)
+        assert np.allclose(got, 3.0, atol=1e-15)  # (1 + 5) / 2
 
     def test_topk_zero_rejected(self):
         model = tiny_model(9)
         A, V = rand_pair(np.random.default_rng(9))
         with pytest.raises(ValueError):
-            teacher_targets(model, A, V, topk_blocks=0)
+            teacher_targets(model, A, V, topk_blocks=0, modes=[MODE_AV])
 
     def test_topk_beyond_depth_rejected(self):
         model = tiny_model(10)
         A, V = rand_pair(np.random.default_rng(10))
         with pytest.raises(ValueError):
-            teacher_targets(model, A, V, topk_blocks=3)
+            teacher_targets(model, A, V, topk_blocks=3, modes=[MODE_AV])
 
     def test_unimodal_mode_zeroes_other_modality(self):
         model = tiny_model(11)
         A, V = rand_pair(np.random.default_rng(11))
-        t1 = teacher_targets(model, A, V, 1, mode="A_only", standardize=False)
-        t2 = teacher_targets(model, A, np.zeros_like(V), 1, standardize=False)
-        assert np.array_equal(t1.vectors, t2.vectors)
+        (t1,) = teacher_targets(model, A, V, 1, [MODE_A_ONLY], standardize=False)
+        (t2,) = teacher_targets(model, A, np.zeros_like(V), 1, [MODE_AV], standardize=False)
+        assert np.array_equal(t1, t2)
 
     def test_standardized_rows_zero_mean(self):
         model = tiny_model(12)
         A, V = rand_pair(np.random.default_rng(12))
-        got = teacher_targets(model, A, V, 2, standardize=True)
-        assert np.allclose(got.vectors.mean(axis=1), 0.0, atol=1e-9)
+        (got,) = teacher_targets(model, A, V, 2, [MODE_AV], standardize=True)
+        assert np.allclose(got.mean(axis=1), 0.0, atol=1e-9)
 
     def test_targets_carry_no_gradient(self):
         model = tiny_model(13)
         A, V = rand_pair(np.random.default_rng(13))
-        got = teacher_targets(model, A, V, 2)
-        assert isinstance(got.vectors, np.ndarray)
+        (got,) = teacher_targets(model, A, V, 2, [MODE_AV])
+        assert isinstance(got, np.ndarray)
 
 
 class TestMaskedPredictionLoss:
     def test_empty_mask_zero(self):
         out = Tensor(np.ones((3, 2)), requires_grad=True)
-        loss = masked_prediction_loss(out, DistillTargets(np.zeros((3, 2))), [])
+        loss = masked_prediction_loss(out, np.zeros((3, 2)), [])
         assert float(loss.data) == 0.0
 
     def test_student_equals_target_zero(self):
         vals = np.random.default_rng(14).normal(size=(4, 3))
-        loss = masked_prediction_loss(Tensor(vals), DistillTargets(vals.copy()), [0, 2])
+        loss = masked_prediction_loss(Tensor(vals), vals.copy(), [0, 2])
         assert float(loss.data) == 0.0
 
     def test_two_frame_direct_summation_oracle(self):
         student = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         target = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        loss = masked_prediction_loss(Tensor(student), DistillTargets(target), [0, 2])
+        loss = masked_prediction_loss(Tensor(student), target, [0, 2])
         want = np.mean((student[[0, 2]] - target[[0, 2]]) ** 2)
         assert float(loss.data) == pytest.approx(want, abs=1e-15)
 
     def test_out_of_range_mask_rejected(self):
         out = Tensor(np.zeros((2, 2)))
         with pytest.raises(IndexError):
-            masked_prediction_loss(out, DistillTargets(np.zeros((2, 2))), [2])
+            masked_prediction_loss(out, np.zeros((2, 2)), [2])
 
     def test_gradient_flows_to_student(self):
         out = Tensor(np.ones((3, 2)), requires_grad=True)
-        loss = masked_prediction_loss(out, DistillTargets(np.zeros((3, 2))), [1])
+        loss = masked_prediction_loss(out, np.zeros((3, 2)), [1])
         loss.backward()
         assert out.grad is not None
         assert np.array_equal(out.grad[0], [0.0, 0.0])
@@ -223,16 +233,16 @@ class TestCorruptedPredictionLoss:
         self.V_corr = self.V.copy()
         self.V_corr[2:5] = 0.0
         self.student = tiny_model(16)
-        self.teacher = make_teacher(self.student, total_steps=1).model
-        for p in self.teacher.params():
+        self.teacher = make_teacher(self.student, total_steps=1).encoder
+        for p in self.teacher.encoder_params():
             p.data += 0.01  # distinct from the student
 
     def loss(self, name, plan):
         """The variant's loss on the student's features of its input, against
         teacher targets of its target mode."""
         feats, _ = self.student.encode(*student_input(name, self.A_corr, self.V_corr))
-        targets = teacher_targets(self.teacher, self.A, self.V, 1,
-                                  mode=VARIANTS[name].target_mode)
+        (targets,) = teacher_targets(self.teacher, self.A, self.V, 1,
+                                     modes=[VARIANTS[name].target_mode])
         return corrupted_prediction_loss(feats, targets, corrupted_frames(name, plan))
 
     def test_empty_index_set_zero(self):
@@ -244,7 +254,7 @@ class TestCorruptedPredictionLoss:
     def test_acp_reduces_to_masked_prediction(self):
         plan = CorruptionPlan(seq_len=8, video_corrupt=np.array([2, 3, 4]))
         got = self.loss("ACP", plan)
-        targets = teacher_targets(self.teacher, self.A, self.V, 1, mode="A_only")
+        (targets,) = teacher_targets(self.teacher, self.A, self.V, 1, modes=[MODE_A_ONLY])
         feats, _ = self.student.encode(np.zeros_like(self.A_corr), self.V_corr)
         want = masked_prediction_loss(feats, targets, [2, 3, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
@@ -259,7 +269,7 @@ class TestCorruptedPredictionLoss:
         plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([1]),
                               video_corrupt=np.array([1, 4]))
         got = self.loss("AVCP", plan)
-        targets = teacher_targets(self.teacher, self.A, self.V, 1, mode="AV")
+        (targets,) = teacher_targets(self.teacher, self.A, self.V, 1, modes=[MODE_AV])
         feats, _ = self.student.encode(self.A_corr, self.V_corr)
         want = masked_prediction_loss(feats, targets, [1, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
@@ -275,13 +285,13 @@ class TestCorruptedPredictionLoss:
         plan = CorruptionPlan(seq_len=8, video_corrupt=np.array([2, 3]))
         loss = self.loss("ACP", plan)
         loss.backward()
-        for p in self.teacher.params():
+        for p in self.teacher.encoder_params():
             assert p.grad is None
 
     def test_fixed_teacher_bitwise_stable_targets(self):
-        t1 = teacher_targets(self.teacher, self.A, self.V, 2)
-        t2 = teacher_targets(self.teacher, self.A, self.V, 2)
-        assert np.array_equal(t1.vectors, t2.vectors)
+        (t1,) = teacher_targets(self.teacher, self.A, self.V, 2, [MODE_AV])
+        (t2,) = teacher_targets(self.teacher, self.A, self.V, 2, [MODE_AV])
+        assert np.array_equal(t1, t2)
 
 
 class TestMlmLoss:
@@ -330,6 +340,20 @@ class TestMlmLoss:
     def test_centroids_orthonormal(self):
         c = make_centroids(5, 12, seed=3)
         assert np.allclose(c @ c.T, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [[-1], [3], [0, 3]])
+@pytest.mark.parametrize("loss", ["masked", "mlm"])
+def test_frame_index_outside_the_sequence_rejected(loss, M):
+    """Both losses check their frame indices alike: -1 does not wrap round
+    to the last frame, and n is not left to numpy's indexing."""
+    features = Tensor(np.zeros((3, 4)))
+    with pytest.raises(IndexError, match=r"mask index outside \[0, 3\)"):
+        if loss == "masked":
+            masked_prediction_loss(features, np.zeros((3, 4)), M)
+        else:
+            mlm_loss(features, make_centroids(3, 4, seed=2), np.zeros((3, 4)), M,
+                     Tensor.param(np.zeros((4, 3))))
 
 
 class TestTotalLoss:

@@ -7,7 +7,7 @@ import pytest
 
 from avmoe import tensor as T
 from avmoe.cli import EXIT_CONFIG, EXIT_OK, main
-from avmoe.model import Model, ModelConfig, sinusoidal_positions
+from avmoe.model import Encoder, Model, ModelConfig, sinusoidal_positions
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AV
 from avmoe.tensor import Tensor
@@ -187,6 +187,33 @@ class TestParameterAccounting:
         count = model.param_count()
         assert count == sum(p.data.size for p in model.params())
         assert count > 0
+
+    def test_configs_sharing_a_moe_config_keep_their_own_widths(self):
+        """Each ModelConfig takes its own copy of the MoE config it is given:
+        building a second, wider config from it leaves the first model's
+        experts at the first model's width."""
+        moe = MoELayerConfig(mode="sparse_topk", n_experts=2, k=1)
+        narrow = ModelConfig(dim_audio=5, dim_video=5, d=16, h=24, n_enc=1, n_dec=1,
+                             vocab=6, topk_blocks=1, moe=moe)
+        wide = ModelConfig(dim_audio=5, dim_video=5, d=32, h=64, n_enc=1, n_dec=1,
+                           vocab=6, topk_blocks=1, moe=moe)
+        for cfg, shape in ((narrow, (16, 24)), (wide, (32, 64))):
+            assert (cfg.moe.d, cfg.moe.h) == shape
+            for expert in Model(cfg, seed=0).decoder_blocks[0].moe.experts:
+                assert expert.W1.data.shape == shape
+        assert moe.mode == "sparse_topk" and narrow.moe is not wide.moe
+
+    def test_model_draws_its_encoder_first(self):
+        """A Model's encoder parameters are those of an Encoder built from
+        a generator of the same seed: the encoder takes the first draws."""
+        cfg = tiny_cfg(mode="hierarchical", n_groups=2, n_per_group=2, m=1,
+                       k_per_group=1)
+        encoder = Encoder(cfg, np.random.default_rng(18))
+        model = Model(cfg, seed=18)
+        for ep, mp in zip(encoder.encoder_params(), model.encoder_params(), strict=True):
+            assert np.array_equal(ep.data, mp.data)
+        assert list(model.named_params())[:5] == [
+            "audio_proj", "video_proj", "fusion", "token_emb", "head"]
 
 
 def write_v1_checkpoint(model: Model, path):

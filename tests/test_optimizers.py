@@ -136,9 +136,10 @@ def test_load_state_dict_writes_in_place():
 def test_ema_update_writes_in_place():
     student = small_model(0)
     teacher = make_teacher(small_model(1), total_steps=4)
-    before = {name: p.data for name, p in teacher.model.named_params().items()}
+    before = [p.data for p in teacher.encoder.encoder_params()]
     ema_update(teacher, student, 0.5)
-    assert all(p.data is before[name] for name, p in teacher.model.named_params().items())
+    assert all(p.data is b
+               for p, b in zip(teacher.encoder.encoder_params(), before, strict=True))
 
 
 def test_identical_expert_init_writes_in_place(monkeypatch):

@@ -21,7 +21,7 @@ from avmoe.corruption import (
     sample_plan_preset,
 )
 from avmoe.distill import (
-    MODE_A_ONLY, MODE_AV, MODE_V_ONLY, VARIANTS, DistillHeads, DistillTargets,
+    MODE_A_ONLY, MODE_AV, MODE_V_ONLY, VARIANTS, DistillHeads,
     make_centroids, make_teacher, masked_prediction_loss, mlm_loss, teacher_targets,
 )
 from avmoe.model import Model, ModelConfig
@@ -105,7 +105,7 @@ def per_mode_targets(teacher, A, V, topk, mode, standardize=True):
     if standardize:
         avg = (avg - avg.mean(axis=1, keepdims=True)) / np.sqrt(
             avg.var(axis=1, keepdims=True) + 1e-6)
-    return DistillTargets(vectors=avg)
+    return avg
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -118,14 +118,14 @@ def test_multi_mode_teacher_targets_equal_per_mode_calls(seed, frames, n_enc, mo
     rng = np.random.default_rng(seed)
     teacher = tiny_model(seed, n_enc)
     A, V = rng.normal(size=(frames, 5)), rng.normal(size=(frames, 3))
-    stacked = teacher_targets(teacher, A, V, topk, mode=modes, standardize=standardize)
+    stacked = teacher_targets(teacher, A, V, topk, modes=modes, standardize=standardize)
     assert len(stacked) == len(modes)
     for mode, got in zip(modes, stacked):
-        single = teacher_targets(teacher, A, V, topk, mode=mode, standardize=standardize)
+        (single,) = teacher_targets(teacher, A, V, topk, modes=[mode], standardize=standardize)
         old = per_mode_targets(teacher, A, V, topk, mode, standardize)
-        assert isinstance(single, DistillTargets) and got.centroid_ids is None
-        assert np.array_equal(got.vectors, single.vectors)
-        assert np.array_equal(single.vectors, old.vectors)
+        assert isinstance(got, np.ndarray) and got.shape == (frames, 8)
+        assert np.array_equal(got, single)
+        assert np.array_equal(single, old)
     assert all(p.grad is None for p in teacher.params())
 
 
@@ -158,7 +158,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
         if "MASK" in cfg.tasks:
             mode = {DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}.get(
                 plan.modality_drop, MODE_AV)
-            targets = per_mode_targets(teacher.model, A, V, topk, mode)
+            targets = per_mode_targets(teacher.encoder, A, V, topk, mode)
             feats, _ = model.encode(A_in, V_in)
             masks.append(masked_prediction_loss(T.matmul(feats, heads.heads["MASK"]),
                                                 targets, mask_idx))
@@ -171,7 +171,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
                           "video": video}[variant.index_set])
             loss = zero
             if idx:
-                targets = per_mode_targets(teacher.model, A, V, topk, variant.target_mode)
+                targets = per_mode_targets(teacher.encoder, A, V, topk, variant.target_mode)
                 a, v = {MODE_AV: (A_corr, V_corr),
                         MODE_A_ONLY: (A_corr, np.zeros_like(V_corr)),
                         MODE_V_ONLY: (np.zeros_like(A_corr), V_corr)}[variant.input_mode]
@@ -186,7 +186,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
                 acps.append(T.scale(loss, 0.5))
                 vcps.append(T.scale(loss, 0.5))
         if "MLM" in cfg.tasks:
-            t_feats = per_mode_targets(teacher.model, A, V, topk, MODE_AV).vectors
+            t_feats = per_mode_targets(teacher.encoder, A, V, topk, MODE_AV)
             feats, _ = model.encode(A_in, V_in)
             mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.heads["MLM"]))
     parts = [_mean_scalars(ts) if ts else zero for ts in (acps, vcps, masks, mlms)]
@@ -208,7 +208,7 @@ def _uptrain_setup(tasks, seed, batch_size, dropout, n_enc):
     })
     model = build_model(cfg)
     teacher = make_teacher(model, total_steps=1)
-    for p in teacher.model.params():  # a teacher distinct from the student
+    for p in teacher.encoder.encoder_params():  # a teacher distinct from the student
         p.data += 0.01
     heads = DistillHeads.init(cfg.model.d, cfg.n_centroids, seed=seed)
     centroids = make_centroids(cfg.n_centroids, cfg.model.d, seed=1)

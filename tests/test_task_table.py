@@ -87,7 +87,7 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
         targets, rows = {}, {}
         if inputs:
             modes = list(dict.fromkeys(modes))
-            targets = dict(zip(modes, teacher_targets(teacher.model, A, V, topk, mode=modes)))
+            targets = dict(zip(modes, teacher_targets(teacher.encoder, A, V, topk, modes=modes)))
             feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
@@ -108,7 +108,7 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
                 acps.append(T.scale(loss, 0.5))
                 vcps.append(T.scale(loss, 0.5))
         if "MLM" in cfg.tasks:
-            mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV].vectors,
+            mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV],
                                  mask_idx, heads.heads["MLM"]) if mask_idx else zero)
     acp, vcp, mask, mlm = (_mean_scalars(ts) for ts in (acps, vcps, masks, mlms))
     total = cav2vec_total_loss(acp, vcp, mask, mlm, weights)
@@ -131,7 +131,7 @@ def _setup(tasks, seed, batch_size, dropout, span, n_enc):
     })
     model = build_model(cfg)
     teacher = make_teacher(model, total_steps=1)
-    for p in teacher.model.params():  # a teacher distinct from the student
+    for p in teacher.encoder.encoder_params():  # a teacher distinct from the student
         p.data += 0.01
     heads = DistillHeads.init(cfg.model.d, cfg.n_centroids, seed=seed)
     centroids = make_centroids(cfg.n_centroids, cfg.model.d, seed=1)

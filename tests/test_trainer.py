@@ -12,7 +12,7 @@ from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
 from avmoe.corruption import corrupt_pair, sample_plan_preset
 from avmoe.distill import DistillHeads, make_centroids, make_teacher
-from avmoe.model import Model
+from avmoe.model import Encoder
 from avmoe.streams import token_error_rate
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
@@ -361,15 +361,15 @@ def _record_uptrain_step(monkeypatch, **over):
     model = build_model(cfg)
     pairs = []
     real_pair, real_targets = trainer_mod.generate_pair, trainer_mod.teacher_targets
-    real_encode = Model.encode
+    real_encode = Encoder.encode
 
     def generate_pair(*args, **kw):
         pairs.append({"teacher": [], "encode": []})
         return real_pair(*args, **kw)
 
-    def teacher_targets(teacher, A, V, topk, mode):
-        pairs[-1]["teacher"].append(list(mode))
-        return real_targets(teacher, A, V, topk, mode=mode)
+    def teacher_targets(teacher, A, V, topk, modes):
+        pairs[-1]["teacher"].append(list(modes))
+        return real_targets(teacher, A, V, topk, modes=modes)
 
     def encode(self, audio, video):
         pairs[-1]["encode"].append((T.grad_enabled(), audio.shape[0]))
@@ -377,7 +377,8 @@ def _record_uptrain_step(monkeypatch, **over):
 
     monkeypatch.setattr(trainer_mod, "generate_pair", generate_pair)
     monkeypatch.setattr(trainer_mod, "teacher_targets", teacher_targets)
-    monkeypatch.setattr(Model, "encode", encode)
+    # the student (a Model) and the teacher (an Encoder) both find it here
+    monkeypatch.setattr(Encoder, "encode", encode)
     streams = seed_streams(cfg.seed)
     teacher = make_teacher(model, total_steps=1)
     heads = DistillHeads.init(cfg.model.d, cfg.n_centroids)
