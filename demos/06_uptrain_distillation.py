@@ -28,11 +28,11 @@ teacher.current_step = cfg.steps
 print(f"eta at step {cfg.steps}: {eta_schedule(teacher):.4f}")
 
 print("uptraining with all three tasks (MASK + ACP + VCP)...")
-full = train(TrainConfig.from_dict({**BASE, "tasks": ("MASK", "ACP", "VCP")}),
-             tempfile.mkdtemp())
+with tempfile.TemporaryDirectory() as run_dir:
+    full = train(TrainConfig.from_dict({**BASE, "tasks": ("MASK", "ACP", "VCP")}), run_dir)
 print("uptraining with masked prediction only (control)...")
-ctrl = train(TrainConfig.from_dict({**BASE, "tasks": ("MASK",)}),
-             tempfile.mkdtemp())
+with tempfile.TemporaryDirectory() as run_dir:
+    ctrl = train(TrainConfig.from_dict({**BASE, "tasks": ("MASK",)}), run_dir)
 
 # Compare clean-vs-corrupted feature distance under heavy audio noise.
 rep = repr_distance_report(ctrl.model, full.model, cfg.generator, pairs=8,

@@ -29,7 +29,8 @@ cfg = TrainConfig.from_dict({
 })
 
 print(f"training routers for {STEPS} steps...")
-report = train(cfg, tempfile.mkdtemp())
+with tempfile.TemporaryDirectory() as run_dir:
+    report = train(cfg, run_dir)
 
 aff = group_affinity(report.model, cfg.generator, pairs=12, seed=5)
 print("inter-router weight on the matching group for unimodal tokens:")

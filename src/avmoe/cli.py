@@ -144,12 +144,16 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"cannot read run summary: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{path} holds a JSON {type(summary).__name__}, not an object")
     for key in ("loss_curves", "expert_load", "flops", "ter"):
         if key not in summary:
             raise ConfigError(f"summary is missing key {key!r}")
     for entry in (summary.get("loss_curves"), summary.get("expert_load"),
                   summary.get("group_load_vs_snr")):
         if isinstance(entry, dict) and "file" in entry:
+            if not isinstance(entry["file"], str):
+                raise ConfigError(f"summary file reference {entry['file']!r} is not a string")
             ref = os.path.join(args.run_dir, entry["file"])
             if not os.path.exists(ref):
                 raise ConfigError(f"summary references missing file {entry['file']}")

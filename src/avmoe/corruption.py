@@ -8,7 +8,6 @@ corruption and any colliding index is removed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,28 +46,6 @@ class CorruptionPlan:
         corrupted = np.union1d(self.audio_corrupt, self.video_corrupt)
         if np.intersect1d(masked, corrupted).size:
             raise ValueError("masked and corrupted index sets overlap")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "seq_len": self.seq_len,
-            "audio_corrupt": self.audio_corrupt.tolist(),
-            "video_corrupt": self.video_corrupt.tolist(),
-            "audio_mask": self.audio_mask.tolist(),
-            "video_mask": self.video_mask.tolist(),
-            "modality_drop": self.modality_drop,
-        })
-
-    @staticmethod
-    def from_json(payload: str) -> "CorruptionPlan":
-        obj = json.loads(payload)
-        return CorruptionPlan(
-            seq_len=int(obj["seq_len"]),
-            audio_corrupt=np.asarray(obj["audio_corrupt"], dtype=np.int64),
-            video_corrupt=np.asarray(obj["video_corrupt"], dtype=np.int64),
-            audio_mask=np.asarray(obj["audio_mask"], dtype=np.int64),
-            video_mask=np.asarray(obj["video_mask"], dtype=np.int64),
-            modality_drop=obj["modality_drop"],
-        )
 
 
 @dataclass(frozen=True)
@@ -272,8 +249,7 @@ VIDEO_OPS = (CorruptionOp("zero"), CorruptionOp("additive_noise", snr_db=-10.0),
 
 
 def corrupt_pair(audio: np.ndarray, video: np.ndarray, plan: CorruptionPlan,
-                 rng_seed: int, audio_snr_db: float = -10.0,
-                 video_op: CorruptionOp | None = None):
+                 rng_seed: int, audio_snr_db: float = -10.0):
     """Apply the full protocol to one pair: audio noise mixing at the target
     SNR on C^a, one sampled video operator on C^v. Returns (audio~, video~)."""
     rng = np.random.default_rng(rng_seed)
@@ -281,8 +257,7 @@ def corrupt_pair(audio: np.ndarray, video: np.ndarray, plan: CorruptionPlan,
     if plan.audio_corrupt.size:
         noise = rng.normal(size=(plan.audio_corrupt.size, audio.shape[1]))
         out_audio = mix_at_snr(audio, noise, audio_snr_db, plan.audio_corrupt)
-    if video_op is None:
-        video_op = VIDEO_OPS[rng.integers(0, len(VIDEO_OPS))]
+    video_op = VIDEO_OPS[rng.integers(0, len(VIDEO_OPS))]
     out_video = corrupt_video(video, video_op, plan.video_corrupt,
                               rng_seed=int(rng.integers(0, 2 ** 31)))
     return out_audio, out_video

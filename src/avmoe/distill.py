@@ -3,9 +3,9 @@
 The teacher is a copy of the student's encoder (`model.Encoder`) that
 follows the student's by `ema_update`. Targets are [T x d] arrays: the
 teacher's features of clean inputs, averaged over the last few encoder
-blocks. The task losses predict those targets from masked or corrupted
-student inputs, restricted to the masked or corrupted frames, each task
-through its own `DistillHeads` head.
+blocks and standardized per frame. The task losses predict those targets
+from masked or corrupted student inputs, restricted to the masked or
+corrupted frames, each task through its own `DistillHeads` head.
 
 The losses take features and targets; they encode nothing themselves. One
 pair's inputs all have the pair's length, so a caller encodes them as
@@ -138,11 +138,11 @@ def _standardize_frames(X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def teacher_targets(teacher: Encoder, A: np.ndarray, V: np.ndarray, topk_blocks: int,
-                    modes: Sequence[str], standardize: bool = True) -> list[np.ndarray]:
+                    modes: Sequence[str]) -> list[np.ndarray]:
     """Clean teacher features, averaged over the last topk_blocks encoder
-    blocks; the absent modality is zeroed in unimodal modes. One gradient-free
-    [T x d] array per mode in ``modes``, from one stacked encode of the pair
-    under each mode."""
+    blocks and standardized per frame; the absent modality is zeroed in
+    unimodal modes. One gradient-free [T x d] array per mode in ``modes``,
+    from one stacked encode of the pair under each mode."""
     if topk_blocks < 1:
         raise ValueError("topk_blocks must be >= 1")
     if topk_blocks > len(teacher.encoder_blocks):
@@ -153,9 +153,7 @@ def teacher_targets(teacher: Encoder, A: np.ndarray, V: np.ndarray, topk_blocks:
         _, per_block = teacher.encode(np.stack([a for a, _ in inputs]),
                                       np.stack([v for _, v in inputs]))
     avg = np.stack([b.data for b in per_block[-topk_blocks:]]).mean(axis=0)
-    if standardize:
-        avg = _standardize_frames(avg)
-    return list(avg)
+    return list(_standardize_frames(avg))
 
 
 def _frame_indices(M, n: int) -> list[int]:

@@ -1,5 +1,8 @@
 """Finite-difference verification harness for every differentiable exported
-operation, grouped by module for selective runs from the CLI.
+operation, grouped by module for selective runs from the CLI. Every public
+op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a "tensor"
+case named after it or prefixed ``<op>_``, and ``tests/test_tensor.py``
+checks that it does.
 
 Each case owns a builder that, given a seed, returns (f, x) where f maps a
 Tensor to a scalar Tensor; `run` reports the max relative error per case
@@ -64,11 +67,6 @@ def _case_mul(seed):
     return lambda t: T.tsum(T.mul(t, b)), _mat(seed)
 
 
-def _case_div(seed):
-    b = Tensor(np.abs(_rng(seed + 1000).normal(size=(3, 4))) + 1.0)
-    return lambda t: T.tsum(T.div(t, b)), _mat(seed)
-
-
 def _case_scale(seed):
     return lambda t: T.tsum(T.scale(t, -1.7)), _mat(seed)
 
@@ -86,11 +84,6 @@ def _case_matmul_stacked(seed):
 def _case_matmul_stacked_right(seed):
     a, w = _stack(seed + 1000), _stack(seed + 2000, 2, 3, 3)
     return lambda t: T.tsum(T.mul(T.matmul(a, t), w)), _mat(seed, 4, 3)
-
-
-def _case_transpose(seed):
-    b = _mat(seed + 1000, 4, 3)
-    return lambda t: T.tsum(T.mul(T.transpose(t), b)), _mat(seed)
 
 
 def _case_reshape(seed):
@@ -144,11 +137,6 @@ def _case_logsumexp(seed):
 def _case_mse(seed):
     target = _mat(seed + 1000)
     return lambda t: T.mse(t, target), _mat(seed)
-
-
-def _case_cross_entropy(seed):
-    tid = int(_rng(seed + 1000).integers(4))
-    return lambda t: T.cross_entropy_with_logits(t, tid), _vec(seed, 4)
 
 
 def _case_cross_entropy_rows(seed):
@@ -205,15 +193,6 @@ def _case_stack_slice(seed):
     w = _mat(seed + 1000)
     return lambda t: T.tsum(T.mul(T.mul(T.stack_slice(t, 1), w),
                                   T.stack_slice(t, 0))), _stack(seed)
-
-
-def _case_stack_rows(seed):
-    def f(t):
-        rows = [T.reshape(T.index_rows(t, [i]), (4,)) for i in range(3)]
-        stacked = T.stack_rows(rows)
-        return T.tsum(T.mul(stacked, stacked))
-
-    return f, _mat(seed)
 
 
 def _case_standardize(seed):
@@ -462,23 +441,22 @@ def _case_total_aux(seed):
 CASES = {
     "tensor": [
         ("add", _case_add), ("sub", _case_sub), ("mul", _case_mul),
-        ("div", _case_div), ("scale", _case_scale), ("matmul", _case_matmul),
+        ("scale", _case_scale), ("matmul", _case_matmul),
         ("matmul_stacked", _case_matmul_stacked),
         ("matmul_stacked_right", _case_matmul_stacked_right),
-        ("transpose", _case_transpose), ("reshape", _case_reshape),
+        ("reshape", _case_reshape),
         ("tmean", _case_tmean), ("mean_axis0", _case_mean_axis0),
         ("tanh", _case_tanh), ("gelu", _case_gelu), ("relu", _case_relu),
         ("softmax", _case_softmax), ("softmax_rows", _case_softmax_rows),
         ("normalize_rows", _case_normalize_rows),
         ("logsumexp", _case_logsumexp), ("mse", _case_mse),
-        ("cross_entropy", _case_cross_entropy),
         ("cross_entropy_rows", _case_cross_entropy_rows),
         ("cross_entropy_rows_weighted", _case_cross_entropy_rows_weighted),
         ("index_rows", _case_index_rows), ("take", _case_take),
         ("scatter", _case_scatter), ("scatter_rows", _case_scatter_rows),
         ("concat_rows", _case_concat_rows), ("concat_cols", _case_concat_cols),
         ("concat_cols_stacked", _case_concat_cols_stacked),
-        ("stack_rows", _case_stack_rows), ("stack_slice", _case_stack_slice),
+        ("stack_slice", _case_stack_slice),
         ("standardize_rows", _case_standardize),
         ("standardize_rows_residual", _case_standardize_residual),
         ("standardize_rows_residual_operand", _case_standardize_residual_operand),

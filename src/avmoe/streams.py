@@ -13,7 +13,6 @@ is, which additive noise dilutes.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -130,34 +129,3 @@ def token_error_rate(hyp, ref) -> float:
     if not ref:
         raise ValueError("reference sequence must be non-empty")
     return edit_distance(hyp, ref) / len(ref)
-
-
-# -- JSON-lines dataset dump/load --------------------------------------------
-
-def dump_pairs(pairs: list[SyntheticPair], path: str):
-    with open(path, "w") as f:
-        for p in pairs:
-            f.write(json.dumps({
-                "labels": p.labels.tolist(),
-                "audio": p.audio.tolist(),
-                "video": p.video.tolist(),
-                "frames_per_token": p.frames_per_token,
-                "seed": p.seed,
-            }) + "\n")
-
-
-def load_pairs(path: str) -> list[SyntheticPair]:
-    pairs = []
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            pairs.append(SyntheticPair(
-                labels=np.asarray(obj["labels"], dtype=np.int64),
-                audio=np.asarray(obj["audio"], dtype=np.float64),
-                video=np.asarray(obj["video"], dtype=np.float64),
-                frames_per_token=int(obj["frames_per_token"]),
-                seed=int(obj["seed"]),
-            ))
-    return pairs

@@ -4,7 +4,9 @@ Everything downstream (routers, experts, the toy encoder/decoder, all losses)
 computes through the ops defined here. Values are float64 numpy arrays; each
 op optionally records a backward closure on an implicit tape (the graph of
 ``_parents`` links), replayed in reverse topological order by
-``Tensor.backward``. ``_make`` is the one constructor of tape nodes.
+``Tensor.backward``. ``_make`` is the one constructor of tape nodes, and
+each op has one spelling, a function of this module: ``Tensor`` overloads
+no arithmetic operator.
 
 A leading stack axis runs n equally long sequences side by side: ``matmul``
 takes an [n x T x k] left operand with a [k x m] right one, and
@@ -18,7 +20,9 @@ The model's hot layers are fused ops, one node each with a hand-written
 backward: ``attention`` (scores, softmax and the value product), ``ffn``
 (both projections, biases and the activation) and ``standardize_rows`` with
 an optional residual operand (the add before the norm). Each runs the numpy
-arithmetic of the primitive-op chain it stands for, in the same order.
+arithmetic of the primitive-op chain it stands for, in the same order;
+``tests/test_fused_ops.py`` builds those chains and checks the fused ops
+against them bit for bit.
 """
 
 from __future__ import annotations
@@ -190,13 +194,6 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _binary(a, b, a.data / b.data,
-                   lambda g: g / b.data,
-                   lambda g: -g * a.data / (b.data * b.data))
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
@@ -210,16 +207,6 @@ def scale(a, c: float) -> Tensor:
     if not _track(a):
         return Tensor(a.data * c)
     return _make(a.data * c, (a,), lambda g: a._accum(g * c))
-
-
-Tensor.__add__ = lambda self, other: add(self, other)
-Tensor.__radd__ = lambda self, other: add(other, self)
-Tensor.__sub__ = lambda self, other: sub(self, other)
-Tensor.__rsub__ = lambda self, other: sub(other, self)
-Tensor.__mul__ = lambda self, other: mul(self, other)
-Tensor.__rmul__ = lambda self, other: mul(other, self)
-Tensor.__neg__ = lambda self: scale(self, -1.0)
-Tensor.__truediv__ = lambda self, other: div(self, other)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -260,13 +247,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(g * ad if ad.ndim == bd.ndim == 1 else _weight_grad(ad, g))
 
     return _make(data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if not _track(a):
-        return Tensor(a.data.T)
-    return _make(a.data.T, (a,), lambda g: a._accum(g.T))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -423,19 +403,6 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     return tmean(mul(d, d))
 
 
-def cross_entropy_with_logits(logits: Tensor, target_id: int) -> Tensor:
-    """-log softmax(logits)[target_id] for a 1-D logit vector, via logsumexp."""
-    logits = _as_tensor(logits)
-    n = logits.data.shape[-1]
-    if logits.data.ndim != 1:
-        raise ShapeError(f"expected a 1-D logit vector, got {logits.data.shape}")
-    if not 0 <= target_id < n:
-        raise IndexError(f"target id {target_id} out of range for {n} classes")
-    lse = logsumexp(logits)
-    picked = take(logits, [target_id])
-    return sub(lse, tsum(picked))
-
-
 def cross_entropy_rows(logits: Tensor, target_ids, row_weights=None) -> Tensor:
     """Mean cross-entropy over rows of a 2-D logit matrix, or, given
     ``row_weights``, the sum of the rows' cross-entropies weighted by them."""
@@ -558,21 +525,6 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _make(data, tuple(parts), backward)
 
 
-def stack_rows(vecs: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a 2-D tensor."""
-    vecs = [_as_tensor(v) for v in vecs]
-    data = np.stack([v.data for v in vecs], axis=0)
-    if not _track(*vecs):
-        return Tensor(data)
-
-    def backward(g):
-        for i, v in enumerate(vecs):
-            if _needs_grad(v):
-                v._accum(g[i])
-
-    return _make(data, tuple(vecs), backward)
-
-
 def stack_slice(stack: Tensor, i: int) -> Tensor:
     """Slice ``i`` of a stack along its leading axis; backward places the
     gradient in that slice of an all-zero stack."""
@@ -662,8 +614,9 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
         if _needs_grad(Q):
             Q._accum(gs @ K.data)
         if _needs_grad(K):
-            # a transposed view, as the chain's transpose node passed it on:
-            # the copy _accum makes keeps that memory order
+            # a transposed view, as the transpose node of the chain in
+            # tests/test_fused_ops.py passes it on: the copy _accum makes
+            # keeps that memory order
             K._accum((Q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
 
     return _make(data, (Q, K, V), backward)

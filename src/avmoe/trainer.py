@@ -64,6 +64,7 @@ REGIMES = ("supervised_moe", "cav2vec_uptrain", "combined_pipeline")
 EVAL_SEED_OFFSET = 101  # a run's post-training evaluations use seed + this
 EVAL_TOKENS = (3, 5)    # label lengths of the evaluation pairs, inclusive
 EVAL_DECODE_SLACK = 4   # eval_ter decodes up to this many tokens past the labels
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z", *LOSS_COLUMNS, "total"]
 
@@ -349,8 +350,8 @@ class SGD(_PackedOptimizer):
 
 
 class Adam(_PackedOptimizer):
-    """Standard Adam with bias correction on packed parameters (see
-    ``_PackedOptimizer``).
+    """Standard Adam with bias correction, ``ADAM_BETA1``, ``ADAM_BETA2``
+    and ``ADAM_EPS``, on packed parameters (see ``_PackedOptimizer``).
 
     ``m`` and ``v`` are flat vectors in the parameter layout, so the state
     of a parameter is its slice. A run is updated in place through one
@@ -358,12 +359,8 @@ class Adam(_PackedOptimizer):
     ``v``. ``lr_scales`` scales the update, not the gradient, since Adam is
     invariant to gradient scaling."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, lr_scales: dict | None = None):
+    def __init__(self, params: list[Tensor], lr: float, lr_scales: dict | None = None):
         super().__init__(params, lr, lr_scales)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -371,7 +368,7 @@ class Adam(_PackedOptimizer):
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for start, end, scale in self._live_runs():
             g, m, v = self.grad[start:end], self.m[start:end], self.v[start:end]
@@ -385,7 +382,7 @@ class Adam(_PackedOptimizer):
             m_hat = np.divide(m, c1, out=u)
             v_hat = np.divide(v, c2, out=g)
             denom = np.sqrt(v_hat, out=g)
-            denom += self.eps
+            denom += ADAM_EPS
             m_hat *= self.lr * scale
             m_hat /= denom
             self.flat[start:end] -= m_hat

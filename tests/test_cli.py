@@ -237,6 +237,17 @@ def test_report_missing_run_dir(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "ghost")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("summary, message", [
+    (5, "holds a JSON int, not an object"),
+    ({"loss_curves": {}, "expert_load": {"file": 7}, "flops": {}, "ter": {}},
+     "file reference 7 is not a string"),
+])
+def test_report_malformed_summary_is_config_error(tmp_path, capsys, summary, message):
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert main(["report", "--run-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
 

@@ -56,7 +56,9 @@ class TestSamplePlan:
     def test_determinism(self):
         a = sample_corruption_plan(80, (0.1, 0.5), (0.3, 0.5), 2, 0.25, rng_seed=9)
         b = sample_corruption_plan(80, (0.1, 0.5), (0.3, 0.5), 2, 0.25, rng_seed=9)
-        assert a.to_json() == b.to_json()
+        assert a.seq_len == b.seq_len and a.modality_drop == b.modality_drop
+        for name in ("audio_corrupt", "video_corrupt", "audio_mask", "video_mask"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestAllocateMasks:
@@ -213,14 +215,6 @@ class TestPresetsAndSerialization:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             sample_plan_preset("nope", 10, rng_seed=0)
-
-    def test_plan_json_round_trip(self):
-        plan = sample_corruption_plan(30, (0.1, 0.5), (0.3, 0.5), 1, 0.25, rng_seed=3)
-        plan = allocate_masks(plan, 0.8, 10, 0.3, 5, rng_seed=4)
-        back = CorruptionPlan.from_json(plan.to_json())
-        assert np.array_equal(back.audio_corrupt, plan.audio_corrupt)
-        assert np.array_equal(back.video_mask, plan.video_mask)
-        assert back.modality_drop == plan.modality_drop
 
     def test_plan_invariant_enforced(self):
         with pytest.raises(ValueError):

@@ -126,16 +126,23 @@ class TestEtaSchedule:
 
 
 class _StubEncoder:
-    """Encoder stand-in with constant per-block outputs."""
+    """Encoder stand-in whose block b outputs the feature row
+    ``block_rows[b]`` at every frame."""
 
-    def __init__(self, block_values):
-        self.block_values = block_values
-        self.encoder_blocks = block_values  # only len() is consulted
+    def __init__(self, block_rows):
+        self.block_rows = [np.asarray(r, dtype=float) for r in block_rows]
+        self.encoder_blocks = block_rows  # only len() is consulted
 
     def encode(self, A, V):
-        outs = [Tensor(np.broadcast_to(np.asarray(v, dtype=float), A.shape[:-1] + (8,)).copy())
-                for v in self.block_values]
+        outs = [Tensor(np.broadcast_to(r, A.shape[:-1] + r.shape).copy())
+                for r in self.block_rows]
         return outs[-1], outs
+
+
+def standardized(X, eps=1e-6):
+    """Each row of X at zero mean and unit variance, as the teacher's
+    targets are."""
+    return (X - X.mean(axis=-1, keepdims=True)) / np.sqrt(X.var(axis=-1, keepdims=True) + eps)
 
 
 class TestTeacherTargets:
@@ -143,23 +150,26 @@ class TestTeacherTargets:
         model = tiny_model(8)
         A, V = rand_pair(np.random.default_rng(8))
         _, per_block = model.encode(A, V)
-        (got,) = teacher_targets(model, A, V, topk_blocks=1, modes=[MODE_AV],
-                                 standardize=False)
-        assert np.array_equal(got, per_block[-1].data)
+        (got,) = teacher_targets(model, A, V, topk_blocks=1, modes=[MODE_AV])
+        assert np.array_equal(got, standardized(per_block[-1].data))
 
     def test_identical_blocks_average_is_that_output(self):
-        stub = _StubEncoder([3.0, 3.0])
+        row = np.arange(8.0) ** 2
+        stub = _StubEncoder([row, row])
         A = np.zeros((4, 4))
-        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV],
-                                 standardize=False)
-        assert np.allclose(got, 3.0, atol=1e-15)
+        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV])
+        assert np.allclose(got, standardized(np.tile(row, (4, 1))), rtol=0, atol=1e-12)
 
     def test_two_constant_blocks_direct_average(self):
-        stub = _StubEncoder([1.0, 5.0])
+        first, second = np.arange(8.0), np.array([5.0, -1.0, 0.0, 2.0, 7.0, 3.0, 3.0, -4.0])
+        stub = _StubEncoder([first, second])
         A = np.zeros((3, 4))
-        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV],
-                                 standardize=False)
-        assert np.allclose(got, 3.0, atol=1e-15)  # (1 + 5) / 2
+        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV])
+        want = standardized(np.tile((first + second) / 2, (3, 1)))
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        # neither block alone gives those targets
+        for row in (first, second):
+            assert not np.allclose(got[0], standardized(row), rtol=0, atol=1e-3)
 
     def test_topk_zero_rejected(self):
         model = tiny_model(9)
@@ -176,14 +186,16 @@ class TestTeacherTargets:
     def test_unimodal_mode_zeroes_other_modality(self):
         model = tiny_model(11)
         A, V = rand_pair(np.random.default_rng(11))
-        (t1,) = teacher_targets(model, A, V, 1, [MODE_A_ONLY], standardize=False)
-        (t2,) = teacher_targets(model, A, np.zeros_like(V), 1, [MODE_AV], standardize=False)
+        (t1,) = teacher_targets(model, A, V, 1, [MODE_A_ONLY])
+        (t2,) = teacher_targets(model, A, np.zeros_like(V), 1, [MODE_AV])
         assert np.array_equal(t1, t2)
+        _, per_block = model.encode(A, np.zeros_like(V))
+        assert np.array_equal(t1, standardized(per_block[-1].data))
 
     def test_standardized_rows_zero_mean(self):
         model = tiny_model(12)
         A, V = rand_pair(np.random.default_rng(12))
-        (got,) = teacher_targets(model, A, V, 2, [MODE_AV], standardize=True)
+        (got,) = teacher_targets(model, A, V, 2, [MODE_AV])
         assert np.allclose(got.mean(axis=1), 0.0, atol=1e-9)
 
     def test_targets_carry_no_gradient(self):

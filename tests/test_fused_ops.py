@@ -24,8 +24,16 @@ def chain_ffn(x, W1, b1, W2, b2, activation):
     return T.add(T.matmul(hidden, W2), b2)
 
 
+def transpose(a):
+    """The chain's transpose node: its backward passes ``g.T`` on, a
+    transposed view whose memory order ``attention``'s K gradient keeps."""
+    if not T._track(a):
+        return Tensor(a.data.T)
+    return T._make(a.data.T, (a,), lambda g: a._accum(g.T))
+
+
 def chain_attention(Q, K, V, mask):
-    scores = T.scale(T.matmul(Q, T.transpose(K)), 1.0 / math.sqrt(Q.data.shape[1]))
+    scores = T.scale(T.matmul(Q, transpose(K)), 1.0 / math.sqrt(Q.data.shape[1]))
     return T.matmul(T.softmax(scores, mask), V)
 
 

@@ -1,4 +1,5 @@
-"""No module under src/, tests/ or demos/ imports a name it never uses."""
+"""No module under src/, tests/, demos/, tools/ or perfbench/ imports a name
+it never uses."""
 
 import ast
 from pathlib import Path
@@ -26,7 +27,7 @@ def test_unused_imports_are_found():
 
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}: {name}"
-             for folder in ("src", "tests", "demos")
+             for folder in ("src", "tests", "demos", "tools", "perfbench")
              for path in sorted((ROOT / folder).rglob("*.py"))
              for name in unused_imports(path.read_text())]
     assert found == []

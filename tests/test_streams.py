@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from avmoe.streams import (
-    GeneratorConfig, codebooks, dump_pairs, edit_distance,
-    generate_pair, load_pairs, nearest_centroid_decode, token_error_rate,
+    GeneratorConfig, codebooks, edit_distance, generate_pair,
+    nearest_centroid_decode, token_error_rate,
 )
 
 
@@ -114,20 +114,6 @@ def test_edit_distance_exhaustive_small_alphabet():
         r = tuple(rng.integers(0, 3, size=rng.integers(1, 7)))
         assert edit_distance(h, r) == _brute_force_edit_distance(h, r)
         assert token_error_rate(h, r) * len(r) == pytest.approx(_brute_force_edit_distance(h, r))
-
-
-def test_jsonl_round_trip(tmp_path):
-    cfg = GeneratorConfig()
-    pairs = [generate_pair(cfg, 3, rng_seed=s) for s in range(4)]
-    path = tmp_path / "pairs.jsonl"
-    dump_pairs(pairs, str(path))
-    loaded = load_pairs(str(path))
-    assert len(loaded) == 4
-    for a, b in zip(pairs, loaded):
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.audio, b.audio)
-        assert np.array_equal(a.video, b.video)
-        assert a.seed == b.seed
 
 
 def test_config_validation():

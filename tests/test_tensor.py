@@ -1,12 +1,14 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from avmoe import tensor as T
+from avmoe.gradcheck import CASES
 from avmoe.tensor import (
-    Tensor, ShapeError, attention, cross_entropy_with_logits, grad_check,
-    matmul, mse, softmax,
+    Tensor, ShapeError, attention, cross_entropy_rows, grad_check, matmul, mse,
+    softmax,
 )
 
 
@@ -132,26 +134,48 @@ def test_mse_shape_mismatch():
 
 
 def test_cross_entropy_limiting():
-    logits = Tensor([100.0] + [0.0] * 7)
-    assert cross_entropy_with_logits(logits, 0).item() < 1e-6
+    logits = Tensor([[100.0] + [0.0] * 7, [0.0] * 3 + [100.0] + [0.0] * 4])
+    assert cross_entropy_rows(logits, [0, 3]).item() < 1e-6
 
 
 def test_cross_entropy_uniform():
-    assert cross_entropy_with_logits(Tensor(np.zeros(8)), 3).item() == pytest.approx(math.log(8), abs=1e-12)
+    got = cross_entropy_rows(Tensor(np.zeros((3, 8))), [3, 0, 7]).item()
+    assert got == pytest.approx(math.log(8), abs=1e-12)
+
+
+def naive_cross_entropy(logits):
+    """-log softmax per row and class, by the textbook formula."""
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    return -np.log(probs)
 
 
 def test_cross_entropy_naive_oracle():
     rng = np.random.default_rng(6)
-    logits = rng.normal(scale=3.0, size=10)
-    probs = np.exp(logits) / np.exp(logits).sum()
-    for t in range(10):
-        got = cross_entropy_with_logits(Tensor(logits), t).item()
-        assert abs(got - (-math.log(probs[t]))) < 1e-9
+    logits = rng.normal(scale=3.0, size=(4, 10))
+    want = naive_cross_entropy(logits)
+    for r in range(4):
+        for t in range(10):
+            got = cross_entropy_rows(Tensor(logits[r:r + 1]), [t]).item()
+            assert abs(got - want[r, t]) < 1e-9
+    ids = [7, 0, 9, 4]
+    got = cross_entropy_rows(Tensor(logits), ids).item()
+    assert abs(got - want[np.arange(4), ids].mean()) < 1e-9
+
+
+def test_cross_entropy_row_weights_give_the_weighted_sum():
+    rng = np.random.default_rng(10)
+    logits = rng.normal(scale=3.0, size=(5, 6))
+    ids = [2, 5, 0, 0, 3]
+    w = [0.5, 0.0, 2.0, 1.0, 0.25]
+    per_row = naive_cross_entropy(logits)[np.arange(5), ids]
+    got = cross_entropy_rows(Tensor(logits), ids, row_weights=w).item()
+    assert abs(got - sum(wi * li for wi, li in zip(w, per_row))) < 1e-9
 
 
 def test_cross_entropy_out_of_range():
-    with pytest.raises(IndexError):
-        cross_entropy_with_logits(Tensor(np.zeros(4)), 4)
+    for ids in ([0, 4], [-1, 0]):
+        with pytest.raises(IndexError):
+            cross_entropy_rows(Tensor(np.zeros((2, 4))), ids)
 
 
 def test_grad_check_quadratic():
@@ -171,7 +195,7 @@ def test_grad_check_matmul_mse_chain():
 
 def test_grad_check_constant():
     x = Tensor(np.ones(4))
-    assert grad_check(lambda t: Tensor(2.0) + T.tsum(t) * 0.0, x, eps=1e-4) == 0.0
+    assert grad_check(lambda t: T.add(Tensor(2.0), T.mul(T.tsum(t), 0.0)), x, eps=1e-4) == 0.0
 
 
 PRIMITIVES = {
@@ -218,7 +242,7 @@ def test_accumulation_order_independent():
         x = Tensor(xd, requires_grad=True)
         branch_a = T.tsum(matmul(x, Tensor(a)))
         branch_b = T.tsum(matmul(Tensor(b), x))
-        loss = branch_a + branch_b if order else branch_b + branch_a
+        loss = T.add(branch_a, branch_b) if order else T.add(branch_b, branch_a)
         loss.backward()
         return x.grad.copy()
 
@@ -227,7 +251,7 @@ def test_accumulation_order_independent():
 
 def test_value_reused_twice_gets_sum_of_contributions():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    y = T.tsum(x * x + x * 3.0)
+    y = T.tsum(T.add(T.mul(x, x), T.mul(x, 3.0)))
     y.backward()
     assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
 
@@ -235,7 +259,7 @@ def test_value_reused_twice_gets_sum_of_contributions():
 def test_no_grad_blocks_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
-        y = T.tsum(x * x)
+        y = T.tsum(T.mul(x, x))
     assert y._parents == ()
 
 
@@ -245,12 +269,28 @@ def test_constant_operands_get_no_gradient():
     h = T.tanh(x)  # a non-leaf operand still gets its gradient
     consts = {name: Tensor(rng.normal(size=shape)) for name, shape in
               [("add", (3, 4)), ("mul", (4,)), ("left", (2, 3)), ("right", (4, 5)),
-               ("vec", (4,)), ("rows", (1, 4)), ("cols", (3, 2)), ("stack", (4,))]}
+               ("vec", (4,)), ("rows", (1, 4)), ("cols", (3, 2))]}
     c = consts
-    row = T.reshape(T.index_rows(x, [0]), (4,))
     outs = [T.add(x, c["add"]), T.mul(c["mul"], h), matmul(c["left"], x),
             matmul(h, c["right"]), matmul(x, c["vec"]), T.concat_rows([x, c["rows"]]),
-            T.concat_cols([c["cols"], h]), T.stack_rows([c["stack"], row])]
-    T.tsum(T.stack_rows([T.tsum(o) for o in outs])).backward()
+            T.concat_cols([c["cols"], h])]
+    total = T.tsum(outs[0])
+    for o in outs[1:]:
+        total = T.add(total, T.tsum(o))
+    total.backward()
     assert x.grad is not None
     assert {name: t.grad for name, t in consts.items() if t.grad is not None} == {}
+
+
+def test_every_public_op_has_a_gradcheck_case():
+    """Each function of avmoe.tensor that returns a Tensor has a "tensor"
+    gradcheck case named after it or prefixed ``<op>_``; tsum, with which
+    every case ends, needs none of its own."""
+    ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+           if fn.__module__ == T.__name__ and not name.startswith("_")
+           and inspect.signature(fn).return_annotation == "Tensor"}
+    assert {"add", "attention", "cross_entropy_rows", "ffn", "tsum"} <= ops
+    cases = [name for name, _ in CASES["tensor"]]
+    missing = sorted(op for op in ops - {"tsum"}
+                     if not any(c == op or c.startswith(op + "_") for c in cases))
+    assert missing == []
