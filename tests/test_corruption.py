@@ -228,3 +228,45 @@ class TestPresetsAndSerialization:
         a1, v1 = corrupt_pair(A, V, plan, rng_seed=2)
         a2, v2 = corrupt_pair(A, V, plan, rng_seed=2)
         assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("seq_len", [-3, 4.0])
+    def test_plan_rejects_seq_len_not_a_count(self, seq_len):
+        with pytest.raises(ValueError, match="seq_len"):
+            CorruptionPlan(seq_len=seq_len)
+
+    @pytest.mark.parametrize("bad", [[1.7], np.array([1.0, 2.0]), np.array([[1, 2]]), 3,
+                                     np.array([True, False])])
+    def test_plan_rejects_indices_not_1d_integers(self, bad):
+        with pytest.raises(ValueError, match="1-D array of integer frame indices"):
+            CorruptionPlan(seq_len=6, audio_corrupt=bad)
+
+    def test_plan_accepts_empty_lists(self):
+        plan = CorruptionPlan(seq_len=0, audio_corrupt=[], video_corrupt=[],
+                              audio_mask=[], video_mask=[])
+        for name in ("audio_corrupt", "video_corrupt", "audio_mask", "video_mask"):
+            idx = getattr(plan, name)
+            assert idx.dtype == np.int64 and idx.shape == (0,)
+
+    @pytest.mark.parametrize("audio_frames, video_frames", [(6, 6), (3, 6), (6, 3)])
+    def test_plan_length_must_match_both_streams(self, audio_frames, video_frames):
+        rng = np.random.default_rng(0)
+        A, V = rng.normal(size=(audio_frames, 2)), rng.normal(size=(video_frames, 2))
+        plan = CorruptionPlan(seq_len=3, audio_corrupt=[0, 1], video_corrupt=[2],
+                              modality_drop=DROP_AUDIO)
+        with pytest.raises(ValueError, match="covers 3 frames"):
+            corrupt_pair(A, V, plan, rng_seed=0)
+        with pytest.raises(ValueError, match="covers 3 frames"):
+            apply_modality_dropout(A, V, plan)
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            mix_at_snr(np.ones((4, 2)), np.ones((4, 2)), snr, np.arange(4))
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            CorruptionOp("additive_noise", snr_db=snr)
+
+    def test_blur_window_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            CorruptionOp("blur", window=3.0)

@@ -1,0 +1,237 @@
+"""The corruption protocol against a set-operation oracle.
+
+``avmoe.corruption`` builds its index sets on boolean frame marks. The
+oracle below is the earlier implementation, which built them with numpy's
+set routines (``np.unique``, ``union1d``, ``setdiff1d``, ``intersect1d``),
+kept here as the reference. Plans, masks, corrupted pairs and
+``corrupt_video`` outputs must equal it in values and dtypes, with every RNG
+draw in the same order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avmoe import corruption as C
+
+INDEX_SETS = ("audio_corrupt", "video_corrupt", "audio_mask", "video_mask")
+KINDS = ("zero", "additive_noise", "blur", "shuffle")
+
+
+# -- the oracle ---------------------------------------------------------------
+
+def oracle_index_sets(**sets):
+    """The four index sets a plan stores, or ValueError when they overlap."""
+    out = {name: np.unique(np.asarray(sets.get(name, []), dtype=np.int64))
+           for name in INDEX_SETS}
+    masked = np.union1d(out["audio_mask"], out["video_mask"])
+    corrupted = np.union1d(out["audio_corrupt"], out["video_corrupt"])
+    if np.intersect1d(masked, corrupted).size:
+        raise ValueError("masked and corrupted index sets overlap")
+    return out
+
+
+def oracle_chunks(rng, T, count, events):
+    if count <= 0 or events <= 0:
+        return np.zeros(0, dtype=np.int64)
+    count = min(count, T)
+    events = min(events, count)
+    sizes = [count // events + (1 if i < count % events else 0) for i in range(events)]
+    free = T - count
+    cuts = np.sort(rng.integers(0, free + 1, size=events))
+    gaps = np.diff(np.concatenate(([0], cuts, [free])))
+    out = []
+    pos = 0
+    for g, s in zip(gaps[:-1], sizes):
+        pos += int(g)
+        out.extend(range(pos, pos + s))
+        pos += s
+    return np.asarray(out, dtype=np.int64)
+
+
+def oracle_plan(T, video_range, audio_range, events, drop_prob, seed):
+    rng = np.random.default_rng(seed)
+    audio_ratio = rng.uniform(*audio_range)
+    video_ratio = rng.uniform(*video_range)
+    audio = oracle_chunks(rng, T, int(np.floor(audio_ratio * T)), events)
+    video = oracle_chunks(rng, T, int(np.floor(video_ratio * T)), events)
+    u = rng.uniform()
+    drop = (C.DROP_AUDIO if u < drop_prob else
+            C.DROP_VIDEO if u < 2 * drop_prob else C.DROP_NONE)
+    return oracle_index_sets(audio_corrupt=audio, video_corrupt=video), drop
+
+
+def oracle_preset(name, T, seed, drop_prob):
+    if name == "none":
+        return oracle_index_sets(), C.DROP_NONE
+    if name == "train-default":
+        return oracle_plan(T, (0.1, 0.5), (0.3, 0.5), 1, drop_prob, seed)
+    rng = np.random.default_rng(seed)
+    video = oracle_chunks(rng, T, int(np.floor(rng.beta(2.0, 2.0) * T)), 1)
+    return oracle_index_sets(audio_corrupt=np.arange(T, dtype=np.int64),
+                             video_corrupt=video), C.DROP_NONE
+
+
+def oracle_span_mask(rng, T, prob, span):
+    starts = np.flatnonzero(rng.uniform(size=T) < prob / span)
+    if starts.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    idx = (starts[:, None] + np.arange(span)[None, :]).reshape(-1)
+    return np.unique(idx[idx < T])
+
+
+def oracle_masks(sets, T, audio_prob, audio_span, video_prob, video_span, seed):
+    rng = np.random.default_rng(seed)
+    corrupted = np.union1d(sets["audio_corrupt"], sets["video_corrupt"])
+    audio = np.setdiff1d(oracle_span_mask(rng, T, audio_prob, audio_span), corrupted)
+    video = np.setdiff1d(oracle_span_mask(rng, T, video_prob, video_span), corrupted)
+    return oracle_index_sets(audio_corrupt=sets["audio_corrupt"],
+                             video_corrupt=sets["video_corrupt"],
+                             audio_mask=audio, video_mask=video)
+
+
+def oracle_mix(frames, noise, snr_db, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size == 0:
+        return frames.copy()
+    sig = frames[idx]
+    noi = noise[:idx.size]
+    alpha = np.sqrt(float(np.mean(sig ** 2)) / (float(np.mean(noi ** 2))
+                                               * 10.0 ** (snr_db / 10.0)))
+    out = frames.copy()
+    out[idx] = sig + alpha * noi
+    return out
+
+
+def oracle_corrupt_video(frames, op, indices, seed):
+    idx = np.unique(np.asarray(indices, dtype=np.int64))
+    out = frames.copy()
+    if idx.size == 0:
+        return out
+    rng = np.random.default_rng(seed)
+    if op.kind == "zero":
+        out[idx] = 0.0
+    elif op.kind == "additive_noise":
+        out = oracle_mix(out, rng.normal(size=(idx.size, frames.shape[1])), op.snr_db, idx)
+    elif op.kind == "shuffle":
+        out[idx] = out[idx][rng.permutation(idx.size)]
+    else:
+        half = op.window // 2
+        for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
+            seg = frames[run]
+            padded = np.pad(seg, ((half, half), (0, 0)), mode="reflect") if half else seg
+            kernel = np.ones(op.window) / op.window
+            out[run] = np.stack([np.convolve(padded[:, c], kernel, mode="valid")
+                                 for c in range(seg.shape[1])], axis=1)
+    return out
+
+
+def oracle_corrupt_pair(audio, video, sets, seed, snr_db):
+    rng = np.random.default_rng(seed)
+    out_audio = audio.copy()
+    if sets["audio_corrupt"].size:
+        noise = rng.normal(size=(sets["audio_corrupt"].size, audio.shape[1]))
+        out_audio = oracle_mix(audio, noise, snr_db, sets["audio_corrupt"])
+    op = C.VIDEO_OPS[rng.integers(0, len(C.VIDEO_OPS))]
+    out_video = oracle_corrupt_video(video, op, sets["video_corrupt"],
+                                     int(rng.integers(0, 2 ** 31)))
+    return out_audio, out_video
+
+
+# -- comparisons --------------------------------------------------------------
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_plan_equals(plan, sets, drop):
+    for name in INDEX_SETS:
+        assert_same_array(getattr(plan, name), sets[name])
+    assert plan.modality_drop == drop
+
+
+seeds = st.integers(0, 2 ** 31 - 1)
+probs = st.floats(0.0, 1.0)
+
+
+@st.composite
+def ratio_ranges(draw):
+    lo, hi = sorted((draw(probs), draw(probs)))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(T=st.integers(0, 64), video_range=ratio_ranges(), audio_range=ratio_ranges(),
+       events=st.integers(0, 5), drop_prob=st.floats(0.0, 0.5), seed=seeds)
+def test_sampled_plans_equal_the_oracle(T, video_range, audio_range, events, drop_prob,
+                                        seed):
+    events = min(events, T)
+    plan = C.sample_corruption_plan(T, video_range, audio_range, events, drop_prob, seed)
+    assert_plan_equals(plan, *oracle_plan(T, video_range, audio_range, events,
+                                          drop_prob, seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(C.PRESETS), T=st.integers(1, 64), seed=seeds,
+       drop_prob=st.floats(0.0, 0.5))
+def test_preset_plans_equal_the_oracle(name, T, seed, drop_prob):
+    plan = C.sample_plan_preset(name, T, seed, drop_prob=drop_prob)
+    assert_plan_equals(plan, *oracle_preset(name, T, seed, drop_prob))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(C.PRESETS), T=st.integers(1, 64), plan_seed=seeds,
+       audio_prob=probs, audio_span=st.integers(1, 12), video_prob=probs,
+       video_span=st.integers(1, 12), seed=seeds)
+def test_masks_equal_the_oracle(name, T, plan_seed, audio_prob, audio_span, video_prob,
+                                video_span, seed):
+    plan = C.sample_plan_preset(name, T, plan_seed)
+    got = C.allocate_masks(plan, audio_prob, audio_span, video_prob, video_span, seed)
+    sets, drop = oracle_preset(name, T, plan_seed, 0.25)
+    want = oracle_masks(sets, T, audio_prob, audio_span, video_prob, video_span, seed)
+    assert_plan_equals(got, want, drop)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(T=st.integers(0, 12), data=st.data())
+def test_constructed_plans_equal_the_oracle(T, data):
+    """Unsorted index lists with repeats are sorted and de-duplicated, and an
+    overlap raises, as in the oracle."""
+    frames = st.lists(st.integers(0, max(T - 1, 0)), max_size=2 * T if T else 0)
+    sets = {name: data.draw(frames, label=name) for name in INDEX_SETS}
+    try:
+        want = oracle_index_sets(**sets)
+    except ValueError:
+        with pytest.raises(ValueError, match="overlap"):
+            C.CorruptionPlan(seq_len=T, **sets)
+        return
+    assert_plan_equals(C.CorruptionPlan(seq_len=T, **sets), want, C.DROP_NONE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(T=st.integers(1, 40), kind=st.sampled_from(KINDS), window=st.integers(0, 5),
+       snr_db=st.floats(-20.0, 20.0), d=st.integers(1, 6), seed=seeds, data=st.data())
+def test_corrupt_video_equals_the_oracle(T, kind, window, snr_db, d, seed, data):
+    """Every operator, on unsorted index lists with repeats."""
+    op = C.CorruptionOp(kind, snr_db=snr_db, window=2 * window + 1)
+    indices = data.draw(st.lists(st.integers(0, T - 1), max_size=2 * T), label="indices")
+    frames = np.random.default_rng(seed).normal(size=(T, d))
+    assert_same_array(C.corrupt_video(frames, op, indices, seed),
+                      oracle_corrupt_video(frames, op, indices, seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(C.PRESETS), T=st.integers(1, 48), d_audio=st.integers(1, 8),
+       d_video=st.integers(1, 8), plan_seed=seeds, seed=seeds,
+       snr_db=st.sampled_from([-10.0, -5.0, 0.0, 5.0, 10.0]))
+def test_corrupted_pairs_equal_the_oracle(name, T, d_audio, d_video, plan_seed, seed,
+                                          snr_db):
+    rng = np.random.default_rng(plan_seed)
+    audio, video = rng.normal(size=(T, d_audio)), rng.normal(size=(T, d_video))
+    plan = C.allocate_masks(C.sample_plan_preset(name, T, plan_seed), 0.3, 3, 0.2, 2, seed)
+    sets = oracle_masks(oracle_preset(name, T, plan_seed, 0.25)[0], T, 0.3, 3, 0.2, 2, seed)
+    got = C.corrupt_pair(audio, video, plan, seed, audio_snr_db=snr_db)
+    want = oracle_corrupt_pair(audio, video, sets, seed, snr_db)
+    for g, w in zip(got, want):
+        assert_same_array(g, w)
