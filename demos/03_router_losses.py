@@ -52,7 +52,7 @@ for step in range(200):
         modalities.append(tag)
     routing = route_hierarchical(inter, intras, Tensor(np.stack(rows)), m=2,
                                  modalities=modalities)
-    stats = dispatch_stats([routing])
+    stats = dispatch_stats(routing)
     loss = load_biasing_loss(stats)
     loss.backward()
     inter.weight.data -= 0.5 * inter.weight.grad

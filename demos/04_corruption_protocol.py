@@ -1,7 +1,7 @@
 """Masking and corruption planning for paired audio-visual streams.
 
 A plan first reserves corrupted frame indices (additive noise at a target
-SNR for audio, occlusion or dropout for video), then span masks are drawn
+SNR for audio, one of four video operators), then span masks are drawn
 around them so the two sets never overlap. The demo verifies the achieved
 SNR and shows the named presets.
 """
@@ -36,8 +36,10 @@ for target in (-10.0, 0.0, 10.0):
     achieved = 10 * np.log10(np.mean(frames ** 2) / np.mean(resid ** 2))
     print(f"target {target:+.0f} dB -> achieved {achieved:+.3f} dB")
 
-# corrupt_pair applies the whole protocol: noise mixing on audio, the video
-# operation drawn by the plan, and zeroing of masked frames.
+# corrupt_pair corrupts the plan's corrupted frames: noise mixing on audio and
+# one video operator it draws (zeroing, -10 dB noise, a 3-frame blur or a
+# shuffle). It leaves masked frames as they are; the uptraining student input
+# zeroes those (distill.student_input).
 audio = rng.normal(size=(T_frames, 20))
 video = rng.normal(size=(T_frames, 12))
 a_out, v_out = corrupt_pair(audio, video, plan, rng_seed=3, audio_snr_db=-5.0)

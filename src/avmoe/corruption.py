@@ -1,6 +1,7 @@
-"""Corruption protocol: sampling corruption/mask index sets over frame
-sequences and applying the corruption operators (SNR-targeted additive noise,
-zeroing, temporal blur, frame shuffle).
+"""Corruption protocol: the three named plan presets, span masks over their
+clean frames, and the corruption operators (SNR-targeted additive noise on
+audio; zeroing, -10 dB additive noise, a 3-frame temporal blur or a frame
+shuffle on video).
 
 A ``CorruptionPlan`` holds four index sets over its ``seq_len`` frames, each a
 sorted, unique int64 array: the corrupted and the masked frames of each
@@ -24,9 +25,10 @@ DROP_NONE = "none"
 DROP_AUDIO = "drop_audio"
 DROP_VIDEO = "drop_video"
 
-
-class InfeasiblePlanError(ValueError):
-    """Requested corruption layout cannot fit in the sequence."""
+# the video operators corrupt_pair draws from, in draw order
+VIDEO_OPS = ("zero", "additive_noise", "blur", "shuffle")
+VIDEO_NOISE_SNR_DB = -10.0
+BLUR_WINDOW = 3
 
 
 class DegenerateNoiseError(ValueError):
@@ -65,74 +67,14 @@ class CorruptionPlan:
             raise ValueError("masked and corrupted index sets overlap")
 
 
-@dataclass(frozen=True)
-class CorruptionOp:
-    kind: str                   # "additive_noise" | "zero" | "blur" | "shuffle"
-    snr_db: float = 0.0
-    window: int = 3
-
-    def __post_init__(self):
-        if self.kind not in ("additive_noise", "zero", "blur", "shuffle"):
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        if self.kind == "blur":
-            if not isinstance(self.window, numbers.Integral):
-                raise ValueError(f"blur window must be an integer, got {self.window!r}")
-            if self.window < 1 or self.window % 2 == 0:
-                raise ValueError(f"blur window must be odd and >= 1, got {self.window}")
-
-
 # -- plan sampling ------------------------------------------------------------
 
-def _sample_chunks(rng, T: int, count: int, events: int) -> np.ndarray:
-    """Disjoint contiguous chunks totaling ``count`` frames, uniform starts."""
-    if count <= 0 or events <= 0:
+def _sample_chunk(rng, T: int, count: int) -> np.ndarray:
+    """One contiguous chunk of ``count`` frames at a uniform start."""
+    if count <= 0:
         return np.zeros(0, dtype=np.int64)
-    count = min(count, T)
-    events = min(events, count)
-    # near-equal chunk sizes, remainder to earlier chunks
-    sizes = [count // events + (1 if i < count % events else 0) for i in range(events)]
-    # distribute the T - count free frames into events+1 gaps uniformly: chunk
-    # i starts after the free frames up to its sorted cut and the i chunks
-    # before it
-    cuts = sorted(rng.integers(0, T - count + 1, size=events).tolist())
-    out = []
-    for cut, size in zip(cuts, sizes):
-        start = cut + len(out)
-        out.extend(range(start, start + size))
-    return np.asarray(out, dtype=np.int64)
-
-
-def sample_corruption_plan(T: int, video_ratio_range, audio_ratio_range,
-                           events: int, drop_prob: float, rng_seed: int) -> CorruptionPlan:
-    """Sample disjoint contiguous corruption chunks per modality plus the
-    modality-dropout flag (audio and video never dropped together)."""
-    for lo, hi in (video_ratio_range, audio_ratio_range):
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError(f"ratio range [{lo}, {hi}] invalid")
-    if events < 0:
-        raise ValueError("events must be >= 0")
-    if not 0.0 <= drop_prob <= 0.5:
-        raise ValueError("drop_prob must be in [0, 0.5] (each modality, never both)")
-    if events > T:
-        raise InfeasiblePlanError(f"{events} corruption events cannot fit in {T} frames")
-    rng = np.random.default_rng(rng_seed)
-    a_lo, a_hi = audio_ratio_range
-    v_lo, v_hi = video_ratio_range
-    audio_ratio = rng.uniform(a_lo, a_hi)
-    video_ratio = rng.uniform(v_lo, v_hi)
-    audio_idx = _sample_chunks(rng, T, int(np.floor(audio_ratio * T)), events)
-    video_idx = _sample_chunks(rng, T, int(np.floor(video_ratio * T)), events)
-    u = rng.uniform()
-    if u < drop_prob:
-        drop = DROP_AUDIO
-    elif u < 2 * drop_prob:
-        drop = DROP_VIDEO
-    else:
-        drop = DROP_NONE
-    return CorruptionPlan(seq_len=T, audio_corrupt=audio_idx, video_corrupt=video_idx,
-                          modality_drop=drop)
+    start = int(rng.integers(0, T - count + 1, size=1)[0])
+    return np.arange(start, start + count, dtype=np.int64)
 
 
 def _sample_mask(rng, T: int, prob: float, span: int) -> np.ndarray:
@@ -199,10 +141,12 @@ def _contiguous_runs(idx: np.ndarray):
     yield idx[start:]
 
 
-def corrupt_video(frames: np.ndarray, op: CorruptionOp, indices,
+def corrupt_video(frames: np.ndarray, kind: str, indices,
                   rng_seed: int = 0) -> np.ndarray:
-    """Apply a video corruption operator to the indexed frames only (each
-    frame once, however often it is listed)."""
+    """Apply the video operator ``kind`` (one of ``VIDEO_OPS``) to the
+    indexed frames only (each frame once, however often it is listed)."""
+    if kind not in VIDEO_OPS:
+        raise ValueError(f"unknown corruption kind {kind!r}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= frames.shape[0]):
         raise ValueError("corruption indices outside the sequence")
@@ -213,20 +157,20 @@ def corrupt_video(frames: np.ndarray, op: CorruptionOp, indices,
     mark[idx] = True
     idx = mark.nonzero()[0]
     rng = np.random.default_rng(rng_seed)
-    if op.kind == "zero":
+    if kind == "zero":
         out[idx] = 0.0
-    elif op.kind == "additive_noise":
+    elif kind == "additive_noise":
         noise = rng.normal(size=(idx.size, frames.shape[1]))
-        out = mix_at_snr(out, noise, op.snr_db, idx)
-    elif op.kind == "shuffle":
+        out = mix_at_snr(out, noise, VIDEO_NOISE_SNR_DB, idx)
+    elif kind == "shuffle":
         perm = rng.permutation(idx.size)
         out[idx] = out[idx][perm]
-    elif op.kind == "blur":
-        half = op.window // 2
+    else:
+        half = BLUR_WINDOW // 2
+        kernel = np.ones(BLUR_WINDOW) / BLUR_WINDOW
         for run in _contiguous_runs(idx):
             seg = frames[run]
-            padded = np.pad(seg, ((half, half), (0, 0)), mode="reflect") if half else seg
-            kernel = np.ones(op.window) / op.window
+            padded = np.pad(seg, ((half, half), (0, 0)), mode="reflect")
             blurred = np.stack([np.convolve(padded[:, c], kernel, mode="valid")
                                 for c in range(seg.shape[1])], axis=1)
             out[run] = blurred
@@ -257,30 +201,38 @@ PRESETS = ("train-default", "eval-fullnoise", "none")
 
 def sample_plan_preset(name: str, T: int, rng_seed: int,
                        drop_prob: float = 0.25) -> CorruptionPlan:
-    """Named corruption regimes.
+    """The corruption plan of one named regime over ``T`` frames.
 
-    train-default: one contiguous chunk per modality, video ratio 10-50%,
-    audio ratio 30-50%, modality dropout at ``drop_prob`` per modality.
+    train-default: one contiguous chunk per modality, floor(ratio * T) frames
+    long with the audio ratio drawn from U(0.3, 0.5) and then the video ratio
+    from U(0.1, 0.5); then modality dropout: audio with probability
+    ``drop_prob``, video with probability ``drop_prob``, never both.
     eval-fullnoise: whole-sequence audio corruption plus one video chunk whose
     length fraction is Beta(2,2)-distributed; no dropout.
+    none: nothing corrupted.
     """
     if name == "none":
         return CorruptionPlan(seq_len=T)
     if name == "train-default":
-        return sample_corruption_plan(T, video_ratio_range=(0.1, 0.5),
-                                      audio_ratio_range=(0.3, 0.5), events=1,
-                                      drop_prob=drop_prob, rng_seed=rng_seed)
+        if not 0.0 <= drop_prob <= 0.5:
+            raise ValueError("drop_prob must be in [0, 0.5] (each modality, never both)")
+        rng = np.random.default_rng(rng_seed)
+        audio_ratio = rng.uniform(0.3, 0.5)
+        video_ratio = rng.uniform(0.1, 0.5)
+        audio_idx = _sample_chunk(rng, T, int(np.floor(audio_ratio * T)))
+        video_idx = _sample_chunk(rng, T, int(np.floor(video_ratio * T)))
+        u = rng.uniform()
+        drop = (DROP_AUDIO if u < drop_prob else
+                DROP_VIDEO if u < 2 * drop_prob else DROP_NONE)
+        return CorruptionPlan(seq_len=T, audio_corrupt=audio_idx, video_corrupt=video_idx,
+                              modality_drop=drop)
     if name == "eval-fullnoise":
         rng = np.random.default_rng(rng_seed)
         frac = rng.beta(2.0, 2.0)
-        video_idx = _sample_chunks(rng, T, int(np.floor(frac * T)), 1)
+        video_idx = _sample_chunk(rng, T, int(np.floor(frac * T)))
         return CorruptionPlan(seq_len=T, audio_corrupt=np.arange(T, dtype=np.int64),
                               video_corrupt=video_idx)
     raise ValueError(f"unknown corruption preset {name!r}; expected one of {PRESETS}")
-
-
-VIDEO_OPS = (CorruptionOp("zero"), CorruptionOp("additive_noise", snr_db=-10.0),
-             CorruptionOp("blur", window=3), CorruptionOp("shuffle"))
 
 
 def corrupt_pair(audio: np.ndarray, video: np.ndarray, plan: CorruptionPlan,
@@ -293,7 +245,7 @@ def corrupt_pair(audio: np.ndarray, video: np.ndarray, plan: CorruptionPlan,
     if plan.audio_corrupt.size:
         noise = rng.normal(size=(plan.audio_corrupt.size, audio.shape[1]))
         out_audio = mix_at_snr(audio, noise, audio_snr_db, plan.audio_corrupt)
-    video_op = VIDEO_OPS[rng.integers(0, len(VIDEO_OPS))]
-    out_video = corrupt_video(video, video_op, plan.video_corrupt,
+    video_kind = VIDEO_OPS[rng.integers(0, len(VIDEO_OPS))]
+    out_video = corrupt_video(video, video_kind, plan.video_corrupt,
                               rng_seed=int(rng.integers(0, 2 ** 31)))
     return out_audio, out_video

@@ -373,7 +373,7 @@ def _case_moe_router_weights(seed):
 # -- loss cases with gradient paths through P/Q -------------------------------
 
 def _sparse_stats(layer, X):
-    return dispatch_stats([route_sparse(layer.router, X, layer.cfg.k)])
+    return dispatch_stats(route_sparse(layer.router, X, layer.cfg.k))
 
 
 def _case_balance_through_P(seed):
@@ -388,7 +388,7 @@ def _case_balance_direct(seed):
 
 
 def _hier_stats(layer, X, tags):
-    return dispatch_stats([layer.route(X, tags)])
+    return dispatch_stats(layer.route(X, tags))
 
 
 def _case_bias_through_Q(seed):

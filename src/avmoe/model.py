@@ -271,7 +271,7 @@ class Encoder:
             return self._encode_frames(audio, video, None)
         audios = [audio] if isinstance(audio, np.ndarray) else list(audio)
         videos = [video] if isinstance(video, np.ndarray) else list(video)
-        if len(audios) != len(videos):
+        if not audios or len(audios) != len(videos):
             raise T.ShapeError(f"{len(audios)} audio against {len(videos)} video sequences")
         for a, v in zip(audios, videos):
             if a.shape[0] != v.shape[0]:

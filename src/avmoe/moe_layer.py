@@ -188,7 +188,7 @@ class MoELayer:
                 raise T.ShapeError(f"{segments.shape} segment ids for {B} rows")
             centers = self._advance_center(X.data, segments)
         routing = self.route(X, modalities, centers)
-        return self.combine(X, routing), routing, dispatch_stats([routing])
+        return self.combine(X, routing), routing, dispatch_stats(routing)
 
     def combine(self, X: Tensor, routing: Routing) -> Tensor:
         """y_t = sum over j of weights[t, j] * e_j(x_t), e_j = selected[t, j].

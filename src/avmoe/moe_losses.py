@@ -83,6 +83,9 @@ def load_biasing_loss(stats: DispatchStats) -> Tensor:
     if stats.n_groups != 2:
         raise UnsupportedConfigError(
             f"load biasing defined for exactly 2 groups, got {stats.n_groups}")
+    if not stats.g:
+        raise UnsupportedConfigError(
+            "load biasing needs inter-router group statistics (hierarchical routing)")
     total = Tensor(0.0)
     if stats.counts.get(MOD_AUDIO, 0) > 0:
         g1 = float(stats.g[MOD_AUDIO][AUDIO_GROUP])

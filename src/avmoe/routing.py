@@ -214,31 +214,24 @@ class DispatchStats:
     n_groups: int
 
 
-def _stacked(parts: list[Tensor]) -> Tensor:
-    return parts[0] if len(parts) == 1 else T.concat_rows(parts)
-
-
-def dispatch_stats(routings: list[Routing]) -> DispatchStats:
+def dispatch_stats(routing: Routing) -> DispatchStats:
     """Aggregate f/P per expert group and g/Q per modality subset over the
-    rows of every routing record."""
-    if not routings:
-        raise ValueError("dispatch_stats needs a non-empty batch")
-    tags = np.asarray([t for r in routings for t in r.modalities])
+    rows of one routing record."""
+    tags = np.asarray(routing.modalities)
     n_tok = tags.size
-    group_sizes = routings[0].group_sizes
+    group_sizes = routing.group_sizes
 
     expert_f = []
     expert_P = []
     for gi, n in enumerate(group_sizes):
-        probs = _stacked([r.expert_probs[gi] for r in routings])
+        probs = routing.expert_probs[gi]
         expert_f.append(np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok)
         expert_P.append(T.mean_axis0(probs))
 
     g: dict[str, np.ndarray] = {}
     Q: dict[str, Tensor] = {}
     counts = {key: 0 for key in MODALITIES}
-    group_probs = (_stacked([r.group_probs for r in routings])
-                   if routings[0].group_probs is not None else None)
+    group_probs = routing.group_probs
     for tag in dict.fromkeys(tags.tolist()):
         rows = np.flatnonzero(tags == tag)
         counts[tag] = rows.size

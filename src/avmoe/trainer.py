@@ -634,6 +634,8 @@ def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> tuple[dict, dict]
 # -- evaluation ---------------------------------------------------------------
 
 def _eval_pairs(cfg_gen: GeneratorConfig, n: int, seed: int):
+    if n < 1:
+        raise ValueError(f"pairs must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
@@ -649,10 +651,8 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
     Every pair is corrupted first, then all are encoded packed in one
     no-grad pass and decoded together in lockstep, each up to
     ``EVAL_DECODE_SLACK`` tokens past its label length."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
-    rng = np.random.default_rng(seed)
     eval_pairs = _eval_pairs(gen_cfg, pairs, seed + 1)
+    rng = np.random.default_rng(seed)
     audios, videos = [], []
     for pair in eval_pairs:
         plan = sample_plan_preset(preset, pair.num_frames,
@@ -737,7 +737,7 @@ def expert_load_table(model: Model, gen_cfg: GeneratorConfig, pairs: int,
     for li, r in enumerate(routings):
         if r is None:
             continue
-        raw_f = dispatch_stats([r]).expert_f
+        raw_f = dispatch_stats(r).expert_f
         for gi, (n_exp, raw) in enumerate(zip(r.group_sizes, raw_f)):
             top = r.expert_probs[gi].data.argmax(axis=1)
             q = r.group_probs.data[:, gi] if r.group_probs is not None else np.ones(top.size)

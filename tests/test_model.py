@@ -55,6 +55,10 @@ class TestEncode:
         with pytest.raises(T.ShapeError):
             model.encode(rng.normal(size=(4, 5)), rng.normal(size=(5, 5)))
 
+    def test_no_sequences(self):
+        with pytest.raises(T.ShapeError):
+            Model(tiny_cfg(), seed=3).encode([], [])
+
     def test_deterministic(self):
         A, V = rand_pair(np.random.default_rng(4))
         f1, _ = Model(tiny_cfg(), seed=5).encode(A, V)

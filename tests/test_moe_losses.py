@@ -10,7 +10,7 @@ from avmoe.moe_losses import (
 )
 from avmoe.routing import (
     MOD_AUDIO, MOD_AV, MOD_VIDEO, DispatchStats, RouterParams,
-    dispatch_stats, route_hierarchical,
+    dispatch_stats, route_hard, route_hierarchical, route_sparse,
 )
 from avmoe.tensor import Tensor, grad_check
 
@@ -121,6 +121,17 @@ class TestLoadBiasing:
         with pytest.raises(UnsupportedConfigError):
             load_biasing_loss(stats)
 
+    @pytest.mark.parametrize("mode", ["hard", "sparse_topk"])
+    def test_stats_without_group_routing_rejected(self, mode):
+        rng = np.random.default_rng(5)
+        routers = [RouterParams(Tensor.param(rng.normal(size=(4, 2)))) for _ in range(2)]
+        X = Tensor(rng.normal(size=(4, 4)))
+        tags = [MOD_AUDIO, MOD_AUDIO, MOD_VIDEO, MOD_AV]
+        routing = (route_hard(tags, tuple(routers), X, k=2) if mode == "hard"
+                   else route_sparse(routers[0], X, k=1, modalities=tags))
+        with pytest.raises(UnsupportedConfigError):
+            load_biasing_loss(dispatch_stats(routing))
+
     def test_range_bound(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -148,7 +159,7 @@ class TestLoadBiasing:
         def loss_of(weight: Tensor):
             inter = RouterParams(weight)
             routing = route_hierarchical(inter, intras, X, m=2, modalities=tags)
-            return load_biasing_loss(dispatch_stats([routing]))
+            return load_biasing_loss(dispatch_stats(routing))
 
         W = Tensor(rng.normal(size=(4, 2)))
         assert grad_check(loss_of, W, eps=1e-4) < 1e-4

@@ -17,7 +17,7 @@ from avmoe.model import Model, ModelConfig, segment_mask
 from avmoe.moe_losses import (
     load_balancing_from_stats, load_biasing_loss, router_z_loss, total_aux_loss,
 )
-from avmoe.routing import MODALITIES, dispatch_stats
+from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
 from avmoe.trainer import TrainConfig, _mean_scalars, _supervised_step, build_model
 
@@ -41,6 +41,20 @@ def _cfg(mode, **moe_kw) -> TrainConfig:
     })
 
 
+def laid_end_to_end(records):
+    """One Routing over the rows of several, in order."""
+    def rows(tensors):
+        return T.concat_rows(list(tensors))
+    first = records[0]
+    return Routing([t for r in records for t in r.modalities],
+                   [rows(ps) for ps in zip(*(r.logits for r in records))],
+                   [rows(ps) for ps in zip(*(r.expert_probs for r in records))],
+                   np.concatenate([r.selected for r in records]),
+                   rows(r.weights for r in records),
+                   group_probs=(None if first.group_probs is None
+                                else rows(r.group_probs for r in records)))
+
+
 def per_sequence_step(model, cfg, batch):
     """The supervised step before packing: one encode and decode per sequence."""
     ces, layer_routings, logit_rows = [], {}, []
@@ -55,7 +69,7 @@ def per_sequence_step(model, cfg, batch):
     zero = Tensor(np.zeros(()))
     balance = bias = zero
     if layer_routings:
-        stats = [dispatch_stats(r) for r in layer_routings.values()]
+        stats = [dispatch_stats(laid_end_to_end(r)) for r in layer_routings.values()]
         balance = _mean_scalars([load_balancing_from_stats(s) for s in stats])
         if stats[0].n_groups == 2 and stats[0].g:
             bias = _mean_scalars([load_biasing_loss(s) for s in stats])

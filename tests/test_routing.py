@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from avmoe.routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, RoutingConfigError,
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, Routing, RoutingConfigError,
     dispatch_stats, route_dense, route_hard, route_hierarchical, route_sparse,
     select_topk,
 )
+from avmoe import tensor as T
 from avmoe.tensor import ShapeError, Tensor
 
 
@@ -208,13 +209,13 @@ class TestDispatchStats:
         probs = np.array([0.1, 0.2, 0.6, 0.1])
         r = route_sparse(RouterParams(Tensor.param(np.log(probs)[None, :])),
                          row([1.0]), k=1)
-        stats = dispatch_stats([r])
+        stats = dispatch_stats(r)
         assert np.array_equal(stats.expert_f[0], [0, 0, 1, 0])
 
     def test_uniform_probs_uniform_P(self):
         router = RouterParams(Tensor.param(np.zeros((3, 4))))
         r = route_sparse(router, Tensor(np.random.default_rng(0).normal(size=(5, 3))), 2)
-        stats = dispatch_stats([r])
+        stats = dispatch_stats(r)
         assert np.allclose(stats.expert_P[0].data, 0.25, atol=1e-12)
 
     def test_hand_count_oracle(self):
@@ -224,7 +225,7 @@ class TestDispatchStats:
                              [-1.0, 0.0], [0.0, -1.0], [2.0, -1.0]]))
         tags = [MOD_AUDIO, MOD_AUDIO, MOD_AV, MOD_VIDEO, MOD_VIDEO, MOD_AV]
         r = route_hierarchical(inter, intras, X, m=2, modalities=tags)
-        stats = dispatch_stats([r])
+        stats = dispatch_stats(r)
         # hand-count group top-1 frequencies per subset
         for tag, idxs in ((MOD_AUDIO, [0, 1]), (MOD_VIDEO, [3, 4]), (MOD_AV, [2, 5])):
             freq = np.zeros(2)
@@ -240,15 +241,23 @@ class TestDispatchStats:
             assert np.array_equal(stats.expert_f[gi], freq / 6)
 
     def test_records_concatenate(self):
+        """Routing is row by row: the stats of one record over a batch equal
+        those of two half-batch records laid end to end."""
         inter = make_router(3, 2, seed=35)
         intras = [make_router(3, 4, seed=36), make_router(3, 4, seed=37)]
         X = np.random.default_rng(38).normal(size=(7, 3))
         tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV, MOD_AUDIO, MOD_AV, MOD_VIDEO, MOD_AUDIO]
-        whole = dispatch_stats([route_hierarchical(inter, intras, Tensor(X), m=2,
-                                                   modalities=tags)])
-        parts = dispatch_stats([
-            route_hierarchical(inter, intras, Tensor(X[:3]), m=2, modalities=tags[:3]),
-            route_hierarchical(inter, intras, Tensor(X[3:]), m=2, modalities=tags[3:])])
+        whole = dispatch_stats(route_hierarchical(inter, intras, Tensor(X), m=2,
+                                                  modalities=tags))
+        a = route_hierarchical(inter, intras, Tensor(X[:3]), m=2, modalities=tags[:3])
+        b = route_hierarchical(inter, intras, Tensor(X[3:]), m=2, modalities=tags[3:])
+        parts = dispatch_stats(Routing(
+            a.modalities + b.modalities,
+            [T.concat_rows([p, q]) for p, q in zip(a.logits, b.logits)],
+            [T.concat_rows([p, q]) for p, q in zip(a.expert_probs, b.expert_probs)],
+            np.concatenate([a.selected, b.selected]),
+            T.concat_rows([a.weights, b.weights]),
+            group_probs=T.concat_rows([a.group_probs, b.group_probs])))
         for gi in range(2):
             assert np.array_equal(whole.expert_f[gi], parts.expert_f[gi])
             assert np.allclose(whole.expert_P[gi].data, parts.expert_P[gi].data, atol=1e-15)
@@ -257,13 +266,9 @@ class TestDispatchStats:
             assert np.array_equal(whole.g[tag], parts.g[tag])
             assert np.allclose(whole.Q[tag].data, parts.Q[tag].data, atol=1e-15)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            dispatch_stats([])
-
     def test_frequency_vectors_sum_to_one(self):
         rng = np.random.default_rng(33)
         router = make_router(3, 5, seed=34)
-        stats = dispatch_stats([route_sparse(router, Tensor(rng.normal(size=(20, 3))), 2)])
+        stats = dispatch_stats(route_sparse(router, Tensor(rng.normal(size=(20, 3))), 2))
         assert abs(stats.expert_f[0].sum() - 1.0) < 1e-9
         assert (stats.expert_f[0] >= 0).all() and (stats.expert_f[0] <= 1).all()

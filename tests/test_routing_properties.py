@@ -222,7 +222,7 @@ def _dense_combine(layer, X, routing):
 def _train_loss(layer, out, routing, R):
     """The layer's share of a supervised loss: a projection of the output,
     load balancing through P, the z-loss and, with two groups, biasing."""
-    stats = dispatch_stats([routing])
+    stats = dispatch_stats(routing)
     loss = T.add(T.tsum(T.mul(out, Tensor(R))), load_balancing_from_stats(stats))
     for lg in routing.logits:
         loss = T.add(loss, router_z_loss(lg))

@@ -17,7 +17,7 @@ from avmoe.streams import token_error_rate
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
     Adam, ConfigError, DivergenceError, SGD, TrainConfig, _eval_pairs, _sample_batch,
-    build_model, eval_group_load_vs_snr, eval_ter, group_affinity,
+    build_model, eval_group_load_vs_snr, eval_ter, expert_load_table, group_affinity,
     make_optimizer, repr_distance_report, seed_streams, train,
 )
 
@@ -626,6 +626,18 @@ def test_symmetric_init_group_weight_is_half():
     assert table.column("mean_qV")[0] == pytest.approx(0.5)
     aff = group_affinity(model, cfg.generator, pairs=3, seed=2)
     assert aff["audio_group_on_audio_tokens"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda m, g: eval_ter(m, g, pairs=0, preset="none"),
+    lambda m, g: expert_load_table(m, g, pairs=0),
+    lambda m, g: group_affinity(m, g, pairs=0),
+    lambda m, g: eval_group_load_vs_snr(m, g, [0.0], pairs=0),
+], ids=["eval_ter", "expert_load_table", "group_affinity", "eval_group_load_vs_snr"])
+def test_probes_reject_zero_pairs(probe):
+    cfg = _cfg()
+    with pytest.raises(ValueError, match="pairs must be >= 1, got 0"):
+        probe(build_model(cfg), cfg.generator)
 
 
 def test_repr_distance_zero_without_corruption():
