@@ -6,7 +6,7 @@ of the helpers; the acceptance checks, tests and demos measure with them."""
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -109,9 +109,12 @@ def _parse_cell(s: str):
 def atomic_open(path: str):
     """Open a text file whose contents replace ``path`` whole, or not at
     all: writes go to a temp file in the same directory, renamed over
-    ``path`` when the block exits without an error."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    ``path`` when the block exits without an error. The file gets the mode
+    ``open(path, "w")`` gives a new file (0o666 less the umask)."""
+    path = os.path.abspath(path)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # unlike tempfile.mkstemp's fixed 0o600, this mode goes through the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             yield f

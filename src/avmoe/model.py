@@ -27,9 +27,9 @@ sequence, 0/-inf masks keep each new row on its own cached rows and its own
 encoder segment, and a sequence leaves the step's rows once it emits EOS or
 reaches its own length bound. One sequence builds no mask.
 
-Checkpoints (format v2) are one JSON object whose arrays are base64 text of
-their little-endian float64 bytes, so a save and load round trip is exact;
-format v1 (decimal float lists) still loads.
+Checkpoints (format v2, the one format written and read) are one JSON object
+whose arrays are base64 text of their little-endian float64 bytes, so a save
+and load round trip is exact.
 """
 
 from __future__ import annotations
@@ -488,21 +488,19 @@ class Model(Encoder):
             json.dump(payload, f)
 
     def load_checkpoint(self, path: str):
-        """Load a format v2 or v1 checkpoint. A malformed checkpoint, or one
-        whose buffers do not match the model's, raises ValueError or
-        ShapeError, and parameter names that do not match raise KeyError;
-        the model is then left unchanged."""
+        """Load a format v2 checkpoint. Any other format tag (v1 included), a
+        malformed checkpoint, or one whose buffers do not match the model's
+        raises ValueError or ShapeError, and parameter names that do not
+        match raise KeyError; the model is then left unchanged."""
         with open(path) as f:
             payload = json.load(f)
         if not isinstance(payload, dict):
             raise ValueError(f"checkpoint holds a JSON {type(payload).__name__}, not an object")
-        readers = _CHECKPOINT_READERS.get(payload.get("format"))
-        if readers is None:
+        if payload.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unknown checkpoint format {payload.get('format')!r}")
-        read_param, read_buffer = readers
-        state = {name: read_param(entry)
+        state = {name: _decode_array(entry)
                  for name, entry in _checkpoint_section(payload, "params").items()}
-        buffers = {name: read_buffer(entry)
+        buffers = {name: _decode_array(entry)
                    for name, entry in _checkpoint_section(payload, "buffers").items()}
         named = self.buffers()
         if set(buffers) != set(named):
@@ -538,28 +536,6 @@ def _decode_array(entry) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{len(raw)} bytes of float64 data for shape {shape}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def _read_v1_param(entry) -> np.ndarray:
-    """A format-v1 parameter: ``{"shape": [...], "values": [flat floats]}``."""
-    if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
-        raise ValueError("v1 parameter entry must be an object with 'shape' and 'values'")
-    try:
-        return np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-    except TypeError as e:
-        raise ValueError(f"malformed v1 parameter entry: {e}") from e
-
-
-def _read_v1_buffer(entry) -> np.ndarray:
-    """A format-v1 buffer: a (nested) list of floats."""
-    try:
-        return np.asarray(entry, dtype=np.float64)
-    except TypeError as e:
-        raise ValueError(f"malformed v1 buffer: {e}") from e
-
-
-_CHECKPOINT_READERS = {CHECKPOINT_FORMAT: (_decode_array, _decode_array),
-                       "avmoe-checkpoint-v1": (_read_v1_param, _read_v1_buffer)}
 
 
 def _checkpoint_section(payload: dict, key: str) -> dict:

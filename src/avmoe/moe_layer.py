@@ -1,4 +1,4 @@
-"""Expert feed-forward networks and the dispatch/combine layer for dense,
+"""Expert GELU feed-forward networks and the dispatch/combine layer for dense,
 sparse top-k, hard-routed, and hierarchical modes, plus a coarse FLOPs
 accounting (multiply-adds counted as 2 ops, biases/activations ignored).
 
@@ -23,23 +23,21 @@ from .tensor import Tensor
 
 @dataclass
 class ExpertFFN:
-    """Two-layer bottleneck FFN: W2^T act(W1^T x + b1) + b2."""
+    """Two-layer bottleneck FFN: W2^T gelu(W1^T x + b1) + b2."""
 
     W1: Tensor  # [d x h]
     b1: Tensor  # [h]
     W2: Tensor  # [h x d]
     b2: Tensor  # [d]
-    activation: str = "gelu"
     eval_count: int = 0  # token evaluations, for the sparsity contract
 
     @staticmethod
-    def init(d: int, h: int, rng, activation: str = "gelu", scale: float = 0.1) -> "ExpertFFN":
+    def init(d: int, h: int, rng, scale: float = 0.1) -> "ExpertFFN":
         return ExpertFFN(
             W1=Tensor.param(scale * rng.normal(size=(d, h))),
             b1=Tensor.param(np.zeros(h)),
             W2=Tensor.param(scale * rng.normal(size=(h, d))),
             b2=Tensor.param(np.zeros(d)),
-            activation=activation,
         )
 
     def forward(self, x: Tensor) -> Tensor:
@@ -48,7 +46,7 @@ class ExpertFFN:
                 f"expert input {x.data.shape} incompatible with W1 {self.W1.data.shape}")
         # one evaluation per row: a [d] row, [n x d] rows, [n x T x d] stacked rows
         self.eval_count += math.prod(x.data.shape[:-1])
-        return T.ffn(x, self.W1, self.b1, self.W2, self.b2, self.activation)
+        return T.ffn(x, self.W1, self.b1, self.W2, self.b2)
 
     def params(self) -> list[Tensor]:
         return [self.W1, self.b1, self.W2, self.b2]
@@ -65,7 +63,6 @@ class MoELayerConfig:
     n_per_group: int = 4
     m: int = 2               # hierarchical: groups per token
     k_per_group: int = 1     # hierarchical: experts per selected group
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.mode not in ("dense_ffn", "sparse_topk", "hard", "hierarchical"):
@@ -73,9 +70,6 @@ class MoELayerConfig:
         if min(self.d, self.h, self.n_experts, self.k, self.n_groups,
                self.n_per_group, self.m, self.k_per_group) < 1:
             raise ValueError("all MoE dimensions must be positive")
-        if self.activation not in T._ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}; "
-                             f"expected one of {sorted(T._ACTIVATIONS)}")
         if self.mode == "sparse_topk" and self.k > self.n_experts:
             raise RoutingConfigError(f"k={self.k} exceeds {self.n_experts} experts")
         if self.mode == "hard" and (self.n_groups != 2 or self.k > self.n_per_group):
@@ -95,7 +89,7 @@ class MoELayer:
 
     def __init__(self, cfg: MoELayerConfig, rng):
         self.cfg = cfg
-        self.experts = [ExpertFFN.init(cfg.d, cfg.h, rng, cfg.activation)
+        self.experts = [ExpertFFN.init(cfg.d, cfg.h, rng)
                         for _ in range(len_experts(cfg))]
         self.init_routers(rng)
         # running mean of routed tokens; the inter router sees centered inputs

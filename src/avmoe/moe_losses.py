@@ -61,10 +61,11 @@ def load_balancing_from_stats(stats: DispatchStats) -> Tensor:
 
 
 def router_z_loss(logit_rows: Tensor, row_weights=None) -> Tensor:
-    """Mean over tokens of squared logsumexp of the router logits, or, given
-    ``row_weights``, their sum weighted by them."""
-    if logit_rows.data.ndim == 1:
-        logit_rows = T.reshape(logit_rows, (1, -1))
+    """Mean over tokens of squared logsumexp of the [tokens x experts] router
+    logits, or, given ``row_weights``, their sum weighted by them."""
+    if logit_rows.data.ndim != 2:
+        raise T.ShapeError(f"router z-loss needs a [tokens x experts] logit matrix, "
+                           f"got shape {logit_rows.data.shape}")
     lse = T.logsumexp(logit_rows)
     sq = T.mul(lse, lse)
     if row_weights is None:

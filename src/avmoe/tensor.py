@@ -18,11 +18,11 @@ stack on as a [T x d] tensor.
 
 The model's hot layers are fused ops, one node each with a hand-written
 backward: ``attention`` (scores, softmax and the value product), ``ffn``
-(both projections, biases and the activation) and ``standardize_rows`` with
-an optional residual operand (the add before the norm). Each runs the numpy
-arithmetic of the primitive-op chain it stands for, in the same order;
-``tests/test_fused_ops.py`` builds those chains and checks the fused ops
-against them bit for bit.
+(both projections, biases and the GELU between them) and
+``standardize_rows`` with an optional residual operand (the add before the
+norm). Each runs the numpy arithmetic of the primitive-op chain it stands
+for, in the same order; ``tests/test_fused_ops.py`` builds those chains and
+checks the fused ops against them bit for bit.
 """
 
 from __future__ import annotations
@@ -194,14 +194,6 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.reshape(shape)
-    if not _track(a):
-        return Tensor(data)
-    return _make(data, (a,), lambda g: a._accum(g.reshape(a.data.shape)))
-
-
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     if not _track(a):
@@ -295,42 +287,13 @@ def _gelu_derivative(g, x, t):
     return g * d
 
 
-def _tanh_forward(x):
-    t = np.tanh(x)
-    return t, t
-
-
-# name -> (forward, derivative): forward maps an input array to (output,
-# saved); derivative maps (upstream gradient, input, saved) to the input's
-# gradient. The element-wise ops and ``ffn`` both use these.
-_ACTIVATIONS = {
-    "gelu": (_gelu_forward, _gelu_derivative),
-    "tanh": (_tanh_forward, lambda g, x, t: g * (1.0 - t * t)),
-    "relu": (lambda x: (np.maximum(x, 0.0), None), lambda g, x, _: g * (x > 0)),
-    "linear": (lambda x: (x, None), lambda g, x, _: g),
-}
-
-
-def _activate(a, name: str) -> Tensor:
-    a = _as_tensor(a)
-    forward, derivative = _ACTIVATIONS[name]
-    y, saved = forward(a.data)
-    if not _track(a):
-        return Tensor(y)
-    return _make(y, (a,), lambda g: a._accum(derivative(g, a.data, saved)))
-
-
-def tanh(a: Tensor) -> Tensor:
-    return _activate(a, "tanh")
-
-
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU."""
-    return _activate(a, "gelu")
-
-
-def relu(a: Tensor) -> Tensor:
-    return _activate(a, "relu")
+    a = _as_tensor(a)
+    y, t = _gelu_forward(a.data)
+    if not _track(a):
+        return Tensor(y)
+    return _make(y, (a,), lambda g: a._accum(_gelu_derivative(g, a.data, t)))
 
 
 # -- softmax family -----------------------------------------------------------
@@ -622,20 +585,17 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
     return _make(data, (Q, K, V), backward)
 
 
-def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
-        activation: str = "gelu") -> Tensor:
-    """Two-layer feed-forward network act(x W1 + b1) W2 + b2 of one [d] row,
-    a [n x d] row batch or an [n x T x d] stack; ``activation`` is gelu,
-    tanh, relu or linear."""
+def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer GELU feed-forward network gelu(x W1 + b1) W2 + b2 of one
+    [d] row, a [n x d] row batch or an [n x T x d] stack."""
     x, W1, b1, W2, b2 = (_as_tensor(t) for t in (x, W1, b1, W2, b2))
-    forward, derivative = _ACTIVATIONS[activation]
     if not (x.data.ndim in (1, 2, 3) and W1.data.ndim == 2 and W2.data.ndim == 2
             and x.data.shape[-1] == W1.data.shape[0] and b1.data.shape == W1.data.shape[1:]
             and W2.data.shape[0] == W1.data.shape[1] and b2.data.shape == W2.data.shape[1:]):
         raise ShapeError(f"ffn shapes disagree: x {x.data.shape}, W1 {W1.data.shape}, "
                          f"b1 {b1.data.shape}, W2 {W2.data.shape}, b2 {b2.data.shape}")
     pre = x.data @ W1.data + b1.data
-    hidden, saved = forward(pre)
+    hidden, t = _gelu_forward(pre)
     data = hidden @ W2.data + b2.data
     if not _track(x, W1, b1, W2, b2):
         return Tensor(data)
@@ -647,7 +607,7 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor,
             W2._accum(_weight_grad(hidden, g))
         if not (_needs_grad(x) or _needs_grad(W1) or _needs_grad(b1)):
             return
-        gpre = derivative(g @ W2.data.T, pre, saved)
+        gpre = _gelu_derivative(g @ W2.data.T, pre, t)
         if _needs_grad(b1):
             b1._accum(_unbroadcast(gpre, b1.data.shape))
         if _needs_grad(x):

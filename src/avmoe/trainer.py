@@ -77,6 +77,17 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _check_field_types(cfg, prefix: str = ""):
+    """ConfigError unless each int field of the dataclass ``cfg`` holds an
+    integer and each float field a finite number, a bool being neither."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            raise ConfigError(f"{prefix}{f.name} must be an integer, got {v!r}")
+        if f.type == "float" and not _finite(v):
+            raise ConfigError(f"{prefix}{f.name} must be a finite number, got {v!r}")
+
+
 class DivergenceError(RuntimeError):
     """Non-finite loss; carries the step index and last finite losses."""
 
@@ -135,12 +146,10 @@ class TrainConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-            if f.type == "float" and not _finite(v):
-                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
+        for cfg, prefix in ((self, ""), (self.model, "model."), (self.model.moe, "model.moe."),
+                            (self.generator, "generator."),
+                            (self.task_weights, "task_weights.")):
+            _check_field_types(cfg, prefix)
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.steps < 1 or self.batch_size < 1:
@@ -149,6 +158,9 @@ class TrainConfig:
             raise ConfigError("combined_pipeline needs uptrain_steps >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.generator.codebook_seed < 0:
+            raise ConfigError(
+                f"generator.codebook_seed must be >= 0, got {self.generator.codebook_seed}")
         if min(self.lr, self.inter_lr_scale) <= 0:
             raise ConfigError("lr and inter_lr_scale must be positive")
         if self.optimizer not in ("sgd", "adam"):
@@ -218,6 +230,12 @@ class TrainConfig:
                 md = dict(d["model"])
                 if "moe" in md:
                     moe = dict(md["moe"])
+                    # config.json files written before the field was removed
+                    # carry it as "gelu", the activation every expert uses
+                    activation = moe.pop("activation", "gelu")
+                    if activation != "gelu":
+                        raise ConfigError(f"model.moe.activation {activation!r} is not "
+                                          f"supported; every expert is a GELU FFN")
                     for key in ("d", "h"):  # the model sets them; a config.json repeats them
                         width = md.get(key, getattr(ModelConfig, key))
                         if moe.get(key, width) != width:

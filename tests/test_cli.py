@@ -65,6 +65,14 @@ def test_train_invalid_config_value(tmp_path):
     {"av_snr_choices": [0.0, NAN]}, {"av_snr_choices": [float("-inf")]},
     {"inter_lr_scale": -1.0}, {"inter_lr_scale": 0.0}, {"inter_lr_scale": NAN},
     {"model": {"moe": {**HIER, "h": 128}}}, {"model": {"d": 16, "moe": {**HIER, "d": 32}}},
+    # the nested configs' counts and floats get the top-level type checks
+    {"generator": {"vocab": 16, "codebook_seed": -1}},
+    {"generator": {"vocab": 16, "codebook_seed": 1.5}},
+    {"generator": {"vocab": 16, "frames_per_token": 1.5}},
+    {"generator": {"vocab": 16, "sigma_audio": True}},
+    {"model": {"d": 32.0, "moe": HIER}}, {"model": {"n_enc": True, "topk_blocks": 1}},
+    {"model": {"moe": {"mode": "sparse_topk", "n_experts": 4, "k": 1.5}}},
+    {"model": {"moe": {**HIER, "n_per_group": 2.0}}}, {"task_weights": {"acp": True}},
 ])
 def test_train_rejects_bad_counts_and_settings_before_training(tmp_path, capsys, over):
     cfg_path = tmp_path / "cfg.json"
@@ -318,3 +326,18 @@ def test_unknown_activation_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "swish" in err and "Traceback" not in err
+
+
+def test_config_json_with_gelu_activation_still_loads(tmp_path, capsys):
+    """config.json files written while the activation was a field carry
+    "gelu"; they load, and the field is gone from the loaded config."""
+    cfg_path = tmp_path / "cfg.json"
+    moe = {"mode": "sparse_topk", "n_experts": 4, "k": 2}
+    _write_config(cfg_path, model={"moe": {**moe, "activation": "gelu"}})
+    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")]) == EXIT_OK
+    saved = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert "activation" not in saved["model"]["moe"]
+    _write_config(cfg_path, model={"moe": {**moe, "activation": "tanh"}})
+    assert main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out2")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "tanh" in err and "Traceback" not in err

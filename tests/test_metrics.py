@@ -1,4 +1,6 @@
 import itertools
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -103,6 +105,18 @@ def test_failed_atomic_write_keeps_the_old_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+def test_written_file_gets_the_umask_mode(tmp_path):
+    """A run artifact gets the mode ``open(path, "w")`` gives a new file,
+    not a temp file's 0o600."""
+    path = tmp_path / "steps.csv"
+    old = os.umask(0o022)
+    try:
+        write_table(CsvTable(["a"], [[1]]), str(path))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_csv_mismatched_row_width(tmp_path):

@@ -243,13 +243,6 @@ def assert_same_state(a: Model, b: Model):
         assert arr.tobytes() == b.buffers()[name].tobytes(), name
 
 
-def write_checkpoint(model: Model, path, fmt: str):
-    if fmt == "v1":
-        write_v1_checkpoint(model, path)
-    else:
-        model.save_checkpoint(str(path))
-
-
 def _edit_payload(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
@@ -258,13 +251,9 @@ def _edit_payload(path, edit):
 
 def _wrong_shape_buffer(payload):
     name = sorted(payload["buffers"])[0]
-    entry = payload["buffers"][name]
-    if isinstance(entry, list):  # v1: the values themselves
-        payload["buffers"][name] = entry[:-1]
-    else:
-        values = np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8")[:-1]
-        payload["buffers"][name] = {"shape": [values.size],
-                                    "f8": base64.b64encode(values.tobytes()).decode()}
+    values = np.frombuffer(base64.b64decode(payload["buffers"][name]["f8"]), dtype="<f8")[:-1]
+    payload["buffers"][name] = {"shape": [values.size],
+                                "f8": base64.b64encode(values.tobytes()).decode()}
 
 
 def _rename_buffer(payload):
@@ -286,6 +275,11 @@ CHECKPOINT_FAULTS = {
 }
 
 
+def fault_id(fault: str) -> str:
+    """Test id of a fault: its name and v2, the one checkpoint format."""
+    return f"{fault}-v2"
+
+
 class TestCheckpoints:
     def test_round_trip_bitexact(self, tmp_path):
         model = nonzero_centers(Model(tiny_cfg(mode="sparse_topk", n_experts=2, k=1), seed=18), 18)
@@ -304,13 +298,15 @@ class TestCheckpoints:
         assert payload["format"] == "avmoe-checkpoint-v2"
         assert set(payload["buffers"]) == set(model.buffers())
 
-    def test_v1_checkpoint_loads_bitexact(self, tmp_path):
+    def test_v1_checkpoint_is_refused(self, tmp_path):
         model = nonzero_centers(Model(tiny_cfg(mode="hierarchical"), seed=24), 24)
         path = tmp_path / "v1.json"
         write_v1_checkpoint(model, path)
-        other = Model(model.cfg, seed=98)
-        other.load_checkpoint(str(path))
-        assert_same_state(model, other)
+        other = nonzero_centers(Model(model.cfg, seed=98), 98)
+        before = nonzero_centers(Model(model.cfg, seed=98), 98)
+        with pytest.raises(ValueError, match="avmoe-checkpoint-v1"):
+            other.load_checkpoint(str(path))
+        assert_same_state(other, before)
 
     def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         model = Model(tiny_cfg(), seed=22)
@@ -329,17 +325,17 @@ class TestCheckpoints:
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else", "params": {}}')
         model = Model(tiny_cfg(), seed=19)
-        with pytest.raises(ValueError):
-            model.load_checkpoint(str(path))
+        for tag in ("something-else", "avmoe-checkpoint-v1"):
+            path.write_text(json.dumps({"format": tag, "params": {}}))
+            with pytest.raises(ValueError):
+                model.load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
-    def test_faulty_checkpoint_leaves_the_model_unchanged(self, tmp_path, fmt, fault):
+    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS), ids=fault_id)
+    def test_faulty_checkpoint_leaves_the_model_unchanged(self, tmp_path, fault):
         model = Model(tiny_cfg(mode="hierarchical"), seed=25)
         path = tmp_path / "ckpt.json"
-        write_checkpoint(model, path, fmt)
+        model.save_checkpoint(str(path))
         CHECKPOINT_FAULTS[fault](path)
         other = nonzero_centers(Model(model.cfg, seed=97), 97)
         before = nonzero_centers(Model(model.cfg, seed=97), 97)
@@ -357,25 +353,40 @@ class TestCheckpoints:
             bigger.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("fmt", ["v1", "v2"])
-@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
-def test_avmoe_eval_refuses_a_faulty_checkpoint(tmp_path, capsys, fmt, fault):
-    raw = {"regime": "supervised_moe", "steps": 1, "batch_size": 2, "seed": 0,
-           "model": {"moe": {"mode": "hierarchical", "n_groups": 2,
-                             "n_per_group": 4, "m": 2, "k_per_group": 1}},
-           "generator": {"vocab": 16}}
+EVAL_CONFIG = {"regime": "supervised_moe", "steps": 1, "batch_size": 2, "seed": 0,
+               "model": {"moe": {"mode": "hierarchical", "n_groups": 2,
+                                 "n_per_group": 4, "m": 2, "k_per_group": 1}},
+               "generator": {"vocab": 16}}
+
+
+def eval_args(tmp_path, path) -> list:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    path = tmp_path / "checkpoint.json"
-    write_checkpoint(build_model(TrainConfig.from_dict(raw)), path, fmt)
-    args = ["eval", "--checkpoint", str(path), "--config", str(cfg_path), "--pairs", "2"]
-    assert main(args) == EXIT_OK
-    capsys.readouterr()
-    CHECKPOINT_FAULTS[fault](path)
+    cfg_path.write_text(json.dumps(EVAL_CONFIG))
+    return ["eval", "--checkpoint", str(path), "--config", str(cfg_path), "--pairs", "2"]
+
+
+def assert_refused(capsys, args):
     assert main(args) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "cannot load checkpoint" in captured.err and "Traceback" not in captured.err
     assert "ter[" not in captured.out
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS), ids=fault_id)
+def test_avmoe_eval_refuses_a_faulty_checkpoint(tmp_path, capsys, fault):
+    path = tmp_path / "checkpoint.json"
+    build_model(TrainConfig.from_dict(EVAL_CONFIG)).save_checkpoint(str(path))
+    args = eval_args(tmp_path, path)
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    CHECKPOINT_FAULTS[fault](path)
+    assert_refused(capsys, args)
+
+
+def test_avmoe_eval_refuses_a_v1_checkpoint(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    write_v1_checkpoint(build_model(TrainConfig.from_dict(EVAL_CONFIG)), path)
+    assert_refused(capsys, eval_args(tmp_path, path))
 
 
 class TestPositions:

@@ -93,6 +93,11 @@ class TestRouterZLoss:
         got = float(router_z_loss(Tensor(np.array([[700.0, 699.0]]))).data)
         assert np.isfinite(got)
 
+    @pytest.mark.parametrize("shape", [(8,), (), (2, 1, 8)])
+    def test_needs_a_logit_matrix(self, shape):
+        with pytest.raises(T.ShapeError, match="logit matrix"):
+            router_z_loss(Tensor(np.zeros(shape)))
+
 
 class TestLoadBiasing:
     def test_perfect_specialization_zero(self):

@@ -153,11 +153,13 @@ def test_config_rejects_odd_k_in_hard_mode(k):
 
 
 def test_config_rejects_unknown_activation():
-    moe = {"mode": "sparse_topk", "n_experts": 4, "k": 2, "activation": "swish"}
-    with pytest.raises(ConfigError, match="swish"):
-        TrainConfig.from_dict({"model": {"moe": moe}})
-    for name in ("gelu", "tanh", "relu", "linear"):
-        TrainConfig.from_dict({"model": {"moe": {**moe, "activation": name}}})
+    """Every expert is a GELU FFN: an old config's "gelu" loads, and any
+    other activation is refused by name."""
+    moe = {"mode": "sparse_topk", "n_experts": 4, "k": 2}
+    for name in ("swish", "tanh", "relu", "linear"):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig.from_dict({"model": {"moe": {**moe, "activation": name}}})
+    TrainConfig.from_dict({"model": {"moe": {**moe, "activation": "gelu"}}})
 
 
 def test_config_accepts_edge_uptraining_settings():
