@@ -27,8 +27,8 @@ from .moe_losses import UnsupportedConfigError
 from .routing import RoutingConfigError
 from .tensor import NumericError, ShapeError
 from .trainer import (
-    EVAL_SEED_OFFSET, ConfigError, DivergenceError, TrainConfig, build_model,
-    eval_group_load_vs_snr, eval_ter, train,
+    AV_SNR_CHOICES, EVAL_SEED_OFFSET, ConfigError, DivergenceError, TrainConfig,
+    build_model, eval_group_load_vs_snr, eval_ter, train,
 )
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def _cmd_eval(args) -> int:
     ter = eval_ter(model, cfg.generator, pairs, args.preset, seed=seed)
     print(f"ter[{args.preset}]: {ter:.4f}")
     if args.snr_sweep:
-        table = eval_group_load_vs_snr(model, cfg.generator, list(cfg.av_snr_choices),
+        table = eval_group_load_vs_snr(model, cfg.generator, list(AV_SNR_CHOICES),
                                        pairs=max(pairs // 2, 4), seed=seed)
         print(",".join(table.header))
         for row in table.rows:

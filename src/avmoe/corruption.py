@@ -29,6 +29,10 @@ DROP_VIDEO = "drop_video"
 VIDEO_OPS = ("zero", "additive_noise", "blur", "shuffle")
 VIDEO_NOISE_SNR_DB = -10.0
 BLUR_WINDOW = 3
+# the span masks of the uptraining pairs, per modality: the expected share of
+# frames masked and the span length (see allocate_masks)
+AUDIO_MASK_PROB, AUDIO_MASK_SPAN = 0.3, 3
+VIDEO_MASK_PROB, VIDEO_MASK_SPAN = 0.2, 2
 
 
 class DegenerateNoiseError(ValueError):

@@ -16,7 +16,6 @@ one encode whose slices (`tensor.stack_slice`) feed the task losses.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -34,6 +33,8 @@ MODE_MASKED = "masked"  # student input: the corrupted pair, masked frames zeroe
 MODE_KEPT = "kept"      # teacher target: the modality a dropout kept, else AV
 # the task losses' steps.csv columns, in cav2vec_total_loss's argument order
 LOSS_COLUMNS = ("L_ACP", "L_VCP", "L_MASK", "L_MLM")
+# cav2vec_total_loss's weight of each task loss
+TASK_WEIGHTS = {"acp": 1.0, "vcp": 1.0, "mask": 1.0, "mlm": 2.0}
 _KEPT_MODES = {DROP_NONE: MODE_AV, DROP_AUDIO: MODE_V_ONLY, DROP_VIDEO: MODE_A_ONLY}
 ETA_START, ETA_END = 0.99, 0.999  # the EMA rate's linear ramp over the teacher's steps
 
@@ -64,18 +65,6 @@ TASKS = {task.name: task for task in (
     Task("MLM", MODE_MASKED, MODE_AV, "masked", ("L_MLM",), loss="mlm"),
 )}
 VARIANTS = {name: task for name, task in TASKS.items() if task.input_mode != MODE_MASKED}
-
-
-@dataclass
-class TaskWeights:
-    acp: float = 1.0
-    vcp: float = 1.0
-    mask: float = 1.0
-    mlm: float = 2.0
-
-    def __post_init__(self):
-        if not all(0.0 <= w < math.inf for w in (self.acp, self.vcp, self.mask, self.mlm)):
-            raise ValueError("task weights must be finite and nonnegative")
 
 
 @dataclass
@@ -247,14 +236,14 @@ def mlm_loss(student_features: Tensor, centroids: np.ndarray,
     return T.cross_entropy_rows(logits, [int(t) for t in target_ids])
 
 
-def cav2vec_total_loss(acp: Tensor, vcp: Tensor, mask: Tensor, mlm: Tensor,
-                       weights: TaskWeights | None = None) -> Tensor:
-    weights = weights or TaskWeights()
+def cav2vec_total_loss(acp: Tensor, vcp: Tensor, mask: Tensor, mlm: Tensor) -> Tensor:
+    """The task losses' sum, each weighted by its ``TASK_WEIGHTS`` entry."""
+    w = TASK_WEIGHTS
     for name, v in (("acp", acp), ("vcp", vcp), ("mask", mask), ("mlm", mlm)):
         if not np.isfinite(v.data).all():
             raise T.NumericError(f"non-finite {name} loss component")
-    return T.add(T.add(T.scale(acp, weights.acp), T.scale(vcp, weights.vcp)),
-                 T.add(T.scale(mask, weights.mask), T.scale(mlm, weights.mlm)))
+    return T.add(T.add(T.scale(acp, w["acp"]), T.scale(vcp, w["vcp"])),
+                 T.add(T.scale(mask, w["mask"]), T.scale(mlm, w["mlm"])))
 
 
 @dataclass

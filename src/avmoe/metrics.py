@@ -1,7 +1,7 @@
 """Stable CSV serialization and atomic file writes for run artifacts, plus
-small statistical helpers for measuring runs (Spearman rank correlation,
-coefficient of variation, histogram normalization). The trainer uses none
-of the helpers; the acceptance checks, tests and demos measure with them."""
+two statistical helpers for measuring runs (Spearman rank correlation and
+the coefficient of variation). The trainer uses neither; the acceptance
+checks, tests and demos measure with them."""
 
 from __future__ import annotations
 
@@ -50,14 +50,6 @@ def coeff_of_variation(counts) -> float:
     if m <= 0.0:
         raise ValueError("coefficient of variation needs a positive mean")
     return float(c.std() / m)
-
-
-def normalize_histogram(counts) -> np.ndarray:
-    c = np.asarray(counts, dtype=np.float64)
-    total = c.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize an empty histogram")
-    return c / total
 
 
 @dataclass

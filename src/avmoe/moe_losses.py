@@ -31,7 +31,6 @@ class LossBundle:
     z: Tensor
     c_balance: float
     c_bias: float
-    c_z: float
     total: Tensor
 
     def scalars(self) -> dict[str, float]:
@@ -100,14 +99,15 @@ def load_biasing_loss(stats: DispatchStats) -> Tensor:
 
 
 def total_aux_loss(ce, balance, bias, z, c_balance: float = DEFAULT_C_B,
-                   c_bias: float = DEFAULT_C_S, c_z: float = DEFAULT_C_Z) -> LossBundle:
-    """Weighted combination L_CE + c_B L_B + c_S L_S + c_Z L_Z."""
+                   c_bias: float = DEFAULT_C_S) -> LossBundle:
+    """Weighted combination L_CE + c_B L_B + c_S L_S + c_Z L_Z, with c_Z
+    fixed at ``DEFAULT_C_Z``."""
     ce, balance, bias, z = (x if isinstance(x, Tensor) else Tensor(float(x))
                             for x in (ce, balance, bias, z))
     for name, t in (("ce", ce), ("balance", balance), ("bias", bias), ("z", z)):
         if not np.isfinite(t.data).all():
             raise T.NumericError(f"loss component {name} is not finite")
     total = T.add(T.add(ce, T.scale(balance, c_balance)),
-                  T.add(T.scale(bias, c_bias), T.scale(z, c_z)))
+                  T.add(T.scale(bias, c_bias), T.scale(z, DEFAULT_C_Z)))
     return LossBundle(ce=ce, balance=balance, bias=bias, z=z,
-                      c_balance=c_balance, c_bias=c_bias, c_z=c_z, total=total)
+                      c_balance=c_balance, c_bias=c_bias, total=total)

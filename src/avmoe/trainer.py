@@ -37,11 +37,11 @@ import numpy as np
 
 from . import tensor as T
 from .corruption import (
-    CorruptionPlan, allocate_masks, apply_modality_dropout, corrupt_pair,
-    sample_plan_preset, PRESETS,
+    AUDIO_MASK_PROB, AUDIO_MASK_SPAN, VIDEO_MASK_PROB, VIDEO_MASK_SPAN, CorruptionPlan,
+    allocate_masks, apply_modality_dropout, corrupt_pair, sample_plan_preset,
 )
 from .distill import (
-    LOSS_COLUMNS, MODE_MASKED, TASKS, DistillHeads, TaskWeights, cav2vec_total_loss,
+    LOSS_COLUMNS, MODE_MASKED, TASK_WEIGHTS, TASKS, DistillHeads, cav2vec_total_loss,
     corrupted_frames, corrupted_prediction_loss, ema_update, eta_schedule,
     make_centroids, make_teacher, masked_prediction_loss, mlm_loss, student_input,
     teacher_mode, teacher_targets,
@@ -65,6 +65,30 @@ EVAL_SEED_OFFSET = 101  # a run's post-training evaluations use seed + this
 EVAL_TOKENS = (3, 5)    # label lengths of the evaluation pairs, inclusive
 EVAL_DECODE_SLACK = 4   # eval_ter decodes up to this many tokens past the labels
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# supervised batches: the probability that an AV sequence gets its audio
+# fully corrupted, and the SNRs in dB drawn for it (the lowest one also
+# swamps half of the dropped-audio sequences); the group-load table sweeps them
+AV_CORRUPT_PROB = 0.5
+AV_SNR_CHOICES = (-10.0, -5.0, 0.0, 5.0, 10.0)
+CORRUPTION_PRESET = "train-default"  # the plans of the uptraining pairs
+EVAL_SNR_DB = -10.0  # audio SNR of eval_ter's and repr_distance_report's corruption
+
+# settings that are no longer fields, each with the one value every run
+# used: from_dict drops such a key when it holds that value, so every
+# config.json written so far still loads, and refuses any other value
+RETIRED = {
+    "router_tune_steps": 0,
+    "av_corrupt_prob": AV_CORRUPT_PROB,
+    "av_snr_choices": list(AV_SNR_CHOICES),
+    "c_z": DEFAULT_C_Z,
+    "task_weights": TASK_WEIGHTS,
+    "corruption_preset": CORRUPTION_PRESET,
+    "audio_mask_prob": AUDIO_MASK_PROB,
+    "audio_mask_span": AUDIO_MASK_SPAN,
+    "video_mask_prob": VIDEO_MASK_PROB,
+    "video_mask_span": VIDEO_MASK_SPAN,
+    "model.moe.activation": "gelu",
+}
 
 STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z", *LOSS_COLUMNS, "total"]
 
@@ -79,13 +103,29 @@ def _finite(v) -> bool:
 
 def _check_field_types(cfg, prefix: str = ""):
     """ConfigError unless each int field of the dataclass ``cfg`` holds an
-    integer and each float field a finite number, a bool being neither."""
+    integer, each float field a finite number, a bool being neither, and
+    each bool field a bool."""
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ConfigError(f"{prefix}{f.name} must be an integer, got {v!r}")
         if f.type == "float" and not _finite(v):
             raise ConfigError(f"{prefix}{f.name} must be a finite number, got {v!r}")
+        if f.type == "bool" and not isinstance(v, bool):
+            raise ConfigError(f"{prefix}{f.name} must be true or false, got {v!r}")
+
+
+def _drop_retired(d: dict, prefix: str = "") -> dict:
+    """A copy of the config level ``d`` (at the dotted ``prefix``) without
+    its ``RETIRED`` keys; ConfigError naming a key whose value is not the
+    retired one."""
+    d = dict(d)
+    for key in [key for key in d if f"{prefix}{key}" in RETIRED]:
+        name, value = f"{prefix}{key}", d.pop(key)
+        if value != RETIRED[name]:
+            raise ConfigError(f"{name} is no longer a setting: a config may give it "
+                              f"only as {RETIRED[name]!r}, got {value!r}")
+    return d
 
 
 class DivergenceError(RuntimeError):
@@ -106,25 +146,13 @@ class TrainConfig:
     lr: float = 0.1
     optimizer: str = "sgd"
     seed: int = 0
-    schema_version: int = SCHEMA_VERSION
     tokens_min: int = 3
     tokens_max: int = 5
     modality_dropout: float = 0.25
-    # supervised regime: probability that an AV sequence gets its audio fully
-    # corrupted, and the SNRs drawn for it
-    av_corrupt_prob: float = 0.5
-    av_snr_choices: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0)
     c_balance: float = DEFAULT_C_B
     c_bias: float = DEFAULT_C_S
-    c_z: float = DEFAULT_C_Z
     # uptraining regime
     tasks: tuple = ("MASK", "ACP", "VCP")
-    task_weights: TaskWeights = field(default_factory=TaskWeights)
-    corruption_preset: str = "train-default"
-    audio_mask_prob: float = 0.3
-    audio_mask_span: int = 3
-    video_mask_prob: float = 0.2
-    video_mask_span: int = 2
     n_centroids: int = 8
     uptrain_steps: int = 100  # combined_pipeline: uptraining portion
     freeze_encoder_steps: int = 0
@@ -147,8 +175,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for cfg, prefix in ((self, ""), (self.model, "model."), (self.model.moe, "model.moe."),
-                            (self.generator, "generator."),
-                            (self.task_weights, "task_weights.")):
+                            (self.generator, "generator.")):
             _check_field_types(cfg, prefix)
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
@@ -167,25 +194,12 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.eval_pairs < 1:
             raise ConfigError("eval_pairs must be >= 1")
-        if min(self.c_balance, self.c_bias, self.c_z) < 0:
+        if min(self.c_balance, self.c_bias) < 0:
             raise ConfigError("loss coefficients must be nonnegative")
         if not 1 <= self.tokens_min <= self.tokens_max:
             raise ConfigError("need 1 <= tokens_min <= tokens_max")
         if not 0.0 <= self.modality_dropout <= 0.5:
             raise ConfigError("modality_dropout must lie in [0, 0.5]")
-        if self.corruption_preset not in PRESETS:
-            raise ConfigError(f"unknown corruption preset {self.corruption_preset!r}")
-        if not self.av_snr_choices:
-            raise ConfigError("av_snr_choices must not be empty")
-        if not all(_finite(s) for s in self.av_snr_choices):
-            raise ConfigError(f"av_snr_choices must be finite numbers, "
-                              f"got {list(self.av_snr_choices)}")
-        if not 0.0 <= self.av_corrupt_prob <= 1.0:
-            raise ConfigError("av_corrupt_prob must lie in [0, 1]")
-        if min(self.audio_mask_span, self.video_mask_span) < 1:
-            raise ConfigError("audio_mask_span and video_mask_span must be >= 1")
-        if not (0.0 <= self.audio_mask_prob <= 1.0 and 0.0 <= self.video_mask_prob <= 1.0):
-            raise ConfigError("audio_mask_prob and video_mask_prob must lie in [0, 1]")
         longest = EVAL_TOKENS[1] + EVAL_DECODE_SLACK
         if self.model.max_len < longest:
             raise ConfigError(f"model.max_len {self.model.max_len} is below {longest}, the "
@@ -202,6 +216,10 @@ class TrainConfig:
                 f"hard routing of audio-visual tokens needs an even k, got k={moe.k}")
         if not 2 <= self.n_centroids <= self.model.d:
             raise ConfigError(f"n_centroids must lie in [2, model.d={self.model.d}]")
+        if (not isinstance(self.tasks, (list, tuple))
+                or not all(isinstance(t, str) for t in self.tasks)):
+            raise ConfigError(f"tasks must be a list of task names, got {self.tasks!r}")
+        self.tasks = tuple(self.tasks)
         for t in self.tasks:
             if t not in TASKS:
                 raise ConfigError(f"unknown distillation task {t!r}")
@@ -218,24 +236,15 @@ class TrainConfig:
     def from_dict(d: dict) -> "TrainConfig":
         if not isinstance(d, dict):
             raise ConfigError("config root must be a JSON object")
-        d = dict(d)
-        version = d.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version}")
-        # config.json files written before the field was removed carry it as 0
-        if d.pop("router_tune_steps", 0):
-            raise ConfigError("router_tune_steps is no longer supported")
+        d = _drop_retired(d)
+        version = d.pop("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version!r}")
         try:
             if "model" in d:
-                md = dict(d["model"])
+                md = _drop_retired(d["model"], "model.")
                 if "moe" in md:
-                    moe = dict(md["moe"])
-                    # config.json files written before the field was removed
-                    # carry it as "gelu", the activation every expert uses
-                    activation = moe.pop("activation", "gelu")
-                    if activation != "gelu":
-                        raise ConfigError(f"model.moe.activation {activation!r} is not "
-                                          f"supported; every expert is a GELU FFN")
+                    moe = _drop_retired(md["moe"], "model.moe.")
                     for key in ("d", "h"):  # the model sets them; a config.json repeats them
                         width = md.get(key, getattr(ModelConfig, key))
                         if moe.get(key, width) != width:
@@ -243,21 +252,17 @@ class TrainConfig:
                                               f"{width}; the MoE layers take the model's")
                     md["moe"] = MoELayerConfig(**moe)
                 d["model"] = ModelConfig(**md)
-            for key, sub in (("generator", GeneratorConfig), ("task_weights", TaskWeights)):
-                if key in d:
-                    try:
-                        d[key] = sub(**d[key])
-                    except (TypeError, ValueError) as exc:
-                        raise ConfigError(f"{key}: {exc}") from exc
-            for key in ("tasks", "av_snr_choices"):
-                if key in d:
-                    d[key] = tuple(d[key])
+            if "generator" in d:
+                try:
+                    d["generator"] = GeneratorConfig(**d["generator"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"generator: {exc}") from exc
             return TrainConfig(**d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 @dataclass
@@ -452,7 +457,7 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
             # group; this is what lets group load shift with noise level
             if corr_rng.uniform() < 0.5:
                 audio, video = _corrupt_all_audio(audio, video, corr_rng,
-                                                  min(cfg.av_snr_choices))
+                                                  min(AV_SNR_CHOICES))
             else:
                 audio = np.zeros_like(audio)
             tag = MOD_VIDEO
@@ -461,8 +466,8 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
             tag = MOD_AUDIO
         else:
             tag = MOD_AV
-            if corr_rng.uniform() < cfg.av_corrupt_prob:
-                snr = float(corr_rng.choice(np.asarray(cfg.av_snr_choices)))
+            if corr_rng.uniform() < AV_CORRUPT_PROB:
+                snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
                 audio, video = _corrupt_all_audio(audio, video, corr_rng, snr)
         batch.append((audio, video, pair.labels, tag))
     return batch
@@ -491,7 +496,7 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
     z = _mean_scalars([router_z_loss(rows, row_weights) for rows in logit_rows])
     bundle = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
-                            c_bias=cfg.c_bias, c_z=cfg.c_z)
+                            c_bias=cfg.c_bias)
     return bundle.scalars(), bundle.total, stats
 
 
@@ -532,13 +537,13 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
         length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
         pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
         A, V = pair.audio, pair.video
-        plan = sample_plan_preset(cfg.corruption_preset, A.shape[0],
+        plan = sample_plan_preset(CORRUPTION_PRESET, A.shape[0],
                                   int(corr_rng.integers(2 ** 31)),
                                   drop_prob=cfg.modality_dropout)
-        plan = allocate_masks(plan, cfg.audio_mask_prob, cfg.audio_mask_span,
-                              cfg.video_mask_prob, cfg.video_mask_span,
+        plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
+                              VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
                               int(corr_rng.integers(2 ** 31)))
-        snr = float(corr_rng.choice(np.asarray(cfg.av_snr_choices)))
+        snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
         A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
                                       audio_snr_db=snr)
         A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
@@ -572,7 +577,7 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
             for column in task.columns:
                 losses[column].append(loss if share == 1 else T.scale(loss, share))
     parts = {column: _mean_scalars(ts) for column, ts in losses.items()}
-    total = cav2vec_total_loss(*parts.values(), cfg.task_weights)
+    total = cav2vec_total_loss(*parts.values())
     parts["total"] = total
     return {name: float(part.data) for name, part in parts.items()}, total
 
@@ -663,8 +668,9 @@ def _eval_pairs(cfg_gen: GeneratorConfig, n: int, seed: int):
 
 
 def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
-             seed: int = 0, snr_db: float = -10.0) -> float:
-    """Mean token error rate of greedy decoding under a corruption preset.
+             seed: int = 0) -> float:
+    """Mean token error rate of greedy decoding under a corruption preset,
+    its audio noise at ``EVAL_SNR_DB``.
 
     Every pair is corrupted first, then all are encoded packed in one
     no-grad pass and decoded together in lockstep, each up to
@@ -676,7 +682,7 @@ def eval_ter(model: Model, gen_cfg: GeneratorConfig, pairs: int, preset: str,
         plan = sample_plan_preset(preset, pair.num_frames,
                                   int(rng.integers(2 ** 31)), drop_prob=0.0)
         audio, video = corrupt_pair(pair.audio, pair.video, plan,
-                                    int(rng.integers(2 ** 31)), audio_snr_db=snr_db)
+                                    int(rng.integers(2 ** 31)), audio_snr_db=EVAL_SNR_DB)
         audios.append(audio)
         videos.append(video)
     with T.no_grad():
@@ -769,9 +775,10 @@ def expert_load_table(model: Model, gen_cfg: GeneratorConfig, pairs: int,
 
 def repr_distance_report(model_before: Model, model_after: Model,
                          gen_cfg: GeneratorConfig, pairs: int, preset: str,
-                         seed: int = 0, snr_db: float = -10.0) -> dict:
+                         seed: int = 0) -> dict:
     """Mean L2 distance between frame-normalized clean and corrupted
-    features, for both models, plus the relative change."""
+    features (audio noise at ``EVAL_SNR_DB``), for both models, plus the
+    relative change."""
     def distance(model: Model) -> float:
         rng = np.random.default_rng(seed)
         acc = 0.0
@@ -780,7 +787,7 @@ def repr_distance_report(model_before: Model, model_after: Model,
                                       int(rng.integers(2 ** 31)), drop_prob=0.0)
             audio, video = corrupt_pair(pair.audio, pair.video, plan,
                                         int(rng.integers(2 ** 31)),
-                                        audio_snr_db=snr_db)
+                                        audio_snr_db=EVAL_SNR_DB)
             with T.no_grad():
                 clean, _ = model.encode(pair.audio, pair.video)
                 corr, _ = model.encode(audio, video)
@@ -816,7 +823,7 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     affinity: dict = {}
     if _is_hierarchical(model):
         group_load = eval_group_load_vs_snr(model, cfg.generator,
-                                            list(cfg.av_snr_choices),
+                                            list(AV_SNR_CHOICES),
                                             max(cfg.eval_pairs // 2, 4), eval_seed)
         affinity = group_affinity(model, cfg.generator,
                                   max(cfg.eval_pairs // 2, 4), eval_seed)
@@ -842,7 +849,7 @@ def _write_run(report: MetricsReport, model: Model, cfg: TrainConfig, run_dir: s
     with atomic_open(os.path.join(run_dir, "config.json")) as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
     summary = {
-        "schema_version": cfg.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "regime": cfg.regime,
         "loss_curves": {"file": "steps.csv", "final": report.final_losses},
         "expert_load": {"file": "expert_load.csv"},

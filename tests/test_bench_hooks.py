@@ -119,3 +119,20 @@ def test_training_calls_adam_step_once_per_step(workload, regime, monkeypatch):
     monkeypatch.setattr(trainer.Adam, "step", counted)
     trainer.train(trainer.TrainConfig.from_dict(cfg))
     assert len(calls) == 3 and len(set(map(id, calls))) == 1
+
+
+@pytest.mark.parametrize("workload", ["sup_hier", "uptrain_long", "eval_decode"])
+def test_benchmark_setup_builds_each_workload(workload, capsys):
+    """The benchmark's set-up path loads each workload config with
+    ``TrainConfig.from_dict`` and builds its models, teacher, heads and
+    centroids through the package's own signatures."""
+    import json
+    import time
+
+    import worker
+
+    assert worker.main(["--workload", workload, "--seed", "1", "--seconds", "0",
+                        "--trace", "0", "--spawned-at", str(time.monotonic()),
+                        "--setup-only"]) == 0
+    setup = json.loads(capsys.readouterr().out)
+    assert setup["setup_s"] >= 0.0 and setup["setup_ref_s"] > 0.0

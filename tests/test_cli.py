@@ -73,6 +73,10 @@ def test_train_invalid_config_value(tmp_path):
     {"model": {"d": 32.0, "moe": HIER}}, {"model": {"n_enc": True, "topk_blocks": 1}},
     {"model": {"moe": {"mode": "sparse_topk", "n_experts": 4, "k": 1.5}}},
     {"model": {"moe": {**HIER, "n_per_group": 2.0}}}, {"task_weights": {"acp": True}},
+    # a bool setting takes only true or false, and tasks only a list of names
+    {"identical_expert_init": "false"}, {"identical_expert_init": 0},
+    {"identical_expert_init": 2}, {"identical_expert_init": None},
+    {"identical_expert_init": [1]}, {"tasks": "MASK"}, {"tasks": None},
 ])
 def test_train_rejects_bad_counts_and_settings_before_training(tmp_path, capsys, over):
     cfg_path = tmp_path / "cfg.json"
@@ -197,6 +201,24 @@ def test_eval_rejects_pairs_below_one(tmp_path, capsys, pairs):
     assert rc == EXIT_CONFIG
     assert "--pairs" in captured.err
     assert "ter[" not in captured.out
+
+
+def test_eval_refuses_a_retired_setting_at_another_value(tmp_path, capsys):
+    """A run's config.json may carry a retired setting at the value every
+    run used, and no other."""
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, steps=1, eval_pairs=2)
+    run_dir = tmp_path / "out"
+    assert main(["train", str(cfg_path), "--run-dir", str(run_dir)]) == EXIT_OK
+    saved = json.loads((run_dir / "config.json").read_text())
+    args = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--config", str(cfg_path)]
+    cfg_path.write_text(json.dumps({**saved, "av_corrupt_prob": 0.5, "c_z": 0.001}))
+    assert main(args) == EXIT_OK
+    cfg_path.write_text(json.dumps({**saved, "av_corrupt_prob": 0.0}))
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "av_corrupt_prob" in err and "Traceback" not in err
 
 
 def test_eval_missing_checkpoint(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from avmoe import tensor as T
 from avmoe.corruption import CorruptionPlan
 from avmoe.distill import (
-    MODE_A_ONLY, MODE_AV, TASKS, VARIANTS, DistillHeads, TaskWeights, VariantError,
+    MODE_A_ONLY, MODE_AV, TASK_WEIGHTS, TASKS, VARIANTS, DistillHeads, VariantError,
     cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
     eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
     nearest_centroid_ids, student_input, teacher_targets,
@@ -374,24 +374,15 @@ class TestTotalLoss:
         total = cav2vec_total_loss(*vals)
         assert float(total.data) == pytest.approx(2.4, abs=1e-12)
 
-    def test_all_zero_weights(self):
-        vals = [Tensor(np.array(v)) for v in (1.0, 2.0, 3.0, 4.0)]
-        total = cav2vec_total_loss(*vals, weights=TaskWeights(0, 0, 0, 0))
-        assert float(total.data) == 0.0
-
     def test_weighted_sum_oracle(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             a, v, m, c = rng.uniform(size=4)
-            wa, wv, wm, wc = rng.uniform(size=4)
+            wa, wv, wm, wc = (TASK_WEIGHTS[k] for k in ("acp", "vcp", "mask", "mlm"))
             total = cav2vec_total_loss(
                 Tensor(np.array(a)), Tensor(np.array(v)), Tensor(np.array(m)),
-                Tensor(np.array(c)), weights=TaskWeights(wa, wv, wm, wc))
+                Tensor(np.array(c)))
             assert abs(float(total.data) - (wa * a + wv * v + wm * m + wc * c)) < 1e-14
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            TaskWeights(acp=-1.0)
 
     def test_non_finite_component_rejected(self):
         nan = Tensor(np.array(float("nan")))

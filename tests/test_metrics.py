@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from avmoe.metrics import (
-    CsvError, CsvTable, atomic_open, coeff_of_variation, normalize_histogram,
-    read_table, spearman, write_table,
+    CsvError, CsvTable, atomic_open, coeff_of_variation, read_table, spearman,
+    write_table,
 )
 
 
@@ -66,13 +66,6 @@ def test_cov_two_pass_oracle():
     m = sum(v) / len(v)
     var = sum((x - m) ** 2 for x in v) / len(v)
     assert coeff_of_variation(v) == pytest.approx(var ** 0.5 / m, abs=1e-12)
-
-
-def test_normalize_histogram():
-    h = normalize_histogram([1, 3])
-    assert np.allclose(h, [0.25, 0.75])
-    with pytest.raises(ValueError):
-        normalize_histogram([0, 0])
 
 
 def test_csv_round_trip_empty(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from avmoe import tensor as T
 from avmoe.moe_losses import (
-    UnsupportedConfigError, load_balancing_loss, load_biasing_loss,
+    DEFAULT_C_Z, UnsupportedConfigError, load_balancing_loss, load_biasing_loss,
     router_z_loss, total_aux_loss,
 )
 from avmoe.routing import (
@@ -174,25 +174,26 @@ class TestTotalAuxLoss:
     def test_reference_coefficients(self):
         bundle = total_aux_loss(2.0, 1.0, 1.5, 4.0)
         assert float(bundle.total.data) == pytest.approx(2.029, abs=1e-12)
-        assert bundle.c_balance == 1e-2 and bundle.c_bias == 1e-2 and bundle.c_z == 1e-3
+        assert bundle.c_balance == 1e-2 and bundle.c_bias == 1e-2 and DEFAULT_C_Z == 1e-3
 
     def test_zero_coefficients(self):
-        bundle = total_aux_loss(3.0, 1.0, 1.0, 1.0, c_balance=0, c_bias=0, c_z=0)
+        bundle = total_aux_loss(3.0, 1.0, 1.0, 0.0, c_balance=0, c_bias=0)
         assert float(bundle.total.data) == 3.0
 
     def test_weighted_sum_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             ce, b, s, z = rng.uniform(size=4)
-            cb, cs, cz = rng.uniform(size=3)
-            bundle = total_aux_loss(ce, b, s, z, c_balance=cb, c_bias=cs, c_z=cz)
-            assert abs(float(bundle.total.data) - (ce + cb * b + cs * s + cz * z)) < 1e-15
+            cb, cs = rng.uniform(size=2)
+            bundle = total_aux_loss(ce, b, s, z, c_balance=cb, c_bias=cs)
+            assert abs(float(bundle.total.data)
+                       - (ce + cb * b + cs * s + DEFAULT_C_Z * z)) < 1e-15
 
     def test_bundle_invariant(self):
         bundle = total_aux_loss(1.0, 2.0, 3.0, 4.0)
         recomputed = (float(bundle.ce.data) + bundle.c_balance * float(bundle.balance.data)
                       + bundle.c_bias * float(bundle.bias.data)
-                      + bundle.c_z * float(bundle.z.data))
+                      + DEFAULT_C_Z * float(bundle.z.data))
         assert abs(float(bundle.total.data) - recomputed) < 1e-12
 
     def test_non_finite_rejected(self):

@@ -75,7 +75,7 @@ def per_sequence_step(model, cfg, batch):
             bias = _mean_scalars([load_biasing_loss(s) for s in stats])
     z = _mean_scalars([router_z_loss(r) for r in logit_rows]) if logit_rows else zero
     bundle = total_aux_loss(_mean_scalars(ces), balance, bias, z, c_balance=cfg.c_balance,
-                            c_bias=cfg.c_bias, c_z=cfg.c_z)
+                            c_bias=cfg.c_bias)
     return bundle.scalars(), bundle.total
 
 

@@ -17,18 +17,19 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.corruption import (
-    DROP_AUDIO, DROP_VIDEO, allocate_masks, apply_modality_dropout, corrupt_pair,
-    sample_plan_preset,
+    AUDIO_MASK_PROB, AUDIO_MASK_SPAN, DROP_AUDIO, DROP_VIDEO, VIDEO_MASK_PROB,
+    VIDEO_MASK_SPAN, allocate_masks, apply_modality_dropout, corrupt_pair, sample_plan_preset,
 )
 from avmoe.distill import (
-    MODE_A_ONLY, MODE_AV, MODE_V_ONLY, VARIANTS, DistillHeads,
+    MODE_A_ONLY, MODE_AV, MODE_V_ONLY, TASK_WEIGHTS, VARIANTS, DistillHeads,
     make_centroids, make_teacher, masked_prediction_loss, mlm_loss, teacher_targets,
 )
 from avmoe.model import Model, ModelConfig
 from avmoe.streams import generate_pair
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
-    TrainConfig, _mean_scalars, _uptrain_step, build_model, seed_streams,
+    AV_SNR_CHOICES, CORRUPTION_PRESET, TrainConfig, _mean_scalars, _uptrain_step,
+    build_model, seed_streams,
 )
 
 TOL = 1e-12
@@ -138,13 +139,13 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
         length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
         pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
         A, V = pair.audio, pair.video
-        plan = sample_plan_preset(cfg.corruption_preset, A.shape[0],
+        plan = sample_plan_preset(CORRUPTION_PRESET, A.shape[0],
                                   int(corr_rng.integers(2 ** 31)),
                                   drop_prob=cfg.modality_dropout)
-        plan = allocate_masks(plan, cfg.audio_mask_prob, cfg.audio_mask_span,
-                              cfg.video_mask_prob, cfg.video_mask_span,
+        plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
+                              VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
                               int(corr_rng.integers(2 ** 31)))
-        snr = float(corr_rng.choice(np.asarray(cfg.av_snr_choices)))
+        snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
         A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
                                       audio_snr_db=snr)
         A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
@@ -187,9 +188,9 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
             feats, _ = model.encode(A_in, V_in)
             mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.heads["MLM"]))
     parts = [_mean_scalars(ts) if ts else zero for ts in (acps, vcps, masks, mlms)]
-    w = cfg.task_weights
-    total = T.add(T.add(T.scale(parts[0], w.acp), T.scale(parts[1], w.vcp)),
-                  T.add(T.scale(parts[2], w.mask), T.scale(parts[3], w.mlm)))
+    w = TASK_WEIGHTS
+    total = T.add(T.add(T.scale(parts[0], w["acp"]), T.scale(parts[1], w["vcp"])),
+                  T.add(T.scale(parts[2], w["mask"]), T.scale(parts[3], w["mlm"])))
     return [float(p.data) for p in parts] + [float(total.data)], total
 
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.corruption import (
-    DROP_AUDIO, DROP_NONE, DROP_VIDEO, CorruptionPlan, allocate_masks,
-    apply_modality_dropout, corrupt_pair, sample_plan_preset,
+    AUDIO_MASK_PROB, AUDIO_MASK_SPAN, DROP_AUDIO, DROP_NONE, DROP_VIDEO, VIDEO_MASK_PROB,
+    VIDEO_MASK_SPAN, CorruptionPlan, allocate_masks, apply_modality_dropout, corrupt_pair,
+    sample_plan_preset,
 )
 from avmoe.distill import (
     LOSS_COLUMNS, MODE_A_ONLY, MODE_AV, MODE_V_ONLY, TASKS, VARIANTS, DistillHeads,
@@ -23,7 +24,8 @@ from avmoe.distill import (
 from avmoe.streams import generate_pair
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
-    STEP_COLUMNS, TrainConfig, _mean_scalars, _uptrain_step, build_model, seed_streams,
+    AV_SNR_CHOICES, CORRUPTION_PRESET, STEP_COLUMNS, TrainConfig, _mean_scalars,
+    _uptrain_step, build_model, seed_streams,
 )
 
 OLD_VARIANTS = {  # name: (input mode, target mode, index set)
@@ -40,7 +42,6 @@ def _apply_mode(A, V, mode):
 
 def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng):
     """The uptraining step as it was before the task table."""
-    weights = cfg.task_weights
     topk = model.cfg.topk_blocks
     variants = [name for name in cfg.tasks if name in OLD_VARIANTS]
     zero = Tensor(np.zeros(()))
@@ -50,13 +51,13 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
         pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
         A, V = pair.audio, pair.video
         n_frames = A.shape[0]
-        plan = sample_plan_preset(cfg.corruption_preset, n_frames,
+        plan = sample_plan_preset(CORRUPTION_PRESET, n_frames,
                                   int(corr_rng.integers(2 ** 31)),
                                   drop_prob=cfg.modality_dropout)
-        plan = allocate_masks(plan, cfg.audio_mask_prob, cfg.audio_mask_span,
-                              cfg.video_mask_prob, cfg.video_mask_span,
+        plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
+                              VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
                               int(corr_rng.integers(2 ** 31)))
-        snr = float(corr_rng.choice(np.asarray(cfg.av_snr_choices)))
+        snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
         A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
                                       audio_snr_db=snr)
         A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
@@ -111,19 +112,18 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
             mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV],
                                  mask_idx, heads.heads["MLM"]) if mask_idx else zero)
     acp, vcp, mask, mlm = (_mean_scalars(ts) for ts in (acps, vcps, masks, mlms))
-    total = cav2vec_total_loss(acp, vcp, mask, mlm, weights)
+    total = cav2vec_total_loss(acp, vcp, mask, mlm)
     scalars = {"L_ACP": float(acp.data), "L_VCP": float(vcp.data),
                "L_MASK": float(mask.data), "L_MLM": float(mlm.data),
                "total": float(total.data)}
     return scalars, total
 
 
-def _setup(tasks, seed, batch_size, dropout, span, n_enc):
+def _setup(tasks, seed, batch_size, dropout, n_enc):
     cfg = TrainConfig.from_dict({
         "regime": "cav2vec_uptrain", "steps": 1, "batch_size": batch_size, "seed": seed,
         "tokens_min": 1, "tokens_max": 4, "tasks": list(tasks),
-        "modality_dropout": dropout, "audio_mask_span": span, "video_mask_span": span,
-        "n_centroids": 4,
+        "modality_dropout": dropout, "n_centroids": 4,
         "model": {"dim_audio": 5, "dim_video": 4, "d": 8, "h": 12, "n_enc": n_enc,
                   "n_dec": 1, "vocab": 4, "topk_blocks": n_enc,
                   "moe": {"mode": "dense_ffn"}},
@@ -154,11 +154,9 @@ def _run(step, cfg, model, teacher, heads, centroids):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(tasks=st.lists(st.sampled_from(sorted(TASKS)), min_size=1, max_size=7, unique=True),
        seed=st.integers(0, 2 ** 16), batch_size=st.integers(1, 4),
-       dropout=st.sampled_from([0.0, 0.25, 0.5]), span=st.integers(1, 3),
-       n_enc=st.integers(1, 3))
-def test_table_step_is_bitwise_the_branchy_step(tasks, seed, batch_size, dropout, span,
-                                                n_enc):
-    setup = _setup(tasks, seed, batch_size, dropout, span, n_enc)
+       dropout=st.sampled_from([0.0, 0.25, 0.5]), n_enc=st.integers(1, 3))
+def test_table_step_is_bitwise_the_branchy_step(tasks, seed, batch_size, dropout, n_enc):
+    setup = _setup(tasks, seed, batch_size, dropout, n_enc)
     got, got_grads, got_rng = _run(_uptrain_step, *setup)
     want, want_grads, want_rng = _run(branchy_uptrain_step, *setup)
     assert got == want

@@ -10,7 +10,7 @@ from avmoe import tensor as T
 from avmoe.metrics import coeff_of_variation, read_table
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
-from avmoe.corruption import corrupt_pair, sample_plan_preset
+from avmoe.corruption import CorruptionPlan, corrupt_pair, sample_plan_preset
 from avmoe.distill import DistillHeads, make_centroids, make_teacher
 from avmoe.model import Encoder
 from avmoe.streams import token_error_rate
@@ -101,6 +101,129 @@ def test_config_reads_legacy_router_tune_steps():
         TrainConfig.from_dict({"router_tune_steps": 5})
 
 
+# the config.json written for TrainConfig() while the retired settings were
+# fields, plus the two keys retired before them at the values runs wrote
+LEGACY_DEFAULT_CONFIG_JSON = """{
+  "audio_mask_prob": 0.3,
+  "audio_mask_span": 3,
+  "av_corrupt_prob": 0.5,
+  "av_snr_choices": [
+    -10.0,
+    -5.0,
+    0.0,
+    5.0,
+    10.0
+  ],
+  "batch_size": 4,
+  "c_balance": 0.01,
+  "c_bias": 0.01,
+  "c_z": 0.001,
+  "corruption_preset": "train-default",
+  "eval_pairs": 16,
+  "freeze_encoder_steps": 0,
+  "freeze_experts_steps": 0,
+  "generator": {
+    "codebook_seed": 7,
+    "dim_audio": 16,
+    "dim_video": 16,
+    "frames_per_token": 3,
+    "offset_scale": 1.0,
+    "sigma_audio": 0.1,
+    "sigma_video": 0.1,
+    "vocab": 16
+  },
+  "identical_expert_init": false,
+  "inter_lr_scale": 1.0,
+  "lr": 0.1,
+  "modality_dropout": 0.25,
+  "model": {
+    "d": 32,
+    "dim_audio": 16,
+    "dim_video": 16,
+    "h": 64,
+    "max_len": 160,
+    "moe": {
+      "activation": "gelu",
+      "d": 32,
+      "h": 64,
+      "k": 2,
+      "k_per_group": 1,
+      "m": 2,
+      "mode": "dense_ffn",
+      "n_experts": 8,
+      "n_groups": 2,
+      "n_per_group": 4
+    },
+    "n_dec": 2,
+    "n_enc": 2,
+    "topk_blocks": 2,
+    "vocab": 16
+  },
+  "n_centroids": 8,
+  "optimizer": "sgd",
+  "regime": "supervised_moe",
+  "router_tune_steps": 0,
+  "router_warmup_steps": 0,
+  "schema_version": 1,
+  "seed": 0,
+  "steps": 200,
+  "task_weights": {
+    "acp": 1.0,
+    "mask": 1.0,
+    "mlm": 2.0,
+    "vcp": 1.0
+  },
+  "tasks": [
+    "MASK",
+    "ACP",
+    "VCP"
+  ],
+  "tokens_max": 5,
+  "tokens_min": 3,
+  "uptrain_steps": 100,
+  "video_mask_prob": 0.2,
+  "video_mask_span": 2
+}"""
+
+# each retired key at a value no run used
+RETIRED_OTHER_VALUES = {
+    "router_tune_steps": 5, "av_corrupt_prob": 0.0, "av_snr_choices": [0.0],
+    "c_z": 0.0, "task_weights": {"acp": 1.0, "vcp": 1.0, "mask": 1.0, "mlm": 1.0},
+    "corruption_preset": "none", "audio_mask_prob": 0.0, "audio_mask_span": 1,
+    "video_mask_prob": 0.0, "video_mask_span": 1, "model.moe.activation": "tanh",
+}
+
+
+def _nested(dotted: str, value) -> dict:
+    *path, key = dotted.split(".")
+    d = {key: value}
+    for name in reversed(path):
+        d = {name: d}
+    return d
+
+
+def test_legacy_config_json_loads_without_its_retired_keys():
+    legacy = json.loads(LEGACY_DEFAULT_CONFIG_JSON)
+    want = json.loads(LEGACY_DEFAULT_CONFIG_JSON)
+    for key in trainer_mod.RETIRED:  # every retired key is in the file
+        *path, name = key.split(".")
+        level = want
+        for part in path:
+            level = level[part]
+        del level[name]
+    got = TrainConfig.from_dict(legacy).to_dict()
+    assert json.loads(json.dumps(got)) == want
+    assert got == TrainConfig().to_dict()
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_OTHER_VALUES))
+def test_retired_key_at_another_value_is_refused_by_name(key):
+    assert set(RETIRED_OTHER_VALUES) == set(trainer_mod.RETIRED)
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        TrainConfig.from_dict(_nested(key, RETIRED_OTHER_VALUES[key]))
+    TrainConfig.from_dict(_nested(key, trainer_mod.RETIRED[key]))  # the old value loads
+
+
 def test_config_round_trips_through_dict():
     cfg = _cfg(steps=7, c_bias=0.5)
     again = TrainConfig.from_dict(cfg.to_dict())
@@ -118,6 +241,11 @@ def test_config_vocab_mismatch_rejected():
     ("eval_pairs", 2.5), ("batch_size", 2.0), ("steps", True), ("seed", False),
     ("tokens_max", "5"), ("n_centroids", 4.0), ("audio_mask_span", None),
     ("uptrain_steps", 1.5), ("freeze_encoder_steps", 1.0), ("router_warmup_steps", [2]),
+    # a bool setting takes only true or false, and tasks only a list of names
+    ("identical_expert_init", "false"), ("identical_expert_init", 0),
+    ("identical_expert_init", 2), ("identical_expert_init", None),
+    ("identical_expert_init", [1]), ("tasks", "MASK"), ("tasks", None),
+    ("tasks", ["MASK", 1]),
 ])
 def test_config_rejects_non_integer_counts(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -163,8 +291,7 @@ def test_config_rejects_unknown_activation():
 
 
 def test_config_accepts_edge_uptraining_settings():
-    TrainConfig.from_dict({"n_centroids": 2, "audio_mask_prob": 0.0, "video_mask_prob": 1.0,
-                           "audio_mask_span": 1, "av_snr_choices": [0.0]})
+    TrainConfig.from_dict({"n_centroids": 2})
     TrainConfig.from_dict({"n_centroids": 8, "model": {"d": 8}})
     TrainConfig.from_dict({"regime": "supervised_moe", "uptrain_steps": 0})
 
@@ -275,14 +402,14 @@ def test_make_optimizer_rejects_unknown():
 # -- batches -----------------------------------------------------------------
 
 def test_sample_batch_zero_dropout_all_av():
-    cfg = _cfg(modality_dropout=0.0, batch_size=8, av_corrupt_prob=0.0)
+    cfg = _cfg(modality_dropout=0.0, batch_size=8)
     rng = np.random.default_rng(0)
     batch = _sample_batch(cfg, rng, np.random.default_rng(1))
     assert all(tag == MOD_AV for _, _, _, tag in batch)
 
 
 def test_sample_batch_dropout_zeroes_one_modality():
-    cfg = _cfg(modality_dropout=0.5, batch_size=64, av_corrupt_prob=0.0)
+    cfg = _cfg(modality_dropout=0.5, batch_size=64)
     batch = _sample_batch(cfg, np.random.default_rng(0), np.random.default_rng(1))
     tags = collections.Counter(tag for _, _, _, tag in batch)
     assert tags[MOD_AUDIO] > 0 and tags[MOD_VIDEO] > 0
@@ -413,9 +540,14 @@ def test_uptrain_step_encodes_each_pair_as_two_stacks(monkeypatch, tasks, seed):
 
 def test_uptrain_step_skips_tasks_with_no_frames_to_score(monkeypatch):
     """No mask and no corruption: every task adds 0, and no pair encodes."""
-    pairs = _record_uptrain_step(monkeypatch, tasks=("MASK", "MLM", "AVCP", "ACP"),
-                                 corruption_preset="none", audio_mask_prob=0.0,
-                                 video_mask_prob=0.0, modality_dropout=0.0)
+    def empty_plan(name, n_frames, rng_seed, drop_prob):
+        return CorruptionPlan(seq_len=n_frames)
+
+    def no_masks(plan, *args):
+        return plan
+    monkeypatch.setattr(trainer_mod, "sample_plan_preset", empty_plan)
+    monkeypatch.setattr(trainer_mod, "allocate_masks", no_masks)
+    pairs = _record_uptrain_step(monkeypatch, tasks=("MASK", "MLM", "AVCP", "ACP"))
     assert pairs == [{"teacher": [], "encode": []}] * 4
 
 
