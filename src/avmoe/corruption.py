@@ -135,8 +135,8 @@ def mix_at_snr(frames: np.ndarray, noise: np.ndarray, snr_db: float,
 
 
 def _contiguous_runs(idx: np.ndarray):
-    if idx.size == 0:
-        return
+    """The maximal runs of consecutive values of the ascending, non-empty
+    ``idx``."""
     breaks = np.flatnonzero(np.diff(idx) > 1)
     start = 0
     for b in breaks:

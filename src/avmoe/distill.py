@@ -146,19 +146,20 @@ def teacher_targets(teacher: Encoder, A: np.ndarray, V: np.ndarray, topk_blocks:
 
 
 def _frame_indices(M, n: int) -> list[int]:
-    """The distinct frame indices in M, ascending; IndexError when one lies
-    outside [0, n)."""
+    """The distinct frame indices in M, ascending; ValueError when M is
+    empty, IndexError when one lies outside [0, n)."""
     idx = sorted(set(int(i) for i in M))
-    if idx and (idx[0] < 0 or idx[-1] >= n):
+    if not idx:
+        raise ValueError("no frames to score")
+    if idx[0] < 0 or idx[-1] >= n:
         raise IndexError(f"mask index outside [0, {n})")
     return idx
 
 
 def masked_prediction_loss(student_out: Tensor, targets: np.ndarray, M) -> Tensor:
-    """MSE between student features and targets over frames in M; 0 if empty."""
+    """MSE between student features and targets over the frames in M, which
+    must not be empty."""
     idx = _frame_indices(M, student_out.data.shape[0])
-    if not idx:
-        return Tensor(np.zeros(()))
     picked = T.index_rows(student_out, idx)
     return T.mse(picked, Tensor(targets[idx]))
 
@@ -190,16 +191,13 @@ def teacher_mode(task: str, plan: CorruptionPlan) -> str:
     return _KEPT_MODES[plan.modality_drop] if mode == MODE_KEPT else mode
 
 
-def corrupted_prediction_loss(features: Tensor | None, targets: np.ndarray | None,
+def corrupted_prediction_loss(features: Tensor, targets: np.ndarray,
                               frames: list[int], head: Tensor | None = None) -> Tensor:
     """One corrupted-prediction task: the MSE over ``frames``, a variant's
-    corrupted index set (``corrupted_frames``), between the student's
-    ``features`` of the variant's input (``student_input``), through ``head``
-    when given, and the clean teacher ``targets`` of its target mode. 0 when
-    ``frames`` is empty, and then ``features`` and ``targets`` are not read
-    (None will do)."""
-    if not frames:
-        return Tensor(np.zeros(()))
+    corrupted index set (``corrupted_frames``, not empty), between the
+    student's ``features`` of the variant's input (``student_input``),
+    through ``head`` when given, and the clean teacher ``targets`` of its
+    target mode."""
     if head is not None:
         features = T.matmul(features, head)
     return masked_prediction_loss(features, targets, frames)
@@ -225,12 +223,10 @@ def nearest_centroid_ids(features: np.ndarray, centroids: np.ndarray) -> np.ndar
 def mlm_loss(student_features: Tensor, centroids: np.ndarray,
              teacher_features: np.ndarray, M, head: Tensor) -> Tensor:
     """Cross-entropy against the teacher feature's nearest centroid id, over
-    the masked frames only."""
+    the masked frames M only, which must not be empty."""
     if centroids.shape[0] < 2:
         raise ValueError("need at least 2 centroids")
     idx = _frame_indices(M, student_features.data.shape[0])
-    if not idx:
-        return Tensor(np.zeros(()))
     target_ids = nearest_centroid_ids(teacher_features[idx], centroids)
     logits = T.matmul(T.index_rows(student_features, idx), head)
     return T.cross_entropy_rows(logits, [int(t) for t in target_ids])

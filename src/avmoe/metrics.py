@@ -1,7 +1,8 @@
 """Stable CSV serialization and atomic file writes for run artifacts, plus
-two statistical helpers for measuring runs (Spearman rank correlation and
-the coefficient of variation). The trainer uses neither; the acceptance
-checks, tests and demos measure with them."""
+Spearman rank correlation for measuring runs. The trainer does not use it;
+the acceptance checks, tests and demos measure with it. There is no table
+reader: each float cell is its ``repr``, so the ``csv`` module and
+``float`` read it back as the same float64."""
 
 from __future__ import annotations
 
@@ -31,25 +32,15 @@ def spearman(x, y) -> float:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``v``; each run of equal values shares the mean of
+    its ranks."""
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size] - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
-
-
-def coeff_of_variation(counts) -> float:
-    """Population standard deviation over mean."""
-    c = np.asarray(counts, dtype=np.float64)
-    m = c.mean()
-    if m <= 0.0:
-        raise ValueError("coefficient of variation needs a positive mean")
-    return float(c.std() / m)
 
 
 @dataclass
@@ -71,10 +62,6 @@ class CsvTable:
     def __len__(self):
         return len(self.rows)
 
-    def __eq__(self, other):
-        return (isinstance(other, CsvTable)
-                and self.header == other.header and self.rows == other.rows)
-
 
 def _format_cell(v) -> str:
     if isinstance(v, float):
@@ -84,17 +71,6 @@ def _format_cell(v) -> str:
     if isinstance(v, np.floating):
         return repr(float(v))
     return str(v)
-
-
-def _parse_cell(s: str):
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
 
 
 @contextmanager
@@ -127,17 +103,3 @@ def write_table(table: CsvTable, path: str):
     with atomic_open(path) as f:
         f.write("\n".join(lines) + "\n")
 
-
-def read_table(path: str) -> CsvTable:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise CsvError("empty file, no header")
-    header = lines[0].split(",")
-    table = CsvTable(header)
-    for i, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise CsvError(f"row {i} has {len(cells)} cells, expected {len(header)}")
-        table.rows.append([_parse_cell(c) for c in cells])
-    return table

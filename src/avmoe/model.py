@@ -321,16 +321,12 @@ class Model(Encoder):
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params())
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_params().items()}
-
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Copy ``state`` into the parameters, after checking every name and
         shape, so that a rejected state changes nothing."""
         named = self.named_params()
         if set(state) != set(named):
-            missing = set(named) ^ set(state)
-            raise KeyError(f"state dict keys mismatch: {sorted(missing)[:5]}")
+            raise KeyError(f"state dict keys mismatch: {sorted(set(named) ^ set(state))[:5]}")
         arrays = {name: np.asarray(values, dtype=np.float64) for name, values in state.items()}
         for name, arr in arrays.items():
             if arr.shape != named[name].data.shape:
@@ -395,20 +391,15 @@ class Model(Encoder):
         return self._decode(features, token_ids, [n], [features.data.shape[0]],
                             [modality] * n)
 
-    def decode_train(self, features: Tensor, labels, modality=MOD_AV,
-                     feature_lengths=None):
-        """Teacher-forced next-token prediction.
-
-        With ``feature_lengths`` None, ``labels`` is one label sequence over
-        all of ``features``. Otherwise ``labels`` is a list of sequences
-        packed into one pass, sequence i attending to the next
+    def decode_train(self, features: Tensor, labels, modality=MOD_AV, *,
+                     feature_lengths):
+        """Teacher-forced next-token prediction of the label sequences
+        ``labels``, packed into one pass: sequence i attends to the next
         ``feature_lengths[i]`` rows of ``features`` (as ``encode`` packs
         them), and ``modality`` is one tag, or one tag per sequence.
 
         Returns (logits [sum of (L + 1) x n_classes], the mean over
         sequences of each one's mean cross-entropy, moe aux)."""
-        if feature_lengths is None:
-            labels, feature_lengths = [labels], [features.data.shape[0]]
         seqs = [[int(t) for t in seq] for seq in labels]
         tags = [modality] * len(seqs) if isinstance(modality, str) else list(modality)
         if len(tags) != len(seqs):
@@ -426,21 +417,17 @@ class Model(Encoder):
         ce = T.cross_entropy_rows(logits, targets, row_weights=weights)
         return logits, ce, aux
 
-    def decode_greedy(self, features: Tensor, max_len, modality=MOD_AV,
-                      feature_lengths=None):
+    def decode_greedy(self, features: Tensor, max_len, modality=MOD_AV, *,
+                      feature_lengths):
         """Greedy transcripts, decoded incrementally: each step feeds only
         the newest token of each sequence through the decoder, against the
         cached keys and values of the earlier ones.
 
-        With ``feature_lengths`` None, one transcript of at most ``max_len``
-        tokens over all of ``features``. Otherwise the sequences packed as
-        ``encode`` packs them, sequence i over the next ``feature_lengths[i]``
-        rows, decoded in lockstep: ``max_len`` holds one bound per sequence,
-        ``modality`` is one tag or one per sequence, and the result is one
-        transcript per sequence. A sequence stops at EOS or at its bound."""
-        single = feature_lengths is None
-        if single:
-            max_len, feature_lengths = [max_len], [features.data.shape[0]]
+        The sequences are packed as ``encode`` packs them, sequence i over
+        the next ``feature_lengths[i]`` rows, and decoded in lockstep:
+        ``max_len`` holds one length bound per sequence, ``modality`` is one
+        tag or one per sequence, and the result is one transcript per
+        sequence. A sequence stops at EOS or at its bound."""
         bounds = list(max_len)
         tags = [modality] * len(bounds) if isinstance(modality, str) else list(modality)
         if not len(bounds) == len(tags) == len(feature_lengths):
@@ -466,7 +453,7 @@ class Model(Encoder):
                         going.append(i)
                 live = np.asarray(going, dtype=np.int64)
                 nxt = [outs[i][-1] for i in going]
-        return outs[0] if single else outs
+        return outs
 
     # -- checkpoints ----------------------------------------------------------
 

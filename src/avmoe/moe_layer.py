@@ -20,10 +20,14 @@ from .routing import (
 )
 from .tensor import Tensor
 
+# the EMA momentum of a hierarchical layer's inter_center, per sequence
+CENTER_MOMENTUM = 0.99
+
 
 @dataclass
 class ExpertFFN:
-    """Two-layer bottleneck FFN: W2^T gelu(W1^T x + b1) + b2."""
+    """Two-layer bottleneck FFN W2^T gelu(W1^T x + b1) + b2, applied to each
+    row of an [n x d] batch or an [n x T x d] stack."""
 
     W1: Tensor  # [d x h]
     b1: Tensor  # [h]
@@ -44,7 +48,7 @@ class ExpertFFN:
         if x.data.shape[-1] != self.W1.data.shape[0]:
             raise T.ShapeError(
                 f"expert input {x.data.shape} incompatible with W1 {self.W1.data.shape}")
-        # one evaluation per row: a [d] row, [n x d] rows, [n x T x d] stacked rows
+        # one evaluation per row: [n x d] rows or [n x T x d] stacked rows
         self.eval_count += math.prod(x.data.shape[:-1])
         return T.ffn(x, self.W1, self.b1, self.W2, self.b2)
 
@@ -96,7 +100,6 @@ class MoELayer:
         # so that group logits react to how a token differs from the typical
         # token rather than to the shared mean component
         self.inter_center = np.zeros(cfg.d)
-        self.center_momentum = 0.99
 
     # -- parameters -----------------------------------------------------------
 
@@ -121,10 +124,6 @@ class MoELayer:
 
     def params(self) -> list[Tensor]:
         return [p for e in self.experts for p in e.params()] + self.router_params()
-
-    def reset_eval_counts(self):
-        for e in self.experts:
-            e.eval_count = 0
 
     def eval_counts(self) -> list[int]:
         return [e.eval_count for e in self.experts]
@@ -153,10 +152,10 @@ class MoELayer:
         segment as if each were its own batch; returns the [B x d] center
         each row is routed against."""
         bounds = np.flatnonzero(np.diff(segments)) + 1
-        mom = self.center_momentum
         centers = []
         for part in np.split(X, bounds):
-            self.inter_center = mom * self.inter_center + (1 - mom) * part.mean(axis=0)
+            self.inter_center = (CENTER_MOMENTUM * self.inter_center
+                                 + (1 - CENTER_MOMENTUM) * part.mean(axis=0))
             centers.append(self.inter_center)
         return np.repeat(np.stack(centers), np.diff([0, *bounds, X.shape[0]]), axis=0)
 

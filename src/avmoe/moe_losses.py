@@ -29,8 +29,6 @@ class LossBundle:
     balance: Tensor
     bias: Tensor
     z: Tensor
-    c_balance: float
-    c_bias: float
     total: Tensor
 
     def scalars(self) -> dict[str, float]:
@@ -109,5 +107,4 @@ def total_aux_loss(ce, balance, bias, z, c_balance: float = DEFAULT_C_B,
             raise T.NumericError(f"loss component {name} is not finite")
     total = T.add(T.add(ce, T.scale(balance, c_balance)),
                   T.add(T.scale(bias, c_bias), T.scale(z, DEFAULT_C_Z)))
-    return LossBundle(ce=ce, balance=balance, bias=bias, z=z,
-                      c_balance=c_balance, c_bias=c_bias, total=total)
+    return LossBundle(ce=ce, balance=balance, bias=bias, z=z, total=total)

@@ -48,8 +48,6 @@ class SyntheticPair:
     labels: np.ndarray   # [L] token ids
     audio: np.ndarray    # [T x D_a]
     video: np.ndarray    # [T x D_v]
-    frames_per_token: int
-    seed: int
 
     @property
     def num_frames(self) -> int:
@@ -95,8 +93,7 @@ def generate_pair(cfg: GeneratorConfig, length: int, rng_seed: int) -> Synthetic
     frame_labels = np.repeat(labels, cfg.frames_per_token)
     audio = cb_a[frame_labels] + cfg.sigma_audio * rng.normal(size=(frame_labels.size, cfg.dim_audio))
     video = cb_v[frame_labels] + cfg.sigma_video * rng.normal(size=(frame_labels.size, cfg.dim_video))
-    return SyntheticPair(labels=labels, audio=audio, video=video,
-                         frames_per_token=cfg.frames_per_token, seed=rng_seed)
+    return SyntheticPair(labels=labels, audio=audio, video=video)
 
 
 def nearest_centroid_decode(frames: np.ndarray, codebook: np.ndarray,

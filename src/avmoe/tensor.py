@@ -87,10 +87,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def zero_grad(self):
         self.grad = None
 
@@ -201,39 +197,32 @@ def scale(a, c: float) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 def _weight_grad(x, g):
-    """Gradient of W in ``x @ W`` from the upstream ``g``: the outer product
-    for one row, else one gemm over all rows, a stack's slices included."""
-    if x.ndim == 1:
-        return np.outer(x, g)
+    """Gradient of W in ``x @ W`` from the upstream ``g``: one gemm over all
+    rows of the [n x k] ``x``, or of the slices of an [n x T x k] stack."""
     if x.ndim == 3:
         x, g = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
     return x.T @ g
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy 1-D/2-D semantics, or of an [n x T x k]
-    stack with a [k x m] matrix."""
+    """Matrix product of [rows x k] and [k x m] operands, or of an
+    [n x T x k] stack with a [k x m] matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if bd.ndim > 2 or ad.ndim > 2 and (ad.ndim > 3 or bd.ndim != 2):
-        raise ShapeError(f"matmul takes 1-D/2-D operands, or a 3-D stack and a matrix: "
+    if ad.ndim not in (2, 3) or bd.ndim != 2:
+        raise ShapeError(f"matmul takes a matrix or a 3-D stack, and a matrix: "
                          f"{ad.shape} vs {bd.shape}")
-    kb = bd.shape[0] if bd.ndim >= 1 else None
-    if ad.shape[-1] != kb:
+    if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {ad.shape} vs {bd.shape}")
     data = ad @ bd
     if not _track(a, b):
         return Tensor(data)
 
     def backward(g):
-        ad, bd = a.data, b.data
         if _needs_grad(a):
-            if bd.ndim == 2:
-                a._accum(g @ bd.T)
-            else:
-                a._accum(g * bd if ad.ndim == 1 else np.outer(g, bd))
+            a._accum(g @ b.data.T)
         if _needs_grad(b):
-            b._accum(g * ad if ad.ndim == bd.ndim == 1 else _weight_grad(ad, g))
+            b._accum(_weight_grad(a.data, g))
 
     return _make(data, (a, b), backward)
 
@@ -583,10 +572,10 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
 
 
 def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer GELU feed-forward network gelu(x W1 + b1) W2 + b2 of one
-    [d] row, a [n x d] row batch or an [n x T x d] stack."""
+    """Two-layer GELU feed-forward network gelu(x W1 + b1) W2 + b2 of an
+    [n x d] row batch or an [n x T x d] stack."""
     x, W1, b1, W2, b2 = (_as_tensor(t) for t in (x, W1, b1, W2, b2))
-    if not (x.data.ndim in (1, 2, 3) and W1.data.ndim == 2 and W2.data.ndim == 2
+    if not (x.data.ndim in (2, 3) and W1.data.ndim == 2 and W2.data.ndim == 2
             and x.data.shape[-1] == W1.data.shape[0] and b1.data.shape == W1.data.shape[1:]
             and W2.data.shape[0] == W1.data.shape[1] and b2.data.shape == W2.data.shape[1:]):
         raise ShapeError(f"ffn shapes disagree: x {x.data.shape}, W1 {W1.data.shape}, "

@@ -274,7 +274,6 @@ class MetricsReport:
     ter: dict
     flops: dict
     group_affinity: dict
-    run_dir: str | None = None
     # the trained model, for in-process callers
     model: Model | None = None
     # (layer, group) -> mean within-group top-1 frequency vector over the
@@ -832,8 +831,7 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     report = MetricsReport(final_losses=final, steps_table=table,
                            expert_load=expert_load, group_load=group_load,
                            ter=ter, flops=flops, group_affinity=affinity,
-                           run_dir=run_dir, model=model,
-                           expert_load_tail=load_tail)
+                           model=model, expert_load_tail=load_tail)
     if run_dir is not None:
         _write_run(report, model, cfg, run_dir)
     return report

@@ -59,7 +59,7 @@ def test_greedy_decoding_calls_the_wrapped_layers(monkeypatch):
     rng = np.random.default_rng(0)
     with T.no_grad():
         feats, _ = model.encode(rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
-    model.decode_greedy(feats, max_len=3)
+    model.decode_greedy(feats, [3], feature_lengths=[5])
     assert all(calls.values()), calls
 
 

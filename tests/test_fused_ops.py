@@ -84,11 +84,12 @@ def normal(rng, *shape):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 5), d=st.integers(1, 5),
-       h=st.integers(1, 6), one_row=st.booleans(),
+       h=st.integers(1, 6), n=st.integers(0, 3),
        trainable=st.lists(st.booleans(), min_size=5, max_size=5))
-def test_ffn_equals_its_chain(seed, rows, d, h, one_row, trainable):
+def test_ffn_equals_its_chain(seed, rows, d, h, n, trainable):
+    """[rows x d] inputs (n 0) and [n x rows x d] stacks."""
     rng = np.random.default_rng(seed)
-    x = normal(rng, d) if one_row else normal(rng, rows, d)
+    x = normal(rng, *((n,) if n else ()), rows, d)
     arrays = [x, normal(rng, d, h), normal(rng, h), normal(rng, h, d), normal(rng, d)]
     weight = normal(rng, *x.shape)
     fused = run(T.ffn, arrays, trainable, weight)

@@ -9,7 +9,6 @@ from avmoe import tensor as T
 from avmoe.cli import EXIT_CONFIG, EXIT_OK, main
 from avmoe.model import Encoder, Model, ModelConfig, sinusoidal_positions
 from avmoe.moe_layer import MoELayerConfig
-from avmoe.routing import MOD_AV
 from avmoe.tensor import Tensor
 from avmoe.trainer import TrainConfig, build_model
 
@@ -22,6 +21,16 @@ def tiny_cfg(mode="dense_ffn", **moe_kw):
 
 def rand_pair(rng, t=6, dim=5):
     return rng.normal(size=(t, dim)), rng.normal(size=(t, dim))
+
+
+def decode_one(model, feats, labels):
+    """``decode_train`` of one label sequence over all of ``feats``."""
+    return model.decode_train(feats, [labels], feature_lengths=[feats.data.shape[0]])
+
+
+def greedy_one(model, feats, max_len):
+    """The one transcript of ``decode_greedy`` over all of ``feats``."""
+    return model.decode_greedy(feats, [max_len], feature_lengths=[feats.data.shape[0]])[0]
 
 
 class TestEncode:
@@ -72,17 +81,17 @@ class TestDecodeTrain:
         model.head.data[:] = 0.0  # logits all zero -> uniform over classes
         A, V = rand_pair(np.random.default_rng(6), t=4)
         feats, _ = model.encode(A, V)
-        _, ce, _ = model.decode_train(feats, [1, 2, 3])
+        _, ce, _ = decode_one(model, feats, [1, 2, 3])
         assert float(ce.data) == pytest.approx(math.log(model.cfg.n_classes), abs=1e-9)
 
     def test_replay_oracle_without_tape(self):
         model = Model(tiny_cfg(), seed=7)
         A, V = rand_pair(np.random.default_rng(7), t=5)
         feats, _ = model.encode(A, V)
-        logits, ce, _ = model.decode_train(feats, [0, 4, 2])
+        logits, ce, _ = decode_one(model, feats, [0, 4, 2])
         with T.no_grad():
             feats2, _ = model.encode(A, V)
-            logits2, ce2, _ = model.decode_train(feats2, [0, 4, 2])
+            logits2, ce2, _ = decode_one(model, feats2, [0, 4, 2])
         assert np.array_equal(logits.data, logits2.data)
         assert float(ce.data) == float(ce2.data)
 
@@ -90,7 +99,7 @@ class TestDecodeTrain:
         model = Model(tiny_cfg(), seed=8)
         A, V = rand_pair(np.random.default_rng(8), t=4)
         feats, _ = model.encode(A, V)
-        logits, _, _ = model.decode_train(feats, [1, 2])
+        logits, _, _ = decode_one(model, feats, [1, 2])
         assert logits.data.shape == (3, model.cfg.n_classes)
 
     def test_label_out_of_range(self):
@@ -98,13 +107,13 @@ class TestDecodeTrain:
         A, V = rand_pair(np.random.default_rng(9))
         feats, _ = model.encode(A, V)
         with pytest.raises(IndexError):
-            model.decode_train(feats, [0, 6])
+            decode_one(model, feats, [0, 6])
 
     def test_gradient_reaches_every_parameter(self):
         model = Model(tiny_cfg(mode="sparse_topk", n_experts=2, k=2), seed=10)
         A, V = rand_pair(np.random.default_rng(10), t=4)
         feats, _ = model.encode(A, V)
-        _, ce, _ = model.decode_train(feats, [1, 0, 3])
+        _, ce, _ = decode_one(model, feats, [1, 0, 3])
         ce.backward()
         missing = [name for name, p in model.named_params().items() if p.grad is None]
         assert missing == []
@@ -113,7 +122,7 @@ class TestDecodeTrain:
         model = Model(tiny_cfg(mode="sparse_topk", n_experts=4, k=2), seed=11)
         A, V = rand_pair(np.random.default_rng(11), t=4)
         feats, _ = model.encode(A, V)
-        _, _, aux = model.decode_train(feats, [1, 2, 3], modality=MOD_AV)
+        _, _, aux = decode_one(model, feats, [1, 2, 3])
         assert len(aux) == model.cfg.n_dec
         # BOS + 3 labels = 4 decoder tokens, each with a routing row
         assert aux[0]["routing"].selected.shape == (4, 2)
@@ -129,13 +138,13 @@ class TestDecodeGreedy:
         model.head.data[:, model.cfg.eos_id] = 10.0
         A, V = rand_pair(np.random.default_rng(12))
         feats, _ = model.encode(A, V)
-        assert model.decode_greedy(feats, max_len=10) == []
+        assert greedy_one(model, feats, 10) == []
 
     def test_two_runs_bit_identical(self):
         model = Model(tiny_cfg(), seed=13)
         A, V = rand_pair(np.random.default_rng(13))
         feats, _ = model.encode(A, V)
-        assert model.decode_greedy(feats, 8) == model.decode_greedy(feats, 8)
+        assert greedy_one(model, feats, 8) == greedy_one(model, feats, 8)
 
     def test_respects_max_len(self):
         model = Model(tiny_cfg(), seed=14)
@@ -143,7 +152,7 @@ class TestDecodeGreedy:
         model.head.data[:, 2] = 5.0  # never emits EOS
         A, V = rand_pair(np.random.default_rng(14))
         feats, _ = model.encode(A, V)
-        assert len(model.decode_greedy(feats, 5)) == 5
+        assert len(greedy_one(model, feats, 5)) == 5
 
 
 class TestDenseMoEEquivalence:
@@ -152,7 +161,7 @@ class TestDenseMoEEquivalence:
         moe_model = Model(cfg_m, seed=15)
         dense_model = Model(tiny_cfg(), seed=15)
         dense_model.load_state_dict(
-            {k: v for k, v in dense_model.state_dict().items()})
+            {k: p.data.copy() for k, p in dense_model.named_params().items()})
         # copy all shared weights across, then make every expert equal the
         # dense model's single FFN
         src = dense_model.named_params()
@@ -169,8 +178,8 @@ class TestDenseMoEEquivalence:
         A, V = rand_pair(np.random.default_rng(15), t=5)
         fd, _ = dense_model.encode(A, V)
         fm, _ = moe_model.encode(A, V)
-        ld, _, _ = dense_model.decode_train(fd, [1, 2])
-        lm, _, _ = moe_model.decode_train(fm, [1, 2])
+        ld, _, _ = decode_one(dense_model, fd, [1, 2])
+        lm, _, _ = decode_one(moe_model, fm, [1, 2])
         assert np.max(np.abs(ld.data - lm.data)) < 1e-9
 
 
@@ -223,8 +232,9 @@ class TestParameterAccounting:
 def write_v1_checkpoint(model: Model, path):
     """A checkpoint as the format-v1 writer produced it: decimal float lists."""
     payload = {"format": "avmoe-checkpoint-v1",
-               "params": {name: {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
-                          for name, arr in model.state_dict().items()},
+               "params": {name: {"shape": list(p.data.shape),
+                                 "values": p.data.reshape(-1).tolist()}
+                          for name, p in model.named_params().items()},
                "buffers": {name: arr.tolist() for name, arr in model.buffers().items()}}
     path.write_text(json.dumps(payload))
 
@@ -237,8 +247,8 @@ def nonzero_centers(model: Model, seed: int) -> Model:
 
 
 def assert_same_state(a: Model, b: Model):
-    for name, arr in a.state_dict().items():
-        assert arr.tobytes() == b.state_dict()[name].tobytes(), name
+    for name, p in a.named_params().items():
+        assert p.data.tobytes() == b.named_params()[name].data.tobytes(), name
     for name, arr in a.buffers().items():
         assert arr.tobytes() == b.buffers()[name].tobytes(), name
 

@@ -34,12 +34,12 @@ class TestExpertFFN:
     def test_compositional_oracle(self):
         rng = np.random.default_rng(1)
         e = ExpertFFN.init(5, 7, rng)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(3, 5))
         got = e.forward(Tensor(x)).data
         want = gelu_oracle(x @ e.W1.data + e.b1.data) @ e.W2.data + e.b2.data
         assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("shape,rows", [((5,), 1), ((3, 5), 3), ((2, 3, 5), 6),
+    @pytest.mark.parametrize("shape,rows", [((1, 5), 1), ((3, 5), 3), ((2, 3, 5), 6),
                                             ((1, 4, 5), 4)])
     def test_eval_count_adds_one_per_row(self, shape, rows):
         e = ExpertFFN.init(5, 7, np.random.default_rng(2))
@@ -93,17 +93,17 @@ class TestMoEForward:
 
     def test_sparsity_contract(self):
         layer = make_layer("sparse_topk", n_experts=8, k=2, seed=7)
-        layer.reset_eval_counts()
+        before = sum(layer.eval_counts())
         X = Tensor(np.random.default_rng(8).normal(size=(10, 6)))
         layer.forward(X)
-        assert sum(layer.eval_counts()) == 10 * 2
+        assert sum(layer.eval_counts()) - before == 10 * 2
 
     def test_hierarchical_sparsity_contract(self):
         layer = make_layer("hierarchical", n_groups=2, n_per_group=4, m=2, seed=9)
-        layer.reset_eval_counts()
+        before = sum(layer.eval_counts())
         X = Tensor(np.random.default_rng(10).normal(size=(7, 6)))
         layer.forward(X)
-        assert sum(layer.eval_counts()) == 7 * 2  # m=2 groups x 1 expert
+        assert sum(layer.eval_counts()) - before == 7 * 2  # m=2 groups x 1 expert
 
     def test_hard_audiovisual_mean_of_groups(self):
         layer = make_layer("hard", n_groups=2, n_per_group=4, k=2, seed=11)
@@ -194,6 +194,20 @@ class TestMoEForward:
         with pytest.raises(RoutingConfigError, match="experts does not match"):
             layer.combine(X, routing)
         assert sum(layer.eval_counts()) == 0
+
+    def test_advance_center_is_a_per_segment_ema_at_momentum_0_99(self):
+        """Each segment's row mean moves the center by 1% of the way, one
+        segment after the other; each row is routed against the center its
+        own segment left."""
+        layer = make_layer("hierarchical", seed=27)
+        rng = np.random.default_rng(28)
+        start, X = rng.normal(size=6), rng.normal(size=(5, 6))
+        layer.inter_center = start.copy()
+        centers = layer._advance_center(X, np.array([0, 0, 0, 1, 1]))
+        first = 0.99 * start + 0.01 * X[:3].mean(axis=0)
+        second = 0.99 * first + 0.01 * X[3:].mean(axis=0)
+        assert np.allclose(centers, [first] * 3 + [second] * 2, rtol=0, atol=1e-14)
+        assert np.allclose(layer.inter_center, second, rtol=0, atol=1e-14)
 
 
 class TestFlops:

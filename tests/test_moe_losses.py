@@ -5,7 +5,8 @@ import pytest
 
 from avmoe import tensor as T
 from avmoe.moe_losses import (
-    DEFAULT_C_Z, UnsupportedConfigError, load_balancing_loss, load_biasing_loss,
+    DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, UnsupportedConfigError, load_balancing_loss,
+    load_biasing_loss,
     router_z_loss, total_aux_loss,
 )
 from avmoe.routing import (
@@ -174,7 +175,7 @@ class TestTotalAuxLoss:
     def test_reference_coefficients(self):
         bundle = total_aux_loss(2.0, 1.0, 1.5, 4.0)
         assert float(bundle.total.data) == pytest.approx(2.029, abs=1e-12)
-        assert bundle.c_balance == 1e-2 and bundle.c_bias == 1e-2 and DEFAULT_C_Z == 1e-3
+        assert DEFAULT_C_B == 1e-2 and DEFAULT_C_S == 1e-2 and DEFAULT_C_Z == 1e-3
 
     def test_zero_coefficients(self):
         bundle = total_aux_loss(3.0, 1.0, 1.0, 0.0, c_balance=0, c_bias=0)
@@ -191,8 +192,8 @@ class TestTotalAuxLoss:
 
     def test_bundle_invariant(self):
         bundle = total_aux_loss(1.0, 2.0, 3.0, 4.0)
-        recomputed = (float(bundle.ce.data) + bundle.c_balance * float(bundle.balance.data)
-                      + bundle.c_bias * float(bundle.bias.data)
+        recomputed = (float(bundle.ce.data) + DEFAULT_C_B * float(bundle.balance.data)
+                      + DEFAULT_C_S * float(bundle.bias.data)
                       + DEFAULT_C_Z * float(bundle.z.data))
         assert abs(float(bundle.total.data) - recomputed) < 1e-12
 

@@ -127,7 +127,7 @@ def small_model(seed):
 def test_load_state_dict_writes_in_place():
     model, other = small_model(0), small_model(1)
     before = {name: p.data for name, p in model.named_params().items()}
-    model.load_state_dict(other.state_dict())
+    model.load_state_dict({name: p.data.copy() for name, p in other.named_params().items()})
     for name, p in model.named_params().items():
         assert p.data is before[name]
         assert p.data.tobytes() == other.named_params()[name].data.tobytes()

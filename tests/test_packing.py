@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.model import Model, ModelConfig, segment_mask
+from avmoe.moe_layer import CENTER_MOMENTUM
 from avmoe.moe_losses import (
     load_balancing_from_stats, load_biasing_loss, router_z_loss, total_aux_loss,
 )
@@ -60,7 +61,8 @@ def per_sequence_step(model, cfg, batch):
     ces, layer_routings, logit_rows = [], {}, []
     for audio, video, labels, tag in batch:
         feats, _ = model.encode(audio, video)
-        _, ce, aux = model.decode_train(feats, labels, modality=tag)
+        _, ce, aux = model.decode_train(feats, [labels], modality=tag,
+                                        feature_lengths=[feats.data.shape[0]])
         ces.append(ce)
         for li, layer_aux in enumerate(aux):
             if layer_aux["routing"] is not None:
@@ -146,7 +148,7 @@ def old_decode_train(model, feats, labels, tag):
             out = layer.experts[0].forward(X)
         else:
             if layer.cfg.mode == "hierarchical":
-                mom = layer.center_momentum
+                mom = CENTER_MOMENTUM
                 layer.inter_center = (mom * layer.inter_center
                                       + (1 - mom) * X.data.mean(axis=0))
             out = layer.combine(X, layer.route(X, [tag] * n))
@@ -164,7 +166,7 @@ def test_one_segment_runs_the_single_sequence_ops_bit_for_bit(mode):
     new, old = build_model(cfg), build_model(cfg)
 
     feats, _ = new.encode(audio, video)
-    logits, ce, _ = new.decode_train(feats, labels, modality=tag)
+    logits, ce, _ = new.decode_train(feats, [labels], modality=tag, feature_lengths=[8])
     ce.backward()
     old_feats = old_encode(old, audio, video)
     old_logits, old_ce = old_decode_train(old, old_feats, labels, tag)

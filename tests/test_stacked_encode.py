@@ -159,7 +159,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
             targets = per_mode_targets(teacher.encoder, A, V, topk, mode)
             feats, _ = model.encode(A_in, V_in)
             masks.append(masked_prediction_loss(T.matmul(feats, heads.heads["MASK"]),
-                                                targets, mask_idx))
+                                                targets, mask_idx) if mask_idx else zero)
         for name in cfg.tasks:
             if name not in VARIANTS:
                 continue
@@ -186,7 +186,8 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
         if "MLM" in cfg.tasks:
             t_feats = per_mode_targets(teacher.encoder, A, V, topk, MODE_AV)
             feats, _ = model.encode(A_in, V_in)
-            mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.heads["MLM"]))
+            mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.heads["MLM"])
+                        if mask_idx else zero)
     parts = [_mean_scalars(ts) if ts else zero for ts in (acps, vcps, masks, mlms)]
     w = TASK_WEIGHTS
     total = T.add(T.add(T.scale(parts[0], w["acp"]), T.scale(parts[1], w["vcp"])),

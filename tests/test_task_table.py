@@ -99,8 +99,10 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
                 mask_idx) if mask_idx else zero)
         for name in variants:
             input_mode, target_mode, _ = OLD_VARIANTS[name]
-            loss = corrupted_prediction_loss(rows.get(input_mode), targets.get(target_mode),
-                                             frames[name], head=heads.heads[name])
+            loss = zero
+            if frames[name]:
+                loss = corrupted_prediction_loss(rows[input_mode], targets[target_mode],
+                                                 frames[name], head=heads.heads[name])
             if target_mode == MODE_A_ONLY:
                 acps.append(loss)
             elif target_mode == MODE_V_ONLY:

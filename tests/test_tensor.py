@@ -263,10 +263,10 @@ def test_constant_operands_get_no_gradient():
     h = T.gelu(x)  # a non-leaf operand still gets its gradient
     consts = {name: Tensor(rng.normal(size=shape)) for name, shape in
               [("add", (3, 4)), ("mul", (4,)), ("left", (2, 3)), ("right", (4, 5)),
-               ("vec", (4,)), ("rows", (1, 4)), ("cols", (3, 2))]}
+               ("rows", (1, 4)), ("cols", (3, 2))]}
     c = consts
     outs = [T.add(x, c["add"]), T.mul(c["mul"], h), matmul(c["left"], x),
-            matmul(h, c["right"]), matmul(x, c["vec"]), T.concat_rows([x, c["rows"]]),
+            matmul(h, c["right"]), T.concat_rows([x, c["rows"]]),
             T.concat_cols([c["cols"], h])]
     total = T.tsum(outs[0])
     for o in outs[1:]:
