@@ -145,21 +145,10 @@ def _case_take(seed):
     return lambda t: T.tsum(T.mul(T.take(t, [1, 3, 1]), T.take(t, [0, 2, 2]))), _vec(seed)
 
 
-def _case_scatter_rows(seed):
-    w = _mat(seed + 1000, 5, 4)
-    return lambda t: T.tsum(T.mul(T.scatter_rows(t, [0, 3, 4], 5), w)), _mat(seed)
-
-
 def _case_scatter(seed):
     w = _mat(seed + 1000, 4, 5)
     idx = np.array([[0, 7, 19], [3, 3, 12], [5, 11, 18]])
     return lambda t: T.tsum(T.mul(T.scatter(t, idx, (4, 5)), w)), _mat(seed, 3, 3)
-
-
-def _case_concat_rows(seed):
-    b = _mat(seed + 1000, 2, 4)
-    return lambda t: T.tmean(T.mul(T.concat_rows([t, b]),
-                                   T.concat_rows([t, b]))), _mat(seed)
 
 
 def _case_concat_cols(seed):
@@ -266,6 +255,35 @@ def _ffn_case(operand, x_shape=(3, 4)):
             return T.tsum(T.mul(out, w))
 
         return f, Tensor(ops[operand])
+    return build
+
+
+_MOE_COMBINE_OPERANDS = ("X", "weights", "W1", "b1", "W2", "b2")
+
+
+def _moe_combine_case(operand):
+    """``moe_combine`` with respect to one operand: 4 rows take 2 of 3
+    experts each, and the parameter operands are those of expert 1, which
+    rows 0 and 2 select."""
+    def build(seed):
+        rng = _rng(seed + 1000)
+        selected = np.array([[0, 1], [2, 0], [1, 2], [0, 2]])
+        ops = {"X": rng.normal(size=(4, 3)), "weights": rng.uniform(0.1, 1.0, size=(4, 2))}
+        experts = [{"W1": rng.normal(size=(3, 5)), "b1": rng.normal(size=5),
+                    "W2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
+                   for _ in range(3)]
+        w = Tensor(rng.normal(size=(4, 3)))
+
+        def f(t):
+            args = {name: t if name == operand else Tensor(v) for name, v in ops.items()}
+            params = [tuple(t if (e == 1 and name == operand) else Tensor(v)
+                            for name, v in expert.items())
+                      for e, expert in enumerate(experts)]
+            out = T.moe_combine(args["X"], args["weights"], selected, params)
+            return T.tsum(T.mul(out, w))
+
+        probe = ops[operand] if operand in ops else experts[1][operand]
+        return f, Tensor(probe)
     return build
 
 
@@ -432,8 +450,7 @@ CASES = {
         ("cross_entropy_rows", _case_cross_entropy_rows),
         ("cross_entropy_rows_weighted", _case_cross_entropy_rows_weighted),
         ("index_rows", _case_index_rows), ("take", _case_take),
-        ("scatter", _case_scatter), ("scatter_rows", _case_scatter_rows),
-        ("concat_rows", _case_concat_rows), ("concat_cols", _case_concat_cols),
+        ("scatter", _case_scatter), ("concat_cols", _case_concat_cols),
         ("concat_cols_stacked", _case_concat_cols_stacked),
         ("stack_slice", _case_stack_slice),
         ("standardize_rows", _case_standardize),
@@ -447,6 +464,8 @@ CASES = {
         *((f"ffn_gelu_{operand}", _ffn_case(operand)) for operand in _FFN_OPERANDS),
         *((f"ffn_stacked_gelu_{operand}", _ffn_case(operand, x_shape=(2, 3, 4)))
           for operand in _FFN_OPERANDS),
+        *((f"moe_combine_{operand}", _moe_combine_case(operand))
+          for operand in _MOE_COMBINE_OPERANDS),
     ],
     "moe": [
         ("expert_forward", _case_expert_forward),

@@ -2,9 +2,10 @@
 sparse top-k, hard-routed, and hierarchical modes, plus a coarse FLOPs
 accounting (multiply-adds counted as 2 ops, biases/activations ignored).
 
-Dispatch is gather -> compute -> scatter per expert: only the experts a token
-selected are ever evaluated, and an instrumented per-token evaluation counter
-makes that checkable."""
+A routed layer combines its experts in one ``tensor.moe_combine`` node: each
+expert runs once, on the rows that selected it, so only the experts a token
+selected are ever evaluated, and each expert's evaluation counter makes that
+checkable."""
 
 from __future__ import annotations
 
@@ -27,7 +28,11 @@ CENTER_MOMENTUM = 0.99
 @dataclass
 class ExpertFFN:
     """Two-layer bottleneck FFN W2^T gelu(W1^T x + b1) + b2, applied to each
-    row of an [n x d] batch or an [n x T x d] stack."""
+    row of an [n x d] batch or an [n x T x d] stack.
+
+    ``forward`` runs the dense mode's one expert; routed layers run their
+    experts through ``MoELayer.combine``. Both add each evaluated row to
+    ``eval_count``."""
 
     W1: Tensor  # [d x h]
     b1: Tensor  # [h]
@@ -186,23 +191,16 @@ class MoELayer:
     def combine(self, X: Tensor, routing: Routing) -> Tensor:
         """y_t = sum over j of weights[t, j] * e_j(x_t), e_j = selected[t, j].
 
-        Each expert runs once, on the rows that selected it; the weighted
-        outputs of all experts are scattered back in one step."""
+        One ``T.moe_combine`` node: each expert runs once, on the rows that
+        selected it, and adds those rows to its ``eval_count``."""
         E = sum(routing.group_sizes)
         if E != len(self.experts):
             raise RoutingConfigError(
                 f"routing over {E} experts does not match a layer of {len(self.experts)}")
-        B, k = routing.selected.shape
-        # selection positions grouped by expert in ascending order, with
-        # tokens ascending inside each group
-        order = np.argsort(routing.selected.ravel(), kind="stable")
-        experts = routing.selected.ravel()[order]
-        rows = order // k
-        bounds = np.flatnonzero(np.diff(experts)) + 1
-        outputs = [self.experts[e[0]].forward(T.index_rows(X, r))
-                   for e, r in zip(np.split(experts, bounds), np.split(rows, bounds))]
-        w = T.take(routing.weights, order[:, None])
-        return T.scatter_rows(T.mul(T.concat_rows(outputs), w), rows, B)
+        for expert, n in zip(self.experts, np.bincount(routing.selected.ravel(), minlength=E)):
+            expert.eval_count += int(n)
+        return T.moe_combine(X, routing.weights, routing.selected,
+                             [e.params() for e in self.experts])
 
     def router_logit_rows(self, routing: Routing) -> list[Tensor]:
         """Expert-router logit matrices of this routing (z-loss inputs).

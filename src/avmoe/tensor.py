@@ -18,11 +18,13 @@ stack on as a [T x d] tensor.
 
 The model's hot layers are fused ops, one node each with a hand-written
 backward: ``attention`` (scores, softmax and the value product), ``ffn``
-(both projections, biases and the GELU between them) and
-``standardize_rows`` with an optional residual operand (the add before the
-norm). Each runs the numpy arithmetic of the primitive-op chain it stands
-for, in the same order; ``tests/test_fused_ops.py`` builds those chains and
-checks the fused ops against them bit for bit.
+(both projections, biases and the GELU between them), ``standardize_rows``
+with an optional residual operand (the add before the norm) and
+``moe_combine`` (every routed expert's FFN on its rows, with one GELU over
+all of them, weighted and summed per row). Each runs the numpy arithmetic
+of the primitive-op chain it stands for, in the same order;
+``tests/test_fused_ops.py`` builds those chains and checks the fused ops
+against them bit for bit.
 """
 
 from __future__ import annotations
@@ -424,38 +426,6 @@ def scatter(values: Tensor, flat_idx, shape) -> Tensor:
     return _make(data, (values,), lambda g: values._accum(g.reshape(-1)[flat_idx]))
 
 
-def scatter_rows(rows: Tensor, idx, n_rows: int) -> Tensor:
-    """Place ``rows`` at positions ``idx`` of an all-zero [n_rows x d] tensor.
-
-    Duplicate indices add, making this the adjoint of index_rows.
-    """
-    rows = _as_tensor(rows)
-    idx = np.asarray(idx, dtype=np.int64)
-    data = np.zeros((n_rows, rows.data.shape[1]))
-    np.add.at(data, idx, rows.data)
-    if not _track(rows):
-        return Tensor(data)
-    return _make(data, (rows,), lambda g: rows._accum(g[idx]))
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 0."""
-    parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=0)
-    if not _track(*parts):
-        return Tensor(data)
-    sizes = [p.data.shape[0] for p in parts]
-
-    def backward(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            if _needs_grad(p):
-                p._accum(g[off:off + n])
-            off += n
-
-    return _make(data, tuple(parts), backward)
-
-
 def concat_cols(parts: list[Tensor]) -> Tensor:
     """Concatenate tensors along their last axis."""
     parts = [_as_tensor(p) for p in parts]
@@ -602,6 +572,88 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
             W1._accum(_weight_grad(x.data, gpre))
 
     return _make(data, (x, W1, b1, W2, b2), backward)
+
+
+def moe_combine(X: Tensor, weights: Tensor, selected, experts) -> Tensor:
+    """Routed expert mixture of a [B x d] batch: row t is the sum over j of
+    weights[t, j] * ffn_e(x_t), e = selected[t, j], where ``experts[e]`` is
+    expert e's (W1, b1, W2, b2) and no row selects one expert twice.
+
+    Each selected expert runs once, on the rows that selected it, and one
+    GELU runs over all of those rows. The chain it stands for gathers each
+    expert's rows (``index_rows``), runs ``ffn`` on them, weights the
+    concatenated outputs (``take`` and ``mul``) and scatter-adds them into
+    [B x d], experts in ascending order.
+    """
+    X, weights = _as_tensor(X), _as_tensor(weights)
+    selected = np.asarray(selected, dtype=np.int64)
+    if not (selected.ndim == 2 and weights.data.shape == selected.shape
+            and X.data.ndim == 2 and X.data.shape[0] == selected.shape[0]):
+        raise ShapeError(f"moe_combine shapes disagree: X {X.data.shape}, weights "
+                         f"{weights.data.shape}, selected {selected.shape}")
+    B, k = selected.shape
+    flat = selected.ravel()
+    # selection positions grouped by expert in ascending order, with tokens
+    # ascending inside each group; expert e holds positions s:t of them
+    order = np.argsort(flat, kind="stable")
+    rows = order // k
+    counts = np.bincount(flat, minlength=len(experts)).tolist()
+    spans, end = [], 0
+    for e, n in enumerate(counts):
+        if n:
+            spans.append((experts[e], end, end + n))
+            end += n
+    xs = X.data[rows]
+    pre = np.concatenate([xs[s:t] @ W1.data + b1.data for (W1, b1, _, _), s, t in spans])
+    hidden, tanh = _gelu_forward(pre)
+    out = np.concatenate([hidden[s:t] @ W2.data + b2.data
+                          for (_, _, W2, b2), s, t in spans])
+    w = weights.data.reshape(-1)[order, None]
+    weighted = out * w
+    data = np.zeros((B, X.data.shape[1]))
+    for _, s, t in spans:
+        data[rows[s:t]] += weighted[s:t]
+    params = [p for ps, _, _ in spans for p in ps]
+    if not _track(X, weights, *params):
+        return Tensor(data)
+
+    def backward(g):
+        gm = g[rows]
+        if _needs_grad(weights):
+            buf = np.zeros(B * k)
+            buf[order] += (gm * out).sum(axis=1)
+            weights._accum(buf.reshape(B, k))
+        gout = gm * w
+        first_layer = _needs_grad(X) or any(
+            _needs_grad(p) for ps, _, _ in spans for p in ps[:2])
+        ghidden = []
+        for (_, _, W2, b2), s, t in spans:
+            if _needs_grad(b2):
+                b2._accum(_unbroadcast(gout[s:t], b2.data.shape))
+            if _needs_grad(W2):
+                W2._accum(hidden[s:t].T @ gout[s:t])
+            if first_layer:
+                ghidden.append(gout[s:t] @ W2.data.T)
+        if not first_layer:
+            return
+        gpre = _gelu_derivative(np.concatenate(ghidden), pre, tanh)
+        # X's rows are added expert by expert, as the chain's index_rows
+        # backwards add their zero-filled buffers; the + 0.0 is their
+        # zeros' effect on a -0.0 gradient
+        gX = None
+        if _needs_grad(X):
+            gX = np.zeros_like(X.data) if X.grad is None else X.grad + 0.0
+        for (W1, b1, _, _), s, t in spans:
+            if _needs_grad(b1):
+                b1._accum(_unbroadcast(gpre[s:t], b1.data.shape))
+            if gX is not None:
+                gX[rows[s:t]] += gpre[s:t] @ W1.data.T
+            if _needs_grad(W1):
+                W1._accum(xs[s:t].T @ gpre[s:t])
+        if gX is not None:
+            X.grad = gX
+
+    return _make(data, (X, weights, *params), backward)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -139,6 +139,15 @@ def assert_same_array(got, want):
     assert np.array_equal(got, want)
 
 
+def assert_same_frames(got, want):
+    """Equal frames down to their bytes and memory order: ``np.array_equal``
+    takes -0.0 for 0.0, and the blur's sum can differ from the oracle's
+    ``np.convolve`` in the sign of a zero alone."""
+    assert_same_array(got, want)
+    assert got.strides == want.strides, (got.strides, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
 def assert_plan_equals(plan, sets, drop):
     for name in INDEX_SETS:
         assert_same_array(getattr(plan, name), sets[name])
@@ -193,8 +202,24 @@ def test_corrupt_video_equals_the_oracle(T, kind, d, seed, data):
     """Every operator, on unsorted index lists with repeats."""
     indices = data.draw(st.lists(st.integers(0, T - 1), max_size=2 * T), label="indices")
     frames = np.random.default_rng(seed).normal(size=(T, d))
-    assert_same_array(C.corrupt_video(frames, kind, indices, seed),
-                      oracle_corrupt_video(frames, kind, indices, seed))
+    assert_same_frames(C.corrupt_video(frames, kind, indices, seed),
+                       oracle_corrupt_video(frames, kind, indices, seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(T=st.integers(1, 40), d=st.integers(1, 16), seed=seeds, zero_share=st.floats(0.0, 1.0),
+       data=st.data())
+def test_blur_equals_convolve_to_the_byte(T, d, seed, zero_share, data):
+    """The blur's shifted sum against the oracle's per-channel ``np.convolve``,
+    on frames where a share of the entries are 0.0 or -0.0, so that whole
+    windows of signed zeros occur."""
+    indices = data.draw(st.lists(st.integers(0, T - 1), max_size=2 * T), label="indices")
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(T, d))
+    frames[rng.random((T, d)) < zero_share] = 0.0
+    frames[rng.random((T, d)) < zero_share] = -0.0
+    assert_same_frames(C.corrupt_video(frames, "blur", indices),
+                       oracle_corrupt_video(frames, "blur", indices, 0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -210,4 +235,4 @@ def test_corrupted_pairs_equal_the_oracle(name, T, d_audio, d_video, plan_seed, 
     got = C.corrupt_pair(audio, video, plan, seed, audio_snr_db=snr_db)
     want = oracle_corrupt_pair(audio, video, sets, seed, snr_db)
     for g, w in zip(got, want):
-        assert_same_array(g, w)
+        assert_same_frames(g, w)

@@ -1,12 +1,13 @@
 """The fused ops against the chains of primitive ops they stand for.
 
-``attention``, ``ffn`` and ``standardize_rows`` with a residual are one tape
-node each, with a hand-written backward that runs the chain's numpy
-arithmetic in the chain's order. Their outputs and every operand gradient
-must therefore equal the chain's bit for bit, with constant operands getting
-no gradient in either. Each gradient must also have the chain's memory order
-(its strides): the ops that consume a gradient further down a training step
-can round differently on another layout, though no value here differs.
+``attention``, ``ffn``, ``standardize_rows`` with a residual and
+``moe_combine`` are one tape node each, with a hand-written backward that
+runs the chain's numpy arithmetic in the chain's order. Their outputs and
+every operand gradient must therefore equal the chain's bit for bit, with
+constant operands getting no gradient in either. Each gradient must also
+have the chain's memory order (its strides): the ops that consume a gradient
+further down a training step can round differently on another layout,
+though no value here differs.
 """
 
 import math
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
+from avmoe.moe_layer import MoELayer, MoELayerConfig
+from avmoe.routing import MODALITIES
 from avmoe.tensor import Tensor
 
 
@@ -48,6 +51,33 @@ def stack_matmul(a, b):
     return T._make(a.data @ b.data, (a, b), backward)
 
 
+def concat_rows(parts):
+    """The chain's concatenation of 2-D tensors along axis 0."""
+    data = np.concatenate([p.data for p in parts], axis=0)
+    if not T._track(*parts):
+        return Tensor(data)
+    sizes = [p.data.shape[0] for p in parts]
+
+    def backward(g):
+        off = 0
+        for p, n in zip(parts, sizes):
+            if T._needs_grad(p):
+                p._accum(g[off:off + n])
+            off += n
+
+    return T._make(data, tuple(parts), backward)
+
+
+def scatter_rows(rows, idx, n_rows):
+    """The chain's scatter-add of ``rows`` into an all-zero [n_rows x d]
+    tensor at positions ``idx``, the adjoint of ``T.index_rows``."""
+    data = np.zeros((n_rows, rows.data.shape[1]))
+    np.add.at(data, idx, rows.data)
+    if not T._track(rows):
+        return Tensor(data)
+    return T._make(data, (rows,), lambda g: rows._accum(g[idx]))
+
+
 def chain_attention(Q, K, V, mask):
     matmul = T.matmul if Q.data.ndim == 2 else stack_matmul
     scores = T.scale(matmul(Q, transpose(K)), 1.0 / math.sqrt(Q.data.shape[-1]))
@@ -56,6 +86,20 @@ def chain_attention(Q, K, V, mask):
 
 def chain_standardize(a, residual):
     return T.standardize_rows(T.add(a, residual))
+
+
+def chain_moe_combine(X, weights, selected, experts):
+    """Each expert's FFN on its gathered rows, experts in ascending order,
+    weighted and scattered back."""
+    B, k = selected.shape
+    order = np.argsort(selected.ravel(), kind="stable")
+    ids = selected.ravel()[order]
+    rows = order // k
+    bounds = np.flatnonzero(np.diff(ids)) + 1
+    outputs = [T.ffn(T.index_rows(X, r), *experts[e[0]])
+               for e, r in zip(np.split(ids, bounds), np.split(rows, bounds))]
+    w = T.take(weights, order[:, None])
+    return scatter_rows(T.mul(concat_rows(outputs), w), rows, B)
 
 
 def run(op, arrays, trainable, weight):
@@ -69,12 +113,13 @@ def run(op, arrays, trainable, weight):
 
 
 def assert_bitwise_equal(fused, chain):
+    """Equal bytes, so the sign of a zero counts too, and equal strides."""
     (out_f, grads_f), (out_c, grads_c) = fused, chain
-    assert np.array_equal(out_f, out_c)
+    assert out_f.shape == out_c.shape and out_f.tobytes() == out_c.tobytes()
     for g_f, g_c in zip(grads_f, grads_c):
         assert (g_f is None) == (g_c is None)
         if g_f is not None:
-            assert g_f.shape == g_c.shape and np.array_equal(g_f, g_c)
+            assert g_f.shape == g_c.shape and g_f.tobytes() == g_c.tobytes()
             assert g_f.strides == g_c.strides, (g_f.strides, g_c.strides)
 
 
@@ -133,6 +178,66 @@ def test_standardize_with_residual_equals_its_chain(seed, rows, d, trainable):
     assert_bitwise_equal(fused, chain)
 
 
+# routed layers of every mode: (mode, MoELayerConfig fields)
+MOE_LAYERS = [
+    ("sparse_topk", {"n_experts": 4, "k": 2}),
+    ("sparse_topk", {"n_experts": 3, "k": 1}),
+    ("hard", {"n_groups": 2, "n_per_group": 3, "k": 2}),
+    ("hierarchical", {"n_groups": 2, "n_per_group": 3, "m": 2, "k_per_group": 1}),
+    ("hierarchical", {"n_groups": 3, "n_per_group": 3, "m": 2, "k_per_group": 2}),
+    ("hierarchical", {"n_groups": 2, "n_per_group": 2, "m": 1, "k_per_group": 2}),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), layer=st.sampled_from(MOE_LAYERS),
+       B=st.integers(1, 7), d=st.integers(1, 4), h=st.integers(1, 5),
+       tape=st.booleans(), zeros=st.booleans(), earlier=st.booleans(),
+       trainable=st.lists(st.booleans(), min_size=2, max_size=2))
+def test_moe_combine_equals_its_chain(seed, layer, B, d, h, tape, zeros, earlier,
+                                      trainable):
+    """A routed layer's own selection and weights, with or without a tape.
+
+    ``zeros`` puts 0.0 and -0.0 among the combine weights and the upstream
+    gradient, and ``earlier`` gives X a gradient (with signed zeros) before
+    the combine's arrives, so that the zero-filled buffers of the chain's
+    scatter-adds are pinned down to the sign of a zero."""
+    mode, fields = layer
+    rng = np.random.default_rng(seed)
+    moe = MoELayer(MoELayerConfig(mode=mode, d=d, h=h, **fields), rng)
+    X = normal(rng, B, d)
+    tags = [MODALITIES[i] for i in rng.integers(0, len(MODALITIES), B)]
+    with T.no_grad():
+        routing = moe.route(Tensor(X), tags)
+    selected, weights = routing.selected, routing.weights.data.copy()
+    E = len(moe.experts)
+    weight, C = normal(rng, B, d), normal(rng, B, d)
+    if zeros:
+        for a in (weights, weight, C):
+            a[rng.random(a.shape) < 0.3] = 0.0
+            a[rng.random(a.shape) < 0.3] = -0.0
+    arrays = [X, weights] + [p.data for e in moe.experts for p in e.params()]
+    flags = trainable + list(rng.random(4 * E) < 0.7)
+
+    def op(combine):
+        def forward(X, weights, *params):
+            experts = [params[4 * e:4 * e + 4] for e in range(E)]
+            out = combine(X, weights, selected, experts)
+            return T.add(T.mul(X, Tensor(C)), out) if earlier else out
+        return forward
+
+    if tape:
+        fused = run(op(T.moe_combine), arrays, flags, weight)
+        chain = run(op(chain_moe_combine), arrays, flags, weight)
+        assert_bitwise_equal(fused, chain)
+        return
+    with T.no_grad():
+        fused = op(T.moe_combine)(*(Tensor(a, requires_grad=g) for a, g in zip(arrays, flags)))
+        chain = op(chain_moe_combine)(*(Tensor(a) for a in arrays))
+    assert fused._parents == () and fused._backward is None
+    assert fused.data.tobytes() == chain.data.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 4), d=st.integers(2, 5))
 def test_encoder_block_equals_its_chain(seed, rows, d):
@@ -174,6 +279,14 @@ def test_fused_ops_reject_mismatched_shapes():
         T.standardize_rows(x, Tensor(normal(rng, 1, 4)))
     with pytest.raises(T.ShapeError):
         T.attention(x, Tensor(normal(rng, 2, 3)), Tensor(normal(rng, 2, 4)))
+    experts = [(W1, b1, W2, b2)] * 2
+    selected = np.array([[0, 1], [1, 0], [0, 1]])
+    for X, weights, sel in [(x, Tensor(normal(rng, 3, 1)), selected),
+                            (x, Tensor(normal(rng, 2, 2)), selected[:2]),
+                            (Tensor(normal(rng, 1, 3, 4)), Tensor(normal(rng, 3, 2)), selected),
+                            (x, Tensor(normal(rng, 6)), selected.ravel())]:
+        with pytest.raises(T.ShapeError):
+            T.moe_combine(X, weights, sel, experts)
 
 
 def test_stacked_ops_reject_mismatched_ranks():

@@ -210,6 +210,64 @@ class TestMoEForward:
         assert np.allclose(layer.inter_center, second, rtol=0, atol=1e-14)
 
 
+class TestCombine:
+    """``combine`` is one tape node, and it keeps the expert ledger."""
+
+    def make(self):
+        return make_layer("hierarchical", seed=29, n_groups=2, n_per_group=4, m=2,
+                          k_per_group=2)
+
+    def test_one_tape_node_per_combine(self, monkeypatch):
+        layer = self.make()
+        made, inside = [], []
+        make, combine = T._make, layer.combine
+
+        def counted_make(data, parents, backward):
+            if inside:
+                made.append(parents)
+            return make(data, parents, backward)
+
+        def traced_combine(X, routing):
+            inside.append(True)
+            try:
+                return combine(X, routing)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(T, "_make", counted_make)
+        layer.combine = traced_combine
+        X = Tensor.param(np.random.default_rng(30).normal(size=(7, 6)))
+        out, _, _ = layer.forward(X, modalities=[MOD_AUDIO, MOD_VIDEO, MOD_AV] * 2 + [MOD_AV])
+        T.tsum(T.mul(out, out)).backward()
+        # the node's parents: X, the combine weights, then each selected
+        # expert's four parameters
+        assert len(made) == 1
+        used = [e for e in layer.experts if e.eval_count]
+        assert made[0][0] is X and made[0][2:] == tuple(p for e in used for p in e.params())
+        assert X.grad is not None and all(e.W1.grad is not None for e in used)
+
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_eval_counts_are_selected_rows_and_match_flops_report(self, tape):
+        layer = self.make()
+        rng = np.random.default_rng(31)
+        for B in (1, 5, 9):
+            before = np.array(layer.eval_counts())
+            X = Tensor.param(rng.normal(size=(B, 6)))
+            if tape:
+                _, routing, _ = layer.forward(X)
+            else:
+                with T.no_grad():
+                    _, routing, _ = layer.forward(X)
+            added = np.array(layer.eval_counts()) - before
+            assert np.array_equal(added, np.bincount(routing.selected.ravel(), minlength=8))
+            # every selection is one expert evaluation: 2 groups x 2 experts
+            per_expert = 2 * (6 * 8 + 8 * 6)
+            router = 2 * 6 * 2 + 2 * 2 * 6 * 4
+            assert added.sum() == B * 4
+            assert (added.sum() * per_expert + B * router
+                    == flops_report(layer.cfg, B)["activated_flops"])
+
+
 class TestFlops:
     def test_dense_ratio_one(self):
         cfg = MoELayerConfig(mode="dense_ffn", d=32, h=64)

@@ -21,6 +21,7 @@ from avmoe.moe_losses import (
 from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
 from avmoe.trainer import TrainConfig, _mean_scalars, _supervised_step, build_model
+from test_fused_ops import concat_rows
 
 TOL = 1e-12
 FPT = 2  # frames per token
@@ -45,7 +46,7 @@ def _cfg(mode, **moe_kw) -> TrainConfig:
 def laid_end_to_end(records):
     """One Routing over the rows of several, in order."""
     def rows(tensors):
-        return T.concat_rows(list(tensors))
+        return concat_rows(list(tensors))
     first = records[0]
     return Routing([t for r in records for t in r.modalities],
                    [rows(ps) for ps in zip(*(r.logits for r in records))],

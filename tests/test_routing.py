@@ -9,8 +9,8 @@ from avmoe.routing import (
     dispatch_stats, route_dense, route_hard, route_hierarchical, route_sparse,
     select_topk,
 )
-from avmoe import tensor as T
 from avmoe.tensor import ShapeError, Tensor
+from test_fused_ops import concat_rows
 
 
 def make_router(d, n, seed=0, scale=1.0):
@@ -253,11 +253,11 @@ class TestDispatchStats:
         b = route_hierarchical(inter, intras, Tensor(X[3:]), m=2, modalities=tags[3:])
         parts = dispatch_stats(Routing(
             a.modalities + b.modalities,
-            [T.concat_rows([p, q]) for p, q in zip(a.logits, b.logits)],
-            [T.concat_rows([p, q]) for p, q in zip(a.expert_probs, b.expert_probs)],
+            [concat_rows([p, q]) for p, q in zip(a.logits, b.logits)],
+            [concat_rows([p, q]) for p, q in zip(a.expert_probs, b.expert_probs)],
             np.concatenate([a.selected, b.selected]),
-            T.concat_rows([a.weights, b.weights]),
-            group_probs=T.concat_rows([a.group_probs, b.group_probs])))
+            concat_rows([a.weights, b.weights]),
+            group_probs=concat_rows([a.group_probs, b.group_probs])))
         for gi in range(2):
             assert np.array_equal(whole.expert_f[gi], parts.expert_f[gi])
             assert np.allclose(whole.expert_P[gi].data, parts.expert_P[gi].data, atol=1e-15)

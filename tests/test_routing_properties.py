@@ -19,6 +19,7 @@ from avmoe.routing import (
     select_topk, topk_ids,
 )
 from avmoe.tensor import Tensor
+from test_fused_ops import concat_rows, scatter_rows
 
 SCALES = (0.0, 1.0, 1e4)
 
@@ -216,7 +217,7 @@ def _dense_combine(layer, X, routing):
     outputs = [layer.experts[e[0]].forward(T.index_rows(X, r))
                for e, r in zip(np.split(experts, bounds), np.split(rows, bounds))]
     w = T.take(routing.weights, (rows * E + experts)[:, None])
-    return T.scatter_rows(T.mul(T.concat_rows(outputs), w), rows, B)
+    return scatter_rows(T.mul(concat_rows(outputs), w), rows, B)
 
 
 def _train_loss(layer, out, routing, R):

@@ -263,11 +263,13 @@ def test_constant_operands_get_no_gradient():
     h = T.gelu(x)  # a non-leaf operand still gets its gradient
     consts = {name: Tensor(rng.normal(size=shape)) for name, shape in
               [("add", (3, 4)), ("mul", (4,)), ("left", (2, 3)), ("right", (4, 5)),
-               ("rows", (1, 4)), ("cols", (3, 2))]}
+               ("cols", (3, 2)), ("weights", (3, 1)), ("W1", (4, 2)), ("b1", (2,)),
+               ("W2", (2, 4)), ("b2", (4,))]}
     c = consts
+    expert = [(c["W1"], c["b1"], c["W2"], c["b2"])]
     outs = [T.add(x, c["add"]), T.mul(c["mul"], h), matmul(c["left"], x),
-            matmul(h, c["right"]), T.concat_rows([x, c["rows"]]),
-            T.concat_cols([c["cols"], h])]
+            matmul(h, c["right"]), T.concat_cols([c["cols"], h]),
+            T.moe_combine(h, c["weights"], np.zeros((3, 1), dtype=np.int64), expert)]
     total = T.tsum(outs[0])
     for o in outs[1:]:
         total = T.add(total, T.tsum(o))
