@@ -170,11 +170,13 @@ def corrupt_video(frames: np.ndarray, kind: str, indices,
         perm = rng.permutation(idx.size)
         out[idx] = out[idx][perm]
     else:
-        half = BLUR_WINDOW // 2
         kernel = np.ones(BLUR_WINDOW) / BLUR_WINDOW
         for run in _contiguous_runs(idx):
             n = run.size
-            padded = np.pad(frames[run], ((half, half), (0, 0)), mode="reflect")
+            seg = frames[run]
+            # np.pad(seg, ((1, 1), (0, 0)), mode="reflect"): seg[1] before the
+            # run and seg[-2] after it, or seg[0] on both sides of one frame
+            padded = np.concatenate((seg[1:2], seg, seg[-2:-1])) if n > 1 else seg[[0, 0, 0]]
             # the 3-tap moving average of every channel at once, summed left
             # to right from 0.0 as np.convolve sums each channel (the 0.0
             # turns a window of three -0.0 products into 0.0, as it does)

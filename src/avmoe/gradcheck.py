@@ -287,6 +287,25 @@ def _moe_combine_case(operand):
     return build
 
 
+def _router_softmaxes_case(operand):
+    """``router_softmaxes`` of three [4 x 3] routers over 5 rows, with respect
+    to X or to the second router, through both the logits and the probs."""
+    def build(seed):
+        rng = _rng(seed + 1000)
+        X, Ws = rng.normal(size=(5, 4)), [rng.normal(size=(4, 3)) for _ in range(3)]
+        upstream = [Tensor(rng.normal(size=(5, 3))) for _ in range(6)]
+
+        def f(t):
+            weights = [t if (operand == "W" and g == 1) else Tensor(W)
+                       for g, W in enumerate(Ws)]
+            logits, probs, _ = T.router_softmaxes(t if operand == "X" else Tensor(X), weights)
+            products = [T.mul(a, u) for a, u in zip(logits + probs, upstream)]
+            return T.tsum(T.concat_cols(products))
+
+        return f, Tensor(X if operand == "X" else Ws[1])
+    return build
+
+
 # -- MoE layer cases ----------------------------------------------------------
 
 def _case_expert_forward(seed):
@@ -466,6 +485,8 @@ CASES = {
           for operand in _FFN_OPERANDS),
         *((f"moe_combine_{operand}", _moe_combine_case(operand))
           for operand in _MOE_COMBINE_OPERANDS),
+        *((f"router_softmaxes_{operand}", _router_softmaxes_case(operand))
+          for operand in ("X", "W")),
     ],
     "moe": [
         ("expert_forward", _case_expert_forward),

@@ -367,7 +367,7 @@ class Model(Encoder):
             caches = [None] * len(self.decoder_blocks)
         else:
             segments, caches = live, cache
-            positions = self.positions[np.full(live.size, offset)]
+            positions = self.positions[offset]  # every live row's, broadcast
             # one sequence owns every cached and feature row: no mask
             self_mask = cross_mask = None
             if len(feature_lengths) > 1:

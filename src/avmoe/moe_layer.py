@@ -159,8 +159,9 @@ class MoELayer:
         bounds = np.flatnonzero(np.diff(segments)) + 1
         centers = []
         for part in np.split(X, bounds):
+            mean = np.add.reduce(part, axis=0) / len(part)  # part.mean(axis=0), unwrapped
             self.inter_center = (CENTER_MOMENTUM * self.inter_center
-                                 + (1 - CENTER_MOMENTUM) * part.mean(axis=0))
+                                 + (1 - CENTER_MOMENTUM) * mean)
             centers.append(self.inter_center)
         return np.repeat(np.stack(centers), np.diff([0, *bounds, X.shape[0]]), axis=0)
 
@@ -197,8 +198,9 @@ class MoELayer:
         if E != len(self.experts):
             raise RoutingConfigError(
                 f"routing over {E} experts does not match a layer of {len(self.experts)}")
-        for expert, n in zip(self.experts, np.bincount(routing.selected.ravel(), minlength=E)):
-            expert.eval_count += int(n)
+        for e, n in enumerate(np.bincount(routing.selected.ravel()).tolist()):
+            if n:
+                self.experts[e].eval_count += n
         return T.moe_combine(X, routing.weights, routing.selected,
                              [e.params() for e in self.experts])
 

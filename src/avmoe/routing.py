@@ -171,6 +171,9 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
     times its within-group weight. Selection order is the groups in
     inter-router order, each group's experts in intra-router order.
 
+    The intra routers, one per group and all of one size, run in one
+    ``T.router_softmaxes`` pass.
+
     ``X_inter`` optionally substitutes the inter router's input (for example
     a mean-centered view of ``X``); intra routers always see ``X``."""
     G = len(intras)
@@ -179,20 +182,23 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
     B = X.data.shape[0]
     _, q = route_dense(inter, X if X_inter is None else X_inter)
     group_ids, q_tilde = select_topk(q, m)
-    logits, probs = zip(*(route_dense(router, X) for router in intras))
+    logits, probs, stacked = T.router_softmaxes(X, [r.weight for r in intras])
+    n = stacked.shape[-1]
+    if not 1 <= k_per_group <= n:
+        raise ValueError(f"k={k_per_group} outside [1, {n}]")
+    local_ids = topk_ids(stacked, k_per_group)  # [G x B x k_per_group]
     if k_per_group == 1:  # each within-group weight is exactly 1
-        local_ids, weights = [topk_ids(p.data, 1) for p in probs], q_tilde
+        weights = q_tilde
     else:
-        local_ids, inner = zip(*(select_topk(p, k_per_group) for p in probs))
+        inner = [T.normalize_rows(T.take(p, _flat(ids, n)))
+                 for p, ids in zip(probs, local_ids)]
         # column j * k_per_group + i: the i-th intra weight of group group_ids[:, j]
         cols = (group_ids[..., None] * k_per_group + np.arange(k_per_group)).reshape(B, -1)
         q_rep = T.take(q_tilde, np.repeat(np.arange(B * m).reshape(B, m), k_per_group, axis=1))
         weights = T.mul(q_rep, T.take(T.concat_cols(inner), _flat(cols, G * k_per_group)))
-    offsets = np.cumsum([0] + [r.n_outputs for r in intras[:-1]])
-    flat_ids = np.stack(local_ids, axis=1) + offsets[:, None]  # [B x G x k_per_group]
-    selected = flat_ids[np.arange(B)[:, None], group_ids].reshape(B, -1)
-    return Routing(_tags(modalities, B), list(logits), list(probs), selected, weights,
-                   group_probs=q)
+    selected = (local_ids[group_ids, np.arange(B)[:, None]]
+                + n * group_ids[..., None]).reshape(B, -1)
+    return Routing(_tags(modalities, B), logits, probs, selected, weights, group_probs=q)
 
 
 @dataclass
@@ -217,8 +223,8 @@ class DispatchStats:
 def dispatch_stats(routing: Routing) -> DispatchStats:
     """Aggregate f/P per expert group and g/Q per modality subset over the
     rows of one routing record."""
-    tags = np.asarray(routing.modalities)
-    n_tok = tags.size
+    tags = routing.modalities
+    n_tok = len(tags)
     group_sizes = routing.group_sizes
 
     expert_f = []
@@ -232,13 +238,17 @@ def dispatch_stats(routing: Routing) -> DispatchStats:
     Q: dict[str, Tensor] = {}
     counts = {key: 0 for key in MODALITIES}
     group_probs = routing.group_probs
-    for tag in dict.fromkeys(tags.tolist()):
-        rows = np.flatnonzero(tags == tag)
-        counts[tag] = rows.size
+    subsets = dict.fromkeys(tags)  # in order of first appearance
+    if len(subsets) > 1:
+        tag_array = np.asarray(tags)
+        subsets = {tag: np.flatnonzero(tag_array == tag) for tag in subsets}
+    # a one-subset batch (every decoding step) keeps all of its rows: None
+    for tag, rows in subsets.items():
+        size = n_tok if rows is None else rows.size
+        counts[tag] = size
         if group_probs is not None:
-            q = group_probs if rows.size == n_tok else T.index_rows(group_probs, rows)
-            g[tag] = np.bincount(q.data.argmax(axis=1),
-                                 minlength=q.data.shape[1]) / rows.size
+            q = group_probs if rows is None else T.index_rows(group_probs, rows)
+            g[tag] = np.bincount(q.data.argmax(axis=1), minlength=q.data.shape[1]) / size
             Q[tag] = T.mean_axis0(q)
     return DispatchStats(expert_f=expert_f, expert_P=expert_P, g=g, Q=Q,
                          counts=counts, n_groups=len(group_sizes))

@@ -24,7 +24,10 @@ with an optional residual operand (the add before the norm) and
 all of them, weighted and summed per row). Each runs the numpy arithmetic
 of the primitive-op chain it stands for, in the same order;
 ``tests/test_fused_ops.py`` builds those chains and checks the fused ops
-against them bit for bit.
+against them bit for bit. ``router_softmaxes`` fuses only the forward: it
+computes the logits and softmaxes of several routers in one stacked pass,
+and with a tape it still builds each router's own matmul and softmax
+nodes, so its gradients are the per-router chain's.
 """
 
 from __future__ import annotations
@@ -219,14 +222,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = ad @ bd
     if not _track(a, b):
         return Tensor(data)
+    return _make(data, (a, b), _matmul_backward(a, b))
 
+
+def _matmul_backward(a: Tensor, b: Tensor):
+    """The backward of the node ``a @ b``."""
     def backward(g):
         if _needs_grad(a):
             a._accum(g @ b.data.T)
         if _needs_grad(b):
             b._accum(_weight_grad(a.data, g))
 
-    return _make(data, (a, b), backward)
+    return backward
 
 
 # -- reductions ---------------------------------------------------------------
@@ -289,14 +296,15 @@ def gelu(a: Tensor) -> Tensor:
 def _softmax_rows(x, mask):
     if x.size == 0:
         raise ShapeError("softmax of an empty tensor")
-    # one new array, updated in place: attention over a packed batch is [T x T]
+    # one new array, updated in place: attention over a packed batch is [T x T];
+    # the reductions skip the Python-level wrappers of x.max and x.sum
     if mask is None:
-        y = x - x.max(axis=-1, keepdims=True)
+        y = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     else:
         y = x + mask
-        y -= y.max(axis=-1, keepdims=True)
+        y -= np.maximum.reduce(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     return y
 
 
@@ -312,18 +320,53 @@ def softmax(a: Tensor, mask=None) -> Tensor:
     y = _softmax_rows(a.data, mask)
     if not _track(a):
         return Tensor(y)
-    return _make(y, (a,), lambda g: a._accum(_softmax_derivative(g, y)))
+    return _make(y, (a,), _softmax_backward(a, y))
+
+
+def _softmax_backward(a: Tensor, y):
+    """The backward of the node ``y``, the softmax of ``a``."""
+    return lambda g: a._accum(_softmax_derivative(g, y))
+
+
+def router_softmaxes(X: Tensor, weights: list[Tensor]):
+    """The logits ``matmul(X, W)`` and their row softmaxes for G [d x n]
+    routers W over one [B x d] batch, computed in one pass: one product of X
+    with the [G x d x n] stack of the weights and one softmax over the
+    [G x B x n] logits, whose slices equal the per-router ops bit for bit.
+
+    Returns (logits, probs, the [G x B x n] probs): one Tensor per router in
+    each list, which with a tape are the per-router chain's own nodes, a
+    matmul node of parents (X, W) under a softmax node, each with that op's
+    backward; a router that no gradient can reach builds neither."""
+    X = _as_tensor(X)
+    shapes = [W.data.shape for W in weights]
+    if not (shapes and X.data.ndim == 2 and shapes.count(shapes[0]) == len(shapes)
+            and len(shapes[0]) == 2 and shapes[0][0] == X.data.shape[1]):
+        raise ShapeError(f"token batch shape {X.data.shape} incompatible with routers "
+                         f"{shapes}")
+    logits = X.data @ np.array([W.data for W in weights])
+    probs = _softmax_rows(logits, None)
+    logit_nodes, prob_nodes = [], []
+    for W, z, p in zip(weights, logits, probs):
+        if _track(X, W):
+            z = _make(z, (X, W), _matmul_backward(X, W))
+            p = _make(p, (z,), _softmax_backward(z, p))
+        else:
+            z, p = Tensor(z), Tensor(p)
+        logit_nodes.append(z)
+        prob_nodes.append(p)
+    return logit_nodes, prob_nodes, probs
 
 
 def normalize_rows(a: Tensor) -> Tensor:
     """Divide each row (last axis) by its sum."""
     a = _as_tensor(a)
-    total = a.data.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(a.data, axis=-1, keepdims=True)
     y = a.data / total
     if not _track(a):
         return Tensor(y)
     return _make(y, (a,), lambda g: a._accum(
-        (g - (g * y).sum(axis=-1, keepdims=True)) / total))
+        (g - np.add.reduce(g * y, axis=-1, keepdims=True)) / total))
 
 
 def logsumexp(a: Tensor) -> Tensor:

@@ -34,7 +34,9 @@ def test_wrapped_signatures():
 
 def test_greedy_decoding_calls_the_wrapped_layers(monkeypatch):
     """The eval_decode workload expects these spans to fire inside
-    decode_greedy; each name is looked up where the benchmark wraps it."""
+    decode_greedy; each name is looked up where the benchmark wraps it.
+    Routing and dispatch statistics run exactly once per MoE layer call, so
+    a change that skips or doubles either one fails here first."""
     import numpy as np
 
     import avmoe.moe_layer as moe_layer
@@ -61,6 +63,9 @@ def test_greedy_decoding_calls_the_wrapped_layers(monkeypatch):
         feats, _ = model.encode(rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
     model.decode_greedy(feats, [3], feature_lengths=[5])
     assert all(calls.values()), calls
+    layer_calls = calls["MoELayer.forward"]
+    assert calls["avmoe.moe_layer.route_hierarchical"] == layer_calls, calls
+    assert calls["avmoe.moe_layer.dispatch_stats"] == layer_calls, calls
 
 
 @pytest.mark.parametrize("workload", ["sup_hier", "uptrain_long"])

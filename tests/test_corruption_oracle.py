@@ -222,6 +222,20 @@ def test_blur_equals_convolve_to_the_byte(T, d, seed, zero_share, data):
                        oracle_corrupt_video(frames, "blur", indices, 0))
 
 
+@pytest.mark.parametrize("T, indices", [
+    (1, [0]), (2, [0, 1]), (2, [1]), (3, [1]), (4, [0, 1]), (4, [2, 3]), (5, [1, 2]),
+    (6, [0, 2, 3, 5]), (7, [0, 1, 3, 5, 6]), (9, [0, 2, 3, 4, 6, 8])])
+def test_blur_of_one_and_two_frame_runs_equals_the_oracle(T, indices):
+    """Runs of one frame (reflect padding repeats the frame) and of two (it
+    swaps them), at both ends of the sequence, between other runs and as the
+    whole sequence, on frames holding signed zeros."""
+    rng = np.random.default_rng(T)
+    frames = rng.normal(size=(T, 5))
+    frames[:, 0], frames[:, 1] = 0.0, -0.0
+    assert_same_frames(C.corrupt_video(frames, "blur", indices),
+                       oracle_corrupt_video(frames, "blur", indices, 0))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(name=st.sampled_from(C.PRESETS), T=st.integers(1, 48), d_audio=st.integers(1, 8),
        d_video=st.integers(1, 8), plan_seed=seeds, seed=seeds,

@@ -2,23 +2,25 @@
 
 ``attention``, ``ffn``, ``standardize_rows`` with a residual and
 ``moe_combine`` are one tape node each, with a hand-written backward that
-runs the chain's numpy arithmetic in the chain's order. Their outputs and
-every operand gradient must therefore equal the chain's bit for bit, with
-constant operands getting no gradient in either. Each gradient must also
-have the chain's memory order (its strides): the ops that consume a gradient
-further down a training step can round differently on another layout,
-though no value here differs.
+runs the chain's numpy arithmetic in the chain's order; ``router_softmaxes``
+runs several routers' forward in one stacked pass and builds the chain's own
+nodes. Their outputs and every operand gradient must therefore equal the
+chain's bit for bit, with constant operands getting no gradient in either.
+Each gradient must also have the chain's memory order (its strides): the ops
+that consume a gradient further down a training step can round differently
+on another layout, though no value here differs.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.moe_layer import MoELayer, MoELayerConfig
-from avmoe.routing import MODALITIES
+from avmoe.routing import MODALITIES, RouterParams, route_dense
 from avmoe.tensor import Tensor
 
 
@@ -238,6 +240,77 @@ def test_moe_combine_equals_its_chain(seed, layer, B, d, h, tape, zeros, earlier
     assert fused.data.tobytes() == chain.data.tobytes()
 
 
+def made(build):
+    """``build()``'s result and the tape nodes ``T._make`` built meanwhile."""
+    nodes, make = [], T._make
+
+    def recorded(data, parents, backward):
+        nodes.append(make(data, parents, backward))
+        return nodes[-1]
+    T._make = recorded
+    try:
+        return build(), nodes
+    finally:
+        T._make = make
+
+
+def chain_router_softmaxes(X, weights):
+    """Each router's own ``route_dense``: a matmul node under a softmax node."""
+    logits, probs = zip(*(route_dense(RouterParams(W), X) for W in weights))
+    return list(logits), list(probs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(seed=0, B=1, G=2, n=4, d=6, tape=True, x_trainable=True, frozen=1)
+@example(seed=1, B=1, G=3, n=5, d=3, tape=True, x_trainable=False, frozen=0)
+@given(seed=st.integers(0, 2 ** 16), B=st.integers(1, 40), G=st.integers(1, 3),
+       n=st.integers(1, 5), d=st.integers(1, 6), tape=st.booleans(),
+       x_trainable=st.booleans(), frozen=st.integers(-1, 2))
+def test_router_softmaxes_equal_their_chain(seed, B, G, n, d, tape, x_trainable, frozen):
+    """G routers in one stacked pass against one ``route_dense`` per router,
+    with a tape and under ``no_grad``; router ``frozen`` (none when it is -1
+    or past G) is a constant, which gets no gradient and, when X is one too,
+    no node."""
+    rng = np.random.default_rng(seed)
+    arrays = [normal(rng, B, d)] + [normal(rng, d, n) for _ in range(G)]
+    flags = [x_trainable] + [g != frozen for g in range(G)]
+    upstream = [(normal(rng, B, n), normal(rng, B, n)) for _ in range(G)]
+
+    def run_routers(op):
+        X, *Ws = (Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, flags))
+        with contextlib.ExitStack() as stack:
+            if not tape:
+                stack.enter_context(T.no_grad())
+            (logits, probs), nodes = made(lambda: op(X, Ws)[:2])
+        loss = None
+        for z, p, (u, v) in zip(logits, probs, upstream):
+            term = T.add(T.tsum(T.mul(z, Tensor(u))), T.tsum(T.mul(p, Tensor(v))))
+            loss = term if loss is None else T.add(loss, term)
+        if loss._backward is not None:
+            loss.backward()
+        return X, Ws, logits, probs, nodes
+
+    X_f, Ws_f, logits_f, probs_f, nodes_f = run_routers(T.router_softmaxes)
+    X_c, Ws_c, logits_c, probs_c, nodes_c = run_routers(chain_router_softmaxes)
+    for f, c in zip(logits_f + probs_f, logits_c + probs_c):
+        assert f.data.shape == c.data.shape and f.data.tobytes() == c.data.tobytes()
+        assert f.data.strides == c.data.strides
+    # the same nodes, with the same parents: the operands, or the logits node
+    assert len(nodes_f) == len(nodes_c) == (2 * sum(x_trainable or f for f in flags[1:])
+                                            if tape else 0)
+    operands_f, operands_c = [X_f, *Ws_f], [X_c, *Ws_c]
+    for f, c in zip(logits_f + probs_f, logits_c + probs_c):
+        assert [operands_f.index(p) if p in operands_f else logits_f.index(p)
+                for p in f._parents] == [operands_c.index(p) if p in operands_c
+                                         else logits_c.index(p) for p in c._parents]
+    for f, c, trainable in zip(operands_f, operands_c, flags):
+        assert (f.grad is None) == (c.grad is None)
+        if not (tape and trainable):
+            assert f.grad is None
+        if f.grad is not None:
+            assert f.grad.tobytes() == c.grad.tobytes() and f.grad.strides == c.grad.strides
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 4), d=st.integers(2, 5))
 def test_encoder_block_equals_its_chain(seed, rows, d):
@@ -287,6 +360,12 @@ def test_fused_ops_reject_mismatched_shapes():
                             (x, Tensor(normal(rng, 6)), selected.ravel())]:
         with pytest.raises(T.ShapeError):
             T.moe_combine(X, weights, sel, experts)
+    # routers of two sizes, a row batch too narrow for them, and no router
+    for X, Ws in [(x, [W1, Tensor(normal(rng, 4, 3))]), (x, [W1, Tensor(normal(rng, 3, 5))]),
+                  (Tensor(normal(rng, 3, 3)), [W1, W1]), (x, []),
+                  (Tensor(normal(rng, 2, 3, 4)), [W1]), (x, [Tensor(normal(rng, 4))])]:
+        with pytest.raises(T.ShapeError):
+            T.router_softmaxes(X, Ws)
 
 
 def test_stacked_ops_reject_mismatched_ranks():

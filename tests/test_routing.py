@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from avmoe import tensor as T
+from avmoe.moe_layer import MoELayer, MoELayerConfig
 from avmoe.routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, Routing, RoutingConfigError,
-    dispatch_stats, route_dense, route_hard, route_hierarchical, route_sparse,
-    select_topk,
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, DispatchStats, RouterParams, Routing,
+    RoutingConfigError, dispatch_stats, route_dense, route_hard, route_hierarchical,
+    route_sparse, select_topk,
 )
 from avmoe.tensor import ShapeError, Tensor
 from test_fused_ops import concat_rows
@@ -272,3 +275,75 @@ class TestDispatchStats:
         stats = dispatch_stats(route_sparse(router, Tensor(rng.normal(size=(20, 3))), 2))
         assert abs(stats.expert_f[0].sum() - 1.0) < 1e-9
         assert (stats.expert_f[0] >= 0).all() and (stats.expert_f[0] <= 1).all()
+
+
+def oracle_dispatch_stats(routing):
+    """The earlier ``dispatch_stats``: one string array of the tags, and each
+    subset's rows found with ``flatnonzero`` however many subsets there are."""
+    tags = np.asarray(routing.modalities)
+    n_tok = tags.size
+    group_sizes = routing.group_sizes
+
+    expert_f = []
+    expert_P = []
+    for gi, n in enumerate(group_sizes):
+        probs = routing.expert_probs[gi]
+        expert_f.append(np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok)
+        expert_P.append(T.mean_axis0(probs))
+
+    g = {}
+    Q = {}
+    counts = {key: 0 for key in MODALITIES}
+    group_probs = routing.group_probs
+    for tag in dict.fromkeys(tags.tolist()):
+        rows = np.flatnonzero(tags == tag)
+        counts[tag] = rows.size
+        if group_probs is not None:
+            q = group_probs if rows.size == n_tok else T.index_rows(group_probs, rows)
+            g[tag] = np.bincount(q.data.argmax(axis=1),
+                                 minlength=q.data.shape[1]) / rows.size
+            Q[tag] = T.mean_axis0(q)
+    return DispatchStats(expert_f=expert_f, expert_P=expert_P, g=g, Q=Q,
+                         counts=counts, n_groups=len(group_sizes))
+
+
+STATS_LAYERS = {
+    "sparse_topk": {"n_experts": 5, "k": 2},
+    "hard": {"n_groups": 2, "n_per_group": 3, "k": 2},
+    "hierarchical": {"n_groups": 3, "n_per_group": 2, "m": 2, "k_per_group": 1},
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(sorted(STATS_LAYERS)),
+       B=st.integers(1, 12), one_tag=st.sampled_from([None, *MODALITIES]))
+def test_dispatch_stats_equals_the_oracle(seed, mode, B, one_tag):
+    """Single-tag batches (``one_tag``; every decoding step is one) and mixed
+    ones: equal bytes of every frequency, count, mean probability and mean
+    probability gradient, in every routed mode."""
+    rng = np.random.default_rng(seed)
+    moe = MoELayer(MoELayerConfig(mode=mode, d=4, h=3, **STATS_LAYERS[mode]), rng)
+    X = rng.normal(size=(B, 4))
+    tags = ([one_tag] * B if one_tag is not None
+            else [MODALITIES[i] for i in rng.integers(0, len(MODALITIES), B)])
+    weight = {key: rng.normal(size=8) for key in ("P0", "P1", "P2", *MODALITIES)}
+
+    def run(stats_fn):
+        for p in moe.router_params():
+            p.zero_grad()
+        x = Tensor(X, requires_grad=True)
+        stats = stats_fn(moe.route(x, tags))
+        means = {f"P{i}": P for i, P in enumerate(stats.expert_P)} | stats.Q
+        T.tsum(T.concat_cols([T.mul(mean, Tensor(weight[key][:mean.data.size]))
+                              for key, mean in means.items()])).backward()
+        grads = [mean.grad for mean in means.values()]
+        return stats, means, grads + [x.grad] + [p.grad for p in moe.router_params()]
+
+    (got, got_means, got_grads), (want, want_means, want_grads) = (
+        run(dispatch_stats), run(oracle_dispatch_stats))
+    assert got.counts == want.counts and got.n_groups == want.n_groups
+    assert list(got.g) == list(want.g) and list(got_means) == list(want_means)
+    for a, b in [*zip(got.expert_f, want.expert_f), *zip(got.g.values(), want.g.values()),
+                 *((got_means[key].data, want_means[key].data) for key in want_means),
+                 *zip(got_grads, want_grads)]:
+        assert a is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
