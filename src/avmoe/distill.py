@@ -9,9 +9,12 @@ corrupted frames, each task through its own `DistillHeads` head.
 
 The losses take features and targets; they encode nothing themselves. One
 pair's inputs all have the pair's length, so a caller encodes them as
-stacks: `teacher_targets` runs every target mode it is given in one
-no-grad encode, and the student's task inputs (`student_input`) go through
-one encode whose slices (`tensor.stack_slice`) feed the task losses.
+stacks. `teacher_targets` takes every pair of a step with its target modes
+and runs them in one no-grad encode of the encoder's stack list form: one
+stack of modes per pair, the row-wise layers once over all of their rows
+and attention per stack (one-frame pairs run apart, as one stack). The
+student's task inputs of a pair (`student_input`) go through one encode of
+a 3-D stack, whose slices (`tensor.stack_slice`) feed the task losses.
 """
 
 from __future__ import annotations
@@ -121,28 +124,58 @@ def _apply_mode(A: np.ndarray, V: np.ndarray, mode: str, plan: CorruptionPlan | 
 
 
 def _standardize_frames(X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    mu = X.mean(axis=-1, keepdims=True)
-    var = X.var(axis=-1, keepdims=True)
-    return (X - mu) / np.sqrt(var + eps)
+    """(X - mean) / sqrt(var + eps) per row (last axis), in place on X, with
+    the arithmetic of X.mean and X.var without their Python-level wrappers."""
+    n = X.shape[-1]
+    X -= np.add.reduce(X, axis=-1, keepdims=True) / n
+    X /= np.sqrt(np.add.reduce(X * X, axis=-1, keepdims=True) / n + eps)
+    return X
 
 
-def teacher_targets(teacher: Encoder, A: np.ndarray, V: np.ndarray, topk_blocks: int,
-                    modes: Sequence[str]) -> list[np.ndarray]:
+def teacher_targets(teacher: Encoder, pairs: Sequence,
+                    topk_blocks: int) -> list[list[np.ndarray]]:
     """Clean teacher features, averaged over the last topk_blocks encoder
     blocks and standardized per frame; the absent modality is zeroed in
-    unimodal modes. One gradient-free [T x d] array per mode in ``modes``,
-    from one stacked encode of the pair under each mode."""
+    unimodal modes. ``pairs`` holds (A, V, modes) triples; each gets a list
+    of one gradient-free [T x d] array per mode in its ``modes``.
+
+    One no-grad encode runs the pairs of two or more frames, each as the
+    stack of its modes, through the encoder's stack list form (row-wise
+    layers over all rows at once, attention per stack). A one-row product
+    takes another BLAS path than a gemm row, so the one-frame pairs run as
+    one [N x 1 x D] stack of their own, whose slices are one-row products
+    as they are alone. A pair with no modes encodes nothing."""
     if topk_blocks < 1:
         raise ValueError("topk_blocks must be >= 1")
     if topk_blocks > len(teacher.encoder_blocks):
         raise ValueError(f"topk_blocks {topk_blocks} exceeds encoder depth "
                          f"{len(teacher.encoder_blocks)}")
-    inputs = [_apply_mode(A, V, m) for m in modes]
-    with T.no_grad():
-        _, per_block = teacher.encode(np.stack([a for a, _ in inputs]),
-                                      np.stack([v for _, v in inputs]))
-    avg = np.stack([b.data for b in per_block[-topk_blocks:]]).mean(axis=0)
-    return list(_standardize_frames(avg))
+    inputs = {i: [_apply_mode(A, V, m) for m in modes]
+              for i, (A, V, modes) in enumerate(pairs) if modes}
+    out = [[] for _ in pairs]
+    for one_frame in (False, True):
+        group = [i for i in inputs if (len(pairs[i][0]) == 1) == one_frame]
+        if not group:
+            continue
+        audio = [np.stack([a for a, _ in inputs[i]]) for i in group]
+        video = [np.stack([v for _, v in inputs[i]]) for i in group]
+        if one_frame:
+            audio, video = np.concatenate(audio), np.concatenate(video)
+        with T.no_grad():
+            _, per_block = teacher.encode(audio, video)
+        # the mean over the top blocks, summed in block order
+        blocks = per_block[-topk_blocks:]
+        avg = blocks[0].data.copy()
+        for b in blocks[1:]:
+            avg += b.data
+        avg /= topk_blocks
+        rows = _standardize_frames(avg).reshape(-1, avg.shape[-1])
+        start = 0
+        for i in group:
+            n, t = len(inputs[i]), len(pairs[i][0])
+            out[i] = list(rows[start:start + n * t].reshape(n, t, -1))
+            start += n * t
+    return out
 
 
 def _frame_indices(M, n: int) -> list[int]:

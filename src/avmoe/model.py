@@ -7,10 +7,18 @@ causal self-attention, cross-attention to the encoder features, and an FFN
 position that is either a plain FFN or a MoE layer. An absent modality is
 passed as all-zero frames.
 
-``Encoder.encode`` takes three input forms: one sequence ([T x D] frames), a
+``Encoder.encode`` takes four input forms: one sequence ([T x D] frames), a
 stack of n sequences of one length ([n x T x D], encoded side by side along
-a leading axis with no mask: uptraining's inputs of one pair), and a list of
-sequences of any lengths, packed.
+a leading axis with no mask: the student's inputs of one uptraining pair), a
+list of sequences of any lengths, packed, and, under ``no_grad``, a list of
+stacks of any lengths (the EMA teacher's target modes of every pair of an
+uptraining step). The last runs the row-wise layers (projections, fusion,
+the Q/K/V/output products, FFNs and standardizations) once over the rows of
+all stacks laid end to end, and attention per stack on its own
+[n x T x d] view, with no mask and no padding. A gemm row does not depend
+on how many rows the product has, so each stack's rows equal the stack's
+own encode bit for bit; a one-row product takes another BLAS path, so every
+stack of that form needs T >= 2.
 
 Several sequences run as one by packing: their rows are laid end to end and
 0/-inf attention masks built from per-row segment ids keep them apart
@@ -145,12 +153,13 @@ class AttentionBlock:
         return T.matmul(memory, self.Wk), T.matmul(memory, self.Wv)
 
     def forward(self, X: Tensor, memory: Tensor | None = None, mask=None,
-                kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+                kv: tuple[Tensor, Tensor] | None = None, stacks=None) -> Tensor:
         """Attend from ``X`` to ``memory`` (default ``X`` itself), or to the
-        precomputed keys and values ``kv`` when given."""
+        precomputed keys and values ``kv`` when given; ``stacks`` as in
+        ``T.attention``."""
         q = T.matmul(X, self.Wq)
         K, V = self.keys_values(X if memory is None else memory) if kv is None else kv
-        att = T.attention(q, K, V, mask=mask)
+        att = T.attention(q, K, V, mask=mask, stacks=stacks)
         return T.standardize_rows(X, T.matmul(att, self.Wo))
 
     def params(self):
@@ -173,8 +182,8 @@ class EncoderBlock:
         self.attn = AttentionBlock(d, rng)
         self.ffn = FFNBlock(d, h, rng)
 
-    def forward(self, X: Tensor, mask=None) -> Tensor:
-        return self.ffn.forward(self.attn.forward(X, mask=mask))
+    def forward(self, X: Tensor, mask=None, stacks=None) -> Tensor:
+        return self.ffn.forward(self.attn.forward(X, mask=mask, stacks=stacks))
 
     def params(self):
         return self.attn.params() + self.ffn.params()
@@ -256,14 +265,17 @@ class Encoder:
         return out
 
     def encode(self, audio, video):
-        """Encode one sequence, a stack of equally long sequences, or a list
-        of sequences packed into one.
+        """Encode one sequence, a stack of equally long sequences, a list of
+        sequences packed into one, or a list of stacks.
 
         ``audio`` and ``video`` are [T x D] frame arrays; or [n x T x D]
         stacks, whose n sequences run side by side with no mask; or equally
         long lists of [T x D] arrays, packed, each attending only within
-        itself. Returns (final features, per-block outputs): [n x T x d]
-        for a stack, [sum of T x d] otherwise."""
+        itself; or, under ``no_grad``, equally long lists of [n x T x D]
+        stacks with T >= 2, each run as a stack (see the module docstring).
+        Returns (final features, per-block outputs): [n x T x d] for a
+        stack, [sum of T x d] for sequences, [sum of n * T x d] for stacks,
+        laid end to end."""
         if isinstance(audio, np.ndarray) and audio.ndim == 3:
             if not (isinstance(video, np.ndarray) and video.ndim == 3
                     and video.shape[:2] == audio.shape[:2]):
@@ -273,6 +285,8 @@ class Encoder:
         videos = [video] if isinstance(video, np.ndarray) else list(video)
         if not audios or len(audios) != len(videos):
             raise T.ShapeError(f"{len(audios)} audio against {len(videos)} video sequences")
+        if audios[0].ndim == 3:
+            return self._encode_stacks(audios, videos)
         for a, v in zip(audios, videos):
             if a.shape[0] != v.shape[0]:
                 raise T.ShapeError(
@@ -281,13 +295,26 @@ class Encoder:
         return self._encode_frames(np.concatenate(audios), np.concatenate(videos),
                                    segment_mask(lengths, lengths))
 
-    def _encode_frames(self, audio: np.ndarray, video: np.ndarray, mask):
+    def _encode_stacks(self, audios: list, videos: list):
+        """Encode a list of stacks, each of the [n x T x D] form, as one
+        [sum of n * T x D] row batch whose attention runs stack by stack."""
+        if not all(a.ndim == v.ndim == 3 and a.shape[:2] == v.shape[:2] and a.shape[1] >= 2
+                   for a, v in zip(audios, videos)):
+            raise T.ShapeError(f"stacks of audio {[np.shape(a) for a in audios]} against "
+                               f"video {[np.shape(v) for v in videos]}: the stack list "
+                               f"form takes 3-D stacks of T >= 2")
+        stacks = [a.shape[:2] for a in audios]
+        return self._encode_frames(np.concatenate([a.reshape(-1, a.shape[2]) for a in audios]),
+                                   np.concatenate([v.reshape(-1, v.shape[2]) for v in videos]),
+                                   None, stacks)
+
+    def _encode_frames(self, audio: np.ndarray, video: np.ndarray, mask, stacks=None):
         a = T.matmul(Tensor(audio), self.audio_proj)
         v = T.matmul(Tensor(video), self.video_proj)
         X = T.matmul(T.concat_cols([a, v]), self.fusion)
         per_block = []
         for blk in self.encoder_blocks:
-            X = blk.forward(X, mask=mask)
+            X = blk.forward(X, mask=mask, stacks=stacks)
             per_block.append(X)
         return X, per_block
 

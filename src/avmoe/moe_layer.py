@@ -198,11 +198,12 @@ class MoELayer:
         if E != len(self.experts):
             raise RoutingConfigError(
                 f"routing over {E} experts does not match a layer of {len(self.experts)}")
-        for e, n in enumerate(np.bincount(routing.selected.ravel()).tolist()):
+        counts = np.bincount(routing.selected.ravel(), minlength=E).tolist()
+        for e, n in enumerate(counts):
             if n:
                 self.experts[e].eval_count += n
         return T.moe_combine(X, routing.weights, routing.selected,
-                             [e.params() for e in self.experts])
+                             [e.params() for e in self.experts], counts)
 
     def router_logit_rows(self, routing: Routing) -> list[Tensor]:
         """Expert-router logit matrices of this routing (z-loss inputs).

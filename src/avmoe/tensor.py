@@ -14,7 +14,10 @@ takes an [n x T x k] left operand with a [k x m] right one, and
 [n x T x d] operands, each slice with the arithmetic of the 2-D op, so a
 stacked forward equals the per-slice forwards bit for bit. A weight's
 gradient is one gemm over all n*T rows. ``stack_slice`` hands slice i of a
-stack on as a [T x d] tensor.
+stack on as a [T x d] tensor. With no tape, ``attention`` also reads
+[R x d] operands as stacks of any lengths laid end to end (its ``stacks``
+argument), each attending on its own, so the ops around it can run once
+over the rows of all of them.
 
 The model's hot layers are fused ops, one node each with a hand-written
 backward: ``attention`` (scores, softmax and the value product), ``ffn``
@@ -270,16 +273,40 @@ def mean_axis0(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+# The kernels below compute in place on their own temporaries, with the ops
+# of the plain expressions in their comments in the same order (a product
+# or sum with its operands swapped is the same IEEE operation).
+
 def _gelu_forward(x):
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), t
+    # t = tanh(C * (x + 0.044715 * (x * x * x))); y = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= 0.5 * x
+    return y, t
 
 
 def _gelu_derivative(g, x, t):
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-    return g * d
+    # dinner = C * (1.0 + 3 * 0.044715 * (x * x))
+    # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    dinner = x * x
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_C
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    half_x = 0.5 * x
+    half_x *= slope
+    half_x *= dinner
+    d = t + 1.0
+    d *= 0.5
+    d += half_x
+    d *= g
+    return d
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -309,8 +336,11 @@ def _softmax_rows(x, mask):
 
 
 def _softmax_derivative(g, y):
-    dot = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - dot)
+    # y * (g - (g * y).sum(axis=-1, keepdims=True))
+    d = g * y
+    np.subtract(g, np.add.reduce(d, axis=-1, keepdims=True), out=d)
+    d *= y
+    return d
 
 
 def softmax(a: Tensor, mask=None) -> Tensor:
@@ -517,18 +547,29 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None,
             raise ShapeError(f"residual {residual.data.shape} for rows of shape {x.shape}")
         x, operands = x + residual.data, (a, residual)
     n = x.shape[-1]
-    # the arithmetic of x.mean and x.var without their Python-level wrappers
-    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    # the arithmetic of x.mean and x.var without their Python-level wrappers:
+    # centered = x - mean, inv = 1.0 / sqrt(var + eps), y = centered * inv.
+    # Only the row-sized arrays are updated in place: on a one-element array
+    # (the statistics of one row) an in-place op costs more than a new one.
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / n
+    if residual is None:
+        y = x - mean
+    else:  # x is this op's own sum
+        y = x
+        y -= mean
+    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + eps)
+    y *= inv
     if not _track(*operands):
         return Tensor(y)
 
     def backward(g):
+        # gx = inv * (g - gm - y * gy), gm and gy the row means of g and g * y
         gm = np.add.reduce(g, axis=-1, keepdims=True) / n
-        gy = np.add.reduce(g * y, axis=-1, keepdims=True) / n
-        gx = inv * (g - gm - y * gy)
+        gyy = g * y
+        gy = np.add.reduce(gyy, axis=-1, keepdims=True) / n
+        gx = g - gm
+        gx -= np.multiply(y, gy, out=gyy)
+        gx *= inv
         for t in operands:
             if _needs_grad(t):
                 t._accum(gx)
@@ -540,7 +581,7 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None,
 # One node each, with the numpy arithmetic, in the same order, of the chain of
 # primitive ops it stands for, so results agree with that chain bit for bit.
 
-def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
+def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None, stacks=None) -> Tensor:
     """Single-head scaled dot-product attention, softmax(Q K^T / sqrt(d) +
     mask) V, of 2-D operands or of [n x T x d] stacks, slice by slice.
 
@@ -548,8 +589,15 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
     (causal decoding, and keeping packed sequences apart). Only operands
     that can reach a parameter get a gradient, so cached keys and values
     stay constants.
+
+    ``stacks``, a list of (n, T), reads [R x d] operands as stacks laid end
+    to end, R the sum of n * T: each run of n * T rows attends as its own
+    [n x T x d] stack, with no mask, into the same rows of the [R x d]
+    result. That form has no backward: under a tape it raises ShapeError.
     """
     Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
+    if stacks is not None:
+        return _stacks_attention(Q, K, V, mask, stacks)
     qs, ks, vs = Q.data.shape, K.data.shape, V.data.shape
     rank = len(qs)
     if not (rank == len(ks) == len(vs) and rank in (2, 3)):
@@ -562,7 +610,9 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
             or rank == 3 and not qs[0] == ks[0] == vs[0]):
         raise ShapeError(f"attention dims disagree: Q {qs}, K {ks}, V {vs}")
     c = 1.0 / math.sqrt(d)
-    p = _softmax_rows((Q.data @ K.data.swapaxes(-1, -2)) * c, mask)
+    scores = Q.data @ K.data.swapaxes(-1, -2)
+    scores *= c
+    p = _softmax_rows(scores, mask)
     data = p @ V.data
     if not _track(Q, K, V):
         return Tensor(data)
@@ -582,6 +632,27 @@ def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None) -> Tensor:
             K._accum((Q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
 
     return _make(data, (Q, K, V), backward)
+
+
+def _stacks_attention(Q: Tensor, K: Tensor, V: Tensor, mask, stacks) -> Tensor:
+    """``attention`` of [R x d] operands read as the (n, T) ``stacks``."""
+    shape = Q.data.shape
+    if mask is not None or _track(Q, K, V):
+        raise ShapeError("attention over stacks takes no mask and has no backward")
+    if not (len(shape) == 2 and K.data.shape == V.data.shape == shape
+            and stacks and all(n >= 1 and t >= 1 for n, t in stacks)
+            and sum(n * t for n, t in stacks) == shape[0]):
+        raise ShapeError(f"stacks {stacks} do not tile Q {shape}, K {K.data.shape}, "
+                         f"V {V.data.shape}")
+    out = np.empty(shape)
+    start = 0
+    for n, t in stacks:
+        end = start + n * t
+        view = (n, t, shape[1])
+        q, k, v = (x.data[start:end].reshape(view) for x in (Q, K, V))
+        out[start:end] = attention(q, k, v).data.reshape(-1, shape[1])
+        start = end
+    return Tensor(out)
 
 
 def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
@@ -617,10 +688,12 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
     return _make(data, (x, W1, b1, W2, b2), backward)
 
 
-def moe_combine(X: Tensor, weights: Tensor, selected, experts) -> Tensor:
+def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts=None) -> Tensor:
     """Routed expert mixture of a [B x d] batch: row t is the sum over j of
     weights[t, j] * ffn_e(x_t), e = selected[t, j], where ``experts[e]`` is
     expert e's (W1, b1, W2, b2) and no row selects one expert twice.
+    ``counts``, when the caller has it, is the list of how many rows select
+    each expert (``selected``'s bincount over all experts).
 
     Each selected expert runs once, on the rows that selected it, and one
     GELU runs over all of those rows. The chain it stands for gathers each
@@ -640,7 +713,11 @@ def moe_combine(X: Tensor, weights: Tensor, selected, experts) -> Tensor:
     # ascending inside each group; expert e holds positions s:t of them
     order = np.argsort(flat, kind="stable")
     rows = order // k
-    counts = np.bincount(flat, minlength=len(experts)).tolist()
+    if counts is None:
+        counts = np.bincount(flat, minlength=len(experts)).tolist()
+    elif len(counts) != len(experts) or sum(counts) != flat.size:
+        raise ShapeError(f"{len(counts)} expert counts of {sum(counts)} rows for "
+                         f"{len(experts)} experts and {flat.size} selections")
     spans, end = [], 0
     for e, n in enumerate(counts):
         if n:

@@ -519,12 +519,41 @@ def _supervised_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
 
 # -- uptraining regime --------------------------------------------------------
 
+def _draw_uptrain_pair(cfg: TrainConfig, tasks: list, data_rng, corr_rng):
+    """Draw one uptraining pair and its corruption plan; returns the clean
+    frames (A, V), each task's frames to score, the distinct student inputs
+    of the tasks with frames to score and each such task's teacher mode."""
+    length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
+    pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
+    A, V = pair.audio, pair.video
+    plan = sample_plan_preset(CORRUPTION_PRESET, A.shape[0],
+                              int(corr_rng.integers(2 ** 31)),
+                              drop_prob=cfg.modality_dropout)
+    plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
+                          VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
+                          int(corr_rng.integers(2 ** 31)))
+    snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
+    A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
+                                  audio_snr_db=snr)
+    A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
+
+    frames = {task.name: corrupted_frames(task.name, plan) for task in tasks}
+    inputs, modes = {}, {}
+    for task in tasks:
+        if frames[task.name]:
+            inputs.setdefault(task.input_mode, student_input(task.name, A_corr, V_corr, plan))
+            modes[task.name] = teacher_mode(task.name, plan)
+    return A, V, frames, inputs, modes
+
+
 def _uptrain_step(model: Model, teacher, heads: DistillHeads,
                   centroids: np.ndarray, cfg: TrainConfig, data_rng, corr_rng):
-    """One uptraining step: per pair, one loop over the rows of
-    ``distill.TASKS`` in ``cfg.tasks``. A pair makes one no-grad teacher
-    encode of its tasks' distinct target modes and one student encode of
-    their distinct inputs; a task with no frames to score adds 0."""
+    """One uptraining step over the rows of ``distill.TASKS`` in
+    ``cfg.tasks``. Every pair is drawn first (the teacher draws nothing, so
+    the draws keep their order); one no-grad ``teacher_targets`` call
+    encodes the distinct target modes of every pair; then each pair, in
+    order, makes one student encode of its distinct inputs and adds its
+    task losses. A task with no frames to score adds 0."""
     topk = model.cfg.topk_blocks
     # the masked input, when scored, leads the student stack: a weight
     # gradient sums the stack's rows in order, so the order sets its rounding
@@ -532,31 +561,13 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
                    key=lambda task: task.input_mode != MODE_MASKED)
     zero = Tensor(np.zeros(()))
     losses = {column: [] for column in LOSS_COLUMNS}
-    for _ in range(cfg.batch_size):
-        length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
-        pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
-        A, V = pair.audio, pair.video
-        plan = sample_plan_preset(CORRUPTION_PRESET, A.shape[0],
-                                  int(corr_rng.integers(2 ** 31)),
-                                  drop_prob=cfg.modality_dropout)
-        plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
-                              VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
-                              int(corr_rng.integers(2 ** 31)))
-        snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
-        A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
-                                      audio_snr_db=snr)
-        A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
-
-        frames = {task.name: corrupted_frames(task.name, plan) for task in tasks}
-        live = [task for task in tasks if frames[task.name]]
-        inputs, modes = {}, {}
-        for task in live:
-            inputs.setdefault(task.input_mode, student_input(task.name, A_corr, V_corr, plan))
-            modes[task.name] = teacher_mode(task.name, plan)
-        if live:
-            distinct = list(dict.fromkeys(modes.values()))
-            targets = dict(zip(distinct, teacher_targets(teacher.encoder, A, V, topk,
-                                                         modes=distinct)))
+    pairs = [_draw_uptrain_pair(cfg, tasks, data_rng, corr_rng)
+             for _ in range(cfg.batch_size)]
+    wanted = [(A, V, list(dict.fromkeys(modes.values()))) for A, V, _, _, modes in pairs]
+    for (*_, frames, inputs, modes), (*_, distinct), found in zip(
+            pairs, wanted, teacher_targets(teacher.encoder, wanted, topk)):
+        if inputs:
+            targets = dict(zip(distinct, found))
             feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}

@@ -134,7 +134,9 @@ class _StubEncoder:
         self.encoder_blocks = block_rows  # only len() is consulted
 
     def encode(self, A, V):
-        outs = [Tensor(np.broadcast_to(r, A.shape[:-1] + r.shape).copy())
+        # a list of [n x T x D] stacks runs as their rows laid end to end
+        rows = (sum(a.shape[0] * a.shape[1] for a in A),) if isinstance(A, list) else A.shape[:-1]
+        outs = [Tensor(np.broadcast_to(r, rows + r.shape).copy())
                 for r in self.block_rows]
         return outs[-1], outs
 
@@ -150,21 +152,21 @@ class TestTeacherTargets:
         model = tiny_model(8)
         A, V = rand_pair(np.random.default_rng(8))
         _, per_block = model.encode(A, V)
-        (got,) = teacher_targets(model, A, V, topk_blocks=1, modes=[MODE_AV])
+        ((got,),) = teacher_targets(model, [(A, V, [MODE_AV])], topk_blocks=1)
         assert np.array_equal(got, standardized(per_block[-1].data))
 
     def test_identical_blocks_average_is_that_output(self):
         row = np.arange(8.0) ** 2
         stub = _StubEncoder([row, row])
         A = np.zeros((4, 4))
-        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV])
+        ((got,),) = teacher_targets(stub, [(A, A, [MODE_AV])], topk_blocks=2)
         assert np.allclose(got, standardized(np.tile(row, (4, 1))), rtol=0, atol=1e-12)
 
     def test_two_constant_blocks_direct_average(self):
         first, second = np.arange(8.0), np.array([5.0, -1.0, 0.0, 2.0, 7.0, 3.0, 3.0, -4.0])
         stub = _StubEncoder([first, second])
         A = np.zeros((3, 4))
-        (got,) = teacher_targets(stub, A, A, topk_blocks=2, modes=[MODE_AV])
+        ((got,),) = teacher_targets(stub, [(A, A, [MODE_AV])], topk_blocks=2)
         want = standardized(np.tile((first + second) / 2, (3, 1)))
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         # neither block alone gives those targets
@@ -175,19 +177,19 @@ class TestTeacherTargets:
         model = tiny_model(9)
         A, V = rand_pair(np.random.default_rng(9))
         with pytest.raises(ValueError):
-            teacher_targets(model, A, V, topk_blocks=0, modes=[MODE_AV])
+            teacher_targets(model, [(A, V, [MODE_AV])], topk_blocks=0)
 
     def test_topk_beyond_depth_rejected(self):
         model = tiny_model(10)
         A, V = rand_pair(np.random.default_rng(10))
         with pytest.raises(ValueError):
-            teacher_targets(model, A, V, topk_blocks=3, modes=[MODE_AV])
+            teacher_targets(model, [(A, V, [MODE_AV])], topk_blocks=3)
 
     def test_unimodal_mode_zeroes_other_modality(self):
         model = tiny_model(11)
         A, V = rand_pair(np.random.default_rng(11))
-        (t1,) = teacher_targets(model, A, V, 1, [MODE_A_ONLY])
-        (t2,) = teacher_targets(model, A, np.zeros_like(V), 1, [MODE_AV])
+        ((t1,),) = teacher_targets(model, [(A, V, [MODE_A_ONLY])], 1)
+        ((t2,),) = teacher_targets(model, [(A, np.zeros_like(V), [MODE_AV])], 1)
         assert np.array_equal(t1, t2)
         _, per_block = model.encode(A, np.zeros_like(V))
         assert np.array_equal(t1, standardized(per_block[-1].data))
@@ -195,13 +197,13 @@ class TestTeacherTargets:
     def test_standardized_rows_zero_mean(self):
         model = tiny_model(12)
         A, V = rand_pair(np.random.default_rng(12))
-        (got,) = teacher_targets(model, A, V, 2, [MODE_AV])
+        ((got,),) = teacher_targets(model, [(A, V, [MODE_AV])], 2)
         assert np.allclose(got.mean(axis=1), 0.0, atol=1e-9)
 
     def test_targets_carry_no_gradient(self):
         model = tiny_model(13)
         A, V = rand_pair(np.random.default_rng(13))
-        (got,) = teacher_targets(model, A, V, 2, [MODE_AV])
+        ((got,),) = teacher_targets(model, [(A, V, [MODE_AV])], 2)
         assert isinstance(got, np.ndarray)
 
 
@@ -253,8 +255,8 @@ class TestCorruptedPredictionLoss:
         """The variant's loss on the student's features of its input, against
         teacher targets of its target mode."""
         feats, _ = self.student.encode(*student_input(name, self.A_corr, self.V_corr))
-        (targets,) = teacher_targets(self.teacher, self.A, self.V, 1,
-                                     modes=[VARIANTS[name].target_mode])
+        ((targets,),) = teacher_targets(
+            self.teacher, [(self.A, self.V, [VARIANTS[name].target_mode])], 1)
         return corrupted_prediction_loss(feats, targets, corrupted_frames(name, plan))
 
     def test_empty_index_set_rejected(self):
@@ -264,7 +266,7 @@ class TestCorruptedPredictionLoss:
     def test_acp_reduces_to_masked_prediction(self):
         plan = CorruptionPlan(seq_len=8, video_corrupt=np.array([2, 3, 4]))
         got = self.loss("ACP", plan)
-        (targets,) = teacher_targets(self.teacher, self.A, self.V, 1, modes=[MODE_A_ONLY])
+        ((targets,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_A_ONLY])], 1)
         feats, _ = self.student.encode(np.zeros_like(self.A_corr), self.V_corr)
         want = masked_prediction_loss(feats, targets, [2, 3, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
@@ -279,7 +281,7 @@ class TestCorruptedPredictionLoss:
         plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([1]),
                               video_corrupt=np.array([1, 4]))
         got = self.loss("AVCP", plan)
-        (targets,) = teacher_targets(self.teacher, self.A, self.V, 1, modes=[MODE_AV])
+        ((targets,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_AV])], 1)
         feats, _ = self.student.encode(self.A_corr, self.V_corr)
         want = masked_prediction_loss(feats, targets, [1, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
@@ -299,8 +301,8 @@ class TestCorruptedPredictionLoss:
             assert p.grad is None
 
     def test_fixed_teacher_bitwise_stable_targets(self):
-        (t1,) = teacher_targets(self.teacher, self.A, self.V, 2, [MODE_AV])
-        (t2,) = teacher_targets(self.teacher, self.A, self.V, 2, [MODE_AV])
+        ((t1,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_AV])], 2)
+        ((t2,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_AV])], 2)
         assert np.array_equal(t1, t2)
 
 

@@ -360,6 +360,13 @@ def test_fused_ops_reject_mismatched_shapes():
                             (x, Tensor(normal(rng, 6)), selected.ravel())]:
         with pytest.raises(T.ShapeError):
             T.moe_combine(X, weights, sel, experts)
+    # expert counts that are not selected's: too few rows, one expert too many
+    weights = Tensor(normal(rng, 3, 2))
+    for counts in ([3, 2], [3, 3, 0]):
+        with pytest.raises(T.ShapeError):
+            T.moe_combine(x, weights, selected, experts, counts)
+    assert np.array_equal(T.moe_combine(x, weights, selected, experts, [3, 3]).data,
+                          T.moe_combine(x, weights, selected, experts).data)
     # routers of two sizes, a row batch too narrow for them, and no router
     for X, Ws in [(x, [W1, Tensor(normal(rng, 4, 3))]), (x, [W1, Tensor(normal(rng, 3, 5))]),
                   (Tensor(normal(rng, 3, 3)), [W1, W1]), (x, []),
@@ -417,3 +424,62 @@ def test_backward_from_a_leaf_is_a_no_op():
         x = Tensor(np.array(2.0), requires_grad=requires_grad)
         x.backward()
         assert x.grad == 1.0
+
+
+# -- the in-place kernels against the plain expressions they stand for ---------
+
+GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def plain_gelu(x):
+    t = np.tanh(GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def plain_gelu_derivative(g, x, t):
+    dinner = GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def plain_standardize(x, g, eps=1e-6):
+    """standardize_rows's output and input gradient for the upstream g."""
+    n = x.shape[-1]
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    y = centered * inv
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gy = np.add.reduce(g * y, axis=-1, keepdims=True) / n
+    return y, inv * (g - gm - y * gy)
+
+
+# values across the range, subnormals and signed zeros included
+VALUES = st.one_of(st.floats(-30, 30), st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-200]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(1, 1), (3, 5), (2, 3, 4)]), data=st.data())
+def test_in_place_kernels_equal_their_plain_expressions(shape, data):
+    """GELU and its derivative, the softmax derivative and standardize_rows
+    forward and backward compute in place; each gives its plain expression's
+    bytes, and leaves its inputs as they were."""
+    size = math.prod(shape)
+    x, g, r = (np.array(data.draw(st.lists(VALUES, min_size=size, max_size=size))).reshape(shape)
+               for _ in range(3))
+    kept = [a.copy() for a in (x, g, r)]
+    y, t = T._gelu_forward(x)
+    want_y, want_t = plain_gelu(x)
+    assert y.tobytes() == want_y.tobytes() and t.tobytes() == want_t.tobytes()
+    got = T._gelu_derivative(g, x, t)
+    assert got.tobytes() == plain_gelu_derivative(g, x, want_t).tobytes()
+    p = T._softmax_rows(x, None)
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    assert T._softmax_derivative(g, p).tobytes() == (p * (g - dot)).tobytes()
+    for residual in (None, r):
+        a = Tensor(x, requires_grad=True)
+        out = T.standardize_rows(a, None if residual is None else Tensor(residual))
+        out._backward(g)
+        want_y, want_g = plain_standardize(x if residual is None else x + residual, g)
+        assert out.data.tobytes() == want_y.tobytes()
+        assert a.grad.tobytes() == want_g.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((x, g, r), kept))

@@ -6,15 +6,20 @@ A weight's gradient is one gemm over all n*T rows, which adds the slices'
 contributions in another order than n encodes summed on the tape: the
 gradients must agree to 1e-12, and bit for bit for one slice.
 
-The uptraining step encodes each pair as two stacks (the teacher's target
-modes, the student's task inputs); its reference here is the step it
-replaced, which encoded every task's input and target on its own.
+The uptraining step encodes each pair's task inputs as one stack, and the
+teacher's target modes of all of a step's pairs in one encode of the stack
+list form: the row-wise layers once over the rows of all stacks, attention
+per stack. Its references here are the steps it replaced: the per-pair
+step, which made one teacher encode per pair (bit for bit, gradients
+included), and the per-sequence step, which encoded every task's input
+and target on its own.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avmoe import distill
 from avmoe import tensor as T
 from avmoe.corruption import (
     AUDIO_MASK_PROB, AUDIO_MASK_SPAN, DROP_AUDIO, DROP_VIDEO, VIDEO_MASK_PROB,
@@ -116,15 +121,117 @@ def test_multi_mode_teacher_targets_equal_per_mode_calls(seed, frames, n_enc, mo
     rng = np.random.default_rng(seed)
     teacher = tiny_model(seed, n_enc)
     A, V = rng.normal(size=(frames, 5)), rng.normal(size=(frames, 3))
-    stacked = teacher_targets(teacher, A, V, topk, modes=modes)
+    (stacked,) = teacher_targets(teacher, [(A, V, modes)], topk)
     assert len(stacked) == len(modes)
     for mode, got in zip(modes, stacked):
-        (single,) = teacher_targets(teacher, A, V, topk, modes=[mode])
+        ((single,),) = teacher_targets(teacher, [(A, V, [mode])], topk)
         old = per_mode_targets(teacher, A, V, topk, mode)
         assert isinstance(got, np.ndarray) and got.shape == (frames, 8)
         assert np.array_equal(got, single)
         assert np.array_equal(single, old)
     assert all(p.grad is None for p in teacher.params())
+
+
+# -- the stack list form: every pair's target modes in one teacher encode ------
+
+def per_pair_teacher_targets(teacher, A, V, topk, modes):
+    """``teacher_targets`` of one pair as it was: one 3-D stack of its modes,
+    through ``np.stack(...).mean`` and the ``mean``/``var`` wrappers."""
+    inputs = [distill._apply_mode(A, V, m) for m in modes]
+    with T.no_grad():
+        _, per_block = teacher.encode(np.stack([a for a, _ in inputs]),
+                                      np.stack([v for _, v in inputs]))
+    avg = np.stack([b.data for b in per_block[-topk:]]).mean(axis=0)
+    mu, var = avg.mean(axis=-1, keepdims=True), avg.var(axis=-1, keepdims=True)
+    return list((avg - mu) / np.sqrt(var + 1e-6))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n_enc=st.integers(1, 3), data=st.data(),
+       pairs=st.lists(st.tuples(st.sampled_from([1, 1, 2, 3, 5, 8, 12]),
+                                st.lists(st.sampled_from(MODES), max_size=3, unique=True)),
+                      min_size=1, max_size=5))
+def test_batched_teacher_targets_equal_one_call_per_pair(seed, n_enc, data, pairs):
+    """Pairs of 1-12 frames, one-frame pairs among them, each with a mode
+    subset (none included): one call over all of them equals one call per
+    pair, and the per-pair call as it was, bit for bit."""
+    topk = data.draw(st.integers(1, n_enc))
+    rng = np.random.default_rng(seed)
+    teacher = tiny_model(seed, n_enc)
+    triples = [(rng.normal(size=(t, 5)), rng.normal(size=(t, 3)), modes) for t, modes in pairs]
+    batched = teacher_targets(teacher, triples, topk)
+    assert len(batched) == len(triples)
+    for (A, V, modes), got in zip(triples, batched):
+        (alone,) = teacher_targets(teacher, [(A, V, modes)], topk)
+        old = per_pair_teacher_targets(teacher, A, V, topk, modes) if modes else []
+        assert len(got) == len(alone) == len(old) == len(modes)
+        for g, a, o in zip(got, alone, old):
+            assert isinstance(g, np.ndarray) and g.shape == (A.shape[0], 8)
+            assert np.array_equal(g, a) and np.array_equal(g, o)
+    assert all(p.grad is None for p in teacher.params())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n_enc=st.integers(1, 3),
+       stacks=st.lists(st.tuples(st.integers(1, 3), st.integers(2, 12)), min_size=1,
+                       max_size=4))
+def test_stack_list_encode_equals_each_stack_alone(seed, n_enc, stacks):
+    """The stack list form lays the stacks' rows end to end: each stack's
+    rows of the features and of every block output are its own 3-D encode's
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    model = tiny_model(seed, n_enc)
+    audio = [rng.normal(size=(n, t, 5)) for n, t in stacks]
+    video = [rng.normal(size=(n, t, 3)) for n, t in stacks]
+    with T.no_grad():
+        feats, per_block = model.encode(audio, video)
+        alone = [model.encode(a, v) for a, v in zip(audio, video)]
+    assert feats.data.shape == (sum(n * t for n, t in stacks), 8)
+    start = 0
+    for (n, t), (f, blocks) in zip(stacks, alone):
+        rows = slice(start, start + n * t)
+        assert np.array_equal(feats.data[rows], f.data.reshape(-1, 8))
+        for got, want in zip(per_block, blocks, strict=True):
+            assert np.array_equal(got.data[rows], want.data.reshape(-1, 8))
+        start += n * t
+
+
+def test_stack_list_encode_rejects_one_frame_stacks_and_a_tape():
+    model = tiny_model(0, 1)
+    rng = np.random.default_rng(0)
+    audio, video = [rng.normal(size=(2, 3, 5))], [rng.normal(size=(2, 3, 3))]
+    bad = ([rng.normal(size=(2, 1, 5))], [rng.normal(size=(2, 1, 3))])
+    for a, v in ((audio, [rng.normal(size=(2, 4, 3))]), bad,
+                 (audio, [rng.normal(size=(6, 3))]), (audio + audio, video)):
+        with T.no_grad(), pytest.raises(T.ShapeError):
+            model.encode(a, v)
+    with pytest.raises(T.ShapeError, match="no backward"):
+        model.encode(audio, video)
+
+
+def test_stacks_attention_runs_each_stack_and_never_drops_a_gradient():
+    rng = np.random.default_rng(1)
+    stacks = [(2, 3), (1, 4), (3, 2)]
+    Q, K, V = (rng.normal(size=(16, 6)) for _ in range(3))
+    got = T.attention(Tensor(Q), Tensor(K), Tensor(V), stacks=stacks)  # constants: no tape
+    start = 0
+    for n, t in stacks:
+        view = [x[start:start + n * t].reshape(n, t, 6) for x in (Q, K, V)]
+        want = T.attention(*(Tensor(x) for x in view)).data.reshape(-1, 6)
+        assert np.array_equal(got.data[start:start + n * t], want)
+        start += n * t
+    for i in range(3):  # any operand a gradient could reach
+        ops = [Tensor(x, requires_grad=(j == i)) for j, x in enumerate((Q, K, V))]
+        with pytest.raises(T.ShapeError, match="no backward"):
+            T.attention(*ops, stacks=stacks)
+        with T.no_grad():
+            assert np.array_equal(T.attention(*ops, stacks=stacks).data, got.data)
+    for bad in ([(2, 3), (1, 4)], [(2, 3), (1, 4), (3, 2), (1, 1)], [(0, 3), (1, 4), (3, 2)],
+                []):
+        with pytest.raises(T.ShapeError):
+            T.attention(Tensor(Q), Tensor(K), Tensor(V), stacks=bad)
+    with pytest.raises(T.ShapeError):
+        T.attention(Tensor(Q), Tensor(K), Tensor(V), mask=np.zeros((16, 16)), stacks=stacks)
 
 
 # -- the uptraining step against the per-sequence step it replaced -----------
@@ -195,7 +302,68 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
     return [float(p.data) for p in parts] + [float(total.data)], total
 
 
-def _uptrain_setup(tasks, seed, batch_size, dropout, n_enc):
+def per_pair_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng):
+    """The uptraining step before one teacher call per step: each pair, in
+    turn, draws, makes its own teacher encode of its distinct target modes
+    and its student encode."""
+    topk = model.cfg.topk_blocks
+    # the masked input, when scored, leads the student stack: a weight
+    # gradient sums the stack's rows in order, so the order sets its rounding
+    tasks = sorted((distill.TASKS[name] for name in cfg.tasks),
+                   key=lambda task: task.input_mode != distill.MODE_MASKED)
+    zero = Tensor(np.zeros(()))
+    losses = {column: [] for column in distill.LOSS_COLUMNS}
+    for _ in range(cfg.batch_size):
+        length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
+        pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
+        A, V = pair.audio, pair.video
+        plan = sample_plan_preset(CORRUPTION_PRESET, A.shape[0],
+                                  int(corr_rng.integers(2 ** 31)),
+                                  drop_prob=cfg.modality_dropout)
+        plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
+                              VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
+                              int(corr_rng.integers(2 ** 31)))
+        snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
+        A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
+                                      audio_snr_db=snr)
+        A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
+
+        frames = {task.name: distill.corrupted_frames(task.name, plan) for task in tasks}
+        live = [task for task in tasks if frames[task.name]]
+        inputs, modes = {}, {}
+        for task in live:
+            inputs.setdefault(task.input_mode,
+                              distill.student_input(task.name, A_corr, V_corr, plan))
+            modes[task.name] = distill.teacher_mode(task.name, plan)
+        if live:
+            distinct = list(dict.fromkeys(modes.values()))
+            targets = dict(zip(distinct, per_pair_teacher_targets(teacher.encoder, A, V,
+                                                                  topk, distinct)))
+            feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
+                                    np.stack([v for _, v in inputs.values()]))
+            rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
+
+        for task in tasks:
+            idx, loss = frames[task.name], zero
+            if idx:
+                student, target = rows[task.input_mode], targets[modes[task.name]]
+                head = heads.heads[task.name]
+                if task.loss == "mlm":
+                    loss = mlm_loss(student, centroids, target, idx, head)
+                elif task.loss == "masked":
+                    loss = masked_prediction_loss(T.matmul(student, head), target, idx)
+                else:
+                    loss = distill.corrupted_prediction_loss(student, target, idx, head=head)
+            share = 1 / len(task.columns)  # AVCP's loss adds a half to each half
+            for column in task.columns:
+                losses[column].append(loss if share == 1 else T.scale(loss, share))
+    parts = {column: _mean_scalars(ts) for column, ts in losses.items()}
+    total = distill.cav2vec_total_loss(*parts.values())
+    parts["total"] = total
+    return {name: float(part.data) for name, part in parts.items()}, total
+
+
+def _uptrain_setup(tasks, seed, batch_size, dropout, n_enc, frames_per_token=3):
     cfg = TrainConfig.from_dict({
         "regime": "cav2vec_uptrain", "steps": 1, "batch_size": batch_size, "seed": seed,
         "tokens_min": 1, "tokens_max": 4, "tasks": list(tasks),
@@ -203,7 +371,8 @@ def _uptrain_setup(tasks, seed, batch_size, dropout, n_enc):
         "model": {"dim_audio": 5, "dim_video": 4, "d": 8, "h": 12, "n_enc": n_enc,
                   "n_dec": 1, "vocab": 4, "topk_blocks": n_enc,
                   "moe": {"mode": "dense_ffn"}},
-        "generator": {"vocab": 4, "dim_audio": 5, "dim_video": 4},
+        "generator": {"vocab": 4, "dim_audio": 5, "dim_video": 4,
+                      "frames_per_token": frames_per_token},
     })
     model = build_model(cfg)
     teacher = make_teacher(model, total_steps=1)
@@ -256,5 +425,24 @@ def test_mask_only_uptrain_step_is_bitwise_the_per_sequence_step(seed):
     want, want_grads, _ = _run_step(per_sequence_uptrain_step, *setup)
     assert got == want
     for g, w in zip(got_grads, want_grads):
+        assert (g is None) == (w is None)
+        assert g is None or np.array_equal(g, w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tasks=st.lists(st.sampled_from(TASKS), min_size=1, max_size=7, unique=True),
+       seed=st.integers(0, 2 ** 16), batch_size=st.integers(1, 4),
+       dropout=st.sampled_from([0.0, 0.25, 0.5]), n_enc=st.integers(1, 2),
+       frames_per_token=st.sampled_from([1, 3]))
+def test_uptrain_step_is_bitwise_the_per_pair_step(tasks, seed, batch_size, dropout, n_enc,
+                                                   frames_per_token):
+    """One teacher call per step against one per pair, one-frame pairs
+    included: the same losses, every gradient and both RNG states, bit for
+    bit."""
+    setup = _uptrain_setup(tasks, seed, batch_size, dropout, n_enc, frames_per_token)
+    got, got_grads, got_rng = _run_step(_uptrain_step, *setup)
+    want, want_grads, want_rng = _run_step(per_pair_uptrain_step, *setup)
+    assert got == want and got_rng == want_rng
+    for g, w in zip(got_grads, want_grads, strict=True):
         assert (g is None) == (w is None)
         assert g is None or np.array_equal(g, w)

@@ -88,7 +88,8 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
         targets, rows = {}, {}
         if inputs:
             modes = list(dict.fromkeys(modes))
-            targets = dict(zip(modes, teacher_targets(teacher.encoder, A, V, topk, modes=modes)))
+            (found,) = teacher_targets(teacher.encoder, [(A, V, modes)], topk)
+            targets = dict(zip(modes, found))
             feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}

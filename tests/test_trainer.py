@@ -488,26 +488,28 @@ def test_uptrain_regime_logs_distill_columns(tmp_path):
 
 
 def _record_uptrain_step(monkeypatch, **over):
-    """Run one uptraining step and split what it called by pair: each pair's
-    teacher_targets mode lists and the (grad enabled, stack size) of each of
-    its encodes."""
+    """Run one uptraining step and log what it called, in order: ("pair",)
+    per pair drawn, ("teacher", each pair's mode list) per teacher_targets
+    call and ("encode", grad enabled, stack sizes) per encode, the stack
+    sizes a list for the stack list form."""
     cfg = _cfg(regime="cav2vec_uptrain", steps=1, batch_size=4, tokens_min=4,
                tokens_max=8, model={"moe": {"mode": "dense_ffn"}}, **over)
     model = build_model(cfg)
-    pairs = []
+    calls = []
     real_pair, real_targets = trainer_mod.generate_pair, trainer_mod.teacher_targets
     real_encode = Encoder.encode
 
     def generate_pair(*args, **kw):
-        pairs.append({"teacher": [], "encode": []})
+        calls.append(("pair",))
         return real_pair(*args, **kw)
 
-    def teacher_targets(teacher, A, V, topk, modes):
-        pairs[-1]["teacher"].append(list(modes))
-        return real_targets(teacher, A, V, topk, modes=modes)
+    def teacher_targets(teacher, pairs, topk):
+        calls.append(("teacher", [list(modes) for _, _, modes in pairs]))
+        return real_targets(teacher, pairs, topk)
 
     def encode(self, audio, video):
-        pairs[-1]["encode"].append((T.grad_enabled(), audio.shape[0]))
+        sizes = [a.shape[0] for a in audio] if isinstance(audio, list) else audio.shape[0]
+        calls.append(("encode", T.grad_enabled(), sizes))
         return real_encode(self, audio, video)
 
     monkeypatch.setattr(trainer_mod, "generate_pair", generate_pair)
@@ -521,31 +523,33 @@ def _record_uptrain_step(monkeypatch, **over):
     trainer_mod._uptrain_step(model, teacher, heads, centroids, cfg,
                               np.random.default_rng(streams["data"]),
                               np.random.default_rng(streams["corruption"]))
-    return pairs
+    return calls
 
 
 @pytest.mark.parametrize("tasks", [("MASK",), ("MASK", "ACP", "VCP"),
                                    ("MASK", "MLM", "AVCP", "mACP", "mVCP", "ACP", "VCP")])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_uptrain_step_encodes_each_pair_as_two_stacks(monkeypatch, tasks, seed):
-    """One teacher_targets call with no repeated mode and one grad-enabled
-    student encode per pair with frames to score; the teacher encodes its
-    modes as one no-grad stack; AVCP, mACP and mVCP share one student input,
-    MASK and MLM another."""
-    pairs = _record_uptrain_step(monkeypatch, tasks=tasks, seed=seed)
-    assert len(pairs) == 4
-    working = [pair for pair in pairs if pair["teacher"] or pair["encode"]]
-    assert working  # a pair may draw no mask and no corruption
-    for pair in working:
-        (modes,) = pair["teacher"]
-        assert 1 <= len(modes) == len(set(modes)) <= 3
-        (teacher_call, student_call) = pair["encode"]
-        assert teacher_call == (False, len(modes))
-        assert student_call[0] and 1 <= student_call[1] <= min(len(tasks), 4)
+    """The four pairs are drawn first; then one teacher_targets call takes
+    every pair's target modes, no mode repeated, and encodes each working
+    pair's modes as one stack of one no-grad encode of the stack list form;
+    then each working pair makes one grad-enabled student encode. AVCP,
+    mACP and mVCP share one student input, MASK and MLM another."""
+    calls = _record_uptrain_step(monkeypatch, tasks=tasks, seed=seed)
+    assert calls[:4] == [("pair",)] * 4
+    (_, modes), teacher_call, *student_calls = calls[4:]
+    working = [m for m in modes if m]
+    assert len(modes) == 4 and working  # a pair may draw no mask and no corruption
+    for m in working:
+        assert 1 <= len(m) == len(set(m)) <= 3
+    assert teacher_call == ("encode", False, [len(m) for m in working])
+    assert len(student_calls) == len(working)
+    for _, grad, n in student_calls:
+        assert grad and 1 <= n <= min(len(tasks), 4)
 
 
 def test_uptrain_step_skips_tasks_with_no_frames_to_score(monkeypatch):
-    """No mask and no corruption: every task adds 0, and no pair encodes."""
+    """No mask and no corruption: every task adds 0, and nothing encodes."""
     def empty_plan(name, n_frames, rng_seed, drop_prob):
         return CorruptionPlan(seq_len=n_frames)
 
@@ -553,8 +557,8 @@ def test_uptrain_step_skips_tasks_with_no_frames_to_score(monkeypatch):
         return plan
     monkeypatch.setattr(trainer_mod, "sample_plan_preset", empty_plan)
     monkeypatch.setattr(trainer_mod, "allocate_masks", no_masks)
-    pairs = _record_uptrain_step(monkeypatch, tasks=("MASK", "MLM", "AVCP", "ACP"))
-    assert pairs == [{"teacher": [], "encode": []}] * 4
+    calls = _record_uptrain_step(monkeypatch, tasks=("MASK", "MLM", "AVCP", "ACP"))
+    assert calls == [("pair",)] * 4 + [("teacher", [[]] * 4)]
 
 
 def test_combined_pipeline_runs_both_phases(tmp_path):

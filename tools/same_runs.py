@@ -66,6 +66,11 @@ CONFIGS = {
     "uptrain_long": {**UPTRAIN, "steps": 100, "batch_size": 4, "seed": 1,
                      "tokens_min": 8, "tokens_max": 16, "tasks": ["MASK", "ACP", "VCP"],
                      "eval_pairs": 16, "model": {"moe": MOE["dense_ffn"]}},
+    # one frame per token and 1-3 tokens: one-frame pairs that score frames,
+    # whose teacher products are one-row products
+    "uptrain_one_frame_pairs": {**UPTRAIN, "steps": 40, "batch_size": 4, "tokens_min": 1,
+                                "tokens_max": 3,
+                                "generator": {"vocab": 16, "frames_per_token": 1}},
     "combined_seven_tasks": {**COMBINED, "tasks": ["VCP", "MLM", "mACP", "ACP", "MASK",
                                                    "AVCP", "mVCP"]},
     "combined_sparse_topk_sgd": {**COMBINED, "optimizer": "sgd", "lr": 0.1,
