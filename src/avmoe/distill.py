@@ -225,15 +225,13 @@ def teacher_mode(task: str, plan: CorruptionPlan) -> str:
 
 
 def corrupted_prediction_loss(features: Tensor, targets: np.ndarray,
-                              frames: list[int], head: Tensor | None = None) -> Tensor:
+                              frames: list[int], head: Tensor) -> Tensor:
     """One corrupted-prediction task: the MSE over ``frames``, a variant's
     corrupted index set (``corrupted_frames``, not empty), between the
     student's ``features`` of the variant's input (``student_input``),
-    through ``head`` when given, and the clean teacher ``targets`` of its
+    through the variant's ``head``, and the clean teacher ``targets`` of its
     target mode."""
-    if head is not None:
-        features = T.matmul(features, head)
-    return masked_prediction_loss(features, targets, frames)
+    return masked_prediction_loss(T.matmul(features, head), targets, frames)
 
 
 def make_centroids(n_centroids: int, d: int, seed: int = 0) -> np.ndarray:

@@ -1,18 +1,24 @@
 """Finite-difference verification harness for every differentiable exported
-operation, grouped by module for selective runs from the CLI. Every public
-op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a "tensor"
-case named after it or prefixed ``<op>_``, and ``tests/test_tensor.py``
-checks that it does.
+operation, grouped by module for selective runs from the CLI.
 
-Each case owns a builder that, given a seed, returns (f, x) where f maps a
-Tensor to a scalar Tensor; `run` reports the max relative error per case
-across seeds. Gradients are checked with respect to inputs, weights, and
-probability paths (P/Q) alike by making the probe tensor play those roles.
+``CASES`` maps each module to its (name, builder) rows; a builder, given a
+seed, returns (f, x) where f maps a Tensor to a scalar Tensor, and `run`
+reports the max relative error per case across seeds. Gradients are checked
+with respect to inputs, weights, and probability paths (P/Q) alike by making
+the probe tensor play those roles.
+
+The "tensor" module is one table of operand probes: each row is
+``_probe(op, shapes, probe)``, which draws the operands of ``shapes`` from
+the seed's stream, makes ``probe`` the checked tensor, and sums the output
+against a random upstream gradient, so a backward that drops its upstream
+gradient fails its own row. ``_rows`` gives one row per operand. Every
+public op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a row
+named after it or prefixed ``<op>_``, and ``tests/test_tensor.py`` checks
+that it does. The "moe" module probes ``MoELayer.forward`` through its input
+or one router weight (``_layer_case``), and "losses" the router losses.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -33,483 +39,217 @@ DEFAULT_SEEDS = 20
 TOLERANCE = 1e-4
 EPS = 1e-4
 
+TAGS = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
+
 
 def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _vec(seed, n=6):
-    return Tensor(_rng(seed).normal(size=n))
+def _probe(op, shapes, probe=None, positive=False, **fixed):
+    """Case of ``op`` with respect to its operand ``probe`` (default the
+    first): each operand of ``shapes`` (name -> shape, in ``op``'s argument
+    order) is drawn from the seed's stream, as |x| + 0.5 when ``positive``,
+    and all but the probe are constants. ``op`` is a callable or the name of
+    an ``avmoe.tensor`` op, looked up when the case is built; ``fixed`` are
+    its keyword arguments. The output is summed against a random upstream
+    gradient, of the shape one no-grad call gives."""
+    probe = probe or next(iter(shapes))
 
-
-def _mat(seed, r=3, c=4):
-    return Tensor(_rng(seed).normal(size=(r, c)))
-
-
-def _stack(seed, n=2, r=3, c=4):
-    return Tensor(_rng(seed).normal(size=(n, r, c)))
-
-
-# -- tensor primitive cases ---------------------------------------------------
-
-def _case_add(seed):
-    b = _mat(seed + 1000)
-    return lambda t: T.tsum(T.add(t, b)), _mat(seed)
-
-
-def _case_sub(seed):
-    b = _mat(seed + 1000)
-    return lambda t: T.tsum(T.mul(T.sub(t, b), T.sub(t, b))), _mat(seed)
-
-
-def _case_mul(seed):
-    b = _mat(seed + 1000)
-    return lambda t: T.tsum(T.mul(t, b)), _mat(seed)
-
-
-def _case_scale(seed):
-    return lambda t: T.tsum(T.scale(t, -1.7)), _mat(seed)
-
-
-def _case_matmul(seed):
-    b = _mat(seed + 1000, 4, 3)
-    return lambda t: T.tsum(T.matmul(t, b)), _mat(seed)
-
-
-def _case_matmul_stacked(seed):
-    b, w = _mat(seed + 1000, 4, 3), _stack(seed + 2000, 2, 3, 3)
-    return lambda t: T.tsum(T.mul(T.matmul(t, b), w)), _stack(seed)
-
-
-def _case_matmul_stacked_right(seed):
-    a, w = _stack(seed + 1000), _stack(seed + 2000, 2, 3, 3)
-    return lambda t: T.tsum(T.mul(T.matmul(a, t), w)), _mat(seed, 4, 3)
-
-
-def _case_tmean(seed):
-    return lambda t: T.tmean(T.mul(t, t)), _mat(seed)
-
-
-def _case_mean_axis0(seed):
-    w = _vec(seed + 1000, 4)
-    return lambda t: T.tsum(T.mul(T.mean_axis0(t), w)), _mat(seed)
-
-
-def _case_gelu(seed):
-    return lambda t: T.tsum(T.gelu(t)), _mat(seed)
-
-
-def _case_softmax(seed):
-    w = _vec(seed + 1000)
-    return lambda t: T.tsum(T.mul(T.softmax(t), w)), _vec(seed)
-
-
-def _case_softmax_rows(seed):
-    w = _mat(seed + 1000)
-    return lambda t: T.tsum(T.mul(T.softmax(t), w)), _mat(seed)
-
-
-def _case_normalize_rows(seed):
-    w = _mat(seed + 1000)
-    x = np.abs(_rng(seed).normal(size=(3, 4))) + 0.5
-    return lambda t: T.tsum(T.mul(T.normalize_rows(t), w)), Tensor(x)
-
-
-def _case_logsumexp(seed):
-    return lambda t: T.tsum(T.logsumexp(t)), _mat(seed)
-
-
-def _case_mse(seed):
-    target = _mat(seed + 1000)
-    return lambda t: T.mse(t, target), _mat(seed)
-
-
-def _case_cross_entropy_rows(seed):
-    ids = [int(i) for i in _rng(seed + 1000).integers(0, 4, size=3)]
-    return lambda t: T.cross_entropy_rows(t, ids), _mat(seed)
-
-
-def _case_cross_entropy_rows_weighted(seed):
-    rng = _rng(seed + 1000)
-    ids = [int(i) for i in rng.integers(0, 4, size=3)]
-    w = rng.uniform(0.1, 1.0, size=3)
-    return lambda t: T.cross_entropy_rows(t, ids, row_weights=w), _mat(seed)
-
-
-def _case_index_rows(seed):
-    return lambda t: T.tsum(T.mul(T.index_rows(t, [0, 2, 0]),
-                                  T.index_rows(t, [0, 2, 0]))), _mat(seed)
-
-
-def _case_take(seed):
-    return lambda t: T.tsum(T.mul(T.take(t, [1, 3, 1]), T.take(t, [0, 2, 2]))), _vec(seed)
-
-
-def _case_scatter(seed):
-    w = _mat(seed + 1000, 4, 5)
-    idx = np.array([[0, 7, 19], [3, 3, 12], [5, 11, 18]])
-    return lambda t: T.tsum(T.mul(T.scatter(t, idx, (4, 5)), w)), _mat(seed, 3, 3)
-
-
-def _case_concat_cols(seed):
-    b = _mat(seed + 1000, 3, 2)
-    return lambda t: T.tmean(T.mul(T.concat_cols([t, b]),
-                                   T.concat_cols([t, b]))), _mat(seed)
-
-
-def _case_concat_cols_stacked(seed):
-    b = _stack(seed + 1000, 2, 3, 2)
-    return lambda t: T.tmean(T.mul(T.concat_cols([t, b]),
-                                   T.concat_cols([t, b]))), _stack(seed)
-
-
-def _case_stack_slice(seed):
-    w = _mat(seed + 1000)
-    return lambda t: T.tsum(T.mul(T.mul(T.stack_slice(t, 1), w),
-                                  T.stack_slice(t, 0))), _stack(seed)
-
-
-def _case_standardize(seed):
-    w = _mat(seed + 1000)
-    return lambda t: T.tsum(T.mul(T.standardize_rows(t), w)), _mat(seed)
-
-
-def _case_standardize_residual(seed):
-    w, residual = _mat(seed + 1000), _mat(seed + 2000)
-    return lambda t: T.tsum(T.mul(T.standardize_rows(t, residual), w)), _mat(seed)
-
-
-def _case_standardize_residual_operand(seed):
-    w, a = _mat(seed + 1000), _mat(seed + 2000)
-    return lambda t: T.tsum(T.mul(T.standardize_rows(a, t), w)), _mat(seed)
-
-
-def _case_standardize_stacked_residual(seed):
-    w, residual = _stack(seed + 1000), _stack(seed + 2000)
-    return lambda t: T.tsum(T.mul(T.standardize_rows(t, residual), w)), _stack(seed)
-
-
-def _case_attention(seed):
-    rng = _rng(seed + 1000)
-    K = Tensor(rng.normal(size=(5, 4)))
-    V = Tensor(rng.normal(size=(5, 4)))
-    return lambda t: T.tsum(T.attention(t, K, V)), _mat(seed)
-
-
-def _case_attention_masked(seed):
-    """Block-diagonal mask of two packed segments, rows 0-1 and row 2."""
-    rng = _rng(seed + 1000)
-    K = Tensor(rng.normal(size=(5, 4)))
-    V = Tensor(rng.normal(size=(5, 4)))
-    same = np.array([0, 0, 1])[:, None] == np.array([0, 0, 0, 1, 1])[None, :]
-    mask = np.where(same, 0.0, -np.inf)
-    return lambda t: T.tsum(T.attention(t, K, V, mask=mask)), _mat(seed)
-
-
-def _case_attention_keys(seed):
-    rng = _rng(seed + 1000)
-    Q = Tensor(rng.normal(size=(3, 4)))
-    V = Tensor(rng.normal(size=(5, 4)))
-    return lambda t: T.tsum(T.attention(Q, t, V)), _mat(seed, 5, 4)
-
-
-def _case_attention_values(seed):
-    rng = _rng(seed + 1000)
-    Q = Tensor(rng.normal(size=(3, 4)))
-    K = Tensor(rng.normal(size=(5, 4)))
-    w = Tensor(rng.normal(size=(3, 4)))
-    return lambda t: T.tsum(T.mul(T.attention(Q, K, t), w)), _mat(seed, 5, 4)
-
-
-def _stacked_attention_case(operand):
-    """``attention`` of [2 x T x 4] stacks with respect to Q, K or V."""
     def build(seed):
-        rng = _rng(seed + 1000)
-        ops = {"Q": rng.normal(size=(2, 3, 4)), "K": rng.normal(size=(2, 5, 4)),
-               "V": rng.normal(size=(2, 5, 4))}
-        w = Tensor(rng.normal(size=(2, 3, 4)))
+        rng = _rng(seed)
+        fn = getattr(T, op) if isinstance(op, str) else op
+        arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        if positive:
+            arrays = {name: np.abs(a) + 0.5 for name, a in arrays.items()}
+        with T.no_grad():
+            upstream = Tensor(rng.normal(size=fn(*map(Tensor, arrays.values()), **fixed).shape))
 
         def f(t):
-            args = [t if name == operand else Tensor(v) for name, v in ops.items()]
-            return T.tsum(T.mul(T.attention(*args), w))
+            args = (t if name == probe else Tensor(a) for name, a in arrays.items())
+            return T.tsum(T.mul(fn(*args, **fixed), upstream))
 
-        return f, Tensor(ops[operand])
+        return f, Tensor(arrays[probe])
     return build
 
 
-_FFN_OPERANDS = ("x", "W1", "b1", "W2", "b2")
+def _rows(name, op, shapes):
+    """One ``_probe`` row, ``<name>_<operand>``, per operand of ``shapes``."""
+    return [(f"{name}_{operand}", _probe(op, shapes, operand)) for operand in shapes]
 
 
-def _ffn_case(operand, x_shape=(3, 4)):
-    """``ffn`` with respect to one operand."""
-    def build(seed):
-        rng = _rng(seed + 1000)
-        ops = {"x": rng.normal(size=x_shape), "W1": rng.normal(size=(4, 5)),
-               "b1": rng.normal(size=5), "W2": rng.normal(size=(5, 4)),
-               "b2": rng.normal(size=4)}
-        w = Tensor(rng.normal(size=x_shape))
-
-        def f(t):
-            args = {name: t if name == operand else Tensor(v) for name, v in ops.items()}
-            out = T.ffn(*(args[name] for name in _FFN_OPERANDS))
-            return T.tsum(T.mul(out, w))
-
-        return f, Tensor(ops[operand])
-    return build
+# 4 rows taking 2 of 3 experts each, and how many rows select each expert
+_SELECTED = np.array([[0, 1], [2, 0], [1, 2], [0, 2]])
+_COUNTS = [3, 2, 3]
 
 
-_MOE_COMBINE_OPERANDS = ("X", "weights", "W1", "b1", "W2", "b2")
+def _moe_combine(X, weights, W1, b1, W2, b2):
+    """``moe_combine`` of ``_SELECTED``; expert e's parameters are slice e of
+    the [3 x ...] parameter stacks."""
+    experts = [[T.stack_slice(p, e) for p in (W1, b1, W2, b2)] for e in range(3)]
+    return T.moe_combine(X, weights, _SELECTED, experts, _COUNTS)
 
 
-def _moe_combine_case(operand):
-    """``moe_combine`` with respect to one operand: 4 rows take 2 of 3
-    experts each, and the parameter operands are those of expert 1, which
-    rows 0 and 2 select."""
-    def build(seed):
-        rng = _rng(seed + 1000)
-        selected = np.array([[0, 1], [2, 0], [1, 2], [0, 2]])
-        ops = {"X": rng.normal(size=(4, 3)), "weights": rng.uniform(0.1, 1.0, size=(4, 2))}
-        experts = [{"W1": rng.normal(size=(3, 5)), "b1": rng.normal(size=5),
-                    "W2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
-                   for _ in range(3)]
-        w = Tensor(rng.normal(size=(4, 3)))
-
-        def f(t):
-            args = {name: t if name == operand else Tensor(v) for name, v in ops.items()}
-            params = [tuple(t if (e == 1 and name == operand) else Tensor(v)
-                            for name, v in expert.items())
-                      for e, expert in enumerate(experts)]
-            out = T.moe_combine(args["X"], args["weights"], selected, params)
-            return T.tsum(T.mul(out, w))
-
-        probe = ops[operand] if operand in ops else experts[1][operand]
-        return f, Tensor(probe)
-    return build
+def _router_softmaxes(X, W):
+    """The logits and probs of ``router_softmaxes`` side by side, for the
+    routers that are the slices of the [G x d x n] stack ``W``."""
+    logits, probs, _ = T.router_softmaxes(X, [T.stack_slice(W, g) for g in range(W.shape[0])])
+    return T.concat_cols(logits + probs)
 
 
-def _router_softmaxes_case(operand):
-    """``router_softmaxes`` of three [4 x 3] routers over 5 rows, with respect
-    to X or to the second router, through both the logits and the probs."""
-    def build(seed):
-        rng = _rng(seed + 1000)
-        X, Ws = rng.normal(size=(5, 4)), [rng.normal(size=(4, 3)) for _ in range(3)]
-        upstream = [Tensor(rng.normal(size=(5, 3))) for _ in range(6)]
-
-        def f(t):
-            weights = [t if (operand == "W" and g == 1) else Tensor(W)
-                       for g, W in enumerate(Ws)]
-            logits, probs, _ = T.router_softmaxes(t if operand == "X" else Tensor(X), weights)
-            products = [T.mul(a, u) for a, u in zip(logits + probs, upstream)]
-            return T.tsum(T.concat_cols(products))
-
-        return f, Tensor(X if operand == "X" else Ws[1])
-    return build
+# two packed segments, query rows 0-1 and row 2, over keys 0-2 and 3-4
+_MASK = np.where(np.array([[0], [0], [1]]) == np.array([[0, 0, 0, 1, 1]]), 0.0, -np.inf)
+# operand shapes: a matrix, a stack of two, a vector, an FFN's parameters
+# and attention's operands
+M, S, V6 = (3, 4), (2, 3, 4), (6,)
+FFN = {"W1": (4, 5), "b1": (5,), "W2": (5, 4), "b2": (4,)}
+QKV = {"Q": M, "K": (5, 4), "V": (5, 4)}
 
 
 # -- MoE layer cases ----------------------------------------------------------
 
-def _case_expert_forward(seed):
-    expert = ExpertFFN.init(4, 6, _rng(seed + 1000))
-    return lambda t: T.tsum(expert.forward(t)), _mat(seed)
+def _layer(rng, mode, **cfg):
+    return MoELayer(MoELayerConfig(**{"mode": mode, "d": 4, "h": 6, "n_experts": 4, "k": 2,
+                                      "n_per_group": 2, **cfg}), rng)
 
 
-def _case_expert_weights(seed):
-    rng = _rng(seed + 1000)
-    expert = ExpertFFN.init(4, 6, rng)
-    x = Tensor(rng.normal(size=(3, 4)))
-
-    def f(t):
-        expert.W1 = t
-        return T.tsum(expert.forward(x))
-
-    return f, _mat(seed, 4, 6)
+def _inter(layer):
+    return layer.inter_router
 
 
-def _moe_layer(seed, mode, k_per_group=1, n_per_group=2):
-    cfg = MoELayerConfig(mode=mode, d=4, h=6, n_experts=4, k=2,
-                         n_groups=2, n_per_group=n_per_group, m=2, k_per_group=k_per_group)
-    return MoELayer(cfg, _rng(seed + 1000))
+def _layer_case(mode, weight, **cfg):
+    """``MoELayer.forward`` of 3 rows tagged audio, video and audio-visual,
+    summed against a random upstream gradient, with respect to the input
+    (``weight`` None) or to the weight of the router ``weight(layer)``."""
+    def build(seed):
+        rng = _rng(seed)
+        layer = _layer(rng, mode, **cfg)
+        x, upstream = Tensor(rng.normal(size=M)), Tensor(rng.normal(size=M))
+
+        def f(t):
+            if weight is not None:
+                weight(layer).weight = t
+            out = layer.forward(t if weight is None else x, TAGS)[0]
+            return T.tsum(T.mul(out, upstream))
+
+        return f, x if weight is None else Tensor(rng.normal(size=weight(layer).weight.shape))
+    return build
 
 
-def _case_moe_forward_sparse(seed):
-    layer = _moe_layer(seed, "sparse_topk")
-    return lambda t: T.tsum(layer.forward(t)[0]), _mat(seed)
-
-
-def _case_moe_forward_hier(seed, k_per_group=1):
-    layer = _moe_layer(seed, "hierarchical", k_per_group)
-    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
-    return lambda t: T.tsum(layer.forward(t, modalities=tags)[0]), _mat(seed)
-
-
-def _case_moe_forward_hier_inter(seed, k_per_group=1):
-    # the q~ combine path: layer output through the inter-router weights
-    layer = _moe_layer(seed, "hierarchical", k_per_group)
-    x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
-    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
-
-    def f(t):
-        layer.inter_router.weight = t
-        return T.tsum(layer.forward(x, modalities=tags)[0])
-
-    return f, _mat(seed, 4, 2)
-
-
-def _case_moe_forward_hard(seed):
-    # unimodal rows take k=2 of their group's 3 experts, the AV row 1 + 1
-    layer = _moe_layer(seed, "hard", n_per_group=3)
-    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
-    return lambda t: T.tsum(layer.forward(t, modalities=tags)[0]), _mat(seed)
-
-
-def _case_moe_forward_hard_intra(seed):
-    # the scattered, 0.5-shared and added combine weights through the
-    # audio group's intra router
-    layer = _moe_layer(seed, "hard", n_per_group=3)
-    x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
-    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
-
-    def f(t):
-        layer.intra_routers[0].weight = t
-        return T.tsum(layer.forward(x, modalities=tags)[0])
-
-    return f, _mat(seed, 4, 3)
-
-
-def _case_moe_router_weights(seed):
-    layer = _moe_layer(seed, "sparse_topk")
-    x = Tensor(_rng(seed + 2000).normal(size=(3, 4)))
-
-    def f(t):
-        layer.router.weight = t
-        return T.tsum(layer.forward(x)[0])
-
-    return f, _mat(seed, 4, 4)
+def _expert(x, W1, b1, W2, b2):
+    return ExpertFFN(W1, b1, W2, b2).forward(x)
 
 
 # -- loss cases with gradient paths through P/Q -------------------------------
 
-def _sparse_stats(layer, X):
-    return dispatch_stats(route_sparse(layer.router, X, layer.cfg.k))
-
-
 def _case_balance_through_P(seed):
-    layer = _moe_layer(seed, "sparse_topk")
-    return lambda t: load_balancing_from_stats(_sparse_stats(layer, t)), _mat(seed)
-
-
-def _case_balance_direct(seed):
-    f = np.abs(_rng(seed + 1000).normal(size=4))
-    f /= f.sum()
-    return lambda t: load_balancing_loss(f, T.softmax(t)), _vec(seed, 4)
-
-
-def _hier_stats(layer, X, tags):
-    return dispatch_stats(layer.route(X, tags))
+    rng = _rng(seed)
+    layer = _layer(rng, "sparse_topk")
+    return (lambda t: load_balancing_from_stats(dispatch_stats(
+        route_sparse(layer.router, t, layer.cfg.k)))), Tensor(rng.normal(size=M))
 
 
 def _case_bias_through_Q(seed):
-    layer = _moe_layer(seed, "hierarchical")
-    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV]
-    return lambda t: load_biasing_loss(_hier_stats(layer, t, tags)), _mat(seed)
+    rng = _rng(seed)
+    layer = _layer(rng, "hierarchical")
+    return (lambda t: load_biasing_loss(dispatch_stats(layer.route(t, TAGS)))), \
+        Tensor(rng.normal(size=M))
 
 
 def _case_bias_router_weights(seed):
-    layer = _moe_layer(seed, "hierarchical")
-    x = Tensor(_rng(seed + 2000).normal(size=(4, 4)))
-    tags = [MOD_AUDIO, MOD_VIDEO, MOD_AUDIO, MOD_VIDEO]
+    rng = _rng(seed)
+    layer = _layer(rng, "hierarchical")
+    x = Tensor(rng.normal(size=(4, 4)))
 
     def f(t):
         layer.inter_router.weight = t
-        return load_biasing_loss(_hier_stats(layer, x, tags))
+        return load_biasing_loss(dispatch_stats(layer.route(x, [MOD_AUDIO, MOD_VIDEO] * 2)))
 
-    return f, _mat(seed, 4, 2)
-
-
-def _case_z_loss(seed):
-    return lambda t: router_z_loss(t), _mat(seed)
+    return f, Tensor(rng.normal(size=(4, 2)))
 
 
-def _case_z_loss_weighted(seed):
-    w = _rng(seed + 1000).uniform(0.1, 1.0, size=3)
-    return lambda t: router_z_loss(t, row_weights=w), _mat(seed)
-
-
-def _case_z_through_router(seed):
-    router = RouterParams.init(4, 4, _rng(seed + 1000))
-    return lambda t: router_z_loss(route_dense(router, t)[0]), _mat(seed)
-
-
-def _case_total_aux(seed):
-    rng = _rng(seed + 1000)
-    f = np.abs(rng.normal(size=4))
-    f /= f.sum()
-
-    def f_total(t):
-        probs = T.mean_axis0(T.softmax(t))
-        ce = T.tmean(T.mul(t, t))
-        balance = load_balancing_loss(f, probs)
-        z = router_z_loss(t)
-        return total_aux_loss(ce, balance, Tensor(0.0), z).total
-
-    return f_total, _mat(seed, 1, 4)
+def _total_aux(logits, f):
+    """Every term of ``total_aux_loss`` from one [1 x 4] logit row."""
+    balance = load_balancing_loss(f.data, T.mean_axis0(T.softmax(logits)))
+    return total_aux_loss(T.tmean(T.mul(logits, logits)), balance, Tensor(0.0),
+                          router_z_loss(logits)).total
 
 
 CASES = {
     "tensor": [
-        ("add", _case_add), ("sub", _case_sub), ("mul", _case_mul),
-        ("scale", _case_scale), ("matmul", _case_matmul),
-        ("matmul_stacked", _case_matmul_stacked),
-        ("matmul_stacked_right", _case_matmul_stacked_right),
-        ("tmean", _case_tmean), ("mean_axis0", _case_mean_axis0),
-        ("gelu", _case_gelu),
-        ("softmax", _case_softmax), ("softmax_rows", _case_softmax_rows),
-        ("normalize_rows", _case_normalize_rows),
-        ("logsumexp", _case_logsumexp), ("mse", _case_mse),
-        ("cross_entropy_rows", _case_cross_entropy_rows),
-        ("cross_entropy_rows_weighted", _case_cross_entropy_rows_weighted),
-        ("index_rows", _case_index_rows), ("take", _case_take),
-        ("scatter", _case_scatter), ("concat_cols", _case_concat_cols),
-        ("concat_cols_stacked", _case_concat_cols_stacked),
-        ("stack_slice", _case_stack_slice),
-        ("standardize_rows", _case_standardize),
-        ("standardize_rows_residual", _case_standardize_residual),
-        ("standardize_rows_residual_operand", _case_standardize_residual_operand),
-        ("standardize_rows_stacked_residual", _case_standardize_stacked_residual),
-        ("attention", _case_attention), ("attention_masked", _case_attention_masked),
-        ("attention_keys", _case_attention_keys), ("attention_values", _case_attention_values),
-        *((f"attention_stacked_{operand}", _stacked_attention_case(operand))
-          for operand in ("Q", "K", "V")),
-        *((f"ffn_gelu_{operand}", _ffn_case(operand)) for operand in _FFN_OPERANDS),
-        *((f"ffn_stacked_gelu_{operand}", _ffn_case(operand, x_shape=(2, 3, 4)))
-          for operand in _FFN_OPERANDS),
-        *((f"moe_combine_{operand}", _moe_combine_case(operand))
-          for operand in _MOE_COMBINE_OPERANDS),
-        *((f"router_softmaxes_{operand}", _router_softmaxes_case(operand))
-          for operand in ("X", "W")),
+        ("add", _probe("add", {"a": M, "b": M})),
+        ("sub", _probe("sub", {"a": M, "b": M}, "b")),
+        ("mul", _probe("mul", {"a": M, "b": M})),
+        ("scale", _probe("scale", {"a": M}, c=-1.7)),
+        ("matmul", _probe("matmul", {"a": M, "b": (4, 3)})),
+        ("matmul_stacked", _probe("matmul", {"a": S, "b": (4, 3)})),
+        ("matmul_stacked_right", _probe("matmul", {"a": S, "b": (4, 3)}, "b")),
+        ("tmean", _probe("tmean", {"a": M})),
+        ("mean_axis0", _probe("mean_axis0", {"a": M})),
+        ("gelu", _probe("gelu", {"a": M})),
+        ("softmax", _probe("softmax", {"a": V6})),
+        ("softmax_rows", _probe("softmax", {"a": M})),
+        ("normalize_rows", _probe("normalize_rows", {"a": M}, positive=True)),
+        ("logsumexp", _probe("logsumexp", {"a": M})),
+        ("mse", _probe("mse", {"pred": M, "target": M})),
+        ("cross_entropy_rows", _probe("cross_entropy_rows", {"logits": M},
+                                      target_ids=[1, 3, 1])),
+        ("cross_entropy_rows_weighted", _probe("cross_entropy_rows", {"logits": M},
+                                               target_ids=[0, 2, 3],
+                                               row_weights=[0.3, 1.0, 0.6])),
+        ("index_rows", _probe("index_rows", {"a": M}, idx=[0, 2, 0])),
+        ("take", _probe("take", {"a": V6}, flat_idx=[1, 3, 1, 0, 2])),
+        ("scatter", _probe("scatter", {"values": (3, 3)}, shape=(4, 5),
+                           flat_idx=[[0, 7, 19], [3, 3, 12], [5, 11, 18]])),
+        ("concat_cols", _probe(lambda a, b: T.concat_cols([a, b]), {"a": M, "b": (3, 2)})),
+        ("concat_cols_stacked", _probe(lambda a, b: T.concat_cols([a, b]),
+                                       {"a": S, "b": (2, 3, 2)})),
+        ("stack_slice", _probe("stack_slice", {"stack": S}, i=1)),
+        ("standardize_rows", _probe("standardize_rows", {"a": M})),
+        ("standardize_rows_residual", _probe("standardize_rows", {"a": M, "residual": M})),
+        ("standardize_rows_residual_operand",
+         _probe("standardize_rows", {"a": M, "residual": M}, "residual")),
+        ("standardize_rows_stacked_residual",
+         _probe("standardize_rows", {"a": S, "residual": S})),
+        ("attention", _probe("attention", QKV)),
+        ("attention_masked", _probe("attention", QKV, mask=_MASK)),
+        ("attention_keys", _probe("attention", QKV, "K")),
+        ("attention_values", _probe("attention", QKV, "V")),
+        *_rows("attention_stacked", "attention", {"Q": S, "K": (2, 5, 4), "V": (2, 5, 4)}),
+        *_rows("ffn_gelu", "ffn", {"x": M, **FFN}),
+        *_rows("ffn_stacked_gelu", "ffn", {"x": S, **FFN}),
+        *_rows("moe_combine", _moe_combine, {"X": (4, 3), "weights": (4, 2), "W1": (3, 3, 2),
+                                             "b1": (3, 2), "W2": (3, 2, 3), "b2": (3, 3)}),
+        *_rows("router_softmaxes", _router_softmaxes, {"X": (5, 4), "W": (3, 4, 3)}),
     ],
     "moe": [
-        ("expert_forward", _case_expert_forward),
-        ("expert_forward_weights", _case_expert_weights),
-        ("moe_forward_sparse", _case_moe_forward_sparse),
-        ("moe_forward_hierarchical", _case_moe_forward_hier),
-        ("moe_forward_hierarchical_inter_router", _case_moe_forward_hier_inter),
-        ("moe_forward_hierarchical_kpg2", partial(_case_moe_forward_hier, k_per_group=2)),
+        ("expert_forward", _probe(_expert, {"x": M, **FFN})),
+        ("expert_forward_weights", _probe(_expert, {"x": M, **FFN}, "W1")),
+        ("moe_forward_sparse", _layer_case("sparse_topk", None)),
+        ("moe_forward_hierarchical", _layer_case("hierarchical", None)),
+        ("moe_forward_hierarchical_inter_router", _layer_case("hierarchical", _inter)),
+        ("moe_forward_hierarchical_kpg2", _layer_case("hierarchical", None, k_per_group=2)),
         ("moe_forward_hierarchical_kpg2_inter_router",
-         partial(_case_moe_forward_hier_inter, k_per_group=2)),
-        ("moe_forward_hard", _case_moe_forward_hard),
-        ("moe_forward_hard_intra_router", _case_moe_forward_hard_intra),
-        ("moe_router_weights", _case_moe_router_weights),
+         _layer_case("hierarchical", _inter, k_per_group=2)),
+        # unimodal rows take k=2 of their group's 3 experts, the AV row 1 + 1
+        ("moe_forward_hard", _layer_case("hard", None, n_per_group=3)),
+        ("moe_forward_hard_intra_router",
+         _layer_case("hard", lambda layer: layer.intra_routers[0], n_per_group=3)),
+        ("moe_router_weights", _layer_case("sparse_topk", lambda layer: layer.router)),
     ],
     "losses": [
         ("load_balancing_through_P", _case_balance_through_P),
-        ("load_balancing_direct", _case_balance_direct),
+        ("load_balancing_direct", _probe(lambda z, f: load_balancing_loss(f.data, T.softmax(z)),
+                                         {"z": (4,), "f": (4,)}, positive=True)),
         ("load_biasing_through_Q", _case_bias_through_Q),
         ("load_biasing_router_weights", _case_bias_router_weights),
-        ("router_z_loss", _case_z_loss),
-        ("router_z_loss_weighted", _case_z_loss_weighted),
-        ("router_z_through_router", _case_z_through_router),
-        ("total_aux_loss", _case_total_aux),
+        ("router_z_loss", _probe(router_z_loss, {"logit_rows": M})),
+        ("router_z_loss_weighted", _probe(router_z_loss, {"logit_rows": M},
+                                          row_weights=[0.3, 1.0, 0.6])),
+        ("router_z_through_router", _probe(
+            lambda X, W: router_z_loss(route_dense(RouterParams(W), X)[0]),
+            {"X": M, "W": (4, 4)})),
+        ("total_aux_loss", _probe(_total_aux, {"logits": (1, 4), "f": (4,)})),
     ],
 }
 

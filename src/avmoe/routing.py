@@ -130,14 +130,14 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
                X: Tensor, k: int) -> Routing:
     """Manual group activation: unimodal tokens use only their group's
     experts; audio-visual tokens take the top-(k/2) of each group, and the
-    two group outputs are averaged."""
+    two group outputs are averaged. The two routers run in one
+    ``T.router_softmaxes`` pass."""
     B = X.data.shape[0]
     tag_list = _tags(modalities, B)
     tags = np.asarray(tag_list)
-    router_a, router_v = routers
-    n_a = router_a.n_outputs
-    logits_a, probs_a = route_dense(router_a, X)
-    logits_v, probs_v = route_dense(router_v, X)
+    n_a = routers[0].n_outputs
+    logits, probs, _ = T.router_softmaxes(X, [r.weight for r in routers])
+    probs_a, probs_v = probs
     if k % 2 != 0 and MOD_AV in tags:
         raise RoutingConfigError(f"audiovisual hard routing needs even k, got {k}")
     # modality -> (group probs, flat id offset, experts taken, output share)
@@ -151,14 +151,14 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
         if rows.size == 0:
             continue
         col = 0
-        for probs, offset, kg, share in plan:
-            ids, w = select_topk(T.index_rows(probs, rows), kg)
+        for group, offset, kg, share in plan:
+            ids, w = select_topk(T.index_rows(group, rows), kg)
             selected[rows, col:col + kg] = offset + ids
             part = T.scatter(w if share == 1.0 else T.scale(w, share),
                              rows[:, None] * k + np.arange(col, col + kg), (B, k))
             col += kg
             weights = part if weights is None else T.add(weights, part)
-    return Routing(tag_list, [logits_a, logits_v], [probs_a, probs_v], selected, weights)
+    return Routing(tag_list, logits, probs, selected, weights)
 
 
 def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tensor,

@@ -688,12 +688,12 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
     return _make(data, (x, W1, b1, W2, b2), backward)
 
 
-def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts=None) -> Tensor:
+def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts) -> Tensor:
     """Routed expert mixture of a [B x d] batch: row t is the sum over j of
     weights[t, j] * ffn_e(x_t), e = selected[t, j], where ``experts[e]`` is
     expert e's (W1, b1, W2, b2) and no row selects one expert twice.
-    ``counts``, when the caller has it, is the list of how many rows select
-    each expert (``selected``'s bincount over all experts).
+    ``counts`` is the list of how many rows select each expert
+    (``selected``'s bincount over all experts).
 
     Each selected expert runs once, on the rows that selected it, and one
     GELU runs over all of those rows. The chain it stands for gathers each
@@ -713,9 +713,7 @@ def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts=None) -> T
     # ascending inside each group; expert e holds positions s:t of them
     order = np.argsort(flat, kind="stable")
     rows = order // k
-    if counts is None:
-        counts = np.bincount(flat, minlength=len(experts)).tolist()
-    elif len(counts) != len(experts) or sum(counts) != flat.size:
+    if len(counts) != len(experts) or sum(counts) != flat.size:
         raise ShapeError(f"{len(counts)} expert counts of {sum(counts)} rows for "
                          f"{len(experts)} experts and {flat.size} selections")
     spans, end = [], 0

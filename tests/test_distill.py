@@ -250,14 +250,15 @@ class TestCorruptedPredictionLoss:
         self.teacher = make_teacher(self.student, total_steps=1).encoder
         for p in self.teacher.encoder_params():
             p.data += 0.01  # distinct from the student
+        self.head = Tensor(rng.normal(size=(8, 8)))
 
     def loss(self, name, plan):
-        """The variant's loss on the student's features of its input, against
-        teacher targets of its target mode."""
+        """The variant's loss on the student's features of its input, through
+        the variant's head, against teacher targets of its target mode."""
         feats, _ = self.student.encode(*student_input(name, self.A_corr, self.V_corr))
         ((targets,),) = teacher_targets(
             self.teacher, [(self.A, self.V, [VARIANTS[name].target_mode])], 1)
-        return corrupted_prediction_loss(feats, targets, corrupted_frames(name, plan))
+        return corrupted_prediction_loss(feats, targets, corrupted_frames(name, plan), self.head)
 
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError, match="no frames"):
@@ -268,7 +269,7 @@ class TestCorruptedPredictionLoss:
         got = self.loss("ACP", plan)
         ((targets,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_A_ONLY])], 1)
         feats, _ = self.student.encode(np.zeros_like(self.A_corr), self.V_corr)
-        want = masked_prediction_loss(feats, targets, [2, 3, 4])
+        want = masked_prediction_loss(T.matmul(feats, self.head), targets, [2, 3, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
 
     def test_all_variants_finite(self):
@@ -283,7 +284,7 @@ class TestCorruptedPredictionLoss:
         got = self.loss("AVCP", plan)
         ((targets,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_AV])], 1)
         feats, _ = self.student.encode(self.A_corr, self.V_corr)
-        want = masked_prediction_loss(feats, targets, [1, 4])
+        want = masked_prediction_loss(T.matmul(feats, self.head), targets, [1, 4])
         assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
 
     def test_unknown_variant(self):

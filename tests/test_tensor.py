@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avmoe import tensor as T
-from avmoe.gradcheck import CASES
+from avmoe.gradcheck import CASES, TOLERANCE, run
 from avmoe.tensor import (
     Tensor, ShapeError, attention, cross_entropy_rows, grad_check, matmul, mse,
     softmax,
@@ -269,7 +269,7 @@ def test_constant_operands_get_no_gradient():
     expert = [(c["W1"], c["b1"], c["W2"], c["b2"])]
     outs = [T.add(x, c["add"]), T.mul(c["mul"], h), matmul(c["left"], x),
             matmul(h, c["right"]), T.concat_cols([c["cols"], h]),
-            T.moe_combine(h, c["weights"], np.zeros((3, 1), dtype=np.int64), expert)]
+            T.moe_combine(h, c["weights"], np.zeros((3, 1), dtype=np.int64), expert, [3])]
     total = T.tsum(outs[0])
     for o in outs[1:]:
         total = T.add(total, T.tsum(o))
@@ -290,3 +290,26 @@ def test_every_public_op_has_a_gradcheck_case():
     missing = sorted(op for op in ops - {"tsum"}
                      if not any(c == op or c.startswith(op + "_") for c in cases))
     assert missing == []
+
+
+def _ignoring_upstream(op):
+    """``op`` whose node backpropagates an all-ones upstream gradient in
+    place of the one it is given."""
+    def mutant(*args, **kwargs):
+        out = op(*args, **kwargs)
+        backward = out._backward
+        if backward is not None:
+            out._backward = lambda g: backward(np.ones_like(g))
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("op", ["scale", "tmean"])
+def test_an_ops_own_case_catches_a_backward_that_ignores_its_upstream_gradient(
+        monkeypatch, op):
+    """Every "tensor" case sums its output against a random upstream
+    gradient, so the op's own case, not only the loss cases that happen to
+    scale their terms, fails a backward that drops it."""
+    assert run("tensor", seeds=3)[f"tensor.{op}"] < TOLERANCE
+    monkeypatch.setattr(T, op, _ignoring_upstream(getattr(T, op)))
+    assert run("tensor", seeds=3)[f"tensor.{op}"] > TOLERANCE
