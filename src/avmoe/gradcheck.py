@@ -15,7 +15,8 @@ gradient fails its own row. ``_rows`` gives one row per operand. Every
 public op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a row
 named after it or prefixed ``<op>_``, and ``tests/test_tensor.py`` checks
 that it does. The "moe" module probes ``MoELayer.forward`` through its input
-or one router weight (``_layer_case``), and "losses" the router losses.
+or one router weight (``_layer_case``), and "losses" the router losses and
+the mean-probability nodes of the dispatch statistics.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def _router_softmaxes(X, W):
     return T.concat_cols(logits + probs)
 
 
+# two groups' top-1 frequencies, and two unimodal subsets' biasing terms
+_F = np.array([[0.4, 0.4, 0.2], [0.0, 0.5, 0.5]])
+_BIAS_TERMS = [(np.array([0, 3]), 0, 0.5), (np.array([1, 2, 4]), 1, 0.75)]
+
+
+def _router_loss_total(ce, b0, b1, s0, z0, z1):
+    return T.router_loss_total(ce, [b0, b1], [s0], [z0, z1], 0.3, 0.7, 1.1)[0]
+
+
 # two packed segments, query rows 0-1 and row 2, over keys 0-2 and 3-4
 _MASK = np.where(np.array([[0], [0], [1]]) == np.array([[0, 0, 0, 1, 1]]), 0.0, -np.inf)
 # operand shapes: a matrix, a stack of two, a vector, an FFN's parameters
@@ -152,6 +162,8 @@ def _case_balance_through_P(seed):
 def _case_bias_through_Q(seed):
     rng = _rng(seed)
     layer = _layer(rng, "hierarchical")
+    # a drawn inter router: at its zero init, Q does not depend on the input
+    layer.inter_router = RouterParams(Tensor(rng.normal(size=(4, 2))))
     return (lambda t: load_biasing_loss(dispatch_stats(layer.route(t, TAGS)))), \
         Tensor(rng.normal(size=M))
 
@@ -166,6 +178,21 @@ def _case_bias_router_weights(seed):
         return load_biasing_loss(dispatch_stats(layer.route(x, [MOD_AUDIO, MOD_VIDEO] * 2)))
 
     return f, Tensor(rng.normal(size=(4, 2)))
+
+
+def _case_mean_probs(seed):
+    """The stats' P and Q nodes, those a caller builds by reading
+    ``expert_P`` and ``Q``, of a hierarchical layer through its input."""
+    rng = _rng(seed)
+    layer = _layer(rng, "hierarchical")
+    layer.inter_router = RouterParams(Tensor(rng.normal(size=(4, 2))))
+    upstream = Tensor(rng.normal(size=10))
+
+    def f(t):
+        stats = dispatch_stats(layer.route(t, TAGS * 2))
+        return T.tsum(T.mul(T.concat_cols([*stats.expert_P, *stats.Q.values()]), upstream))
+
+    return f, Tensor(rng.normal(size=(6, 4)))
 
 
 def _total_aux(logits, f):
@@ -221,6 +248,16 @@ CASES = {
         *_rows("moe_combine", _moe_combine, {"X": (4, 3), "weights": (4, 2), "W1": (3, 3, 2),
                                              "b1": (3, 2), "W2": (3, 2, 3), "b2": (3, 3)}),
         *_rows("router_softmaxes", _router_softmaxes, {"X": (5, 4), "W": (3, 4, 3)}),
+        *_rows("load_balancing", lambda p0, p1: T.load_balancing([p0, p1], _F),
+               {"p0": (5, 3), "p1": (5, 3)}),
+        ("load_biasing", _probe("load_biasing", {"q": (5, 2)}, terms=_BIAS_TERMS)),
+        ("load_biasing_all_rows", _probe("load_biasing", {"q": (5, 2)},
+                                         terms=[(None, 1, 0.6)])),
+        ("squared_logsumexp", _probe("squared_logsumexp", {"a": M})),
+        ("squared_logsumexp_weighted", _probe("squared_logsumexp", {"a": M},
+                                              row_weights=[0.3, 1.0, 0.6])),
+        *_rows("router_loss_total", _router_loss_total,
+               {name: () for name in ("ce", "b0", "b1", "s0", "z0", "z1")}),
     ],
     "moe": [
         ("expert_forward", _probe(_expert, {"x": M, **FFN})),
@@ -243,6 +280,7 @@ CASES = {
                                          {"z": (4,), "f": (4,)}, positive=True)),
         ("load_biasing_through_Q", _case_bias_through_Q),
         ("load_biasing_router_weights", _case_bias_router_weights),
+        ("dispatch_stats_means", _case_mean_probs),
         ("router_z_loss", _probe(router_z_loss, {"logit_rows": M})),
         ("router_z_loss_weighted", _probe(router_z_loss, {"logit_rows": M},
                                           row_weights=[0.3, 1.0, 0.6])),

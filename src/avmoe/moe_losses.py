@@ -2,10 +2,19 @@
 biasing, and the weighted total.
 
 Top-1 frequencies (f, g) enter as constants; gradients flow only through the
-mean-probability terms (P, Q)."""
+mean-probability terms (P, Q).
+
+Each term the supervised step adds is one tape node, a fused op of
+``avmoe.tensor``: a layer's balancing (``load_balancing``, whose gradient
+enters each group's router probabilities), its biasing (``load_biasing``,
+into the inter-router probabilities of each unimodal subset's rows), each
+router's z-loss (``squared_logsumexp``, into its logits), and the weighted
+total of the three layer means and the CE (``router_loss_total``).
+``load_balancing_loss`` stays the one-group chain of primitive ops."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +58,9 @@ def load_balancing_loss(f: np.ndarray, P: Tensor) -> Tensor:
 
 
 def load_balancing_from_stats(stats: DispatchStats) -> Tensor:
-    """Sum of per-group load balancing terms (a single term in flat modes)."""
-    total = None
-    for f, P in zip(stats.expert_f, stats.expert_P):
-        term = load_balancing_loss(f, P)
-        total = term if total is None else T.add(total, term)
-    return total
+    """Sum of per-group load balancing terms (a single term in flat modes),
+    one node over the groups' probability matrices."""
+    return T.load_balancing(stats.expert_probs, stats.expert_f)
 
 
 def router_z_loss(logit_rows: Tensor, row_weights=None) -> Tensor:
@@ -63,18 +69,12 @@ def router_z_loss(logit_rows: Tensor, row_weights=None) -> Tensor:
     if logit_rows.data.ndim != 2:
         raise T.ShapeError(f"router z-loss needs a [tokens x experts] logit matrix, "
                            f"got shape {logit_rows.data.shape}")
-    lse = T.logsumexp(logit_rows)
-    sq = T.mul(lse, lse)
-    if row_weights is None:
-        return T.tmean(sq)
-    w = np.asarray(row_weights, dtype=np.float64)
-    if w.shape != sq.data.shape:
-        raise T.ShapeError(f"{w.shape} row weights for {sq.data.shape[0]} rows")
-    return T.tsum(T.mul(sq, Tensor(w)))
+    return T.squared_logsumexp(logit_rows, row_weights)
 
 
 def load_biasing_loss(stats: DispatchStats) -> Tensor:
-    """(1 - g^A_1 Q^A_1) + (1 - g^V_2 Q^V_2) over the unimodal token subsets.
+    """(1 - g^A_1 Q^A_1) + (1 - g^V_2 Q^V_2) over the unimodal token subsets,
+    one node over the group probabilities.
 
     A term whose subset is empty in the batch contributes 0 (audio-visual
     sequences are excluded by construction)."""
@@ -84,27 +84,24 @@ def load_biasing_loss(stats: DispatchStats) -> Tensor:
     if not stats.g:
         raise UnsupportedConfigError(
             "load biasing needs inter-router group statistics (hierarchical routing)")
-    total = Tensor(0.0)
-    if stats.counts.get(MOD_AUDIO, 0) > 0:
-        g1 = float(stats.g[MOD_AUDIO][AUDIO_GROUP])
-        q1 = T.take(stats.Q[MOD_AUDIO], [AUDIO_GROUP])
-        total = T.add(total, T.sub(Tensor(1.0), T.scale(T.tsum(q1), g1)))
-    if stats.counts.get(MOD_VIDEO, 0) > 0:
-        g2 = float(stats.g[MOD_VIDEO][VIDEO_GROUP])
-        q2 = T.take(stats.Q[MOD_VIDEO], [VIDEO_GROUP])
-        total = T.add(total, T.sub(Tensor(1.0), T.scale(T.tsum(q2), g2)))
-    return total
+    terms = [(stats.subsets[tag], group, float(stats.g[tag][group]))
+             for tag, group in ((MOD_AUDIO, AUDIO_GROUP), (MOD_VIDEO, VIDEO_GROUP))
+             if stats.counts.get(tag, 0) > 0]
+    return T.load_biasing(stats.group_probs, terms)
 
 
 def total_aux_loss(ce, balance, bias, z, c_balance: float = DEFAULT_C_B,
                    c_bias: float = DEFAULT_C_S) -> LossBundle:
     """Weighted combination L_CE + c_B L_B + c_S L_S + c_Z L_Z, with c_Z
-    fixed at ``DEFAULT_C_Z``."""
-    ce, balance, bias, z = (x if isinstance(x, Tensor) else Tensor(float(x))
-                            for x in (ce, balance, bias, z))
+    fixed at ``DEFAULT_C_Z``, as one node. Each of ``balance``, ``bias`` and
+    ``z`` is a loss or a list of per-layer losses whose mean is the term (0
+    for an empty list)."""
+    ce = ce if isinstance(ce, Tensor) else Tensor(float(ce))
+    terms = [[x if isinstance(x, Tensor) else Tensor(float(x))
+              for x in (xs if isinstance(xs, list) else [xs])] for xs in (balance, bias, z)]
+    total, means = T.router_loss_total(ce, *terms, c_balance, c_bias, DEFAULT_C_Z)
+    balance, bias, z = (Tensor(m) for m in means)
     for name, t in (("ce", ce), ("balance", balance), ("bias", bias), ("z", z)):
-        if not np.isfinite(t.data).all():
+        if not math.isfinite(t.data):
             raise T.NumericError(f"loss component {name} is not finite")
-    total = T.add(T.add(ce, T.scale(balance, c_balance)),
-                  T.add(T.scale(bias, c_bias), T.scale(z, DEFAULT_C_Z)))
     return LossBundle(ce=ce, balance=balance, bias=bias, z=z, total=total)

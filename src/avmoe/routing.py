@@ -7,8 +7,9 @@ Conventions:
 - expert ids are flat across groups (group g, local j -> g * n_per_group + j);
 - a routing keeps k weights per token, in selection order: [B x k] beside
   the [B x k] selected ids, never spread over all experts;
-- top-1 frequencies (f, g) are non-differentiable statistics; gradients flow
-  only through mean probabilities (P, Q).
+- top-1 frequencies (f, g) are non-differentiable statistics; the router
+  losses differentiate through the mean probabilities (P, Q) of the
+  routing's own probability tensors.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ class Routing:
     weight of expert ``selected[:, j]``; in grouped modes it already folds in
     the group weights.
     ``logits`` and ``expert_probs`` hold one [B x n_g] matrix per expert
-    router; ``group_probs`` is the [B x G] inter-router distribution of the
+    router, and ``stacked_probs`` the [G x B x n] array of their
+    probabilities (stacked from ``expert_probs`` when not given);
+    ``group_probs`` is the [B x G] inter-router distribution of the
     hierarchical mode.
     """
 
@@ -72,6 +75,11 @@ class Routing:
     selected: np.ndarray
     weights: Tensor
     group_probs: Tensor | None = None
+    stacked_probs: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.stacked_probs is None:
+            self.stacked_probs = np.stack([p.data for p in self.expert_probs])
 
     @property
     def group_sizes(self) -> list[int]:
@@ -136,7 +144,7 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
     tag_list = _tags(modalities, B)
     tags = np.asarray(tag_list)
     n_a = routers[0].n_outputs
-    logits, probs, _ = T.router_softmaxes(X, [r.weight for r in routers])
+    logits, probs, stacked = T.router_softmaxes(X, [r.weight for r in routers])
     probs_a, probs_v = probs
     if k % 2 != 0 and MOD_AV in tags:
         raise RoutingConfigError(f"audiovisual hard routing needs even k, got {k}")
@@ -158,7 +166,7 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
                              rows[:, None] * k + np.arange(col, col + kg), (B, k))
             col += kg
             weights = part if weights is None else T.add(weights, part)
-    return Routing(tag_list, logits, probs, selected, weights)
+    return Routing(tag_list, logits, probs, selected, weights, stacked_probs=stacked)
 
 
 def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tensor,
@@ -198,57 +206,84 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
         weights = T.mul(q_rep, T.take(T.concat_cols(inner), _flat(cols, G * k_per_group)))
     selected = (local_ids[group_ids, np.arange(B)[:, None]]
                 + n * group_ids[..., None]).reshape(B, -1)
-    return Routing(_tags(modalities, B), logits, probs, selected, weights, group_probs=q)
+    return Routing(_tags(modalities, B), logits, probs, selected, weights, group_probs=q,
+                   stacked_probs=stacked)
 
 
-@dataclass
 class DispatchStats:
-    """Batch-level load statistics.
+    """Batch-level load statistics of one routing record.
 
-    ``expert_f``/``expert_P`` hold one vector per group (a single entry in
-    flat modes); each f vector sums to 1 when any token was seen. ``g``/``Q``
-    hold group-level top-1 frequencies and mean probabilities keyed by
-    modality subset ('audio', 'video', 'av'); subsets absent from the batch
-    are omitted. ``counts`` gives tokens per subset.
+    ``expert_f`` holds one top-1 frequency vector per expert group (a
+    single one in flat modes), each summing to 1 when any token was seen.
+    ``g`` holds the group-level top-1 frequencies keyed by modality subset
+    ('audio', 'video', 'av'); subsets absent from the batch are omitted.
+    ``counts`` gives tokens per subset. These are plain arrays.
+
+    The router losses differentiate through the routing's own tensors:
+    ``expert_probs``, one [B x n] probability matrix per group, and the
+    [B x G] ``group_probs`` of the hierarchical mode, whose rows of each
+    subset are ``subsets[tag]`` (None when the batch is one subset: every
+    row). ``expert_P`` and ``Q``, the mean probabilities as tape nodes over
+    those (``mean_axis0`` after ``index_rows``), are built on first read
+    unless given; the losses never read them.
     """
 
-    expert_f: list[np.ndarray]
-    expert_P: list[Tensor]
-    g: dict[str, np.ndarray]
-    Q: dict[str, Tensor]
-    counts: dict[str, int]
-    n_groups: int
+    def __init__(self, expert_f, g, counts, n_groups, expert_probs=(), group_probs=None,
+                 subsets=None, *, expert_P=None, Q=None):
+        self.expert_f = expert_f
+        self.g = g
+        self.counts = counts
+        self.n_groups = n_groups
+        self.expert_probs = list(expert_probs)
+        self.group_probs = group_probs
+        self.subsets = {} if subsets is None else subsets
+        self._P, self._Q = expert_P, Q
+
+    @property
+    def expert_P(self) -> list[Tensor]:
+        if self._P is None:
+            self._P = [T.mean_axis0(p) for p in self.expert_probs]
+        return self._P
+
+    @property
+    def Q(self) -> dict[str, Tensor]:
+        if self._Q is None:
+            q = self.group_probs
+            self._Q = {} if q is None else {
+                tag: T.mean_axis0(q if rows is None else T.index_rows(q, rows))
+                for tag, rows in self.subsets.items()}
+        return self._Q
 
 
 def dispatch_stats(routing: Routing) -> DispatchStats:
-    """Aggregate f/P per expert group and g/Q per modality subset over the
-    rows of one routing record."""
+    """Top-1 frequencies f per expert group, from one argmax and one
+    bincount over the routing's stacked probabilities, and g per modality
+    subset; builds no tape node."""
     tags = routing.modalities
     n_tok = len(tags)
-    group_sizes = routing.group_sizes
-
-    expert_f = []
-    expert_P = []
-    for gi, n in enumerate(group_sizes):
-        probs = routing.expert_probs[gi]
-        expert_f.append(np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok)
-        expert_P.append(T.mean_axis0(probs))
+    stacked = routing.stacked_probs
+    G, _, n = stacked.shape
+    top = stacked.argmax(axis=2) + n * np.arange(G)[:, None]
+    expert_f = np.bincount(top.ravel(), minlength=G * n).reshape(G, n) / n_tok
 
     g: dict[str, np.ndarray] = {}
-    Q: dict[str, Tensor] = {}
     counts = {key: 0 for key in MODALITIES}
     group_probs = routing.group_probs
-    subsets = dict.fromkeys(tags)  # in order of first appearance
-    if len(subsets) > 1:
-        tag_array = np.asarray(tags)
-        subsets = {tag: np.flatnonzero(tag_array == tag) for tag in subsets}
+    subsets: dict = {}  # in order of first appearance
+    for i, tag in enumerate(tags):
+        if tag in subsets:
+            subsets[tag].append(i)
+        else:
+            subsets[tag] = [i]
     # a one-subset batch (every decoding step) keeps all of its rows: None
+    subsets = {tag: None if len(subsets) == 1 else np.array(rows, dtype=np.int64)
+               for tag, rows in subsets.items()}
+    if group_probs is not None:
+        top_group = group_probs.data.argmax(axis=1)
     for tag, rows in subsets.items():
         size = n_tok if rows is None else rows.size
         counts[tag] = size
         if group_probs is not None:
-            q = group_probs if rows is None else T.index_rows(group_probs, rows)
-            g[tag] = np.bincount(q.data.argmax(axis=1), minlength=q.data.shape[1]) / size
-            Q[tag] = T.mean_axis0(q)
-    return DispatchStats(expert_f=expert_f, expert_P=expert_P, g=g, Q=Q,
-                         counts=counts, n_groups=len(group_sizes))
+            ids = top_group if rows is None else top_group[rows]
+            g[tag] = np.bincount(ids, minlength=group_probs.data.shape[1]) / size
+    return DispatchStats(expert_f, g, counts, G, routing.expert_probs, group_probs, subsets)

@@ -24,8 +24,13 @@ backward: ``attention`` (scores, softmax and the value product), ``ffn``
 (both projections, biases and the GELU between them), ``standardize_rows``
 with an optional residual operand (the add before the norm) and
 ``moe_combine`` (every routed expert's FFN on its rows, with one GELU over
-all of them, weighted and summed per row). Each runs the numpy arithmetic
-of the primitive-op chain it stands for, in the same order;
+all of them, weighted and summed per row). So is each router-loss term of
+the supervised step: ``load_balancing`` (into each group's probabilities),
+``load_biasing`` (into the inter-router probabilities of each subset's
+rows), ``squared_logsumexp`` (the z-loss, into the logits) and
+``router_loss_total`` (the layer means and the weighted total). Each runs
+the numpy arithmetic of the primitive-op chain it stands for, in the same
+order, and hands each operand the gradient that chain's backward would;
 ``tests/test_fused_ops.py`` builds those chains and checks the fused ops
 against them bit for bit. ``router_softmaxes`` fuses only the forward: it
 computes the logits and softmaxes of several routers in one stacked pass,
@@ -772,6 +777,156 @@ def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts) -> Tensor
             X.grad = gX
 
     return _make(data, (X, weights, *params), backward)
+
+
+# -- router losses ------------------------------------------------------------
+# One node per loss term, in the pattern of the fused layers: the forward runs
+# the numpy arithmetic of the primitive-op chain, and the backward hands each
+# operand the array, and in the order, that the chain's backward would.
+
+def load_balancing(probs: list[Tensor], f) -> Tensor:
+    """Switch-style load balancing summed over expert groups: n * sum_i
+    f[g, i] P_i for each group g, P the column means of the [B x n]
+    ``probs[g]`` and f a constant [G x n] array of top-1 frequencies.
+
+    The chain it stands for is ``scale(tsum(mul(f[g], mean_axis0(probs[g]))),
+    n)`` per group, added in group order."""
+    probs = [_as_tensor(p) for p in probs]
+    f = np.asarray(f, dtype=np.float64)
+    if not (probs and len(f) == len(probs)
+            and all(p.data.ndim == 2 and p.data.shape[1:] == fg.shape
+                    for p, fg in zip(probs, f))):
+        raise ShapeError(f"load balancing of probs {[p.data.shape for p in probs]} "
+                         f"against frequencies {f.shape}")
+    total = None
+    for p, fg in zip(probs, f):
+        P = np.add.reduce(p.data, axis=0) / p.data.shape[0]
+        term = (fg * P).sum() * float(fg.shape[0])
+        total = term if total is None else total + term
+    if not _track(*probs):
+        return Tensor(total)
+
+    def backward(g):
+        for p, fg in zip(probs, f):
+            if _needs_grad(p):
+                # the chain's np.full_like(fg, g * n) * fg, one product per entry
+                gP = (g * float(fg.shape[0])) * fg
+                p._accum(np.broadcast_to(gP / p.data.shape[0], p.data.shape))
+
+    return _make(total, tuple(probs), backward)
+
+
+def load_biasing(q: Tensor, terms) -> Tensor:
+    """The sum, from 0, of 1 - w * Q[group] over ``terms`` of (rows, group,
+    w), Q the column means of the rows ``rows`` of the [B x G] ``q`` (all of
+    them when rows is None) and w a constant.
+
+    The chain it stands for is ``index_rows`` of the rows (none for all),
+    ``mean_axis0``, ``take`` of the group, ``tsum``, ``scale`` by w and
+    ``sub`` from 1, each term added in order to a constant 0."""
+    q = _as_tensor(q)
+    if q.data.ndim != 2 or not all(0 <= group < q.data.shape[1] for _, group, _ in terms):
+        raise ShapeError(f"load biasing terms {[t[1] for t in terms]} for group "
+                         f"probabilities of shape {q.data.shape}")
+    terms = [(None if rows is None else np.asarray(rows, dtype=np.int64), group, w)
+             for rows, group, w in terms]
+    total = np.asarray(0.0)
+    for rows, group, w in terms:
+        x = q.data if rows is None else q.data[rows]
+        Q = np.add.reduce(x, axis=0) / x.shape[0]
+        # a one-entry sum, as the chain's take and tsum: -0.0 becomes 0.0
+        total = total + (np.asarray(1.0) - Q[group:group + 1].sum() * w)
+    if not (terms and _track(q)):
+        return Tensor(total)
+
+    def backward(g):
+        for rows, group, w in terms:
+            gQ = np.zeros(q.data.shape[1])
+            gQ[group] += (-g) * w
+            gQ = gQ / (q.data.shape[0] if rows is None else rows.size)
+            if rows is None:
+                q._accum(np.broadcast_to(gQ, q.data.shape))
+            else:  # the zero-filled scatter of index_rows' backward
+                buf = np.zeros_like(q.data)
+                buf[rows] += gQ
+                q._accum(buf)
+
+    return _make(total, (q,), backward)
+
+
+def squared_logsumexp(a: Tensor, row_weights=None) -> Tensor:
+    """Router z-loss of a [rows x n] logit matrix: the squared logsumexp of
+    each row, averaged, or summed weighted by the constant ``row_weights``.
+
+    The chain it stands for is ``logsumexp``, ``mul`` of it with itself, then
+    ``tmean``, or ``mul`` by the weights and ``tsum``."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2 or a.data.size == 0:
+        raise ShapeError(f"squared logsumexp needs a non-empty [rows x n] matrix, "
+                         f"got shape {a.data.shape}")
+    w = None if row_weights is None else np.asarray(row_weights, dtype=np.float64)
+    if w is not None and w.shape != a.data.shape[:1]:
+        raise ShapeError(f"{w.shape} row weights for {a.data.shape[0]} rows")
+    m = np.maximum.reduce(a.data, axis=-1, keepdims=True)
+    e = np.exp(a.data - m)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    lse = (m + np.log(s)).squeeze(-1)
+    sq = lse * lse
+    data = sq.mean() if w is None else (sq * w).sum()
+    if not _track(a):
+        return Tensor(data)
+
+    def backward(g):
+        gsq = np.full_like(sq, g / sq.size) if w is None else g * w
+        # the product's backward adds its two equal halves
+        glse = gsq * lse
+        glse += glse
+        a._accum(glse[:, None] * (e / s))
+
+    return _make(data, (a,), backward)
+
+
+def router_loss_total(ce: Tensor, balance: list[Tensor], bias: list[Tensor],
+                      z: list[Tensor], c_balance: float, c_bias: float, c_z: float):
+    """(ce + c_balance * B) + (c_bias * S + c_z * Z) as one node, B, S and Z
+    the means of the scalar tensors in ``balance``, ``bias`` and ``z``
+    (0 for an empty list). Returns the total and the three means.
+
+    The chain it stands for adds each list in order and scales the sum by
+    1 / its length, then scales and adds the terms in the order above. Its
+    arithmetic is on Python floats, the same IEEE doubles as numpy's."""
+    ce = _as_tensor(ce)
+    groups = [[_as_tensor(t) for t in ts] for ts in (balance, bias, z)]
+    coefs = (c_balance, c_bias, c_z)
+    operands = (ce, *(t for ts in groups for t in ts))
+    if any(t.data.shape != () for t in operands):
+        raise ShapeError("router loss total takes scalar terms")
+    means = []
+    for ts in groups:
+        acc = 0.0
+        if ts:
+            acc = float(ts[0].data)
+            for t in ts[1:]:
+                acc += float(t.data)
+            acc *= 1.0 / len(ts)
+        means.append(acc)
+    (b, s, zm), (cb, cs, cz) = means, coefs
+    data = (float(ce.data) + b * cb) + (s * cs + zm * cz)
+    means = [np.asarray(m) for m in means]
+    if not _track(*operands):
+        return Tensor(data), means
+
+    def backward(g):
+        if _needs_grad(ce):
+            ce._accum(g)
+        for ts, c in zip(groups, coefs):
+            if ts:
+                gt = (float(g) * c) * (1.0 / len(ts))
+                for t in ts:
+                    if _needs_grad(t):
+                        t._accum(gt)
+
+    return _make(data, operands, backward), means
 
 
 # -- gradient checking --------------------------------------------------------

@@ -484,16 +484,15 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     feats, _ = model.encode(audios, videos)
     _, ce, aux = model.decode_train(feats, labels, modality=tags,
                                     feature_lengths=[a.shape[0] for a in audios])
-    zero = Tensor(np.zeros(()))
     stats = {li: layer_aux["stats"] for li, layer_aux in enumerate(aux)
              if layer_aux["stats"] is not None}
     first = next(iter(stats.values()), None)
-    balance = _mean_scalars([load_balancing_from_stats(s) for s in stats.values()])
-    bias = (_mean_scalars([load_biasing_loss(s) for s in stats.values()])
-            if first is not None and first.n_groups == 2 and first.g else zero)
+    balance = [load_balancing_from_stats(s) for s in stats.values()]
+    bias = ([load_biasing_loss(s) for s in stats.values()]
+            if first is not None and first.n_groups == 2 and first.g else [])
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
-    z = _mean_scalars([router_z_loss(rows, row_weights) for rows in logit_rows])
+    z = [router_z_loss(rows, row_weights) for rows in logit_rows]
     bundle = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
                             c_bias=cfg.c_bias)
     return bundle.scalars(), bundle.total, stats

@@ -55,12 +55,10 @@ def test_01_loss_identities():
     lz = float(router_z_loss(Tensor(np.zeros((5, 8)))).data)
     assert abs(lz - math.log(8.0) ** 2) <= 1e-9
     half = np.array([0.5, 0.5])
-    stats = DispatchStats(expert_f=[], expert_P=[],
-                          g={MOD_AUDIO: half, MOD_VIDEO: half},
-                          Q={MOD_AUDIO: Tensor(half.copy()),
-                             MOD_VIDEO: Tensor(half.copy())},
-                          counts={MOD_AUDIO: 4, MOD_VIDEO: 4, MOD_AV: 0},
-                          n_groups=2)
+    stats = DispatchStats(expert_f=[], g={MOD_AUDIO: half, MOD_VIDEO: half},
+                          counts={MOD_AUDIO: 4, MOD_VIDEO: 4, MOD_AV: 0}, n_groups=2,
+                          group_probs=Tensor(np.full((8, 2), 0.5)),
+                          subsets={MOD_AUDIO: np.arange(4), MOD_VIDEO: np.arange(4, 8)})
     assert abs(float(load_biasing_loss(stats).data) - 1.5) <= 1e-12
     print("criterion 1 PASS: closed-form loss identities hold")
 

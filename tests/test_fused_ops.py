@@ -1,8 +1,10 @@
 """The fused ops against the chains of primitive ops they stand for.
 
-``attention``, ``ffn``, ``standardize_rows`` with a residual and
-``moe_combine`` are one tape node each, with a hand-written backward that
-runs the chain's numpy arithmetic in the chain's order; ``router_softmaxes``
+``attention``, ``ffn``, ``standardize_rows`` with a residual,
+``moe_combine`` and the router-loss ops ``load_balancing``,
+``load_biasing``, ``squared_logsumexp`` and ``router_loss_total`` are one
+tape node each, with a hand-written backward that runs the chain's numpy
+arithmetic in the chain's order; ``router_softmaxes``
 runs several routers' forward in one stacked pass and builds the chain's own
 nodes. Their outputs and every operand gradient must therefore equal the
 chain's bit for bit, with constant operands getting no gradient in either.
@@ -343,6 +345,157 @@ def test_encoder_block_equals_its_chain(seed, rows, d):
     assert_bitwise_equal(fused, chain)
 
 
+# -- router losses: the chains the supervised step built before they were fused
+
+def chain_load_balancing(probs, f):
+    """Per group, ``scale(tsum(mul(f, mean_axis0(probs))), n)``, added in
+    group order: the balancing over ``dispatch_stats``'s P nodes."""
+    total = None
+    for p, fg in zip(probs, f):
+        fg = np.asarray(fg, dtype=np.float64)
+        term = T.scale(T.tsum(T.mul(Tensor(fg), T.mean_axis0(p))), float(fg.shape[0]))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def chain_load_biasing(q, terms):
+    """Per (rows, group, w) term, 1 - w * Q[group] with Q the ``mean_axis0``
+    of ``index_rows`` of the rows (of q itself when rows is None), added in
+    order to a constant 0."""
+    total = Tensor(0.0)
+    for rows, group, w in terms:
+        Q = T.mean_axis0(q if rows is None else T.index_rows(q, rows))
+        total = T.add(total, T.sub(Tensor(1.0), T.scale(T.tsum(T.take(Q, [group])), w)))
+    return total
+
+
+def chain_squared_logsumexp(a, row_weights=None):
+    lse = T.logsumexp(a)
+    sq = T.mul(lse, lse)
+    if row_weights is None:
+        return T.tmean(sq)
+    return T.tsum(T.mul(sq, Tensor(np.asarray(row_weights, dtype=np.float64))))
+
+
+def chain_mean(ts):
+    """The mean of scalar tensors as an add chain and a scale (0 for none)."""
+    if not ts:
+        return Tensor(np.zeros(()))
+    total = ts[0]
+    for t in ts[1:]:
+        total = T.add(total, t)
+    return T.scale(total, 1.0 / len(ts))
+
+
+def chain_router_loss_total(ce, balance, bias, z, c_balance, c_bias, c_z):
+    means = [chain_mean(ts) for ts in (balance, bias, z)]
+    total = T.add(T.add(ce, T.scale(means[0], c_balance)),
+                  T.add(T.scale(means[1], c_bias), T.scale(means[2], c_z)))
+    return total, [m.data for m in means]
+
+
+def signed_zeros(rng, a, share=0.3):
+    """``a`` with about ``share`` of its entries set to 0.0 and as many to -0.0."""
+    a = np.array(a, dtype=np.float64)
+    a[rng.random(a.shape) < share] = 0.0
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), B=st.integers(1, 12), G=st.integers(1, 3),
+       n=st.integers(1, 5), zeros=st.booleans(), trainable=st.lists(st.booleans(),
+                                                                     min_size=3, max_size=3))
+def test_load_balancing_equals_its_chain(seed, B, G, n, zeros, trainable):
+    """Softmax rows of G groups against top-1 frequencies; ``zeros`` puts
+    signed zeros among the frequencies and makes the upstream gradient one."""
+    rng = np.random.default_rng(seed)
+    probs = [T._softmax_rows(normal(rng, B, n), None) for _ in range(G)]
+    f = np.stack([np.bincount(p.argmax(axis=1), minlength=n) / B for p in probs])
+    weight = normal(rng)
+    if zeros:
+        f, weight = signed_zeros(rng, f), signed_zeros(rng, weight, 0.5)
+    fused = run(lambda *ps: T.load_balancing(list(ps), f), probs, trainable[:G], weight)
+    chain = run(lambda *ps: chain_load_balancing(ps, f), probs, trainable[:G], weight)
+    assert_bitwise_equal(fused, chain)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), B=st.integers(1, 12), G=st.integers(1, 3),
+       n_terms=st.integers(0, 3), whole=st.booleans(), zeros=st.booleans(),
+       trainable=st.booleans())
+def test_load_biasing_equals_its_chain(seed, B, G, n_terms, whole, zeros, trainable):
+    """Terms over disjoint row subsets, or (``whole``) one term over every
+    row, as a one-subset batch has; ``zeros`` puts signed zeros among the
+    weights w and the upstream gradient."""
+    rng = np.random.default_rng(seed)
+    q = T._softmax_rows(normal(rng, B, G), None)
+    owner = rng.integers(0, max(n_terms, 1), B)
+    subsets = ([None] if whole else
+               [np.flatnonzero(owner == i) for i in range(n_terms)])
+    terms = [(rows, int(rng.integers(0, G)), float(rng.random()))
+             for rows in subsets if rows is None or rows.size]
+    weight = normal(rng)
+    if zeros:
+        ws = signed_zeros(rng, [w for _, _, w in terms], 0.5)
+        terms = [(rows, group, float(w)) for (rows, group, _), w in zip(terms, ws)]
+        weight = signed_zeros(rng, weight, 0.5)
+    fused = run(lambda q: T.load_biasing(q, terms), [q], [trainable], weight)
+    chain = run(lambda q: chain_load_biasing(q, terms), [q], [trainable], weight)
+    assert_bitwise_equal(fused, chain)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 12), n=st.integers(1, 5),
+       weighted=st.booleans(), scale=st.sampled_from([1.0, 30.0, 700.0]),
+       zeros=st.booleans(), trainable=st.booleans())
+def test_squared_logsumexp_equals_its_chain(seed, rows, n, weighted, scale, zeros, trainable):
+    """Mean or weighted z-loss of logits up to a scale that overflows a
+    plain exp; ``zeros`` puts signed zeros among the logits and the row
+    weights."""
+    rng = np.random.default_rng(seed)
+    logits = scale * normal(rng, rows, n)
+    w = rng.random(rows) if weighted else None
+    if zeros:
+        logits = signed_zeros(rng, logits)
+        w = None if w is None else signed_zeros(rng, w)
+    weight = normal(rng)
+    fused = run(lambda a: T.squared_logsumexp(a, w), [logits], [trainable], weight)
+    chain = run(lambda a: chain_squared_logsumexp(a, w), [logits], [trainable], weight)
+    assert_bitwise_equal(fused, chain)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), sizes=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       coefs=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.37, 2.0]), min_size=3, max_size=3),
+       data=st.data())
+def test_router_loss_total_equals_its_chain(seed, sizes, coefs, data):
+    """Lists of 0-3 layer terms each, some constant, and the means returned
+    beside the total."""
+    rng = np.random.default_rng(seed)
+    arrays = [normal(rng)] + [normal(rng) for _ in range(sum(sizes))]
+    trainable = data.draw(st.lists(st.booleans(), min_size=len(arrays),
+                                   max_size=len(arrays)))
+    means = {}
+
+    def op(total):
+        def forward(ce, *terms):
+            groups, start = [], 0
+            for size in sizes:
+                groups.append(list(terms[start:start + size]))
+                start += size
+            out, means[total] = total(ce, *groups, *coefs)
+            return out
+        return forward
+
+    weight = normal(rng)
+    fused = run(op(T.router_loss_total), arrays, trainable, weight)
+    chain = run(op(chain_router_loss_total), arrays, trainable, weight)
+    assert_bitwise_equal(fused, chain)
+    for got, want in zip(means[T.router_loss_total], means[chain_router_loss_total]):
+        assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+
+
 def test_fused_ops_reject_mismatched_shapes():
     rng = np.random.default_rng(0)
     x, W1, b1, W2, b2 = (Tensor(normal(rng, *s)) for s in [(3, 4), (4, 5), (5,), (5, 4), (4,)])
@@ -375,6 +528,21 @@ def test_fused_ops_reject_mismatched_shapes():
                   (Tensor(normal(rng, 2, 3, 4)), [W1]), (x, [Tensor(normal(rng, 4))])]:
         with pytest.raises(T.ShapeError):
             T.router_softmaxes(X, Ws)
+    # frequencies of another width or group count, and a stack of probs
+    p = Tensor(normal(rng, 3, 4))
+    for probs, f in [([p], np.ones((1, 3))), ([p, p], np.ones((1, 4))),
+                     ([Tensor(normal(rng, 2, 3, 4))], np.ones((1, 4))), ([], np.ones((0, 4)))]:
+        with pytest.raises(T.ShapeError):
+            T.load_balancing(probs, f)
+    for q, terms in [(p, [(None, 4, 1.0)]), (Tensor(normal(rng, 4)), [(None, 0, 1.0)])]:
+        with pytest.raises(T.ShapeError):
+            T.load_biasing(q, terms)
+    for a, w in [(Tensor(normal(rng, 4)), None), (Tensor(np.zeros((0, 3))), None),
+                 (p, np.ones(4))]:
+        with pytest.raises(T.ShapeError):
+            T.squared_logsumexp(a, w)
+    with pytest.raises(T.ShapeError):
+        T.router_loss_total(p, [], [], [], 1.0, 1.0, 1.0)
 
 
 def test_stacked_ops_reject_mismatched_ranks():

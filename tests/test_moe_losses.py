@@ -2,24 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
+from avmoe.model import sequence_mean_weights
 from avmoe.moe_losses import (
     DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, UnsupportedConfigError, load_balancing_loss,
     load_biasing_loss,
     router_z_loss, total_aux_loss,
 )
 from avmoe.routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, DispatchStats, RouterParams,
-    dispatch_stats, route_hard, route_hierarchical, route_sparse,
+    AUDIO_GROUP, MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, VIDEO_GROUP, DispatchStats,
+    RouterParams, dispatch_stats, route_hard, route_hierarchical, route_sparse,
 )
 from avmoe.tensor import Tensor, grad_check
+from avmoe.trainer import TrainConfig, _supervised_step, build_model
+from test_fused_ops import chain_mean, chain_router_loss_total, chain_squared_logsumexp
 
 
 def stats_with(g, Q, counts, n_groups=2):
-    return DispatchStats(expert_f=[], expert_P=[], g=g,
-                         Q={k: Tensor(v) for k, v in Q.items()},
-                         counts=counts, n_groups=n_groups)
+    """Stats whose subset means are ``Q``: one row of group probabilities per
+    subset."""
+    tags = list(Q)
+    return DispatchStats(expert_f=[], g=g, counts=counts, n_groups=n_groups,
+                         group_probs=Tensor(np.array([Q[t] for t in tags])) if tags else None,
+                         subsets={t: np.array([i]) for i, t in enumerate(tags)})
 
 
 class TestLoadBalancing:
@@ -200,3 +207,100 @@ class TestTotalAuxLoss:
     def test_non_finite_rejected(self):
         with pytest.raises(T.NumericError):
             total_aux_loss(float("nan"), 0.0, 0.0, 0.0)
+
+
+# -- the supervised step against the chains it fused ---------------------------
+
+def chain_supervised_step(model, cfg, batch):
+    """The supervised step as it ran before its loss terms were fused: P and
+    Q as ``mean_axis0``/``index_rows`` nodes (the stats' ``expert_P`` and
+    ``Q``), each loss term a chain of primitive ops, and the means and the
+    weighted total add and scale chains."""
+    audios, videos, labels, tags = (list(col) for col in zip(*batch))
+    feats, _ = model.encode(audios, videos)
+    _, ce, aux = model.decode_train(feats, labels, modality=tags,
+                                    feature_lengths=[a.shape[0] for a in audios])
+    stats = [layer_aux["stats"] for layer_aux in aux if layer_aux["stats"] is not None]
+    balance = []
+    for s in stats:
+        total = None
+        for f, P in zip(s.expert_f, s.expert_P):
+            term = load_balancing_loss(f, P)
+            total = term if total is None else T.add(total, term)
+        balance.append(total)
+    bias = []
+    if stats and stats[0].n_groups == 2 and stats[0].g:
+        for s in stats:
+            total = Tensor(0.0)
+            for tag, group in ((MOD_AUDIO, AUDIO_GROUP), (MOD_VIDEO, VIDEO_GROUP)):
+                if s.counts.get(tag, 0) > 0:
+                    q = T.take(s.Q[tag], [group])
+                    total = T.add(total, T.sub(Tensor(1.0),
+                                               T.scale(T.tsum(q), float(s.g[tag][group]))))
+            bias.append(total)
+    row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
+    z = [chain_squared_logsumexp(rows, row_weights)
+         for layer_aux in aux for rows in layer_aux["logit_rows"]]
+    total, means = chain_router_loss_total(ce, balance, bias, z, cfg.c_balance, cfg.c_bias,
+                                           DEFAULT_C_Z)
+    scalars = {"L_CE": float(ce.data), "L_B": float(means[0]), "L_S": float(means[1]),
+               "L_Z": float(means[2]), "total": float(total.data)}
+    assert chain_mean(balance).data.tobytes() == means[0].tobytes()
+    return scalars, total
+
+
+STEP_MOE = {
+    "dense_ffn": {},
+    "sparse_topk": {"n_experts": 4, "k": 2},
+    "hard": {"n_groups": 2, "n_per_group": 3, "k": 2},
+    "hierarchical": {"n_groups": 2, "n_per_group": 3},
+    "hierarchical_three_groups": {"mode": "hierarchical", "n_groups": 3, "n_per_group": 2},
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(moe=st.sampled_from(sorted(STEP_MOE)), m=st.integers(1, 2),
+       k_per_group=st.integers(1, 2), n_dec=st.integers(1, 3),
+       lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       tags=st.lists(st.sampled_from(MODALITIES), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_supervised_step_is_bitwise_the_chain_step(moe, m, k_per_group, n_dec, lengths,
+                                                   tags, seed):
+    """Each loss term one node: the same scalars, total and parameter
+    gradients, bit for bit and stride for stride, as the chains of primitive
+    ops, whose backward walk adds three or more gradients into the MoE
+    inputs and the group probabilities."""
+    fields = dict(STEP_MOE[moe])
+    mode = fields.pop("mode", moe)
+    if mode == "hierarchical":
+        fields |= {"m": min(m, fields["n_groups"]), "k_per_group": k_per_group}
+    cfg = TrainConfig.from_dict({
+        "regime": "supervised_moe", "steps": 1, "batch_size": 1, "seed": seed % 97,
+        "model": {"dim_audio": 6, "dim_video": 6, "d": 8, "h": 8, "n_enc": 1,
+                  "n_dec": n_dec, "vocab": 6, "topk_blocks": 1,
+                  "moe": {"mode": mode, "d": 8, "h": 8, **fields}},
+        "generator": {"vocab": 6, "dim_audio": 6, "dim_video": 6}})
+    rng = np.random.default_rng(seed)
+    batch = [(rng.normal(size=(2 * n, 6)), rng.normal(size=(2 * n, 6)),
+              rng.integers(0, 6, size=n), tag) for n, tag in zip(lengths, tags)]
+    center = rng.normal(size=8)
+    # trained inter routers: at init they are zero, and so is the gradient
+    # they pass on to the MoE input, whatever the order it is added in
+    inter = rng.normal(size=(n_dec, 8, fields.get("n_groups", 1)))
+    runs = []
+    for step in (_supervised_step, chain_supervised_step):
+        model = build_model(cfg)
+        for blk, w in zip(model.decoder_blocks, inter):
+            blk.moe.inter_center = center.copy()
+            if blk.moe.inter_router is not None:
+                blk.moe.inter_router.weight.data[:] = w
+        scalars, total = step(model, cfg, batch)[:2]
+        total.backward()
+        runs.append((scalars, total.data.tobytes(), model.named_params()))
+    (got, got_total, got_params), (want, want_total, want_params) = runs
+    assert got == want and got_total == want_total
+    for name, p in got_params.items():
+        g, w = p.grad, want_params[name].grad
+        assert (g is None) == (w is None), name
+        if g is not None:
+            assert g.tobytes() == w.tobytes() and g.strides == w.strides, name
