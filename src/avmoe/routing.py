@@ -271,10 +271,7 @@ def dispatch_stats(routing: Routing) -> DispatchStats:
     group_probs = routing.group_probs
     subsets: dict = {}  # in order of first appearance
     for i, tag in enumerate(tags):
-        if tag in subsets:
-            subsets[tag].append(i)
-        else:
-            subsets[tag] = [i]
+        subsets.setdefault(tag, []).append(i)
     # a one-subset batch (every decoding step) keeps all of its rows: None
     subsets = {tag: None if len(subsets) == 1 else np.array(rows, dtype=np.int64)
                for tag, rows in subsets.items()}

@@ -17,7 +17,7 @@ from avmoe.routing import (
 )
 from avmoe.tensor import Tensor, grad_check
 from avmoe.trainer import TrainConfig, _supervised_step, build_model
-from test_fused_ops import chain_mean, chain_router_loss_total, chain_squared_logsumexp
+from test_fused_ops import chain_router_loss_total, chain_squared_logsumexp
 
 
 def stats_with(g, Q, counts, n_groups=2):
@@ -245,7 +245,6 @@ def chain_supervised_step(model, cfg, batch):
                                            DEFAULT_C_Z)
     scalars = {"L_CE": float(ce.data), "L_B": float(means[0]), "L_S": float(means[1]),
                "L_Z": float(means[2]), "total": float(total.data)}
-    assert chain_mean(balance).data.tobytes() == means[0].tobytes()
     return scalars, total
 
 
