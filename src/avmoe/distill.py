@@ -123,12 +123,12 @@ def _apply_mode(A: np.ndarray, V: np.ndarray, mode: str, plan: CorruptionPlan | 
     raise ValueError(f"unknown modality mode {mode!r}")
 
 
-def _standardize_frames(X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """(X - mean) / sqrt(var + eps) per row (last axis), in place on X, with
+def _standardize_frames(X: np.ndarray) -> np.ndarray:
+    """(X - mean) / sqrt(var + 1e-6) per row (last axis), in place on X, with
     the arithmetic of X.mean and X.var without their Python-level wrappers."""
     n = X.shape[-1]
     X -= np.add.reduce(X, axis=-1, keepdims=True) / n
-    X /= np.sqrt(np.add.reduce(X * X, axis=-1, keepdims=True) / n + eps)
+    X /= np.sqrt(np.add.reduce(X * X, axis=-1, keepdims=True) / n + 1e-6)
     return X
 
 

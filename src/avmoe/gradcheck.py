@@ -4,7 +4,7 @@ operation, grouped by module for selective runs from the CLI.
 ``CASES`` maps each module to its (name, builder) rows; a builder, given a
 seed, returns (f, x) where f maps a Tensor to a scalar Tensor, and `run`
 reports the max relative error per case across seeds. Gradients are checked
-with respect to inputs, weights, and probability paths (P/Q) alike by making
+with respect to inputs, weights, and router probabilities alike by making
 the probe tensor play those roles.
 
 The "tensor" module is one table of operand probes: each row is
@@ -15,8 +15,9 @@ gradient fails its own row. ``_rows`` gives one row per operand. Every
 public op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a row
 named after it or prefixed ``<op>_``, and ``tests/test_tensor.py`` checks
 that it does. The "moe" module probes ``MoELayer.forward`` through its input
-or one router weight (``_layer_case``), and "losses" the router losses and
-the mean-probability nodes of the dispatch statistics.
+or one router weight (``_layer_case``), and "losses" the router losses
+through the routings they read (the z-loss's own op, ``squared_logsumexp``,
+has its rows in "tensor").
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _expert(x, W1, b1, W2, b2):
     return ExpertFFN(W1, b1, W2, b2).forward(x)
 
 
-# -- loss cases with gradient paths through P/Q -------------------------------
+# -- loss cases with gradient paths through the router probabilities ----------
 
 def _case_balance_through_P(seed):
     rng = _rng(seed)
@@ -178,21 +179,6 @@ def _case_bias_router_weights(seed):
         return load_biasing_loss(dispatch_stats(layer.route(x, [MOD_AUDIO, MOD_VIDEO] * 2)))
 
     return f, Tensor(rng.normal(size=(4, 2)))
-
-
-def _case_mean_probs(seed):
-    """The stats' P and Q nodes, those a caller builds by reading
-    ``expert_P`` and ``Q``, of a hierarchical layer through its input."""
-    rng = _rng(seed)
-    layer = _layer(rng, "hierarchical")
-    layer.inter_router = RouterParams(Tensor(rng.normal(size=(4, 2))))
-    upstream = Tensor(rng.normal(size=10))
-
-    def f(t):
-        stats = dispatch_stats(layer.route(t, TAGS * 2))
-        return T.tsum(T.mul(T.concat_cols([*stats.expert_P, *stats.Q.values()]), upstream))
-
-    return f, Tensor(rng.normal(size=(6, 4)))
 
 
 def _total_aux(logits, f):
@@ -280,10 +266,6 @@ CASES = {
                                          {"z": (4,), "f": (4,)}, positive=True)),
         ("load_biasing_through_Q", _case_bias_through_Q),
         ("load_biasing_router_weights", _case_bias_router_weights),
-        ("dispatch_stats_means", _case_mean_probs),
-        ("router_z_loss", _probe(router_z_loss, {"logit_rows": M})),
-        ("router_z_loss_weighted", _probe(router_z_loss, {"logit_rows": M},
-                                          row_weights=[0.3, 1.0, 0.6])),
         ("router_z_through_router", _probe(
             lambda X, W: router_z_loss(route_dense(RouterParams(W), X)[0]),
             {"X": M, "W": (4, 4)})),

@@ -135,9 +135,8 @@ def sequence_mean_weights(lengths) -> np.ndarray:
     return np.repeat(1.0 / (lengths.size * lengths), lengths)
 
 
-def _linear(rng, n_in, n_out, scale=None):
-    scale = scale if scale is not None else 1.0 / np.sqrt(n_in)
-    return Tensor.param(scale * rng.normal(size=(n_in, n_out)))
+def _linear(rng, n_in, n_out):
+    return Tensor.param((1.0 / np.sqrt(n_in)) * rng.normal(size=(n_in, n_out)))
 
 
 class AttentionBlock:

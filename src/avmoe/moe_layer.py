@@ -41,11 +41,11 @@ class ExpertFFN:
     eval_count: int = 0  # token evaluations, for the sparsity contract
 
     @staticmethod
-    def init(d: int, h: int, rng, scale: float = 0.1) -> "ExpertFFN":
+    def init(d: int, h: int, rng) -> "ExpertFFN":
         return ExpertFFN(
-            W1=Tensor.param(scale * rng.normal(size=(d, h))),
+            W1=Tensor.param(0.1 * rng.normal(size=(d, h))),
             b1=Tensor.param(np.zeros(h)),
-            W2=Tensor.param(scale * rng.normal(size=(h, d))),
+            W2=Tensor.param(0.1 * rng.normal(size=(h, d))),
             b2=Tensor.param(np.zeros(d)),
         )
 

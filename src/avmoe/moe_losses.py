@@ -2,7 +2,8 @@
 biasing, and the weighted total.
 
 Top-1 frequencies (f, g) enter as constants; gradients flow only through the
-mean-probability terms (P, Q).
+mean probabilities (P, Q), which each op takes itself of the router
+probability tensors that ``DispatchStats`` carries.
 
 Each term the supervised step adds is one tape node, a fused op of
 ``avmoe.tensor``: a layer's balancing (``load_balancing``, whose gradient
@@ -65,10 +66,8 @@ def load_balancing_from_stats(stats: DispatchStats) -> Tensor:
 
 def router_z_loss(logit_rows: Tensor, row_weights=None) -> Tensor:
     """Mean over tokens of squared logsumexp of the [tokens x experts] router
-    logits, or, given ``row_weights``, their sum weighted by them."""
-    if logit_rows.data.ndim != 2:
-        raise T.ShapeError(f"router z-loss needs a [tokens x experts] logit matrix, "
-                           f"got shape {logit_rows.data.shape}")
+    logits, or, given ``row_weights``, their sum weighted by them; the op
+    checks the shape."""
     return T.squared_logsumexp(logit_rows, row_weights)
 
 

@@ -14,7 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,6 +210,7 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
                    stacked_probs=stacked)
 
 
+@dataclass
 class DispatchStats:
     """Batch-level load statistics of one routing record.
 
@@ -223,36 +224,16 @@ class DispatchStats:
     ``expert_probs``, one [B x n] probability matrix per group, and the
     [B x G] ``group_probs`` of the hierarchical mode, whose rows of each
     subset are ``subsets[tag]`` (None when the batch is one subset: every
-    row). ``expert_P`` and ``Q``, the mean probabilities as tape nodes over
-    those (``mean_axis0`` after ``index_rows``), are built on first read
-    unless given; the losses never read them.
+    row). The losses take the mean probabilities (P, Q) of these themselves.
     """
 
-    def __init__(self, expert_f, g, counts, n_groups, expert_probs=(), group_probs=None,
-                 subsets=None, *, expert_P=None, Q=None):
-        self.expert_f = expert_f
-        self.g = g
-        self.counts = counts
-        self.n_groups = n_groups
-        self.expert_probs = list(expert_probs)
-        self.group_probs = group_probs
-        self.subsets = {} if subsets is None else subsets
-        self._P, self._Q = expert_P, Q
-
-    @property
-    def expert_P(self) -> list[Tensor]:
-        if self._P is None:
-            self._P = [T.mean_axis0(p) for p in self.expert_probs]
-        return self._P
-
-    @property
-    def Q(self) -> dict[str, Tensor]:
-        if self._Q is None:
-            q = self.group_probs
-            self._Q = {} if q is None else {
-                tag: T.mean_axis0(q if rows is None else T.index_rows(q, rows))
-                for tag, rows in self.subsets.items()}
-        return self._Q
+    expert_f: np.ndarray  # [G x n]
+    g: dict[str, np.ndarray]
+    counts: dict[str, int]
+    n_groups: int
+    expert_probs: list[Tensor] = field(default_factory=list)
+    group_probs: Tensor | None = None
+    subsets: dict[str, np.ndarray | None] = field(default_factory=dict)
 
 
 def dispatch_stats(routing: Routing) -> DispatchStats:

@@ -129,9 +129,10 @@ class Tensor:
                 for p in node._parents:
                     if p._backward is not None and p not in visited:
                         stack.append((p, False))
+        # every op hands each interior operand a gradient
+        # (tests/test_tensor.py::test_every_interior_node_takes_a_gradient)
         for node in reversed(topo):
-            if node.grad is not None:
-                node._backward(node.grad)
+            node._backward(node.grad)
 
     def _accum(self, g):
         if self.grad is None:
@@ -348,11 +349,10 @@ def _softmax_derivative(g, y):
     return d
 
 
-def softmax(a: Tensor, mask=None) -> Tensor:
-    """Row-wise (last axis) softmax with max subtraction, of ``a + mask``
-    when a constant ``mask`` is given."""
+def softmax(a: Tensor) -> Tensor:
+    """Row-wise (last axis) softmax with max subtraction."""
     a = _as_tensor(a)
-    y = _softmax_rows(a.data, mask)
+    y = _softmax_rows(a.data, None)
     if not _track(a):
         return Tensor(y)
     return _make(y, (a,), _softmax_backward(a, y))
@@ -540,10 +540,10 @@ def stack_slice(stack: Tensor, i: int) -> Tensor:
 
 # -- normalization ------------------------------------------------------------
 
-def standardize_rows(a: Tensor, residual: Tensor | None = None,
-                     eps: float = 1e-6) -> Tensor:
+def standardize_rows(a: Tensor, residual: Tensor | None = None) -> Tensor:
     """Zero-mean unit-variance per row (last axis) of ``a``, or of
-    ``a + residual`` (same shape) as one node, with no learned affine."""
+    ``a + residual`` (same shape) as one node, with no learned affine; the
+    variance takes an epsilon of 1e-6."""
     a = _as_tensor(a)
     x, operands = a.data, (a,)
     if residual is not None:
@@ -553,7 +553,7 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None,
         x, operands = x + residual.data, (a, residual)
     n = x.shape[-1]
     # the arithmetic of x.mean and x.var without their Python-level wrappers:
-    # centered = x - mean, inv = 1.0 / sqrt(var + eps), y = centered * inv.
+    # centered = x - mean, inv = 1.0 / sqrt(var + 1e-6), y = centered * inv.
     # Only the row-sized arrays are updated in place: on a one-element array
     # (the statistics of one row) an in-place op costs more than a new one.
     mean = np.add.reduce(x, axis=-1, keepdims=True) / n
@@ -562,7 +562,7 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None,
     else:  # x is this op's own sum
         y = x
         y -= mean
-    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-6)
     y *= inv
     if not _track(*operands):
         return Tensor(y)
@@ -862,7 +862,7 @@ def squared_logsumexp(a: Tensor, row_weights=None) -> Tensor:
     ``tmean``, or ``mul`` by the weights and ``tsum``."""
     a = _as_tensor(a)
     if a.data.ndim != 2 or a.data.size == 0:
-        raise ShapeError(f"squared logsumexp needs a non-empty [rows x n] matrix, "
+        raise ShapeError(f"squared logsumexp needs a non-empty [rows x n] logit matrix, "
                          f"got shape {a.data.shape}")
     w = None if row_weights is None else np.asarray(row_weights, dtype=np.float64)
     if w is not None and w.shape != a.data.shape[:1]:

@@ -810,9 +810,9 @@ def repr_distance_report(model_before: Model, model_after: Model,
     return {"d_before": d_before, "d_after": d_after, "relative_change": rel}
 
 
-def _unit_rows(X: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def _unit_rows(X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1, keepdims=True)
-    return X / np.maximum(norms, eps)
+    return X / np.maximum(norms, 1e-12)
 
 
 # -- entry point --------------------------------------------------------------

@@ -233,7 +233,7 @@ def test_gradcheck_passes_and_prints_errors(capsys):
     rc = main(["gradcheck", "--module", "losses", "--seeds", "2"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
-    assert "losses.router_z_loss" in out
+    assert "losses.router_z_through_router" in out
     assert "ok:" in out
 
 

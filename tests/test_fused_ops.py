@@ -86,7 +86,9 @@ def scatter_rows(rows, idx, n_rows):
 def chain_attention(Q, K, V, mask):
     matmul = T.matmul if Q.data.ndim == 2 else stack_matmul
     scores = T.scale(matmul(Q, transpose(K)), 1.0 / math.sqrt(Q.data.shape[-1]))
-    return matmul(T.softmax(scores, mask), V)
+    if mask is not None:
+        scores = T.add(scores, Tensor(mask))
+    return matmul(T.softmax(scores), V)
 
 
 def chain_standardize(a, residual):
@@ -356,6 +358,17 @@ def chain_load_balancing(probs, f):
         term = T.scale(T.tsum(T.mul(Tensor(fg), T.mean_axis0(p))), float(fg.shape[0]))
         total = term if total is None else T.add(total, term)
     return total
+
+
+def chain_mean_probs(stats):
+    """The mean probabilities of a ``DispatchStats`` as ``mean_axis0`` nodes
+    over its probability tensors: P per expert group, and Q per modality
+    subset, after ``index_rows`` of the subset's rows (none without group
+    probabilities)."""
+    q = stats.group_probs
+    return [T.mean_axis0(p) for p in stats.expert_probs], {} if q is None else {
+        tag: T.mean_axis0(q if rows is None else T.index_rows(q, rows))
+        for tag, rows in stats.subsets.items()}
 
 
 def chain_load_biasing(q, terms):

@@ -17,7 +17,7 @@ from avmoe.routing import (
 )
 from avmoe.tensor import Tensor, grad_check
 from avmoe.trainer import TrainConfig, _supervised_step, build_model
-from test_fused_ops import chain_router_loss_total, chain_squared_logsumexp
+from test_fused_ops import chain_mean_probs, chain_router_loss_total, chain_squared_logsumexp
 
 
 def stats_with(g, Q, counts, n_groups=2):
@@ -213,9 +213,9 @@ class TestTotalAuxLoss:
 
 def chain_supervised_step(model, cfg, batch):
     """The supervised step as it ran before its loss terms were fused: P and
-    Q as ``mean_axis0``/``index_rows`` nodes (the stats' ``expert_P`` and
-    ``Q``), each loss term a chain of primitive ops, and the means and the
-    weighted total add and scale chains."""
+    Q as ``mean_axis0``/``index_rows`` nodes over the stats' probability
+    tensors (``chain_mean_probs``), each loss term a chain of primitive ops,
+    and the means and the weighted total add and scale chains."""
     audios, videos, labels, tags = (list(col) for col in zip(*batch))
     feats, _ = model.encode(audios, videos)
     _, ce, aux = model.decode_train(feats, labels, modality=tags,
@@ -224,17 +224,18 @@ def chain_supervised_step(model, cfg, batch):
     balance = []
     for s in stats:
         total = None
-        for f, P in zip(s.expert_f, s.expert_P):
+        for f, P in zip(s.expert_f, chain_mean_probs(s)[0]):
             term = load_balancing_loss(f, P)
             total = term if total is None else T.add(total, term)
         balance.append(total)
     bias = []
     if stats and stats[0].n_groups == 2 and stats[0].g:
         for s in stats:
+            Q = chain_mean_probs(s)[1]
             total = Tensor(0.0)
             for tag, group in ((MOD_AUDIO, AUDIO_GROUP), (MOD_VIDEO, VIDEO_GROUP)):
                 if s.counts.get(tag, 0) > 0:
-                    q = T.take(s.Q[tag], [group])
+                    q = T.take(Q[tag], [group])
                     total = T.add(total, T.sub(Tensor(1.0),
                                                T.scale(T.tsum(q), float(s.g[tag][group]))))
             bias.append(total)

@@ -28,3 +28,37 @@ def test_lines_are_classified_by_owner_and_error_path():
         4: ("f", False), 5: ("f", False), 6: ("f", False),
         7: ("f", True), 8: ("f", True), 9: ("f", True), 10: ("f", True),
         12: ("<module>", False), 13: ("C", False), 14: ("C.m", False)}
+
+
+TRACED = ("def f(x, scale=2.0, eps=1e-6):\n"
+          "    if x > 0:\n"
+          "        y = x\n"
+          "    else:\n"
+          "        y = -x\n"
+          "    if any(v >= 0 for v in [y]):\n"
+          "        y = y * scale\n"
+          "    if y is None:\n"
+          "        raise ValueError('no')\n"
+          "    return y + eps\n"
+          "\n"
+          "def g(flag):\n"
+          "    if flag:\n"
+          "        return 1\n"
+          "\n"
+          "f(1.0)\n"
+          "f(-1.0, scale=3.0)\n"
+          "g(True)\n"
+          "g(False)\n")
+
+
+def test_arcs_and_arguments_find_untaken_arms_and_unvaried_defaults(tmp_path):
+    """Both arms of ``x > 0`` and of ``flag`` (its false arm returns) are
+    taken, the test of line 6 is never false (the return of its generator's
+    own frame is no arm of it), the guard before a raise is not listed, and
+    of f's defaults only ``eps`` is never passed."""
+    name = str(tmp_path / "tiny.py")
+    with reach.traced(str(tmp_path)) as trace:
+        exec(compile(TRACED, name, "exec"), {})
+    assert reach.untaken_arms(TRACED, trace.arcs[name]) == [(6, "f", "false", "any(v >= 0 for v in [y])")]
+    assert reach.always_default(trace.params[name]) == [("f", "eps=1e-06", 2)]
+    assert trace.lines[name] >= {3, 5, 7, 10, 14} and 9 not in trace.lines[name]

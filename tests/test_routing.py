@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.moe_layer import MoELayer, MoELayerConfig
+from avmoe.moe_losses import (
+    load_balancing_from_stats, load_balancing_loss, load_biasing_loss,
+)
 from avmoe.routing import (
     MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, DispatchStats, RouterParams, Routing,
     RoutingConfigError, dispatch_stats, route_dense, route_hard, route_hierarchical,
     route_sparse, select_topk,
 )
 from avmoe.tensor import ShapeError, Tensor
-from test_fused_ops import concat_rows
+from test_fused_ops import chain_mean_probs, concat_rows
 
 
 def make_router(d, n, seed=0, scale=1.0):
@@ -218,8 +221,8 @@ class TestDispatchStats:
     def test_uniform_probs_uniform_P(self):
         router = RouterParams(Tensor.param(np.zeros((3, 4))))
         r = route_sparse(router, Tensor(np.random.default_rng(0).normal(size=(5, 3))), 2)
-        stats = dispatch_stats(r)
-        assert np.allclose(stats.expert_P[0].data, 0.25, atol=1e-12)
+        P, _ = chain_mean_probs(dispatch_stats(r))
+        assert np.allclose(P[0].data, 0.25, atol=1e-12)
 
     def test_hand_count_oracle(self):
         inter = make_router(2, 2, seed=30)
@@ -261,13 +264,14 @@ class TestDispatchStats:
             np.concatenate([a.selected, b.selected]),
             concat_rows([a.weights, b.weights]),
             group_probs=concat_rows([a.group_probs, b.group_probs])))
+        (whole_P, whole_Q), (parts_P, parts_Q) = chain_mean_probs(whole), chain_mean_probs(parts)
         for gi in range(2):
             assert np.array_equal(whole.expert_f[gi], parts.expert_f[gi])
-            assert np.allclose(whole.expert_P[gi].data, parts.expert_P[gi].data, atol=1e-15)
+            assert np.allclose(whole_P[gi].data, parts_P[gi].data, atol=1e-15)
         assert whole.counts == parts.counts
         for tag in (MOD_AUDIO, MOD_VIDEO, MOD_AV):
             assert np.array_equal(whole.g[tag], parts.g[tag])
-            assert np.allclose(whole.Q[tag].data, parts.Q[tag].data, atol=1e-15)
+            assert np.allclose(whole_Q[tag].data, parts_Q[tag].data, atol=1e-15)
 
     def test_frequency_vectors_sum_to_one(self):
         rng = np.random.default_rng(33)
@@ -278,8 +282,10 @@ class TestDispatchStats:
 
 
 def oracle_dispatch_stats(routing):
-    """The earlier ``dispatch_stats``: one string array of the tags, and each
-    subset's rows found with ``flatnonzero`` however many subsets there are."""
+    """The earlier ``dispatch_stats``: one string array of the tags, each
+    subset's rows found with ``flatnonzero`` however many subsets there are,
+    and the mean probabilities as tape nodes. Returns the stats, P per group
+    and Q per subset."""
     tags = np.asarray(routing.modalities)
     n_tok = tags.size
     group_sizes = routing.group_sizes
@@ -294,56 +300,99 @@ def oracle_dispatch_stats(routing):
     g = {}
     Q = {}
     counts = {key: 0 for key in MODALITIES}
+    subsets = {}
     group_probs = routing.group_probs
     for tag in dict.fromkeys(tags.tolist()):
         rows = np.flatnonzero(tags == tag)
         counts[tag] = rows.size
+        subsets[tag] = None if rows.size == n_tok else rows
         if group_probs is not None:
             q = group_probs if rows.size == n_tok else T.index_rows(group_probs, rows)
             g[tag] = np.bincount(q.data.argmax(axis=1),
                                  minlength=q.data.shape[1]) / rows.size
             Q[tag] = T.mean_axis0(q)
-    return DispatchStats(expert_f=expert_f, expert_P=expert_P, g=g, Q=Q,
-                         counts=counts, n_groups=len(group_sizes))
+    stats = DispatchStats(expert_f=expert_f, g=g, counts=counts, n_groups=len(group_sizes),
+                          expert_probs=routing.expert_probs, group_probs=group_probs,
+                          subsets=subsets)
+    return stats, expert_P, Q
+
+
+def fused_losses(routing, biasing):
+    """Balancing, plus biasing when asked, of ``dispatch_stats``: one node each."""
+    stats = dispatch_stats(routing)
+    loss = load_balancing_from_stats(stats)
+    return stats, T.add(loss, load_biasing_loss(stats)) if biasing else loss
+
+
+def chain_losses(routing, biasing):
+    """The same losses as chains over the oracle's P and Q nodes."""
+    stats, P, Q = oracle_dispatch_stats(routing)
+    loss = None
+    for f, mean in zip(stats.expert_f, P):
+        term = load_balancing_loss(f, mean)
+        loss = term if loss is None else T.add(loss, term)
+    if biasing:
+        bias = Tensor(0.0)
+        for tag, group in ((MOD_AUDIO, 0), (MOD_VIDEO, 1)):
+            if stats.counts[tag] > 0:
+                bias = T.add(bias, T.sub(Tensor(1.0), T.scale(
+                    T.tsum(T.take(Q[tag], [group])), float(stats.g[tag][group]))))
+        loss = T.add(loss, bias)
+    return stats, loss
 
 
 STATS_LAYERS = {
     "sparse_topk": {"n_experts": 5, "k": 2},
     "hard": {"n_groups": 2, "n_per_group": 3, "k": 2},
     "hierarchical": {"n_groups": 3, "n_per_group": 2, "m": 2, "k_per_group": 1},
+    "hierarchical_two_groups": {"mode": "hierarchical", "n_groups": 2, "n_per_group": 3,
+                                "m": 1, "k_per_group": 1},
 }
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 16), mode=st.sampled_from(sorted(STATS_LAYERS)),
+@given(seed=st.integers(0, 2 ** 16), layer=st.sampled_from(sorted(STATS_LAYERS)),
        B=st.integers(1, 12), one_tag=st.sampled_from([None, *MODALITIES]))
-def test_dispatch_stats_equals_the_oracle(seed, mode, B, one_tag):
+def test_dispatch_stats_equals_the_oracle(seed, layer, B, one_tag):
     """Single-tag batches (``one_tag``; every decoding step is one) and mixed
-    ones: equal bytes of every frequency, count, mean probability and mean
-    probability gradient, in every routed mode."""
+    ones: equal bytes of every frequency, count and subset, and of the value
+    and every gradient of the losses the stats feed, in every routed mode.
+    The fused balancing and biasing hand the router probabilities, the input
+    and the router weights what the chains over the oracle's mean
+    probabilities hand them."""
     rng = np.random.default_rng(seed)
-    moe = MoELayer(MoELayerConfig(mode=mode, d=4, h=3, **STATS_LAYERS[mode]), rng)
+    fields = dict(STATS_LAYERS[layer])
+    mode = fields.pop("mode", layer)
+    moe = MoELayer(MoELayerConfig(mode=mode, d=4, h=3, **fields), rng)
     X = rng.normal(size=(B, 4))
     tags = ([one_tag] * B if one_tag is not None
             else [MODALITIES[i] for i in rng.integers(0, len(MODALITIES), B)])
-    weight = {key: rng.normal(size=8) for key in ("P0", "P1", "P2", *MODALITIES)}
+    if moe.inter_router is not None:
+        # drawn: at its zero init the inter router hands the input no gradient
+        moe.inter_router.weight.data[:] = rng.normal(size=moe.inter_router.weight.shape)
+    biasing = fields.get("n_groups") == 2 and mode == "hierarchical"
 
-    def run(stats_fn):
+    def run(losses):
         for p in moe.router_params():
             p.zero_grad()
         x = Tensor(X, requires_grad=True)
-        stats = stats_fn(moe.route(x, tags))
-        means = {f"P{i}": P for i, P in enumerate(stats.expert_P)} | stats.Q
-        T.tsum(T.concat_cols([T.mul(mean, Tensor(weight[key][:mean.data.size]))
-                              for key, mean in means.items()])).backward()
-        grads = [mean.grad for mean in means.values()]
-        return stats, means, grads + [x.grad] + [p.grad for p in moe.router_params()]
+        routing = moe.route(x, tags)
+        stats, loss = losses(routing, biasing)
+        loss.backward()
+        # the group probabilities and the inter router take a gradient only
+        # from the biasing of a unimodal subset
+        biased = biasing and not {MOD_AUDIO, MOD_VIDEO}.isdisjoint(tags)
+        probs = routing.expert_probs + [routing.group_probs] * biased
+        inter = () if biased or moe.inter_router is None else (moe.inter_router.weight,)
+        return stats, loss, [p.grad for p in probs] + [x.grad] + [
+            p.grad for p in moe.router_params() if p not in inter]
 
-    (got, got_means, got_grads), (want, want_means, want_grads) = (
-        run(dispatch_stats), run(oracle_dispatch_stats))
+    (got, got_loss, got_grads), (want, want_loss, want_grads) = (
+        run(fused_losses), run(chain_losses))
     assert got.counts == want.counts and got.n_groups == want.n_groups
-    assert list(got.g) == list(want.g) and list(got_means) == list(want_means)
+    assert list(got.g) == list(want.g) and list(got.subsets) == list(want.subsets)
+    for a, b in zip(got.subsets.values(), want.subsets.values()):
+        assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
     for a, b in [*zip(got.expert_f, want.expert_f), *zip(got.g.values(), want.g.values()),
-                 *((got_means[key].data, want_means[key].data) for key in want_means),
-                 *zip(got_grads, want_grads)]:
+                 (got_loss.data, want_loss.data), *zip(got_grads, want_grads)]:
         assert a is not None and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -10,6 +10,8 @@ from avmoe.tensor import (
     Tensor, ShapeError, attention, cross_entropy_rows, grad_check, matmul, mse,
     softmax,
 )
+from avmoe.trainer import TrainConfig, train
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def test_matmul_identity():
@@ -276,6 +278,46 @@ def test_constant_operands_get_no_gradient():
     total.backward()
     assert x.grad is not None
     assert {name: t.grad for name, t in consts.items() if t.grad is not None} == {}
+
+
+def _walked(root):
+    """The nodes ``root.backward()`` walks: every node with a backward that
+    the parents lead to from ``root``."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and node not in seen:
+            seen.add(node)
+            stack.extend(node._parents)
+    return seen
+
+
+def test_every_interior_node_takes_a_gradient(monkeypatch):
+    """No op's backward leaves an interior operand without a gradient, so
+    ``Tensor.backward`` runs each walked node's backward unguarded: after
+    every backward of every gradcheck case, with the checked tensor made an
+    interior operand, and of every training step of the golden configs (all
+    three regimes), each walked node holds a gradient."""
+    walks, missing = [], []
+    backward = Tensor.backward
+
+    def checked(self):
+        backward(self)
+        nodes = _walked(self)
+        walks.append(len(nodes))
+        missing.extend(n._backward.__qualname__ for n in nodes if n.grad is None)
+
+    monkeypatch.setattr(Tensor, "backward", checked)
+    n_cases = 0
+    for cases in CASES.values():
+        for _, build in cases:
+            f, x = build(0)
+            f(T.scale(Tensor(x.data, requires_grad=True), 1.0)).backward()
+            n_cases += 1
+    for config in GOLDEN_CONFIGS.values():
+        train(TrainConfig.from_dict(config))
+    assert missing == []
+    assert len(walks) > n_cases and min(walks) >= 2
 
 
 def test_every_public_op_has_a_gradcheck_case():

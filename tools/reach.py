@@ -1,7 +1,7 @@
-"""List the lines of ``src/avmoe`` that no entry point runs.
+"""List what of ``src/avmoe`` no entry point runs or varies.
 
-It line-traces, in this one process, every entry point a user or the
-benchmark has:
+It traces, in this one process, every entry point a user or the benchmark
+has:
 
 - ``python -m avmoe.cli train`` on each config of ``tools/same_runs.py``,
   plus one run with ``--seed`` and one with ``AVMOE_SEED`` set;
@@ -11,12 +11,21 @@ benchmark has:
 - ``perfbench/worker.py --setup-only`` and ``--smoke`` on each workload;
 - the demos.
 
-Then it prints each never-run line of ``src/avmoe`` that is not part of a
-``raise`` statement or an ``except`` handler, grouped by the function or
-class that holds it, and the totals. Tests are not entry points: a line
-only a test runs is listed.
+The one traced pass records the lines each frame runs, its line-to-line
+arcs, and the arguments of each call. Then it prints three lists:
 
-Usage, from the repository root (about 35 s on one core)::
+1. each never-run line of ``src/avmoe`` that is not part of a ``raise``
+   statement or an ``except`` handler, grouped by the function or class that
+   holds it, and the line totals;
+2. each ``if`` statement that ran but whose true or false arm no entry point
+   took, except a guard whose body is one ``raise``;
+3. each defaulted parameter of a module-level function or a method that
+   every call left at its default value.
+
+Tests are not entry points: a line, an arm or an argument that only a test
+runs or passes is listed.
+
+Usage, from the repository root (about 40 s on one core)::
 
     python tools/reach.py
 
@@ -34,12 +43,28 @@ import runpy
 import sys
 import tempfile
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avmoe"
 EVALUATED = ("supervised_hierarchical", "supervised_dense_ffn_sgd",
              "uptrain_default_tasks", "combined_seven_tasks")
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+RETURN = 0  # the arc target of a frame's return
+
+
+def _walk(node: ast.AST, scope: str = "<module>"):
+    """Each node below ``node``, with the qualified name of the innermost
+    function or class holding it, or ``<module>``; a def line and its
+    decorators are held by the enclosing scope."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        if isinstance(child, SCOPES):
+            yield from _walk(child, f"{scope}.{child.name}" if scope != "<module>"
+                             else child.name)
+        else:
+            yield from _walk(child, scope)
 
 
 def classify(source: str) -> dict[int, tuple[str, bool]]:
@@ -49,20 +74,13 @@ def classify(source: str) -> dict[int, tuple[str, bool]]:
     tree = ast.parse(source)
     owner: dict[int, str] = {}
     error_path: set[int] = set()
-
-    def visit(node: ast.AST, scope: str):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # the def line and its decorators run in the enclosing scope
-                inner = f"{scope}.{child.name}" if scope != "<module>" else child.name
-                for line in range(child.body[0].lineno, child.end_lineno + 1):
-                    owner[line] = inner
-            if isinstance(child, (ast.Raise, ast.ExceptHandler)):
-                error_path.update(range(child.lineno, child.end_lineno + 1))
-            visit(child, inner)
-
-    visit(tree, "<module>")
+    for node, scope in _walk(tree):
+        if isinstance(node, SCOPES):
+            inner = f"{scope}.{node.name}" if scope != "<module>" else node.name
+            for line in range(node.body[0].lineno, node.end_lineno + 1):
+                owner[line] = inner
+        if isinstance(node, (ast.Raise, ast.ExceptHandler)):
+            error_path.update(range(node.lineno, node.end_lineno + 1))
     lines: set[int] = set()
     stack = [compile(tree, "<source>", "exec")]
     while stack:
@@ -73,28 +91,127 @@ def classify(source: str) -> dict[int, tuple[str, bool]]:
     return {line: (owner.get(line, "<module>"), line in error_path) for line in sorted(lines)}
 
 
-def _tracer(hits: dict[str, set[int]]):
-    """A ``sys.settrace`` function that records into ``hits`` the lines run
-    by the code of every file under ``PACKAGE``."""
-    prefix = str(PACKAGE) + os.sep
-    wanted: dict = {}  # code object -> its file's hit set, or None
+def untaken_arms(source: str, arcs: set[tuple[int, int]]) -> list[tuple[int, str, str, str]]:
+    """(line, holder, arm, test) of each ``if`` statement of ``source`` that
+    ``arcs`` leave from but never along its ``arm``, "true" or "false"; an
+    ``if`` whose body is one ``raise`` is left out.
+
+    The true arm is taken by an arc from a line of the test into the body,
+    and the false arm by one from the test to anywhere else: the ``else``
+    block, the next statement, or the frame's return (``RETURN``)."""
+    untaken = []
+    for node, scope in _walk(ast.parse(source)):
+        if not isinstance(node, ast.If) or (
+                len(node.body) == 1 and isinstance(node.body[0], ast.Raise)):
+            continue
+        test = range(node.lineno, node.test.end_lineno + 1)
+        body = range(node.body[0].lineno, node.body[-1].end_lineno + 1)
+        targets = [after for before, after in arcs if before in test and after not in test]
+        if not targets:
+            continue  # never run: the line list shows it
+        text = ast.get_source_segment(source, node.test).split("\n")[0]
+        for arm, taken in (("true", any(t in body for t in targets)),
+                           ("false", any(t not in body for t in targets))):
+            if not taken:
+                untaken.append((node.lineno, scope, arm, text))
+    return untaken
+
+
+def _defaults(code, namespace: dict) -> list[list]:
+    """[name, default, calls, calls at the default] for each defaulted
+    parameter of the function of ``code``, found by its qualified name in its
+    module's ``namespace``; none for a nested function or a lambda."""
+    target = namespace
+    for part in code.co_qualname.split("."):
+        target = (target if isinstance(target, dict) else getattr(target, "__dict__", {})
+                  ).get(part)
+    target = getattr(target, "__func__", target)  # a staticmethod's function
+    if getattr(target, "__code__", None) is not code:
+        return []
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = dict(zip(positional[len(positional) - len(target.__defaults__ or ()):],
+                        target.__defaults__ or ()))
+    return [[name, default, 0, 0]
+            for name, default in {**defaults, **(target.__kwdefaults__ or {})}.items()]
+
+
+def _at_default(value, default) -> bool:
+    return value is default or (type(value) is type(default)
+                                and isinstance(default, (int, float, str))
+                                and value == default)
+
+
+@dataclass
+class Trace:
+    """What the traced code of one file set ran, keyed by file name."""
+
+    lines: dict[str, set[int]] = field(default_factory=dict)
+    # (line, next line run in the same frame, or RETURN)
+    arcs: dict[str, set[tuple[int, int]]] = field(default_factory=dict)
+    # function qualname -> its _defaults rows
+    params: dict[str, dict[str, list[list]]] = field(default_factory=dict)
+
+
+@contextlib.contextmanager
+def traced(prefix: str):
+    """Trace, into the ``Trace`` it yields, the code of every file whose name
+    starts with ``prefix`` that the block calls."""
+    trace = Trace()
+    wanted: dict = {}  # code object -> (line set, arc set, defaults), or None
+
+    def records(name, code, namespace):
+        # a comprehension's or a lambda's frame holds no if statement, but
+        # shares its lines with one's test
+        arcs = (set() if code.co_name.startswith("<") and code.co_name != "<module>"
+                else trace.arcs.setdefault(name, set()))
+        defaults = _defaults(code, namespace)
+        if defaults:  # a module that runs again shares its functions' counts
+            defaults = trace.params.setdefault(name, {}).setdefault(code.co_qualname, defaults)
+        return trace.lines.setdefault(name, set()), arcs, defaults
 
     def global_trace(frame, event, arg):
         code = frame.f_code
         seen = wanted.get(code, False)
         if seen is False:
-            seen = wanted[code] = (hits.setdefault(code.co_filename, set())
-                                   if code.co_filename.startswith(prefix) else None)
+            name = code.co_filename
+            seen = wanted[code] = None if not name.startswith(prefix) else records(
+                name, code, frame.f_globals)
         if seen is None:
             return None
+        lines, arcs, defaults = seen
+        if defaults:
+            values = frame.f_locals
+            for row in defaults:
+                row[2] += 1
+                row[3] += _at_default(values.get(row[0]), row[1])
+        last = frame.f_lineno
 
         def local_trace(frame, event, arg):
+            nonlocal last
             if event == "line":
-                seen.add(frame.f_lineno)
+                line = frame.f_lineno
+                lines.add(line)
+                arcs.add((last, line))
+                last = line
+            elif event == "return":
+                arcs.add((last, RETURN))
             return local_trace
         return local_trace
 
-    return global_trace
+    previous = sys.gettrace()
+    sys.settrace(global_trace)
+    try:
+        yield trace
+    finally:
+        sys.settrace(previous)
+
+
+def always_default(params: dict[str, list[list]]) -> list[tuple[str, str, int]]:
+    """(function, parameter=default, calls) of each parameter in ``params``
+    (a ``Trace.params`` entry) that every call left at its default."""
+    return [(function, f"{name}={default!r}", calls)
+            for function, rows in params.items()
+            for name, default, calls, at_default in rows if calls and calls == at_default]
 
 
 def _run_entry_points(work: Path) -> list[str]:
@@ -143,25 +260,25 @@ def _run_entry_points(work: Path) -> list[str]:
 
 
 def main() -> int:
-    hits: dict[str, set[int]] = {}
     cwd, argv = os.getcwd(), sys.argv
     with tempfile.TemporaryDirectory(prefix="reach_") as work:
         os.chdir(work)
-        sys.settrace(_tracer(hits))
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(io.StringIO()), \
+                    traced(str(PACKAGE) + os.sep) as trace:
                 failed = _run_entry_points(Path(work))
         finally:
-            sys.settrace(None)
             os.chdir(cwd)
             sys.argv = argv
 
     total = run = error_path = 0
+    arms, n_ifs, params = [], 0, []
     for path in sorted(PACKAGE.glob("*.py")):
-        seen = hits.get(str(path), set())
+        name, source = path.relative_to(ROOT / "src"), path.read_text()
+        seen = trace.lines.get(str(path), set())
         missed: dict[str, list[int]] = {}
-        for line, (owner, is_error_path) in classify(path.read_text()).items():
+        for line, (owner, is_error_path) in classify(source).items():
             total += 1
             if line in seen:
                 run += 1
@@ -170,14 +287,26 @@ def main() -> int:
             else:
                 missed.setdefault(owner, []).append(line)
         for owner, lines in missed.items():
-            print(f"{path.relative_to(ROOT / 'src')} {owner}: "
-                  + ", ".join(map(str, lines)))
+            print(f"{name} {owner}: " + ", ".join(map(str, lines)))
+        arcs = trace.arcs.get(str(path), set())
+        n_ifs += sum(isinstance(node, ast.If) and node.lineno in seen
+                     for node in ast.walk(ast.parse(source)))
+        arms += [f"{name} {owner} {line}: never {arm}: if {test}"
+                 for line, owner, arm, test in untaken_arms(source, arcs)]
+        params += [f"{name} {function}({param}): {calls} calls"
+                   for function, param, calls in always_default(trace.params.get(str(path), {}))]
     for line in failed:
         print(f"entry point failed, so its lines may be missing: {line}")
     listed = total - run - error_path
     print(f"{total} executable lines in src/avmoe, {run} run; of the "
           f"{total - run} never run, {error_path} are in a raise statement or an "
           f"except handler and {listed} are listed above")
+    print("\n".join(["", *arms]))
+    print(f"{n_ifs} if statements run; {len(arms)} above have an arm no entry point "
+          f"takes (a guard whose body is one raise is not listed)")
+    print("\n".join(["", *params]))
+    print(f"{len(params)} defaulted parameters above are left at their default "
+          f"by every call")
     return 0
 
 
