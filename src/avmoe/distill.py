@@ -14,7 +14,12 @@ and runs them in one no-grad encode of the encoder's stack list form: one
 stack of modes per pair, the row-wise layers once over all of their rows
 and attention per stack (one-frame pairs run apart, as one stack). The
 student's task inputs of a pair (`student_input`) go through one encode of
-a 3-D stack, whose slices (`tensor.stack_slice`) feed the task losses.
+a 3-D stack. Each MSE task loss reads its slice of that stack itself and is
+one tape node (`tensor.head_mse`: the head product, the frame gather and
+the MSE); MLM scores a `tensor.stack_slice` of it. `cav2vec_total_loss`
+takes every task loss of a step as (loss, share) terms of the
+`LOSS_COLUMNS` and makes the column means and the weighted total one node
+(`tensor.task_loss_total`).
 """
 
 from __future__ import annotations
@@ -178,23 +183,30 @@ def teacher_targets(teacher: Encoder, pairs: Sequence,
     return out
 
 
-def _frame_indices(M, n: int) -> list[int]:
-    """The distinct frame indices in M, ascending; ValueError when M is
-    empty, IndexError when one lies outside [0, n)."""
-    idx = sorted(set(int(i) for i in M))
-    if not idx:
+def _frame_indices(M, n: int):
+    """M, distinct frame indices in ascending order as ``corrupted_frames``
+    gives them; ValueError when M is empty, IndexError when one lies outside
+    [0, n)."""
+    if len(M) == 0:
         raise ValueError("no frames to score")
-    if idx[0] < 0 or idx[-1] >= n:
+    if M[0] < 0 or M[-1] >= n:
         raise IndexError(f"mask index outside [0, {n})")
-    return idx
+    return M
 
 
-def masked_prediction_loss(student_out: Tensor, targets: np.ndarray, M) -> Tensor:
-    """MSE between student features and targets over the frames in M, which
-    must not be empty."""
-    idx = _frame_indices(M, student_out.data.shape[0])
-    picked = T.index_rows(student_out, idx)
-    return T.mse(picked, Tensor(targets[idx]))
+def masked_prediction_loss(features: Tensor, i: int, targets: np.ndarray, M,
+                           head: Tensor) -> Tensor:
+    """MASK's loss: the MSE over the frames M (``corrupted_frames``, not
+    empty) between slice i of the student's [n x T x d] feature stack,
+    through the task's ``head``, and the teacher ``targets``, as one
+    ``tensor.head_mse`` node."""
+    return T.head_mse(features, i, head, targets, _frame_indices(M, features.data.shape[1]))
+
+
+# the corrupted-prediction variants' name for the same loss: over a variant's
+# corrupted index set, of the slice of its student input (``student_input``),
+# against the clean teacher targets of its target mode
+corrupted_prediction_loss = masked_prediction_loss
 
 
 def _task(name: str) -> Task:
@@ -222,16 +234,6 @@ def teacher_mode(task: str, plan: CorruptionPlan) -> str:
     """The modality mode of the task's teacher target on a pair with ``plan``."""
     mode = _task(task).target_mode
     return _KEPT_MODES[plan.modality_drop] if mode == MODE_KEPT else mode
-
-
-def corrupted_prediction_loss(features: Tensor, targets: np.ndarray,
-                              frames: list[int], head: Tensor) -> Tensor:
-    """One corrupted-prediction task: the MSE over ``frames``, a variant's
-    corrupted index set (``corrupted_frames``, not empty), between the
-    student's ``features`` of the variant's input (``student_input``),
-    through the variant's ``head``, and the clean teacher ``targets`` of its
-    target mode."""
-    return masked_prediction_loss(T.matmul(features, head), targets, frames)
 
 
 def make_centroids(n_centroids: int, d: int, seed: int = 0) -> np.ndarray:
@@ -263,14 +265,16 @@ def mlm_loss(student_features: Tensor, centroids: np.ndarray,
     return T.cross_entropy_rows(logits, [int(t) for t in target_ids])
 
 
-def cav2vec_total_loss(acp: Tensor, vcp: Tensor, mask: Tensor, mlm: Tensor) -> Tensor:
-    """The task losses' sum, each weighted by its ``TASK_WEIGHTS`` entry."""
-    w = TASK_WEIGHTS
-    for name, v in (("acp", acp), ("vcp", vcp), ("mask", mask), ("mlm", mlm)):
-        if not np.isfinite(v.data).all():
-            raise T.NumericError(f"non-finite {name} loss component")
-    return T.add(T.add(T.scale(acp, w["acp"]), T.scale(vcp, w["vcp"])),
-                 T.add(T.scale(mask, w["mask"]), T.scale(mlm, w["mlm"])))
+def cav2vec_total_loss(acp: list, vcp: list, mask: list, mlm: list):
+    """The task losses' weighted sum: each of the ``LOSS_COLUMNS`` is the
+    mean of its list of (loss, share) terms, weighted by its ``TASK_WEIGHTS``
+    entry, all in one ``tensor.task_loss_total`` node. Returns the total and
+    the four column means."""
+    total, means = T.task_loss_total((acp, vcp, mask, mlm), list(TASK_WEIGHTS.values()))
+    for column, m in zip(LOSS_COLUMNS, means):
+        if not np.isfinite(m):
+            raise T.NumericError(f"non-finite {column} loss component")
+    return total, means
 
 
 @dataclass

@@ -108,6 +108,20 @@ def _router_loss_total(ce, b0, b1, s0, z0, z1):
     return T.router_loss_total(ce, [b0, b1], [s0], [z0, z1], 0.3, 0.7, 1.1)[0]
 
 
+# scored rows 0 and 2 of slice 1 of a [2 x 3 x 4] stack, against [3 x 3] targets
+_TARGETS = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
+
+
+def _head_mse(stack, head):
+    return T.head_mse(stack, 1, head, _TARGETS, [0, 2])
+
+
+def _task_loss_total(shared, a0, v0, m0):
+    """Four columns, one empty, and a loss with a share in two of them."""
+    columns = ([(shared, 0.5), (a0, 1.0)], [(shared, 0.5), (v0, 1.0)], [(m0, 1.0)], [])
+    return T.task_loss_total(columns, [1.0, 0.7, 1.3, 2.0])[0]
+
+
 # two packed segments, query rows 0-1 and row 2, over keys 0-2 and 3-4
 _MASK = np.where(np.array([[0], [0], [1]]) == np.array([[0, 0, 0, 1, 1]]), 0.0, -np.inf)
 # operand shapes: a matrix, a stack of two, a vector, an FFN's parameters
@@ -204,7 +218,6 @@ CASES = {
         ("softmax_rows", _probe("softmax", {"a": M})),
         ("normalize_rows", _probe("normalize_rows", {"a": M}, positive=True)),
         ("logsumexp", _probe("logsumexp", {"a": M})),
-        ("mse", _probe("mse", {"pred": M, "target": M})),
         ("cross_entropy_rows", _probe("cross_entropy_rows", {"logits": M},
                                       target_ids=[1, 3, 1])),
         ("cross_entropy_rows_weighted", _probe("cross_entropy_rows", {"logits": M},
@@ -244,6 +257,9 @@ CASES = {
                                               row_weights=[0.3, 1.0, 0.6])),
         *_rows("router_loss_total", _router_loss_total,
                {name: () for name in ("ce", "b0", "b1", "s0", "z0", "z1")}),
+        *_rows("head_mse", _head_mse, {"stack": S, "head": (4, 3)}),
+        *_rows("task_loss_total", _task_loss_total,
+               {name: () for name in ("shared", "a0", "v0", "m0")}),
     ],
     "moe": [
         ("expert_forward", _probe(_expert, {"x": M, **FFN})),

@@ -28,14 +28,17 @@ all of them, weighted and summed per row). So is each router-loss term of
 the supervised step: ``load_balancing`` (into each group's probabilities),
 ``load_biasing`` (into the inter-router probabilities of each subset's
 rows), ``squared_logsumexp`` (the z-loss, into the logits) and
-``router_loss_total`` (the layer means and the weighted total). Each runs
-the numpy arithmetic of the primitive-op chain it stands for, in the same
-order, and hands each operand the gradient that chain's backward would;
-``tests/test_fused_ops.py`` builds those chains and checks the fused ops
-against them bit for bit. ``router_softmaxes`` fuses only the forward: it
-computes the logits and softmaxes of several routers in one stacked pass,
-and with a tape it still builds each router's own matmul and softmax
-nodes, so its gradients are the per-router chain's.
+``router_loss_total`` (the layer means and the weighted total), and so are
+the other losses: ``cross_entropy_rows``, ``head_mse`` (one uptraining
+task's head product, frame gather and MSE, read from its slice of the
+student stack) and ``task_loss_total`` (the task columns' means and their
+weighted total). Each runs the numpy arithmetic of the primitive-op chain
+it stands for, in the same order, and hands each operand the gradient that
+chain's backward would; ``tests/test_fused_ops.py`` builds those chains and
+checks the fused ops against them bit for bit. ``router_softmaxes`` fuses
+only the forward: it computes the logits and softmaxes of several routers
+in one stacked pass, and with a tape it still builds each router's own
+matmul and softmax nodes, so its gradients are the per-router chain's.
 """
 
 from __future__ import annotations
@@ -423,34 +426,145 @@ def logsumexp(a: Tensor) -> Tensor:
 
 
 # -- losses -------------------------------------------------------------------
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"mse shape mismatch: {pred.data.shape} vs {target.data.shape}")
-    d = sub(pred, target)
-    return tmean(mul(d, d))
-
+# One node per loss, in the pattern of the fused layers below: the forward runs
+# the numpy arithmetic of the primitive-op chain, and the backward hands each
+# operand the array, and in the order, that the chain's backward would.
 
 def cross_entropy_rows(logits: Tensor, target_ids, row_weights=None) -> Tensor:
     """Mean cross-entropy over rows of a 2-D logit matrix, or, given
-    ``row_weights``, the sum of the rows' cross-entropies weighted by them."""
+    ``row_weights``, the sum of the rows' cross-entropies weighted by them.
+
+    The chain it stands for is ``logsumexp`` of the rows and ``take`` of each
+    row's target logit, then ``scale(sub(tsum(lse), tsum(picked)), 1 / rows)``,
+    or ``tsum(mul(sub(lse, picked), row_weights))``."""
     logits = _as_tensor(logits)
-    n_rows, n_cls = logits.data.shape
+    a = logits.data
+    n_rows, n_cls = a.shape
     ids = np.asarray(target_ids, dtype=np.int64)
     if ids.shape != (n_rows,):
         raise ShapeError(f"need {n_rows} targets, got shape {ids.shape}")
     if ids.min() < 0 or ids.max() >= n_cls:
         raise IndexError(f"target id out of range for {n_cls} classes")
-    lse = logsumexp(logits)  # [rows]
-    flat = ids + np.arange(n_rows) * n_cls
-    picked = take(logits, flat)
-    if row_weights is None:
-        return scale(sub(tsum(lse), tsum(picked)), 1.0 / n_rows)
-    w = np.asarray(row_weights, dtype=np.float64)
-    if w.shape != (n_rows,):
+    w = None if row_weights is None else np.asarray(row_weights, dtype=np.float64)
+    if w is not None and w.shape != (n_rows,):
         raise ShapeError(f"need {n_rows} row weights, got shape {w.shape}")
-    return tsum(mul(sub(lse, picked), Tensor(w)))
+    m = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = (m + np.log(s)).squeeze(-1)
+    flat = ids + np.arange(n_rows) * n_cls
+    picked = a.reshape(-1)[flat]
+    if w is None:
+        data = (lse.sum() - picked.sum()) * (1.0 / n_rows)
+    else:
+        data = ((lse - picked) * w).sum()
+    if not _track(logits):
+        return Tensor(data)
+
+    def backward(g):
+        glse = np.full_like(lse, g * (1.0 / n_rows)) if w is None else np.full_like(lse, g) * w
+        # take's zero-filled scatter of -glse, added to logsumexp's gradient
+        gpicked = np.zeros(a.size)
+        gpicked[flat] += -glse
+        ga = np.expand_dims(glse, -1) * (e / s)
+        ga += gpicked.reshape(a.shape)
+        logits._accum(ga)
+
+    return _make(data, (logits,), backward)
+
+
+def head_mse(stack: Tensor, i: int, head: Tensor, targets, rows) -> Tensor:
+    """mean(((stack[i] @ head)[rows] - targets[rows]) ** 2): the mean squared
+    error between the rows ``rows`` (distinct) of slice i of an [n x T x d]
+    stack through a [d x m] head and the same rows of the constant [T x m]
+    ``targets``.
+
+    The chain it stands for is ``stack_slice``, ``matmul`` by the head over
+    all T rows (a one-row product takes another BLAS path than a gemm row),
+    ``index_rows``, then ``sub`` of the targets, ``mul`` by itself and
+    ``tmean``. The slice's gradient is added into the stack's, from zeros,
+    as ``stack_slice``'s zero-filled buffers add up; for a stack of one
+    slice the chain passes it on as is, which is the same, since a product
+    (this gradient is one) never gives -0.0."""
+    stack, head = _as_tensor(stack), _as_tensor(head)
+    idx = np.asarray(rows, dtype=np.int64)
+    n, t, d = stack.data.shape if stack.data.ndim == 3 else (0, 0, 0)
+    if not (0 <= i < n and head.data.ndim == 2 and head.data.shape[0] == d
+            and np.shape(targets) == (t, head.data.shape[1]) and idx.ndim == 1 and idx.size):
+        raise ShapeError(f"head MSE of slice {i} of {stack.data.shape} through "
+                         f"{head.data.shape} against {np.shape(targets)} on {idx.size} rows")
+    x = stack.data[i]
+    z = x @ head.data
+    diff = z[idx] - targets[idx]
+    sq = diff * diff
+    data = sq.mean()
+    if not _track(stack, head):
+        return Tensor(data)
+
+    def backward(g):
+        # tmean's share of g, times both factors of the product, added
+        gdiff = diff * (g / sq.size)
+        gdiff += gdiff
+        gz = np.zeros_like(z)
+        gz[idx] += gdiff
+        if _needs_grad(stack):
+            if stack.grad is None:
+                stack.grad = np.zeros_like(stack.data)
+            stack.grad[i] += gz @ head.data.T
+        if _needs_grad(head):
+            head._accum(x.T @ gz)
+
+    return _make(data, (stack, head), backward)
+
+
+def task_loss_total(columns, weights):
+    """(w0 * L0 + w1 * L1) + (w2 * L2 + w3 * L3) as one node, L_c the mean
+    of the four ``columns``' terms and w the four ``weights``. A column is a
+    list of (loss, share) terms, each a scalar tensor times a constant share,
+    and its mean is 0 when it has none; one loss may be a term of two
+    columns. Returns the total and the four means.
+
+    The chain it stands for scales a term by its share (none when it is 1),
+    adds a column's terms in order and scales the sum by 1 / their number,
+    then scales and adds the means as above; its arithmetic is on Python
+    floats, the same IEEE doubles as numpy's. That chain's backward walk
+    reaches the columns' losses column by column, and a loss of two columns
+    in its place in the later one; the operands are listed in that order,
+    which is the order they take their gradients in."""
+    if len(columns) != 4 or len(weights) != 4:
+        raise ShapeError(f"task loss total takes four columns and four weights, got "
+                         f"{len(columns)} and {len(weights)}")
+    terms = [(c, k, loss, share) for c, column in enumerate(columns)
+             for k, (loss, share) in enumerate(column)]
+    if any(loss.data.shape != () for _, _, loss, _ in terms):
+        raise ShapeError("task loss total takes scalar losses")
+    means = []
+    for column in columns:
+        acc = 0.0
+        if column:
+            acc = float(column[0][0].data) * column[0][1]
+            for loss, share in column[1:]:
+                acc += float(loss.data) * share
+            acc *= 1.0 / len(column)
+        means.append(acc)
+    w = weights
+    data = (means[0] * w[0] + means[1] * w[1]) + (means[2] * w[2] + means[3] * w[3])
+    means = [np.asarray(m) for m in means]
+    # each loss at its last column's place
+    last = {id(loss): (c, k, loss) for c, k, loss, _ in terms}
+    operands = tuple(loss for _, _, loss in sorted(last.values(), key=lambda v: v[:2]))
+    if not _track(*operands):
+        return Tensor(data), means
+
+    def backward(g):
+        for column, wc in zip(columns, w):
+            if column:
+                gc = (float(g) * wc) * (1.0 / len(column))
+                for loss, share in column:
+                    if _needs_grad(loss):
+                        loss._accum(gc * share)
+
+    return _make(data, operands, backward), means
 
 
 # -- indexing -----------------------------------------------------------------

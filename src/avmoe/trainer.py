@@ -422,15 +422,6 @@ def make_optimizer(name: str, lr: float, params: list[Tensor],
     raise ConfigError(f"unknown optimizer {name!r}; expected 'sgd' or 'adam'")
 
 
-def _mean_scalars(ts: list[Tensor]) -> Tensor:
-    if not ts:
-        return Tensor(np.zeros(()))
-    total = ts[0]
-    for t in ts[1:]:
-        total = T.add(total, t)
-    return T.scale(total, 1.0 / len(ts))
-
-
 # -- data sampling ------------------------------------------------------------
 
 def _corrupt_all_audio(audio: np.ndarray, video: np.ndarray, rng, snr_db: float):
@@ -559,6 +550,7 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
     tasks = sorted((TASKS[name] for name in cfg.tasks),
                    key=lambda task: task.input_mode != MODE_MASKED)
     zero = Tensor(np.zeros(()))
+    # (loss, share) terms per column, as cav2vec_total_loss takes them
     losses = {column: [] for column in LOSS_COLUMNS}
     pairs = [_draw_uptrain_pair(cfg, tasks, data_rng, corr_rng)
              for _ in range(cfg.batch_size)]
@@ -569,26 +561,26 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
             targets = dict(zip(distinct, found))
             feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
-            rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
+            slot = {key: i for i, key in enumerate(inputs)}
 
         for task in tasks:
             idx, loss = frames[task.name], zero
             if idx:
-                student, target = rows[task.input_mode], targets[modes[task.name]]
+                i, target = slot[task.input_mode], targets[modes[task.name]]
                 head = heads.heads[task.name]
                 if task.loss == "mlm":
-                    loss = mlm_loss(student, centroids, target, idx, head)
+                    loss = mlm_loss(T.stack_slice(feats, i), centroids, target, idx, head)
                 elif task.loss == "masked":
-                    loss = masked_prediction_loss(T.matmul(student, head), target, idx)
+                    loss = masked_prediction_loss(feats, i, target, idx, head)
                 else:
-                    loss = corrupted_prediction_loss(student, target, idx, head=head)
+                    loss = corrupted_prediction_loss(feats, i, target, idx, head)
             share = 1 / len(task.columns)  # AVCP's loss adds a half to each half
             for column in task.columns:
-                losses[column].append(loss if share == 1 else T.scale(loss, share))
-    parts = {column: _mean_scalars(ts) for column, ts in losses.items()}
-    total = cav2vec_total_loss(*parts.values())
-    parts["total"] = total
-    return {name: float(part.data) for name, part in parts.items()}, total
+                losses[column].append((loss, share))
+    total, means = cav2vec_total_loss(*losses.values())
+    scalars = {column: float(m) for column, m in zip(LOSS_COLUMNS, means)}
+    scalars["total"] = float(total.data)
+    return scalars, total
 
 
 def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:

@@ -207,36 +207,45 @@ class TestTeacherTargets:
         assert isinstance(got, np.ndarray)
 
 
+def eye(d):
+    return Tensor(np.eye(d))
+
+
 class TestMaskedPredictionLoss:
+    """Slices of a feature stack through an identity head (a product by the
+    identity is exact)."""
+
     def test_empty_mask_rejected(self):
-        out = Tensor(np.ones((3, 2)), requires_grad=True)
+        out = Tensor(np.ones((1, 3, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="no frames"):
-            masked_prediction_loss(out, np.zeros((3, 2)), [])
+            masked_prediction_loss(out, 0, np.zeros((3, 2)), [], eye(2))
 
     def test_student_equals_target_zero(self):
         vals = np.random.default_rng(14).normal(size=(4, 3))
-        loss = masked_prediction_loss(Tensor(vals), vals.copy(), [0, 2])
+        loss = masked_prediction_loss(Tensor(vals[None]), 0, vals.copy(), [0, 2], eye(3))
         assert float(loss.data) == 0.0
 
     def test_two_frame_direct_summation_oracle(self):
         student = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         target = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        loss = masked_prediction_loss(Tensor(student), target, [0, 2])
+        stack = Tensor(np.stack([np.zeros_like(student), student]))
+        loss = masked_prediction_loss(stack, 1, target, [0, 2], eye(2))
         want = np.mean((student[[0, 2]] - target[[0, 2]]) ** 2)
         assert float(loss.data) == pytest.approx(want, abs=1e-15)
 
     def test_out_of_range_mask_rejected(self):
-        out = Tensor(np.zeros((2, 2)))
+        out = Tensor(np.zeros((1, 2, 2)))
         with pytest.raises(IndexError):
-            masked_prediction_loss(out, np.zeros((2, 2)), [2])
+            masked_prediction_loss(out, 0, np.zeros((2, 2)), [2], eye(2))
 
     def test_gradient_flows_to_student(self):
-        out = Tensor(np.ones((3, 2)), requires_grad=True)
-        loss = masked_prediction_loss(out, np.zeros((3, 2)), [1])
+        out = Tensor(np.ones((2, 3, 2)), requires_grad=True)
+        loss = masked_prediction_loss(out, 1, np.zeros((3, 2)), [1], eye(2))
         loss.backward()
         assert out.grad is not None
-        assert np.array_equal(out.grad[0], [0.0, 0.0])
-        assert not np.array_equal(out.grad[1], [0.0, 0.0])
+        assert not out.grad[0].any()
+        assert np.array_equal(out.grad[1, 0], [0.0, 0.0])
+        assert not np.array_equal(out.grad[1, 1], [0.0, 0.0])
 
 
 class TestCorruptedPredictionLoss:
@@ -253,12 +262,21 @@ class TestCorruptedPredictionLoss:
         self.head = Tensor(rng.normal(size=(8, 8)))
 
     def loss(self, name, plan):
-        """The variant's loss on the student's features of its input, through
-        the variant's head, against teacher targets of its target mode."""
-        feats, _ = self.student.encode(*student_input(name, self.A_corr, self.V_corr))
+        """The variant's loss on the student's features of its input (a stack
+        of one), through the variant's head, against teacher targets of its
+        target mode."""
+        feats, _ = self.student.encode(*(x[None] for x in student_input(
+            name, self.A_corr, self.V_corr)))
         ((targets,),) = teacher_targets(
             self.teacher, [(self.A, self.V, [VARIANTS[name].target_mode])], 1)
-        return corrupted_prediction_loss(feats, targets, corrupted_frames(name, plan), self.head)
+        return corrupted_prediction_loss(feats, 0, targets, corrupted_frames(name, plan),
+                                         self.head)
+
+    def direct(self, targets, A, V, frames):
+        """The MSE over ``frames`` of the student's features of (A, V) through
+        the head, in numpy."""
+        feats, _ = self.student.encode(A, V)
+        return np.mean(((feats.data @ self.head.data)[frames] - targets[frames]) ** 2)
 
     def test_empty_index_set_rejected(self):
         with pytest.raises(ValueError, match="no frames"):
@@ -268,9 +286,8 @@ class TestCorruptedPredictionLoss:
         plan = CorruptionPlan(seq_len=8, video_corrupt=np.array([2, 3, 4]))
         got = self.loss("ACP", plan)
         ((targets,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_A_ONLY])], 1)
-        feats, _ = self.student.encode(np.zeros_like(self.A_corr), self.V_corr)
-        want = masked_prediction_loss(T.matmul(feats, self.head), targets, [2, 3, 4])
-        assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
+        want = self.direct(targets, np.zeros_like(self.A_corr), self.V_corr, [2, 3, 4])
+        assert float(got.data) == pytest.approx(want, abs=1e-12)
 
     def test_all_variants_finite(self):
         plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([0, 1]),
@@ -283,9 +300,8 @@ class TestCorruptedPredictionLoss:
                               video_corrupt=np.array([1, 4]))
         got = self.loss("AVCP", plan)
         ((targets,),) = teacher_targets(self.teacher, [(self.A, self.V, [MODE_AV])], 1)
-        feats, _ = self.student.encode(self.A_corr, self.V_corr)
-        want = masked_prediction_loss(T.matmul(feats, self.head), targets, [1, 4])
-        assert float(got.data) == pytest.approx(float(want.data), abs=1e-12)
+        want = self.direct(targets, self.A_corr, self.V_corr, [1, 4])
+        assert float(got.data) == pytest.approx(want, abs=1e-12)
 
     def test_unknown_variant(self):
         plan = CorruptionPlan(seq_len=8, audio_corrupt=np.array([1]))
@@ -363,33 +379,43 @@ def test_frame_index_outside_the_sequence_rejected(loss, M):
     features = Tensor(np.zeros((3, 4)))
     with pytest.raises(IndexError, match=r"mask index outside \[0, 3\)"):
         if loss == "masked":
-            masked_prediction_loss(features, np.zeros((3, 4)), M)
+            masked_prediction_loss(Tensor(features.data[None]), 0, np.zeros((3, 4)), M, eye(4))
         else:
             mlm_loss(features, make_centroids(3, 4, seed=2), np.zeros((3, 4)), M,
                      Tensor.param(np.zeros((4, 3))))
 
 
 class TestTotalLoss:
+    @staticmethod
+    def total(*values):
+        """``cav2vec_total_loss`` of one term per column."""
+        return cav2vec_total_loss(*([(Tensor(np.array(v)), 1.0)] for v in values))
+
     def test_reference_weights(self):
-        vals = [Tensor(np.array(v)) for v in (0.5, 0.5, 1.0, 0.2)]
-        total = cav2vec_total_loss(*vals)
+        total, means = self.total(0.5, 0.5, 1.0, 0.2)
         assert float(total.data) == pytest.approx(2.4, abs=1e-12)
+        assert [float(m) for m in means] == [0.5, 0.5, 1.0, 0.2]
 
     def test_weighted_sum_oracle(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             a, v, m, c = rng.uniform(size=4)
             wa, wv, wm, wc = (TASK_WEIGHTS[k] for k in ("acp", "vcp", "mask", "mlm"))
-            total = cav2vec_total_loss(
-                Tensor(np.array(a)), Tensor(np.array(v)), Tensor(np.array(m)),
-                Tensor(np.array(c)))
+            total, _ = self.total(a, v, m, c)
             assert abs(float(total.data) - (wa * a + wv * v + wm * m + wc * c)) < 1e-14
 
+    def test_columns_are_means_of_shared_terms(self):
+        """A loss with a half share in two columns, as AVCP's, and an empty
+        column."""
+        avcp, acp, vcp = (Tensor(np.array(v)) for v in (0.8, 0.4, 0.2))
+        total, means = cav2vec_total_loss([(avcp, 0.5), (acp, 1.0)], [(avcp, 0.5), (vcp, 1.0)],
+                                          [], [])
+        assert [float(m) for m in means] == pytest.approx([0.4, 0.3, 0.0, 0.0], abs=1e-15)
+        assert float(total.data) == pytest.approx(0.7, abs=1e-15)
+
     def test_non_finite_component_rejected(self):
-        nan = Tensor(np.array(float("nan")))
-        zero = Tensor(np.array(0.0))
         with pytest.raises(T.NumericError):
-            cav2vec_total_loss(nan, zero, zero, zero)
+            self.total(float("nan"), 0.0, 0.0, 0.0)
 
 
 class TestHeads:

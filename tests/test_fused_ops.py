@@ -1,8 +1,9 @@
 """The fused ops against the chains of primitive ops they stand for.
 
 ``attention``, ``ffn``, ``standardize_rows`` with a residual,
-``moe_combine`` and the router-loss ops ``load_balancing``,
-``load_biasing``, ``squared_logsumexp`` and ``router_loss_total`` are one
+``moe_combine``, the router-loss ops ``load_balancing``, ``load_biasing``,
+``squared_logsumexp`` and ``router_loss_total``, and the losses
+``cross_entropy_rows``, ``head_mse`` and ``task_loss_total`` are one
 tape node each, with a hand-written backward that runs the chain's numpy
 arithmetic in the chain's order; ``router_softmaxes``
 runs several routers' forward in one stacked pass and builds the chain's own
@@ -509,6 +510,154 @@ def test_router_loss_total_equals_its_chain(seed, sizes, coefs, data):
         assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
 
 
+# -- the losses: the chains the training steps built before they were fused --
+
+def chain_cross_entropy_rows(logits, target_ids, row_weights=None):
+    """``logsumexp`` and ``take`` of the target logits, then the mean of
+    their difference, or its sum weighted by the rows."""
+    n_rows, n_cls = logits.data.shape
+    lse = T.logsumexp(logits)
+    picked = T.take(logits, np.asarray(target_ids) + np.arange(n_rows) * n_cls)
+    if row_weights is None:
+        return T.scale(T.sub(T.tsum(lse), T.tsum(picked)), 1.0 / n_rows)
+    return T.tsum(T.mul(T.sub(lse, picked), Tensor(np.asarray(row_weights, dtype=np.float64))))
+
+
+def chain_mse_rows(pred, targets, rows):
+    """The MSE of the rows ``rows`` of ``pred`` against the same rows of the
+    constant ``targets``: ``index_rows``, ``sub``, ``mul`` and ``tmean``."""
+    d = T.sub(T.index_rows(pred, rows), Tensor(targets[rows]))
+    return T.tmean(T.mul(d, d))
+
+
+def chain_head_mse(row, head, targets, rows):
+    """``head_mse`` of a ``stack_slice`` node ``row``: the product by the head
+    over all of its rows, then ``chain_mse_rows``."""
+    return chain_mse_rows(T.matmul(row, head), targets, rows)
+
+
+def chain_cav2vec_total(acp, vcp, mask, mlm, weights=(1.0, 1.0, 1.0, 2.0)):
+    """The weighted sum of the four column means, each scaled, added in pairs."""
+    w = weights
+    return T.add(T.add(T.scale(acp, w[0]), T.scale(vcp, w[1])),
+                 T.add(T.scale(mask, w[2]), T.scale(mlm, w[3])))
+
+
+def chain_task_loss_total(columns, weights):
+    """Each (loss, share) term scaled by its share (kept when 1), each column's
+    ``chain_mean``, and ``chain_cav2vec_total`` of the means."""
+    means = [chain_mean([loss if share == 1 else T.scale(loss, share)
+                         for loss, share in column]) for column in columns]
+    return chain_cav2vec_total(*means, weights=weights), [m.data for m in means]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 8), n=st.integers(1, 6),
+       weighted=st.booleans(), scale=st.sampled_from([1.0, 30.0, 700.0]),
+       zeros=st.booleans(), trainable=st.booleans())
+def test_cross_entropy_rows_equals_its_chain(seed, rows, n, weighted, scale, zeros, trainable):
+    """Plain and row-weighted, on logits up to a scale that overflows a plain
+    exp; ``zeros`` puts signed zeros among the logits and the row weights."""
+    rng = np.random.default_rng(seed)
+    logits = scale * normal(rng, rows, n)
+    ids = rng.integers(0, n, rows)
+    w = rng.random(rows) if weighted else None
+    if zeros:
+        logits = signed_zeros(rng, logits)
+        w = None if w is None else signed_zeros(rng, w)
+    weight = normal(rng)
+    fused = run(lambda a: T.cross_entropy_rows(a, ids, w), [logits], [trainable], weight)
+    chain = run(lambda a: chain_cross_entropy_rows(a, ids, w), [logits], [trainable], weight)
+    assert_bitwise_equal(fused, chain)
+
+
+def frame_lists(n_frames):
+    """Non-empty sorted lists of distinct frames, as ``corrupted_frames``
+    gives them: one frame, every frame, or any subset."""
+    return st.one_of(st.lists(st.integers(0, n_frames - 1), min_size=1, unique=True).map(sorted),
+                     st.just(list(range(n_frames))),
+                     st.integers(0, n_frames - 1).map(lambda f: [f]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), frames=st.integers(1, 6),
+       d=st.integers(1, 5), m=st.integers(1, 5), n_losses=st.integers(1, 5),
+       n_heads=st.integers(1, 3), zeros=st.booleans(), data=st.data())
+def test_head_mse_equals_its_chain(seed, n, frames, d, m, n_losses, n_heads, zeros, data):
+    """Losses on slices of one [n x T x d] stack through a few heads, summed,
+    against their chains, whose losses on one slice share its
+    ``stack_slice`` node: slices with three or more losses, heads with three
+    or more, one-frame stacks and frozen heads or stacks among them.
+    ``zeros`` puts signed zeros among the stack, the targets and the upstream
+    gradient."""
+    rng = np.random.default_rng(seed)
+    losses = [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n_heads - 1)),
+               data.draw(frame_lists(frames))) for _ in range(n_losses)]
+    stack, heads = normal(rng, n, frames, d), [normal(rng, d, m) for _ in range(n_heads)]
+    targets = [normal(rng, frames, m) for _ in losses]
+    weight = normal(rng)
+    if zeros:
+        stack, weight = signed_zeros(rng, stack), signed_zeros(rng, weight, 0.5)
+        targets = [signed_zeros(rng, t) for t in targets]
+    trainable = data.draw(st.lists(st.booleans(), min_size=1 + n_heads, max_size=1 + n_heads))
+
+    def summed(loss):
+        def forward(stack, *heads):
+            rows = {i: T.stack_slice(stack, i) for i in range(n)}
+            total = None
+            for (i, h, frames_), t in zip(losses, targets):
+                term = loss(stack, rows, i, heads[h], t, frames_)
+                total = term if total is None else T.add(total, term)
+            return total
+        return forward
+
+    fused = run(summed(lambda stack, rows, i, head, t, f: T.head_mse(stack, i, head, t, f)),
+                [stack, *heads], trainable, weight)
+    chain = run(summed(lambda stack, rows, i, head, t, f: chain_head_mse(rows[i], head, t, f)),
+                [stack, *heads], trainable, weight)
+    assert_bitwise_equal(fused, chain)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), data=st.data(),
+       weights=st.lists(st.sampled_from([0.0, 0.37, 1.0, 2.0]), min_size=4, max_size=4))
+def test_task_loss_total_equals_its_chain(seed, data, weights):
+    """Losses that all read one parameter, so it takes their gradients in
+    the order the backward walk reaches them; each is a term of a column, or
+    with a share of 0.5 of two, and some are constants. The means returned
+    beside the total must be the chain's too."""
+    rng = np.random.default_rng(seed)
+    n_losses = data.draw(st.integers(0, 8))
+    placed = [data.draw(st.one_of(
+        st.tuples(st.integers(0, 3)).map(lambda c: [(c[0], 1.0)]),
+        st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True).map(
+            lambda cs: [(c, 0.5) for c in cs]))) for _ in range(n_losses)]
+    constant = data.draw(st.lists(st.booleans(), min_size=n_losses, max_size=n_losses))
+    coefs = [normal(rng, 3) for _ in range(n_losses)]
+    order = data.draw(st.permutations(range(n_losses)))  # terms' order within columns
+    means = {}
+
+    def op(total):
+        def forward(x):
+            losses = [Tensor(float(c.sum())) if const else T.tsum(T.mul(x, Tensor(c)))
+                      for c, const in zip(coefs, constant)]
+            columns = [[] for _ in range(4)]
+            for j in order:
+                for c, share in placed[j]:
+                    columns[c].append((losses[j], share))
+            out, means[total] = total(columns, weights)
+            return out
+        return forward
+
+    weight = normal(rng)
+    x = normal(rng, 3)
+    fused = run(op(T.task_loss_total), [x], [True], weight)
+    chain = run(op(chain_task_loss_total), [x], [True], weight)
+    assert_bitwise_equal(fused, chain)
+    for got, want in zip(means[T.task_loss_total], means[chain_task_loss_total], strict=True):
+        assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+
+
 def test_fused_ops_reject_mismatched_shapes():
     rng = np.random.default_rng(0)
     x, W1, b1, W2, b2 = (Tensor(normal(rng, *s)) for s in [(3, 4), (4, 5), (5,), (5, 4), (4,)])
@@ -556,6 +705,11 @@ def test_fused_ops_reject_mismatched_shapes():
             T.squared_logsumexp(a, w)
     with pytest.raises(T.ShapeError):
         T.router_loss_total(p, [], [], [], 1.0, 1.0, 1.0)
+    scalar = Tensor(1.0)
+    for columns, weights in [([[(scalar, 1.0)]] * 3, [1.0] * 3), ([[]] * 4, [1.0] * 3),
+                             ([[(p, 1.0)], [], [], []], [1.0] * 4)]:
+        with pytest.raises(T.ShapeError):
+            T.task_loss_total(columns, weights)
 
 
 def test_stacked_ops_reject_mismatched_ranks():

@@ -20,8 +20,8 @@ from avmoe.moe_losses import (
 )
 from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
-from avmoe.trainer import TrainConfig, _mean_scalars, _supervised_step, build_model
-from test_fused_ops import concat_rows
+from avmoe.trainer import TrainConfig, _supervised_step, build_model
+from test_fused_ops import chain_mean, concat_rows
 
 TOL = 1e-12
 FPT = 2  # frames per token
@@ -73,11 +73,11 @@ def per_sequence_step(model, cfg, batch):
     balance = bias = zero
     if layer_routings:
         stats = [dispatch_stats(laid_end_to_end(r)) for r in layer_routings.values()]
-        balance = _mean_scalars([load_balancing_from_stats(s) for s in stats])
+        balance = chain_mean([load_balancing_from_stats(s) for s in stats])
         if stats[0].n_groups == 2 and stats[0].g:
-            bias = _mean_scalars([load_biasing_loss(s) for s in stats])
-    z = _mean_scalars([router_z_loss(r) for r in logit_rows]) if logit_rows else zero
-    bundle = total_aux_loss(_mean_scalars(ces), balance, bias, z, c_balance=cfg.c_balance,
+            bias = chain_mean([load_biasing_loss(s) for s in stats])
+    z = chain_mean([router_z_loss(r) for r in logit_rows]) if logit_rows else zero
+    bundle = total_aux_loss(chain_mean(ces), balance, bias, z, c_balance=cfg.c_balance,
                             c_bias=cfg.c_bias)
     return bundle.scalars(), bundle.total
 

@@ -27,14 +27,17 @@ from avmoe.corruption import (
 )
 from avmoe.distill import (
     MODE_A_ONLY, MODE_AV, MODE_V_ONLY, TASK_WEIGHTS, VARIANTS, DistillHeads,
-    make_centroids, make_teacher, masked_prediction_loss, mlm_loss, teacher_targets,
+    make_centroids, make_teacher, mlm_loss, nearest_centroid_ids, teacher_targets,
 )
 from avmoe.model import Model, ModelConfig
 from avmoe.streams import generate_pair
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
-    AV_SNR_CHOICES, CORRUPTION_PRESET, TrainConfig, _mean_scalars, _uptrain_step,
+    AV_SNR_CHOICES, CORRUPTION_PRESET, TrainConfig, _draw_uptrain_pair, _uptrain_step,
     build_model, seed_streams,
+)
+from test_fused_ops import (
+    chain_cav2vec_total, chain_cross_entropy_rows, chain_head_mse, chain_mean, chain_mse_rows,
 )
 
 TOL = 1e-12
@@ -265,8 +268,8 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
                 plan.modality_drop, MODE_AV)
             targets = per_mode_targets(teacher.encoder, A, V, topk, mode)
             feats, _ = model.encode(A_in, V_in)
-            masks.append(masked_prediction_loss(T.matmul(feats, heads.heads["MASK"]),
-                                                targets, mask_idx) if mask_idx else zero)
+            masks.append(chain_mse_rows(T.matmul(feats, heads.heads["MASK"]),
+                                        targets, mask_idx) if mask_idx else zero)
         for name in cfg.tasks:
             if name not in VARIANTS:
                 continue
@@ -281,8 +284,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
                         MODE_A_ONLY: (A_corr, np.zeros_like(V_corr)),
                         MODE_V_ONLY: (np.zeros_like(A_corr), V_corr)}[variant.input_mode]
                 feats, _ = model.encode(a, v)
-                loss = masked_prediction_loss(T.matmul(feats, heads.heads[name]),
-                                              targets, idx)
+                loss = chain_mse_rows(T.matmul(feats, heads.heads[name]), targets, idx)
             if variant.target_mode == MODE_A_ONLY:
                 acps.append(loss)
             elif variant.target_mode == MODE_V_ONLY:
@@ -295,7 +297,7 @@ def per_sequence_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, c
             feats, _ = model.encode(A_in, V_in)
             mlms.append(mlm_loss(feats, centroids, t_feats, mask_idx, heads.heads["MLM"])
                         if mask_idx else zero)
-    parts = [_mean_scalars(ts) if ts else zero for ts in (acps, vcps, masks, mlms)]
+    parts = [chain_mean(ts) if ts else zero for ts in (acps, vcps, masks, mlms)]
     w = TASK_WEIGHTS
     total = T.add(T.add(T.scale(parts[0], w["acp"]), T.scale(parts[1], w["vcp"])),
                   T.add(T.scale(parts[2], w["mask"]), T.scale(parts[3], w["mlm"])))
@@ -350,15 +352,13 @@ def per_pair_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_
                 head = heads.heads[task.name]
                 if task.loss == "mlm":
                     loss = mlm_loss(student, centroids, target, idx, head)
-                elif task.loss == "masked":
-                    loss = masked_prediction_loss(T.matmul(student, head), target, idx)
                 else:
-                    loss = distill.corrupted_prediction_loss(student, target, idx, head=head)
+                    loss = chain_head_mse(student, head, target, idx)
             share = 1 / len(task.columns)  # AVCP's loss adds a half to each half
             for column in task.columns:
                 losses[column].append(loss if share == 1 else T.scale(loss, share))
-    parts = {column: _mean_scalars(ts) for column, ts in losses.items()}
-    total = distill.cav2vec_total_loss(*parts.values())
+    parts = {column: chain_mean(ts) for column, ts in losses.items()}
+    total = chain_cav2vec_total(*parts.values())
     parts["total"] = total
     return {name: float(part.data) for name, part in parts.items()}, total
 
@@ -446,3 +446,78 @@ def test_uptrain_step_is_bitwise_the_per_pair_step(tasks, seed, batch_size, drop
     for g, w in zip(got_grads, want_grads, strict=True):
         assert (g is None) == (w is None)
         assert g is None or np.array_equal(g, w)
+
+
+# -- the uptraining step against the chains of primitive ops it fused ---------
+
+def chain_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng):
+    """The uptraining step before its losses were fused: a ``stack_slice``
+    node per student input, each task loss a chain of primitive ops over it
+    (MLM's cross-entropy too), AVCP's halves ``scale`` nodes, and the column
+    means and the weighted total add and scale chains."""
+    topk = model.cfg.topk_blocks
+    tasks = sorted((distill.TASKS[name] for name in cfg.tasks),
+                   key=lambda task: task.input_mode != distill.MODE_MASKED)
+    zero = Tensor(np.zeros(()))
+    losses = {column: [] for column in distill.LOSS_COLUMNS}
+    pairs = [_draw_uptrain_pair(cfg, tasks, data_rng, corr_rng)
+             for _ in range(cfg.batch_size)]
+    wanted = [(A, V, list(dict.fromkeys(modes.values()))) for A, V, _, _, modes in pairs]
+    for (*_, frames, inputs, modes), (*_, distinct), found in zip(
+            pairs, wanted, teacher_targets(teacher.encoder, wanted, topk)):
+        if inputs:
+            targets = dict(zip(distinct, found))
+            feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
+                                    np.stack([v for _, v in inputs.values()]))
+            rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
+        for task in tasks:
+            idx, loss = frames[task.name], zero
+            if idx:
+                student, target = rows[task.input_mode], targets[modes[task.name]]
+                head = heads.heads[task.name]
+                if task.loss == "mlm":
+                    ids = nearest_centroid_ids(target[idx], centroids)
+                    loss = chain_cross_entropy_rows(
+                        T.matmul(T.index_rows(student, idx), head), ids)
+                else:
+                    loss = chain_head_mse(student, head, target, idx)
+            share = 1 / len(task.columns)
+            for column in task.columns:
+                losses[column].append(loss if share == 1 else T.scale(loss, share))
+    parts = {column: chain_mean(ts) for column, ts in losses.items()}
+    total = chain_cav2vec_total(*parts.values())
+    parts["total"] = total
+    return {name: float(part.data) for name, part in parts.items()}, total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tasks=st.lists(st.sampled_from(TASKS), min_size=1, max_size=7, unique=True),
+       seed=st.integers(0, 2 ** 16), batch_size=st.integers(3, 5),
+       dropout=st.sampled_from([0.0, 0.25, 0.5]), n_enc=st.integers(1, 2),
+       frames_per_token=st.sampled_from([1, 3]))
+def test_uptrain_step_is_bitwise_the_chain_step(tasks, seed, batch_size, dropout, n_enc,
+                                                frames_per_token):
+    """One ``head_mse`` node per scored MSE task and one ``task_loss_total``
+    per step: the same scalars, total and gradients, bit for bit and stride
+    for stride, as the chains of primitive ops. Three or more pairs give
+    each drawn head three or more gradients, added in the chain's walk
+    order, and the audio-visual slice takes three with AVCP, mACP and mVCP."""
+    setup = _uptrain_setup(tasks, seed, batch_size, dropout, n_enc, frames_per_token)
+    runs = []
+    for step in (_uptrain_step, chain_uptrain_step):
+        cfg, model, teacher, heads, centroids = setup
+        streams = seed_streams(cfg.seed)
+        scalars, total = step(model, teacher, heads, centroids, cfg,
+                              np.random.default_rng(streams["data"]),
+                              np.random.default_rng(streams["corruption"]))
+        total.backward()
+        params = model.params() + heads.params()
+        runs.append((scalars, total.data.tobytes(), [p.grad for p in params]))
+        for p in params:
+            p.zero_grad()
+    (got, got_total, got_grads), (want, want_total, want_grads) = runs
+    assert got == want and got_total == want_total
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.tobytes() == w.tobytes() and g.strides == w.strides

@@ -17,16 +17,16 @@ from avmoe.corruption import (
 )
 from avmoe.distill import (
     LOSS_COLUMNS, MODE_A_ONLY, MODE_AV, MODE_V_ONLY, TASKS, VARIANTS, DistillHeads,
-    cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, make_centroids,
-    make_teacher, masked_prediction_loss, mlm_loss, student_input, teacher_mode,
+    corrupted_frames, make_centroids, make_teacher, mlm_loss, student_input, teacher_mode,
     teacher_targets,
 )
 from avmoe.streams import generate_pair
 from avmoe.tensor import Tensor
 from avmoe.trainer import (
-    AV_SNR_CHOICES, CORRUPTION_PRESET, STEP_COLUMNS, TrainConfig, _mean_scalars,
-    _uptrain_step, build_model, seed_streams,
+    AV_SNR_CHOICES, CORRUPTION_PRESET, STEP_COLUMNS, TrainConfig, _uptrain_step,
+    build_model, seed_streams,
 )
+from test_fused_ops import chain_cav2vec_total, chain_head_mse, chain_mean
 
 OLD_VARIANTS = {  # name: (input mode, target mode, index set)
     "AVCP": (MODE_AV, MODE_AV, "union"), "mACP": (MODE_AV, MODE_A_ONLY, "video"),
@@ -95,15 +95,14 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
 
         if "MASK" in cfg.tasks:
-            masks.append(masked_prediction_loss(
-                T.matmul(rows["masked"], heads.heads["MASK"]), targets[mask_mode],
-                mask_idx) if mask_idx else zero)
+            masks.append(chain_head_mse(rows["masked"], heads.heads["MASK"],
+                                        targets[mask_mode], mask_idx) if mask_idx else zero)
         for name in variants:
             input_mode, target_mode, _ = OLD_VARIANTS[name]
             loss = zero
             if frames[name]:
-                loss = corrupted_prediction_loss(rows[input_mode], targets[target_mode],
-                                                 frames[name], head=heads.heads[name])
+                loss = chain_head_mse(rows[input_mode], heads.heads[name],
+                                      targets[target_mode], frames[name])
             if target_mode == MODE_A_ONLY:
                 acps.append(loss)
             elif target_mode == MODE_V_ONLY:
@@ -114,8 +113,8 @@ def branchy_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_r
         if "MLM" in cfg.tasks:
             mlms.append(mlm_loss(rows["masked"], centroids, targets[MODE_AV],
                                  mask_idx, heads.heads["MLM"]) if mask_idx else zero)
-    acp, vcp, mask, mlm = (_mean_scalars(ts) for ts in (acps, vcps, masks, mlms))
-    total = cav2vec_total_loss(acp, vcp, mask, mlm)
+    acp, vcp, mask, mlm = (chain_mean(ts) for ts in (acps, vcps, masks, mlms))
+    total = chain_cav2vec_total(acp, vcp, mask, mlm)
     scalars = {"L_ACP": float(acp.data), "L_VCP": float(vcp.data),
                "L_MASK": float(mask.data), "L_MLM": float(mlm.data),
                "total": float(total.data)}

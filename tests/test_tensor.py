@@ -7,7 +7,7 @@ import pytest
 from avmoe import tensor as T
 from avmoe.gradcheck import CASES, TOLERANCE, run
 from avmoe.tensor import (
-    Tensor, ShapeError, attention, cross_entropy_rows, grad_check, matmul, mse,
+    Tensor, ShapeError, attention, cross_entropy_rows, grad_check, head_mse, matmul,
     softmax,
 )
 from avmoe.trainer import TrainConfig, train
@@ -113,26 +113,35 @@ def test_attention_zero_dim_rejected():
 
 
 def test_mse_identical_and_closed_form():
-    x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert float(mse(x, x).data) == 0.0
-    assert float(mse(Tensor([1.0, 1.0]), Tensor([0.0, 0.0])).data) == pytest.approx(1.0)
+    x = np.arange(6.0).reshape(2, 3)
+    assert float(head_mse(Tensor(x[None]), 0, Tensor(np.eye(3)), x, [0, 1]).data) == 0.0
+    got = head_mse(Tensor(np.ones((1, 1, 2))), 0, Tensor(np.eye(2)), np.zeros((1, 2)), [0])
+    assert float(got.data) == pytest.approx(1.0)
 
 
 def test_mse_summation_oracle():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 5))
-    b = rng.normal(size=(4, 5))
-    got = float(mse(Tensor(a), Tensor(b)).data)
+    x, head = rng.normal(size=(2, 6, 3)), rng.normal(size=(3, 5))
+    b = rng.normal(size=(6, 5))
+    rows = [0, 2, 3, 5]
+    got = float(head_mse(Tensor(x), 1, Tensor(head), b, rows).data)
+    a = x[1] @ head
     acc = 0.0
-    for i in range(4):
+    for i in rows:
         for j in range(5):
             acc += (a[i, j] - b[i, j]) ** 2
     assert abs(got - acc / 20) < 1e-12
 
 
 def test_mse_shape_mismatch():
-    with pytest.raises(ShapeError):
-        mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+    x, head = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))
+    for bad in [(Tensor(np.zeros((3, 4))), 0, head, np.zeros((3, 5)), [0]),
+                (x, 2, head, np.zeros((3, 5)), [0]),
+                (x, 0, Tensor(np.zeros((3, 5))), np.zeros((3, 5)), [0]),
+                (x, 0, head, np.zeros((3, 4)), [0]),
+                (x, 0, head, np.zeros((3, 5)), [])]:
+        with pytest.raises(ShapeError):
+            head_mse(*bad)
 
 
 def test_cross_entropy_limiting():
@@ -191,7 +200,9 @@ def test_grad_check_matmul_mse_chain():
     W = Tensor(rng.normal(size=(3, 3)))
     target = Tensor(rng.normal(size=(3, 3)))
     x = Tensor(rng.normal(size=(3, 3)))
-    err = grad_check(lambda t: mse(matmul(t, W), target), x, eps=1e-4)
+    # x as a stack of one slice
+    err = grad_check(lambda t: head_mse(t, 0, W, target.data, [0, 1, 2]),
+                     Tensor(x.data[None]), eps=1e-4)
     assert err < 1e-4
 
 
@@ -201,8 +212,8 @@ def test_grad_check_constant():
 
 
 PRIMITIVES = {
-    "matmul": lambda t, rng: mse(matmul(t, Tensor(rng.normal(size=(4, 3)))),
-                                 Tensor(rng.normal(size=(3, 3)))),
+    "matmul": lambda t, rng: T.tsum(T.mul(matmul(t, Tensor(rng.normal(size=(4, 3)))),
+                                          Tensor(rng.normal(size=(3, 3))))),
     "softmax": lambda t, rng: T.tsum(T.mul(softmax(t), Tensor(rng.normal(size=t.shape)))),
     "logsumexp": lambda t, rng: T.tsum(T.logsumexp(t)),
     "attention": lambda t, rng: T.tsum(attention(t, Tensor(rng.normal(size=(3, 4))),
@@ -210,7 +221,8 @@ PRIMITIVES = {
     "gelu": lambda t, rng: T.tsum(T.gelu(t)),
     "standardize": lambda t, rng: T.tsum(T.mul(T.standardize_rows(t),
                                                Tensor(rng.normal(size=t.shape)))),
-    "mse": lambda t, rng: mse(t, Tensor(rng.normal(size=t.shape))),
+    "mse": lambda t, rng: head_mse(Tensor(rng.normal(size=(2, 5, 3))), 1, t,
+                                   rng.normal(size=(5, 4)), [0, 2, 4]),
     "mean": lambda t, rng: T.tmean(t),
     "index_rows": lambda t, rng: T.tsum(T.mul(T.index_rows(t, [0, 2, 2, 1]),
                                               Tensor(rng.normal(size=(4, 4))))),
