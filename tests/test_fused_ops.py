@@ -523,17 +523,13 @@ def chain_cross_entropy_rows(logits, target_ids, row_weights=None):
     return T.tsum(T.mul(T.sub(lse, picked), Tensor(np.asarray(row_weights, dtype=np.float64))))
 
 
-def chain_mse_rows(pred, targets, rows):
-    """The MSE of the rows ``rows`` of ``pred`` against the same rows of the
-    constant ``targets``: ``index_rows``, ``sub``, ``mul`` and ``tmean``."""
-    d = T.sub(T.index_rows(pred, rows), Tensor(targets[rows]))
+def chain_head_mse(features, head, targets, rows):
+    """``head_mse`` of the [T x d] ``features`` (a ``stack_slice`` node): the
+    product by the head over all T rows, then ``index_rows`` of ``rows``,
+    ``sub`` of the same rows of the constant ``targets``, ``mul`` and
+    ``tmean``."""
+    d = T.sub(T.index_rows(T.matmul(features, head), rows), Tensor(targets[rows]))
     return T.tmean(T.mul(d, d))
-
-
-def chain_head_mse(row, head, targets, rows):
-    """``head_mse`` of a ``stack_slice`` node ``row``: the product by the head
-    over all of its rows, then ``chain_mse_rows``."""
-    return chain_mse_rows(T.matmul(row, head), targets, rows)
 
 
 def chain_cav2vec_total(acp, vcp, mask, mlm, weights=(1.0, 1.0, 1.0, 2.0)):
