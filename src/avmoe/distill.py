@@ -109,7 +109,9 @@ def ema_update(teacher: TeacherState, student: Encoder, eta: float) -> TeacherSt
     for tp, sp in zip(teacher.encoder.encoder_params(), student.encoder_params(), strict=True):
         if tp.data.shape != sp.data.shape:
             raise T.ShapeError(f"encoder: teacher {tp.data.shape} vs student {sp.data.shape}")
-        tp.data[:] = eta * tp.data + (1.0 - eta) * sp.data
+        # in place, the IEEE operations of eta * tp + (1 - eta) * sp in order
+        tp.data *= eta
+        tp.data += (1.0 - eta) * sp.data
     return teacher
 
 

@@ -122,13 +122,22 @@ def _task_loss_total(shared, a0, v0, m0):
     return T.task_loss_total(columns, [1.0, 0.7, 1.3, 2.0])[0]
 
 
-# two packed segments, query rows 0-1 and row 2, over keys 0-2 and 3-4
+# two packed segments, query rows 0-1 and row 2, over keys 0-2 and 3-4, and
+# a causal mask over three rows
 _MASK = np.where(np.array([[0], [0], [1]]) == np.array([[0, 0, 0, 1, 1]]), 0.0, -np.inf)
-# operand shapes: a matrix, a stack of two, a vector, an FFN's parameters
-# and attention's operands
+_CAUSAL = np.triu(np.full((3, 3), -np.inf), k=1)
+# operand shapes: a matrix, a stack of two, a vector, an FFN's parameters,
+# an attention block's and the input stage's
 M, S, V6 = (3, 4), (2, 3, 4), (6,)
 FFN = {"W1": (4, 5), "b1": (5,), "W2": (5, 4), "b2": (4,)}
-QKV = {"Q": M, "K": (5, 4), "V": (5, 4)}
+ATT = {"X": M, "Wq": (4, 4), "Wk": (4, 4), "Wv": (4, 4), "Wo": (4, 4)}
+INPUTS = {"A": (3, 5), "V": (3, 2), "Wa": (5, 4), "Wv": (2, 3), "Wf": (7, 4)}
+
+
+def _attention_kv(X, K, V, Wq, Wo):
+    """``attention_block`` over the given keys and values of two masked
+    segments."""
+    return T.attention_block(X, Wq, None, None, Wo, mask=_MASK, kv=(K, V))
 
 
 # -- MoE layer cases ----------------------------------------------------------
@@ -237,13 +246,18 @@ CASES = {
          _probe("standardize_rows", {"a": M, "residual": M}, "residual")),
         ("standardize_rows_stacked_residual",
          _probe("standardize_rows", {"a": S, "residual": S})),
-        ("attention", _probe("attention", QKV)),
-        ("attention_masked", _probe("attention", QKV, mask=_MASK)),
-        ("attention_keys", _probe("attention", QKV, "K")),
-        ("attention_values", _probe("attention", QKV, "V")),
-        *_rows("attention_stacked", "attention", {"Q": S, "K": (2, 5, 4), "V": (2, 5, 4)}),
+        *_rows("attention_block", "attention_block", ATT),
+        ("attention_block_causal", _probe("attention_block", ATT, mask=_CAUSAL)),
+        *_rows("attention_block_stacked", "attention_block", {**ATT, "X": S}),
+        *_rows("attention_block_kv", _attention_kv,
+               {"X": M, "K": (5, 4), "V": (5, 4), "Wq": (4, 4), "Wo": (4, 4)}),
         *_rows("ffn_gelu", "ffn", {"x": M, **FFN}),
         *_rows("ffn_stacked_gelu", "ffn", {"x": S, **FFN}),
+        *_rows("ffn_block", "ffn_block", {"X": M, **FFN}),
+        *_rows("ffn_block_stacked", "ffn_block", {"X": S, **FFN}),
+        *_rows("input_fusion", "input_fusion", INPUTS),
+        *_rows("input_fusion_stacked", "input_fusion",
+               {**INPUTS, "A": (2, 3, 5), "V": (2, 3, 2)}),
         *_rows("moe_combine", _moe_combine, {"X": (4, 3), "weights": (4, 2), "W1": (3, 3, 2),
                                              "b1": (3, 2), "W2": (3, 2, 3), "b2": (3, 3)}),
         *_rows("router_softmaxes", _router_softmaxes, {"X": (5, 4), "W": (3, 4, 3)}),

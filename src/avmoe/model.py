@@ -7,6 +7,14 @@ causal self-attention, cross-attention to the encoder features, and an FFN
 position that is either a plain FFN or a MoE layer. An absent modality is
 passed as all-zero frames.
 
+Each of these stages is one tape node: the input stage
+(``tensor.input_fusion``), each attention sub-block, the decoder's
+included (``tensor.attention_block``), and each encoder FFN sub-block
+(``tensor.ffn_block``). Cross-attention's keys and values of the encoder
+features are their own product nodes (``AttentionBlock.keys_values``),
+passed to the attention node as operands, so the features take them in
+the order the primitive-op chain's backward walk did.
+
 ``Encoder.encode`` takes four input forms: one sequence ([T x D] frames), a
 stack of n sequences of one length ([n x T x D], encoded side by side along
 a leading axis with no mask: the student's inputs of one uptraining pair), a
@@ -155,11 +163,12 @@ class AttentionBlock:
                 kv: tuple[Tensor, Tensor] | None = None, stacks=None) -> Tensor:
         """Attend from ``X`` to ``memory`` (default ``X`` itself), or to the
         precomputed keys and values ``kv`` when given; ``stacks`` as in
-        ``T.attention``."""
-        q = T.matmul(X, self.Wq)
-        K, V = self.keys_values(X if memory is None else memory) if kv is None else kv
-        att = T.attention(q, K, V, mask=mask, stacks=stacks)
-        return T.standardize_rows(X, T.matmul(att, self.Wo))
+        ``T.attention_block``. A memory's keys and values are their own
+        product nodes, passed to the block's node as operands."""
+        if kv is None and memory is not None:
+            kv = self.keys_values(memory)
+        return T.attention_block(X, self.Wq, self.Wk, self.Wv, self.Wo, mask=mask, kv=kv,
+                                 stacks=stacks)
 
     def params(self):
         return [self.Wq, self.Wk, self.Wv, self.Wo]
@@ -170,7 +179,7 @@ class FFNBlock:
         self.ffn = ExpertFFN.init(d, h, rng)
 
     def forward(self, X: Tensor) -> Tensor:
-        return T.standardize_rows(X, self.ffn.forward(X))
+        return T.ffn_block(X, *self.ffn.params())
 
     def params(self):
         return self.ffn.params()
@@ -308,9 +317,7 @@ class Encoder:
                                    None, stacks)
 
     def _encode_frames(self, audio: np.ndarray, video: np.ndarray, mask, stacks=None):
-        a = T.matmul(Tensor(audio), self.audio_proj)
-        v = T.matmul(Tensor(video), self.video_proj)
-        X = T.matmul(T.concat_cols([a, v]), self.fusion)
+        X = T.input_fusion(audio, video, self.audio_proj, self.video_proj, self.fusion)
         per_block = []
         for blk in self.encoder_blocks:
             X = blk.forward(X, mask=mask, stacks=stacks)

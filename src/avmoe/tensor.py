@@ -10,19 +10,24 @@ no arithmetic operator.
 
 A leading stack axis runs n equally long sequences side by side: ``matmul``
 takes an [n x T x k] left operand with a [k x m] right one, and
-``attention``, ``ffn``, ``standardize_rows`` and ``concat_cols`` work on
-[n x T x d] operands, each slice with the arithmetic of the 2-D op, so a
-stacked forward equals the per-slice forwards bit for bit. A weight's
-gradient is one gemm over all n*T rows. ``stack_slice`` hands slice i of a
-stack on as a [T x d] tensor. With no tape, ``attention`` also reads
-[R x d] operands as stacks of any lengths laid end to end (its ``stacks``
-argument), each attending on its own, so the ops around it can run once
-over the rows of all of them.
+``input_fusion``, ``attention_block``, ``ffn_block``, ``ffn``,
+``standardize_rows`` and ``concat_cols`` work on [n x T x d] operands, each
+slice with the arithmetic of the 2-D op, so a stacked forward equals the
+per-slice forwards bit for bit. A weight's gradient is one gemm over all
+n*T rows. ``stack_slice`` hands slice i of a stack on as a [T x d] tensor.
+With no tape, ``attention_block`` also reads an [R x d] input as stacks of
+any lengths laid end to end (its ``stacks`` argument): its products run
+once over the rows of all of them, and each stack attends on its own.
 
 The model's hot layers are fused ops, one node each with a hand-written
-backward: ``attention`` (scores, softmax and the value product), ``ffn``
-(both projections, biases and the GELU between them), ``standardize_rows``
-with an optional residual operand (the add before the norm) and
+backward: the encoder's input stage ``input_fusion`` (both modality
+projections, their concatenation and the fusion product), the sub-blocks
+``attention_block`` (the Q, K and V products, scores, softmax, the value
+and output products, the residual add and the standardization; keys and
+values computed inside or passed in as operands) and ``ffn_block`` (the
+FFN, the residual add and the standardization), ``ffn`` (both
+projections, biases and the GELU between them), ``standardize_rows`` with
+an optional residual operand (the add before the norm) and
 ``moe_combine`` (every routed expert's FFN on its rows, with one GELU over
 all of them, weighted and summed per row). So is each router-loss term of
 the supervised step: ``load_balancing`` (into each group's probabilities),
@@ -654,41 +659,50 @@ def stack_slice(stack: Tensor, i: int) -> Tensor:
 
 # -- normalization ------------------------------------------------------------
 
-def standardize_rows(a: Tensor, residual: Tensor | None = None) -> Tensor:
-    """Zero-mean unit-variance per row (last axis) of ``a``, or of
-    ``a + residual`` (same shape) as one node, with no learned affine; the
-    variance takes an epsilon of 1e-6."""
-    a = _as_tensor(a)
-    x, operands = a.data, (a,)
-    if residual is not None:
-        residual = _as_tensor(residual)
-        if residual.data.shape != x.shape:
-            raise ShapeError(f"residual {residual.data.shape} for rows of shape {x.shape}")
-        x, operands = x + residual.data, (a, residual)
+def _standardize_forward(x):
+    """The rows of ``x``, an array of the caller's own, standardized in place,
+    and the per-row 1 / std: (y, inv)."""
     n = x.shape[-1]
     # the arithmetic of x.mean and x.var without their Python-level wrappers:
     # centered = x - mean, inv = 1.0 / sqrt(var + 1e-6), y = centered * inv.
     # Only the row-sized arrays are updated in place: on a one-element array
     # (the statistics of one row) an in-place op costs more than a new one.
     mean = np.add.reduce(x, axis=-1, keepdims=True) / n
-    if residual is None:
-        y = x - mean
-    else:  # x is this op's own sum
-        y = x
-        y -= mean
-    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-6)
-    y *= inv
+    x -= mean
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / n + 1e-6)
+    x *= inv
+    return x, inv
+
+
+def _standardize_derivative(g, y, inv):
+    # gx = inv * (g - gm - y * gy), gm and gy the row means of g and g * y
+    n = y.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gyy = g * y
+    gy = np.add.reduce(gyy, axis=-1, keepdims=True) / n
+    gx = g - gm
+    gx -= np.multiply(y, gy, out=gyy)
+    gx *= inv
+    return gx
+
+
+def standardize_rows(a: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Zero-mean unit-variance per row (last axis) of ``a``, or of
+    ``a + residual`` (same shape) as one node, with no learned affine; the
+    variance takes an epsilon of 1e-6."""
+    a = _as_tensor(a)
+    x, operands = a.data.copy(), (a,)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        if residual.data.shape != x.shape:
+            raise ShapeError(f"residual {residual.data.shape} for rows of shape {x.shape}")
+        x, operands = a.data + residual.data, (a, residual)
+    y, inv = _standardize_forward(x)
     if not _track(*operands):
         return Tensor(y)
 
     def backward(g):
-        # gx = inv * (g - gm - y * gy), gm and gy the row means of g and g * y
-        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
-        gyy = g * y
-        gy = np.add.reduce(gyy, axis=-1, keepdims=True) / n
-        gx = g - gm
-        gx -= np.multiply(y, gy, out=gyy)
-        gx *= inv
+        gx = _standardize_derivative(g, y, inv)
         for t in operands:
             if _needs_grad(t):
                 t._accum(gx)
@@ -700,84 +714,139 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None) -> Tensor:
 # One node each, with the numpy arithmetic, in the same order, of the chain of
 # primitive ops it stands for, so results agree with that chain bit for bit.
 
-def attention(Q: Tensor, K: Tensor, V: Tensor, mask=None, stacks=None) -> Tensor:
-    """Single-head scaled dot-product attention, softmax(Q K^T / sqrt(d) +
-    mask) V, of 2-D operands or of [n x T x d] stacks, slice by slice.
-
-    ``mask`` is an optional [Tq x Tk] array of 0/-inf added to the scores
-    (causal decoding, and keeping packed sequences apart). Only operands
-    that can reach a parameter get a gradient, so cached keys and values
-    stay constants.
-
-    ``stacks``, a list of (n, T), reads [R x d] operands as stacks laid end
-    to end, R the sum of n * T: each run of n * T rows attends as its own
-    [n x T x d] stack, with no mask, into the same rows of the [R x d]
-    result. That form has no backward: under a tape it raises ShapeError.
-    """
-    Q, K, V = _as_tensor(Q), _as_tensor(K), _as_tensor(V)
-    if stacks is not None:
-        return _stacks_attention(Q, K, V, mask, stacks)
-    qs, ks, vs = Q.data.shape, K.data.shape, V.data.shape
-    rank = len(qs)
-    if not (rank == len(ks) == len(vs) and rank in (2, 3)):
-        raise ShapeError(f"attention expects 2-D Q, K, V, or three 3-D stacks: "
-                         f"Q {qs}, K {ks}, V {vs}")
-    d = qs[-1]
-    if d == 0:
-        raise ShapeError("attention feature dimension must be positive")
-    if (ks[-1] != d or vs[-2] != ks[-2]
-            or rank == 3 and not qs[0] == ks[0] == vs[0]):
-        raise ShapeError(f"attention dims disagree: Q {qs}, K {ks}, V {vs}")
-    c = 1.0 / math.sqrt(d)
-    scores = Q.data @ K.data.swapaxes(-1, -2)
+def _attend(q, k, v, mask):
+    """softmax(q k^T / sqrt(d) + mask) v of 2-D operands or of [n x T x d]
+    stacks, slice by slice: (the result, the softmax p, 1 / sqrt(d))."""
+    c = 1.0 / math.sqrt(q.shape[-1])
+    scores = q @ k.swapaxes(-1, -2)
     scores *= c
     p = _softmax_rows(scores, mask)
-    data = p @ V.data
-    if not _track(Q, K, V):
-        return Tensor(data)
+    return p @ v, p, c
+
+
+def attention_block(X: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, mask=None,
+                    kv=None, stacks=None) -> Tensor:
+    """The attention sub-block standardize_rows(X, A Wo) of a [T x d] row
+    batch or an [n x T x d] stack, slice by slice: A is single-head scaled
+    dot-product attention softmax(Q K^T / sqrt(d) + mask) V, Q = X Wq, and
+    the weights are [d x d].
+
+    K and V are X Wk and X Wv, or the tensors ``kv`` = (K, V) when given,
+    of X's rank (the keys and values of cross-attention's memory, or of a
+    decoding cache); Wk and Wv then take no part. ``mask`` is an optional
+    [Tq x Tk] array of 0/-inf added to the scores (causal decoding, and
+    keeping packed sequences apart). Only operands that can reach a
+    parameter get a gradient, so cached keys and values stay constants.
+
+    ``stacks``, a list of (n, T), reads a [R x d] X as stacks laid end to
+    end, R the sum of n * T: the products run once over all rows, and each
+    run of n * T rows attends as its own [n x T x d] stack, with no mask,
+    into the same rows of A. That form has no backward: under a tape it
+    raises ShapeError.
+
+    The chain it stands for is the products X Wq, X Wk and X Wv, attention
+    (scores, softmax and the value product), the product by Wo and
+    ``standardize_rows`` with X as the residual. Its backward hands X four
+    terms in this order: the residual's, then the Q, K and V products'."""
+    X, Wq, Wo = _as_tensor(X), _as_tensor(Wq), _as_tensor(Wo)
+    x = X.data
+    if kv is None:
+        Wk, Wv = _as_tensor(Wk), _as_tensor(Wv)
+        weights, operands = (Wq, Wk, Wv, Wo), (X, Wq, Wk, Wv, Wo)
+    else:
+        K, V = (_as_tensor(t) for t in kv)
+        weights, operands = (Wq, Wo), (X, K, V, Wq, Wo)
+    d = x.shape[-1]
+    if not (x.ndim in (2, 3) and d >= 1 and all(W.data.shape == (d, d) for W in weights)):
+        raise ShapeError(f"attention block of rows {x.shape} with weights "
+                         f"{[W.data.shape for W in weights]}")
+    q = x @ Wq.data
+    if kv is None:
+        k, v = x @ Wk.data, x @ Wv.data
+    else:
+        k, v = K.data, V.data
+        if not (k.shape == v.shape and k.ndim == x.ndim and k.shape[-1] == d
+                and k.shape[:-2] == x.shape[:-2]):
+            raise ShapeError(f"attention block of rows {x.shape} over keys {k.shape} "
+                             f"and values {v.shape}")
+    if stacks is None:
+        att, p, c = _attend(q, k, v, mask)
+    elif mask is not None or kv is not None or _track(*operands):
+        raise ShapeError("attention over stacks takes no mask or given keys and values, "
+                         "and has no backward")
+    else:
+        att = _attend_stacks(q, k, v, stacks)
+    o = att @ Wo.data
+    o += x  # the residual sum, x + o
+    y, inv = _standardize_forward(o)
+    if not _track(*operands):
+        return Tensor(y)
+    # which of the chain's product and attention nodes exist
+    q_node = _needs_grad(X) or _needs_grad(Wq)
+    if kv is None:
+        k_node = _needs_grad(X) or _needs_grad(Wk)
+        v_node = _needs_grad(X) or _needs_grad(Wv)
+    else:
+        k_node, v_node = _needs_grad(K), _needs_grad(V)
+    att_node = q_node or k_node or v_node
 
     def backward(g):
-        if _needs_grad(V):
-            V._accum(p.swapaxes(-1, -2) @ g)
-        if not (_needs_grad(Q) or _needs_grad(K)):
+        gx = _standardize_derivative(g, y, inv)
+        if _needs_grad(X):
+            X._accum(gx)
+        if _needs_grad(Wo):
+            Wo._accum(_weight_grad(att, gx))
+        if not att_node:
             return
-        gs = _softmax_derivative(g @ V.data.swapaxes(-1, -2), p) * c
-        if _needs_grad(Q):
-            Q._accum(gs @ K.data)
-        if _needs_grad(K):
-            # a transposed view, as the transpose node of the chain in
-            # tests/test_fused_ops.py passes it on: the copy _accum makes
-            # keeps that memory order
-            K._accum((Q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gatt = gx @ Wo.data.T
+        gq = gk = gv = None
+        if v_node:
+            gv = p.swapaxes(-1, -2) @ gatt
+        if q_node or k_node:
+            gs = _softmax_derivative(gatt @ v.swapaxes(-1, -2), p) * c
+            if q_node:
+                gq = gs @ k
+            if k_node:
+                # a transposed view, as the chain's transpose node passes it
+                # on: the copy _accum makes of it keeps that memory order
+                gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        products = [(Wq, gq)]
+        if kv is None:
+            products += [(Wk, gk), (Wv, gv)]
+        else:
+            if v_node:
+                V._accum(gv)
+            if k_node:
+                K._accum(gk)
+        for W, gw in products:
+            if gw is not None:
+                if _needs_grad(X):
+                    X._accum(gw @ W.data.T)
+                if _needs_grad(W):
+                    W._accum(_weight_grad(x, gw))
 
-    return _make(data, (Q, K, V), backward)
+    return _make(y, operands, backward)
 
 
-def _stacks_attention(Q: Tensor, K: Tensor, V: Tensor, mask, stacks) -> Tensor:
-    """``attention`` of [R x d] operands read as the (n, T) ``stacks``."""
-    shape = Q.data.shape
-    if mask is not None or _track(Q, K, V):
-        raise ShapeError("attention over stacks takes no mask and has no backward")
-    if not (len(shape) == 2 and K.data.shape == V.data.shape == shape
-            and stacks and all(n >= 1 and t >= 1 for n, t in stacks)
-            and sum(n * t for n, t in stacks) == shape[0]):
-        raise ShapeError(f"stacks {stacks} do not tile Q {shape}, K {K.data.shape}, "
-                         f"V {V.data.shape}")
-    out = np.empty(shape)
+def _attend_stacks(q, k, v, stacks):
+    """``_attend``'s result for [R x d] operands read as the (n, T) ``stacks``."""
+    if not (q.ndim == 2 and stacks and all(n >= 1 and t >= 1 for n, t in stacks)
+            and sum(n * t for n, t in stacks) == q.shape[0]):
+        raise ShapeError(f"stacks {stacks} do not tile rows {q.shape}")
+    d = q.shape[1]
+    out = np.empty(q.shape)
     start = 0
     for n, t in stacks:
-        end = start + n * t
-        view = (n, t, shape[1])
-        q, k, v = (x.data[start:end].reshape(view) for x in (Q, K, V))
-        out[start:end] = attention(q, k, v).data.reshape(-1, shape[1])
-        start = end
-    return Tensor(out)
+        rows = slice(start, start + n * t)
+        view = (n, t, d)
+        out[rows] = _attend(q[rows].reshape(view), k[rows].reshape(view),
+                            v[rows].reshape(view), None)[0].reshape(-1, d)
+        start = rows.stop
+    return out
 
 
-def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer GELU feed-forward network gelu(x W1 + b1) W2 + b2 of an
-    [n x d] row batch or an [n x T x d] stack."""
-    x, W1, b1, W2, b2 = (_as_tensor(t) for t in (x, W1, b1, W2, b2))
+def _ffn_forward(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor):
+    """``ffn``'s output, and what its backward reads: (out, (pre, hidden, t))."""
     if not (x.data.ndim in (2, 3) and W1.data.ndim == 2 and W2.data.ndim == 2
             and x.data.shape[-1] == W1.data.shape[0] and b1.data.shape == W1.data.shape[1:]
             and W2.data.shape[0] == W1.data.shape[1] and b2.data.shape == W2.data.shape[1:]):
@@ -785,26 +854,97 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
                          f"b1 {b1.data.shape}, W2 {W2.data.shape}, b2 {b2.data.shape}")
     pre = x.data @ W1.data + b1.data
     hidden, t = _gelu_forward(pre)
-    data = hidden @ W2.data + b2.data
-    if not _track(x, W1, b1, W2, b2):
+    return hidden @ W2.data + b2.data, (pre, hidden, t)
+
+
+def _ffn_backward(g, x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor, saved):
+    pre, hidden, t = saved
+    if _needs_grad(b2):
+        b2._accum(_unbroadcast(g, b2.data.shape))
+    if _needs_grad(W2):
+        W2._accum(_weight_grad(hidden, g))
+    if not (_needs_grad(x) or _needs_grad(W1) or _needs_grad(b1)):
+        return
+    gpre = _gelu_derivative(g @ W2.data.T, pre, t)
+    if _needs_grad(b1):
+        b1._accum(_unbroadcast(gpre, b1.data.shape))
+    if _needs_grad(x):
+        x._accum(gpre @ W1.data.T)
+    if _needs_grad(W1):
+        W1._accum(_weight_grad(x.data, gpre))
+
+
+def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer GELU feed-forward network gelu(x W1 + b1) W2 + b2 of an
+    [n x d] row batch or an [n x T x d] stack."""
+    operands = tuple(_as_tensor(t) for t in (x, W1, b1, W2, b2))
+    data, saved = _ffn_forward(*operands)
+    if not _track(*operands):
         return Tensor(data)
+    return _make(data, operands, lambda g: _ffn_backward(g, *operands, saved))
+
+
+def ffn_block(X: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """The FFN sub-block standardize_rows(X, ffn(X, W1, b1, W2, b2)) of an
+    [n x d] row batch or an [n x T x d] stack.
+
+    The chain it stands for is ``ffn`` and ``standardize_rows`` with X as
+    the residual; its backward hands X the residual's term, then the FFN's."""
+    X, W1, b1, W2, b2 = operands = tuple(_as_tensor(t) for t in (X, W1, b1, W2, b2))
+    out, saved = _ffn_forward(*operands)
+    if out.shape != X.data.shape:
+        raise ShapeError(f"ffn block output {out.shape} for rows of shape {X.data.shape}")
+    out += X.data  # the residual sum, X + out
+    y, inv = _standardize_forward(out)
+    if not _track(*operands):
+        return Tensor(y)
 
     def backward(g):
-        if _needs_grad(b2):
-            b2._accum(_unbroadcast(g, b2.data.shape))
-        if _needs_grad(W2):
-            W2._accum(_weight_grad(hidden, g))
-        if not (_needs_grad(x) or _needs_grad(W1) or _needs_grad(b1)):
-            return
-        gpre = _gelu_derivative(g @ W2.data.T, pre, t)
-        if _needs_grad(b1):
-            b1._accum(_unbroadcast(gpre, b1.data.shape))
-        if _needs_grad(x):
-            x._accum(gpre @ W1.data.T)
-        if _needs_grad(W1):
-            W1._accum(_weight_grad(x.data, gpre))
+        gx = _standardize_derivative(g, y, inv)
+        if _needs_grad(X):
+            X._accum(gx)
+        _ffn_backward(gx, *operands, saved)
 
-    return _make(data, (x, W1, b1, W2, b2), backward)
+    return _make(y, operands, backward)
+
+
+def input_fusion(A: Tensor, V: Tensor, Wa: Tensor, Wv: Tensor, Wf: Tensor) -> Tensor:
+    """The encoder's input stage concat_cols([A Wa, V Wv]) Wf: audio frames
+    A and video frames V ([T x D] rows, or [n x T x D] stacks) through their
+    projectors, concatenated along the features and fused by Wf.
+
+    The chain it stands for is the three ``matmul`` nodes and the
+    ``concat_cols`` node between them, whose backward hands each projection
+    a copy of its half of the gradient."""
+    A, V, Wa, Wv, Wf = operands = tuple(_as_tensor(t) for t in (A, V, Wa, Wv, Wf))
+    if not (A.data.ndim in (2, 3) and V.data.shape[:-1] == A.data.shape[:-1]
+            and Wa.data.ndim == Wv.data.ndim == Wf.data.ndim == 2
+            and Wa.data.shape[0] == A.data.shape[-1] and Wv.data.shape[0] == V.data.shape[-1]
+            and Wf.data.shape[0] == Wa.data.shape[1] + Wv.data.shape[1]):
+        raise ShapeError(f"input fusion shapes disagree: audio {A.data.shape} by "
+                         f"{Wa.data.shape}, video {V.data.shape} by {Wv.data.shape}, "
+                         f"fusion {Wf.data.shape}")
+    c = np.concatenate([A.data @ Wa.data, V.data @ Wv.data], axis=-1)
+    data = c @ Wf.data
+    if not _track(*operands):
+        return Tensor(data)
+    w = Wa.data.shape[1]
+    halves = [(A, Wa, np.s_[..., :w]), (V, Wv, np.s_[..., w:])]
+    # which of the chain's projection nodes exist
+    nodes = [(frames, W, half) for frames, W, half in halves if _track(frames, W)]
+
+    def backward(g):
+        gc = g @ Wf.data.T if nodes else None
+        if _needs_grad(Wf):
+            Wf._accum(_weight_grad(c, g))
+        for frames, W, half in nodes:
+            gh = np.array(gc[half])  # the copy the chain's _accum makes
+            if _needs_grad(frames):
+                frames._accum(gh @ W.data.T)
+            if _needs_grad(W):
+                W._accum(_weight_grad(frames.data, gh))
+
+    return _make(data, operands, backward)
 
 
 def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts) -> Tensor:

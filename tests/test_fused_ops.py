@@ -1,6 +1,7 @@
 """The fused ops against the chains of primitive ops they stand for.
 
-``attention``, ``ffn``, ``standardize_rows`` with a residual,
+The encoder's ``input_fusion`` and the sub-blocks ``attention_block`` and
+``ffn_block``, ``ffn``, ``standardize_rows`` with a residual,
 ``moe_combine``, the router-loss ops ``load_balancing``, ``load_biasing``,
 ``squared_logsumexp`` and ``router_loss_total``, and the losses
 ``cross_entropy_rows``, ``head_mse`` and ``task_loss_total`` are one
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from avmoe import tensor as T
+from avmoe.model import AttentionBlock, Encoder, FFNBlock, Model, ModelConfig
 from avmoe.moe_layer import MoELayer, MoELayerConfig
 from avmoe.routing import MODALITIES, RouterParams, route_dense
 from avmoe.tensor import Tensor
@@ -85,6 +87,8 @@ def scatter_rows(rows, idx, n_rows):
 
 
 def chain_attention(Q, K, V, mask):
+    """softmax(Q K^T / sqrt(d) + mask) V, the attention of 2-D operands or
+    of [n x T x d] stacks, slice by slice."""
     matmul = T.matmul if Q.data.ndim == 2 else stack_matmul
     scores = T.scale(matmul(Q, transpose(K)), 1.0 / math.sqrt(Q.data.shape[-1]))
     if mask is not None:
@@ -94,6 +98,58 @@ def chain_attention(Q, K, V, mask):
 
 def chain_standardize(a, residual):
     return T.standardize_rows(T.add(a, residual))
+
+
+# -- the encoder's input stage and the sub-blocks, as the model ran them
+# before each was one node
+
+def chain_attention_block(X, Wq, Wk, Wv, Wo, mask=None, kv=None):
+    """The products by Wq, Wk and Wv (or the given keys and values), the
+    attention, the product by Wo and the residual standardization."""
+    q = T.matmul(X, Wq)
+    K, V = (T.matmul(X, Wk), T.matmul(X, Wv)) if kv is None else kv
+    return T.standardize_rows(X, T.matmul(chain_attention(q, K, V, mask), Wo))
+
+
+def chain_ffn_block(X, W1, b1, W2, b2):
+    return T.standardize_rows(X, T.ffn(X, W1, b1, W2, b2))
+
+
+def chain_input_fusion(A, V, Wa, Wv, Wf):
+    return T.matmul(T.concat_cols([T.matmul(A, Wa), T.matmul(V, Wv)]), Wf)
+
+
+def chain_encode(model, audio, video, mask=None, stacks=None):
+    """``Encoder._encode_frames`` as the chains above: (features, per-block
+    outputs) of [T x D] frames, or of an [n x T x D] stack."""
+    assert stacks is None, "the chains have no stack list form"
+    X = chain_input_fusion(Tensor(audio), Tensor(video), model.audio_proj, model.video_proj,
+                           model.fusion)
+    per_block = []
+    for blk in model.encoder_blocks:
+        X = chain_attention_block(X, *blk.attn.params(), mask=mask)
+        X = chain_ffn_block(X, *blk.ffn.params())
+        per_block.append(X)
+    return X, per_block
+
+
+def chain_attention_forward(block, X, memory=None, mask=None, kv=None, stacks=None):
+    """``AttentionBlock.forward`` as ``chain_attention_block``."""
+    assert stacks is None, "the chains have no stack list form"
+    if kv is None and memory is not None:
+        kv = block.keys_values(memory)
+    return chain_attention_block(X, *block.params(), mask=mask, kv=kv)
+
+
+@contextlib.contextmanager
+def chain_model():
+    """Every ``Encoder`` and ``Model`` runs its input stage and sub-blocks as
+    the chains above inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Encoder, "_encode_frames", chain_encode)
+        mp.setattr(AttentionBlock, "forward", chain_attention_forward)
+        mp.setattr(FFNBlock, "forward", lambda block, X: chain_ffn_block(X, *block.params()))
+        yield
 
 
 def chain_moe_combine(X, weights, selected, experts):
@@ -150,27 +206,92 @@ def test_ffn_equals_its_chain(seed, rows, d, h, n, trainable):
     assert_bitwise_equal(fused, chain)
 
 
+def draw_mask(rng, kind, tq, tk):
+    """None, or a causal or random 0/-inf [tq x tk] mask that leaves every
+    query row a key."""
+    if kind == "none":
+        return None
+    allowed = np.tri(tq, tk, dtype=bool) if kind == "causal" else rng.random((tq, tk)) < 0.5
+    allowed[:, 0] = True
+    return np.where(allowed, 0.0, -np.inf)
+
+
+def with_earlier(block, C):
+    """``block`` whose first operand X also feeds X * C, added to the block's
+    output: X then takes that gradient too, in the walk's order. None for
+    no such consumer."""
+    if C is None:
+        return block
+    return lambda X, *rest: T.add(T.mul(X, Tensor(C)), block(X, *rest))
+
+
 @settings(max_examples=240, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 3), tq=st.integers(1, 5),
-       tk=st.integers(1, 6), d=st.integers(1, 5),
-       mask_kind=st.sampled_from(["none", "causal", "random"]),
-       trainable=st.lists(st.booleans(), min_size=3, max_size=3))
-def test_attention_equals_its_chain(seed, n, tq, tk, d, mask_kind, trainable):
-    """2-D operands (n 0) and [n x T x d] stacks; constant keys and values (as
-    in decoding from a cache) and -inf masks included."""
+       tk=st.integers(1, 6), d=st.integers(1, 5), given_kv=st.booleans(),
+       mask_kind=st.sampled_from(["none", "causal", "random"]), earlier=st.booleans(),
+       trainable=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_attention_equals_its_chain(seed, n, tq, tk, d, given_kv, mask_kind, earlier,
+                                    trainable):
+    """The attention sub-block of 2-D rows (n 0) and of [n x T x d] stacks,
+    its keys and values computed from X, or given as operands (constants
+    among them, as in decoding from a cache); -inf masks included. X takes
+    four terms from the block, and ``earlier`` gives it a fifth consumer."""
     rng = np.random.default_rng(seed)
     stack = (n,) if n else ()
-    arrays = [normal(rng, *stack, tq, d), normal(rng, *stack, tk, d),
-              normal(rng, *stack, tk, d)]
-    mask = None
-    if mask_kind != "none":
-        allowed = (np.tri(tq, tk, dtype=bool) if mask_kind == "causal"
-                   else rng.random((tq, tk)) < 0.5)
-        allowed[:, 0] = True  # every query row keeps a key
-        mask = np.where(allowed, 0.0, -np.inf)
+    tk = tk if given_kv else tq
+    mask = draw_mask(rng, mask_kind, tq, tk)
+    arrays = [normal(rng, *stack, tq, d)]
+    if given_kv:
+        arrays += [normal(rng, *stack, tk, d), normal(rng, *stack, tk, d)]
+        arrays += [normal(rng, d, d), normal(rng, d, d)]
+
+        def op(block):
+            return lambda X, K, V, Wq, Wo: block(X, Wq, None, None, Wo, mask=mask, kv=(K, V))
+    else:
+        arrays += [normal(rng, d, d) for _ in range(4)]
+
+        def op(block):
+            return lambda *ops: block(*ops, mask=mask)
     weight = normal(rng, *stack, tq, d)
-    fused = run(lambda *t: T.attention(*t, mask=mask), arrays, trainable, weight)
-    chain = run(lambda *t: chain_attention(*t, mask), arrays, trainable, weight)
+    C = normal(rng, *stack, tq, d) if earlier else None
+    fused = run(with_earlier(op(T.attention_block), C), arrays, trainable, weight)
+    chain = run(with_earlier(op(chain_attention_block), C), arrays, trainable, weight)
+    assert_bitwise_equal(fused, chain)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 5), d=st.integers(1, 5),
+       h=st.integers(1, 6), n=st.integers(0, 3), earlier=st.booleans(),
+       trainable=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_ffn_block_equals_its_chain(seed, rows, d, h, n, earlier, trainable):
+    """The FFN sub-block of [rows x d] inputs (n 0) and [n x rows x d]
+    stacks; ``earlier`` gives X a third consumer."""
+    rng = np.random.default_rng(seed)
+    x = normal(rng, *((n,) if n else ()), rows, d)
+    arrays = [x, normal(rng, d, h), normal(rng, h), normal(rng, h, d), normal(rng, d)]
+    weight = normal(rng, *x.shape)
+    C = normal(rng, *x.shape) if earlier else None
+    fused = run(with_earlier(T.ffn_block, C), arrays, trainable, weight)
+    chain = run(with_earlier(chain_ffn_block, C), arrays, trainable, weight)
+    assert_bitwise_equal(fused, chain)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 5), n=st.integers(0, 3),
+       widths=st.lists(st.integers(1, 5), min_size=5, max_size=5),
+       trainable=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_input_fusion_equals_its_chain(seed, rows, n, widths, trainable):
+    """Audio and video frames of their own widths through projectors of
+    their own widths and the fusion, as [rows x D] frames (n 0) and
+    [n x rows x D] stacks; frames that take a gradient included."""
+    rng = np.random.default_rng(seed)
+    da, dv, wa, wv, d = widths
+    stack = (n,) if n else ()
+    arrays = [normal(rng, *stack, rows, da), normal(rng, *stack, rows, dv), normal(rng, da, wa),
+              normal(rng, dv, wv), normal(rng, wa + wv, d)]
+    weight = normal(rng, *stack, rows, d)
+    fused = run(T.input_fusion, arrays, trainable, weight)
+    chain = run(chain_input_fusion, arrays, trainable, weight)
     assert_bitwise_equal(fused, chain)
 
 
@@ -320,32 +441,94 @@ def test_router_softmaxes_equal_their_chain(seed, B, G, n, d, tape, x_trainable,
             assert f.grad.tobytes() == c.grad.tobytes() and f.grad.strides == c.grad.strides
 
 
+def tiny_model(seed, n_enc, n_dec, mode="dense_ffn"):
+    moe = MoELayerConfig(mode=mode, n_groups=2, n_per_group=2, m=2, k_per_group=1)
+    cfg = ModelConfig(dim_audio=5, dim_video=3, d=6, h=7, n_enc=n_enc, n_dec=n_dec, vocab=5,
+                      topk_blocks=1, moe=moe)
+    return Model(cfg, seed=seed)
+
+
+def grads_of(model):
+    """Each parameter's gradient, cleared."""
+    out = [p.grad for p in model.params()]
+    for p in model.params():
+        p.zero_grad()
+    return out
+
+
+def assert_same_grads(fused, chain):
+    for f, c in zip(fused, chain, strict=True):
+        assert (f is None) == (c is None)
+        if f is not None:
+            assert f.tobytes() == c.tobytes() and f.strides == c.strides, (f.strides, c.strides)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 4), d=st.integers(2, 5))
-def test_encoder_block_equals_its_chain(seed, rows, d):
-    """Attention, residual norm, FFN and residual norm over shared interior
-    operands: the gradient reaching the block input sums four contributions,
-    in the same order as the chain's."""
+@given(seed=st.integers(0, 2 ** 16), n_enc=st.integers(1, 3), n=st.integers(0, 3),
+       lengths=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_encoder_block_equals_its_chain(seed, n_enc, n, lengths):
+    """A whole encode, input stage and every block, against the chains:
+    sequences packed with a mask (n 0) or an [n x T x D] stack. Each block
+    input past the first is an interior node, so its gradient sums the
+    block's four terms; the features, every block output and every
+    parameter gradient must be the chain's bit for bit."""
     rng = np.random.default_rng(seed)
-    names = ["X", "Wq", "Wk", "Wv", "W1", "b1", "W2", "b2"]
-    arrays = [normal(rng, rows, d)] + [normal(rng, d, d) for _ in range(3)] + [
-        normal(rng, d, 3), normal(rng, 3), normal(rng, 3, d), normal(rng, d)]
+    model = tiny_model(seed, n_enc, 1)
+    if n:
+        audio, video = normal(rng, n, lengths[0], 5), normal(rng, n, lengths[0], 3)
+    else:
+        audio = [normal(rng, t, 5) for t in lengths]
+        video = [normal(rng, t, 3) for t in lengths]
+    runs = []
+    for chains in (contextlib.nullcontext(), chain_model()):
+        with chains:
+            feats, per_block = model.encode(audio, video)
+        weights = np.random.default_rng(seed + 1)
+        loss = T.tsum(T.mul(feats, Tensor(weights.normal(size=feats.shape))))
+        for X in per_block[:-1]:  # an earlier consumer of each block output
+            loss = T.add(loss, T.tsum(T.mul(X, Tensor(weights.normal(size=X.shape)))))
+        loss.backward()
+        runs.append(([X.data for X in per_block], grads_of(model)))
+    (blocks_f, grads_f), (blocks_c, grads_c) = runs
+    assert [b.tobytes() for b in blocks_f] == [b.tobytes() for b in blocks_c]
+    assert_same_grads(grads_f, grads_c)
 
-    def block(attention, ffn, standardize):
-        def forward(*ops):
-            t = dict(zip(names, ops))
-            X = T.gelu(t["X"])  # an interior block input
-            att = attention(T.matmul(X, t["Wq"]), T.matmul(X, t["Wk"]),
-                            T.matmul(X, t["Wv"]), None)
-            X = standardize(X, att)
-            return standardize(X, ffn(X, t["W1"], t["b1"], t["W2"], t["b2"]))
-        return forward
 
-    weight = normal(rng, rows, d)
-    fused = run(block(T.attention, T.ffn, T.standardize_rows), arrays, [True] * 8, weight)
-    chain = run(block(chain_attention, chain_ffn, chain_standardize), arrays, [True] * 8,
-                weight)
-    assert_bitwise_equal(fused, chain)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n_dec=st.integers(2, 3),
+       mode=st.sampled_from(["hierarchical", "dense_ffn"]),
+       lengths=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1,
+                        max_size=3))
+def test_decoder_features_gradient_equals_the_chain(seed, n_dec, mode, lengths):
+    """Packed sequences through an encoder and two or three decoder layers,
+    fused against the chains: the features take two key and value
+    gradients per decoder layer, layer 1's first, in the chain's walk
+    order. The hierarchical layers' inter routers are drawn, not left at
+    their zero init, under which every gradient through them is zero and an
+    order error adds zeros."""
+    rng = np.random.default_rng(seed)
+    audio = [normal(rng, t, 5) for t, _ in lengths]
+    video = [normal(rng, t, 3) for t, _ in lengths]
+    labels = [rng.integers(0, 5, size=m).tolist() for _, m in lengths]
+    tags = [MODALITIES[i] for i in rng.integers(0, len(MODALITIES), len(lengths))]
+    inter = [normal(rng, 6, 2) for _ in range(n_dec)]
+    runs = []
+    for chains in (contextlib.nullcontext(), chain_model()):
+        # a model of its own: a hierarchical layer's forward moves its centre
+        model = tiny_model(seed, 1, n_dec, mode)
+        for blk, weight in zip(model.decoder_blocks, inter):
+            if blk.moe.inter_router is not None:
+                blk.moe.inter_router.weight.data[:] = weight
+        with chains:
+            feats, _ = model.encode(audio, video)
+            _, ce, _ = model.decode_train(feats, labels, tags,
+                                          feature_lengths=[t for t, _ in lengths])
+        ce.backward()
+        runs.append((ce.data.tobytes(), feats.grad, grads_of(model)))
+    (ce_f, feats_f, grads_f), (ce_c, feats_c, grads_c) = runs
+    assert ce_f == ce_c
+    assert feats_f.tobytes() == feats_c.tobytes() and feats_f.strides == feats_c.strides
+    assert_same_grads(grads_f, grads_c)
 
 
 # -- router losses: the chains the supervised step built before they were fused
@@ -661,12 +844,30 @@ def test_fused_ops_reject_mismatched_shapes():
                 (x, W1, Tensor(np.zeros(4)), W2, b2),
                 (x, W1, b1, Tensor(normal(rng, 4, 4)), b2),
                 (x, W1, b1, W2, Tensor(np.zeros(5)))]:
-        with pytest.raises(T.ShapeError):
-            T.ffn(*bad)
+        for op in (T.ffn, T.ffn_block):
+            with pytest.raises(T.ShapeError):
+                op(*bad)
+    with pytest.raises(T.ShapeError):  # an output of another width than x
+        T.ffn_block(x, W1, b1, Tensor(normal(rng, 5, 3)), Tensor(np.zeros(3)))
     with pytest.raises(T.ShapeError):
         T.standardize_rows(x, Tensor(normal(rng, 1, 4)))
+    sq = Tensor(normal(rng, 4, 4))
+    for Wq, kv in [(Tensor(normal(rng, 4, 3)), None), (W1, None),
+                   (sq, (Tensor(normal(rng, 2, 3)), Tensor(normal(rng, 2, 4)))),
+                   (sq, (Tensor(normal(rng, 2, 4)), Tensor(normal(rng, 3, 4))))]:
+        with pytest.raises(T.ShapeError):
+            T.attention_block(x, Wq, sq, sq, sq, kv=kv)
     with pytest.raises(T.ShapeError):
-        T.attention(x, Tensor(normal(rng, 2, 3)), Tensor(normal(rng, 2, 4)))
+        T.attention_block(Tensor(np.zeros((2, 0))), *[Tensor(np.zeros((0, 0)))] * 4)
+    A, V = Tensor(normal(rng, 3, 5)), Tensor(normal(rng, 3, 2))
+    Wa, Wv, Wf = Tensor(normal(rng, 5, 4)), Tensor(normal(rng, 2, 3)), Tensor(normal(rng, 7, 4))
+    for bad in [(A, Tensor(normal(rng, 2, 2)), Wa, Wv, Wf),
+                (A, V, Tensor(normal(rng, 4, 4)), Wv, Wf),
+                (A, V, Wa, Tensor(normal(rng, 3, 3)), Wf),
+                (A, V, Wa, Wv, Tensor(normal(rng, 8, 4))),
+                (Tensor(normal(rng, 5)), Tensor(normal(rng, 2)), Wa, Wv, Wf)]:
+        with pytest.raises(T.ShapeError):
+            T.input_fusion(*bad)
     experts = [(W1, b1, W2, b2)] * 2
     selected = np.array([[0, 1], [1, 0], [0, 1]])
     for X, weights, sel in [(x, Tensor(normal(rng, 3, 1)), selected),
@@ -718,15 +919,24 @@ def test_stacked_ops_reject_mismatched_ranks():
                  (stack, Tensor(normal(rng, 4)))]:
         with pytest.raises(T.ShapeError):
             T.matmul(a, b)
-    q2, k2, v2 = (Tensor(normal(rng, 3, 4)) for _ in range(3))
-    q3, k3, v3 = (Tensor(normal(rng, 2, 3, 4)) for _ in range(3))
-    for Q, K, V in [(q3, k2, v2), (q2, k3, v2), (q2, k2, v3), (q3, k3, v2),
-                    (q3, Tensor(normal(rng, 3, 3, 4)), Tensor(normal(rng, 3, 3, 4)))]:
+    x2, k2, v2 = (Tensor(normal(rng, 3, 4)) for _ in range(3))
+    x3, k3, v3 = (Tensor(normal(rng, 2, 3, 4)) for _ in range(3))
+    W = Tensor(normal(rng, 4, 4))
+    # keys or values of another rank than X, or stacks of another count
+    for X, K, V in [(x3, k2, v2), (x2, k3, v2), (x2, k2, v3), (x3, k3, v2),
+                    (x3, Tensor(normal(rng, 3, 3, 4)), Tensor(normal(rng, 3, 3, 4)))]:
         with pytest.raises(T.ShapeError):
-            T.attention(Q, K, V)
+            T.attention_block(X, W, W, W, W, kv=(K, V))
     with pytest.raises(T.ShapeError):
-        T.ffn(Tensor(normal(rng, 1, 2, 3, 4)), mat, Tensor(np.zeros(5)),
-              Tensor(normal(rng, 5, 4)), Tensor(np.zeros(4)))
+        T.attention_block(Tensor(normal(rng, 1, 2, 3, 4)), W, W, W, W)
+    for op in (T.ffn, T.ffn_block):
+        with pytest.raises(T.ShapeError):
+            op(Tensor(normal(rng, 1, 2, 3, 4)), mat, Tensor(np.zeros(5)),
+               Tensor(normal(rng, 5, 4)), Tensor(np.zeros(4)))
+    with pytest.raises(T.ShapeError):  # audio and video stacks of other lengths
+        T.input_fusion(Tensor(normal(rng, 2, 3, 5)), Tensor(normal(rng, 2, 4, 2)),
+                       Tensor(normal(rng, 5, 4)), Tensor(normal(rng, 2, 3)),
+                       Tensor(normal(rng, 7, 4)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -737,19 +947,24 @@ def test_stacked_forward_equals_each_slice(seed, n, rows, d):
     bit for bit."""
     rng = np.random.default_rng(seed)
     X, Y, Z = (normal(rng, n, rows, d) for _ in range(3))
-    W1, b1, W2, b2 = normal(rng, d, 3), normal(rng, 3), normal(rng, 3, d), normal(rng, d)
+    W1, b1, W2, b2 = (Tensor(a) for a in (normal(rng, d, 3), normal(rng, 3), normal(rng, 3, d),
+                                          normal(rng, d)))
+    Wq, Wk, Wv, Wo = (Tensor(normal(rng, d, d)) for _ in range(4))
+    Wf = Tensor(normal(rng, 2 * d, d))
     ops = [
-        (lambda x, y, z: T.matmul(x, Tensor(W1)), (X, Y, Z)),
-        (lambda x, y, z: T.attention(x, y, z), (X, Y, Z)),
-        (lambda x, y, z: T.ffn(x, Tensor(W1), Tensor(b1), Tensor(W2), Tensor(b2)),
-         (X, Y, Z)),
-        (lambda x, y, z: T.standardize_rows(x, y), (X, Y, Z)),
-        (lambda x, y, z: T.concat_cols([x, y]), (X, Y, Z)),
+        lambda x, y, z: T.matmul(x, W1),
+        lambda x, y, z: T.attention_block(x, Wq, Wk, Wv, Wo),
+        lambda x, y, z: T.attention_block(x, Wq, None, None, Wo, kv=(y, z)),
+        lambda x, y, z: T.ffn(x, W1, b1, W2, b2),
+        lambda x, y, z: T.ffn_block(x, W1, b1, W2, b2),
+        lambda x, y, z: T.input_fusion(x, y, Wq, Wk, Wf),
+        lambda x, y, z: T.standardize_rows(x, y),
+        lambda x, y, z: T.concat_cols([x, y]),
     ]
-    for op, arrays in ops:
-        stacked = op(*(Tensor(a) for a in arrays)).data
+    for op in ops:
+        stacked = op(*(Tensor(a) for a in (X, Y, Z))).data
         for i in range(n):
-            assert np.array_equal(stacked[i], op(*(Tensor(a[i]) for a in arrays)).data)
+            assert np.array_equal(stacked[i], op(*(Tensor(a[i]) for a in (X, Y, Z))).data)
 
 
 def test_backward_from_a_leaf_is_a_no_op():

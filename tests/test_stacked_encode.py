@@ -37,7 +37,7 @@ from avmoe.trainer import (
     build_model, seed_streams,
 )
 from test_fused_ops import (
-    chain_cav2vec_total, chain_cross_entropy_rows, chain_head_mse, chain_mean,
+    chain_cav2vec_total, chain_cross_entropy_rows, chain_encode, chain_head_mse, chain_mean,
 )
 
 TOL = 1e-12
@@ -213,28 +213,37 @@ def test_stack_list_encode_rejects_one_frame_stacks_and_a_tape():
 
 
 def test_stacks_attention_runs_each_stack_and_never_drops_a_gradient():
+    """The stack list form of ``attention_block``: the products once over all
+    rows, attention per stack, each stack's rows its own 3-D call's bit for
+    bit; under a tape, with a mask or with given keys and values it raises."""
     rng = np.random.default_rng(1)
     stacks = [(2, 3), (1, 4), (3, 2)]
-    Q, K, V = (rng.normal(size=(16, 6)) for _ in range(3))
-    got = T.attention(Tensor(Q), Tensor(K), Tensor(V), stacks=stacks)  # constants: no tape
+    X = rng.normal(size=(16, 6))
+    weights = [rng.normal(size=(6, 6)) for _ in range(4)]
+    got = T.attention_block(Tensor(X), *map(Tensor, weights), stacks=stacks)  # no tape
     start = 0
     for n, t in stacks:
-        view = [x[start:start + n * t].reshape(n, t, 6) for x in (Q, K, V)]
-        want = T.attention(*(Tensor(x) for x in view)).data.reshape(-1, 6)
+        view = Tensor(X[start:start + n * t].reshape(n, t, 6))
+        want = T.attention_block(view, *map(Tensor, weights)).data.reshape(-1, 6)
         assert np.array_equal(got.data[start:start + n * t], want)
         start += n * t
-    for i in range(3):  # any operand a gradient could reach
-        ops = [Tensor(x, requires_grad=(j == i)) for j, x in enumerate((Q, K, V))]
+    for i in range(5):  # any operand a gradient could reach
+        ops = [Tensor(x, requires_grad=(j == i)) for j, x in enumerate([X] + weights)]
         with pytest.raises(T.ShapeError, match="no backward"):
-            T.attention(*ops, stacks=stacks)
+            T.attention_block(*ops, stacks=stacks)
         with T.no_grad():
-            assert np.array_equal(T.attention(*ops, stacks=stacks).data, got.data)
+            assert np.array_equal(T.attention_block(*ops, stacks=stacks).data, got.data)
+    ops = [Tensor(X)] + [Tensor(w) for w in weights]
     for bad in ([(2, 3), (1, 4)], [(2, 3), (1, 4), (3, 2), (1, 1)], [(0, 3), (1, 4), (3, 2)],
                 []):
         with pytest.raises(T.ShapeError):
-            T.attention(Tensor(Q), Tensor(K), Tensor(V), stacks=bad)
+            T.attention_block(*ops, stacks=bad)
     with pytest.raises(T.ShapeError):
-        T.attention(Tensor(Q), Tensor(K), Tensor(V), mask=np.zeros((16, 16)), stacks=stacks)
+        T.attention_block(*ops, mask=np.zeros((16, 16)), stacks=stacks)
+    with pytest.raises(T.ShapeError):
+        T.attention_block(*ops, kv=(Tensor(X), Tensor(X)), stacks=stacks)
+    with pytest.raises(T.ShapeError):
+        T.attention_block(Tensor(X.reshape(2, 8, 6)), *ops[1:], stacks=[(2, 8)])
 
 
 # -- the uptraining step against the per-sequence step it replaced -----------
@@ -451,10 +460,12 @@ def test_uptrain_step_is_bitwise_the_per_pair_step(tasks, seed, batch_size, drop
 # -- the uptraining step against the chains of primitive ops it fused ---------
 
 def chain_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng):
-    """The uptraining step before its losses were fused: a ``stack_slice``
-    node per student input, each task loss a chain of primitive ops over it
-    (MLM's cross-entropy too), AVCP's halves ``scale`` nodes, and the column
-    means and the weighted total add and scale chains."""
+    """The uptraining step before its losses and its encoder were fused: the
+    student encodes the chains of the input stage and of each block's
+    sub-blocks, a ``stack_slice`` node per student input, each task loss a
+    chain of primitive ops over it (MLM's cross-entropy too), AVCP's halves
+    ``scale`` nodes, and the column means and the weighted total add and
+    scale chains."""
     topk = model.cfg.topk_blocks
     tasks = sorted((distill.TASKS[name] for name in cfg.tasks),
                    key=lambda task: task.input_mode != distill.MODE_MASKED)
@@ -467,7 +478,7 @@ def chain_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng
             pairs, wanted, teacher_targets(teacher.encoder, wanted, topk)):
         if inputs:
             targets = dict(zip(distinct, found))
-            feats, _ = model.encode(np.stack([a for a, _ in inputs.values()]),
+            feats, _ = chain_encode(model, np.stack([a for a, _ in inputs.values()]),
                                     np.stack([v for _, v in inputs.values()]))
             rows = {key: T.stack_slice(feats, i) for i, key in enumerate(inputs)}
         for task in tasks:
@@ -497,10 +508,11 @@ def chain_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng
        frames_per_token=st.sampled_from([1, 3]))
 def test_uptrain_step_is_bitwise_the_chain_step(tasks, seed, batch_size, dropout, n_enc,
                                                 frames_per_token):
-    """One ``head_mse`` node per scored MSE task and one ``task_loss_total``
-    per step: the same scalars, total and gradients, bit for bit and stride
-    for stride, as the chains of primitive ops. Three or more pairs give
-    each drawn head three or more gradients, added in the chain's walk
+    """One ``head_mse`` node per scored MSE task, one ``task_loss_total`` per
+    step, and one node per student input stage and sub-block: the same
+    scalars, total and gradients, bit for bit and stride for stride, as the
+    chains of primitive ops. Three or more pairs give each drawn head and
+    each encoder weight three or more gradients, added in the chain's walk
     order, and the audio-visual slice takes three with AVCP, mACP and mVCP."""
     setup = _uptrain_setup(tasks, seed, batch_size, dropout, n_enc, frames_per_token)
     runs = []

@@ -7,7 +7,7 @@ import pytest
 from avmoe import tensor as T
 from avmoe.gradcheck import CASES, TOLERANCE, run
 from avmoe.tensor import (
-    Tensor, ShapeError, attention, cross_entropy_rows, grad_check, head_mse, matmul,
+    Tensor, ShapeError, attention_block, cross_entropy_rows, grad_check, head_mse, matmul,
     softmax,
 )
 from avmoe.trainer import TrainConfig, train
@@ -75,6 +75,11 @@ def test_softmax_empty_rejected():
         softmax(Tensor(np.zeros(0)))
 
 
+def attention(Q, K, V):
+    """The attention inside ``attention_block``, of 2-D arrays."""
+    return Tensor(T._attend(Q.data, K.data, V.data, None)[0])
+
+
 def test_attention_limiting_case():
     K = Tensor(np.eye(3))
     V = Tensor(np.arange(9.0).reshape(3, 3))
@@ -109,7 +114,7 @@ def test_attention_scalar_loop_oracle():
 
 def test_attention_zero_dim_rejected():
     with pytest.raises(ShapeError):
-        attention(Tensor(np.zeros((2, 0))), Tensor(np.zeros((2, 0))), Tensor(np.zeros((2, 0))))
+        attention_block(Tensor(np.zeros((2, 0))), *[Tensor(np.zeros((0, 0)))] * 4)
 
 
 def test_mse_identical_and_closed_form():
@@ -216,8 +221,9 @@ PRIMITIVES = {
                                           Tensor(rng.normal(size=(3, 3))))),
     "softmax": lambda t, rng: T.tsum(T.mul(softmax(t), Tensor(rng.normal(size=t.shape)))),
     "logsumexp": lambda t, rng: T.tsum(T.logsumexp(t)),
-    "attention": lambda t, rng: T.tsum(attention(t, Tensor(rng.normal(size=(3, 4))),
-                                                 Tensor(rng.normal(size=(3, 4))))),
+    "attention": lambda t, rng: T.tsum(T.mul(
+        attention_block(t, *(Tensor(rng.normal(size=(4, 4))) for _ in range(4))),
+        Tensor(rng.normal(size=t.shape)))),
     "gelu": lambda t, rng: T.tsum(T.gelu(t)),
     "standardize": lambda t, rng: T.tsum(T.mul(T.standardize_rows(t),
                                                Tensor(rng.normal(size=t.shape)))),
@@ -339,7 +345,7 @@ def test_every_public_op_has_a_gradcheck_case():
     ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
            if fn.__module__ == T.__name__ and not name.startswith("_")
            and inspect.signature(fn).return_annotation == "Tensor"}
-    assert {"add", "attention", "cross_entropy_rows", "ffn", "tsum"} <= ops
+    assert {"add", "attention_block", "cross_entropy_rows", "ffn", "tsum"} <= ops
     cases = [name for name, _ in CASES["tensor"]]
     missing = sorted(op for op in ops - {"tsum"}
                      if not any(c == op or c.startswith(op + "_") for c in cases))

@@ -78,6 +78,10 @@ CONFIGS = {
     "combined_kpg2_mlm_vcp_sgd": {**COMBINED, "optimizer": "sgd", "lr": 0.1,
                                   "tasks": ["MLM", "VCP"],
                                   "model": {"moe": {**MOE["hierarchical"], "k_per_group": 2}}},
+    # three encoder and three decoder layers: gradient walks deeper than two
+    # layers, the features taking three layers' cross-attention keys and values
+    "combined_three_layers": {**COMBINED, "model": {"n_enc": 3, "n_dec": 3,
+                                                    "moe": MOE["hierarchical"]}},
     "supervised_seed1": {"seed": 1},
     "combined_seed2": {**COMBINED, "seed": 2},
 }
