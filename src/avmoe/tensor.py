@@ -691,11 +691,12 @@ def standardize_rows(a: Tensor, residual: Tensor | None = None) -> Tensor:
     ``a + residual`` (same shape) as one node, with no learned affine; the
     variance takes an epsilon of 1e-6."""
     a = _as_tensor(a)
-    x, operands = a.data.copy(), (a,)
-    if residual is not None:
+    if residual is None:
+        x, operands = a.data.copy(), (a,)
+    else:
         residual = _as_tensor(residual)
-        if residual.data.shape != x.shape:
-            raise ShapeError(f"residual {residual.data.shape} for rows of shape {x.shape}")
+        if residual.data.shape != a.data.shape:
+            raise ShapeError(f"residual {residual.data.shape} for rows of shape {a.data.shape}")
         x, operands = a.data + residual.data, (a, residual)
     y, inv = _standardize_forward(x)
     if not _track(*operands):
@@ -724,8 +725,8 @@ def _attend(q, k, v, mask):
     return p @ v, p, c
 
 
-def attention_block(X: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, mask=None,
-                    kv=None, stacks=None) -> Tensor:
+def attention_block(X: Tensor, Wq: Tensor, Wk: Tensor | None, Wv: Tensor | None, Wo: Tensor,
+                    mask=None, kv=None, stacks=None) -> Tensor:
     """The attention sub-block standardize_rows(X, A Wo) of a [T x d] row
     batch or an [n x T x d] stack, slice by slice: A is single-head scaled
     dot-product attention softmax(Q K^T / sqrt(d) + mask) V, Q = X Wq, and
@@ -740,9 +741,9 @@ def attention_block(X: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, m
 
     ``stacks``, a list of (n, T), reads a [R x d] X as stacks laid end to
     end, R the sum of n * T: the products run once over all rows, and each
-    run of n * T rows attends as its own [n x T x d] stack, with no mask,
-    into the same rows of A. That form has no backward: under a tape it
-    raises ShapeError.
+    run of n * T rows attends as its own [n x T x d] stack into the same
+    rows of A. That form takes no mask or ``kv`` and has no backward: under
+    a tape it raises ShapeError.
 
     The chain it stands for is the products X Wq, X Wk and X Wv, attention
     (scores, softmax and the value product), the product by Wo and

@@ -206,20 +206,10 @@ def test_ffn_equals_its_chain(seed, rows, d, h, n, trainable):
     assert_bitwise_equal(fused, chain)
 
 
-def draw_mask(rng, kind, tq, tk):
-    """None, or a causal or random 0/-inf [tq x tk] mask that leaves every
-    query row a key."""
-    if kind == "none":
-        return None
-    allowed = np.tri(tq, tk, dtype=bool) if kind == "causal" else rng.random((tq, tk)) < 0.5
-    allowed[:, 0] = True
-    return np.where(allowed, 0.0, -np.inf)
-
-
 def with_earlier(block, C):
     """``block`` whose first operand X also feeds X * C, added to the block's
-    output: X then takes that gradient too, in the walk's order. None for
-    no such consumer."""
+    output: X then takes that gradient too, in the walk's order; ``block``
+    itself when C is None."""
     if C is None:
         return block
     return lambda X, *rest: T.add(T.mul(X, Tensor(C)), block(X, *rest))
@@ -239,7 +229,12 @@ def test_attention_equals_its_chain(seed, n, tq, tk, d, given_kv, mask_kind, ear
     rng = np.random.default_rng(seed)
     stack = (n,) if n else ()
     tk = tk if given_kv else tq
-    mask = draw_mask(rng, mask_kind, tq, tk)
+    mask = None
+    if mask_kind != "none":
+        allowed = (np.tri(tq, tk, dtype=bool) if mask_kind == "causal"
+                   else rng.random((tq, tk)) < 0.5)
+        allowed[:, 0] = True  # every query row keeps a key
+        mask = np.where(allowed, 0.0, -np.inf)
     arrays = [normal(rng, *stack, tq, d)]
     if given_kv:
         arrays += [normal(rng, *stack, tk, d), normal(rng, *stack, tk, d)]
