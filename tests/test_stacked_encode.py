@@ -37,7 +37,8 @@ from avmoe.trainer import (
     build_model, seed_streams,
 )
 from test_fused_ops import (
-    chain_cav2vec_total, chain_cross_entropy_rows, chain_encode, chain_head_mse, chain_mean,
+    chain_attention_block, chain_cav2vec_total, chain_cross_entropy_rows, chain_encode,
+    chain_head_mse, chain_mean,
 )
 
 TOL = 1e-12
@@ -214,8 +215,9 @@ def test_stack_list_encode_rejects_one_frame_stacks_and_a_tape():
 
 def test_stacks_attention_runs_each_stack_and_never_drops_a_gradient():
     """The stack list form of ``attention_block``: the products once over all
-    rows, attention per stack, each stack's rows its own 3-D call's bit for
-    bit; under a tape, with a mask or with given keys and values it raises."""
+    rows, attention per stack, each stack's rows its own 3-D call's and the
+    chain's bit for bit; under a tape, with a mask or with given keys and
+    values it raises."""
     rng = np.random.default_rng(1)
     stacks = [(2, 3), (1, 4), (3, 2)]
     X = rng.normal(size=(16, 6))
@@ -224,8 +226,9 @@ def test_stacks_attention_runs_each_stack_and_never_drops_a_gradient():
     start = 0
     for n, t in stacks:
         view = Tensor(X[start:start + n * t].reshape(n, t, 6))
-        want = T.attention_block(view, *map(Tensor, weights)).data.reshape(-1, 6)
-        assert np.array_equal(got.data[start:start + n * t], want)
+        for block in (T.attention_block, chain_attention_block):
+            want = block(view, *map(Tensor, weights)).data.reshape(-1, 6)
+            assert got.data[start:start + n * t].tobytes() == want.tobytes()
         start += n * t
     for i in range(5):  # any operand a gradient could reach
         ops = [Tensor(x, requires_grad=(j == i)) for j, x in enumerate([X] + weights)]
