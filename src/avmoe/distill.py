@@ -18,8 +18,9 @@ a 3-D stack. Each MSE task loss reads its slice of that stack itself and is
 one tape node (`tensor.head_mse`: the head product, the frame gather and
 the MSE); MLM scores a `tensor.stack_slice` of it. `cav2vec_total_loss`
 takes every task loss of a step as (loss, share) terms of the
-`LOSS_COLUMNS` and makes the column means and the weighted total one node
-(`tensor.task_loss_total`).
+`LOSS_COLUMNS` and makes the column means and the weighted total one node,
+`tensor.loss_total`, the op that also ends the supervised step
+(`moe_losses.total_aux_loss`).
 """
 
 from __future__ import annotations
@@ -270,9 +271,9 @@ def mlm_loss(student_features: Tensor, centroids: np.ndarray,
 def cav2vec_total_loss(acp: list, vcp: list, mask: list, mlm: list):
     """The task losses' weighted sum: each of the ``LOSS_COLUMNS`` is the
     mean of its list of (loss, share) terms, weighted by its ``TASK_WEIGHTS``
-    entry, all in one ``tensor.task_loss_total`` node. Returns the total and
+    entry, all in one ``tensor.loss_total`` node. Returns the total and
     the four column means."""
-    total, means = T.task_loss_total((acp, vcp, mask, mlm), list(TASK_WEIGHTS.values()))
+    total, means = T.loss_total((acp, vcp, mask, mlm), list(TASK_WEIGHTS.values()))
     for column, m in zip(LOSS_COLUMNS, means):
         if not np.isfinite(m):
             raise T.NumericError(f"non-finite {column} loss component")

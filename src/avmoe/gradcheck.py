@@ -104,10 +104,6 @@ _F = np.array([[0.4, 0.4, 0.2], [0.0, 0.5, 0.5]])
 _BIAS_TERMS = [(np.array([0, 3]), 0, 0.5), (np.array([1, 2, 4]), 1, 0.75)]
 
 
-def _router_loss_total(ce, b0, b1, s0, z0, z1):
-    return T.router_loss_total(ce, [b0, b1], [s0], [z0, z1], 0.3, 0.7, 1.1)[0]
-
-
 # scored rows 0 and 2 of slice 1 of a [2 x 3 x 4] stack, against [3 x 3] targets
 _TARGETS = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
 
@@ -116,10 +112,11 @@ def _head_mse(stack, head):
     return T.head_mse(stack, 1, head, _TARGETS, [0, 2])
 
 
-def _task_loss_total(shared, a0, v0, m0):
-    """Four columns, one empty, and a loss with a share in two of them."""
-    columns = ([(shared, 0.5), (a0, 1.0)], [(shared, 0.5), (v0, 1.0)], [(m0, 1.0)], [])
-    return T.task_loss_total(columns, [1.0, 0.7, 1.3, 2.0])[0]
+def _loss_total(ce, shared, b0, b1, s0):
+    """Both callers' forms: a one-term column of weight 1.0 (the CE), a loss
+    with a share of 0.5 in two columns, and an empty column."""
+    columns = ([(ce, 1.0)], [(shared, 0.5), (b0, 1.0), (b1, 1.0)], [(shared, 0.5), (s0, 1.0)], [])
+    return T.loss_total(columns, [1.0, 0.7, 1.3, 2.0])[0]
 
 
 # two packed segments, query rows 0-1 and row 2, over keys 0-2 and 3-4, and
@@ -207,8 +204,8 @@ def _case_bias_router_weights(seed):
 def _total_aux(logits, f):
     """Every term of ``total_aux_loss`` from one [1 x 4] logit row."""
     balance = load_balancing_loss(f.data, T.mean_axis0(T.softmax(logits)))
-    return total_aux_loss(T.tmean(T.mul(logits, logits)), balance, Tensor(0.0),
-                          router_z_loss(logits)).total
+    return total_aux_loss(T.tmean(T.mul(logits, logits)), [balance], [Tensor(0.0)],
+                          [router_z_loss(logits)])[0]
 
 
 CASES = {
@@ -269,11 +266,9 @@ CASES = {
         ("squared_logsumexp", _probe("squared_logsumexp", {"a": M})),
         ("squared_logsumexp_weighted", _probe("squared_logsumexp", {"a": M},
                                               row_weights=[0.3, 1.0, 0.6])),
-        *_rows("router_loss_total", _router_loss_total,
-               {name: () for name in ("ce", "b0", "b1", "s0", "z0", "z1")}),
         *_rows("head_mse", _head_mse, {"stack": S, "head": (4, 3)}),
-        *_rows("task_loss_total", _task_loss_total,
-               {name: () for name in ("shared", "a0", "v0", "m0")}),
+        *_rows("loss_total", _loss_total,
+               {name: () for name in ("ce", "shared", "b0", "b1", "s0")}),
     ],
     "moe": [
         ("expert_forward", _probe(_expert, {"x": M, **FFN})),

@@ -10,13 +10,11 @@ Each term the supervised step adds is one tape node, a fused op of
 enters each group's router probabilities), its biasing (``load_biasing``,
 into the inter-router probabilities of each unimodal subset's rows), each
 router's z-loss (``squared_logsumexp``, into its logits), and the weighted
-total of the three layer means and the CE (``router_loss_total``).
-``load_balancing_loss`` stays the one-group chain of primitive ops."""
+total of the CE and the three layer means (``loss_total``, the op that also
+ends the uptraining step). ``load_balancing_loss`` stays the one-group chain
+of primitive ops."""
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +25,12 @@ from .routing import AUDIO_GROUP, VIDEO_GROUP, MOD_AUDIO, MOD_VIDEO, DispatchSta
 DEFAULT_C_B = 1e-2
 DEFAULT_C_S = 1e-2
 DEFAULT_C_Z = 1e-3
+# the supervised losses' steps.csv columns, in total_aux_loss's argument order
+ROUTER_COLUMNS = ("L_CE", "L_B", "L_S", "L_Z")
 
 
 class UnsupportedConfigError(ValueError):
     """Loss asked for a configuration it does not support."""
-
-
-@dataclass
-class LossBundle:
-    ce: Tensor
-    balance: Tensor
-    bias: Tensor
-    z: Tensor
-    total: Tensor
-
-    def scalars(self) -> dict[str, float]:
-        return {
-            "L_CE": float(self.ce.data), "L_B": float(self.balance.data),
-            "L_S": float(self.bias.data), "L_Z": float(self.z.data),
-            "total": float(self.total.data),
-        }
 
 
 def load_balancing_loss(f: np.ndarray, P: Tensor) -> Tensor:
@@ -89,18 +73,15 @@ def load_biasing_loss(stats: DispatchStats) -> Tensor:
     return T.load_biasing(stats.group_probs, terms)
 
 
-def total_aux_loss(ce, balance, bias, z, c_balance: float = DEFAULT_C_B,
-                   c_bias: float = DEFAULT_C_S) -> LossBundle:
-    """Weighted combination L_CE + c_B L_B + c_S L_S + c_Z L_Z, with c_Z
-    fixed at ``DEFAULT_C_Z``, as one node. Each of ``balance``, ``bias`` and
-    ``z`` is a loss or a list of per-layer losses whose mean is the term (0
-    for an empty list)."""
-    ce = ce if isinstance(ce, Tensor) else Tensor(float(ce))
-    terms = [[x if isinstance(x, Tensor) else Tensor(float(x))
-              for x in (xs if isinstance(xs, list) else [xs])] for xs in (balance, bias, z)]
-    total, means = T.router_loss_total(ce, *terms, c_balance, c_bias, DEFAULT_C_Z)
-    balance, bias, z = (Tensor(m) for m in means)
-    for name, t in (("ce", ce), ("balance", balance), ("bias", bias), ("z", z)):
-        if not math.isfinite(t.data):
-            raise T.NumericError(f"loss component {name} is not finite")
-    return LossBundle(ce=ce, balance=balance, bias=bias, z=z, total=total)
+def total_aux_loss(ce: Tensor, balance: list, bias: list, z: list,
+                   c_balance: float = DEFAULT_C_B, c_bias: float = DEFAULT_C_S):
+    """L_CE + c_B L_B + c_S L_S + c_Z L_Z, with c_Z fixed at ``DEFAULT_C_Z``,
+    as one ``tensor.loss_total`` node; each of the ``balance``, ``bias`` and
+    ``z`` terms is the mean of its list of per-layer losses (0 for an empty
+    list). Returns the total and the four ``ROUTER_COLUMNS`` means."""
+    columns = [[(ce, 1.0)], *([(t, 1.0) for t in ts] for ts in (balance, bias, z))]
+    total, means = T.loss_total(columns, (1.0, c_balance, c_bias, DEFAULT_C_Z))
+    for column, m in zip(ROUTER_COLUMNS, means):
+        if not np.isfinite(m):
+            raise T.NumericError(f"non-finite {column} loss component")
+    return total, means

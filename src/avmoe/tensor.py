@@ -32,18 +32,19 @@ an optional residual operand (the add before the norm) and
 all of them, weighted and summed per row). So is each router-loss term of
 the supervised step: ``load_balancing`` (into each group's probabilities),
 ``load_biasing`` (into the inter-router probabilities of each subset's
-rows), ``squared_logsumexp`` (the z-loss, into the logits) and
-``router_loss_total`` (the layer means and the weighted total), and so are
+rows) and ``squared_logsumexp`` (the z-loss, into the logits), and so are
 the other losses: ``cross_entropy_rows``, ``head_mse`` (one uptraining
 task's head product, frame gather and MSE, read from its slice of the
-student stack) and ``task_loss_total`` (the task columns' means and their
-weighted total). Each runs the numpy arithmetic of the primitive-op chain
-it stands for, in the same order, and hands each operand the gradient that
-chain's backward would; ``tests/test_fused_ops.py`` builds those chains and
-checks the fused ops against them bit for bit. ``router_softmaxes`` fuses
-only the forward: it computes the logits and softmaxes of several routers
-in one stacked pass, and with a tape it still builds each router's own
-matmul and softmax nodes, so its gradients are the per-router chain's.
+student stack) and ``loss_total``, the weighted total of four loss
+columns' means that ends both training steps (the CE and the router losses'
+layer means, or the uptraining task columns). Each runs the numpy
+arithmetic of the primitive-op chain it stands for, in the same order, and
+hands each operand the gradient that chain's backward would;
+``tests/test_fused_ops.py`` builds those chains and checks the fused ops
+against them bit for bit. ``router_softmaxes`` fuses only the forward: it
+computes the logits and softmaxes of several routers in one stacked pass,
+and with a tape it still builds each router's own matmul and softmax
+nodes, so its gradients are the per-router chain's.
 """
 
 from __future__ import annotations
@@ -84,9 +85,12 @@ def grad_enabled() -> bool:
 class Tensor:
     """A float64 array with an optional gradient buffer.
 
-    ``data`` is never mutated by ops after construction; optimizers update
-    parameter tensors in place between steps, which is the one sanctioned
-    mutation point.
+    No op writes the ``data`` of an operand or of a tensor it made. Only
+    parameters are written, in place and off the tape: by the optimizers'
+    steps, ``distill.make_teacher`` and ``distill.ema_update``,
+    ``Model.load_state_dict`` and ``trainer.build_model``'s identical-expert
+    init. The optimizers' constructor rebinds each parameter's ``data`` to a
+    view of one packed vector; every later writer writes into ``data``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -412,22 +416,24 @@ def normalize_rows(a: Tensor) -> Tensor:
         (g - np.add.reduce(g * y, axis=-1, keepdims=True)) / total))
 
 
+def _logsumexp_rows(a):
+    """Row-wise (last axis) logsumexp of the array ``a``, with e = exp(a - max)
+    and its row sums s, whose ratio e / s is the rows' softmax."""
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    return (m + np.log(s)).squeeze(-1), e, s
+
+
 def logsumexp(a: Tensor) -> Tensor:
     """Row-wise (last axis) logsumexp; returns shape ``a.shape[:-1]``."""
     a = _as_tensor(a)
     if a.data.size == 0:
         raise ShapeError("logsumexp of an empty tensor")
-    m = a.data.max(axis=-1, keepdims=True)
-    s = np.exp(a.data - m).sum(axis=-1, keepdims=True)
-    data = (m + np.log(s)).squeeze(-1)
+    data, e, s = _logsumexp_rows(a.data)
     if not _track(a):
         return Tensor(data)
-
-    def backward(g):
-        soft = np.exp(a.data - m) / s
-        a._accum(np.expand_dims(g, -1) * soft)
-
-    return _make(data, (a,), backward)
+    return _make(data, (a,), lambda g: a._accum(np.expand_dims(g, -1) * (e / s)))
 
 
 # -- losses -------------------------------------------------------------------
@@ -453,10 +459,7 @@ def cross_entropy_rows(logits: Tensor, target_ids, row_weights=None) -> Tensor:
     w = None if row_weights is None else np.asarray(row_weights, dtype=np.float64)
     if w is not None and w.shape != (n_rows,):
         raise ShapeError(f"need {n_rows} row weights, got shape {w.shape}")
-    m = a.max(axis=-1, keepdims=True)
-    e = np.exp(a - m)
-    s = e.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(s)).squeeze(-1)
+    lse, e, s = _logsumexp_rows(a)
     flat = ids + np.arange(n_rows) * n_cls
     picked = a.reshape(-1)[flat]
     if w is None:
@@ -522,12 +525,13 @@ def head_mse(stack: Tensor, i: int, head: Tensor, targets, rows) -> Tensor:
     return _make(data, (stack, head), backward)
 
 
-def task_loss_total(columns, weights):
+def loss_total(columns, weights):
     """(w0 * L0 + w1 * L1) + (w2 * L2 + w3 * L3) as one node, L_c the mean
     of the four ``columns``' terms and w the four ``weights``. A column is a
     list of (loss, share) terms, each a scalar tensor times a constant share,
     and its mean is 0 when it has none; one loss may be a term of two
-    columns. Returns the total and the four means.
+    columns. Returns the total and the four means. A one-term column of
+    weight 1.0 and share 1.0 adds its loss as it is, since x * 1.0 is x.
 
     The chain it stands for scales a term by its share (none when it is 1),
     adds a column's terms in order and scales the sum by 1 / their number,
@@ -537,12 +541,12 @@ def task_loss_total(columns, weights):
     in its place in the later one; the operands are listed in that order,
     which is the order they take their gradients in."""
     if len(columns) != 4 or len(weights) != 4:
-        raise ShapeError(f"task loss total takes four columns and four weights, got "
+        raise ShapeError(f"loss total takes four columns and four weights, got "
                          f"{len(columns)} and {len(weights)}")
     terms = [(c, k, loss, share) for c, column in enumerate(columns)
              for k, (loss, share) in enumerate(column)]
     if any(loss.data.shape != () for _, _, loss, _ in terms):
-        raise ShapeError("task loss total takes scalar losses")
+        raise ShapeError("loss total takes scalar losses")
     means = []
     for column in columns:
         acc = 0.0
@@ -1122,10 +1126,7 @@ def squared_logsumexp(a: Tensor, row_weights=None) -> Tensor:
     w = None if row_weights is None else np.asarray(row_weights, dtype=np.float64)
     if w is not None and w.shape != a.data.shape[:1]:
         raise ShapeError(f"{w.shape} row weights for {a.data.shape[0]} rows")
-    m = np.maximum.reduce(a.data, axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = np.add.reduce(e, axis=-1, keepdims=True)
-    lse = (m + np.log(s)).squeeze(-1)
+    lse, e, s = _logsumexp_rows(a.data)
     sq = lse * lse
     data = sq.mean() if w is None else (sq * w).sum()
     if not _track(a):
@@ -1139,49 +1140,6 @@ def squared_logsumexp(a: Tensor, row_weights=None) -> Tensor:
         a._accum(glse[:, None] * (e / s))
 
     return _make(data, (a,), backward)
-
-
-def router_loss_total(ce: Tensor, balance: list[Tensor], bias: list[Tensor],
-                      z: list[Tensor], c_balance: float, c_bias: float, c_z: float):
-    """(ce + c_balance * B) + (c_bias * S + c_z * Z) as one node, B, S and Z
-    the means of the scalar tensors in ``balance``, ``bias`` and ``z``
-    (0 for an empty list). Returns the total and the three means.
-
-    The chain it stands for adds each list in order and scales the sum by
-    1 / its length, then scales and adds the terms in the order above. Its
-    arithmetic is on Python floats, the same IEEE doubles as numpy's."""
-    ce = _as_tensor(ce)
-    groups = [[_as_tensor(t) for t in ts] for ts in (balance, bias, z)]
-    coefs = (c_balance, c_bias, c_z)
-    operands = (ce, *(t for ts in groups for t in ts))
-    if any(t.data.shape != () for t in operands):
-        raise ShapeError("router loss total takes scalar terms")
-    means = []
-    for ts in groups:
-        acc = 0.0
-        if ts:
-            acc = float(ts[0].data)
-            for t in ts[1:]:
-                acc += float(t.data)
-            acc *= 1.0 / len(ts)
-        means.append(acc)
-    (b, s, zm), (cb, cs, cz) = means, coefs
-    data = (float(ce.data) + b * cb) + (s * cs + zm * cz)
-    means = [np.asarray(m) for m in means]
-    if not _track(*operands):
-        return Tensor(data), means
-
-    def backward(g):
-        if _needs_grad(ce):
-            ce._accum(g)
-        for ts, c in zip(groups, coefs):
-            if ts:
-                gt = (float(g) * c) * (1.0 / len(ts))
-                for t in ts:
-                    if _needs_grad(t):
-                        t._accum(gt)
-
-    return _make(data, operands, backward), means
 
 
 # -- gradient checking --------------------------------------------------------

@@ -50,7 +50,7 @@ from .metrics import CsvTable, atomic_open, write_table
 from .model import Model, ModelConfig, sequence_mean_weights
 from .moe_layer import MoELayerConfig, flops_report
 from .moe_losses import (
-    DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, load_balancing_from_stats,
+    DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, ROUTER_COLUMNS, load_balancing_from_stats,
     load_biasing_loss, router_z_loss, total_aux_loss, UnsupportedConfigError,
 )
 from .routing import (
@@ -90,7 +90,7 @@ RETIRED = {
     "model.moe.activation": "gelu",
 }
 
-STEP_COLUMNS = ["step", "L_CE", "L_B", "L_S", "L_Z", *LOSS_COLUMNS, "total"]
+STEP_COLUMNS = ["step", *ROUTER_COLUMNS, *LOSS_COLUMNS, "total"]
 
 
 class ConfigError(ValueError):
@@ -463,6 +463,12 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
     return batch
 
 
+def _step_scalars(columns, means, total: Tensor) -> dict[str, float]:
+    """A step's ``steps.csv`` scalars: each loss column's mean, then the total."""
+    return {**{column: float(m) for column, m in zip(columns, means)},
+            "total": float(total.data)}
+
+
 # -- supervised regime --------------------------------------------------------
 
 def _supervised_step(model: Model, cfg: TrainConfig, batch):
@@ -484,9 +490,9 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
     z = [router_z_loss(rows, row_weights) for rows in logit_rows]
-    bundle = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
-                            c_bias=cfg.c_bias)
-    return bundle.scalars(), bundle.total, stats
+    total, means = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
+                                  c_bias=cfg.c_bias)
+    return _step_scalars(ROUTER_COLUMNS, means, total), total, stats
 
 
 def _supervised_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
@@ -578,9 +584,7 @@ def _uptrain_step(model: Model, teacher, heads: DistillHeads,
             for column in task.columns:
                 losses[column].append((loss, share))
     total, means = cav2vec_total_loss(*losses.values())
-    scalars = {column: float(m) for column, m in zip(LOSS_COLUMNS, means)}
-    scalars["total"] = float(total.data)
-    return scalars, total
+    return _step_scalars(LOSS_COLUMNS, means, total), total
 
 
 def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:

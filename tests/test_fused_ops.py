@@ -2,10 +2,10 @@
 
 The encoder's ``input_fusion`` and the sub-blocks ``attention_block`` and
 ``ffn_block``, ``ffn``, ``standardize_rows`` with a residual,
-``moe_combine``, the router-loss ops ``load_balancing``, ``load_biasing``,
-``squared_logsumexp`` and ``router_loss_total``, and the losses
-``cross_entropy_rows``, ``head_mse`` and ``task_loss_total`` are one
-tape node each, with a hand-written backward that runs the chain's numpy
+``moe_combine``, the router-loss ops ``load_balancing``, ``load_biasing``
+and ``squared_logsumexp``, and the losses ``cross_entropy_rows``,
+``head_mse`` and ``loss_total`` (checked in both training steps' forms)
+are one tape node each, with a hand-written backward that runs the chain's numpy
 arithmetic in the chain's order; ``router_softmaxes``
 runs several routers' forward in one stacked pass and builds the chain's own
 nodes. Their outputs and every operand gradient must therefore equal the
@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from avmoe import tensor as T
 from avmoe.model import AttentionBlock, Encoder, FFNBlock, Model, ModelConfig
 from avmoe.moe_layer import MoELayer, MoELayerConfig
+from avmoe.moe_losses import DEFAULT_C_Z, total_aux_loss
 from avmoe.routing import MODALITIES, RouterParams, route_dense
 from avmoe.tensor import Tensor
 
@@ -659,13 +660,19 @@ def test_squared_logsumexp_equals_its_chain(seed, rows, n, weighted, scale, zero
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), sizes=st.lists(st.integers(0, 3), min_size=3, max_size=3),
-       coefs=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.37, 2.0]), min_size=3, max_size=3),
-       data=st.data())
-def test_router_loss_total_equals_its_chain(seed, sizes, coefs, data):
-    """Lists of 0-3 layer terms each, some constant, and the means returned
-    beside the total."""
+       coefs=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.37, 2.0]), min_size=2, max_size=2),
+       zeros=st.booleans(), data=st.data())
+def test_router_loss_total_equals_its_chain(seed, sizes, coefs, zeros, data):
+    """``total_aux_loss``'s columns through ``loss_total``: lists of 0-3
+    layer terms each, some constant, and every mean returned beside the
+    total, the CE column's included. ``zeros`` puts signed zeros in the CE
+    and the upstream gradient, which the CE's weight of 1.0 must pass on
+    as they are."""
     rng = np.random.default_rng(seed)
     arrays = [normal(rng)] + [normal(rng) for _ in range(sum(sizes))]
+    weight = normal(rng)
+    if zeros:
+        arrays[0], weight = signed_zeros(rng, arrays[0], 0.5), signed_zeros(rng, weight, 0.5)
     trainable = data.draw(st.lists(st.booleans(), min_size=len(arrays),
                                    max_size=len(arrays)))
     means = {}
@@ -676,15 +683,18 @@ def test_router_loss_total_equals_its_chain(seed, sizes, coefs, data):
             for size in sizes:
                 groups.append(list(terms[start:start + size]))
                 start += size
-            out, means[total] = total(ce, *groups, *coefs)
+            out, means[total] = total(ce, *groups)
             return out
         return forward
 
-    weight = normal(rng)
-    fused = run(op(T.router_loss_total), arrays, trainable, weight)
-    chain = run(op(chain_router_loss_total), arrays, trainable, weight)
+    fused_op = partial(total_aux_loss, c_balance=coefs[0], c_bias=coefs[1])
+    chain_op = partial(chain_router_loss_total, c_balance=coefs[0], c_bias=coefs[1],
+                       c_z=DEFAULT_C_Z)
+    fused = run(op(fused_op), arrays, trainable, weight)
+    chain = run(op(chain_op), arrays, trainable, weight)
     assert_bitwise_equal(fused, chain)
-    for got, want in zip(means[T.router_loss_total], means[chain_router_loss_total]):
+    # the chain's CE is the operand itself
+    for got, want in zip(means[fused_op], [arrays[0], *means[chain_op]], strict=True):
         assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
 
 
@@ -825,10 +835,10 @@ def test_task_loss_total_equals_its_chain(seed, data, weights):
 
     weight = normal(rng)
     x = normal(rng, 3)
-    fused = run(op(T.task_loss_total), [x], [True], weight)
+    fused = run(op(T.loss_total), [x], [True], weight)
     chain = run(op(chain_task_loss_total), [x], [True], weight)
     assert_bitwise_equal(fused, chain)
-    for got, want in zip(means[T.task_loss_total], means[chain_task_loss_total], strict=True):
+    for got, want in zip(means[T.loss_total], means[chain_task_loss_total], strict=True):
         assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
 
 
@@ -895,13 +905,13 @@ def test_fused_ops_reject_mismatched_shapes():
                  (p, np.ones(4))]:
         with pytest.raises(T.ShapeError):
             T.squared_logsumexp(a, w)
-    with pytest.raises(T.ShapeError):
-        T.router_loss_total(p, [], [], [], 1.0, 1.0, 1.0)
+    with pytest.raises(T.ShapeError):  # a non-scalar CE in the supervised step's form
+        total_aux_loss(p, [], [], [])
     scalar = Tensor(1.0)
     for columns, weights in [([[(scalar, 1.0)]] * 3, [1.0] * 3), ([[]] * 4, [1.0] * 3),
                              ([[(p, 1.0)], [], [], []], [1.0] * 4)]:
         with pytest.raises(T.ShapeError):
-            T.task_loss_total(columns, weights)
+            T.loss_total(columns, weights)
 
 
 def test_stacked_ops_reject_mismatched_ranks():

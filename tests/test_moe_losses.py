@@ -178,35 +178,39 @@ class TestLoadBiasing:
         assert grad_check(loss_of, W, eps=1e-4) < 1e-4
 
 
+def aux_loss(ce, b, s, z, **coefs):
+    """``total_aux_loss`` of one term per list, each a scalar tensor."""
+    return total_aux_loss(Tensor(ce), [Tensor(b)], [Tensor(s)], [Tensor(z)], **coefs)
+
+
 class TestTotalAuxLoss:
     def test_reference_coefficients(self):
-        bundle = total_aux_loss(2.0, 1.0, 1.5, 4.0)
-        assert float(bundle.total.data) == pytest.approx(2.029, abs=1e-12)
+        total, _ = aux_loss(2.0, 1.0, 1.5, 4.0)
+        assert float(total.data) == pytest.approx(2.029, abs=1e-12)
         assert DEFAULT_C_B == 1e-2 and DEFAULT_C_S == 1e-2 and DEFAULT_C_Z == 1e-3
 
     def test_zero_coefficients(self):
-        bundle = total_aux_loss(3.0, 1.0, 1.0, 0.0, c_balance=0, c_bias=0)
-        assert float(bundle.total.data) == 3.0
+        total, _ = aux_loss(3.0, 1.0, 1.0, 0.0, c_balance=0, c_bias=0)
+        assert float(total.data) == 3.0
 
     def test_weighted_sum_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             ce, b, s, z = rng.uniform(size=4)
             cb, cs = rng.uniform(size=2)
-            bundle = total_aux_loss(ce, b, s, z, c_balance=cb, c_bias=cs)
-            assert abs(float(bundle.total.data)
+            total, _ = aux_loss(ce, b, s, z, c_balance=cb, c_bias=cs)
+            assert abs(float(total.data)
                        - (ce + cb * b + cs * s + DEFAULT_C_Z * z)) < 1e-15
 
     def test_bundle_invariant(self):
-        bundle = total_aux_loss(1.0, 2.0, 3.0, 4.0)
-        recomputed = (float(bundle.ce.data) + DEFAULT_C_B * float(bundle.balance.data)
-                      + DEFAULT_C_S * float(bundle.bias.data)
-                      + DEFAULT_C_Z * float(bundle.z.data))
-        assert abs(float(bundle.total.data) - recomputed) < 1e-12
+        total, (ce, balance, bias, z) = aux_loss(1.0, 2.0, 3.0, 4.0)
+        recomputed = (float(ce) + DEFAULT_C_B * float(balance)
+                      + DEFAULT_C_S * float(bias) + DEFAULT_C_Z * float(z))
+        assert abs(float(total.data) - recomputed) < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(T.NumericError):
-            total_aux_loss(float("nan"), 0.0, 0.0, 0.0)
+            aux_loss(float("nan"), 0.0, 0.0, 0.0)
 
 
 # -- the supervised step against the chains it fused ---------------------------

@@ -16,11 +16,11 @@ from avmoe import tensor as T
 from avmoe.model import Model, ModelConfig, segment_mask
 from avmoe.moe_layer import CENTER_MOMENTUM
 from avmoe.moe_losses import (
-    load_balancing_from_stats, load_biasing_loss, router_z_loss, total_aux_loss,
+    ROUTER_COLUMNS, load_balancing_from_stats, load_biasing_loss, router_z_loss, total_aux_loss,
 )
 from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
-from avmoe.trainer import TrainConfig, _supervised_step, build_model
+from avmoe.trainer import TrainConfig, _step_scalars, _supervised_step, build_model
 from test_fused_ops import chain_mean, concat_rows
 
 TOL = 1e-12
@@ -77,9 +77,9 @@ def per_sequence_step(model, cfg, batch):
         if stats[0].n_groups == 2 and stats[0].g:
             bias = chain_mean([load_biasing_loss(s) for s in stats])
     z = chain_mean([router_z_loss(r) for r in logit_rows]) if logit_rows else zero
-    bundle = total_aux_loss(chain_mean(ces), balance, bias, z, c_balance=cfg.c_balance,
-                            c_bias=cfg.c_bias)
-    return bundle.scalars(), bundle.total
+    total, means = total_aux_loss(chain_mean(ces), [balance], [bias], [z],
+                                  c_balance=cfg.c_balance, c_bias=cfg.c_bias)
+    return _step_scalars(ROUTER_COLUMNS, means, total), total
 
 
 def _close(a, b) -> bool:

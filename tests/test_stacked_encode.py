@@ -511,7 +511,7 @@ def chain_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng
        frames_per_token=st.sampled_from([1, 3]))
 def test_uptrain_step_is_bitwise_the_chain_step(tasks, seed, batch_size, dropout, n_enc,
                                                 frames_per_token):
-    """One ``head_mse`` node per scored MSE task, one ``task_loss_total`` per
+    """One ``head_mse`` node per scored MSE task, one ``loss_total`` per
     step, and one node per student input stage and sub-block: the same
     scalars, total and gradients, bit for bit and stride for stride, as the
     chains of primitive ops. Three or more pairs give each drawn head and
