@@ -11,26 +11,29 @@ import math
 
 import numpy as np
 
-from avmoe.moe_losses import load_balancing_loss, load_biasing_loss, router_z_loss
+from avmoe import tensor as T
+from avmoe.moe_losses import load_biasing_loss, router_z_loss
 from avmoe.routing import (
     MOD_AUDIO, MOD_VIDEO, RouterParams, dispatch_stats, route_hierarchical,
 )
 from avmoe.tensor import Tensor
 
+# load_balancing takes each expert group's [tokens x n] router probabilities
+# and top-1 frequencies f; one token's probabilities are their own mean P.
 n = 8
 f = np.full(n, 1.0 / n)
-P = Tensor(np.full(n, 1.0 / n))
-print(f"balancing loss at uniform load (n={n}): {float(load_balancing_loss(f, P).data):.6f}")
+P = Tensor(np.full((1, n), 1.0 / n))
+print(f"balancing loss at uniform load (n={n}): {float(T.load_balancing([P], [f]).data):.6f}")
 print(f"z-loss at zero logits (n={n}): {float(router_z_loss(Tensor(np.zeros((4, n)))).data):.6f}"
       f"  [(ln {n})^2 = {math.log(n) ** 2:.6f}]")
 
 # A skewed router: push everything through expert 0 and the loss exceeds 1.
 skew_f = np.zeros(n)
 skew_f[0] = 1.0
-skew_P = np.full(n, 0.02)
-skew_P[0] = 1.0 - 0.02 * (n - 1)
+skew_P = np.full((1, n), 0.02)
+skew_P[0, 0] = 1.0 - 0.02 * (n - 1)
 print(f"balancing loss when one expert hogs the batch: "
-      f"{float(load_balancing_loss(skew_f, Tensor(skew_P)).data):.3f}")
+      f"{float(T.load_balancing([Tensor(skew_P)], [skew_f]).data):.3f}")
 
 # Drive the biasing loss down by training only the inter router on tokens
 # whose modality it should learn to respect.

@@ -39,12 +39,14 @@ student stack) and ``loss_total``, the weighted total of four loss
 columns' means that ends both training steps (the CE and the router losses'
 layer means, or the uptraining task columns). Each runs the numpy
 arithmetic of the primitive-op chain it stands for, in the same order, and
-hands each operand the gradient that chain's backward would;
-``tests/test_fused_ops.py`` builds those chains and checks the fused ops
-against them bit for bit. ``router_softmaxes`` fuses only the forward: it
-computes the logits and softmaxes of several routers in one stacked pass,
-and with a tape it still builds each router's own matmul and softmax
-nodes, so its gradients are the per-router chain's.
+hands each operand the gradient that chain's backward would. The chains
+are the tests' oracle: ``tests/chains.py`` builds them, with the primitive
+ops that only they use (``tmean``, ``mean_axis0`` and ``logsumexp``, which
+no run calls), and ``tests/test_fused_ops.py`` checks each fused op
+against its chain bit for bit. ``router_softmaxes`` fuses only the
+forward: it computes the logits and softmaxes of several routers in one
+stacked pass, and with a tape it still builds each router's own matmul and
+softmax nodes, so its gradients are the per-router chain's.
 """
 
 from __future__ import annotations
@@ -267,25 +269,6 @@ def tsum(a: Tensor) -> Tensor:
     return _make(data, (a,), lambda g: a._accum(np.full_like(a.data, g)))
 
 
-def tmean(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    data = a.data.mean()
-    if not _track(a):
-        return Tensor(data)
-    return _make(data, (a,), lambda g: a._accum(np.full_like(a.data, g / n)))
-
-
-def mean_axis0(a: Tensor) -> Tensor:
-    """Column means of a 2-D tensor."""
-    a = _as_tensor(a)
-    n = a.data.shape[0]
-    data = np.add.reduce(a.data, axis=0) / n
-    if not _track(a):
-        return Tensor(data)
-    return _make(data, (a,), lambda g: a._accum(np.broadcast_to(g / n, a.data.shape)))
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -423,17 +406,6 @@ def _logsumexp_rows(a):
     e = np.exp(a - m)
     s = np.add.reduce(e, axis=-1, keepdims=True)
     return (m + np.log(s)).squeeze(-1), e, s
-
-
-def logsumexp(a: Tensor) -> Tensor:
-    """Row-wise (last axis) logsumexp; returns shape ``a.shape[:-1]``."""
-    a = _as_tensor(a)
-    if a.data.size == 0:
-        raise ShapeError("logsumexp of an empty tensor")
-    data, e, s = _logsumexp_rows(a.data)
-    if not _track(a):
-        return Tensor(data)
-    return _make(data, (a,), lambda g: a._accum(np.expand_dims(g, -1) * (e / s)))
 
 
 # -- losses -------------------------------------------------------------------

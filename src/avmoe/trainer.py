@@ -464,9 +464,14 @@ def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
 
 
 def _step_scalars(columns, means, total: Tensor) -> dict[str, float]:
-    """A step's ``steps.csv`` scalars: each loss column's mean, then the total."""
-    return {**{column: float(m) for column, m in zip(columns, means)},
-            "total": float(total.data)}
+    """A step's ``steps.csv`` scalars: each loss column's mean, then the
+    total; a non-finite one raises ``NumericError``, naming the first."""
+    scalars = {**{column: float(m) for column, m in zip(columns, means)},
+               "total": float(total.data)}
+    for name, value in scalars.items():
+        if not math.isfinite(value):
+            raise T.NumericError(f"non-finite {name} loss component")
+    return scalars
 
 
 # -- supervised regime --------------------------------------------------------
@@ -634,13 +639,10 @@ def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> tuple[dict, dict]
                 frozen = set().union(*(ids for until, ids in freezes if step < until))
                 for p in params:
                     p.requires_grad = id(p) not in frozen
-                numeric = None
                 try:
                     scalars, total, stats = take_step(data_rng, corr_rng)
                 except T.NumericError as exc:
-                    numeric = exc
-                if numeric is not None or not np.isfinite(float(total.data)):
-                    raise DivergenceError(len(table), last_finite) from numeric
+                    raise DivergenceError(len(table), last_finite) from exc
                 if step >= tail_start and stats:
                     for li, s in stats.items():
                         for gi, f in enumerate(s.expert_f):

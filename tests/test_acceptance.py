@@ -10,11 +10,12 @@ import tempfile
 import numpy as np
 import pytest
 
+from avmoe import tensor as T
 from avmoe.corruption import allocate_masks, mix_at_snr, sample_plan_preset
 from avmoe.gradcheck import run as run_gradcheck
 from avmoe.metrics import spearman
 from avmoe.moe_layer import MoELayer, MoELayerConfig, flops_report
-from avmoe.moe_losses import load_balancing_loss, load_biasing_loss, router_z_loss
+from avmoe.moe_losses import load_biasing_loss, router_z_loss
 from avmoe.routing import (
     MOD_AUDIO, MOD_AV, MOD_VIDEO, DispatchStats, RouterParams,
     route_hierarchical, route_sparse, select_topk,
@@ -50,8 +51,8 @@ UPTRAIN_BASE = {
 def test_01_loss_identities():
     for n in (2, 4, 8, 16):
         f = np.full(n, 1.0 / n)
-        P = Tensor(np.full(n, 1.0 / n))
-        assert abs(float(load_balancing_loss(f, P).data) - 1.0) <= 1e-9
+        P = Tensor(np.full((1, n), 1.0 / n))  # one token's router probabilities
+        assert abs(float(T.load_balancing([P], [f]).data) - 1.0) <= 1e-9
     lz = float(router_z_loss(Tensor(np.zeros((5, 8)))).data)
     assert abs(lz - math.log(8.0) ** 2) <= 1e-9
     half = np.array([0.5, 0.5])

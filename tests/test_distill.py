@@ -15,6 +15,7 @@ from avmoe.distill import (
 from avmoe.model import Model, ModelConfig
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.tensor import Tensor
+from avmoe.trainer import DivergenceError, TrainConfig, train
 
 
 def tiny_model(seed=0):
@@ -413,9 +414,16 @@ class TestTotalLoss:
         assert [float(m) for m in means] == pytest.approx([0.4, 0.3, 0.0, 0.0], abs=1e-15)
         assert float(total.data) == pytest.approx(0.7, abs=1e-15)
 
-    def test_non_finite_component_rejected(self):
-        with pytest.raises(T.NumericError):
-            self.total(float("nan"), 0.0, 0.0, 0.0)
+    def test_non_finite_component_rejected(self, monkeypatch):
+        """A NaN MLM loss ends an uptraining run at its first step, and the
+        cause names its column."""
+        monkeypatch.setattr("avmoe.trainer.mlm_loss", lambda *args: Tensor(float("nan")))
+        cfg = TrainConfig.from_dict({"regime": "cav2vec_uptrain", "steps": 2, "batch_size": 2,
+                                     "tasks": ["MASK", "MLM"]})
+        with pytest.raises(DivergenceError) as exc:
+            train(cfg)
+        assert exc.value.step == 0 and isinstance(exc.value.__cause__, T.NumericError)
+        assert "non-finite L_MLM" in str(exc.value.__cause__)
 
 
 class TestHeads:

@@ -5,11 +5,12 @@ from avmoe import tensor as T
 from avmoe.moe_layer import ExpertFFN, MoELayer, MoELayerConfig, flops_report
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO, RoutingConfigError
 from avmoe.tensor import Tensor, grad_check
+from chains import tmean
 
 
 def mse(pred, target):
     d = T.sub(pred, target)
-    return T.tmean(T.mul(d, d))
+    return tmean(T.mul(d, d))
 
 
 def gelu_oracle(x):

@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from avmoe import tensor as T
 from avmoe.model import sequence_mean_weights
 from avmoe.moe_losses import (
-    DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, UnsupportedConfigError, load_balancing_loss,
-    load_biasing_loss,
-    router_z_loss, total_aux_loss,
+    DEFAULT_C_B, DEFAULT_C_S, DEFAULT_C_Z, ROUTER_COLUMNS, UnsupportedConfigError,
+    load_biasing_loss, router_z_loss, total_aux_loss,
 )
 from avmoe.routing import (
     AUDIO_GROUP, MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, VIDEO_GROUP, DispatchStats,
     RouterParams, dispatch_stats, route_hard, route_hierarchical, route_sparse,
 )
 from avmoe.tensor import Tensor, grad_check
-from avmoe.trainer import TrainConfig, _supervised_step, build_model
-from test_fused_ops import chain_mean_probs, chain_router_loss_total, chain_squared_logsumexp
+from avmoe.trainer import DivergenceError, TrainConfig, _supervised_step, build_model, train
+from chains import (
+    chain_load_balancing, chain_load_biasing, chain_router_loss_total, chain_squared_logsumexp,
+)
 
 
 def stats_with(g, Q, counts, n_groups=2):
@@ -30,16 +31,19 @@ def stats_with(g, Q, counts, n_groups=2):
 
 
 class TestLoadBalancing:
+    """``T.load_balancing``, the op the supervised step runs, of one group
+    whose mean probabilities P are the row of a one-row matrix."""
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_uniform_equals_one(self, n):
         f = np.full(n, 1 / n)
-        P = Tensor(np.full(n, 1 / n))
-        assert float(load_balancing_loss(f, P).data) == pytest.approx(1.0, abs=1e-9)
+        P = Tensor(np.full((1, n), 1 / n))
+        assert float(T.load_balancing([P], [f]).data) == pytest.approx(1.0, abs=1e-9)
 
     def test_collapsed_equals_n(self):
         f = np.array([1.0, 0, 0, 0])
-        P = Tensor(np.array([1.0, 0, 0, 0]))
-        assert float(load_balancing_loss(f, P).data) == pytest.approx(4.0)
+        P = Tensor(np.array([[1.0, 0, 0, 0]]))
+        assert float(T.load_balancing([P], [f]).data) == pytest.approx(4.0)
 
     def test_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
@@ -47,13 +51,13 @@ class TestLoadBalancing:
         f /= f.sum()
         P = rng.uniform(size=8)
         P /= P.sum()
-        got = float(load_balancing_loss(f, Tensor(P)).data)
+        got = float(T.load_balancing([Tensor(P[None])], [f]).data)
         want = 8 * sum(f[i] * P[i] for i in range(8))
         assert abs(got - want) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(T.ShapeError):
-            load_balancing_loss(np.ones(3) / 3, Tensor(np.ones(4) / 4))
+            T.load_balancing([Tensor(np.ones((1, 4)) / 4)], [np.ones(3) / 3])
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(1)
@@ -62,12 +66,12 @@ class TestLoadBalancing:
             f /= f.sum()
             P = rng.uniform(size=6)
             P /= P.sum()
-            assert float(load_balancing_loss(f, Tensor(P)).data) >= 0.0
+            assert float(T.load_balancing([Tensor(P[None])], [f]).data) >= 0.0
 
     def test_gradient_flows_through_P_only(self):
         f = np.array([0.5, 0.3, 0.2])
-        x = Tensor(np.array([0.2, 0.3, 0.5]))
-        err = grad_check(lambda t: load_balancing_loss(f, t), x, eps=1e-4)
+        x = Tensor(np.array([[0.2, 0.3, 0.5]]))
+        err = grad_check(lambda t: T.load_balancing([t], [f]), x, eps=1e-4)
         assert err < 1e-7
 
 
@@ -208,9 +212,16 @@ class TestTotalAuxLoss:
                       + DEFAULT_C_S * float(bias) + DEFAULT_C_Z * float(z))
         assert abs(float(total.data) - recomputed) < 1e-12
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(T.NumericError):
-            aux_loss(float("nan"), 0.0, 0.0, 0.0)
+    def test_non_finite_rejected(self, monkeypatch):
+        """A NaN z-loss ends a supervised run at its first step, and the
+        cause names its column."""
+        monkeypatch.setattr("avmoe.trainer.router_z_loss", lambda *args: Tensor(float("nan")))
+        cfg = TrainConfig.from_dict({"regime": "supervised_moe", "steps": 2, "batch_size": 2,
+                                     "model": {"moe": {"mode": "sparse_topk"}}})
+        with pytest.raises(DivergenceError) as exc:
+            train(cfg)
+        assert exc.value.step == 0 and isinstance(exc.value.__cause__, T.NumericError)
+        assert "non-finite L_Z" in str(exc.value.__cause__)
 
 
 # -- the supervised step against the chains it fused ---------------------------
@@ -218,39 +229,25 @@ class TestTotalAuxLoss:
 def chain_supervised_step(model, cfg, batch):
     """The supervised step as it ran before its loss terms were fused: P and
     Q as ``mean_axis0``/``index_rows`` nodes over the stats' probability
-    tensors (``chain_mean_probs``), each loss term a chain of primitive ops,
-    and the means and the weighted total add and scale chains."""
+    tensors, each loss term a chain of primitive ops, and the means and the
+    weighted total add and scale chains."""
     audios, videos, labels, tags = (list(col) for col in zip(*batch))
     feats, _ = model.encode(audios, videos)
     _, ce, aux = model.decode_train(feats, labels, modality=tags,
                                     feature_lengths=[a.shape[0] for a in audios])
     stats = [layer_aux["stats"] for layer_aux in aux if layer_aux["stats"] is not None]
-    balance = []
-    for s in stats:
-        total = None
-        for f, P in zip(s.expert_f, chain_mean_probs(s)[0]):
-            term = load_balancing_loss(f, P)
-            total = term if total is None else T.add(total, term)
-        balance.append(total)
+    balance = [chain_load_balancing(s.expert_probs, s.expert_f) for s in stats]
     bias = []
     if stats and stats[0].n_groups == 2 and stats[0].g:
-        for s in stats:
-            Q = chain_mean_probs(s)[1]
-            total = Tensor(0.0)
-            for tag, group in ((MOD_AUDIO, AUDIO_GROUP), (MOD_VIDEO, VIDEO_GROUP)):
-                if s.counts.get(tag, 0) > 0:
-                    q = T.take(Q[tag], [group])
-                    total = T.add(total, T.sub(Tensor(1.0),
-                                               T.scale(T.tsum(q), float(s.g[tag][group]))))
-            bias.append(total)
+        bias = [chain_load_biasing(s.group_probs, [
+            (s.subsets[tag], group, float(s.g[tag][group]))
+            for tag, group in ((MOD_AUDIO, AUDIO_GROUP), (MOD_VIDEO, VIDEO_GROUP))
+            if s.counts.get(tag, 0) > 0]) for s in stats]
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     z = [chain_squared_logsumexp(rows, row_weights)
          for layer_aux in aux for rows in layer_aux["logit_rows"]]
-    total, means = chain_router_loss_total(ce, balance, bias, z, cfg.c_balance, cfg.c_bias,
-                                           DEFAULT_C_Z)
-    scalars = {"L_CE": float(ce.data), "L_B": float(means[0]), "L_S": float(means[1]),
-               "L_Z": float(means[2]), "total": float(total.data)}
-    return scalars, total
+    total, means = chain_router_loss_total(ce, balance, bias, z, cfg.c_balance, cfg.c_bias)
+    return {**dict(zip(ROUTER_COLUMNS, map(float, means))), "total": float(total.data)}, total
 
 
 STEP_MOE = {

@@ -21,7 +21,7 @@ from avmoe.moe_losses import (
 from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
 from avmoe.trainer import TrainConfig, _step_scalars, _supervised_step, build_model
-from test_fused_ops import chain_mean, concat_rows
+from chains import chain_mean, concat_rows
 
 TOL = 1e-12
 FPT = 2  # frames per token

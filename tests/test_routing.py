@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.moe_layer import MoELayer, MoELayerConfig
-from avmoe.moe_losses import (
-    load_balancing_from_stats, load_balancing_loss, load_biasing_loss,
-)
+from avmoe.moe_losses import load_balancing_from_stats, load_biasing_loss
 from avmoe.routing import (
     MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, DispatchStats, RouterParams, Routing,
     RoutingConfigError, dispatch_stats, route_dense, route_hard, route_hierarchical,
     route_sparse, select_topk,
 )
 from avmoe.tensor import ShapeError, Tensor
-from test_fused_ops import chain_mean_probs, concat_rows
+from chains import chain_load_balancing, chain_load_biasing, chain_mean_probs, concat_rows
 
 
 def make_router(d, n, seed=0, scale=1.0):
@@ -282,23 +280,17 @@ class TestDispatchStats:
 
 
 def oracle_dispatch_stats(routing):
-    """The earlier ``dispatch_stats``: one string array of the tags, each
-    subset's rows found with ``flatnonzero`` however many subsets there are,
-    and the mean probabilities as tape nodes. Returns the stats, P per group
-    and Q per subset."""
+    """The earlier ``dispatch_stats``: one string array of the tags, and
+    each subset's rows found with ``flatnonzero`` however many subsets there
+    are."""
     tags = np.asarray(routing.modalities)
     n_tok = tags.size
     group_sizes = routing.group_sizes
 
-    expert_f = []
-    expert_P = []
-    for gi, n in enumerate(group_sizes):
-        probs = routing.expert_probs[gi]
-        expert_f.append(np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok)
-        expert_P.append(T.mean_axis0(probs))
+    expert_f = [np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok
+                for probs, n in zip(routing.expert_probs, group_sizes)]
 
     g = {}
-    Q = {}
     counts = {key: 0 for key in MODALITIES}
     subsets = {}
     group_probs = routing.group_probs
@@ -307,14 +299,11 @@ def oracle_dispatch_stats(routing):
         counts[tag] = rows.size
         subsets[tag] = None if rows.size == n_tok else rows
         if group_probs is not None:
-            q = group_probs if rows.size == n_tok else T.index_rows(group_probs, rows)
-            g[tag] = np.bincount(q.data.argmax(axis=1),
-                                 minlength=q.data.shape[1]) / rows.size
-            Q[tag] = T.mean_axis0(q)
-    stats = DispatchStats(expert_f=expert_f, g=g, counts=counts, n_groups=len(group_sizes),
-                          expert_probs=routing.expert_probs, group_probs=group_probs,
-                          subsets=subsets)
-    return stats, expert_P, Q
+            g[tag] = np.bincount(group_probs.data[rows].argmax(axis=1),
+                                 minlength=group_probs.data.shape[1]) / rows.size
+    return DispatchStats(expert_f=expert_f, g=g, counts=counts, n_groups=len(group_sizes),
+                         expert_probs=routing.expert_probs, group_probs=group_probs,
+                         subsets=subsets)
 
 
 def fused_losses(routing, biasing):
@@ -325,19 +314,13 @@ def fused_losses(routing, biasing):
 
 
 def chain_losses(routing, biasing):
-    """The same losses as chains over the oracle's P and Q nodes."""
-    stats, P, Q = oracle_dispatch_stats(routing)
-    loss = None
-    for f, mean in zip(stats.expert_f, P):
-        term = load_balancing_loss(f, mean)
-        loss = term if loss is None else T.add(loss, term)
+    """The same losses as chains over the oracle's frequencies and subsets."""
+    stats = oracle_dispatch_stats(routing)
+    loss = chain_load_balancing(stats.expert_probs, stats.expert_f)
     if biasing:
-        bias = Tensor(0.0)
-        for tag, group in ((MOD_AUDIO, 0), (MOD_VIDEO, 1)):
-            if stats.counts[tag] > 0:
-                bias = T.add(bias, T.sub(Tensor(1.0), T.scale(
-                    T.tsum(T.take(Q[tag], [group])), float(stats.g[tag][group]))))
-        loss = T.add(loss, bias)
+        terms = [(stats.subsets[tag], group, float(stats.g[tag][group]))
+                 for tag, group in ((MOD_AUDIO, 0), (MOD_VIDEO, 1)) if stats.counts[tag] > 0]
+        loss = T.add(loss, chain_load_biasing(stats.group_probs, terms))
     return stats, loss
 
 

@@ -19,7 +19,7 @@ from avmoe.routing import (
     select_topk, topk_ids,
 )
 from avmoe.tensor import Tensor
-from test_fused_ops import concat_rows, scatter_rows
+from chains import concat_rows, scatter_rows
 
 SCALES = (0.0, 1.0, 1e4)
 

@@ -36,7 +36,7 @@ from avmoe.trainer import (
     AV_SNR_CHOICES, CORRUPTION_PRESET, TrainConfig, _draw_uptrain_pair, _uptrain_step,
     build_model, seed_streams,
 )
-from test_fused_ops import (
+from chains import (
     chain_attention_block, chain_cav2vec_total, chain_cross_entropy_rows, chain_encode,
     chain_head_mse, chain_mean,
 )

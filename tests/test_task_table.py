@@ -26,7 +26,7 @@ from avmoe.trainer import (
     AV_SNR_CHOICES, CORRUPTION_PRESET, STEP_COLUMNS, TrainConfig, _uptrain_step,
     build_model, seed_streams,
 )
-from test_fused_ops import chain_cav2vec_total, chain_head_mse, chain_mean
+from chains import chain_cav2vec_total, chain_head_mse, chain_mean
 
 OLD_VARIANTS = {  # name: (input mode, target mode, index set)
     "AVCP": (MODE_AV, MODE_AV, "union"), "mACP": (MODE_AV, MODE_A_ONLY, "video"),

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from avmoe.tensor import (
     softmax,
 )
 from avmoe.trainer import TrainConfig, train
+from chains import logsumexp, tmean
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -220,7 +223,7 @@ PRIMITIVES = {
     "matmul": lambda t, rng: T.tsum(T.mul(matmul(t, Tensor(rng.normal(size=(4, 3)))),
                                           Tensor(rng.normal(size=(3, 3))))),
     "softmax": lambda t, rng: T.tsum(T.mul(softmax(t), Tensor(rng.normal(size=t.shape)))),
-    "logsumexp": lambda t, rng: T.tsum(T.logsumexp(t)),
+    "logsumexp": lambda t, rng: T.tsum(logsumexp(t)),
     "attention": lambda t, rng: T.tsum(T.mul(
         attention_block(t, *(Tensor(rng.normal(size=(4, 4))) for _ in range(4))),
         Tensor(rng.normal(size=t.shape)))),
@@ -229,7 +232,7 @@ PRIMITIVES = {
                                                Tensor(rng.normal(size=t.shape)))),
     "mse": lambda t, rng: head_mse(Tensor(rng.normal(size=(2, 5, 3))), 1, t,
                                    rng.normal(size=(5, 4)), [0, 2, 4]),
-    "mean": lambda t, rng: T.tmean(t),
+    "mean": lambda t, rng: tmean(t),
     "index_rows": lambda t, rng: T.tsum(T.mul(T.index_rows(t, [0, 2, 2, 1]),
                                               Tensor(rng.normal(size=(4, 4))))),
     "cross_entropy_rows": lambda t, rng: T.cross_entropy_rows(t, rng.integers(0, 4, size=3)),
@@ -338,18 +341,37 @@ def test_every_interior_node_takes_a_gradient(monkeypatch):
     assert len(walks) > n_cases and min(walks) >= 2
 
 
+# the public ops of avmoe.tensor: its functions that return a Tensor
+PUBLIC_OPS = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+              if fn.__module__ == T.__name__ and not name.startswith("_")
+              and inspect.signature(fn).return_annotation == "Tensor"}
+
+
 def test_every_public_op_has_a_gradcheck_case():
-    """Each function of avmoe.tensor that returns a Tensor has a "tensor"
-    gradcheck case named after it or prefixed ``<op>_``; tsum, with which
-    every case ends, needs none of its own."""
-    ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
-           if fn.__module__ == T.__name__ and not name.startswith("_")
-           and inspect.signature(fn).return_annotation == "Tensor"}
-    assert {"add", "attention_block", "cross_entropy_rows", "ffn", "tsum"} <= ops
+    """Each public op has a "tensor" gradcheck case named after it or
+    prefixed ``<op>_``; tsum, with which every case ends, needs none of its
+    own."""
+    assert {"add", "attention_block", "cross_entropy_rows", "ffn", "tsum"} <= PUBLIC_OPS
     cases = [name for name, _ in CASES["tensor"]]
-    missing = sorted(op for op in ops - {"tsum"}
+    missing = sorted(op for op in PUBLIC_OPS - {"tsum"}
                      if not any(c == op or c.startswith(op + "_") for c in cases))
     assert missing == []
+
+
+def test_every_public_op_is_run_by_the_program_or_a_demo():
+    """Each public op is named in ``avmoe`` outside tensor.py and
+    gradcheck.py, or in a demo: an op that only gradcheck and the tests'
+    chains call belongs with the chains, in ``tests/chains.py``. tsum is
+    exempt, since ending every gradcheck probe is its one use."""
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "avmoe").glob("*.py")
+             if f.name not in ("tensor.py", "gradcheck.py")]
+    nodes = [node for f in files + list((root / "demos").glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))]
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in nodes if isinstance(node, ast.alias)}
+    assert sorted(PUBLIC_OPS - {"tsum"} - names) == []
 
 
 def _ignoring_upstream(op):
@@ -364,7 +386,7 @@ def _ignoring_upstream(op):
     return mutant
 
 
-@pytest.mark.parametrize("op", ["scale", "tmean"])
+@pytest.mark.parametrize("op", ["scale", "squared_logsumexp"])
 def test_an_ops_own_case_catches_a_backward_that_ignores_its_upstream_gradient(
         monkeypatch, op):
     """Every "tensor" case sums its output against a random upstream
