@@ -211,14 +211,17 @@ class LayerCache:
         self.owners = np.empty(rows, dtype=np.int64)
         self.length = 0
         self.steps = 0  # appends so far: the position of the next rows
+        self.attn = block.self_attn
         self.cross = block.cross_attn.keys_values(features)
 
-    def append(self, k: Tensor, v: Tensor, owners: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Append the newest rows, one per sequence in ``owners``; returns
-        the keys and values of all rows."""
-        n = self.length + k.data.shape[0]
-        self.keys[self.length:n] = k.data
-        self.values[self.length:n] = v.data
+    def append(self, X: Tensor, owners: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Append the keys and values of the newest rows ``X``, one per
+        sequence in ``owners``, their products by the self-attention's Wk and
+        Wv written straight into the cache; returns the keys and values of
+        all rows."""
+        n = self.length + X.data.shape[0]
+        np.matmul(X.data, self.attn.Wk.data, out=self.keys[self.length:n])
+        np.matmul(X.data, self.attn.Wv.data, out=self.values[self.length:n])
         self.owners[self.length:n] = owners
         self.length = n
         self.steps += 1
@@ -241,7 +244,7 @@ class DecoderBlock:
         cached rows ``self_mask`` lets it see."""
         self_kv = cross_kv = None
         if cache is not None:
-            self_kv = cache.append(*self.self_attn.keys_values(X), segments)
+            self_kv = cache.append(X, segments)
             cross_kv = cache.cross
         X = self.self_attn.forward(X, mask=self_mask, kv=self_kv)
         X = self.cross_attn.forward(X, memory=memory, mask=cross_mask, kv=cross_kv)
@@ -469,22 +472,23 @@ class Model(Encoder):
         if min(bounds) < 1:
             raise ValueError("max_len must be >= 1")
         outs: list[list[int]] = [[] for _ in bounds]
-        live = np.arange(len(bounds))
-        nxt = [self.cfg.bos_id] * live.size
+        going = list(range(len(bounds)))  # the sequences still decoding
+        nxt = [self.cfg.bos_id] * len(going)
+        eos = self.cfg.eos_id
         with T.no_grad():
             rows = sum(min(n, self.cfg.max_len) for n in bounds)
             cache = [LayerCache(blk, features, rows) for blk in self.decoder_blocks]
-            while live.size:
-                logits, _ = self._decode(features, nxt, [1] * live.size, feature_lengths,
-                                         [tags[i] for i in live], cache, live)
-                going = []
-                for i, token in zip(live, logits.data.argmax(axis=1)):
-                    if token == self.cfg.eos_id:
-                        continue
-                    outs[i].append(int(token))
-                    if len(outs[i]) < bounds[i]:
-                        going.append(i)
-                live = np.asarray(going, dtype=np.int64)
+            while going:
+                logits, _ = self._decode(features, nxt, [1] * len(going), feature_lengths,
+                                         [tags[i] for i in going], cache,
+                                         np.array(going, dtype=np.int64))
+                kept = []
+                for i, token in zip(going, logits.data.argmax(axis=1).tolist()):
+                    if token != eos:
+                        outs[i].append(token)
+                        if len(outs[i]) < bounds[i]:
+                            kept.append(i)
+                going = kept
                 nxt = [outs[i][-1] for i in going]
         return outs
 

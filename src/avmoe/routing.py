@@ -108,7 +108,10 @@ def route_dense(router: RouterParams, X: Tensor) -> tuple[Tensor, Tensor]:
 
 def topk_ids(probs: np.ndarray, k: int) -> np.ndarray:
     """Per row (last axis), the indices of the k largest entries, ties broken
-    toward lower indices."""
+    toward lower indices: a stable argsort, or for k == 1 the argmax, whose
+    first largest entry is the same id on finite rows."""
+    if k == 1:
+        return probs.argmax(axis=-1)[..., None]
     return np.argsort(-probs, axis=-1, kind="stable")[..., :k]
 
 
@@ -239,7 +242,9 @@ class DispatchStats:
 def dispatch_stats(routing: Routing) -> DispatchStats:
     """Top-1 frequencies f per expert group, from one argmax and one
     bincount over the routing's stacked probabilities, and g per modality
-    subset; builds no tape node."""
+    subset; builds no tape node. A batch of one tag (every decoding step)
+    is one subset of all rows, found with no per-row loop; an empty batch
+    has no subset."""
     tags = routing.modalities
     n_tok = len(tags)
     stacked = routing.stacked_probs
@@ -250,12 +255,14 @@ def dispatch_stats(routing: Routing) -> DispatchStats:
     g: dict[str, np.ndarray] = {}
     counts = {key: 0 for key in MODALITIES}
     group_probs = routing.group_probs
-    subsets: dict = {}  # in order of first appearance
-    for i, tag in enumerate(tags):
-        subsets.setdefault(tag, []).append(i)
-    # a one-subset batch (every decoding step) keeps all of its rows: None
-    subsets = {tag: None if len(subsets) == 1 else np.array(rows, dtype=np.int64)
-               for tag, rows in subsets.items()}
+    # a one-subset batch keeps all of its rows: None
+    if n_tok and tags.count(tags[0]) == n_tok:
+        subsets: dict = {tags[0]: None}
+    else:
+        subsets = {}  # in order of first appearance
+        for i, tag in enumerate(tags):
+            subsets.setdefault(tag, []).append(i)
+        subsets = {tag: np.array(rows, dtype=np.int64) for tag, rows in subsets.items()}
     if group_probs is not None:
         top_group = group_probs.data.argmax(axis=1)
     for tag, rows in subsets.items():

@@ -731,10 +731,12 @@ def attention_block(X: Tensor, Wq: Tensor, Wk: Tensor | None, Wv: Tensor | None,
         Wk, Wv = _as_tensor(Wk), _as_tensor(Wv)
         weights, operands = (Wq, Wk, Wv, Wo), (X, Wq, Wk, Wv, Wo)
     else:
-        K, V = (_as_tensor(t) for t in kv)
+        K, V = kv
+        K, V = _as_tensor(K), _as_tensor(V)
         weights, operands = (Wq, Wo), (X, K, V, Wq, Wo)
     d = x.shape[-1]
-    if not (x.ndim in (2, 3) and d >= 1 and all(W.data.shape == (d, d) for W in weights)):
+    if not (x.ndim in (2, 3) and d >= 1 and Wq.data.shape == Wo.data.shape == (d, d)
+            and (kv is not None or Wk.data.shape == Wv.data.shape == (d, d))):
         raise ShapeError(f"attention block of rows {x.shape} with weights "
                          f"{[W.data.shape for W in weights]}")
     q = x @ Wq.data
@@ -964,9 +966,11 @@ def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts) -> Tensor
                           for (_, _, W2, b2), s, t in spans])
     w = weights.data.reshape(-1)[order, None]
     weighted = out * w
+    # ufunc.at applies its updates in index order, experts ascending, and a
+    # row appears at most once per expert: the bits of a per-expert fancy
+    # += loop. (Its fast path came with NumPy 1.25; 1.24 is correct but slower.)
     data = np.zeros((B, X.data.shape[1]))
-    for _, s, t in spans:
-        data[rows[s:t]] += weighted[s:t]
+    np.add.at(data, rows, weighted)
     params = [p for ps, _, _ in spans for p in ps]
     if not _track(X, weights, *params):
         return Tensor(data)
@@ -991,20 +995,20 @@ def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts) -> Tensor
         if not first_layer:
             return
         gpre = _gelu_derivative(np.concatenate(ghidden), pre, tanh)
-        # X's rows are added expert by expert, as the chain's index_rows
-        # backwards add their zero-filled buffers; the + 0.0 is their
-        # zeros' effect on a -0.0 gradient
-        gX = None
-        if _needs_grad(X):
-            gX = np.zeros_like(X.data) if X.grad is None else X.grad + 0.0
+        # X's rows are added expert by expert (one add.at, as in the
+        # forward), as the chain's index_rows backwards add their zero-filled
+        # buffers; the + 0.0 is their zeros' effect on a -0.0 gradient
+        gxs = []
         for (W1, b1, _, _), s, t in spans:
             if _needs_grad(b1):
                 b1._accum(_unbroadcast(gpre[s:t], b1.data.shape))
-            if gX is not None:
-                gX[rows[s:t]] += gpre[s:t] @ W1.data.T
+            if _needs_grad(X):
+                gxs.append(gpre[s:t] @ W1.data.T)
             if _needs_grad(W1):
                 W1._accum(xs[s:t].T @ gpre[s:t])
-        if gX is not None:
+        if gxs:
+            gX = np.zeros_like(X.data) if X.grad is None else X.grad + 0.0
+            np.add.at(gX, rows, np.concatenate(gxs))
             X.grad = gX
 
     return _make(data, (X, weights, *params), backward)

@@ -6,7 +6,8 @@ tape nodes by op, the ``MoELayer.forward``, ``MoELayer.route`` and
 calls (student and teacher) and the ``teacher_targets`` calls. Then it
 counts the same after training (the post-train probes), and for a few eval
 pairs decoded one ``eval_ter`` call each on a fresh model of the supervised
-config, the route calls and decoded positions of each pair. All of it must
+config, the route calls, decoded positions and ``Tensor`` objects of each
+pair (``Tensor.__init__`` patched on the class). All of it must
 equal ``costs.json`` beside this file exactly: the counts are deterministic,
 so a change that adds a tape node, a second ``dispatch_stats`` call or one
 more encode fails here even when every value it computes is unchanged.
@@ -121,12 +122,19 @@ def training_costs(config: dict) -> dict:
 
 def eval_costs() -> list[dict]:
     """Counts of each of ``EVAL_PAIRS`` pairs, one ``eval_ter`` call each, on
-    a fresh model of the supervised config."""
+    a fresh model of the supervised config, with the ``Tensor`` objects each
+    pair builds."""
     cfg = TrainConfig.from_dict(CONFIGS["supervised_moe"])
     model = build_model(cfg)
     counts = Counts()
     with pytest.MonkeyPatch.context() as mp:
         _install(mp, counts)
+        init = tensor.Tensor.__init__
+
+        def counted_init(self, *args, **kwargs):
+            counts.now["tensors"] += 1
+            init(self, *args, **kwargs)
+        mp.setattr(tensor.Tensor, "__init__", counted_init)
         for seed in range(EVAL_PAIRS):
             eval_ter(model, cfg.generator, 1, "none", seed)
             counts.cut()

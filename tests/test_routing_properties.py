@@ -269,3 +269,32 @@ def test_selection_order_weights_match_dense_combine_matrix(case):
             assert np.array_equal(g, want)
         else:
             assert np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# -- topk_ids' k == 1 argmax against the stable argsort; _dense_route calls
+# topk_ids itself, so only a direct comparison sees a change in tie order ---
+
+TIE_VALUES = (0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def tie_heavy_probs(draw):
+    """[B x n] or [G x B x n] finite values drawn from a small set with 0.0 in
+    it, some of the rows all equal."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=3)))
+    size = int(np.prod(shape))
+    p = np.array(draw(st.lists(st.sampled_from(TIE_VALUES), min_size=size,
+                               max_size=size))).reshape(shape)
+    rows = p.reshape(-1, shape[-1])  # a view: writes reach p
+    for r in draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows))):
+        rows[r] = rows[r, 0]
+    return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tie_heavy_probs())
+def test_top1_ids_equal_the_stable_argsort(p):
+    want = np.argsort(-p, axis=-1, kind="stable")[..., :1]
+    got = topk_ids(p, 1)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
