@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
 from .corruption import PRESETS
@@ -89,7 +90,17 @@ def _load_config(path: str, seed_override: int | None) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    report = train(cfg, run_dir=args.run_dir)
+    made = not os.path.isdir(args.run_dir)
+    try:
+        os.makedirs(args.run_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create run directory {args.run_dir}: {e}")
+    try:
+        report = train(cfg, run_dir=args.run_dir)
+    except BaseException:
+        if made:  # a failed run leaves no directory behind
+            shutil.rmtree(args.run_dir, ignore_errors=True)
+        raise
     print(f"run written to {args.run_dir}")
     for name, value in sorted(report.final_losses.items()):
         print(f"  final {name}: {value:.6f}")

@@ -6,6 +6,12 @@ bit for bit (``test_fused_ops.py``). The chains use the ops below, which no
 run calls, so the package does not ship them: ``tmean``, ``mean_axis0``,
 ``logsumexp``, ``transpose``, ``stack_matmul``, ``concat_rows`` and
 ``scatter_rows``, each one node made with ``tensor._make``.
+
+The two whole-step oracles end the file: ``chain_supervised_step`` and
+``chain_uptrain_step``, the training steps built from the chains. The
+uptraining one also spells out the pair draw, the seven tasks and the
+teacher's targets (``per_mode_targets``) without ``avmoe.distill``'s
+helpers, so it checks them too.
 """
 
 import contextlib
@@ -15,10 +21,18 @@ import numpy as np
 import pytest
 
 from avmoe import tensor as T
-from avmoe.model import AttentionBlock, Encoder, FFNBlock
-from avmoe.moe_losses import DEFAULT_C_Z
-from avmoe.routing import RouterParams, route_dense
+from avmoe.corruption import (
+    AUDIO_MASK_PROB, AUDIO_MASK_SPAN, DROP_AUDIO, DROP_VIDEO, VIDEO_MASK_PROB,
+    VIDEO_MASK_SPAN, allocate_masks, apply_modality_dropout, corrupt_pair, sample_plan_preset,
+)
+from avmoe.model import AttentionBlock, Encoder, FFNBlock, sequence_mean_weights
+from avmoe.moe_losses import DEFAULT_C_Z, ROUTER_COLUMNS
+from avmoe.routing import (
+    AUDIO_GROUP, MOD_AUDIO, MOD_VIDEO, VIDEO_GROUP, RouterParams, route_dense,
+)
+from avmoe.streams import generate_pair
 from avmoe.tensor import Tensor
+from avmoe.trainer import AV_SNR_CHOICES, CORRUPTION_PRESET
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -290,3 +304,133 @@ def chain_task_loss_total(columns, weights):
     means = [chain_mean([loss if share == 1 else T.scale(loss, share)
                          for loss, share in column]) for column in columns]
     return chain_cav2vec_total(*means, weights=weights), [m.data for m in means]
+
+
+# -- the whole training steps, built from the chains --------------------------
+
+def chain_supervised_step(model, cfg, batch):
+    """The supervised step as it ran before its loss terms were fused: P and
+    Q as ``mean_axis0``/``index_rows`` nodes over the stats' probability
+    tensors, each loss term a chain of primitive ops, and the means and the
+    weighted total add and scale chains."""
+    audios, videos, labels, tags = (list(col) for col in zip(*batch))
+    feats, _ = model.encode(audios, videos)
+    _, ce, aux = model.decode_train(feats, labels, modality=tags,
+                                    feature_lengths=[a.shape[0] for a in audios])
+    stats = [layer_aux["stats"] for layer_aux in aux if layer_aux["stats"] is not None]
+    balance = [chain_load_balancing(s.expert_probs, s.expert_f) for s in stats]
+    bias = []
+    if stats and stats[0].n_groups == 2 and stats[0].g:
+        bias = [chain_load_biasing(s.group_probs, [
+            (s.subsets[tag], group, float(s.g[tag][group]))
+            for tag, group in ((MOD_AUDIO, AUDIO_GROUP), (MOD_VIDEO, VIDEO_GROUP))
+            if s.counts.get(tag, 0) > 0]) for s in stats]
+    row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
+    z = [chain_squared_logsumexp(rows, row_weights)
+         for layer_aux in aux for rows in layer_aux["logit_rows"]]
+    total, means = chain_router_loss_total(ce, balance, bias, z, cfg.c_balance, cfg.c_bias)
+    return {**dict(zip(ROUTER_COLUMNS, map(float, means))), "total": float(total.data)}, total
+
+
+# each uptraining task: (student input, teacher target, frames scored,
+# steps.csv columns sharing its loss). "masked" is the corrupted pair with its
+# masked frames zeroed, "kept" the modality a dropout kept (AV without one);
+# "union", "audio" and "video" are corrupted frames
+UPTRAIN_TASKS = {
+    "AVCP": ("AV", "AV", "union", ("L_ACP", "L_VCP")),
+    "mACP": ("AV", "A_only", "video", ("L_ACP",)),
+    "mVCP": ("AV", "V_only", "audio", ("L_VCP",)),
+    "ACP": ("V_only", "A_only", "video", ("L_ACP",)),
+    "VCP": ("A_only", "V_only", "audio", ("L_VCP",)),
+    "MASK": ("masked", "kept", "masked", ("L_MASK",)),
+    "MLM": ("masked", "AV", "masked", ("L_MLM",)),
+}
+
+
+def with_mode(A, V, mode):
+    """(A, V) with the modality a unimodal mode leaves out zeroed."""
+    return {"AV": (A, V), "A_only": (A, np.zeros_like(V)),
+            "V_only": (np.zeros_like(A), V)}[mode]
+
+
+def per_mode_targets(teacher, A, V, topk, mode):
+    """The teacher's [T x d] targets of the clean pair in one mode, from one
+    2-D encode: the mean of the top ``topk`` block outputs, standardized per
+    frame."""
+    a, v = with_mode(A, V, mode)
+    with T.no_grad():
+        _, per_block = teacher.encode(a, v)
+    avg = np.stack([b.data for b in per_block[-topk:]]).mean(axis=0)
+    return (avg - avg.mean(axis=1, keepdims=True)) / np.sqrt(
+        avg.var(axis=1, keepdims=True) + 1e-6)
+
+
+def chain_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng):
+    """The uptraining step, pair by pair: draw the pair and its corruption,
+    score each task of ``cfg.tasks`` on its frames against
+    ``per_mode_targets``, and add 0 for a task with none. A pair's distinct
+    student inputs, masked first, are one ``chain_encode`` stack and a
+    ``stack_slice`` node each; an MSE task is ``chain_head_mse``, MLM the
+    cross-entropy chain of its nearest-centroid ids, AVCP's halves ``scale``
+    nodes, and the column means and weighted total add and scale chains."""
+    topk = model.cfg.topk_blocks
+    # a weight gradient sums the student stack's rows in order, so the
+    # masked input leads it
+    names = sorted(cfg.tasks, key=lambda name: UPTRAIN_TASKS[name][0] != "masked")
+    zero = Tensor(np.zeros(()))
+    losses = {column: [] for column in ("L_ACP", "L_VCP", "L_MASK", "L_MLM")}
+    for _ in range(cfg.batch_size):
+        length = int(data_rng.integers(cfg.tokens_min, cfg.tokens_max + 1))
+        pair = generate_pair(cfg.generator, length, int(data_rng.integers(2 ** 31)))
+        A, V = pair.audio, pair.video
+        plan = sample_plan_preset(CORRUPTION_PRESET, A.shape[0],
+                                  int(corr_rng.integers(2 ** 31)),
+                                  drop_prob=cfg.modality_dropout)
+        plan = allocate_masks(plan, AUDIO_MASK_PROB, AUDIO_MASK_SPAN,
+                              VIDEO_MASK_PROB, VIDEO_MASK_SPAN,
+                              int(corr_rng.integers(2 ** 31)))
+        snr = float(corr_rng.choice(np.asarray(AV_SNR_CHOICES)))
+        A_corr, V_corr = corrupt_pair(A, V, plan, int(corr_rng.integers(2 ** 31)),
+                                      audio_snr_db=snr)
+        A_corr, V_corr = apply_modality_dropout(A_corr, V_corr, plan)
+        A_in, V_in = A_corr.copy(), V_corr.copy()
+        A_in[plan.audio_mask] = 0.0
+        V_in[plan.video_mask] = 0.0
+        audio, video = set(plan.audio_corrupt.tolist()), set(plan.video_corrupt.tolist())
+        index_sets = {"masked": set(plan.audio_mask.tolist()) | set(plan.video_mask.tolist()),
+                      "union": audio | video, "audio": audio, "video": video}
+        kept = {DROP_AUDIO: "V_only", DROP_VIDEO: "A_only"}.get(plan.modality_drop, "AV")
+        frames = {name: sorted(index_sets[UPTRAIN_TASKS[name][2]]) for name in names}
+
+        inputs, targets = {}, {}
+        for name in names:
+            if frames[name]:
+                mode = UPTRAIN_TASKS[name][0]
+                inputs.setdefault(mode, (A_in, V_in) if mode == "masked"
+                                  else with_mode(A_corr, V_corr, mode))
+        if inputs:
+            feats, _ = chain_encode(model, np.stack([a for a, _ in inputs.values()]),
+                                    np.stack([v for _, v in inputs.values()]))
+            rows = {mode: T.stack_slice(feats, i) for i, mode in enumerate(inputs)}
+        for name in names:
+            input_mode, target_mode, _, columns = UPTRAIN_TASKS[name]
+            idx, loss = frames[name], zero
+            if idx:
+                mode = kept if target_mode == "kept" else target_mode
+                if mode not in targets:
+                    targets[mode] = per_mode_targets(teacher.encoder, A, V, topk, mode)
+                head = heads.heads[name]
+                if name == "MLM":
+                    dist = ((targets[mode][idx][:, None, :] - centroids[None]) ** 2).sum(axis=2)
+                    loss = chain_cross_entropy_rows(
+                        T.matmul(T.index_rows(rows[input_mode], idx), head),
+                        np.argmin(dist, axis=1))
+                else:
+                    loss = chain_head_mse(rows[input_mode], head, targets[mode], idx)
+            for column in columns:
+                losses[column].append(loss if len(columns) == 1
+                                      else T.scale(loss, 1 / len(columns)))
+    parts = {column: chain_mean(ts) for column, ts in losses.items()}
+    total = chain_cav2vec_total(*parts.values())
+    parts["total"] = total
+    return {name: float(part.data) for name, part in parts.items()}, total

@@ -95,14 +95,32 @@ def test_uptraining_alone_may_draw_sequences_longer_than_max_len():
     assert cfg.tokens_max + 1 > cfg.model.max_len
 
 
-def test_train_numeric_abort_exit_code(tmp_path):
+def test_train_numeric_abort_exit_code(tmp_path, monkeypatch):
+    """A run that aborts leaves no run directory, here the default one."""
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path, lr=1e300, optimizer="sgd", steps=10,
                   model={"moe": {"mode": "dense_ffn"}})
+    monkeypatch.chdir(tmp_path)
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["train", str(cfg_path)]) == EXIT_NUMERIC
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_run_dir_it_cannot_create_before_training(tmp_path, monkeypatch,
+                                                                  capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    (tmp_path / "file").write_text("")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although the run directory cannot be made")
+    monkeypatch.setattr("avmoe.cli.train", no_training)
+    for run_dir in (tmp_path / "file", tmp_path / "file" / "sub"):
+        assert main(["train", str(cfg_path), "--run-dir", str(run_dir)]) == EXIT_CONFIG
+        assert f"error: cannot create run directory {run_dir}" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_seed_flag_changes_run(tmp_path):

@@ -17,7 +17,8 @@ on another layout, though no value here differs.
 ``TABLE`` has one row per op: the op, its chain (from ``chains.py``), its
 parameters' strategies, the builder of its operands and its example count.
 ``check_row`` makes each row a test, named after its op. The whole encode
-and the decoder features have tests of their own.
+and the decoder features have tests of their own, and so do both training
+steps, against the whole-step oracles of ``chains.py``.
 """
 
 import contextlib
@@ -31,16 +32,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from avmoe import tensor as T
+from avmoe.distill import DistillHeads, make_centroids, make_teacher
 from avmoe.model import Model, ModelConfig
 from avmoe.moe_layer import MoELayer, MoELayerConfig
 from avmoe.moe_losses import total_aux_loss
 from avmoe.routing import MODALITIES
 from avmoe.tensor import Tensor
+from avmoe.trainer import (
+    TrainConfig, _supervised_step, _uptrain_step, build_model, seed_streams,
+)
 from chains import (
-    chain_attention_block, chain_cross_entropy_rows, chain_ffn, chain_ffn_block,
-    chain_head_mse, chain_input_fusion, chain_load_balancing, chain_load_biasing,
-    chain_model, chain_moe_combine, chain_router_loss_total, chain_router_softmaxes,
-    chain_squared_logsumexp, chain_standardize, chain_task_loss_total,
+    UPTRAIN_TASKS, chain_attention_block, chain_cross_entropy_rows, chain_ffn,
+    chain_ffn_block, chain_head_mse, chain_input_fusion, chain_load_balancing,
+    chain_load_biasing, chain_model, chain_moe_combine, chain_router_loss_total,
+    chain_router_softmaxes, chain_squared_logsumexp, chain_standardize,
+    chain_supervised_step, chain_task_loss_total, chain_uptrain_step,
 )
 
 
@@ -587,6 +593,119 @@ def test_decoder_features_gradient_equals_the_chain(seed, n_dec, mode, lengths):
                                           feature_lengths=[t for t, _ in lengths])
         ce.backward()
         runs.append(Run([ce.data, feats.grad], grads_of(model)))
+    assert_bitwise_equal(*runs)
+
+
+# -- the training steps against their whole-step oracles ----------------------
+
+STEP_MOE = {
+    "dense_ffn": {},
+    "sparse_topk": {"n_experts": 4, "k": 2},
+    "hard": {"n_groups": 2, "n_per_group": 3, "k": 2},
+    "hierarchical": {"n_groups": 2, "n_per_group": 3},
+    "hierarchical_three_groups": {"mode": "hierarchical", "n_groups": 3, "n_per_group": 2},
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(moe=st.sampled_from(sorted(STEP_MOE)), m=st.integers(1, 2),
+       k_per_group=st.integers(1, 2), n_dec=st.integers(1, 3),
+       lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       tags=st.lists(st.sampled_from(MODALITIES), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_supervised_step_is_bitwise_the_chain_step(moe, m, k_per_group, n_dec, lengths,
+                                                   tags, seed):
+    """Each loss term one node: the same scalars, total and parameter
+    gradients, bit for bit and stride for stride, as the chains of primitive
+    ops, whose backward walk adds three or more gradients into the MoE
+    inputs and the group probabilities."""
+    fields = dict(STEP_MOE[moe])
+    mode = fields.pop("mode", moe)
+    if mode == "hierarchical":
+        fields |= {"m": min(m, fields["n_groups"]), "k_per_group": k_per_group}
+    cfg = TrainConfig.from_dict({
+        "regime": "supervised_moe", "steps": 1, "batch_size": 1, "seed": seed % 97,
+        "model": {"dim_audio": 6, "dim_video": 6, "d": 8, "h": 8, "n_enc": 1,
+                  "n_dec": n_dec, "vocab": 6, "topk_blocks": 1,
+                  "moe": {"mode": mode, "d": 8, "h": 8, **fields}},
+        "generator": {"vocab": 6, "dim_audio": 6, "dim_video": 6}})
+    rng = np.random.default_rng(seed)
+    batch = [(rng.normal(size=(2 * n, 6)), rng.normal(size=(2 * n, 6)),
+              rng.integers(0, 6, size=n), tag) for n, tag in zip(lengths, tags)]
+    center = rng.normal(size=8)
+    # trained inter routers: at init they are zero, and so is the gradient
+    # they pass on to the MoE input, whatever the order it is added in
+    inter = rng.normal(size=(n_dec, 8, fields.get("n_groups", 1)))
+    runs = []
+    for step in (_supervised_step, chain_supervised_step):
+        model = build_model(cfg)
+        for blk, w in zip(model.decoder_blocks, inter):
+            blk.moe.inter_center = center.copy()
+            if blk.moe.inter_router is not None:
+                blk.moe.inter_router.weight.data[:] = w
+        scalars, total = step(model, cfg, batch)[:2]
+        total.backward()
+        runs.append((scalars, total.data.tobytes(), model.named_params()))
+    (got, got_total, got_params), (want, want_total, want_params) = runs
+    assert got == want and got_total == want_total
+    for name, p in got_params.items():
+        g, w = p.grad, want_params[name].grad
+        assert (g is None) == (w is None), name
+        if g is not None:
+            assert g.tobytes() == w.tobytes() and g.strides == w.strides, name
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tasks=st.lists(st.sampled_from(list(UPTRAIN_TASKS)), min_size=1, max_size=7,
+                      unique=True),
+       seed=st.integers(0, 2 ** 16), batch_size=st.integers(1, 5),
+       dropout=st.sampled_from([0.0, 0.25, 0.5]), n_enc=st.integers(1, 3),
+       topk=st.integers(1, 3), frames_per_token=st.sampled_from([1, 3]))
+@example(tasks=["MASK"], seed=0, batch_size=3, dropout=0.25, n_enc=2, topk=2,
+         frames_per_token=3)
+@example(tasks=["AVCP", "mACP", "mVCP"], seed=2, batch_size=3, dropout=0.0, n_enc=2,
+         topk=2, frames_per_token=3)
+def test_uptrain_step_is_bitwise_the_chain_step(tasks, seed, batch_size, dropout, n_enc,
+                                                topk, frames_per_token):
+    """The uptraining step against ``chains.chain_uptrain_step``, which
+    spells out the draws, the seven tasks and the teacher's targets: the
+    same scalars, total, draws (both RNG states) and every model and head
+    gradient, bit for bit and stride for stride. So it checks the task
+    table, one teacher encode per step against one 2-D encode per mode,
+    each pair's student inputs as one stack, masked input first, and the
+    fused encoder and losses against their chains, for any ordered set of
+    tasks, one-frame pairs included, the targets averaging the top
+    ``topk`` blocks (at most all). The examples: MASK alone, a stack of
+    one slice; and seed 2, where each of the three pairs' audio-visual
+    slice takes three gradients, from AVCP, mACP and mVCP."""
+    cfg = TrainConfig.from_dict({
+        "regime": "cav2vec_uptrain", "steps": 1, "batch_size": batch_size, "seed": seed,
+        "tokens_min": 1, "tokens_max": 4, "tasks": tasks,
+        "modality_dropout": dropout, "n_centroids": 4,
+        "model": {"dim_audio": 5, "dim_video": 4, "d": 8, "h": 12, "n_enc": n_enc,
+                  "n_dec": 1, "vocab": 4, "topk_blocks": min(topk, n_enc),
+                  "moe": {"mode": "dense_ffn"}},
+        "generator": {"vocab": 4, "dim_audio": 5, "dim_video": 4,
+                      "frames_per_token": frames_per_token},
+    })
+    model = build_model(cfg)
+    teacher = make_teacher(model, total_steps=1)
+    for p in teacher.encoder.encoder_params():  # a teacher distinct from the student
+        p.data += 0.01
+    heads = DistillHeads.init(cfg.model.d, cfg.n_centroids, seed=seed)
+    centroids = make_centroids(cfg.n_centroids, cfg.model.d, seed=1)
+    runs, draws = [], []
+    for step in (_uptrain_step, chain_uptrain_step):
+        streams = seed_streams(cfg.seed)
+        data_rng = np.random.default_rng(streams["data"])
+        corr_rng = np.random.default_rng(streams["corruption"])
+        scalars, total = step(model, teacher, heads, centroids, cfg, data_rng, corr_rng)
+        total.backward()
+        runs.append(Run([total.data], grads_of(model) + [h.grad for h in heads.params()]))
+        draws.append((scalars, data_rng.bit_generator.state, corr_rng.bit_generator.state))
+        for h in heads.params():
+            h.zero_grad()
+    assert draws[0] == draws[1]
     assert_bitwise_equal(*runs)
 
 

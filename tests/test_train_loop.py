@@ -1,11 +1,15 @@
-"""The one training loop against the two loops it replaced.
+"""The one training loop against the reference trainer.
 
-``reference_train`` is a copy of the earlier trainer: one loop for the
-supervised regime, one for uptraining, and a dispatch that runs
-combined_pipeline as an uptraining run of ``uptrain_steps`` steps followed by
-a supervised run numbered after it. Every regime must give the same step
-rows, final losses, expert-load tail, parameter bytes and inter-router
-centers bit for bit, and release every freeze flag.
+``reference_train`` has one loop for the supervised regime, one for
+uptraining, and a dispatch that runs combined_pipeline as an uptraining run
+of ``uptrain_steps`` steps followed by a supervised run numbered after it.
+Its supervised loop backpropagates into every parameter and clears the
+gradients of the ones frozen for the step before the optimizer step, which
+leaves them dead for it. The training loop, ``_train``, instead marks frozen
+parameters as constants, so their ops build no tape node and get no
+gradient. Every regime must give the same step rows, final losses,
+expert-load tail, parameter bytes and inter-router centers bit for bit, and
+release every freeze flag.
 """
 
 from dataclasses import replace
@@ -50,32 +54,29 @@ def _train_supervised(model, cfg, table, step_offset=0):
     tail_start = cfg.steps - max(1, cfg.steps // 10)
     tail_f = {}
     tail_n = 0
-    try:
-        for step in range(cfg.steps):
-            frozen = set().union(*(ids for until, ids in freezes if step < until))
-            for p in params:
-                p.requires_grad = id(p) not in frozen
-            batch = _sample_batch(cfg, data_rng, corr_rng)
-            try:
-                scalars, total, stats = _supervised_step(model, cfg, batch)
-            except T.NumericError:
-                raise DivergenceError(step_offset + step, last_finite)
-            if not np.isfinite(float(total.data)):
-                raise DivergenceError(step_offset + step, last_finite)
-            if step >= tail_start and stats:
-                for li, s in stats.items():
-                    for gi, f in enumerate(s.expert_f):
-                        tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
-                tail_n += 1
-            total.backward()
-            opt()
-            last_finite = scalars
-            table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
-                          scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
-                          scalars["total"]])
-    finally:
+    for step in range(cfg.steps):
+        batch = _sample_batch(cfg, data_rng, corr_rng)
+        try:
+            scalars, total, stats = _supervised_step(model, cfg, batch)
+        except T.NumericError:
+            raise DivergenceError(step_offset + step, last_finite)
+        if not np.isfinite(float(total.data)):
+            raise DivergenceError(step_offset + step, last_finite)
+        if step >= tail_start and stats:
+            for li, s in stats.items():
+                for gi, f in enumerate(s.expert_f):
+                    tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
+            tail_n += 1
+        total.backward()
+        frozen = set().union(*(ids for until, ids in freezes if step < until))
         for p in params:
-            p.requires_grad = True
+            if id(p) in frozen:
+                p.grad = None
+        opt()
+        last_finite = scalars
+        table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
+                      scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
+                      scalars["total"]])
     tail = {key: f / tail_n for key, f in tail_f.items()} if tail_n else {}
     return last_finite, tail
 
@@ -127,19 +128,19 @@ def reference_train(model, cfg, table):
 counts = st.integers(0, 4)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(regime=st.sampled_from(REGIMES), mode=st.sampled_from(sorted(MOE)),
        optimizer=st.sampled_from(["sgd", "adam"]), steps=st.integers(1, 4),
        uptrain_steps=st.integers(1, 3), warmup=counts, freeze_encoder=counts,
-       freeze_experts=counts,
+       freeze_experts=counts, tokens_min=st.integers(1, 2),
        tasks=st.lists(st.sampled_from(TASKS), min_size=1, max_size=4, unique=True),
        seed=st.integers(0, 2 ** 16))
 def test_one_loop_matches_the_two_loops(regime, mode, optimizer, steps, uptrain_steps,
-                                        warmup, freeze_encoder, freeze_experts, tasks,
-                                        seed):
+                                        warmup, freeze_encoder, freeze_experts, tokens_min,
+                                        tasks, seed):
     cfg = TrainConfig.from_dict({
         "regime": regime, "steps": steps, "uptrain_steps": uptrain_steps,
-        "batch_size": 2, "tokens_min": 1, "tokens_max": 3, "optimizer": optimizer,
+        "batch_size": 2, "tokens_min": tokens_min, "tokens_max": 3, "optimizer": optimizer,
         "lr": 1e-2 if optimizer == "adam" else 0.1, "seed": seed, "tasks": tasks,
         "inter_lr_scale": 3.0, "identical_expert_init": True,
         "router_warmup_steps": warmup, "freeze_encoder_steps": freeze_encoder,
