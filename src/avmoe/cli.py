@@ -88,9 +88,18 @@ def _load_config(path: str, seed_override: int | None) -> TrainConfig:
     return TrainConfig.from_dict(raw)
 
 
+def _outermost_missing(path: str) -> str | None:
+    """The outermost directory on ``path`` that does not exist, which is the
+    first one ``os.makedirs(path)`` creates; None when ``path`` exists."""
+    top = None
+    while path and not os.path.exists(path):
+        top, path = path, os.path.dirname(path)
+    return top
+
+
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    made = not os.path.isdir(args.run_dir)
+    made = _outermost_missing(args.run_dir)
     try:
         os.makedirs(args.run_dir, exist_ok=True)
     except OSError as e:
@@ -98,8 +107,8 @@ def _cmd_train(args) -> int:
     try:
         report = train(cfg, run_dir=args.run_dir)
     except BaseException:
-        if made:  # a failed run leaves no directory behind
-            shutil.rmtree(args.run_dir, ignore_errors=True)
+        if made is not None:  # a failed run leaves no directory it made behind
+            shutil.rmtree(made, ignore_errors=True)
         raise
     print(f"run written to {args.run_dir}")
     for name, value in sorted(report.final_losses.items()):

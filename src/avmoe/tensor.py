@@ -93,9 +93,14 @@ class Tensor:
     ``Model.load_state_dict`` and ``trainer.build_model``'s identical-expert
     init. The optimizers' constructor rebinds each parameter's ``data`` to a
     view of one packed vector; every later writer writes into ``data``.
+
+    ``grad_out`` is None, or the array an optimizer bound the parameter to:
+    its slice of the optimizer's gradient vector. The first gradient
+    contribution of a backward pass is copied there instead of into a new
+    array; a second one makes a new array, as for any other tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "grad_out")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -103,6 +108,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
+        self.grad_out = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -150,7 +156,11 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            if self.grad_out is None:
+                self.grad = np.array(g, dtype=np.float64, copy=True)
+            else:
+                self.grad_out[...] = g
+                self.grad = self.grad_out
         else:
             self.grad = self.grad + g
 
@@ -179,11 +189,12 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(g, shape):
     """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    # np.add.reduce is the reduction ndarray.sum calls, without its wrapper
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g
 
 

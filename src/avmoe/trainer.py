@@ -15,9 +15,12 @@ One training loop, ``_train``, runs each regime as a list of phases:
 Each phase starts the data and corruption streams afresh from the config
 seed and builds its optimizer over the parameters it trains. ``SGD`` and
 ``Adam`` pack those parameters, in order, into one flat float64 vector and
-make each ``p.data`` a view of its slice; a step updates each run of
-consecutive parameters that got a gradient in place, and a parameter
-without one keeps its data and optimizer state.
+make each ``p.data`` a view of its slice; backward lands each parameter's
+gradient in its slice of a second vector of the same layout. A step
+updates each run of consecutive parameters that got a gradient and share
+a step size in place, and a parameter without one keeps its data and
+optimizer state. The supervised phase lists its inter routers last, so the
+parameters of one step size are packed together.
 
 Every run writes steps.csv, expert_load.csv, summary.json, and (for
 hierarchical models) group_load_vs_snr.csv into its run directory, plus a
@@ -37,8 +40,8 @@ import numpy as np
 
 from . import tensor as T
 from .corruption import (
-    AUDIO_MASK_PROB, AUDIO_MASK_SPAN, VIDEO_MASK_PROB, VIDEO_MASK_SPAN, CorruptionPlan,
-    allocate_masks, apply_modality_dropout, corrupt_pair, sample_plan_preset,
+    AUDIO_MASK_PROB, AUDIO_MASK_SPAN, VIDEO_MASK_PROB, VIDEO_MASK_SPAN, allocate_masks,
+    apply_modality_dropout, corrupt_pair, mix_at_snr, sample_plan_preset,
 )
 from .distill import (
     LOSS_COLUMNS, MODE_MASKED, TASK_WEIGHTS, TASKS, DistillHeads, cav2vec_total_loss,
@@ -309,26 +312,32 @@ def build_model(cfg: TrainConfig) -> Model:
 # -- optimizers ---------------------------------------------------------------
 
 class _PackedOptimizer:
-    """The parameter layout SGD and Adam share.
+    """The parameter and gradient layout SGD and Adam share.
 
     The constructor copies the parameters, in list order, into one
     contiguous float64 vector ``flat`` and makes each ``p.data`` a reshaped
     view of its slice, so an update of a slice of ``flat`` is an in-place
     update of the parameter. Whatever writes a parameter afterwards must
     write into ``p.data`` too; a step raises if a live parameter's ``data``
-    was rebound.
+    was rebound. It binds each parameter to its slice of the gradient
+    vector ``grad`` (``p.grad_out``), so backward copies a parameter's
+    first gradient contribution straight into the layout a step reads. A
+    step works in that vector, so a gradient read before it is kept only
+    as a copy.
 
     A step works on runs: maximal runs of consecutive live parameters
     (``grad`` not None) that share one ``lr_scales`` factor. ``lr_scales``
-    maps id(param) to a step-size multiplier. A dead parameter (an
-    unselected expert, a frozen parameter) ends a run and keeps its data and
-    optimizer state untouched."""
+    maps id(param) to a step-size multiplier; the parameters are packed in
+    the order given, so a caller lists those of one factor together
+    (``_supervised_phase`` puts the inter routers last). A dead parameter
+    (an unselected expert, a frozen parameter) ends a run and keeps its data
+    and optimizer state untouched."""
 
     def __init__(self, params: list[Tensor], lr: float, lr_scales: dict | None = None):
         lr_scales = lr_scales or {}
         self.lr = lr
         self.flat = np.empty(sum(p.data.size for p in params))
-        # each live gradient is copied here, so a run's arithmetic reads
+        # the live gradients, in the same layout, so a run's arithmetic reads
         # one slice and may overwrite it
         self.grad = np.empty_like(self.flat)
         self._slots = []
@@ -338,13 +347,15 @@ class _PackedOptimizer:
             view = self.flat[start:end].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self._slots.append((p, view, self.grad[start:end].reshape(view.shape),
-                                start, end, lr_scales.get(id(p), 1.0)))
+            p.grad_out = self.grad[start:end].reshape(view.shape)
+            self._slots.append((p, view, p.grad_out, start, end, lr_scales.get(id(p), 1.0)))
             start = end
 
     def _live_runs(self) -> list[list]:
         """Stage and clear every live gradient; return the runs as
-        [start, end, lr scale]."""
+        [start, end, lr scale]. A gradient that backward left in its slice
+        is staged already; any other (set by hand, or the sum of several
+        contributions) is copied there."""
         runs: list[list] = []
         for p, view, grad, start, end, scale in self._slots:
             if p.grad is None:
@@ -352,7 +363,8 @@ class _PackedOptimizer:
             if p.data is not view:
                 raise RuntimeError("a parameter's data was rebound after the optimizer "
                                    "packed it; write into p.data[...] instead")
-            grad[...] = p.grad
+            if p.grad is not grad:
+                grad[...] = p.grad
             p.grad = None
             if runs and runs[-1][1] == start and runs[-1][2] == scale:
                 runs[-1][1] = end
@@ -426,9 +438,14 @@ def make_optimizer(name: str, lr: float, params: list[Tensor],
 
 def _corrupt_all_audio(audio: np.ndarray, video: np.ndarray, rng, snr_db: float):
     """Mix noise into every audio frame at ``snr_db``, seeded by one draw
-    from ``rng``."""
-    plan = CorruptionPlan(seq_len=audio.shape[0], audio_corrupt=np.arange(audio.shape[0]))
-    return corrupt_pair(audio, video, plan, int(rng.integers(2 ** 31)), audio_snr_db=snr_db)
+    from ``rng``; the video is returned as is. The noise and the draw are
+    ``corrupt_pair``'s under a plan that corrupts all audio and no video."""
+    seed = int(rng.integers(2 ** 31))
+    if audio.shape[0] != video.shape[0]:
+        raise ValueError(f"the pair has {audio.shape[0]} audio and "
+                         f"{video.shape[0]} video frames")
+    noise = np.random.default_rng(seed).normal(size=audio.shape)
+    return mix_at_snr(audio, noise, snr_db, np.arange(audio.shape[0])), video
 
 
 def _sample_batch(cfg: TrainConfig, data_rng, corr_rng):
@@ -502,16 +519,17 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
 
 def _supervised_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
     """Finetuning: every model parameter, under the config's freezes, with
-    the inter routers' step scaled by ``inter_lr_scale``."""
-    params = model.params()
+    the inter routers' step scaled by ``inter_lr_scale``. The inter routers
+    come last, so the optimizer packs each step size's parameters together."""
     blocks = model.decoder_blocks
+    inter = [blk.moe.inter_router.weight for blk in blocks if blk.moe.inter_router is not None]
+    lr_scales = {id(p): cfg.inter_lr_scale for p in inter}
+    params = [p for p in model.params() if id(p) not in lr_scales] + inter
     routers = set(id(p) for blk in blocks for p in blk.moe.router_params())
     freezes = ((cfg.router_warmup_steps, set(id(p) for p in params) - routers),
                (cfg.freeze_encoder_steps, set(id(p) for p in model.encoder_params())),
                (cfg.freeze_experts_steps,
                 set(id(p) for blk in blocks for e in blk.moe.experts for p in e.params())))
-    lr_scales = {id(blk.moe.inter_router.weight): cfg.inter_lr_scale
-                 for blk in blocks if blk.moe.inter_router is not None}
 
     def take_step(data_rng, corr_rng):
         return _supervised_step(model, cfg, _sample_batch(cfg, data_rng, corr_rng))

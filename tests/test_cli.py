@@ -108,6 +108,24 @@ def test_train_numeric_abort_exit_code(tmp_path, monkeypatch):
     assert not (tmp_path / "run").exists()
 
 
+def test_failed_run_removes_the_outermost_directory_it_created(tmp_path, monkeypatch):
+    """The parents ``--run-dir`` needed go with it; a directory that was
+    there before stays, with what it held."""
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lr=1e300, optimizer="sgd", steps=10,
+                  model={"moe": {"mode": "dense_ffn"}})
+    (tmp_path / "old" / "kept").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for run_dir in ("a/b/c", "old/d/e/", str(tmp_path / "f" / "g"), "old/kept"):
+            assert main(["train", str(cfg_path), "--run-dir", run_dir]) == EXIT_NUMERIC
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "old"]
+    assert [p.name for p in (tmp_path / "old").iterdir()] == ["kept"]
+    assert list((tmp_path / "old" / "kept").iterdir()) == []
+
+
 def test_train_refuses_a_run_dir_it_cannot_create_before_training(tmp_path, monkeypatch,
                                                                   capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -1,9 +1,13 @@
 """Cost counts: what each training step and each decoded pair does, counted.
 
-For every config of ``test_golden.py`` this counts, per training step: the
-tape nodes by op, the ``MoELayer.forward``, ``MoELayer.route`` and
-``dispatch_stats`` calls, the expert evaluations, the ``Encoder.encode``
-calls (student and teacher) and the ``teacher_targets`` calls. Then it
+For every config of ``test_golden.py``, and for ``SUP_HIER`` (the
+benchmark's supervised workload, whose inter routers take a larger step),
+this counts, per training step: the tape nodes by op, the
+``MoELayer.forward``, ``MoELayer.route`` and ``dispatch_stats`` calls, the
+expert evaluations, the ``Encoder.encode`` calls (student and teacher), the
+``teacher_targets`` calls, and the optimizer step's runs and the gradients
+it copies into its staging vector (each one that backward did not leave in
+its slice). Then it
 counts the same after training (the post-train probes), and for a few eval
 pairs decoded one ``eval_ter`` call each on a fresh model of the supervised
 config, the route calls, decoded positions and ``Tensor`` objects of each
@@ -37,10 +41,14 @@ import avmoe.trainer as trainer
 from avmoe.trainer import TrainConfig, build_model, eval_ter, train
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_golden import CONFIGS  # noqa: E402
+from test_golden import BASE, CONFIGS  # noqa: E402
 
 COSTS = Path(__file__).resolve().parent / "costs.json"
 EVAL_PAIRS = 4
+# perfbench's sup_hier settings at the golden configs' length
+SUP_HIER = {**BASE, "regime": "supervised_moe", "batch_size": 6, "modality_dropout": 0.25,
+            "identical_expert_init": True, "inter_lr_scale": 10.0, "c_bias": 1e-2}
+TRAINED = {**CONFIGS, "sup_hier": SUP_HIER}
 
 
 def _op_name(frame) -> str:
@@ -61,6 +69,13 @@ class Counts:
     def cut(self):
         self.steps.append(dict(sorted(self.now.items())))
         self.now = Counter()
+
+    def add_to_last_step(self, key: str, n: int):
+        """Count into the segment the last ``cut`` closed: an optimizer
+        step runs after its step's backward."""
+        step = Counter(self.steps[-1])
+        step[key] += n
+        self.steps[-1] = dict(sorted(step.items()))
 
 
 def _install(mp, counts: Counts):
@@ -103,6 +118,16 @@ def _install(mp, counts: Counts):
         return decode(self, features, token_ids, *args, **kwargs)
     mp.setattr(model_mod.Model, "_decode", counted_decode)
 
+    live_runs = trainer._PackedOptimizer._live_runs
+
+    def counted_live_runs(self):
+        copies = sum(p.grad is not None and p.grad is not grad for p, _, grad, *_ in self._slots)
+        runs = live_runs(self)
+        counts.add_to_last_step("optimizer_copies", copies)
+        counts.add_to_last_step("optimizer_runs", len(runs))
+        return runs
+    mp.setattr(trainer._PackedOptimizer, "_live_runs", counted_live_runs)
+
     backward = tensor.Tensor.backward
 
     def cut_backward(self):
@@ -142,7 +167,7 @@ def eval_costs() -> list[dict]:
 
 
 def costs() -> dict:
-    return {**{name: training_costs(config) for name, config in sorted(CONFIGS.items())},
+    return {**{name: training_costs(config) for name, config in sorted(TRAINED.items())},
             "eval_pairs": eval_costs()}
 
 
@@ -151,7 +176,7 @@ def measured():
     return costs()
 
 
-@pytest.mark.parametrize("name", [*sorted(CONFIGS), "eval_pairs"])
+@pytest.mark.parametrize("name", [*sorted(TRAINED), "eval_pairs"])
 def test_costs_match_the_committed_counts(measured, name):
     want = json.loads(COSTS.read_text())
     assert sorted(want) == sorted(measured)

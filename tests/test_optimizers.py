@@ -3,7 +3,9 @@
 ``SGD`` and ``Adam`` copy their parameters into one flat vector and update
 runs of live parameters in place. The reference below is the
 per-parameter update each used before, kept here verbatim in arithmetic.
-Parameters, ``m`` and ``v`` must agree bit for bit.
+Parameters, ``m`` and ``v`` must agree bit for bit, whether a gradient is
+set by hand, left by ``backward()`` in the parameter's slice of the
+optimizer's gradient vector, or summed from several contributions.
 """
 
 from functools import partial
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avmoe import tensor as T
 from avmoe import trainer
 from avmoe.distill import ema_update, make_teacher
 from avmoe.model import Model, ModelConfig
@@ -67,14 +70,38 @@ shapes = st.one_of(st.tuples(st.integers(1, 5)),
                    st.tuples(st.integers(1, 4), st.integers(1, 4)))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+# how a parameter's gradient arrives before a step: none (dead), set by hand,
+# one backward() (left in its slice), two contributions within one
+# backward(), or two backward() calls
+SOURCES = ("dead", "hand", "backward", "two_in_one", "two_backwards")
+
+
+def give_gradient(p, source, consts):
+    """Give ``p`` the gradient ``source`` names, from the constant arrays
+    ``consts``: each backward contribution is exactly one of them."""
+    c1, c2 = (Tensor(c) for c in consts)
+    if source == "hand":
+        p.grad = consts[0].copy()
+    elif source == "backward":
+        T.tsum(T.mul(p, c1)).backward()
+    elif source == "two_in_one":
+        T.add(T.tsum(T.mul(p, c1)), T.tsum(T.mul(p, c2))).backward()
+    elif source == "two_backwards":
+        T.tsum(T.mul(p, c1)).backward()
+        T.tsum(T.mul(p, c2)).backward()
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["sgd", "adam"]), lr=st.sampled_from([1e-3, 0.1]),
        shape_list=st.lists(shapes, min_size=1, max_size=8),
        scales=st.lists(st.sampled_from([None, 0.5, 3.0, 10.0]), min_size=8, max_size=8),
-       live=st.lists(st.lists(st.booleans(), min_size=8, max_size=8),
-                     min_size=1, max_size=6),
+       sources=st.lists(st.lists(st.sampled_from(SOURCES), min_size=8, max_size=8),
+                        min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 16))
-def test_packed_step_equals_per_parameter_step(name, lr, shape_list, scales, live, seed):
+def test_packed_step_equals_per_parameter_step(name, lr, shape_list, scales, sources, seed):
+    """The packed steps equal the reference steps on the same gradients,
+    which reach the reference's unbound parameters the same way; a gradient
+    from one backward contribution is the parameter's slice of ``grad``."""
     rng = np.random.default_rng(seed)
     init = [rng.normal(size=s) for s in shape_list]
     ref = [Tensor.param(a.copy()) for a in init]
@@ -88,11 +115,21 @@ def test_packed_step_equals_per_parameter_step(name, lr, shape_list, scales, liv
         opt = Adam(packed, lr, lr_scales=packed_scales)
         ref_opt = ReferenceAdam(lr, ref_scales)
         ref_step = partial(ref_opt.step, ref)
-    for mask in live:
-        for p, q, is_live in zip(ref, packed, mask):
-            g = rng.normal(size=p.data.shape) if is_live else None
-            p.grad, q.grad = g, None if g is None else g.copy()
-        dead = [(q, q.data.copy()) for q, is_live in zip(packed, mask) if not is_live]
+    for step_sources in sources:
+        for p, q, source in zip(ref, packed, step_sources):
+            consts = [rng.normal(size=p.data.shape) for _ in range(2)]
+            give_gradient(p, source, consts)
+            give_gradient(q, source, consts)
+            if source == "dead":
+                assert q.grad is None
+                continue
+            assert q.grad.tobytes() == p.grad.tobytes()
+            bound = q.grad is q.grad_out
+            assert bound == (source == "backward")
+            assert np.shares_memory(q.grad, opt.grad) == bound
+            assert not np.shares_memory(p.grad, opt.grad)
+        dead = [(q, q.data.copy()) for q, source in zip(packed, step_sources)
+                if source == "dead"]
         ref_step()
         opt.step()
         for q, before in dead:
@@ -104,6 +141,20 @@ def test_packed_step_equals_per_parameter_step(name, lr, shape_list, scales, liv
     if name == "adam":
         assert opt.m.tobytes() == flat_state(ref_opt.m, ref).tobytes()
         assert opt.v.tobytes() == flat_state(ref_opt.v, ref).tobytes()
+
+
+@pytest.mark.parametrize("name", ["sgd", "adam"])
+def test_a_later_optimizer_takes_the_binding(name):
+    """Packing a parameter again (a new phase's optimizer) binds it to the
+    new optimizer's gradient vector; the old one's is not written."""
+    p = Tensor.param(np.arange(3.0))
+    first = SGD([p], 0.1)
+    first.grad[...] = 7.0
+    second = {"sgd": SGD, "adam": Adam}[name]([p], 0.1)
+    T.tsum(T.mul(p, Tensor(np.ones(3)))).backward()
+    assert p.grad is p.grad_out
+    assert np.shares_memory(p.grad, second.grad)
+    assert first.grad.tolist() == [7.0] * 3
 
 
 @pytest.mark.parametrize("name", ["sgd", "adam"])

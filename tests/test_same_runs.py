@@ -27,6 +27,9 @@ def test_configs_cover_regimes_modes_freezes_optimizers_and_seeds():
     for knob in ("router_warmup_steps", "freeze_encoder_steps", "freeze_experts_steps"):
         assert any(getattr(c, knob) for c in cfgs), knob
     assert ("VCP", "MLM", "mACP", "ACP", "MASK", "AVCP", "mVCP") in {c.tasks for c in cfgs}
+    # the packed optimizer's step-size groups meet a freeze under SGD too
+    assert any(c.optimizer == "sgd" and c.inter_lr_scale != 1.0 and c.router_warmup_steps
+               for c in cfgs)
 
 
 def test_differing_files(tmp_path):

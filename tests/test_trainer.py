@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import avmoe.trainer as trainer_mod
 from avmoe import tensor as T
@@ -428,6 +429,42 @@ def test_sample_batch_deterministic():
     for (a1, v1, l1, t1), (a2, v2, l2, t2) in zip(b1, b2):
         assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
         assert np.array_equal(l1, l2) and t1 == t2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(frames=st.integers(0, 12), dim_audio=st.integers(1, 6), dim_video=st.integers(1, 6),
+       silent=st.booleans(),
+       snr=st.one_of(st.sampled_from(trainer_mod.AV_SNR_CHOICES),
+                     st.floats(-40.0, 40.0, allow_nan=False)),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_corrupt_all_audio_is_the_corruption_plan_route(frames, dim_audio, dim_video,
+                                                        silent, snr, seed):
+    """The all-audio noise equals ``corrupt_pair`` under a plan that
+    corrupts every audio frame and no video: the same audio and video
+    bytes, one draw from the caller's generator."""
+    data = np.random.default_rng(seed ^ 0x55)
+    audio = np.zeros((frames, dim_audio)) if silent else data.normal(size=(frames, dim_audio))
+    video = data.normal(size=(frames, dim_video))
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    plan = CorruptionPlan(seq_len=frames, audio_corrupt=np.arange(frames))
+    want = corrupt_pair(audio, video, plan, int(ref_rng.integers(2 ** 31)), audio_snr_db=snr)
+    got = trainer_mod._corrupt_all_audio(audio, video, rng, snr)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert got[1] is video
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_corrupt_all_audio_refuses_unequal_frame_counts():
+    ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    audio, video = np.ones((4, 2)), np.ones((5, 2))
+    plan = CorruptionPlan(seq_len=4, audio_corrupt=np.arange(4))
+    with pytest.raises(ValueError, match="frames"):
+        corrupt_pair(audio, video, plan, int(ref_rng.integers(2 ** 31)))
+    with pytest.raises(ValueError, match="4 audio and 5 video frames"):
+        trainer_mod._corrupt_all_audio(audio, video, rng, -5.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- training runs -----------------------------------------------------------

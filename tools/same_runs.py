@@ -54,6 +54,10 @@ CONFIGS = {
         "identical_expert_init": True, "inter_lr_scale": 10.0,
         "model": {"moe": {**MOE["hierarchical"], "k_per_group": 2}}},
     "freeze_router_warmup": {"router_warmup_steps": 3},
+    # SGD with a scaled inter router during and after a router warm-up: the
+    # packed runs of one step size meet frozen and unselected parameters
+    "sgd_scaled_router_warmup": {"optimizer": "sgd", "lr": 0.1, "inter_lr_scale": 10.0,
+                                 "router_warmup_steps": 3},
     "freeze_encoder": {"freeze_encoder_steps": 3},
     "freeze_experts": {"freeze_experts_steps": 3, "identical_expert_init": True},
     "uptrain_default_tasks": UPTRAIN,
