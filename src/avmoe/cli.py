@@ -7,7 +7,9 @@ Subcommands:
   report --run-dir DIR
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric abort. Any
-other exception is an internal error and propagates with its traceback.
+other exception is an internal error and propagates with its traceback: a
+routing or loss error past config validation (``RoutingConfigError``,
+``UnsupportedConfigError``) is a broken invariant, not a configuration error.
 The AVMOE_SEED environment variable overrides the config seed; an explicit
 --seed flag wins over both. `eval` uses the eval seed and pair count of
 `train`, so it reproduces a run's reported TERs and group-load table.
@@ -24,8 +26,6 @@ import sys
 from .corruption import PRESETS
 from .gradcheck import CASES, DEFAULT_SEEDS, TOLERANCE
 from .gradcheck import run as run_gradcheck
-from .moe_losses import UnsupportedConfigError
-from .routing import RoutingConfigError
 from .tensor import NumericError, ShapeError
 from .trainer import (
     AV_SNR_CHOICES, EVAL_SEED_OFFSET, ConfigError, DivergenceError, TrainConfig,
@@ -124,6 +124,9 @@ def _cmd_eval(args) -> int:
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "config.json")
     cfg = _load_config(config_path, args.seed)
+    if args.snr_sweep and cfg.model.moe.mode != "hierarchical":
+        raise ConfigError(f"--snr-sweep needs a hierarchical model, got MoE mode "
+                          f"{cfg.model.moe.mode!r}")
     model = build_model(cfg)
     try:
         model.load_checkpoint(args.checkpoint)
@@ -191,7 +194,7 @@ def main(argv=None) -> int:
                 "gradcheck": _cmd_gradcheck, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (ConfigError, UnsupportedConfigError, RoutingConfigError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NumericError) as e:

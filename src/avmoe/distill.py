@@ -73,7 +73,6 @@ TASKS = {task.name: task for task in (
     Task("MASK", MODE_MASKED, MODE_KEPT, "masked", ("L_MASK",), loss="masked"),
     Task("MLM", MODE_MASKED, MODE_AV, "masked", ("L_MLM",), loss="mlm"),
 )}
-VARIANTS = {name: task for name, task in TASKS.items() if task.input_mode != MODE_MASKED}
 
 
 @dataclass

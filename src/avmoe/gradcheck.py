@@ -16,10 +16,11 @@ public op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a row
 named after it or prefixed ``<op>_``, and ``tests/test_tensor.py`` checks
 that it does, and that the program or a demo runs each of them. The ops
 that only the tests' chains use live in ``tests/chains.py``, and the tests
-grad-check them there. The "moe" module probes ``MoELayer.forward``
-through its input or one router weight (``_layer_case``), and "losses" the
-router losses through the routings they read (the z-loss's own op,
-``squared_logsumexp``, has its rows in "tensor").
+grad-check them there: ``softmax`` is one, since every router's softmax is
+``router_softmaxes``', whose rows probe it. The "moe" module probes
+``MoELayer.forward`` through its input or one router weight
+(``_layer_case``), and "losses" the router losses through the routings they
+read (the z-loss's own op, ``squared_logsumexp``, has its rows in "tensor").
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .moe_losses import (
     load_balancing_from_stats, load_biasing_loss, router_z_loss, total_aux_loss,
 )
 from .routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, dispatch_stats, route_dense,
-    route_sparse,
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, RouterParams, dispatch_stats, route_sparse,
 )
 from .tensor import Tensor, grad_check
 from .trainer import ConfigError
@@ -202,10 +202,10 @@ def _case_bias_router_weights(seed):
     return f, Tensor(rng.normal(size=(4, 2)))
 
 
-def _total_aux(logits, f):
-    """Every term of ``total_aux_loss`` from one [1 x 4] logit row, each
-    the op the supervised step runs for it."""
-    probs = T.softmax(logits)
+def _total_aux(X, W, f):
+    """Every term of ``total_aux_loss`` from one router's [1 x 4] logit row,
+    each the op the supervised step runs for it."""
+    (logits,), (probs,), _ = T.router_softmaxes(X, [W])
     return total_aux_loss(T.cross_entropy_rows(logits, [2]), [T.load_balancing([probs], [f.data])],
                           [T.load_biasing(probs, [(None, 1, 0.5)])], [router_z_loss(logits)])[0]
 
@@ -220,8 +220,6 @@ CASES = {
         ("matmul_stacked", _probe("matmul", {"a": S, "b": (4, 3)})),
         ("matmul_stacked_right", _probe("matmul", {"a": S, "b": (4, 3)}, "b")),
         ("gelu", _probe("gelu", {"a": M})),
-        ("softmax", _probe("softmax", {"a": V6})),
-        ("softmax_rows", _probe("softmax", {"a": M})),
         ("normalize_rows", _probe("normalize_rows", {"a": M}, positive=True)),
         ("cross_entropy_rows", _probe("cross_entropy_rows", {"logits": M},
                                       target_ids=[1, 3, 1])),
@@ -289,9 +287,9 @@ CASES = {
         ("load_biasing_through_Q", _case_bias_through_Q),
         ("load_biasing_router_weights", _case_bias_router_weights),
         ("router_z_through_router", _probe(
-            lambda X, W: router_z_loss(route_dense(RouterParams(W), X)[0]),
+            lambda X, W: router_z_loss(T.router_softmaxes(X, [W])[0][0]),
             {"X": M, "W": (4, 4)})),
-        ("total_aux_loss", _probe(_total_aux, {"logits": (1, 4), "f": (4,)})),
+        ("total_aux_loss", _probe(_total_aux, {"X": (1, 4), "W": (4, 4), "f": (4,)})),
     ],
 }
 

@@ -3,6 +3,8 @@ hard-routed, and hierarchical (two-level) modes, plus batch dispatch
 statistics.
 
 Conventions:
+- every router's logits and row softmax come from one op,
+  ``T.router_softmaxes``: the sparse, inter-modal and intra routers alike;
 - tie-breaking everywhere is lowest index first;
 - expert ids are flat across groups (group g, local j -> g * n_per_group + j);
 - a routing keeps k weights per token, in selection order: [B x k] beside
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 MOD_AUDIO = "audio"
 MOD_VIDEO = "video"
@@ -38,7 +40,7 @@ class RoutingConfigError(ValueError):
 class RouterParams:
     """One linear routing map; one weight column per expert (or per group)."""
 
-    weight: Tensor  # [d x n_outputs]
+    weight: Tensor  # [d x n]
 
     @staticmethod
     def zeros(d: int, n: int) -> "RouterParams":
@@ -47,10 +49,6 @@ class RouterParams:
     @staticmethod
     def init(d: int, n: int, rng, scale: float = 0.02) -> "RouterParams":
         return RouterParams(Tensor.param(scale * rng.normal(size=(d, n))))
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weight.shape[1]
 
 
 @dataclass
@@ -62,24 +60,19 @@ class Routing:
     to 0. ``weights`` is [B x k] like ``selected``: column j is the combine
     weight of expert ``selected[:, j]``; in grouped modes it already folds in
     the group weights.
-    ``logits`` and ``expert_probs`` hold one [B x n_g] matrix per expert
+    ``logits`` and ``expert_probs`` hold one [B x n] matrix per expert
     router, and ``stacked_probs`` the [G x B x n] array of their
-    probabilities (stacked from ``expert_probs`` when not given);
-    ``group_probs`` is the [B x G] inter-router distribution of the
-    hierarchical mode.
+    probabilities, as ``T.router_softmaxes`` returns it; ``group_probs`` is
+    the [B x G] inter-router distribution of the hierarchical mode.
     """
 
     modalities: list[str]
     logits: list[Tensor]
     expert_probs: list[Tensor]
+    stacked_probs: np.ndarray
     selected: np.ndarray
     weights: Tensor
     group_probs: Tensor | None = None
-    stacked_probs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.stacked_probs is None:
-            self.stacked_probs = np.stack([p.data for p in self.expert_probs])
 
     @property
     def group_sizes(self) -> list[int]:
@@ -95,15 +88,6 @@ def _tags(modalities, n: int) -> list[str]:
         if tag not in MODALITIES:
             raise RoutingConfigError(f"unknown modality {tag!r}")
     return tags
-
-
-def route_dense(router: RouterParams, X: Tensor) -> tuple[Tensor, Tensor]:
-    """(logits, row softmax) of one router over a [B x d] batch."""
-    if X.data.ndim != 2 or X.data.shape[1] != router.weight.shape[0]:
-        raise ShapeError(
-            f"token batch shape {X.data.shape} incompatible with router {router.weight.shape}")
-    logits = T.matmul(X, router.weight)
-    return logits, T.softmax(logits)
 
 
 def topk_ids(probs: np.ndarray, k: int) -> np.ndarray:
@@ -132,9 +116,9 @@ def select_topk(probs: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
 def route_sparse(router: RouterParams, X: Tensor, k: int,
                  modalities: list[str] | None = None) -> Routing:
     """Dense softmax routing followed by top-k selection (single group)."""
-    logits, probs = route_dense(router, X)
-    ids, weights = select_topk(probs, k)
-    return Routing(_tags(modalities, X.data.shape[0]), [logits], [probs], ids, weights)
+    logits, probs, stacked = T.router_softmaxes(X, [router.weight])
+    ids, weights = select_topk(probs[0], k)
+    return Routing(_tags(modalities, X.data.shape[0]), logits, probs, stacked, ids, weights)
 
 
 def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, RouterParams],
@@ -146,8 +130,8 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
     B = X.data.shape[0]
     tag_list = _tags(modalities, B)
     tags = np.asarray(tag_list)
-    n_a = routers[0].n_outputs
     logits, probs, stacked = T.router_softmaxes(X, [r.weight for r in routers])
+    n_a = stacked.shape[2]
     probs_a, probs_v = probs
     if k % 2 != 0 and MOD_AV in tags:
         raise RoutingConfigError(f"audiovisual hard routing needs even k, got {k}")
@@ -169,7 +153,7 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
                              rows[:, None] * k + np.arange(col, col + kg), (B, k))
             col += kg
             weights = part if weights is None else T.add(weights, part)
-    return Routing(tag_list, logits, probs, selected, weights, stacked_probs=stacked)
+    return Routing(tag_list, logits, probs, stacked, selected, weights)
 
 
 def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tensor,
@@ -191,7 +175,7 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
     if m > G:
         raise RoutingConfigError(f"m={m} exceeds {G} groups")
     B = X.data.shape[0]
-    _, q = route_dense(inter, X if X_inter is None else X_inter)
+    _, (q,), _ = T.router_softmaxes(X if X_inter is None else X_inter, [inter.weight])
     group_ids, q_tilde = select_topk(q, m)
     logits, probs, stacked = T.router_softmaxes(X, [r.weight for r in intras])
     n = stacked.shape[-1]
@@ -209,8 +193,8 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
         weights = T.mul(q_rep, T.take(T.concat_cols(inner), _flat(cols, G * k_per_group)))
     selected = (local_ids[group_ids, np.arange(B)[:, None]]
                 + n * group_ids[..., None]).reshape(B, -1)
-    return Routing(_tags(modalities, B), logits, probs, selected, weights, group_probs=q,
-                   stacked_probs=stacked)
+    return Routing(_tags(modalities, B), logits, probs, stacked, selected, weights,
+                   group_probs=q)
 
 
 @dataclass

@@ -41,12 +41,13 @@ layer means, or the uptraining task columns). Each runs the numpy
 arithmetic of the primitive-op chain it stands for, in the same order, and
 hands each operand the gradient that chain's backward would. The chains
 are the tests' oracle: ``tests/chains.py`` builds them, with the primitive
-ops that only they use (``tmean``, ``mean_axis0`` and ``logsumexp``, which
-no run calls), and ``tests/test_fused_ops.py`` checks each fused op
-against its chain bit for bit. ``router_softmaxes`` fuses only the
-forward: it computes the logits and softmaxes of several routers in one
-stacked pass, and with a tape it still builds each router's own matmul and
-softmax nodes, so its gradients are the per-router chain's.
+ops that only they use (``tmean``, ``mean_axis0``, ``logsumexp`` and
+``softmax``, which no run calls), and ``tests/test_fused_ops.py`` checks
+each fused op against its chain bit for bit. ``router_softmaxes`` is the
+one router op, and it fuses only the forward: it computes the logits and
+softmaxes of one or several routers in one stacked pass, and with a tape it
+still builds each router's own matmul and softmax nodes, so its gradients
+are the per-router chain's.
 """
 
 from __future__ import annotations
@@ -355,25 +356,18 @@ def _softmax_derivative(g, y):
     return d
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise (last axis) softmax with max subtraction."""
-    a = _as_tensor(a)
-    y = _softmax_rows(a.data, None)
-    if not _track(a):
-        return Tensor(y)
-    return _make(y, (a,), _softmax_backward(a, y))
-
-
 def _softmax_backward(a: Tensor, y):
     """The backward of the node ``y``, the softmax of ``a``."""
     return lambda g: a._accum(_softmax_derivative(g, y))
 
 
 def router_softmaxes(X: Tensor, weights: list[Tensor]):
-    """The logits ``matmul(X, W)`` and their row softmaxes for G [d x n]
-    routers W over one [B x d] batch, computed in one pass: one product of X
-    with the [G x d x n] stack of the weights and one softmax over the
-    [G x B x n] logits, whose slices equal the per-router ops bit for bit.
+    """The logits ``matmul(X, W)`` and their row softmaxes for G >= 1
+    [d x n] routers W over one [B x d] batch: the op of every router, the
+    sparse, inter-modal and intra ones alike. It computes them in one pass:
+    one product of X with the [G x d x n] stack of the weights and one
+    softmax over the [G x B x n] logits, whose slices equal each router's
+    own matmul and softmax bit for bit.
 
     Returns (logits, probs, the [G x B x n] probs): one Tensor per router in
     each list, which with a tape are the per-router chain's own nodes, a

@@ -4,8 +4,8 @@ Each fused op of ``avmoe.tensor`` runs the numpy arithmetic of its chain in
 the chain's order, so its output and operand gradients equal the chain's
 bit for bit (``test_fused_ops.py``). The chains use the ops below, which no
 run calls, so the package does not ship them: ``tmean``, ``mean_axis0``,
-``logsumexp``, ``transpose``, ``stack_matmul``, ``concat_rows`` and
-``scatter_rows``, each one node made with ``tensor._make``.
+``logsumexp``, ``softmax``, ``transpose``, ``stack_matmul``, ``concat_rows``
+and ``scatter_rows``, each one node made with ``tensor._make``.
 
 The two whole-step oracles end the file: ``chain_supervised_step`` and
 ``chain_uptrain_step``, the training steps built from the chains. The
@@ -27,9 +27,7 @@ from avmoe.corruption import (
 )
 from avmoe.model import AttentionBlock, Encoder, FFNBlock, sequence_mean_weights
 from avmoe.moe_losses import DEFAULT_C_Z, ROUTER_COLUMNS
-from avmoe.routing import (
-    AUDIO_GROUP, MOD_AUDIO, MOD_VIDEO, VIDEO_GROUP, RouterParams, route_dense,
-)
+from avmoe.routing import AUDIO_GROUP, MOD_AUDIO, MOD_VIDEO, VIDEO_GROUP
 from avmoe.streams import generate_pair
 from avmoe.tensor import Tensor
 from avmoe.trainer import AV_SNR_CHOICES, CORRUPTION_PRESET
@@ -63,6 +61,16 @@ def logsumexp(a: Tensor) -> Tensor:
     if not T._track(a):
         return Tensor(data)
     return T._make(data, (a,), lambda g: a._accum(np.expand_dims(g, -1) * (e / s)))
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Row-wise (last axis) softmax, the node each router's softmax in
+    ``router_softmaxes`` is."""
+    a = T._as_tensor(a)
+    y = T._softmax_rows(a.data, None)
+    if not T._track(a):
+        return Tensor(y)
+    return T._make(y, (a,), T._softmax_backward(a, y))
 
 
 def transpose(a):
@@ -131,7 +139,7 @@ def chain_attention(Q, K, V, mask):
     scores = T.scale(matmul(Q, transpose(K)), 1.0 / math.sqrt(Q.data.shape[-1]))
     if mask is not None:
         scores = T.add(scores, Tensor(mask))
-    return matmul(T.softmax(scores), V)
+    return matmul(softmax(scores), V)
 
 
 def chain_standardize(a, residual):
@@ -202,9 +210,12 @@ def chain_moe_combine(X, weights, selected, experts):
 
 
 def chain_router_softmaxes(X, weights):
-    """Each router's own ``route_dense``: a matmul node under a softmax node."""
-    logits, probs = zip(*(route_dense(RouterParams(W), X) for W in weights))
-    return list(logits), list(probs)
+    """Each router's own matmul node under a softmax node, router by router."""
+    logits, probs = [], []
+    for W in weights:
+        logits.append(T.matmul(X, W))
+        probs.append(softmax(logits[-1]))
+    return logits, probs
 
 
 # -- router losses: the chains the supervised step built before they were fused

@@ -343,6 +343,59 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
         main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")])
 
 
+def test_internal_routing_error_is_not_a_config_error(tmp_path, monkeypatch):
+    """Config validation turns every infeasible routing shape into a
+    ConfigError, so a later RoutingConfigError is a broken invariant: here a
+    layer that lost an expert. It propagates with its traceback."""
+    from avmoe.moe_layer import MoELayer
+    from avmoe.routing import RoutingConfigError
+
+    combine = MoELayer.combine
+
+    def broken_combine(self, X, routing):
+        self.experts = self.experts[:-1]
+        return combine(self, X, routing)
+
+    monkeypatch.setattr(MoELayer, "combine", broken_combine)
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    with pytest.raises(RoutingConfigError, match="does not match a layer of"):
+        main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")])
+
+
+def test_internal_unsupported_loss_error_is_not_a_config_error(tmp_path, monkeypatch):
+    """A hierarchical run's dispatch statistics always have the two groups
+    load biasing needs; statistics that lose them are a broken invariant,
+    and the loss's UnsupportedConfigError propagates with its traceback."""
+    import dataclasses
+
+    import avmoe.trainer as trainer
+
+    load_biasing_loss = trainer.load_biasing_loss
+    monkeypatch.setattr(trainer, "load_biasing_loss",
+                        lambda stats: load_biasing_loss(dataclasses.replace(stats, n_groups=3)))
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    with pytest.raises(trainer.UnsupportedConfigError, match="exactly 2 groups"):
+        main(["train", str(cfg_path), "--run-dir", str(tmp_path / "out")])
+
+
+def test_eval_snr_sweep_of_a_flat_model_is_config_error(tmp_path, capsys):
+    """The group load curve reads the inter router, which only hierarchical
+    layers have: ``eval --snr-sweep`` of a sparse_topk run is refused before
+    it decodes."""
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, model={"moe": {"mode": "sparse_topk", "n_experts": 4, "k": 2}})
+    run_dir = tmp_path / "out"
+    assert main(["train", str(cfg_path), "--run-dir", str(run_dir)]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--snr-sweep"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.out == ""
+    assert "hierarchical" in captured.err and "Traceback" not in captured.err
+
+
 def test_eval_unknown_preset_is_usage_error(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path)

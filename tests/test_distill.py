@@ -7,7 +7,7 @@ import pytest
 from avmoe import tensor as T
 from avmoe.corruption import CorruptionPlan
 from avmoe.distill import (
-    MODE_A_ONLY, MODE_AV, TASK_WEIGHTS, TASKS, VARIANTS, DistillHeads, VariantError,
+    MODE_A_ONLY, MODE_AV, MODE_MASKED, TASK_WEIGHTS, TASKS, DistillHeads, VariantError,
     cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
     eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
     nearest_centroid_ids, student_input, teacher_targets,
@@ -16,6 +16,9 @@ from avmoe.model import Model, ModelConfig
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.tensor import Tensor
 from avmoe.trainer import DivergenceError, TrainConfig, train
+
+# the five corrupted-prediction tasks: every row of the table but MASK and MLM
+VARIANTS = [name for name, task in TASKS.items() if task.input_mode != MODE_MASKED]
 
 
 def tiny_model(seed=0):
@@ -269,7 +272,7 @@ class TestCorruptedPredictionLoss:
         feats, _ = self.student.encode(*(x[None] for x in student_input(
             name, self.A_corr, self.V_corr)))
         ((targets,),) = teacher_targets(
-            self.teacher, [(self.A, self.V, [VARIANTS[name].target_mode])], 1)
+            self.teacher, [(self.A, self.V, [TASKS[name].target_mode])], 1)
         return corrupted_prediction_loss(feats, 0, targets, corrupted_frames(name, plan),
                                          self.head)
 

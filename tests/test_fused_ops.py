@@ -6,13 +6,13 @@ The encoder's ``input_fusion`` and the sub-blocks ``attention_block`` and
 and ``squared_logsumexp``, and the losses ``cross_entropy_rows``,
 ``head_mse`` and ``loss_total`` (in both training steps' forms) are one
 tape node each, with a hand-written backward that runs the chain's numpy
-arithmetic in the chain's order; ``router_softmaxes`` runs several routers'
-forward in one stacked pass and builds the chain's own nodes. Their outputs
-and every operand gradient must therefore equal the chain's bit for bit,
-with constant operands getting no gradient in either. Each output and
-gradient must also have the chain's memory order (its strides): the ops
-that consume a gradient further down a training step can round differently
-on another layout, though no value here differs.
+arithmetic in the chain's order; ``router_softmaxes`` runs one or several
+routers' forward in one stacked pass and builds the chain's own nodes.
+Their outputs and every operand gradient must therefore equal the chain's
+bit for bit, with constant operands getting no gradient in either. Each
+output and gradient must also have the chain's memory order (its strides):
+the ops that consume a gradient further down a training step can round
+differently on another layout, though no value here differs.
 
 ``TABLE`` has one row per op: the op, its chain (from ``chains.py``), its
 parameters' strategies, the builder of its operands and its example count.
@@ -281,10 +281,10 @@ def moe_combine_case(rng, layer, B, d, h, tape, zeros, earlier, trainable):
 
 
 def router_softmaxes_case(rng, B, G, n, d, tape, x_trainable, frozen):
-    """G routers in one stacked pass against one ``route_dense`` per router,
-    with a tape and under ``no_grad``; router ``frozen`` (none when it is -1
-    or past G) is a constant, which gets no gradient and, when X is one too,
-    no node."""
+    """G routers in one stacked pass against each router's own matmul node
+    under a softmax node, with a tape and under ``no_grad``; router
+    ``frozen`` (none when it is -1 or past G) is a constant, which gets no
+    gradient and, when X is one too, no node."""
     arrays = [normal(rng, B, d)] + [normal(rng, d, n) for _ in range(G)]
     trainable = [x_trainable] + [g != frozen for g in range(G)]
     weights = [normal(rng, B, n) for _ in range(2 * G)]  # each router's logits', probs'

@@ -51,6 +51,7 @@ def laid_end_to_end(records):
     return Routing([t for r in records for t in r.modalities],
                    [rows(ps) for ps in zip(*(r.logits for r in records))],
                    [rows(ps) for ps in zip(*(r.expert_probs for r in records))],
+                   np.concatenate([r.stacked_probs for r in records], axis=1),
                    np.concatenate([r.selected for r in records]),
                    rows(r.weights for r in records),
                    group_probs=(None if first.group_probs is None

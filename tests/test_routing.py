@@ -10,8 +10,8 @@ from avmoe.moe_layer import MoELayer, MoELayerConfig
 from avmoe.moe_losses import load_balancing_from_stats, load_biasing_loss
 from avmoe.routing import (
     MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, DispatchStats, RouterParams, Routing,
-    RoutingConfigError, dispatch_stats, route_dense, route_hard, route_hierarchical,
-    route_sparse, select_topk,
+    RoutingConfigError, dispatch_stats, route_hard, route_hierarchical, route_sparse,
+    select_topk,
 )
 from avmoe.tensor import ShapeError, Tensor
 from chains import chain_load_balancing, chain_load_biasing, chain_mean_probs, concat_rows
@@ -33,22 +33,33 @@ def weights_at(routing, t):
     return routing.weights.data[t]
 
 
+def dense(router, X):
+    """(logits, probs) of ``route_sparse``'s one router over the batch X."""
+    r = route_sparse(router, X, k=1)
+    assert r.stacked_probs.shape == (1, *r.expert_probs[0].data.shape)
+    assert np.array_equal(r.stacked_probs[0], r.expert_probs[0].data)
+    return r.logits[0], r.expert_probs[0]
+
+
 class TestRouteDense:
+    """The dense stage of routing: one router's logits and softmax over all
+    of its outputs, ``T.router_softmaxes`` of that one router."""
+
     def test_zero_weights_uniform(self):
         router = RouterParams(Tensor.param(np.zeros((4, 5))))
-        _, probs = route_dense(router, row(np.ones(4)))
+        _, probs = dense(router, row(np.ones(4)))
         assert np.allclose(probs.data, 0.2, atol=1e-12)
 
     def test_closed_form(self):
         router = RouterParams(Tensor.param(np.array([[0.0, math.log(3.0)]])))
-        _, probs = route_dense(router, row([1.0]))
+        _, probs = dense(router, row([1.0]))
         assert np.allclose(probs.data, [[0.25, 0.75]], atol=1e-12)
 
     def test_matches_compositional_oracle(self):
         rng = np.random.default_rng(1)
         W = rng.normal(size=(6, 4))
         X = rng.normal(size=(5, 6))
-        logits, probs = route_dense(RouterParams(Tensor.param(W)), Tensor(X))
+        logits, probs = dense(RouterParams(Tensor.param(W)), Tensor(X))
         for t in range(5):
             want_logits = W.T @ X[t]
             want = np.exp(want_logits - want_logits.max())
@@ -58,9 +69,14 @@ class TestRouteDense:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            route_dense(make_router(3, 2), row(np.ones(4)))
+            T.router_softmaxes(row(np.ones(4)), [make_router(3, 2).weight])
+        with pytest.raises(ShapeError):  # 1-D: not a batch
+            T.router_softmaxes(Tensor(np.ones(4)), [make_router(4, 2).weight])
         with pytest.raises(ShapeError):
-            route_dense(make_router(4, 2), Tensor(np.ones(4)))  # 1-D: not a batch
+            route_sparse(make_router(3, 2), row(np.ones(4)), k=1)
+        with pytest.raises(ShapeError):  # the inter router's input is checked too
+            route_hierarchical(make_router(3, 2), [make_router(4, 2)] * 2,
+                               row(np.ones(4)), m=1, X_inter=Tensor(np.ones(3)))
 
 
 class TestSelectTopk:
@@ -127,7 +143,7 @@ class TestRouteHard:
         routers = (make_router(4, 5, seed=6), make_router(4, 5, seed=7))
         X = Tensor(rng.normal(size=(6, 4)))
         r = route_hard([MOD_AUDIO] * 6, routers, X, k=2)
-        _, probs = route_dense(routers[0], X)
+        _, probs = dense(routers[0], X)
         for t in range(6):
             ids, w = select_topk(Tensor(probs.data[t]), 2)
             assert r.selected[t].tolist() == ids.tolist()
@@ -167,7 +183,7 @@ class TestRouteHierarchical:
         for t in range(50):
             for flat in r.selected[t]:
                 g = int(flat) // 4
-                _, probs = route_dense(intras[g], Tensor(X.data[t:t + 1]))
+                _, probs = dense(intras[g], Tensor(X.data[t:t + 1]))
                 probs = probs.data[0]
                 best, best_p = 0, probs[0]
                 for j in range(1, probs.size):
@@ -259,6 +275,7 @@ class TestDispatchStats:
             a.modalities + b.modalities,
             [concat_rows([p, q]) for p, q in zip(a.logits, b.logits)],
             [concat_rows([p, q]) for p, q in zip(a.expert_probs, b.expert_probs)],
+            np.concatenate([a.stacked_probs, b.stacked_probs], axis=1),
             np.concatenate([a.selected, b.selected]),
             concat_rows([a.weights, b.weights]),
             group_probs=concat_rows([a.group_probs, b.group_probs])))

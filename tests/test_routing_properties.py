@@ -15,8 +15,8 @@ from avmoe import tensor as T
 from avmoe.moe_layer import MoELayer, MoELayerConfig
 from avmoe.moe_losses import load_balancing_from_stats, load_biasing_loss, router_z_loss
 from avmoe.routing import (
-    MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, Routing, dispatch_stats, route_dense,
-    select_topk, topk_ids,
+    MOD_AUDIO, MOD_AV, MOD_VIDEO, MODALITIES, Routing, dispatch_stats, select_topk,
+    topk_ids,
 )
 from avmoe.tensor import Tensor
 from chains import concat_rows, scatter_rows
@@ -156,15 +156,21 @@ def _dense_topk(probs, k):
     return ids, T.scatter(w, ids + n * np.arange(B)[:, None], (B, n))
 
 
+def _router(router, X):
+    """One router's (logits, probs) from the router op, on its own."""
+    (logits,), (probs,), _ = T.router_softmaxes(X, [router.weight])
+    return logits, probs
+
+
 def _dense_route(layer, X, tags, centers):
     cfg = layer.cfg
     B = X.data.shape[0]
     if cfg.mode == "sparse_topk":
-        logits, probs = route_dense(layer.router, X)
+        logits, probs = _router(layer.router, X)
         ids, weights = _dense_topk(probs, cfg.k)
-        return Routing(tags, [logits], [probs], ids, weights)
+        return Routing(tags, [logits], [probs], probs.data[None], ids, weights)
     if cfg.mode == "hard":
-        (lg_a, p_a), (lg_v, p_v) = (route_dense(r, X) for r in layer.intra_routers)
+        (lg_a, p_a), (lg_v, p_v) = (_router(r, X) for r in layer.intra_routers)
         n_a, k = cfg.n_per_group, cfg.k
         E = 2 * n_a
         plans = {MOD_AUDIO: [(p_a, 0, k, 1.0)], MOD_VIDEO: [(p_v, n_a, k, 1.0)],
@@ -183,14 +189,15 @@ def _dense_route(layer, X, tags, centers):
                 part = T.scatter(w if share == 1.0 else T.scale(w, share),
                                  rows[:, None] * E + offset + ids, (B, E))
                 weights = part if weights is None else T.add(weights, part)
-        return Routing(tags, [lg_a, lg_v], [p_a, p_v], selected, weights)
+        return Routing(tags, [lg_a, lg_v], [p_a, p_v], np.stack([p_a.data, p_v.data]),
+                       selected, weights)
     G, n = cfg.n_groups, cfg.n_per_group
-    _, q = route_dense(layer.inter_router, T.sub(X, Tensor(centers)))
+    _, q = _router(layer.inter_router, T.sub(X, Tensor(centers)))
     group_ids, q_tilde = select_topk(q, cfg.m)
     q_full = T.scatter(q_tilde, group_ids + G * np.arange(B)[:, None], (B, G))
     logits, probs, flat_ids, inner = [], [], [], []
     for g, router in enumerate(layer.intra_routers):
-        lg, p = route_dense(router, X)
+        lg, p = _router(router, X)
         if cfg.k_per_group == 1:
             ids = topk_ids(p.data, 1)
             w = Tensor(np.eye(n)[ids[:, 0]])
@@ -204,7 +211,8 @@ def _dense_route(layer, X, tags, centers):
     q_per_expert = T.take(q_full, G * np.arange(B)[:, None] + group_of)
     weights = T.mul(q_per_expert, T.concat_cols(inner))
     selected = np.stack(flat_ids, axis=1)[np.arange(B)[:, None], group_ids].reshape(B, -1)
-    return Routing(tags, logits, probs, selected, weights, group_probs=q)
+    return Routing(tags, logits, probs, np.stack([p.data for p in probs]), selected, weights,
+                   group_probs=q)
 
 
 def _dense_combine(layer, X, routing):

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from avmoe import tensor as T
 from avmoe.distill import (
-    VARIANTS, DistillHeads, ema_update, eta_schedule, make_centroids, make_teacher,
+    MODE_MASKED, TASKS as TASK_TABLE, DistillHeads, ema_update, eta_schedule, make_centroids,
+    make_teacher,
 )
 from avmoe.metrics import CsvTable
 from avmoe.trainer import (
@@ -33,7 +34,8 @@ MOE = {
     "hard": {"n_groups": 2, "n_per_group": 2, "k": 2},
     "hierarchical": {"n_groups": 2, "n_per_group": 2, "m": 2, "k_per_group": 1},
 }
-TASKS = sorted(VARIANTS) + ["MASK", "MLM"]
+TASKS = sorted(name for name, task in TASK_TABLE.items()
+               if task.input_mode != MODE_MASKED) + ["MASK", "MLM"]
 
 
 def _train_supervised(model, cfg, table, step_offset=0):
