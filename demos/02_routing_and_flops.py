@@ -16,7 +16,7 @@ d = 16
 x = Tensor(rng.normal(size=(1, d)))  # routers take [tokens x d] batches
 
 # Flat routing: softmax over 8 experts, keep the top 2, renormalize.
-router = RouterParams.init(d, 8, rng, scale=0.5)
+router = RouterParams.init(d, 8, rng, 1, scale=0.5)
 flat = route_sparse(router, x, k=2)
 ids = flat.selected[0]
 print("sparse top-2:")
@@ -26,7 +26,7 @@ print(f"  experts {ids.tolist()}, weights {np.round(flat.weights.data[0], 3)}")
 # runs its own argmax over 4 experts. The inter router starts at zero, so an
 # untrained model splits its weight evenly across groups.
 inter = RouterParams.zeros(d, 2)
-intras = [RouterParams.init(d, 4, rng, scale=0.5) for _ in range(2)]
+intras = RouterParams.init(d, 4, rng, 2, scale=0.5)  # one family of two
 hier = route_hierarchical(inter, intras, x, m=2, k_per_group=1)
 print("hierarchical m=2, top-1 per group:")
 print(f"  group probabilities {np.round(hier.group_probs.data[0], 3)}")

@@ -18,20 +18,21 @@ from avmoe.routing import (
 )
 from avmoe.tensor import Tensor
 
-# load_balancing takes each expert group's [tokens x n] router probabilities
-# and top-1 frequencies f; one token's probabilities are their own mean P.
+# load_balancing takes each router family's [groups x tokens x n]
+# probabilities and each group's top-1 frequencies f; one token's
+# probabilities are their own mean P.
 n = 8
 f = np.full(n, 1.0 / n)
-P = Tensor(np.full((1, n), 1.0 / n))
+P = Tensor(np.full((1, 1, n), 1.0 / n))
 print(f"balancing loss at uniform load (n={n}): {float(T.load_balancing([P], [f]).data):.6f}")
-print(f"z-loss at zero logits (n={n}): {float(router_z_loss(Tensor(np.zeros((4, n)))).data):.6f}"
+print(f"z-loss at zero logits (n={n}): {float(router_z_loss(Tensor(np.zeros((1, 4, n))), 0).data):.6f}"
       f"  [(ln {n})^2 = {math.log(n) ** 2:.6f}]")
 
 # A skewed router: push everything through expert 0 and the loss exceeds 1.
 skew_f = np.zeros(n)
 skew_f[0] = 1.0
-skew_P = np.full((1, n), 0.02)
-skew_P[0, 0] = 1.0 - 0.02 * (n - 1)
+skew_P = np.full((1, 1, n), 0.02)
+skew_P[0, 0, 0] = 1.0 - 0.02 * (n - 1)
 print(f"balancing loss when one expert hogs the batch: "
       f"{float(T.load_balancing([Tensor(skew_P)], [skew_f]).data):.3f}")
 
@@ -39,8 +40,8 @@ print(f"balancing loss when one expert hogs the batch: "
 # whose modality it should learn to respect.
 rng = np.random.default_rng(0)
 d = 12
-inter = RouterParams.init(d, 2, rng, scale=0.01)
-intras = [RouterParams.init(d, 4, rng) for _ in range(2)]
+inter = RouterParams(Tensor.param(0.01 * rng.normal(size=(d, 2))))
+intras = RouterParams.init(d, 4, rng, 2)
 audio_dir = rng.normal(size=d)
 video_dir = rng.normal(size=d)
 

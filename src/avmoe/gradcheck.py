@@ -16,11 +16,10 @@ public op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a row
 named after it or prefixed ``<op>_``, and ``tests/test_tensor.py`` checks
 that it does, and that the program or a demo runs each of them. The ops
 that only the tests' chains use live in ``tests/chains.py``, and the tests
-grad-check them there: ``softmax`` is one, since every router's softmax is
-``router_softmaxes``', whose rows probe it. The "moe" module probes
-``MoELayer.forward`` through its input or one router weight
-(``_layer_case``), and "losses" the router losses through the routings they
-read (the z-loss's own op, ``squared_logsumexp``, has its rows in "tensor").
+grad-check them there. The "moe" module probes ``MoELayer.forward``
+through its input or the weight of each router family (``_layer_case``),
+and "losses" the router losses through the routings they read (the
+z-loss's own op, ``squared_logsumexp``, has its rows in "tensor").
 """
 
 from __future__ import annotations
@@ -94,10 +93,8 @@ def _moe_combine(X, weights, W1, b1, W2, b2):
 
 
 def _router_softmaxes(X, W):
-    """The logits and probs of ``router_softmaxes`` side by side, for the
-    routers that are the slices of the [G x d x n] stack ``W``."""
-    logits, probs, _ = T.router_softmaxes(X, [T.stack_slice(W, g) for g in range(W.shape[0])])
-    return T.concat_cols(logits + probs)
+    """The sum of the logits and probs of ``router_softmaxes``."""
+    return T.add(*T.router_softmaxes(X, W))
 
 
 # two groups' top-1 frequencies, and two unimodal subsets' biasing terms
@@ -202,12 +199,14 @@ def _case_bias_router_weights(seed):
     return f, Tensor(rng.normal(size=(4, 2)))
 
 
-def _total_aux(X, W, f):
-    """Every term of ``total_aux_loss`` from one router's [1 x 4] logit row,
-    each the op the supervised step runs for it."""
-    (logits,), (probs,), _ = T.router_softmaxes(X, [W])
-    return total_aux_loss(T.cross_entropy_rows(logits, [2]), [T.load_balancing([probs], [f.data])],
-                          [T.load_biasing(probs, [(None, 1, 0.5)])], [router_z_loss(logits)])[0]
+def _total_aux(X, W, V, f):
+    """Every term of ``total_aux_loss`` from the [1 x 4] logit rows of a
+    family of one router ``W`` and an inter router ``V``, each the op the
+    supervised step runs for it."""
+    logits, probs = T.router_softmaxes(X, W)
+    rows, q = T.router_softmaxes(X, V)
+    return total_aux_loss(T.cross_entropy_rows(rows, [2]), [T.load_balancing([probs], f.data)],
+                          [T.load_biasing(q, [(None, 1, 0.5)])], [router_z_loss(logits, 0)])[0]
 
 
 CASES = {
@@ -230,9 +229,6 @@ CASES = {
         ("take", _probe("take", {"a": V6}, flat_idx=[1, 3, 1, 0, 2])),
         ("scatter", _probe("scatter", {"values": (3, 3)}, shape=(4, 5),
                            flat_idx=[[0, 7, 19], [3, 3, 12], [5, 11, 18]])),
-        ("concat_cols", _probe(lambda a, b: T.concat_cols([a, b]), {"a": M, "b": (3, 2)})),
-        ("concat_cols_stacked", _probe(lambda a, b: T.concat_cols([a, b]),
-                                       {"a": S, "b": (2, 3, 2)})),
         ("stack_slice", _probe("stack_slice", {"stack": S}, i=1)),
         ("standardize_rows", _probe("standardize_rows", {"a": M})),
         ("standardize_rows_residual", _probe("standardize_rows", {"a": M, "residual": M})),
@@ -255,13 +251,16 @@ CASES = {
         *_rows("moe_combine", _moe_combine, {"X": (4, 3), "weights": (4, 2), "W1": (3, 3, 2),
                                              "b1": (3, 2), "W2": (3, 2, 3), "b2": (3, 3)}),
         *_rows("router_softmaxes", _router_softmaxes, {"X": (5, 4), "W": (3, 4, 3)}),
+        *_rows("router_softmaxes_one_router", _router_softmaxes, {"X": (5, 4), "W": (4, 3)}),
         *_rows("load_balancing", lambda p0, p1: T.load_balancing([p0, p1], _F),
-               {"p0": (5, 3), "p1": (5, 3)}),
+               {"p0": (1, 5, 3), "p1": (1, 5, 3)}),
+        ("load_balancing_one_family", _probe(lambda p: T.load_balancing([p], _F),
+                                             {"p": (2, 5, 3)})),
         ("load_biasing", _probe("load_biasing", {"q": (5, 2)}, terms=_BIAS_TERMS)),
         ("load_biasing_all_rows", _probe("load_biasing", {"q": (5, 2)},
                                          terms=[(None, 1, 0.6)])),
-        ("squared_logsumexp", _probe("squared_logsumexp", {"a": M})),
-        ("squared_logsumexp_weighted", _probe("squared_logsumexp", {"a": M},
+        ("squared_logsumexp", _probe("squared_logsumexp", {"a": S}, i=1)),
+        ("squared_logsumexp_weighted", _probe("squared_logsumexp", {"a": S}, i=0,
                                               row_weights=[0.3, 1.0, 0.6])),
         *_rows("head_mse", _head_mse, {"stack": S, "head": (4, 3)}),
         *_rows("loss_total", _loss_total,
@@ -276,6 +275,8 @@ CASES = {
         ("moe_forward_hierarchical_kpg2", _layer_case("hierarchical", None, k_per_group=2)),
         ("moe_forward_hierarchical_kpg2_inter_router",
          _layer_case("hierarchical", _inter, k_per_group=2)),
+        ("moe_forward_hierarchical_kpg2_intra_routers",
+         _layer_case("hierarchical", lambda layer: layer.intra_routers[0], k_per_group=2)),
         # unimodal rows take k=2 of their group's 3 experts, the AV row 1 + 1
         ("moe_forward_hard", _layer_case("hard", None, n_per_group=3)),
         ("moe_forward_hard_intra_router",
@@ -287,9 +288,10 @@ CASES = {
         ("load_biasing_through_Q", _case_bias_through_Q),
         ("load_biasing_router_weights", _case_bias_router_weights),
         ("router_z_through_router", _probe(
-            lambda X, W: router_z_loss(T.router_softmaxes(X, [W])[0][0]),
-            {"X": M, "W": (4, 4)})),
-        ("total_aux_loss", _probe(_total_aux, {"X": (1, 4), "W": (4, 4), "f": (4,)})),
+            lambda X, W: router_z_loss(T.router_softmaxes(X, W)[0], 1),
+            {"X": M, "W": (2, 4, 4)})),
+        ("total_aux_loss", _probe(_total_aux, {"X": (1, 4), "W": (1, 4, 4), "V": (4, 4),
+                                               "f": (1, 4)})),
     ],
 }
 

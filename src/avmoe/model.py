@@ -340,19 +340,23 @@ class Model(Encoder):
 
     # -- parameters -----------------------------------------------------------
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {"audio_proj": self.audio_proj, "video_proj": self.video_proj,
-               "fusion": self.fusion, "token_emb": self.token_emb, "head": self.head}
-        for i, blk in enumerate(self.encoder_blocks):
-            for j, p in enumerate(blk.params()):
-                out[f"enc{i}.p{j}"] = p
-        for i, blk in enumerate(self.decoder_blocks):
-            for j, p in enumerate(blk.params()):
-                out[f"dec{i}.p{j}"] = p
-        return out
-
     def params(self) -> list[Tensor]:
-        return list(self.named_params().values())
+        return [self.audio_proj, self.video_proj, self.fusion, self.token_emb, self.head,
+                *(p for blk in (*self.encoder_blocks, *self.decoder_blocks)
+                  for p in blk.params())]
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Each parameter's ``data`` under its checkpoint name, a block's by
+        position (``enc{i}.p{j}``); a router family's [G x d x n] weight is G
+        [d x n] views, each under its own position."""
+        out = {name: getattr(self, name).data
+               for name in ("audio_proj", "video_proj", "fusion", "token_emb", "head")}
+        for prefix, blocks in (("enc", self.encoder_blocks), ("dec", self.decoder_blocks)):
+            for i, blk in enumerate(blocks):
+                arrays = [a for p in blk.params()
+                          for a in (p.data if p.data.ndim == 3 else [p.data])]
+                out.update((f"{prefix}{i}.p{j}", a) for j, a in enumerate(arrays))
+        return out
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params())
@@ -360,16 +364,16 @@ class Model(Encoder):
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Copy ``state`` into the parameters, after checking every name and
         shape, so that a rejected state changes nothing."""
-        named = self.named_params()
+        named = self.state_dict()
         if set(state) != set(named):
             raise KeyError(f"state dict keys mismatch: {sorted(set(named) ^ set(state))[:5]}")
         arrays = {name: np.asarray(values, dtype=np.float64) for name, values in state.items()}
         for name, arr in arrays.items():
-            if arr.shape != named[name].data.shape:
+            if arr.shape != named[name].shape:
                 raise T.ShapeError(
-                    f"{name}: checkpoint {arr.shape} vs model {named[name].data.shape}")
+                    f"{name}: checkpoint {arr.shape} vs model {named[name].shape}")
         for name, arr in arrays.items():
-            named[name].data[:] = arr
+            named[name][...] = arr
 
     # -- decoder --------------------------------------------------------------
 
@@ -503,8 +507,8 @@ class Model(Encoder):
         """Write every parameter and buffer to ``path`` as one JSON object
         (format v2: see ``_encode_array``)."""
         payload = {"format": CHECKPOINT_FORMAT,
-                   "params": {name: _encode_array(p.data)
-                              for name, p in self.named_params().items()},
+                   "params": {name: _encode_array(arr)
+                              for name, arr in self.state_dict().items()},
                    "buffers": {name: _encode_array(arr)
                                for name, arr in self.buffers().items()}}
         # json.dump streams; json.dumps would hold the whole text in memory

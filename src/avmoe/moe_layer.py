@@ -109,16 +109,19 @@ class MoELayer:
     # -- parameters -----------------------------------------------------------
 
     def init_routers(self, rng):
-        """Draw the routers of the mode from ``rng``: the sparse router or one
-        intra router per group. The inter router starts at zero, so that no
-        group is preferred at the start."""
+        """Draw the router families of the mode from ``rng``: the sparse
+        router, or one intra router per group (hard routing's as two
+        families). The inter router starts at zero, so that no group is
+        preferred at the start."""
         cfg = self.cfg
-        self.router = (RouterParams.init(cfg.d, cfg.n_experts, rng)
+        self.router = (RouterParams.init(cfg.d, cfg.n_experts, rng, 1)
                        if cfg.mode == "sparse_topk" else None)
         self.inter_router = (RouterParams.zeros(cfg.d, cfg.n_groups)
                              if cfg.mode == "hierarchical" else None)
-        self.intra_routers = ([RouterParams.init(cfg.d, cfg.n_per_group, rng)
-                               for _ in range(cfg.n_groups)]
+        families = cfg.n_groups if cfg.mode == "hard" else 1
+        self.intra_routers = ([RouterParams.init(cfg.d, cfg.n_per_group, rng,
+                                                 cfg.n_groups // families)
+                               for _ in range(families)]
                               if cfg.mode in ("hard", "hierarchical") else [])
 
     def router_params(self) -> list[Tensor]:
@@ -147,7 +150,7 @@ class MoELayer:
             return route_hard(modalities, tuple(self.intra_routers), X, cfg.k)
         if cfg.mode == "hierarchical":
             X_inter = T.sub(X, Tensor(self.inter_center if centers is None else centers))
-            return route_hierarchical(self.inter_router, self.intra_routers, X,
+            return route_hierarchical(self.inter_router, self.intra_routers[0], X,
                                       cfg.m, cfg.k_per_group, X_inter=X_inter,
                                       modalities=modalities)
         raise RoutingConfigError("dense_ffn mode has no routing")
@@ -194,7 +197,7 @@ class MoELayer:
 
         One ``T.moe_combine`` node: each expert runs once, on the rows that
         selected it, and adds those rows to its ``eval_count``."""
-        E = sum(routing.group_sizes)
+        E = sum(p.data.shape[0] * p.data.shape[2] for p in routing.expert_probs)
         if E != len(self.experts):
             raise RoutingConfigError(
                 f"routing over {E} experts does not match a layer of {len(self.experts)}")
@@ -206,7 +209,8 @@ class MoELayer:
                              [e.params() for e in self.experts], counts)
 
     def router_logit_rows(self, routing: Routing) -> list[Tensor]:
-        """Expert-router logit matrices of this routing (z-loss inputs).
+        """Expert-router logits of this routing, one [G x B x n] tensor per
+        family, whose slices are the z-loss inputs.
 
         The z-loss is defined over the expert logits; the inter-modal router
         of the hierarchical mode is deliberately left out."""
@@ -223,8 +227,8 @@ def flops_report(cfg: MoELayerConfig, tokens: int) -> dict:
         activated = dense
     elif cfg.mode == "sparse_topk":
         activated = cfg.k * per_expert * tokens + 2 * cfg.d * cfg.n_experts * tokens
-    elif cfg.mode == "hard":
-        activated = cfg.k * per_expert * tokens + 2 * cfg.d * cfg.n_per_group * tokens
+    elif cfg.mode == "hard":  # both groups' routers run per token
+        activated = cfg.k * per_expert * tokens + 2 * cfg.d * len_experts(cfg) * tokens
     else:  # hierarchical: all intra routers plus the inter router run per token
         router = 2 * cfg.d * cfg.n_groups + cfg.n_groups * 2 * cfg.d * cfg.n_per_group
         activated = cfg.m * cfg.k_per_group * per_expert * tokens + router * tokens

@@ -34,15 +34,15 @@ class UnsupportedConfigError(ValueError):
 
 def load_balancing_from_stats(stats: DispatchStats) -> Tensor:
     """Sum of per-group load balancing terms (a single term in flat modes),
-    one node over the groups' probability matrices."""
+    one node over the probabilities of the layer's router families."""
     return T.load_balancing(stats.expert_probs, stats.expert_f)
 
 
-def router_z_loss(logit_rows: Tensor, row_weights=None) -> Tensor:
-    """Mean over tokens of squared logsumexp of the [tokens x experts] router
-    logits, or, given ``row_weights``, their sum weighted by them; the op
-    checks the shape."""
-    return T.squared_logsumexp(logit_rows, row_weights)
+def router_z_loss(logits: Tensor, i: int, row_weights=None) -> Tensor:
+    """Mean over tokens of squared logsumexp of router i's [tokens x experts]
+    logits, slice i of a family's ``logits``, or, given ``row_weights``,
+    their sum weighted by them; the op checks the shape."""
+    return T.squared_logsumexp(logits, i, row_weights)
 
 
 def load_biasing_loss(stats: DispatchStats) -> Tensor:

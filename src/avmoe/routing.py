@@ -3,8 +3,12 @@ hard-routed, and hierarchical (two-level) modes, plus batch dispatch
 statistics.
 
 Conventions:
-- every router's logits and row softmax come from one op,
-  ``T.router_softmaxes``: the sparse, inter-modal and intra routers alike;
+- a router family is one parameter (``RouterParams``): the sparse router
+  and each of hard routing's two (whose gradients reach the batch at
+  different points of the backward walk) are [1 x d x n], the intra
+  routers [G x d x n], the inter router [d x G]. ``T.router_softmaxes``
+  gives a family's logits and probabilities; a reader of one router takes
+  its slice by index;
 - tie-breaking everywhere is lowest index first;
 - expert ids are flat across groups (group g, local j -> g * n_per_group + j);
 - a routing keeps k weights per token, in selection order: [B x k] beside
@@ -38,17 +42,20 @@ class RoutingConfigError(ValueError):
 
 @dataclass
 class RouterParams:
-    """One linear routing map; one weight column per expert (or per group)."""
+    """A router family held as one parameter: G [d x n] linear routing maps
+    as one [G x d x n] weight, or one [d x n] map (the inter router). One
+    weight column per expert (or per group)."""
 
-    weight: Tensor  # [d x n]
+    weight: Tensor  # [G x d x n] or [d x n]
 
     @staticmethod
     def zeros(d: int, n: int) -> "RouterParams":
         return RouterParams(Tensor.param(np.zeros((d, n))))
 
     @staticmethod
-    def init(d: int, n: int, rng, scale: float = 0.02) -> "RouterParams":
-        return RouterParams(Tensor.param(scale * rng.normal(size=(d, n))))
+    def init(d: int, n: int, rng, groups: int, scale: float = 0.02) -> "RouterParams":
+        """``groups`` [d x n] routers drawn one after another from ``rng``."""
+        return RouterParams(Tensor.param(scale * rng.normal(size=(groups, d, n))))
 
 
 @dataclass
@@ -60,23 +67,18 @@ class Routing:
     to 0. ``weights`` is [B x k] like ``selected``: column j is the combine
     weight of expert ``selected[:, j]``; in grouped modes it already folds in
     the group weights.
-    ``logits`` and ``expert_probs`` hold one [B x n] matrix per expert
-    router, and ``stacked_probs`` the [G x B x n] array of their
-    probabilities, as ``T.router_softmaxes`` returns it; ``group_probs`` is
+    ``logits`` and ``expert_probs`` hold the [G x B x n] logits and
+    probabilities of each expert-router family (hard routing has two);
+    router g is slice g of the families laid end to end. ``group_probs`` is
     the [B x G] inter-router distribution of the hierarchical mode.
     """
 
     modalities: list[str]
     logits: list[Tensor]
     expert_probs: list[Tensor]
-    stacked_probs: np.ndarray
     selected: np.ndarray
     weights: Tensor
     group_probs: Tensor | None = None
-
-    @property
-    def group_sizes(self) -> list[int]:
-        return [p.data.shape[1] for p in self.expert_probs]
 
 
 def _tags(modalities, n: int) -> list[str]:
@@ -99,40 +101,41 @@ def topk_ids(probs: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-probs, axis=-1, kind="stable")[..., :k]
 
 
-def _flat(ids: np.ndarray, n: int) -> np.ndarray:
-    """Row-major flat indices of per-row column ids into rows of width n."""
-    return ids if ids.ndim == 1 else ids + n * np.arange(ids.shape[0])[:, None]
-
-
-def select_topk(probs: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
-    """Per-row top-k ids plus their weights renormalized over the selection."""
-    n = probs.data.shape[-1]
+def select_topk(probs: Tensor, k: int, rows: np.ndarray | None = None
+                ) -> tuple[np.ndarray, Tensor]:
+    """Per-row top-k ids of the rows ``rows`` (default all) of [B x n]
+    ``probs``, or of the one router of [1 x B x n] ``probs``, plus their
+    weights renormalized over the selection, taken by flat index."""
+    B, n = probs.data.shape[-2:]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    ids = topk_ids(probs.data, k)
-    return ids, T.normalize_rows(T.take(probs, _flat(ids, n)))
+    p = probs.data.reshape(B, n)
+    if rows is None:
+        rows = np.arange(B)
+    else:
+        p = p[rows]
+    ids = topk_ids(p, k)
+    return ids, T.normalize_rows(T.take(probs, ids + n * rows[:, None]))
 
 
 def route_sparse(router: RouterParams, X: Tensor, k: int,
                  modalities: list[str] | None = None) -> Routing:
     """Dense softmax routing followed by top-k selection (single group)."""
-    logits, probs, stacked = T.router_softmaxes(X, [router.weight])
-    ids, weights = select_topk(probs[0], k)
-    return Routing(_tags(modalities, X.data.shape[0]), logits, probs, stacked, ids, weights)
+    logits, probs = T.router_softmaxes(X, router.weight)
+    ids, weights = select_topk(probs, k)
+    return Routing(_tags(modalities, X.data.shape[0]), [logits], [probs], ids, weights)
 
 
 def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, RouterParams],
                X: Tensor, k: int) -> Routing:
     """Manual group activation: unimodal tokens use only their group's
     experts; audio-visual tokens take the top-(k/2) of each group, and the
-    two group outputs are averaged. The two routers run in one
-    ``T.router_softmaxes`` pass."""
+    two group outputs are averaged."""
     B = X.data.shape[0]
     tag_list = _tags(modalities, B)
     tags = np.asarray(tag_list)
-    logits, probs, stacked = T.router_softmaxes(X, [r.weight for r in routers])
-    n_a = stacked.shape[2]
-    probs_a, probs_v = probs
+    (logits_a, probs_a), (logits_v, probs_v) = (T.router_softmaxes(X, r.weight) for r in routers)
+    n_a = probs_a.data.shape[2]
     if k % 2 != 0 and MOD_AV in tags:
         raise RoutingConfigError(f"audiovisual hard routing needs even k, got {k}")
     # modality -> (group probs, flat id offset, experts taken, output share)
@@ -147,16 +150,16 @@ def route_hard(modalities: list[str] | None, routers: tuple[RouterParams, Router
             continue
         col = 0
         for group, offset, kg, share in plan:
-            ids, w = select_topk(T.index_rows(group, rows), kg)
+            ids, w = select_topk(group, kg, rows=rows)
             selected[rows, col:col + kg] = offset + ids
             part = T.scatter(w if share == 1.0 else T.scale(w, share),
                              rows[:, None] * k + np.arange(col, col + kg), (B, k))
             col += kg
             weights = part if weights is None else T.add(weights, part)
-    return Routing(tag_list, logits, probs, stacked, selected, weights)
+    return Routing(tag_list, [logits_a, logits_v], [probs_a, probs_v], selected, weights)
 
 
-def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tensor,
+def route_hierarchical(inter: RouterParams, intras: RouterParams, X: Tensor,
                        m: int, k_per_group: int = 1, X_inter: Tensor | None = None,
                        modalities: list[str] | None = None) -> Routing:
     """Inter-modal router picks top-m groups; within each selected group the
@@ -166,34 +169,32 @@ def route_hierarchical(inter: RouterParams, intras: list[RouterParams], X: Tenso
     times its within-group weight. Selection order is the groups in
     inter-router order, each group's experts in intra-router order.
 
-    The intra routers, one per group and all of one size, run in one
-    ``T.router_softmaxes`` pass.
-
     ``X_inter`` optionally substitutes the inter router's input (for example
     a mean-centered view of ``X``); intra routers always see ``X``."""
-    G = len(intras)
+    G = intras.weight.data.shape[0]
     if m > G:
         raise RoutingConfigError(f"m={m} exceeds {G} groups")
     B = X.data.shape[0]
-    _, (q,), _ = T.router_softmaxes(X if X_inter is None else X_inter, [inter.weight])
+    _, q = T.router_softmaxes(X if X_inter is None else X_inter, inter.weight)
     group_ids, q_tilde = select_topk(q, m)
-    logits, probs, stacked = T.router_softmaxes(X, [r.weight for r in intras])
-    n = stacked.shape[-1]
+    logits, probs = T.router_softmaxes(X, intras.weight)
+    n = probs.data.shape[2]
     if not 1 <= k_per_group <= n:
         raise ValueError(f"k={k_per_group} outside [1, {n}]")
-    local_ids = topk_ids(stacked, k_per_group)  # [G x B x k_per_group]
+    local_ids = topk_ids(probs.data, k_per_group)  # [G x B x k_per_group]
     if k_per_group == 1:  # each within-group weight is exactly 1
         weights = q_tilde
     else:
-        inner = [T.normalize_rows(T.take(p, _flat(ids, n)))
-                 for p, ids in zip(probs, local_ids)]
+        # row b * G + g: the intra weights of token b in group g
+        flat = (local_ids + n * np.arange(G * B).reshape(G, B, 1)).swapaxes(0, 1)
+        inner = T.normalize_rows(T.take(probs, flat.reshape(B * G, k_per_group)))
         # column j * k_per_group + i: the i-th intra weight of group group_ids[:, j]
         cols = (group_ids[..., None] * k_per_group + np.arange(k_per_group)).reshape(B, -1)
         q_rep = T.take(q_tilde, np.repeat(np.arange(B * m).reshape(B, m), k_per_group, axis=1))
-        weights = T.mul(q_rep, T.take(T.concat_cols(inner), _flat(cols, G * k_per_group)))
+        weights = T.mul(q_rep, T.take(inner, cols + G * k_per_group * np.arange(B)[:, None]))
     selected = (local_ids[group_ids, np.arange(B)[:, None]]
                 + n * group_ids[..., None]).reshape(B, -1)
-    return Routing(_tags(modalities, B), logits, probs, stacked, selected, weights,
+    return Routing(_tags(modalities, B), [logits], [probs], selected, weights,
                    group_probs=q)
 
 
@@ -208,8 +209,8 @@ class DispatchStats:
     ``counts`` gives tokens per subset. These are plain arrays.
 
     The router losses differentiate through the routing's own tensors:
-    ``expert_probs``, one [B x n] probability matrix per group, and the
-    [B x G] ``group_probs`` of the hierarchical mode, whose rows of each
+    ``expert_probs``, the routing's [G x B x n] family probabilities, and
+    the [B x G] ``group_probs`` of the hierarchical mode, whose rows of each
     subset are ``subsets[tag]`` (None when the batch is one subset: every
     row). The losses take the mean probabilities (P, Q) of these themselves.
     """
@@ -225,13 +226,14 @@ class DispatchStats:
 
 def dispatch_stats(routing: Routing) -> DispatchStats:
     """Top-1 frequencies f per expert group, from one argmax and one
-    bincount over the routing's stacked probabilities, and g per modality
+    bincount over the routing's expert probabilities, and g per modality
     subset; builds no tape node. A batch of one tag (every decoding step)
     is one subset of all rows, found with no per-row loop; an empty batch
     has no subset."""
     tags = routing.modalities
     n_tok = len(tags)
-    stacked = routing.stacked_probs
+    probs = routing.expert_probs
+    stacked = probs[0].data if len(probs) == 1 else np.concatenate([p.data for p in probs])
     G, _, n = stacked.shape
     top = stacked.argmax(axis=2) + n * np.arange(G)[:, None]
     expert_f = np.bincount(top.ravel(), minlength=G * n).reshape(G, n) / n_tok

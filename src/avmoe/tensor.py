@@ -10,8 +10,8 @@ no arithmetic operator.
 
 A leading stack axis runs n equally long sequences side by side: ``matmul``
 takes an [n x T x k] left operand with a [k x m] right one, and
-``input_fusion``, ``attention_block``, ``ffn_block``, ``ffn``,
-``standardize_rows`` and ``concat_cols`` work on [n x T x d] operands, each
+``input_fusion``, ``attention_block``, ``ffn_block``, ``ffn`` and
+``standardize_rows`` work on [n x T x d] operands, each
 slice with the arithmetic of the 2-D op, so a stacked forward equals the
 per-slice forwards bit for bit. A weight's gradient is one gemm over all
 n*T rows. ``stack_slice`` hands slice i of a stack on as a [T x d] tensor.
@@ -30,9 +30,10 @@ projections, biases and the GELU between them), ``standardize_rows`` with
 an optional residual operand (the add before the norm) and
 ``moe_combine`` (every routed expert's FFN on its rows, with one GELU over
 all of them, weighted and summed per row). So is each router-loss term of
-the supervised step: ``load_balancing`` (into each group's probabilities),
-``load_biasing`` (into the inter-router probabilities of each subset's
-rows) and ``squared_logsumexp`` (the z-loss, into the logits), and so are
+the supervised step: ``load_balancing`` (into each group's slice of the
+stacked probabilities), ``load_biasing`` (into the inter-router
+probabilities of each subset's rows) and ``squared_logsumexp`` (the z-loss,
+into one router's slice of the stacked logits), and so are
 the other losses: ``cross_entropy_rows``, ``head_mse`` (one uptraining
 task's head product, frame gather and MSE, read from its slice of the
 student stack) and ``loss_total``, the weighted total of four loss
@@ -41,13 +42,13 @@ layer means, or the uptraining task columns). Each runs the numpy
 arithmetic of the primitive-op chain it stands for, in the same order, and
 hands each operand the gradient that chain's backward would. The chains
 are the tests' oracle: ``tests/chains.py`` builds them, with the primitive
-ops that only they use (``tmean``, ``mean_axis0``, ``logsumexp`` and
-``softmax``, which no run calls), and ``tests/test_fused_ops.py`` checks
+ops that only they use (``tmean``, ``mean_axis0``, ``logsumexp``,
+``softmax`` and ``concat_cols``, which no run calls), and ``tests/test_fused_ops.py`` checks
 each fused op against its chain bit for bit. ``router_softmaxes`` is the
-one router op, and it fuses only the forward: it computes the logits and
-softmaxes of one or several routers in one stacked pass, and with a tape it
-still builds each router's own matmul and softmax nodes, so its gradients
-are the per-router chain's.
+one router op: one logits node and one probabilities node for a family of
+routers held as one [G x d x n] parameter, standing for each router's own
+matmul and softmax nodes; the ops that read one router read its slice by
+index, with no slice node.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class Tensor:
     ``grad_out`` is None, or the array an optimizer bound the parameter to:
     its slice of the optimizer's gradient vector. The first gradient
     contribution of a backward pass is copied there instead of into a new
-    array; a second one makes a new array, as for any other tensor.
+    array, and each later one is added into it in place, the same IEEE sum
+    as the new array ``grad + g`` any other tensor makes.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "grad_out")
@@ -162,8 +164,18 @@ class Tensor:
             else:
                 self.grad_out[...] = g
                 self.grad = self.grad_out
+        elif self.grad is self.grad_out:
+            np.add(self.grad, g, out=self.grad)
         else:
             self.grad = self.grad + g
+
+    def _accum_at(self, i, g):
+        """Add ``g`` into slice i of the gradient, as ``stack_slice`` would."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+            self.grad[i] = g
+        else:
+            self.grad[i] += g
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -257,18 +269,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = ad @ bd
     if not _track(a, b):
         return Tensor(data)
-    return _make(data, (a, b), _matmul_backward(a, b))
 
-
-def _matmul_backward(a: Tensor, b: Tensor):
-    """The backward of the node ``a @ b``."""
     def backward(g):
         if _needs_grad(a):
             a._accum(g @ b.data.T)
         if _needs_grad(b):
             b._accum(_weight_grad(a.data, g))
 
-    return backward
+    return _make(data, (a, b), backward)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -356,41 +364,35 @@ def _softmax_derivative(g, y):
     return d
 
 
-def _softmax_backward(a: Tensor, y):
-    """The backward of the node ``y``, the softmax of ``a``."""
-    return lambda g: a._accum(_softmax_derivative(g, y))
+def router_softmaxes(X: Tensor, W: Tensor):
+    """The logits ``X @ W`` of one [B x d] batch and their row softmaxes,
+    for one [d x n] router or a [G x d x n] family of routers: the op of
+    every router. Each slice equals its router's own matmul and softmax bit
+    for bit.
 
-
-def router_softmaxes(X: Tensor, weights: list[Tensor]):
-    """The logits ``matmul(X, W)`` and their row softmaxes for G >= 1
-    [d x n] routers W over one [B x d] batch: the op of every router, the
-    sparse, inter-modal and intra ones alike. It computes them in one pass:
-    one product of X with the [G x d x n] stack of the weights and one
-    softmax over the [G x B x n] logits, whose slices equal each router's
-    own matmul and softmax bit for bit.
-
-    Returns (logits, probs, the [G x B x n] probs): one Tensor per router in
-    each list, which with a tape are the per-router chain's own nodes, a
-    matmul node of parents (X, W) under a softmax node, each with that op's
-    backward; a router that no gradient can reach builds neither."""
-    X = _as_tensor(X)
-    shapes = [W.data.shape for W in weights]
-    if not (shapes and X.data.ndim == 2 and shapes.count(shapes[0]) == len(shapes)
-            and len(shapes[0]) == 2 and shapes[0][0] == X.data.shape[1]):
-        raise ShapeError(f"token batch shape {X.data.shape} incompatible with routers "
-                         f"{shapes}")
-    logits = X.data @ np.array([W.data for W in weights])
+    Returns (logits, probs), with a tape a logits node of parents (X, W)
+    under a probs node. The logits' backward gives W its gradient in one
+    batched product, and X one term per router in router order, as the
+    per-router chain's walk reaches each router's matmul node."""
+    X, W = _as_tensor(X), _as_tensor(W)
+    xd, wd = X.data, W.data
+    if not (xd.ndim == 2 and wd.ndim in (2, 3) and wd.shape[-2] == xd.shape[1]):
+        raise ShapeError(f"token batch shape {xd.shape} incompatible with routers {wd.shape}")
+    logits = xd @ wd
     probs = _softmax_rows(logits, None)
-    logit_nodes, prob_nodes = [], []
-    for W, z, p in zip(weights, logits, probs):
-        if _track(X, W):
-            z = _make(z, (X, W), _matmul_backward(X, W))
-            p = _make(p, (z,), _softmax_backward(z, p))
-        else:
-            z, p = Tensor(z), Tensor(p)
-        logit_nodes.append(z)
-        prob_nodes.append(p)
-    return logit_nodes, prob_nodes, probs
+    if not _track(X, W):
+        return Tensor(logits), Tensor(probs)
+
+    def backward(g):
+        if _needs_grad(X):
+            n = wd.shape[-1]
+            for gi, Wi in zip(g.reshape(-1, xd.shape[0], n), wd.reshape(-1, xd.shape[1], n)):
+                X._accum(gi @ Wi.T)
+        if _needs_grad(W):
+            W._accum(np.matmul(xd.T, g))
+
+    z = _make(logits, (X, W), backward)
+    return z, _make(probs, (z,), lambda g: z._accum(_softmax_derivative(g, probs)))
 
 
 def normalize_rows(a: Tensor) -> Tensor:
@@ -493,9 +495,7 @@ def head_mse(stack: Tensor, i: int, head: Tensor, targets, rows) -> Tensor:
         gz = np.zeros_like(z)
         gz[idx] += gdiff
         if _needs_grad(stack):
-            if stack.grad is None:
-                stack.grad = np.zeros_like(stack.data)
-            stack.grad[i] += gz @ head.data.T
+            stack._accum_at(i, gz @ head.data.T)
         if _needs_grad(head):
             head._accum(x.T @ gz)
 
@@ -602,24 +602,6 @@ def scatter(values: Tensor, flat_idx, shape) -> Tensor:
     if not _track(values):
         return Tensor(data)
     return _make(data, (values,), lambda g: values._accum(g.reshape(-1)[flat_idx]))
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate tensors along their last axis."""
-    parts = [_as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
-    if not _track(*parts):
-        return Tensor(data)
-    widths = [p.data.shape[-1] for p in parts]
-
-    def backward(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            if _needs_grad(p):
-                p._accum(g[..., off:off + w])
-            off += w
-
-    return _make(data, tuple(parts), backward)
 
 
 def stack_slice(stack: Tensor, i: int) -> Tensor:
@@ -1026,32 +1008,36 @@ def moe_combine(X: Tensor, weights: Tensor, selected, experts, counts) -> Tensor
 
 def load_balancing(probs: list[Tensor], f) -> Tensor:
     """Switch-style load balancing summed over expert groups: n * sum_i
-    f[g, i] P_i for each group g, P the column means of the [B x n]
-    ``probs[g]`` and f a constant [G x n] array of top-1 frequencies.
+    f[g, i] P_i for each group g, P the column means of group g's [B x n]
+    probabilities, slice g of the router families' [G_j x B x n] ``probs``
+    laid end to end, and f a constant [G x n] array of top-1 frequencies.
 
-    The chain it stands for is ``scale(tsum(mul(f[g], mean_axis0(probs[g]))),
+    The chain it stands for is ``scale(tsum(mul(f[g], mean_axis0(p_g))),
     n)`` per group, added in group order."""
     probs = [_as_tensor(p) for p in probs]
     f = np.asarray(f, dtype=np.float64)
-    if not (probs and len(f) == len(probs)
-            and all(p.data.ndim == 2 and p.data.shape[1:] == fg.shape
-                    for p, fg in zip(probs, f))):
-        raise ShapeError(f"load balancing of probs {[p.data.shape for p in probs]} "
-                         f"against frequencies {f.shape}")
+    shapes = [p.data.shape for p in probs]
+    if not (probs and all(len(s) == 3 and s[1:] == shapes[0][1:] for s in shapes)
+            and f.shape == (sum(s[0] for s in shapes), shapes[0][2])):
+        raise ShapeError(f"load balancing of probs {shapes} against frequencies {f.shape}")
+    B = shapes[0][1]
     total = None
-    for p, fg in zip(probs, f):
-        P = np.add.reduce(p.data, axis=0) / p.data.shape[0]
+    for p, fg in zip((p for family in probs for p in family.data), f):
+        P = np.add.reduce(p, axis=0) / B
         term = (fg * P).sum() * float(fg.shape[0])
         total = term if total is None else total + term
     if not _track(*probs):
         return Tensor(total)
 
     def backward(g):
-        for p, fg in zip(probs, f):
+        # per group the chain's np.full_like(fg, g * n) * fg, over its B rows
+        gP = (g * float(f.shape[1])) * f / B
+        start = 0
+        for p in probs:
+            G = p.data.shape[0]
             if _needs_grad(p):
-                # the chain's np.full_like(fg, g * n) * fg, one product per entry
-                gP = (g * float(fg.shape[0])) * fg
-                p._accum(np.broadcast_to(gP / p.data.shape[0], p.data.shape))
+                p._accum(np.broadcast_to(gP[start:start + G, None, :], p.data.shape))
+            start += G
 
     return _make(total, tuple(probs), backward)
 
@@ -1094,20 +1080,22 @@ def load_biasing(q: Tensor, terms) -> Tensor:
     return _make(total, (q,), backward)
 
 
-def squared_logsumexp(a: Tensor, row_weights=None) -> Tensor:
-    """Router z-loss of a [rows x n] logit matrix: the squared logsumexp of
-    each row, averaged, or summed weighted by the constant ``row_weights``.
+def squared_logsumexp(a: Tensor, i: int, row_weights=None) -> Tensor:
+    """Router z-loss of router i's [rows x n] logits, slice i of a family's
+    [G x rows x n] ``a``: the squared logsumexp of each row, averaged, or
+    summed weighted by the constant ``row_weights``.
 
-    The chain it stands for is ``logsumexp``, ``mul`` of it with itself, then
-    ``tmean``, or ``mul`` by the weights and ``tsum``."""
+    The chain it stands for is ``logsumexp`` of router i's own logits,
+    ``mul`` of it with itself, then ``tmean``, or ``mul`` by the weights and
+    ``tsum``."""
     a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.size == 0:
-        raise ShapeError(f"squared logsumexp needs a non-empty [rows x n] logit matrix, "
-                         f"got shape {a.data.shape}")
+    if not (a.data.ndim == 3 and 0 <= i < a.data.shape[0] and a.data[i].size):
+        raise ShapeError(f"squared logsumexp needs router {i}'s non-empty logit matrix "
+                         f"of [G x rows x n] logits, got shape {a.data.shape}")
     w = None if row_weights is None else np.asarray(row_weights, dtype=np.float64)
-    if w is not None and w.shape != a.data.shape[:1]:
-        raise ShapeError(f"{w.shape} row weights for {a.data.shape[0]} rows")
-    lse, e, s = _logsumexp_rows(a.data)
+    if w is not None and w.shape != a.data.shape[1:2]:
+        raise ShapeError(f"{w.shape} row weights for {a.data.shape[1]} rows")
+    lse, e, s = _logsumexp_rows(a.data[i])
     sq = lse * lse
     data = sq.mean() if w is None else (sq * w).sum()
     if not _track(a):
@@ -1118,7 +1106,7 @@ def squared_logsumexp(a: Tensor, row_weights=None) -> Tensor:
         # the product's backward adds its two equal halves
         glse = gsq * lse
         glse += glse
-        a._accum(glse[:, None] * (e / s))
+        a._accum_at(i, glse[:, None] * (e / s))
 
     return _make(data, (a,), backward)
 

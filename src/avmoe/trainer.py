@@ -320,10 +320,9 @@ class _PackedOptimizer:
     update of the parameter. Whatever writes a parameter afterwards must
     write into ``p.data`` too; a step raises if a live parameter's ``data``
     was rebound. It binds each parameter to its slice of the gradient
-    vector ``grad`` (``p.grad_out``), so backward copies a parameter's
-    first gradient contribution straight into the layout a step reads. A
-    step works in that vector, so a gradient read before it is kept only
-    as a copy.
+    vector ``grad`` (``p.grad_out``), so backward adds a parameter's
+    gradient straight into the layout a step reads. A step works in that
+    vector, so a gradient read before it is kept only as a copy.
 
     A step works on runs: maximal runs of consecutive live parameters
     (``grad`` not None) that share one ``lr_scales`` factor. ``lr_scales``
@@ -354,8 +353,7 @@ class _PackedOptimizer:
     def _live_runs(self) -> list[list]:
         """Stage and clear every live gradient; return the runs as
         [start, end, lr scale]. A gradient that backward left in its slice
-        is staged already; any other (set by hand, or the sum of several
-        contributions) is copied there."""
+        is staged already; any other (one set by hand) is copied there."""
         runs: list[list] = []
         for p, view, grad, start, end, scale in self._slots:
             if p.grad is None:
@@ -510,8 +508,8 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     bias = ([load_biasing_loss(s) for s in stats.values()]
             if first is not None and first.n_groups == 2 and first.g else [])
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
-    logit_rows = [rows for layer_aux in aux for rows in layer_aux["logit_rows"]]
-    z = [router_z_loss(rows, row_weights) for rows in logit_rows]
+    z = [router_z_loss(logits, i, row_weights) for layer_aux in aux
+         for logits in layer_aux["logit_rows"] for i in range(logits.data.shape[0])]
     total, means = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
                                   c_bias=cfg.c_bias)
     return _step_scalars(ROUTER_COLUMNS, means, total), total, stats
@@ -787,10 +785,11 @@ def expert_load_table(model: Model, gen_cfg: GeneratorConfig, pairs: int,
         if r is None:
             continue
         raw_f = dispatch_stats(r).expert_f
-        for gi, (n_exp, raw) in enumerate(zip(r.group_sizes, raw_f)):
-            top = r.expert_probs[gi].data.argmax(axis=1)
-            q = r.group_probs.data[:, gi] if r.group_probs is not None else np.ones(top.size)
-            weighted = np.bincount(top, weights=q, minlength=n_exp)
+        top = np.concatenate([p.data for p in r.expert_probs]).argmax(axis=2)  # [G x B]
+        n_exp = raw_f.shape[1]
+        for gi, raw in enumerate(raw_f):
+            q = r.group_probs.data[:, gi] if r.group_probs is not None else np.ones(top.shape[1])
+            weighted = np.bincount(top[gi], weights=q, minlength=n_exp)
             if weighted.sum() > 0:
                 weighted /= weighted.sum()
             for e in range(n_exp):

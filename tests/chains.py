@@ -4,8 +4,11 @@ Each fused op of ``avmoe.tensor`` runs the numpy arithmetic of its chain in
 the chain's order, so its output and operand gradients equal the chain's
 bit for bit (``test_fused_ops.py``). The chains use the ops below, which no
 run calls, so the package does not ship them: ``tmean``, ``mean_axis0``,
-``logsumexp``, ``softmax``, ``transpose``, ``stack_matmul``, ``concat_rows``
-and ``scatter_rows``, each one node made with ``tensor._make``.
+``logsumexp``, ``softmax``, ``transpose``, ``stack_matmul``, ``concat_cols``,
+``concat_rows``, ``stack`` and ``scatter_rows``, each one node made with
+``tensor._make``.
+``router_slices`` hands the chains one tensor per router of the router
+families a routing holds.
 
 The two whole-step oracles end the file: ``chain_supervised_step`` and
 ``chain_uptrain_step``, the training steps built from the chains. The
@@ -70,7 +73,7 @@ def softmax(a: Tensor) -> Tensor:
     y = T._softmax_rows(a.data, None)
     if not T._track(a):
         return Tensor(y)
-    return T._make(y, (a,), T._softmax_backward(a, y))
+    return T._make(y, (a,), lambda g: a._accum(T._softmax_derivative(g, y)))
 
 
 def transpose(a):
@@ -97,6 +100,25 @@ def stack_matmul(a, b):
     return T._make(a.data @ b.data, (a, b), backward)
 
 
+def concat_cols(parts):
+    """The chain's concatenation along the last axis, of 2-D tensors or
+    [n x T x d] stacks."""
+    parts = [T._as_tensor(p) for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=-1)
+    if not T._track(*parts):
+        return Tensor(data)
+    widths = [p.data.shape[-1] for p in parts]
+
+    def backward(g):
+        off = 0
+        for p, w in zip(parts, widths):
+            if T._needs_grad(p):
+                p._accum(g[..., off:off + w])
+            off += w
+
+    return T._make(data, tuple(parts), backward)
+
+
 def concat_rows(parts):
     """The chain's concatenation of 2-D tensors along axis 0."""
     data = np.concatenate([p.data for p in parts], axis=0)
@@ -112,6 +134,28 @@ def concat_rows(parts):
             off += n
 
     return T._make(data, tuple(parts), backward)
+
+
+def stack(parts):
+    """Same-shape tensors stacked along a new leading axis, as a router
+    family's [G x ...] parameter or values hold its routers': the backward
+    hands each part its slice of ``g``."""
+    data = np.stack([p.data for p in parts])
+    if not T._track(*parts):
+        return Tensor(data)
+
+    def backward(g):
+        for p, gp in zip(parts, g):
+            if T._needs_grad(p):
+                p._accum(gp)
+
+    return T._make(data, tuple(parts), backward)
+
+
+def router_slices(families):
+    """One tensor per router of the [G x B x n] ``families``, laid end to
+    end: ``stack_slice`` nodes, so a chain can read router g on its own."""
+    return [T.stack_slice(f, g) for f in families for g in range(f.data.shape[0])]
 
 
 def scatter_rows(rows, idx, n_rows):
@@ -159,7 +203,7 @@ def chain_ffn_block(X, W1, b1, W2, b2):
 
 
 def chain_input_fusion(A, V, Wa, Wv, Wf):
-    return T.matmul(T.concat_cols([T.matmul(A, Wa), T.matmul(V, Wv)]), Wf)
+    return T.matmul(concat_cols([T.matmul(A, Wa), T.matmul(V, Wv)]), Wf)
 
 
 def chain_encode(model, audio, video, mask=None, stacks=None):
@@ -210,7 +254,8 @@ def chain_moe_combine(X, weights, selected, experts):
 
 
 def chain_router_softmaxes(X, weights):
-    """Each router's own matmul node under a softmax node, router by router."""
+    """Each [d x n] router's own matmul node under a softmax node, router by
+    router: what ``T.router_softmaxes`` of their family stands for."""
     logits, probs = [], []
     for W in weights:
         logits.append(T.matmul(X, W))
@@ -237,7 +282,7 @@ def chain_mean_probs(stats):
     subset, after ``index_rows`` of the subset's rows (none without group
     probabilities)."""
     q = stats.group_probs
-    return [mean_axis0(p) for p in stats.expert_probs], {} if q is None else {
+    return [mean_axis0(p) for p in router_slices(stats.expert_probs)], {} if q is None else {
         tag: mean_axis0(q if rows is None else T.index_rows(q, rows))
         for tag, rows in stats.subsets.items()}
 
@@ -329,7 +374,7 @@ def chain_supervised_step(model, cfg, batch):
     _, ce, aux = model.decode_train(feats, labels, modality=tags,
                                     feature_lengths=[a.shape[0] for a in audios])
     stats = [layer_aux["stats"] for layer_aux in aux if layer_aux["stats"] is not None]
-    balance = [chain_load_balancing(s.expert_probs, s.expert_f) for s in stats]
+    balance = [chain_load_balancing(router_slices(s.expert_probs), s.expert_f) for s in stats]
     bias = []
     if stats and stats[0].n_groups == 2 and stats[0].g:
         bias = [chain_load_biasing(s.group_probs, [
@@ -338,7 +383,7 @@ def chain_supervised_step(model, cfg, batch):
             if s.counts.get(tag, 0) > 0]) for s in stats]
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     z = [chain_squared_logsumexp(rows, row_weights)
-         for layer_aux in aux for rows in layer_aux["logit_rows"]]
+         for layer_aux in aux for rows in router_slices(layer_aux["logit_rows"])]
     total, means = chain_router_loss_total(ce, balance, bias, z, cfg.c_balance, cfg.c_bias)
     return {**dict(zip(ROUTER_COLUMNS, map(float, means))), "total": float(total.data)}, total
 

@@ -51,9 +51,10 @@ UPTRAIN_BASE = {
 def test_01_loss_identities():
     for n in (2, 4, 8, 16):
         f = np.full(n, 1.0 / n)
-        P = Tensor(np.full((1, n), 1.0 / n))  # one token's router probabilities
+        # one token's probabilities, of a family of one router
+        P = Tensor(np.full((1, 1, n), 1.0 / n))
         assert abs(float(T.load_balancing([P], [f]).data) - 1.0) <= 1e-9
-    lz = float(router_z_loss(Tensor(np.zeros((5, 8)))).data)
+    lz = float(router_z_loss(Tensor(np.zeros((1, 5, 8))), 0).data)
     assert abs(lz - math.log(8.0) ** 2) <= 1e-9
     half = np.array([0.5, 0.5])
     stats = DispatchStats(expert_f=[], g={MOD_AUDIO: half, MOD_VIDEO: half},
@@ -93,7 +94,8 @@ def test_03_routing_oracles():
             for k in range(1, n + 1):
                 raw = rng.random(n)
                 probs = raw / raw.sum()
-                ids, weights = select_topk(Tensor(probs), k)
+                ids, weights = select_topk(Tensor(probs[None]), k)
+                ids, weights = ids[0], Tensor(weights.data[0])
                 assert set(ids) == _brute_force_topk(probs, k), (n, k, probs)
                 expected = probs[ids] / probs[ids].sum()
                 assert np.allclose(weights.data, expected, atol=1e-12)
@@ -101,12 +103,12 @@ def test_03_routing_oracles():
     # single-group hierarchy must reduce to dense top-k bit-identically
     for seed in range(50):
         r = np.random.default_rng(seed)
-        router = RouterParams.init(6, 5, r)
+        router = RouterParams.init(6, 5, r, 1)
         inter = RouterParams.zeros(6, 1)
         X = Tensor(r.normal(size=(int(r.integers(1, 8)), 6)))
         k = int(r.integers(1, 6))
         dense = route_sparse(router, X, k)
-        hier = route_hierarchical(inter, [router], X, m=1, k_per_group=k)
+        hier = route_hierarchical(inter, router, X, m=1, k_per_group=k)
         assert np.array_equal(hier.selected, dense.selected)
         assert np.array_equal(hier.weights.data, dense.weights.data)
     print(f"criterion 3 PASS: {trials} top-k trials + 50 hierarchy reductions")

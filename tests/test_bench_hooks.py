@@ -68,6 +68,34 @@ def test_greedy_decoding_calls_the_wrapped_layers(monkeypatch):
     assert calls["avmoe.moe_layer.dispatch_stats"] == layer_calls, calls
 
 
+@pytest.mark.parametrize("mode, fields", [
+    ("sparse_topk", {"n_experts": 5, "k": 2}),
+    ("hard", {"n_groups": 2, "n_per_group": 3, "k": 2}),
+    ("hierarchical", {"n_groups": 2, "n_per_group": 3, "m": 2, "k_per_group": 1}),
+    ("hierarchical", {"n_groups": 3, "n_per_group": 3, "m": 2, "k_per_group": 2}),
+], ids=["sparse_topk", "hard", "hierarchical_kpg1", "hierarchical_kpg2"])
+def test_counted_flops_equal_the_ledger(mode, fields):
+    """The benchmark's ledger gate prices each layer call from the router
+    attributes it reads (``router``, ``inter_router``, ``intra_routers`` and
+    each one's weight size) and the counted expert evaluations; that must
+    equal ``flops_report``'s activated FLOPs, or every routed run fails the
+    gate."""
+    import numpy as np
+
+    from avmoe.moe_layer import MoELayer, MoELayerConfig, flops_report
+    from avmoe.routing import MODALITIES
+    from avmoe.tensor import Tensor
+
+    rng = np.random.default_rng(0)
+    layer = MoELayer(MoELayerConfig(mode=mode, d=6, h=5, **fields), rng)
+    tokens = 7
+    before = sum(layer.eval_counts())
+    layer.forward(Tensor(rng.normal(size=(tokens, 6))), [MODALITIES[i % 3] for i in range(tokens)])
+    evals = sum(layer.eval_counts()) - before
+    assert (tracing.counted_flops(layer, tokens, evals)
+            == flops_report(layer.cfg, tokens)["activated_flops"])
+
+
 @pytest.mark.parametrize("workload", ["sup_hier", "uptrain_long"])
 def test_every_tape_node_comes_from_make(workload, monkeypatch):
     """``tensor.tape_nodes`` counts the calls of ``tensor._make``, so every

@@ -25,11 +25,19 @@ A change that moves a count on purpose rewrites the file by running this
 module as a script from the repository root::
 
     PYTHONPATH=src python tests/test_costs.py
+
+With ``--compare`` it writes the counts to a temporary file instead, prints
+each count that differs from ``costs.json`` with both values (runs of steps
+that changed alike on one line), and leaves ``costs.json`` as it is::
+
+    PYTHONPATH=src python tests/test_costs.py --compare
 """
 
 import json
 import sys
+import tempfile
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -183,11 +191,80 @@ def test_costs_match_the_committed_counts(measured, name):
     assert measured[name] == want[name]
 
 
-def main() -> int:
+def test_compare_lists_each_changed_count():
+    """Steps that changed alike share a line; a count one side lacks reads None."""
+    old = {"run": {"steps": [{"a": 1}, {"a": 1}, {"a": 1}, {"a": 1}],
+                   "after_training": {"b": 2}},
+           "eval_pairs": [{"t": 5}, {"t": 6}]}
+    new = {"run": {"steps": [{"a": 1}, {"a": 0}, {"a": 0}, {"a": 1, "c": 3}],
+                   "after_training": {"b": 3}},
+           "eval_pairs": [{"t": 4}, {"t": 6}]}
+    assert changed_counts(old, new) == ["eval_pairs pairs 0: t 5 -> 4",
+                                        "run after_training: b 2 -> 3",
+                                        "run steps 1-2: a 1 -> 0",
+                                        "run steps 3: c None -> 3"]
+    emptied = {**new, "run": {**new["run"], "steps": [{}, {}, {"c": 3}, {}]}}
+    assert changed_counts(new, emptied) == ["run steps 1-2: a 0 -> None",
+                                            "run steps 0,3: a 1 -> None",
+                                            "run steps 3: c 3 -> None",
+                                            "run steps 2: c None -> 3"]
+    assert changed_counts(old, old) == []
+
+
+def _counts_by_place(table: dict) -> dict:
+    """(config, part, step or pair index, key) -> count of a costs table;
+    the index is None for ``after_training``."""
+    out = {}
+    for name, entry in table.items():
+        parts = ([("pairs", entry)] if name == "eval_pairs"
+                 else [("steps", entry["steps"]), ("after_training", [entry["after_training"]])])
+        for part, rows in parts:
+            for i, row in enumerate(rows):
+                out.update({(name, part, None if part == "after_training" else i, key): n
+                            for key, n in row.items()})
+    return out
+
+
+def changed_counts(old: dict, new: dict) -> list[str]:
+    """One line per count that differs between two costs tables: the config,
+    the part, the steps (or pairs) it changed in alike, the key, and the old
+    and new values (None where a side has no such count)."""
+    a, b = _counts_by_place(old), _counts_by_place(new)
+    diffs = []
+    for place in a.keys() | b.keys():
+        if a.get(place) != b.get(place):
+            name, part, i, key = place
+            diffs.append((name, part, key, a.get(place), b.get(place), i))
+    # str() of the values, since None does not order against a count
+    diffs.sort(key=lambda d: (*d[:3], str(d[3]), str(d[4]), -1 if d[5] is None else d[5]))
+    lines = []
+    for (name, part, key, before, after), run in groupby(diffs, key=lambda d: d[:5]):
+        idx = [d[5] for d in run]
+        if idx == [None]:
+            where = ""
+        elif len(idx) > 1 and idx == list(range(idx[0], idx[-1] + 1)):
+            where = f" {idx[0]}-{idx[-1]}"
+        else:
+            where = " " + ",".join(map(str, idx))
+        lines.append(f"{name} {part}{where}: {key} {before} -> {after}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--compare"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "costs.json"
+            path.write_text(json.dumps(costs(), indent=1) + "\n")
+            lines = changed_counts(json.loads(COSTS.read_text()), json.loads(path.read_text()))
+        print("\n".join(lines) or f"no count differs from {COSTS}")
+        return 0
+    if argv:
+        print(f"usage: {sys.argv[0]} [--compare]", file=sys.stderr)
+        return 2
     COSTS.write_text(json.dumps(costs(), indent=1) + "\n")
     print(f"wrote {COSTS}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -90,10 +90,10 @@ class TestEmaUpdate:
     def test_student_untouched(self):
         student = tiny_model(3)
         teacher = make_teacher(student, total_steps=10)
-        snap = {name: p.data.copy() for name, p in student.named_params().items()}
+        snap = {name: a.copy() for name, a in student.state_dict().items()}
         ema_update(teacher, student, eta=0.5)
-        for name, p in student.named_params().items():
-            assert np.array_equal(p.data, snap[name])
+        for name, a in student.state_dict().items():
+            assert np.array_equal(a, snap[name])
 
     def test_eta_out_of_range(self):
         student = tiny_model(4)

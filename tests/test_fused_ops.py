@@ -6,8 +6,12 @@ The encoder's ``input_fusion`` and the sub-blocks ``attention_block`` and
 and ``squared_logsumexp``, and the losses ``cross_entropy_rows``,
 ``head_mse`` and ``loss_total`` (in both training steps' forms) are one
 tape node each, with a hand-written backward that runs the chain's numpy
-arithmetic in the chain's order; ``router_softmaxes`` runs one or several
-routers' forward in one stacked pass and builds the chain's own nodes.
+arithmetic in the chain's order; ``router_softmaxes`` runs a router family
+held as one [G x d x n] parameter in one logits node and one probabilities
+node, which stand for each router's own matmul and softmax nodes, and the
+ops that read a family (``load_balancing``, ``squared_logsumexp``) read it
+whole or by router. A family's rows hold its routers stacked (the chains'
+``stack``), so the chain runs each router on its own.
 Their outputs and every operand gradient must therefore equal the chain's
 bit for bit, with constant operands getting no gradient in either. Each
 output and gradient must also have the chain's memory order (its strides):
@@ -46,7 +50,7 @@ from chains import (
     chain_ffn_block, chain_head_mse, chain_input_fusion, chain_load_balancing,
     chain_load_biasing, chain_model, chain_moe_combine, chain_router_loss_total,
     chain_router_softmaxes, chain_squared_logsumexp, chain_standardize,
-    chain_supervised_step, chain_task_loss_total, chain_uptrain_step,
+    chain_supervised_step, chain_task_loss_total, chain_uptrain_step, concat_cols, stack,
 )
 
 
@@ -280,31 +284,43 @@ def moe_combine_case(rng, layer, B, d, h, tape, zeros, earlier, trainable):
     return Case(arrays, trainable + list(rng.random(4 * E) < 0.7), [weight], wrap, tape)
 
 
-def router_softmaxes_case(rng, B, G, n, d, tape, x_trainable, frozen):
-    """G routers in one stacked pass against each router's own matmul node
-    under a softmax node, with a tape and under ``no_grad``; router
-    ``frozen`` (none when it is -1 or past G) is a constant, which gets no
-    gradient and, when X is one too, no node."""
+def router_softmaxes_case(rng, B, G, n, d, tape, x_trainable, frozen, family):
+    """A family of G routers, stacked into one [G x d x n] weight, against
+    each router's own matmul node under a softmax node, with a tape and
+    under ``no_grad``; router ``frozen`` (none when it is -1 or past G) is a
+    constant, which gets no gradient. Without ``family``, one [d x n] router
+    on its own. X takes the G routers' gradients in the chain's walk order."""
+    G = G if family else 1
     arrays = [normal(rng, B, d)] + [normal(rng, d, n) for _ in range(G)]
     trainable = [x_trainable] + [g != frozen for g in range(G)]
-    weights = [normal(rng, B, n) for _ in range(2 * G)]  # each router's logits', probs'
+    shape = (G, B, n) if family else (B, n)
+    weights = [normal(rng, *shape) for _ in range(2)]  # the logits', the probs'
 
     def wrap(op):
-        return lambda X, *Ws: [t for pair in zip(*op(X, list(Ws))[:2]) for t in pair]
+        if op is T.router_softmaxes:
+            return lambda X, *Ws: list(op(X, stack(Ws) if family else Ws[0]))
+        return lambda X, *Ws: [stack(t) if family else t[0] for t in op(X, Ws)]
 
-    nodes = 2 * sum(x_trainable or f for f in trainable[1:]) if tape else 0
-    return Case(arrays, trainable, weights, wrap, tape, nodes)
+    return Case(arrays, trainable, weights, wrap, tape)
 
 
-def load_balancing_case(rng, B, G, n, zeros, trainable):
-    """Softmax rows of G groups against top-1 frequencies; ``zeros`` puts
-    signed zeros among the frequencies and makes the upstream gradient one."""
+def load_balancing_case(rng, B, G, n, zeros, trainable, families):
+    """Softmax rows of G groups against top-1 frequencies, the groups one
+    family, or (``families``) each a family of its own, as hard routing's
+    two are; ``zeros`` puts signed zeros among the frequencies and makes
+    the upstream gradient one."""
     probs = [T._softmax_rows(normal(rng, B, n), None) for _ in range(G)]
     f = np.stack([np.bincount(p.argmax(axis=1), minlength=n) / B for p in probs])
     weight = normal(rng)
     if zeros:
         f, weight = signed_zeros(rng, f), signed_zeros(rng, weight, 0.5)
-    return Case(probs, trainable[:G], [weight], lambda op: lambda *ps: op(list(ps), f))
+
+    def wrap(op):
+        if op is T.load_balancing:
+            return lambda *ps: op([stack([p]) for p in ps] if families else [stack(ps)], f)
+        return lambda *ps: op(list(ps), f)
+
+    return Case(probs, trainable[:G], [weight], wrap)
 
 
 def load_biasing_case(rng, B, G, n_terms, whole, zeros, trainable):
@@ -468,16 +484,16 @@ TABLE = {
         T.router_softmaxes, chain_router_softmaxes,
         {"B": st.integers(1, 40), "G": st.integers(1, 3), "n": st.integers(1, 5),
          "d": st.integers(1, 6), "tape": st.booleans(), "x_trainable": st.booleans(),
-         "frozen": st.integers(-1, 2)},
+         "frozen": st.integers(-1, 2), "family": st.booleans()},
         router_softmaxes_case, 200,
         explicit=({"seed": 0, "B": 1, "G": 2, "n": 4, "d": 6, "tape": True,
-                   "x_trainable": True, "frozen": 1},
+                   "x_trainable": True, "frozen": 1, "family": True},
                   {"seed": 1, "B": 1, "G": 3, "n": 5, "d": 3, "tape": True,
-                   "x_trainable": False, "frozen": 0})),
+                   "x_trainable": True, "frozen": -1, "family": True})),
     "test_load_balancing_equals_its_chain": Row(
         T.load_balancing, chain_load_balancing,
         {"B": st.integers(1, 12), "G": st.integers(1, 3), "n": st.integers(1, 5),
-         "zeros": st.booleans(), "trainable": flags(3)},
+         "zeros": st.booleans(), "trainable": flags(3), "families": st.booleans()},
         load_balancing_case, 150),
     "test_load_biasing_equals_its_chain": Row(
         T.load_biasing, chain_load_biasing,
@@ -486,7 +502,9 @@ TABLE = {
          "trainable": st.booleans()},
         load_biasing_case, 150),
     "test_squared_logsumexp_equals_its_chain": Row(
-        T.squared_logsumexp, chain_squared_logsumexp,
+        # router 1 of a family whose router 0 is a constant
+        lambda a, w: T.squared_logsumexp(stack([Tensor(np.zeros(a.data.shape)), a]), 1, w),
+        chain_squared_logsumexp,
         {**LOGIT_ROWS, "rows": st.integers(1, 12)}, logit_rows_case, 150),
     "test_router_loss_total_equals_its_chain": Row(
         total_aux_loss, chain_router_loss_total,
@@ -645,14 +663,14 @@ def test_supervised_step_is_bitwise_the_chain_step(moe, m, k_per_group, n_dec, l
                 blk.moe.inter_router.weight.data[:] = w
         scalars, total = step(model, cfg, batch)[:2]
         total.backward()
-        runs.append((scalars, total.data.tobytes(), model.named_params()))
+        runs.append((scalars, total.data.tobytes(), model.params()))
     (got, got_total, got_params), (want, want_total, want_params) = runs
     assert got == want and got_total == want_total
-    for name, p in got_params.items():
-        g, w = p.grad, want_params[name].grad
-        assert (g is None) == (w is None), name
+    for j, (p, q) in enumerate(zip(got_params, want_params)):
+        g, w = p.grad, q.grad
+        assert (g is None) == (w is None), j
         if g is not None:
-            assert g.tobytes() == w.tobytes() and g.strides == w.strides, name
+            assert g.tobytes() == w.tobytes() and g.strides == w.strides, j
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -751,18 +769,23 @@ def test_fused_ops_reject_mismatched_shapes():
     weights = Tensor(normal(rng, 3, 2))
     assert_rejected(lambda counts: T.moe_combine(x, weights, selected, experts, counts),
                     ([3, 2],), ([3, 3, 0],))
-    # routers of two sizes, a row batch too narrow for them, and no router
-    assert_rejected(T.router_softmaxes, (x, [W1, Tensor(normal(rng, 4, 3))]),
-                    (x, [W1, Tensor(normal(rng, 3, 5))]), (Tensor(normal(rng, 3, 3)), [W1, W1]),
-                    (x, []), (Tensor(normal(rng, 2, 3, 4)), [W1]), (x, [Tensor(normal(rng, 4))]))
-    # frequencies of another width or group count, and a stack of probs
+    # a row batch too narrow for a router or a family, a stack of rows, a
+    # vector and a 4-D weight
+    fam = Tensor(normal(rng, 2, 4, 3))
+    assert_rejected(T.router_softmaxes, (Tensor(normal(rng, 3, 3)), W1),
+                    (Tensor(normal(rng, 3, 3)), fam), (Tensor(normal(rng, 2, 3, 4)), W1),
+                    (x, Tensor(normal(rng, 4))), (x, Tensor(normal(rng, 1, 2, 4, 3))))
+    # frequencies of another width or group count, families of other row
+    # counts, bare [B x n] probs and no family
     p = Tensor(normal(rng, 3, 4))
-    assert_rejected(T.load_balancing, ([p], np.ones((1, 3))), ([p, p], np.ones((1, 4))),
-                    ([Tensor(normal(rng, 2, 3, 4))], np.ones((1, 4))), ([], np.ones((0, 4))))
+    p3 = Tensor(normal(rng, 1, 3, 4))
+    assert_rejected(T.load_balancing, ([p3], np.ones((1, 3))), ([p3, p3], np.ones((1, 4))),
+                    ([p3, Tensor(normal(rng, 1, 2, 4))], np.ones((2, 4))),
+                    ([p], np.ones((1, 4))), ([], np.ones((0, 4))))
     assert_rejected(T.load_biasing, (p, [(None, 4, 1.0)]),
                     (Tensor(normal(rng, 4)), [(None, 0, 1.0)]))
-    assert_rejected(T.squared_logsumexp, (Tensor(normal(rng, 4)), None),
-                    (Tensor(np.zeros((0, 3))), None), (p, np.ones(4)))
+    assert_rejected(T.squared_logsumexp, (p, 0, None), (Tensor(np.zeros((1, 0, 3))), 0, None),
+                    (p3, 1, None), (p3, 0, np.ones(4)))
     # a non-scalar CE in the supervised step's form
     assert_rejected(total_aux_loss, (p, [], [], []))
     scalar = Tensor(1.0)
@@ -815,7 +838,7 @@ def test_stacked_forward_equals_each_slice(seed, n, rows, d):
         lambda x, y, z: T.ffn_block(x, W1, b1, W2, b2),
         lambda x, y, z: T.input_fusion(x, y, Wq, Wk, Wf),
         lambda x, y, z: T.standardize_rows(x, y),
-        lambda x, y, z: T.concat_cols([x, y]),
+        lambda x, y, z: concat_cols([x, y]),
     ]
     for op in ops:
         stacked = op(*(Tensor(a) for a in (X, Y, Z))).data

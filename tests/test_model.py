@@ -115,7 +115,7 @@ class TestDecodeTrain:
         feats, _ = model.encode(A, V)
         _, ce, _ = decode_one(model, feats, [1, 0, 3])
         ce.backward()
-        missing = [name for name, p in model.named_params().items() if p.grad is None]
+        missing = [j for j, p in enumerate(model.params()) if p.grad is None]
         assert missing == []
 
     def test_moe_aux_reports_decisions(self):
@@ -127,7 +127,7 @@ class TestDecodeTrain:
         # BOS + 3 labels = 4 decoder tokens, each with a routing row
         assert aux[0]["routing"].selected.shape == (4, 2)
         assert aux[0]["routing"].weights.data.shape == (4, 2)
-        assert aux[0]["logit_rows"][0].data.shape == (4, 4)
+        assert aux[0]["logit_rows"][0].data.shape == (1, 4, 4)
 
 
 class TestDecodeGreedy:
@@ -161,14 +161,14 @@ class TestDenseMoEEquivalence:
         moe_model = Model(cfg_m, seed=15)
         dense_model = Model(tiny_cfg(), seed=15)
         dense_model.load_state_dict(
-            {k: p.data.copy() for k, p in dense_model.named_params().items()})
+            {k: a.copy() for k, a in dense_model.state_dict().items()})
         # copy all shared weights across, then make every expert equal the
         # dense model's single FFN
-        src = dense_model.named_params()
-        dst = moe_model.named_params()
-        for name, p in src.items():
-            if name in dst and dst[name].data.shape == p.data.shape:
-                dst[name].data[:] = p.data
+        src = dense_model.state_dict()
+        dst = moe_model.state_dict()
+        for name, a in src.items():
+            if name in dst and dst[name].shape == a.shape:
+                dst[name][...] = a
         dense_ffn = dense_model.decoder_blocks[0].moe.experts[0]
         for e in moe_model.decoder_blocks[0].moe.experts:
             e.W1.data[:] = dense_ffn.W1.data
@@ -225,16 +225,15 @@ class TestParameterAccounting:
         model = Model(cfg, seed=18)
         for ep, mp in zip(encoder.encoder_params(), model.encoder_params(), strict=True):
             assert np.array_equal(ep.data, mp.data)
-        assert list(model.named_params())[:5] == [
+        assert list(model.state_dict())[:5] == [
             "audio_proj", "video_proj", "fusion", "token_emb", "head"]
 
 
 def write_v1_checkpoint(model: Model, path):
     """A checkpoint as the format-v1 writer produced it: decimal float lists."""
     payload = {"format": "avmoe-checkpoint-v1",
-               "params": {name: {"shape": list(p.data.shape),
-                                 "values": p.data.reshape(-1).tolist()}
-                          for name, p in model.named_params().items()},
+               "params": {name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
+                          for name, a in model.state_dict().items()},
                "buffers": {name: arr.tolist() for name, arr in model.buffers().items()}}
     path.write_text(json.dumps(payload))
 
@@ -247,8 +246,8 @@ def nonzero_centers(model: Model, seed: int) -> Model:
 
 
 def assert_same_state(a: Model, b: Model):
-    for name, p in a.named_params().items():
-        assert p.data.tobytes() == b.named_params()[name].data.tobytes(), name
+    for name, arr in a.state_dict().items():
+        assert arr.tobytes() == b.state_dict()[name].tobytes(), name
     for name, arr in a.buffers().items():
         assert arr.tobytes() == b.buffers()[name].tobytes(), name
 

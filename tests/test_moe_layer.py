@@ -88,7 +88,7 @@ class TestMoEForward:
         layer = make_layer("sparse_topk", n_experts=4, k=2, seed=5)
         X = Tensor(np.random.default_rng(6).normal(size=(6, 6)))
         out, routing, _ = layer.forward(X)
-        probs = routing.expert_probs[0].data
+        probs = routing.expert_probs[0].data[0]
         for t in range(6):
             dense = np.zeros(6)
             ids = routing.selected[t]
@@ -168,7 +168,7 @@ class TestMoEForward:
         perm = [2, 0, 3, 1]
         layer.experts = [layer.experts[p] for p in perm]
         # permute router columns consistently
-        layer.router.weight = Tensor.param(layer.router.weight.data[:, perm])
+        layer.router.weight = Tensor.param(layer.router.weight.data[..., perm])
         out2, _, _ = layer.forward(X)
         assert np.max(np.abs(out1.data - out2.data)) < 1e-12
 

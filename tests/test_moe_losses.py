@@ -25,18 +25,19 @@ def stats_with(g, Q, counts, n_groups=2):
 
 
 class TestLoadBalancing:
-    """``T.load_balancing``, the op the supervised step runs, of one group
-    whose mean probabilities P are the row of a one-row matrix."""
+    """``T.load_balancing``, the op the supervised step runs, of a family
+    of one group whose mean probabilities P are the row of a one-row
+    matrix."""
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_uniform_equals_one(self, n):
         f = np.full(n, 1 / n)
-        P = Tensor(np.full((1, n), 1 / n))
+        P = Tensor(np.full((1, 1, n), 1 / n))
         assert float(T.load_balancing([P], [f]).data) == pytest.approx(1.0, abs=1e-9)
 
     def test_collapsed_equals_n(self):
         f = np.array([1.0, 0, 0, 0])
-        P = Tensor(np.array([[1.0, 0, 0, 0]]))
+        P = Tensor(np.array([[[1.0, 0, 0, 0]]]))
         assert float(T.load_balancing([P], [f]).data) == pytest.approx(4.0)
 
     def test_direct_summation_oracle(self):
@@ -45,13 +46,15 @@ class TestLoadBalancing:
         f /= f.sum()
         P = rng.uniform(size=8)
         P /= P.sum()
-        got = float(T.load_balancing([Tensor(P[None])], [f]).data)
+        got = float(T.load_balancing([Tensor(P[None, None])], [f]).data)
         want = 8 * sum(f[i] * P[i] for i in range(8))
         assert abs(got - want) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(T.ShapeError):
-            T.load_balancing([Tensor(np.ones((1, 4)) / 4)], [np.ones(3) / 3])
+            T.load_balancing([Tensor(np.ones((1, 1, 4)) / 4)], [np.ones(3) / 3])
+        with pytest.raises(T.ShapeError):  # two groups' probabilities, one frequency row
+            T.load_balancing([Tensor(np.ones((2, 1, 3)) / 3)], [np.ones(3) / 3])
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(1)
@@ -60,27 +63,33 @@ class TestLoadBalancing:
             f /= f.sum()
             P = rng.uniform(size=6)
             P /= P.sum()
-            assert float(T.load_balancing([Tensor(P[None])], [f]).data) >= 0.0
+            assert float(T.load_balancing([Tensor(P[None, None])], [f]).data) >= 0.0
 
     def test_gradient_flows_through_P_only(self):
         f = np.array([0.5, 0.3, 0.2])
-        x = Tensor(np.array([[0.2, 0.3, 0.5]]))
+        x = Tensor(np.array([[[0.2, 0.3, 0.5]]]))
         err = grad_check(lambda t: T.load_balancing([t], [f]), x, eps=1e-4)
         assert err < 1e-7
 
 
+def z_loss(rows):
+    """``router_z_loss`` of the [tokens x n] ``rows``, router 0 of a family
+    of one."""
+    return float(router_z_loss(Tensor(np.asarray(rows, dtype=np.float64)[None]), 0).data)
+
+
 class TestRouterZLoss:
     def test_zero_logits_closed_form(self):
-        got = float(router_z_loss(Tensor(np.zeros((1, 8)))).data)
+        got = z_loss(np.zeros((1, 8)))
         assert got == pytest.approx(math.log(8) ** 2, abs=1e-9)
 
     def test_single_expert(self):
-        got = float(router_z_loss(Tensor(np.array([[3.5]]))).data)
+        got = z_loss([[3.5]])
         assert got == pytest.approx(3.5 ** 2, abs=1e-12)
 
     def test_two_tokens_extended_precision_oracle(self):
         rows = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.25]])
-        got = float(router_z_loss(Tensor(rows)).data)
+        got = z_loss(rows)
         import mpmath
         mpmath.mp.dps = 50
         acc = mpmath.mpf(0)
@@ -92,17 +101,31 @@ class TestRouterZLoss:
     def test_uniform_logits_shift_identity(self):
         for n in (2, 4, 8, 16):
             for c in (-3.0, 0.7, 100.0):
-                got = float(router_z_loss(Tensor(np.full((1, n), c))).data)
+                got = z_loss(np.full((1, n), c))
                 assert got == pytest.approx((c + math.log(n)) ** 2, abs=1e-10)
 
     def test_stable_for_large_logits(self):
-        got = float(router_z_loss(Tensor(np.array([[700.0, 699.0]]))).data)
+        got = z_loss([[700.0, 699.0]])
         assert np.isfinite(got)
 
-    @pytest.mark.parametrize("shape", [(8,), (), (2, 1, 8)])
+    @pytest.mark.parametrize("shape", [(8,), (), (1, 8)])
     def test_needs_a_logit_matrix(self, shape):
         with pytest.raises(T.ShapeError, match="logit matrix"):
-            router_z_loss(Tensor(np.zeros(shape)))
+            router_z_loss(Tensor(np.zeros(shape)), 0)
+
+    @pytest.mark.parametrize("shape,i", [((2, 1, 8), 2), ((2, 1, 8), -1), ((1, 0, 8), 0)])
+    def test_needs_one_router_of_a_family(self, shape, i):
+        with pytest.raises(T.ShapeError, match="logit matrix"):
+            router_z_loss(Tensor(np.zeros(shape)), i)
+
+    def test_reads_its_router_alone(self):
+        """Router i's loss is that of its slice, and its gradient lands in
+        that slice alone."""
+        logits = Tensor(np.random.default_rng(0).normal(size=(3, 4, 5)), requires_grad=True)
+        loss = router_z_loss(logits, 1)
+        assert loss.data == router_z_loss(Tensor(logits.data[1:2]), 0).data
+        loss.backward()
+        assert not logits.grad[[0, 2]].any() and logits.grad[1].all()
 
 
 class TestLoadBiasing:
@@ -135,7 +158,7 @@ class TestLoadBiasing:
     @pytest.mark.parametrize("mode", ["hard", "sparse_topk"])
     def test_stats_without_group_routing_rejected(self, mode):
         rng = np.random.default_rng(5)
-        routers = [RouterParams(Tensor.param(rng.normal(size=(4, 2)))) for _ in range(2)]
+        routers = [RouterParams(Tensor.param(rng.normal(size=(1, 4, 2)))) for _ in range(2)]
         X = Tensor(rng.normal(size=(4, 4)))
         tags = [MOD_AUDIO, MOD_AUDIO, MOD_VIDEO, MOD_AV]
         routing = (route_hard(tags, tuple(routers), X, k=2) if mode == "hard"
@@ -163,7 +186,7 @@ class TestLoadBiasing:
     def test_gradient_through_Q_via_router(self):
         # loss path: inter-router params -> q -> Q -> L_S, checked numerically
         rng = np.random.default_rng(3)
-        intras = [RouterParams(Tensor.param(rng.normal(size=(4, 3)))) for _ in range(2)]
+        intras = RouterParams(Tensor.param(rng.normal(size=(2, 4, 3))))
         X = Tensor(rng.normal(size=(4, 4)))
         tags = [MOD_AUDIO, MOD_AUDIO, MOD_VIDEO, MOD_VIDEO]
 

@@ -21,7 +21,7 @@ from avmoe.moe_losses import (
 from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
 from avmoe.trainer import TrainConfig, _step_scalars, _supervised_step, build_model
-from chains import chain_mean, concat_rows
+from chains import chain_mean, concat_cols, concat_rows, router_slices, stack
 
 TOL = 1e-12
 FPT = 2  # frames per token
@@ -47,11 +47,14 @@ def laid_end_to_end(records):
     """One Routing over the rows of several, in order."""
     def rows(tensors):
         return concat_rows(list(tensors))
+
+    def family(parts):
+        """One router family's [G x B x n] parts, laid end to end router by router."""
+        return stack([rows(ps) for ps in zip(*(router_slices([p]) for p in parts))])
     first = records[0]
     return Routing([t for r in records for t in r.modalities],
-                   [rows(ps) for ps in zip(*(r.logits for r in records))],
-                   [rows(ps) for ps in zip(*(r.expert_probs for r in records))],
-                   np.concatenate([r.stacked_probs for r in records], axis=1),
+                   [family(fs) for fs in zip(*(r.logits for r in records))],
+                   [family(fs) for fs in zip(*(r.expert_probs for r in records))],
                    np.concatenate([r.selected for r in records]),
                    rows(r.weights for r in records),
                    group_probs=(None if first.group_probs is None
@@ -77,7 +80,8 @@ def per_sequence_step(model, cfg, batch):
         balance = chain_mean([load_balancing_from_stats(s) for s in stats])
         if stats[0].n_groups == 2 and stats[0].g:
             bias = chain_mean([load_biasing_loss(s) for s in stats])
-    z = chain_mean([router_z_loss(r) for r in logit_rows]) if logit_rows else zero
+    z = (chain_mean([router_z_loss(r, i) for r in logit_rows for i in range(r.data.shape[0])])
+         if logit_rows else zero)
     total, means = total_aux_loss(chain_mean(ces), [balance], [bias], [z],
                                   c_balance=cfg.c_balance, c_bias=cfg.c_bias)
     return _step_scalars(ROUTER_COLUMNS, means, total), total
@@ -115,9 +119,8 @@ def test_packed_step_matches_per_sequence_sum(mode, m, k_per_group, lengths, tag
     assert scalars.keys() == ref_scalars.keys()
     for key, value in scalars.items():
         assert _close(value, ref_scalars[key]), key
-    ref_params = ref.named_params()
-    for name, p in packed.named_params().items():
-        want = ref_params[name].grad
+    for name, (p, q) in enumerate(zip(packed.params(), ref.params(), strict=True)):
+        want = q.grad
         assert (p.grad is None) == (want is None), name
         if want is not None:
             assert _close(p.grad, want), name
@@ -129,7 +132,7 @@ def test_packed_step_matches_per_sequence_sum(mode, m, k_per_group, lengths, tag
 def old_encode(model, audio, video):
     a = T.matmul(Tensor(audio), model.audio_proj)
     v = T.matmul(Tensor(video), model.video_proj)
-    X = T.matmul(T.concat_cols([a, v]), model.fusion)
+    X = T.matmul(concat_cols([a, v]), model.fusion)
     for blk in model.encoder_blocks:
         X = blk.ffn.forward(blk.attn.forward(X))
     return X
@@ -177,9 +180,8 @@ def test_one_segment_runs_the_single_sequence_ops_bit_for_bit(mode):
     assert np.array_equal(feats.data, old_feats.data)
     assert np.array_equal(logits.data, old_logits.data)
     assert float(ce.data) == float(old_ce.data)
-    old_params = old.named_params()
-    for name, p in new.named_params().items():
-        want = old_params[name].grad
+    for name, (p, q) in enumerate(zip(new.params(), old.params(), strict=True)):
+        want = q.grad
         assert (p.grad is None) == (want is None), name
         if want is not None:
             assert np.array_equal(p.grad, want), name

@@ -14,12 +14,20 @@ from avmoe.routing import (
     select_topk,
 )
 from avmoe.tensor import ShapeError, Tensor
-from chains import chain_load_balancing, chain_load_biasing, chain_mean_probs, concat_rows
+from chains import (
+    chain_load_balancing, chain_load_biasing, chain_mean_probs, concat_rows, router_slices,
+)
 
 
 def make_router(d, n, seed=0, scale=1.0):
+    """One [d x n] router."""
     rng = np.random.default_rng(seed)
     return RouterParams(Tensor.param(scale * rng.normal(size=(d, n))))
+
+
+def family(*routers):
+    """The routers' weights as one [G x d x n] family."""
+    return RouterParams(Tensor.param(np.stack([r.weight.data for r in routers])))
 
 
 def row(x):
@@ -34,11 +42,12 @@ def weights_at(routing, t):
 
 
 def dense(router, X):
-    """(logits, probs) of ``route_sparse``'s one router over the batch X."""
-    r = route_sparse(router, X, k=1)
-    assert r.stacked_probs.shape == (1, *r.expert_probs[0].data.shape)
-    assert np.array_equal(r.stacked_probs[0], r.expert_probs[0].data)
-    return r.logits[0], r.expert_probs[0]
+    """(logits, probs) arrays of ``route_sparse``'s one [d x n] router, as a
+    family of one, over the batch X."""
+    r = route_sparse(family(router), X, k=1)
+    (logits,), (probs,) = r.logits, r.expert_probs
+    assert logits.data.shape == probs.data.shape == (1, X.data.shape[0], router.weight.shape[1])
+    return logits.data[0], probs.data[0]
 
 
 class TestRouteDense:
@@ -48,12 +57,12 @@ class TestRouteDense:
     def test_zero_weights_uniform(self):
         router = RouterParams(Tensor.param(np.zeros((4, 5))))
         _, probs = dense(router, row(np.ones(4)))
-        assert np.allclose(probs.data, 0.2, atol=1e-12)
+        assert np.allclose(probs, 0.2, atol=1e-12)
 
     def test_closed_form(self):
         router = RouterParams(Tensor.param(np.array([[0.0, math.log(3.0)]])))
         _, probs = dense(router, row([1.0]))
-        assert np.allclose(probs.data, [[0.25, 0.75]], atol=1e-12)
+        assert np.allclose(probs, [[0.25, 0.75]], atol=1e-12)
 
     def test_matches_compositional_oracle(self):
         rng = np.random.default_rng(1)
@@ -64,40 +73,42 @@ class TestRouteDense:
             want_logits = W.T @ X[t]
             want = np.exp(want_logits - want_logits.max())
             want /= want.sum()
-            assert np.max(np.abs(logits.data[t] - want_logits)) < 1e-12
-            assert np.max(np.abs(probs.data[t] - want)) < 1e-12
+            assert np.max(np.abs(logits[t] - want_logits)) < 1e-12
+            assert np.max(np.abs(probs[t] - want)) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.router_softmaxes(row(np.ones(4)), [make_router(3, 2).weight])
+            T.router_softmaxes(row(np.ones(4)), make_router(3, 2).weight)
         with pytest.raises(ShapeError):  # 1-D: not a batch
-            T.router_softmaxes(Tensor(np.ones(4)), [make_router(4, 2).weight])
+            T.router_softmaxes(Tensor(np.ones(4)), make_router(4, 2).weight)
+        with pytest.raises(ShapeError):  # nor a 4-D weight a family
+            T.router_softmaxes(row(np.ones(4)), Tensor(np.ones((1, 1, 4, 2))))
         with pytest.raises(ShapeError):
-            route_sparse(make_router(3, 2), row(np.ones(4)), k=1)
+            route_sparse(family(make_router(3, 2)), row(np.ones(4)), k=1)
         with pytest.raises(ShapeError):  # the inter router's input is checked too
-            route_hierarchical(make_router(3, 2), [make_router(4, 2)] * 2,
+            route_hierarchical(make_router(3, 2), family(make_router(4, 2), make_router(4, 2)),
                                row(np.ones(4)), m=1, X_inter=Tensor(np.ones(3)))
 
 
 class TestSelectTopk:
     def test_closed_form(self):
-        ids, w = select_topk(Tensor([0.1, 0.4, 0.3, 0.2]), 2)
-        assert ids.tolist() == [1, 2]
-        assert np.allclose(w.data, [4 / 7, 3 / 7], atol=1e-12)
+        ids, w = select_topk(row([0.1, 0.4, 0.3, 0.2]), 2)
+        assert ids.tolist() == [[1, 2]]
+        assert np.allclose(w.data, [[4 / 7, 3 / 7]], atol=1e-12)
 
     def test_k_equals_n(self):
-        probs = Tensor([0.2, 0.5, 0.3])
+        probs = row([0.2, 0.5, 0.3])
         ids, w = select_topk(probs, 3)
-        assert ids.tolist() == [1, 2, 0]
+        assert ids.tolist() == [[1, 2, 0]]
         assert np.allclose(np.sort(w.data), np.sort(probs.data), atol=1e-12)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            select_topk(Tensor([0.5, 0.5]), 3)
+            select_topk(row([0.5, 0.5]), 3)
 
     def test_ties_lowest_id_first(self):
-        ids, _ = select_topk(Tensor([0.25, 0.25, 0.25, 0.25]), 2)
-        assert ids.tolist() == [0, 1]
+        ids, _ = select_topk(row([0.25, 0.25, 0.25, 0.25]), 2)
+        assert ids.tolist() == [[0, 1]]
 
     def test_brute_force_subset_oracle(self):
         rng = np.random.default_rng(2)
@@ -106,11 +117,11 @@ class TestSelectTopk:
             probs = rng.uniform(size=n)
             probs /= probs.sum()
             k = int(rng.integers(1, n + 1))
-            ids, w = select_topk(Tensor(probs), k)
+            ids, w = select_topk(row(probs), k)
             # oracle: the k-subset maximizing summed probability
             best = max(itertools.combinations(range(n), k),
                        key=lambda s: (sum(probs[list(s)]), tuple(-i for i in s)))
-            assert sorted(ids) == sorted(best)
+            assert sorted(ids[0]) == sorted(best)
             assert abs(float(w.data.sum()) - 1.0) < 1e-9
 
     def test_rows_select_independently(self):
@@ -118,22 +129,37 @@ class TestSelectTopk:
         probs = rng.uniform(size=(6, 5))
         ids, w = select_topk(Tensor(probs), 2)
         for t in range(6):
-            row_ids, row_w = select_topk(Tensor(probs[t]), 2)
-            assert ids[t].tolist() == row_ids.tolist()
-            assert np.array_equal(w.data[t], row_w.data)
+            row_ids, row_w = select_topk(row(probs[t]), 2)
+            assert ids[t].tolist() == row_ids[0].tolist()
+            assert np.array_equal(w.data[t], row_w.data[0])
+
+    def test_reads_rows_of_a_family_of_one_by_index(self):
+        """The rows ``rows`` of a [1 x B x n] family, gathered from the
+        family itself: its gradient lands in those rows alone."""
+        rng = np.random.default_rng(4)
+        probs = rng.uniform(size=(1, 6, 5))
+        rows = np.array([1, 4, 5])
+        fam = Tensor(probs, requires_grad=True)
+        ids, w = select_topk(fam, 2, rows=rows)
+        want_ids, want_w = select_topk(Tensor(probs[0][rows]), 2)
+        assert np.array_equal(ids, want_ids) and np.array_equal(w.data, want_w.data)
+        T.tsum(T.mul(w, Tensor(rng.normal(size=w.data.shape)))).backward()
+        touched = np.zeros(probs.shape, dtype=bool)
+        touched[0, rows[:, None], ids] = True
+        assert (fam.grad[~touched] == 0).all() and (fam.grad[touched] != 0).any()
 
 
 class TestRouteHard:
     def test_audio_token_zero_visual_weight(self):
         routers = (make_router(4, 3, seed=1), make_router(4, 3, seed=2))
-        r = route_hard([MOD_AUDIO], routers, row(np.ones(4)), k=2)
+        r = route_hard([MOD_AUDIO], tuple(map(family, routers)), row(np.ones(4)), k=2)
         assert all(e < 3 for e in r.selected[0])
         # the audio experts carry the whole weight, leaving none to video
         assert abs(weights_at(r, 0).sum() - 1.0) <= 1e-15
 
     def test_audiovisual_one_per_group(self):
         routers = (make_router(4, 4, seed=3), make_router(4, 4, seed=4))
-        r = route_hard([MOD_AV], routers, row(np.ones(4)), k=2)
+        r = route_hard([MOD_AV], tuple(map(family, routers)), row(np.ones(4)), k=2)
         audio, video = r.selected[0]
         assert audio < 4 <= video
         assert np.allclose(weights_at(r, 0), [0.5, 0.5], atol=1e-15)
@@ -142,20 +168,20 @@ class TestRouteHard:
         rng = np.random.default_rng(5)
         routers = (make_router(4, 5, seed=6), make_router(4, 5, seed=7))
         X = Tensor(rng.normal(size=(6, 4)))
-        r = route_hard([MOD_AUDIO] * 6, routers, X, k=2)
+        r = route_hard([MOD_AUDIO] * 6, tuple(map(family, routers)), X, k=2)
         _, probs = dense(routers[0], X)
         for t in range(6):
-            ids, w = select_topk(Tensor(probs.data[t]), 2)
-            assert r.selected[t].tolist() == ids.tolist()
-            assert np.allclose(weights_at(r, t), w.data, atol=1e-15)
+            ids, w = select_topk(row(probs[t]), 2)
+            assert r.selected[t].tolist() == ids[0].tolist()
+            assert np.allclose(weights_at(r, t), w.data[0], atol=1e-15)
 
     def test_odd_k_audiovisual_rejected(self):
-        routers = (make_router(4, 4), make_router(4, 4))
+        routers = (family(make_router(4, 4)), family(make_router(4, 4)))
         with pytest.raises(RoutingConfigError):
             route_hard([MOD_AV], routers, row(np.ones(4)), k=3)
 
     def test_unknown_modality_rejected(self):
-        routers = (make_router(4, 4), make_router(4, 4))
+        routers = (family(make_router(4, 4)), family(make_router(4, 4)))
         with pytest.raises(RoutingConfigError):
             route_hard(["smell"], routers, row(np.ones(4)), k=2)
 
@@ -163,13 +189,13 @@ class TestRouteHard:
 class TestRouteHierarchical:
     def test_symmetric_inter_router(self):
         inter = RouterParams(Tensor.param(np.zeros((4, 2))))
-        intras = [make_router(4, 4, seed=8), make_router(4, 4, seed=9)]
+        intras = family(make_router(4, 4, seed=8), make_router(4, 4, seed=9))
         r = route_hierarchical(inter, intras, row(np.ones(4)), m=2)
         assert np.allclose(weights_at(r, 0), [0.5, 0.5], atol=1e-12)
 
     def test_m1_single_group(self):
         inter = make_router(4, 2, seed=10)
-        intras = [make_router(4, 4, seed=11), make_router(4, 4, seed=12)]
+        intras = family(make_router(4, 4, seed=11), make_router(4, 4, seed=12))
         r = route_hierarchical(inter, intras, row(np.ones(4)), m=1)
         assert r.selected.shape == (1, 1)
         assert np.allclose(weights_at(r, 0), [1.0])
@@ -179,12 +205,12 @@ class TestRouteHierarchical:
         inter = make_router(4, 2, seed=14)
         intras = [make_router(4, 4, seed=15), make_router(4, 4, seed=16)]
         X = Tensor(rng.normal(size=(50, 4)))
-        r = route_hierarchical(inter, intras, X, m=2)
+        r = route_hierarchical(inter, family(*intras), X, m=2)
         for t in range(50):
             for flat in r.selected[t]:
                 g = int(flat) // 4
                 _, probs = dense(intras[g], Tensor(X.data[t:t + 1]))
-                probs = probs.data[0]
+                probs = probs[0]
                 best, best_p = 0, probs[0]
                 for j in range(1, probs.size):
                     if probs[j] > best_p:
@@ -193,16 +219,16 @@ class TestRouteHierarchical:
 
     def test_m_exceeds_groups(self):
         inter = make_router(4, 2)
-        intras = [make_router(4, 4), make_router(4, 4)]
+        intras = family(make_router(4, 4), make_router(4, 4))
         with pytest.raises(RoutingConfigError):
             route_hierarchical(inter, intras, row(np.ones(4)), m=3)
 
     def test_g1_reduces_to_dense_topk(self):
         rng = np.random.default_rng(17)
-        shared = make_router(6, 8, seed=18)
+        shared = family(make_router(6, 8, seed=18))
         inter = make_router(6, 1, seed=19)
         X = Tensor(rng.normal(size=(30, 6)))
-        hier = route_hierarchical(inter, [shared], X, m=1, k_per_group=2)
+        hier = route_hierarchical(inter, shared, X, m=1, k_per_group=2)
         dense = route_sparse(shared, X, k=2)
         assert np.array_equal(hier.selected, dense.selected)
         # weights: hierarchical q~ is exactly 1 for a single group
@@ -211,13 +237,13 @@ class TestRouteHierarchical:
     def test_normalization_invariants(self):
         rng = np.random.default_rng(20)
         inter = make_router(4, 3, seed=21)
-        intras = [make_router(4, 4, seed=22 + i) for i in range(3)]
+        intras = family(*(make_router(4, 4, seed=22 + i) for i in range(3)))
         r = route_hierarchical(inter, intras, Tensor(rng.normal(size=(100, 4))), m=2)
         assert np.max(np.abs(r.weights.data.sum(axis=1) - 1.0)) < 1e-9
 
     def test_argmax_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(23)
-        router = make_router(5, 6, seed=24)
+        router = family(make_router(5, 6, seed=24))
         X = rng.normal(size=(100, 5))
         a = route_sparse(router, Tensor(X), k=2).selected
         b = route_sparse(router, Tensor(7.3 * X), k=2).selected
@@ -227,20 +253,20 @@ class TestRouteHierarchical:
 class TestDispatchStats:
     def test_single_token_top1(self):
         probs = np.array([0.1, 0.2, 0.6, 0.1])
-        r = route_sparse(RouterParams(Tensor.param(np.log(probs)[None, :])),
+        r = route_sparse(RouterParams(Tensor.param(np.log(probs)[None, None, :])),
                          row([1.0]), k=1)
         stats = dispatch_stats(r)
         assert np.array_equal(stats.expert_f[0], [0, 0, 1, 0])
 
     def test_uniform_probs_uniform_P(self):
-        router = RouterParams(Tensor.param(np.zeros((3, 4))))
+        router = RouterParams(Tensor.param(np.zeros((1, 3, 4))))
         r = route_sparse(router, Tensor(np.random.default_rng(0).normal(size=(5, 3))), 2)
         P, _ = chain_mean_probs(dispatch_stats(r))
         assert np.allclose(P[0].data, 0.25, atol=1e-12)
 
     def test_hand_count_oracle(self):
         inter = make_router(2, 2, seed=30)
-        intras = [make_router(2, 2, seed=31), make_router(2, 2, seed=32)]
+        intras = family(make_router(2, 2, seed=31), make_router(2, 2, seed=32))
         X = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                              [-1.0, 0.0], [0.0, -1.0], [2.0, -1.0]]))
         tags = [MOD_AUDIO, MOD_AUDIO, MOD_AV, MOD_VIDEO, MOD_VIDEO, MOD_AV]
@@ -257,14 +283,14 @@ class TestDispatchStats:
         for gi in range(2):
             freq = np.zeros(2)
             for t in range(6):
-                freq[int(np.argmax(r.expert_probs[gi].data[t]))] += 1
+                freq[int(np.argmax(r.expert_probs[0].data[gi, t]))] += 1
             assert np.array_equal(stats.expert_f[gi], freq / 6)
 
     def test_records_concatenate(self):
         """Routing is row by row: the stats of one record over a batch equal
         those of two half-batch records laid end to end."""
         inter = make_router(3, 2, seed=35)
-        intras = [make_router(3, 4, seed=36), make_router(3, 4, seed=37)]
+        intras = family(make_router(3, 4, seed=36), make_router(3, 4, seed=37))
         X = np.random.default_rng(38).normal(size=(7, 3))
         tags = [MOD_AUDIO, MOD_VIDEO, MOD_AV, MOD_AUDIO, MOD_AV, MOD_VIDEO, MOD_AUDIO]
         whole = dispatch_stats(route_hierarchical(inter, intras, Tensor(X), m=2,
@@ -273,9 +299,10 @@ class TestDispatchStats:
         b = route_hierarchical(inter, intras, Tensor(X[3:]), m=2, modalities=tags[3:])
         parts = dispatch_stats(Routing(
             a.modalities + b.modalities,
-            [concat_rows([p, q]) for p, q in zip(a.logits, b.logits)],
-            [concat_rows([p, q]) for p, q in zip(a.expert_probs, b.expert_probs)],
-            np.concatenate([a.stacked_probs, b.stacked_probs], axis=1),
+            [Tensor(np.concatenate([p.data, q.data], axis=1))
+             for p, q in zip(a.logits, b.logits)],
+            [Tensor(np.concatenate([p.data, q.data], axis=1))
+             for p, q in zip(a.expert_probs, b.expert_probs)],
             np.concatenate([a.selected, b.selected]),
             concat_rows([a.weights, b.weights]),
             group_probs=concat_rows([a.group_probs, b.group_probs])))
@@ -290,7 +317,7 @@ class TestDispatchStats:
 
     def test_frequency_vectors_sum_to_one(self):
         rng = np.random.default_rng(33)
-        router = make_router(3, 5, seed=34)
+        router = family(make_router(3, 5, seed=34))
         stats = dispatch_stats(route_sparse(router, Tensor(rng.normal(size=(20, 3))), 2))
         assert abs(stats.expert_f[0].sum() - 1.0) < 1e-9
         assert (stats.expert_f[0] >= 0).all() and (stats.expert_f[0] <= 1).all()
@@ -302,10 +329,8 @@ def oracle_dispatch_stats(routing):
     are."""
     tags = np.asarray(routing.modalities)
     n_tok = tags.size
-    group_sizes = routing.group_sizes
-
-    expert_f = [np.bincount(probs.data.argmax(axis=1), minlength=n) / n_tok
-                for probs, n in zip(routing.expert_probs, group_sizes)]
+    probs = [p for family in routing.expert_probs for p in family.data]
+    expert_f = [np.bincount(p.argmax(axis=1), minlength=p.shape[1]) / n_tok for p in probs]
 
     g = {}
     counts = {key: 0 for key in MODALITIES}
@@ -318,7 +343,7 @@ def oracle_dispatch_stats(routing):
         if group_probs is not None:
             g[tag] = np.bincount(group_probs.data[rows].argmax(axis=1),
                                  minlength=group_probs.data.shape[1]) / rows.size
-    return DispatchStats(expert_f=expert_f, g=g, counts=counts, n_groups=len(group_sizes),
+    return DispatchStats(expert_f=expert_f, g=g, counts=counts, n_groups=len(probs),
                          expert_probs=routing.expert_probs, group_probs=group_probs,
                          subsets=subsets)
 
@@ -333,7 +358,7 @@ def fused_losses(routing, biasing):
 def chain_losses(routing, biasing):
     """The same losses as chains over the oracle's frequencies and subsets."""
     stats = oracle_dispatch_stats(routing)
-    loss = chain_load_balancing(stats.expert_probs, stats.expert_f)
+    loss = chain_load_balancing(router_slices(stats.expert_probs), stats.expert_f)
     if biasing:
         terms = [(stats.subsets[tag], group, float(stats.g[tag][group]))
                  for tag, group in ((MOD_AUDIO, 0), (MOD_VIDEO, 1)) if stats.counts[tag] > 0]

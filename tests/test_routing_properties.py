@@ -19,7 +19,10 @@ from avmoe.routing import (
     topk_ids,
 )
 from avmoe.tensor import Tensor
-from chains import concat_rows, scatter_rows
+from chains import (
+    chain_load_balancing, chain_router_softmaxes, chain_squared_logsumexp, concat_cols,
+    concat_rows, scatter_rows, stack,
+)
 
 SCALES = (0.0, 1.0, 1e4)
 
@@ -47,12 +50,12 @@ def _route_token(layer, x, tag):
     """(flat expert ids in selection order, their combine weights)."""
     cfg = layer.cfg
     if cfg.mode == "sparse_topk":
-        p = _softmax(x @ layer.router.weight.data)
+        p = _softmax(x @ layer.router.weight.data[0])
         ids = _topk(p, cfg.k)
         return ids, _renorm(p, ids)
     if cfg.mode == "hard":
         n = cfg.n_per_group
-        pa, pv = (_softmax(x @ r.weight.data) for r in layer.intra_routers)
+        pa, pv = (_softmax(x @ r.weight.data[0]) for r in layer.intra_routers)
         plan = {MOD_AUDIO: [(pa, 0, cfg.k, 1.0)], MOD_VIDEO: [(pv, n, cfg.k, 1.0)],
                 MOD_AV: [(pa, 0, cfg.k // 2, 0.5), (pv, n, cfg.k // 2, 0.5)]}[tag]
         ids, weights = [], []
@@ -65,7 +68,7 @@ def _route_token(layer, x, tag):
     groups = _topk(q, cfg.m)
     ids, weights = [], []
     for q_g, g in zip(_renorm(q, groups), groups):
-        p = _softmax(x @ layer.intra_routers[g].weight.data)
+        p = _softmax(x @ layer.intra_routers[0].weight.data[g])
         local = _topk(p, cfg.k_per_group)
         inner = [1.0] if cfg.k_per_group == 1 else _renorm(p, local)
         ids += [g * cfg.n_per_group + i for i in local]
@@ -156,21 +159,22 @@ def _dense_topk(probs, k):
     return ids, T.scatter(w, ids + n * np.arange(B)[:, None], (B, n))
 
 
-def _router(router, X):
-    """One router's (logits, probs) from the router op, on its own."""
-    (logits,), (probs,), _ = T.router_softmaxes(X, [router.weight])
-    return logits, probs
+def _routers(family, X):
+    """(logits, probs) of each router of ``family`` from the router op, on
+    its own: its [d x n] weight the ``stack_slice`` of the family's."""
+    W = family.weight
+    return [T.router_softmaxes(X, T.stack_slice(W, g)) for g in range(W.data.shape[0])]
 
 
 def _dense_route(layer, X, tags, centers):
     cfg = layer.cfg
     B = X.data.shape[0]
     if cfg.mode == "sparse_topk":
-        logits, probs = _router(layer.router, X)
+        (logits, probs), = _routers(layer.router, X)
         ids, weights = _dense_topk(probs, cfg.k)
-        return Routing(tags, [logits], [probs], probs.data[None], ids, weights)
+        return Routing(tags, [stack([logits])], [stack([probs])], ids, weights)
     if cfg.mode == "hard":
-        (lg_a, p_a), (lg_v, p_v) = (_router(r, X) for r in layer.intra_routers)
+        (lg_a, p_a), (lg_v, p_v) = (_routers(r, X)[0] for r in layer.intra_routers)
         n_a, k = cfg.n_per_group, cfg.k
         E = 2 * n_a
         plans = {MOD_AUDIO: [(p_a, 0, k, 1.0)], MOD_VIDEO: [(p_v, n_a, k, 1.0)],
@@ -189,15 +193,14 @@ def _dense_route(layer, X, tags, centers):
                 part = T.scatter(w if share == 1.0 else T.scale(w, share),
                                  rows[:, None] * E + offset + ids, (B, E))
                 weights = part if weights is None else T.add(weights, part)
-        return Routing(tags, [lg_a, lg_v], [p_a, p_v], np.stack([p_a.data, p_v.data]),
+        return Routing(tags, [stack([lg_a]), stack([lg_v])], [stack([p_a]), stack([p_v])],
                        selected, weights)
     G, n = cfg.n_groups, cfg.n_per_group
-    _, q = _router(layer.inter_router, T.sub(X, Tensor(centers)))
+    _, q = T.router_softmaxes(T.sub(X, Tensor(centers)), layer.inter_router.weight)
     group_ids, q_tilde = select_topk(q, cfg.m)
     q_full = T.scatter(q_tilde, group_ids + G * np.arange(B)[:, None], (B, G))
     logits, probs, flat_ids, inner = [], [], [], []
-    for g, router in enumerate(layer.intra_routers):
-        lg, p = _router(router, X)
+    for g, (lg, p) in enumerate(_routers(layer.intra_routers[0], X)):
         if cfg.k_per_group == 1:
             ids = topk_ids(p.data, 1)
             w = Tensor(np.eye(n)[ids[:, 0]])
@@ -209,10 +212,9 @@ def _dense_route(layer, X, tags, centers):
         inner.append(w)
     group_of = np.repeat(np.arange(G), n)
     q_per_expert = T.take(q_full, G * np.arange(B)[:, None] + group_of)
-    weights = T.mul(q_per_expert, T.concat_cols(inner))
+    weights = T.mul(q_per_expert, concat_cols(inner))
     selected = np.stack(flat_ids, axis=1)[np.arange(B)[:, None], group_ids].reshape(B, -1)
-    return Routing(tags, logits, probs, np.stack([p.data for p in probs]), selected, weights,
-                   group_probs=q)
+    return Routing(tags, [stack(logits)], [stack(probs)], selected, weights, group_probs=q)
 
 
 def _dense_combine(layer, X, routing):
@@ -234,7 +236,8 @@ def _train_loss(layer, out, routing, R):
     stats = dispatch_stats(routing)
     loss = T.add(T.tsum(T.mul(out, Tensor(R))), load_balancing_from_stats(stats))
     for lg in routing.logits:
-        loss = T.add(loss, router_z_loss(lg))
+        for i in range(lg.data.shape[0]):
+            loss = T.add(loss, router_z_loss(lg, i))
     if layer.cfg.mode == "hierarchical" and layer.cfg.n_groups == 2:
         loss = T.add(loss, load_biasing_loss(stats))
     return loss
@@ -306,3 +309,48 @@ def test_top1_ids_equal_the_stable_argsort(p):
     got = topk_ids(p, 1)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+# -- a router family's one logits node and one probabilities node against
+# each router's own matmul and softmax nodes ----------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), B=st.integers(1, 79), d=st.sampled_from([8, 16, 32]),
+       n=st.sampled_from([2, 3, 4, 8]), G=st.integers(1, 3))
+def test_router_family_equals_the_per_router_chain(seed, B, d, n, G):
+    """A route's shape: X feeds a residual product, the inter router (one
+    [d x G] router, drawn non-zero) and a family of G intra routers, so it
+    takes G + 2 gradient terms, at least three, and an ordering error does
+    not add zeros. The family is read as a supervised step reads it: each
+    router's z-loss and the balancing of all. Its one logits node and one
+    probabilities node must give the values, X's gradient and each router
+    weight's gradient of the routers' own matmul and softmax nodes
+    (``chains.chain_router_softmaxes``), bit for bit and stride for stride;
+    the family weight is the chains' ``stack`` of the routers' weights."""
+    rng = np.random.default_rng(seed)
+    X0, C = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+    W_inter, Ws = rng.normal(size=(d, G)), [rng.normal(size=(d, n)) for _ in range(G)]
+    Q, f = rng.normal(size=(B, G)), rng.random((G, n))
+
+    def run(family):
+        X, inter = Tensor.param(X0), Tensor.param(W_inter)
+        W = [Tensor.param(w) for w in Ws]
+        _, q = T.router_softmaxes(X, inter)
+        loss = T.add(T.tsum(T.mul(X, Tensor(C))), T.tsum(T.mul(q, Tensor(Q))))
+        if family:
+            logits, probs = T.router_softmaxes(X, stack(W))
+            terms = [router_z_loss(logits, g) for g in range(G)]
+            terms.append(T.load_balancing([probs], f))
+            values = [logits.data, probs.data]
+        else:
+            logits, probs = chain_router_softmaxes(X, W)
+            terms = [chain_squared_logsumexp(lg) for lg in logits]
+            terms.append(chain_load_balancing(probs, f))
+            values = [np.stack([t.data for t in logits]), np.stack([t.data for t in probs])]
+        for term in terms:
+            loss = T.add(loss, term)
+        loss.backward()
+        return values + [q.data, loss.data, X.grad, inter.grad] + [w.grad for w in W]
+
+    for got, want in zip(run(True), run(False), strict=True):
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides

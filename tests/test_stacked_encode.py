@@ -68,7 +68,7 @@ def test_stacked_encode_equals_single_encodes(seed, n, frames, n_enc):
         ref_loss = T.add(ref_loss, T.add(T.tsum(T.mul(blocks[0], Tensor(w_first[i]))),
                                          T.tsum(T.mul(f, Tensor(w_feat[i])))))
     ref_loss.backward()
-    for name, got, p in zip(model.named_params(), stacked_grads, model.params()):
+    for name, (got, p) in enumerate(zip(stacked_grads, model.params())):
         if p.grad is None:  # the decoder
             assert got is None, name
         elif n == 1:

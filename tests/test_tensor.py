@@ -12,7 +12,7 @@ from avmoe.tensor import (
     Tensor, ShapeError, attention_block, cross_entropy_rows, grad_check, head_mse, matmul,
 )
 from avmoe.trainer import TrainConfig, train
-from chains import logsumexp, softmax, tmean
+from chains import concat_cols, logsumexp, softmax, tmean
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -49,7 +49,7 @@ def test_matmul_shape_mismatch_names_shapes():
 def router_softmax(v):
     """The softmax of one router whose logits are exactly ``v``: the
     ``router_softmaxes`` of a [1 x 1] batch holding 1 and the weight [v]."""
-    _, (probs,), _ = T.router_softmaxes(Tensor([[1.0]]), [Tensor(np.reshape(v, (1, -1)))])
+    _, probs = T.router_softmaxes(Tensor([[1.0]]), Tensor(np.reshape(v, (1, -1))))
     return probs.data[0]
 
 
@@ -239,6 +239,8 @@ PRIMITIVES = {
     "mse": lambda t, rng: head_mse(Tensor(rng.normal(size=(2, 5, 3))), 1, t,
                                    rng.normal(size=(5, 4)), [0, 2, 4]),
     "mean": lambda t, rng: tmean(t),
+    "concat_cols": lambda t, rng: T.tsum(T.mul(concat_cols([Tensor(rng.normal(size=(3, 2))), t]),
+                                               Tensor(rng.normal(size=(3, 6))))),
     "index_rows": lambda t, rng: T.tsum(T.mul(T.index_rows(t, [0, 2, 2, 1]),
                                               Tensor(rng.normal(size=(4, 4))))),
     "cross_entropy_rows": lambda t, rng: T.cross_entropy_rows(t, rng.integers(0, 4, size=3)),
@@ -297,7 +299,7 @@ def test_constant_operands_get_no_gradient():
     c = consts
     expert = [(c["W1"], c["b1"], c["W2"], c["b2"])]
     outs = [T.add(x, c["add"]), T.mul(c["mul"], h), matmul(c["left"], x),
-            matmul(h, c["right"]), T.concat_cols([c["cols"], h]),
+            matmul(h, c["right"]), concat_cols([c["cols"], h]),
             T.moe_combine(h, c["weights"], np.zeros((3, 1), dtype=np.int64), expert, [3])]
     total = T.tsum(outs[0])
     for o in outs[1:]:

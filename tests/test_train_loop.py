@@ -161,8 +161,8 @@ def test_one_loop_matches_the_two_loops(regime, mode, optimizer, steps, uptrain_
     assert tail.keys() == want_tail.keys()
     for key, f in tail.items():
         assert f.tobytes() == want_tail[key].tobytes(), key
-    for name, p in model.named_params().items():
-        assert p.data.tobytes() == want_model.named_params()[name].data.tobytes(), name
+    for name, arr in model.state_dict().items():
+        assert arr.tobytes() == want_model.state_dict()[name].tobytes(), name
     for blk, want_blk in zip(model.decoder_blocks, want_model.decoder_blocks):
         assert blk.moe.inter_center.tobytes() == want_blk.moe.inter_center.tobytes()
     for p in model.params():

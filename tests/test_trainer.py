@@ -323,7 +323,7 @@ _MOE_LAYOUT = {
 def test_named_params_layout(mode):
     """Checkpoints store parameters under these names, in this order: per
     decoder block self- and cross-attention, the experts, then the sparse,
-    inter and intra routers."""
+    inter and intra routers, a router family's routers one by one."""
     model = build_model(_layout_cfg(mode))
     want = [("audio_proj", (5, 8)), ("video_proj", (6, 8)), ("fusion", (16, 8)),
             ("token_emb", (7, 8)), ("head", (8, 7))]
@@ -331,7 +331,7 @@ def test_named_params_layout(mode):
     for i in range(2):
         want += [(f"dec{i}.p{j}", shape)
                  for j, shape in enumerate(_ATTN * 2 + _MOE_LAYOUT[mode])]
-    assert [(name, p.data.shape) for name, p in model.named_params().items()] == want
+    assert [(name, a.shape) for name, a in model.state_dict().items()] == want
 
 
 @pytest.mark.parametrize("mode", ["sparse_topk", "hard", "hierarchical"])
@@ -341,13 +341,14 @@ def test_build_model_draws_routers_from_routing_init_stream(mode):
     for blk in model.decoder_blocks:
         moe = blk.moe
         if mode == "sparse_topk":
-            assert np.array_equal(moe.router.weight.data, 0.02 * rng.normal(size=(8, 5)))
+            assert np.array_equal(moe.router.weight.data, 0.02 * rng.normal(size=(1, 8, 5)))
             assert moe.intra_routers == []
         else:
             assert moe.router is None
-            assert len(moe.intra_routers) == 2
-            for r in moe.intra_routers:
-                assert np.array_equal(r.weight.data, 0.02 * rng.normal(size=(8, 3)))
+            # hard routing's two routers are a family each, the intra routers one
+            assert len(moe.intra_routers) == (2 if mode == "hard" else 1)
+            got = np.concatenate([r.weight.data for r in moe.intra_routers])
+            assert np.array_equal(got, 0.02 * rng.normal(size=(2, 8, 3)))
         if mode == "hierarchical":
             assert np.array_equal(moe.inter_router.weight.data, np.zeros((8, 2)))
         else:
@@ -707,14 +708,14 @@ def test_router_warmup_moves_only_routers():
     model = build_model(cfg)
     router_ids = set(id(r.weight) for blk in model.decoder_blocks
                      for r in [blk.moe.inter_router] + blk.moe.intra_routers)
-    before = {name: p.data.copy() for name, p in model.named_params().items()}
+    before = [p.data.copy() for p in model.params()]
     from avmoe.trainer import _train
     from avmoe.metrics import CsvTable
     from avmoe.trainer import STEP_COLUMNS
     _train(model, cfg, CsvTable(STEP_COLUMNS))
-    for name, p in model.named_params().items():
+    for name, (b, p) in enumerate(zip(before, model.params())):
         if id(p) not in router_ids:
-            assert np.array_equal(before[name], p.data), name
+            assert np.array_equal(b, p.data), name
 
 
 def test_identical_expert_init_copies_weights():

@@ -28,12 +28,23 @@ runs or passes is listed.
 Usage, from the repository root (about 40 s on one core)::
 
     python tools/reach.py
+    python tools/reach.py --keep tools/reach_keep.json
 
-It takes no options and always exits 0.
+Without options it exits 0. With ``--keep`` it then checks every listed
+entry against the keep list: a JSON list of entries, each giving the
+``file`` (relative to ``src/``), the qualified ``name`` of the function or
+class that holds it, its ``kind`` (``line``, ``arm`` or ``parameter``), its
+``text`` (the never-run line's source, stripped; the arm as listed, such as
+``never true: if idx.size == 0``; or ``parameter=default``) and the
+``reason`` it stays. No entry holds a line number, so an entry still
+matches after its lines move. It prints each listed entry the keep list
+lacks and each keep entry that no longer appears, and exits 1 when the
+keep list lacks any.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -43,8 +54,10 @@ import runpy
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avmoe"
@@ -259,8 +272,96 @@ def _run_entry_points(work: Path) -> list[str]:
     return failed
 
 
-def main() -> int:
-    cwd, argv = os.getcwd(), sys.argv
+class Finding(NamedTuple):
+    """One listed entry, as the keep list names it: no line number."""
+
+    file: str
+    name: str
+    kind: str  # line | arm | parameter
+    text: str
+
+
+@dataclass
+class Scan:
+    """What ``scan_file`` found in one file: the listed entries, each with
+    where it is (line numbers or a call count) for the report, and the line
+    and ``if`` totals."""
+
+    findings: list[tuple[Finding, str]] = field(default_factory=list)
+    total: int = 0
+    run: int = 0
+    error_path: int = 0
+    ifs: int = 0
+
+
+def scan_file(name: str, source: str, seen: set[int], arcs: set[tuple[int, int]],
+              params: dict[str, list[list]]) -> Scan:
+    """The entries of one file of ``source``, named ``name``, given the
+    lines, arcs and ``Trace.params`` entry its traced run recorded."""
+    scan = Scan()
+    lines = source.splitlines()
+    for line, (owner, is_error_path) in classify(source).items():
+        scan.total += 1
+        if line in seen:
+            scan.run += 1
+        elif is_error_path:
+            scan.error_path += 1
+        else:
+            scan.findings.append((Finding(name, owner, "line", lines[line - 1].strip()),
+                                  str(line)))
+    scan.ifs = sum(isinstance(node, ast.If) and node.lineno in seen
+                   for node in ast.walk(ast.parse(source)))
+    scan.findings += [(Finding(name, owner, "arm", f"never {arm}: if {test}"), str(line))
+                      for line, owner, arm, test in untaken_arms(source, arcs)]
+    scan.findings += [(Finding(name, function, "parameter", param), f"{calls} calls")
+                      for function, param, calls in always_default(params)]
+    return scan
+
+
+def check_keep(found: list[Finding], keep: list[dict]) -> tuple[list[Finding], list[Finding]]:
+    """(each found entry the keep list lacks, each kept entry not found),
+    counted as multisets: a line's text may appear twice in one function."""
+    kept = Counter(Finding(e["file"], e["name"], e["kind"], e["text"]) for e in keep)
+    found = Counter(found)
+    return sorted((found - kept).elements()), sorted((kept - found).elements())
+
+
+def report(scans: list[Scan], failed: list[str]) -> None:
+    """Print the three lists and their totals."""
+    for scan in scans:
+        held: dict[tuple[str, str], list[str]] = {}
+        for finding, where in scan.findings:
+            if finding.kind == "line":
+                held.setdefault((finding.file, finding.name), []).append(where)
+        for (file, owner), lines in held.items():
+            print(f"{file} {owner}: " + ", ".join(lines))
+    for line in failed:
+        print(f"entry point failed, so its lines may be missing: {line}")
+    total, run, error_path = (sum(getattr(s, a) for s in scans)
+                              for a in ("total", "run", "error_path"))
+    entries = [(f, where) for s in scans for f, where in s.findings]
+    arms = [f"{f.file} {f.name} {where}: {f.text}" for f, where in entries if f.kind == "arm"]
+    params = [f"{f.file} {f.name}({f.text}): {where}" for f, where in entries
+              if f.kind == "parameter"]
+    print(f"{total} executable lines in src/avmoe, {run} run; of the "
+          f"{total - run} never run, {error_path} are in a raise statement or an "
+          f"except handler and {total - run - error_path} are listed above")
+    print("\n".join(["", *arms]))
+    print(f"{sum(s.ifs for s in scans)} if statements run; {len(arms)} above have an arm no "
+          f"entry point takes (a guard whose body is one raise is not listed)")
+    print("\n".join(["", *params]))
+    print(f"{len(params)} defaulted parameters above are left at their default "
+          f"by every call")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="List what of src/avmoe no entry point "
+                                                 "runs or varies.")
+    parser.add_argument("--keep", type=Path, help="check the listed entries against this "
+                                                  "keep list (JSON); exit 1 on one it lacks")
+    args = parser.parse_args(argv)
+    keep = None if args.keep is None else json.loads(args.keep.read_text())
+    cwd, sys_argv = os.getcwd(), sys.argv
     with tempfile.TemporaryDirectory(prefix="reach_") as work:
         os.chdir(work)
         try:
@@ -270,44 +371,24 @@ def main() -> int:
                 failed = _run_entry_points(Path(work))
         finally:
             os.chdir(cwd)
-            sys.argv = argv
+            sys.argv = sys_argv
 
-    total = run = error_path = 0
-    arms, n_ifs, params = [], 0, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        name, source = path.relative_to(ROOT / "src"), path.read_text()
-        seen = trace.lines.get(str(path), set())
-        missed: dict[str, list[int]] = {}
-        for line, (owner, is_error_path) in classify(source).items():
-            total += 1
-            if line in seen:
-                run += 1
-            elif is_error_path:
-                error_path += 1
-            else:
-                missed.setdefault(owner, []).append(line)
-        for owner, lines in missed.items():
-            print(f"{name} {owner}: " + ", ".join(map(str, lines)))
-        arcs = trace.arcs.get(str(path), set())
-        n_ifs += sum(isinstance(node, ast.If) and node.lineno in seen
-                     for node in ast.walk(ast.parse(source)))
-        arms += [f"{name} {owner} {line}: never {arm}: if {test}"
-                 for line, owner, arm, test in untaken_arms(source, arcs)]
-        params += [f"{name} {function}({param}): {calls} calls"
-                   for function, param, calls in always_default(trace.params.get(str(path), {}))]
-    for line in failed:
-        print(f"entry point failed, so its lines may be missing: {line}")
-    listed = total - run - error_path
-    print(f"{total} executable lines in src/avmoe, {run} run; of the "
-          f"{total - run} never run, {error_path} are in a raise statement or an "
-          f"except handler and {listed} are listed above")
-    print("\n".join(["", *arms]))
-    print(f"{n_ifs} if statements run; {len(arms)} above have an arm no entry point "
-          f"takes (a guard whose body is one raise is not listed)")
-    print("\n".join(["", *params]))
-    print(f"{len(params)} defaulted parameters above are left at their default "
-          f"by every call")
-    return 0
+    scans = [scan_file(str(path.relative_to(ROOT / "src")), path.read_text(),
+                       trace.lines.get(str(path), set()), trace.arcs.get(str(path), set()),
+                       trace.params.get(str(path), {}))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    report(scans, failed)
+    if keep is None:
+        return 0
+    unlisted, stale = check_keep([f for s in scans for f, _ in s.findings], keep)
+    print()
+    for f in unlisted:
+        print(f"not on the keep list: {f.file} {f.name} {f.kind}: {f.text}")
+    for f in stale:
+        print(f"stale keep entry, no longer listed: {f.file} {f.name} {f.kind}: {f.text}")
+    print(f"{len(keep)} keep entries; {len(unlisted)} listed entries not on the keep list, "
+          f"{len(stale)} stale keep entries")
+    return 1 if unlisted else 0
 
 
 if __name__ == "__main__":
