@@ -16,7 +16,8 @@ public op of ``avmoe.tensor`` but ``tsum``, which ends every case, has a row
 named after it or prefixed ``<op>_``, and ``tests/test_tensor.py`` checks
 that it does, and that the program or a demo runs each of them. The ops
 that only the tests' chains use live in ``tests/chains.py``, and the tests
-grad-check them there. The "moe" module probes ``MoELayer.forward``
+grad-check them there: so ``standardize_rows``' rows all pass a residual,
+and the norm alone is the chains' ``standardize``. The "moe" module probes ``MoELayer.forward``
 through its input or the weight of each router family (``_layer_case``),
 and "losses" the router losses through the routings they read (the
 z-loss's own op, ``squared_logsumexp``, has its rows in "tensor").
@@ -230,7 +231,6 @@ CASES = {
         ("scatter", _probe("scatter", {"values": (3, 3)}, shape=(4, 5),
                            flat_idx=[[0, 7, 19], [3, 3, 12], [5, 11, 18]])),
         ("stack_slice", _probe("stack_slice", {"stack": S}, i=1)),
-        ("standardize_rows", _probe("standardize_rows", {"a": M})),
         ("standardize_rows_residual", _probe("standardize_rows", {"a": M, "residual": M})),
         ("standardize_rows_residual_operand",
          _probe("standardize_rows", {"a": M, "residual": M}, "residual")),

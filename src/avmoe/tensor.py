@@ -26,10 +26,10 @@ projections, their concatenation and the fusion product), the sub-blocks
 and output products, the residual add and the standardization; keys and
 values computed inside or passed in as operands) and ``ffn_block`` (the
 FFN, the residual add and the standardization), ``ffn`` (both
-projections, biases and the GELU between them), ``standardize_rows`` with
-an optional residual operand (the add before the norm) and
-``moe_combine`` (every routed expert's FFN on its rows, with one GELU over
-all of them, weighted and summed per row). So is each router-loss term of
+projections, biases and the GELU between them), ``standardize_rows`` (the
+residual add and the norm after it) and ``moe_combine`` (every routed
+expert's FFN on its rows, with one GELU over all of them, weighted and
+summed per row). So is each router-loss term of
 the supervised step: ``load_balancing`` (into each group's slice of the
 stacked probabilities), ``load_biasing`` (into the inter-router
 probabilities of each subset's rows) and ``squared_logsumexp`` (the z-loss,
@@ -43,8 +43,9 @@ arithmetic of the primitive-op chain it stands for, in the same order, and
 hands each operand the gradient that chain's backward would. The chains
 are the tests' oracle: ``tests/chains.py`` builds them, with the primitive
 ops that only they use (``tmean``, ``mean_axis0``, ``logsumexp``,
-``softmax`` and ``concat_cols``, which no run calls), and ``tests/test_fused_ops.py`` checks
-each fused op against its chain bit for bit. ``router_softmaxes`` is the
+``softmax``, ``concat_cols`` and ``standardize``, the one-operand norm,
+which no run calls), and ``tests/test_fused_ops.py`` checks each fused op
+against its chain bit for bit. ``router_softmaxes`` is the
 one router op: one logits node and one probabilities node for a family of
 routers held as one [G x d x n] parameter, standing for each router's own
 matmul and softmax nodes; the ops that read one router read its slice by
@@ -649,29 +650,24 @@ def _standardize_derivative(g, y, inv):
     return gx
 
 
-def standardize_rows(a: Tensor, residual: Tensor | None = None) -> Tensor:
-    """Zero-mean unit-variance per row (last axis) of ``a``, or of
-    ``a + residual`` (same shape) as one node, with no learned affine; the
-    variance takes an epsilon of 1e-6."""
-    a = _as_tensor(a)
-    if residual is None:
-        x, operands = a.data.copy(), (a,)
-    else:
-        residual = _as_tensor(residual)
-        if residual.data.shape != a.data.shape:
-            raise ShapeError(f"residual {residual.data.shape} for rows of shape {a.data.shape}")
-        x, operands = a.data + residual.data, (a, residual)
-    y, inv = _standardize_forward(x)
-    if not _track(*operands):
+def standardize_rows(a: Tensor, residual: Tensor) -> Tensor:
+    """Zero-mean unit-variance per row (last axis) of ``a + residual`` (same
+    shape) as one node, with no learned affine; the variance takes an
+    epsilon of 1e-6."""
+    a, residual = _as_tensor(a), _as_tensor(residual)
+    if residual.data.shape != a.data.shape:
+        raise ShapeError(f"residual {residual.data.shape} for rows of shape {a.data.shape}")
+    y, inv = _standardize_forward(a.data + residual.data)
+    if not _track(a, residual):
         return Tensor(y)
 
     def backward(g):
         gx = _standardize_derivative(g, y, inv)
-        for t in operands:
+        for t in (a, residual):
             if _needs_grad(t):
                 t._accum(gx)
 
-    return _make(y, operands, backward)
+    return _make(y, (a, residual), backward)
 
 
 # -- fused layers -------------------------------------------------------------

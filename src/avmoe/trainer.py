@@ -270,6 +270,8 @@ class TrainConfig:
 
 @dataclass
 class MetricsReport:
+    """What ``train`` returns; ``_write_run`` writes every field into the
+    run directory, the model as its checkpoint."""
     final_losses: dict
     steps_table: CsvTable
     expert_load: CsvTable
@@ -279,9 +281,6 @@ class MetricsReport:
     group_affinity: dict
     # the trained model, for in-process callers
     model: Model | None = None
-    # (layer, group) -> mean within-group top-1 frequency vector over the
-    # last 10% of supervised steps; empty for pure uptraining runs
-    expert_load_tail: dict = field(default_factory=dict)
 
 
 # -- seed streams -------------------------------------------------------------
@@ -492,8 +491,8 @@ def _step_scalars(columns, means, total: Tensor) -> dict[str, float]:
 # -- supervised regime --------------------------------------------------------
 
 def _supervised_step(model: Model, cfg: TrainConfig, batch):
-    """Forward one batch, packed into one sequence; returns (scalars, total
-    loss Tensor, the DispatchStats of each MoE layer keyed by layer index).
+    """Forward one batch, packed into one sequence; returns (scalars, the
+    total loss Tensor).
 
     CE and the z-loss weigh every sequence equally, as the mean of
     per-sequence means."""
@@ -501,18 +500,16 @@ def _supervised_step(model: Model, cfg: TrainConfig, batch):
     feats, _ = model.encode(audios, videos)
     _, ce, aux = model.decode_train(feats, labels, modality=tags,
                                     feature_lengths=[a.shape[0] for a in audios])
-    stats = {li: layer_aux["stats"] for li, layer_aux in enumerate(aux)
-             if layer_aux["stats"] is not None}
-    first = next(iter(stats.values()), None)
-    balance = [load_balancing_from_stats(s) for s in stats.values()]
-    bias = ([load_biasing_loss(s) for s in stats.values()]
-            if first is not None and first.n_groups == 2 and first.g else [])
+    stats = [layer_aux["stats"] for layer_aux in aux if layer_aux["stats"] is not None]
+    balance = [load_balancing_from_stats(s) for s in stats]
+    bias = ([load_biasing_loss(s) for s in stats]
+            if stats and stats[0].n_groups == 2 and stats[0].g else [])
     row_weights = sequence_mean_weights([len(seq) + 1 for seq in labels])
     z = [router_z_loss(logits, i, row_weights) for layer_aux in aux
          for logits in layer_aux["logit_rows"] for i in range(logits.data.shape[0])]
     total, means = total_aux_loss(ce, balance, bias, z, c_balance=cfg.c_balance,
                                   c_bias=cfg.c_bias)
-    return _step_scalars(ROUTER_COLUMNS, means, total), total, stats
+    return _step_scalars(ROUTER_COLUMNS, means, total), total
 
 
 def _supervised_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
@@ -618,7 +615,7 @@ def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
                                seed=cfg.generator.codebook_seed)
 
     def take_step(data_rng, corr_rng):
-        return *_uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng), {}
+        return _uptrain_step(model, teacher, heads, centroids, cfg, data_rng, corr_rng)
 
     def follow_student(step: int):
         teacher.current_step = step
@@ -628,42 +625,32 @@ def _uptrain_phase(model: Model, cfg: TrainConfig, steps: int) -> tuple:
 
 # -- the training loop --------------------------------------------------------
 
-def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> tuple[dict, dict]:
+def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> dict:
     """Train ``model`` through the phases of ``cfg.regime``, one ``table``
     row per step, numbered (as is a DivergenceError's step) by the rows
-    before it; returns the last finite scalars and the expert-load tail."""
+    before it; returns the last finite scalars."""
     phases = {"supervised_moe": [(_supervised_phase, cfg.steps)],
               "cav2vec_uptrain": [(_uptrain_phase, cfg.steps)],
               "combined_pipeline": [(_uptrain_phase, cfg.uptrain_steps),
                                     (_supervised_phase, cfg.steps)]}[cfg.regime]
     last_finite: dict = {}
-    # within-group top-1 frequencies over the last 10% of a phase's steps,
-    # keyed (layer, group); only supervised steps report them
-    tail_f: dict = {}
-    tail_n = 0
     for make_phase, steps in phases:
         # the phase's parameters; take_step(data_rng, corr_rng) -> (scalars,
-        # loss, stats by layer); freezes (N, ids frozen for N steps); lr_scales
+        # loss); freezes (N, ids frozen for N steps); lr_scales
         params, take_step, freezes, lr_scales, after_step = make_phase(model, cfg, steps)
         streams = seed_streams(cfg.seed)
         data_rng = np.random.default_rng(streams["data"])
         corr_rng = np.random.default_rng(streams["corruption"])
         opt = make_optimizer(cfg.optimizer, cfg.lr, params, lr_scales)
-        tail_start = steps - max(1, steps // 10)
         try:
             for step in range(steps):
                 frozen = set().union(*(ids for until, ids in freezes if step < until))
                 for p in params:
                     p.requires_grad = id(p) not in frozen
                 try:
-                    scalars, total, stats = take_step(data_rng, corr_rng)
+                    scalars, total = take_step(data_rng, corr_rng)
                 except T.NumericError as exc:
                     raise DivergenceError(len(table), last_finite) from exc
-                if step >= tail_start and stats:
-                    for li, s in stats.items():
-                        for gi, f in enumerate(s.expert_f):
-                            tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
-                    tail_n += 1
                 total.backward()
                 opt()
                 if after_step is not None:
@@ -673,8 +660,7 @@ def _train(model: Model, cfg: TrainConfig, table: CsvTable) -> tuple[dict, dict]
         finally:
             for p in params:
                 p.requires_grad = True
-    tail = {key: f / tail_n for key, f in tail_f.items()} if tail_n else {}
-    return last_finite, tail
+    return last_finite
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -836,7 +822,7 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     """Run a regime end to end and emit the report artifacts."""
     model = build_model(cfg)
     table = CsvTable(STEP_COLUMNS)
-    final, load_tail = _train(model, cfg, table)
+    final = _train(model, cfg, table)
 
     eval_seed = cfg.seed + EVAL_SEED_OFFSET
     ter = {"none": eval_ter(model, cfg.generator, cfg.eval_pairs, "none", eval_seed),
@@ -856,19 +842,19 @@ def train(cfg: TrainConfig, run_dir: str | None = None) -> MetricsReport:
     report = MetricsReport(final_losses=final, steps_table=table,
                            expert_load=expert_load, group_load=group_load,
                            ter=ter, flops=flops, group_affinity=affinity,
-                           model=model, expert_load_tail=load_tail)
+                           model=model)
     if run_dir is not None:
-        _write_run(report, model, cfg, run_dir)
+        _write_run(report, cfg, run_dir)
     return report
 
 
-def _write_run(report: MetricsReport, model: Model, cfg: TrainConfig, run_dir: str):
+def _write_run(report: MetricsReport, cfg: TrainConfig, run_dir: str):
     os.makedirs(run_dir, exist_ok=True)
     write_table(report.steps_table, os.path.join(run_dir, "steps.csv"))
     write_table(report.expert_load, os.path.join(run_dir, "expert_load.csv"))
     if report.group_load is not None:
         write_table(report.group_load, os.path.join(run_dir, "group_load_vs_snr.csv"))
-    model.save_checkpoint(os.path.join(run_dir, "checkpoint.json"))
+    report.model.save_checkpoint(os.path.join(run_dir, "checkpoint.json"))
     with atomic_open(os.path.join(run_dir, "config.json")) as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
     summary = {
@@ -881,7 +867,7 @@ def _write_run(report: MetricsReport, model: Model, cfg: TrainConfig, run_dir: s
         "flops": report.flops,
         "ter": report.ter,
         "group_affinity": report.group_affinity,
-        "param_count": model.param_count(),
+        "param_count": report.model.param_count(),
     }
     with atomic_open(os.path.join(run_dir, "summary.json")) as f:
         json.dump(summary, f, indent=2, sort_keys=True)

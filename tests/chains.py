@@ -4,9 +4,9 @@ Each fused op of ``avmoe.tensor`` runs the numpy arithmetic of its chain in
 the chain's order, so its output and operand gradients equal the chain's
 bit for bit (``test_fused_ops.py``). The chains use the ops below, which no
 run calls, so the package does not ship them: ``tmean``, ``mean_axis0``,
-``logsumexp``, ``softmax``, ``transpose``, ``stack_matmul``, ``concat_cols``,
-``concat_rows``, ``stack`` and ``scatter_rows``, each one node made with
-``tensor._make``.
+``logsumexp``, ``softmax``, ``standardize``, ``transpose``, ``stack_matmul``,
+``concat_cols``, ``concat_rows``, ``stack`` and ``scatter_rows``, each one
+node made with ``tensor._make``.
 ``router_slices`` hands the chains one tensor per router of the router
 families a routing holds.
 
@@ -74,6 +74,16 @@ def softmax(a: Tensor) -> Tensor:
     if not T._track(a):
         return Tensor(y)
     return T._make(y, (a,), lambda g: a._accum(T._softmax_derivative(g, y)))
+
+
+def standardize(a: Tensor) -> Tensor:
+    """Zero-mean unit-variance per row (last axis), the norm that
+    ``standardize_rows`` applies after its residual add."""
+    a = T._as_tensor(a)
+    y, inv = T._standardize_forward(a.data.copy())
+    if not T._track(a):
+        return Tensor(y)
+    return T._make(y, (a,), lambda g: a._accum(T._standardize_derivative(g, y, inv)))
 
 
 def transpose(a):
@@ -187,7 +197,7 @@ def chain_attention(Q, K, V, mask):
 
 
 def chain_standardize(a, residual):
-    return T.standardize_rows(T.add(a, residual))
+    return standardize(T.add(a, residual))
 
 
 def chain_attention_block(X, Wq, Wk, Wv, Wo, mask=None, kv=None):

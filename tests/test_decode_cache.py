@@ -1,8 +1,9 @@
 """Incremental greedy decoding against the full-prefix decoder it replaced,
 and lockstep decoding of packed sequences against one call per sequence.
 
-The oracle re-runs ``decode_step`` over the whole prefix at every token and
-takes the last row's argmax. The cached decoder computes each new row's keys
+The oracle re-runs the teacher-forced decoder (``Model._decode`` of one
+sequence with no cache) over the whole prefix at every token and takes the
+last row's argmax. The cached decoder computes each new row's keys
 and values with a [1 x d] matmul instead of a row of a [n x d] one, so its
 logits agree to 1e-12, not bit for bit. Lockstep decoding runs every live
 sequence's row in one matmul and masks the other sequences' rows out of each
@@ -55,7 +56,9 @@ def full_prefix_greedy(model: Model, feats, max_len: int, modality: str):
     tokens, steps = [model.cfg.bos_id], []
     with T.no_grad():
         for _ in range(max_len):
-            logits, _ = model.decode_step(feats, tokens, modality)
+            n = len(tokens)
+            logits, _ = model._decode(feats, tokens, [n], [feats.data.shape[0]],
+                                      [modality] * n)
             steps.append(logits.data[-1].copy())
             nxt = int(np.argmax(steps[-1]))
             if nxt == model.cfg.eos_id:

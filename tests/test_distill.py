@@ -8,9 +8,9 @@ from avmoe import tensor as T
 from avmoe.corruption import CorruptionPlan
 from avmoe.distill import (
     MODE_A_ONLY, MODE_AV, MODE_MASKED, TASK_WEIGHTS, TASKS, DistillHeads, VariantError,
-    cav2vec_total_loss, corrupted_frames, corrupted_prediction_loss, ema_update,
-    eta_schedule, make_centroids, make_teacher, masked_prediction_loss, mlm_loss,
-    nearest_centroid_ids, student_input, teacher_targets,
+    cav2vec_total_loss, corrupted_frames, ema_update, eta_schedule, make_centroids,
+    make_teacher, masked_prediction_loss, mlm_loss, nearest_centroid_ids, student_input,
+    teacher_targets,
 )
 from avmoe.model import Model, ModelConfig
 from avmoe.moe_layer import MoELayerConfig
@@ -273,8 +273,8 @@ class TestCorruptedPredictionLoss:
             name, self.A_corr, self.V_corr)))
         ((targets,),) = teacher_targets(
             self.teacher, [(self.A, self.V, [TASKS[name].target_mode])], 1)
-        return corrupted_prediction_loss(feats, 0, targets, corrupted_frames(name, plan),
-                                         self.head)
+        return masked_prediction_loss(feats, 0, targets, corrupted_frames(name, plan),
+                                      self.head)
 
     def direct(self, targets, A, V, frames):
         """The MSE over ``frames`` of the student's features of (A, V) through

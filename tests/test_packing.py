@@ -21,7 +21,7 @@ from avmoe.moe_losses import (
 from avmoe.routing import MODALITIES, Routing, dispatch_stats
 from avmoe.tensor import Tensor
 from avmoe.trainer import TrainConfig, _step_scalars, _supervised_step, build_model
-from chains import chain_mean, concat_cols, concat_rows, router_slices, stack
+from chains import chain_mean, chain_standardize, concat_cols, concat_rows, router_slices, stack
 
 TOL = 1e-12
 FPT = 2  # frames per token
@@ -96,7 +96,7 @@ def _run(step, cfg, batch, center):
     model = build_model(cfg)
     for blk in model.decoder_blocks:
         blk.moe.inter_center = center.copy()
-    scalars, total = step(model, cfg, batch)[:2]
+    scalars, total = step(model, cfg, batch)
     total.backward()
     return model, scalars
 
@@ -157,7 +157,7 @@ def old_decode_train(model, feats, labels, tag):
                 layer.inter_center = (mom * layer.inter_center
                                       + (1 - mom) * X.data.mean(axis=0))
             out = layer.combine(X, layer.route(X, [tag] * n))
-        X = T.standardize_rows(T.add(X, out))
+        X = chain_standardize(X, out)
     logits = T.matmul(X, model.head)
     return logits, T.cross_entropy_rows(logits, labels + [model.cfg.eos_id])
 

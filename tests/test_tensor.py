@@ -12,7 +12,7 @@ from avmoe.tensor import (
     Tensor, ShapeError, attention_block, cross_entropy_rows, grad_check, head_mse, matmul,
 )
 from avmoe.trainer import TrainConfig, train
-from chains import concat_cols, logsumexp, softmax, tmean
+from chains import concat_cols, logsumexp, softmax, standardize, tmean
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -234,7 +234,7 @@ PRIMITIVES = {
         attention_block(t, *(Tensor(rng.normal(size=(4, 4))) for _ in range(4))),
         Tensor(rng.normal(size=t.shape)))),
     "gelu": lambda t, rng: T.tsum(T.gelu(t)),
-    "standardize": lambda t, rng: T.tsum(T.mul(T.standardize_rows(t),
+    "standardize": lambda t, rng: T.tsum(T.mul(standardize(t),
                                                Tensor(rng.normal(size=t.shape)))),
     "mse": lambda t, rng: head_mse(Tensor(rng.normal(size=(2, 5, 3))), 1, t,
                                    rng.normal(size=(5, 4)), [0, 2, 4]),

@@ -8,8 +8,8 @@ gradients of the ones frozen for the step before the optimizer step, which
 leaves them dead for it. The training loop, ``_train``, instead marks frozen
 parameters as constants, so their ops build no tape node and get no
 gradient. Every regime must give the same step rows, final losses,
-expert-load tail, parameter bytes and inter-router centers bit for bit, and
-release every freeze flag.
+parameter bytes and inter-router centers bit for bit, and release every
+freeze flag.
 """
 
 from dataclasses import replace
@@ -53,22 +53,14 @@ def _train_supervised(model, cfg, table, step_offset=0):
                  for blk in blocks if blk.moe.inter_router is not None}
     opt = make_optimizer(cfg.optimizer, cfg.lr, params, lr_scales)
     last_finite = {}
-    tail_start = cfg.steps - max(1, cfg.steps // 10)
-    tail_f = {}
-    tail_n = 0
     for step in range(cfg.steps):
         batch = _sample_batch(cfg, data_rng, corr_rng)
         try:
-            scalars, total, stats = _supervised_step(model, cfg, batch)
+            scalars, total = _supervised_step(model, cfg, batch)
         except T.NumericError:
             raise DivergenceError(step_offset + step, last_finite)
         if not np.isfinite(float(total.data)):
             raise DivergenceError(step_offset + step, last_finite)
-        if step >= tail_start and stats:
-            for li, s in stats.items():
-                for gi, f in enumerate(s.expert_f):
-                    tail_f[li, gi] = tail_f.get((li, gi), 0.0) + f
-            tail_n += 1
         total.backward()
         frozen = set().union(*(ids for until, ids in freezes if step < until))
         for p in params:
@@ -79,8 +71,7 @@ def _train_supervised(model, cfg, table, step_offset=0):
         table.append([step_offset + step, scalars["L_CE"], scalars["L_B"],
                       scalars["L_S"], scalars["L_Z"], 0.0, 0.0, 0.0, 0.0,
                       scalars["total"]])
-    tail = {key: f / tail_n for key, f in tail_f.items()} if tail_n else {}
-    return last_finite, tail
+    return last_finite
 
 
 def _train_uptrain(model, cfg, table):
@@ -115,16 +106,12 @@ def _train_uptrain(model, cfg, table):
 
 
 def reference_train(model, cfg, table):
-    load_tail = {}
     if cfg.regime == "supervised_moe":
-        final, load_tail = _train_supervised(model, cfg, table)
-    elif cfg.regime == "cav2vec_uptrain":
-        final = _train_uptrain(model, cfg, table)
-    else:
-        _train_uptrain(model, replace(cfg, steps=cfg.uptrain_steps), table)
-        final, load_tail = _train_supervised(model, cfg, table,
-                                             step_offset=cfg.uptrain_steps)
-    return final, load_tail
+        return _train_supervised(model, cfg, table)
+    if cfg.regime == "cav2vec_uptrain":
+        return _train_uptrain(model, cfg, table)
+    _train_uptrain(model, replace(cfg, steps=cfg.uptrain_steps), table)
+    return _train_supervised(model, cfg, table, step_offset=cfg.uptrain_steps)
 
 
 counts = st.integers(0, 4)
@@ -152,15 +139,12 @@ def test_one_loop_matches_the_two_loops(regime, mode, optimizer, steps, uptrain_
         "generator": {"vocab": 6, "frames_per_token": 2, "dim_audio": 6, "dim_video": 6},
     })
     want_model, want = build_model(cfg), CsvTable(STEP_COLUMNS)
-    want_final, want_tail = reference_train(want_model, cfg, want)
+    want_final = reference_train(want_model, cfg, want)
     model, table = build_model(cfg), CsvTable(STEP_COLUMNS)
-    final, tail = _train(model, cfg, table)
+    final = _train(model, cfg, table)
 
     assert table.rows == want.rows
     assert final == want_final
-    assert tail.keys() == want_tail.keys()
-    for key, f in tail.items():
-        assert f.tobytes() == want_tail[key].tobytes(), key
     for name, arr in model.state_dict().items():
         assert arr.tobytes() == want_model.state_dict()[name].tobytes(), name
     for blk, want_blk in zip(model.decoder_blocks, want_model.decoder_blocks):

@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import avmoe.trainer as trainer_mod
-from avmoe import tensor as T
+from avmoe import moe_layer, tensor as T
 from avmoe.moe_layer import MoELayerConfig
 from avmoe.routing import MOD_AUDIO, MOD_AV, MOD_VIDEO
 from avmoe.corruption import CorruptionPlan, corrupt_pair, sample_plan_preset
@@ -16,10 +17,12 @@ from avmoe.distill import DistillHeads, make_centroids, make_teacher
 from avmoe.model import Encoder
 from avmoe.streams import token_error_rate
 from avmoe.tensor import Tensor
+from avmoe.metrics import CsvTable
 from avmoe.trainer import (
-    Adam, ConfigError, DivergenceError, SGD, TrainConfig, _eval_pairs, _sample_batch,
-    build_model, eval_group_load_vs_snr, eval_ter, expert_load_table, group_affinity,
-    make_optimizer, repr_distance_report, seed_streams, train,
+    STEP_COLUMNS, Adam, ConfigError, DivergenceError, MetricsReport, SGD, TrainConfig,
+    _eval_pairs, _sample_batch, _train, build_model, eval_group_load_vs_snr, eval_ter,
+    expert_load_table, group_affinity, make_optimizer, repr_distance_report, seed_streams,
+    train,
 )
 
 
@@ -487,6 +490,36 @@ def test_run_artifacts_written(tmp_path):
         assert key in summary
 
 
+def test_the_run_directory_holds_every_report_field_but_the_model(tmp_path):
+    """What ``train`` returns in process is what its run directory holds:
+    each ``MetricsReport`` field but the model, which the checkpoint saves,
+    is a table of the run or a summary entry."""
+    run_dir = tmp_path / "run"
+    report = train(_cfg(steps=2), str(run_dir))
+    summary = json.loads((run_dir / "summary.json").read_text())
+
+    def holds(name):
+        def check(table):
+            with open(run_dir / name, newline="") as f:
+                header, *rows = csv.reader(f)
+            return header == table.header and \
+                [[float(v) for v in row] for row in rows] == table.rows
+        return check
+    written = {
+        "final_losses": lambda v: summary["loss_curves"]["final"] == v,
+        "steps_table": holds("steps.csv"),
+        "expert_load": holds("expert_load.csv"),
+        "group_load": holds("group_load_vs_snr.csv"),
+        "ter": lambda v: summary["ter"] == v,
+        "flops": lambda v: summary["flops"] == v,
+        "group_affinity": lambda v: summary["group_affinity"] == v,
+    }
+    assert {f.name for f in dataclasses.fields(MetricsReport)} - {"model"} == set(written)
+    for name, check in written.items():
+        assert check(getattr(report, name)), name
+    assert report.group_affinity and len(report.steps_table) == 2
+
+
 def test_same_config_byte_identical_steps_csv(tmp_path):
     cfg = _cfg(steps=4)
     train(cfg, str(tmp_path / "a"))
@@ -667,8 +700,6 @@ def test_divergence_at_the_phase_boundary_keeps_the_last_losses(monkeypatch, ste
                                                                 fail_call, want_step):
     """A divergence on either side of the combined_pipeline boundary carries
     the scalars of the row before it."""
-    from avmoe.metrics import CsvTable
-    from avmoe.trainer import STEP_COLUMNS, _train
     cfg = _cfg(regime="combined_pipeline", steps=2, uptrain_steps=2,
                model={"moe": {"mode": "dense_ffn"}})
     table = CsvTable(STEP_COLUMNS)
@@ -695,9 +726,6 @@ def test_freeze_encoder_keeps_encoder_params():
     model = build_model(cfg)
     before = [p.data.copy() for p in model.encoder_params()]
     # drive the same model through the training loop by reusing internals
-    from avmoe.trainer import _train
-    from avmoe.metrics import CsvTable
-    from avmoe.trainer import STEP_COLUMNS
     _train(model, cfg, CsvTable(STEP_COLUMNS))
     for prev, p in zip(before, model.encoder_params()):
         assert np.array_equal(prev, p.data)
@@ -709,9 +737,6 @@ def test_router_warmup_moves_only_routers():
     router_ids = set(id(r.weight) for blk in model.decoder_blocks
                      for r in [blk.moe.inter_router] + blk.moe.intra_routers)
     before = [p.data.copy() for p in model.params()]
-    from avmoe.trainer import _train
-    from avmoe.metrics import CsvTable
-    from avmoe.trainer import STEP_COLUMNS
     _train(model, cfg, CsvTable(STEP_COLUMNS))
     for name, (b, p) in enumerate(zip(before, model.params())):
         if id(p) not in router_ids:
@@ -861,21 +886,44 @@ def test_repr_distance_matches_manual_recomputation():
 
 # -- balance property --------------------------------------------------------
 
-def test_within_group_load_cv_below_half():
-    # token counts averaged over the last 10% of steps, per layer and group
+def expert_load_tail(monkeypatch, cfg) -> dict:
+    """Train a model of ``cfg`` and return, per (layer, group), its
+    within-group top-1 frequencies averaged over the last
+    ``max(1, steps // 10)`` steps, added in step order. A spy on the MoE
+    layers' ``dispatch_stats`` reads them; every decoder layer is a MoE
+    layer, so each step makes one call per layer, in layer order."""
+    stats, real = [], moe_layer.dispatch_stats
+
+    def spy(routing):
+        stats.append(real(routing))
+        return stats[-1]
+    monkeypatch.setattr(moe_layer, "dispatch_stats", spy)
+    model = build_model(cfg)
+    _train(model, cfg, CsvTable(STEP_COLUMNS))
+    layers, window = len(model.decoder_blocks), max(1, cfg.steps // 10)
+    assert len(stats) == cfg.steps * layers
+    freqs = {}
+    for i, s in enumerate(stats[-window * layers:]):
+        for gi, f in enumerate(s.expert_f):
+            freqs.setdefault((i % layers, gi), []).append(f)
+    assert all(len(fs) == window for fs in freqs.values())
+    return {key: sum(fs, 0.0) / len(fs) for key, fs in freqs.items()}
+
+
+def test_within_group_load_cv_below_half(monkeypatch):
     cfg = _cfg(steps=300, batch_size=12, lr=3e-3, c_balance=1.0,
                model={"moe": {"mode": "sparse_topk", "n_experts": 4, "k": 2}})
-    report = train(cfg)
-    assert report.expert_load_tail
-    for key, freqs in report.expert_load_tail.items():
+    tail = expert_load_tail(monkeypatch, cfg)
+    assert set(tail) == {(0, 0), (1, 0)}
+    for key, freqs in tail.items():
         assert np.std(freqs) / np.mean(freqs) < 0.5, (key, freqs)
 
 
-def test_hierarchical_within_group_load_cv_below_half():
+def test_hierarchical_within_group_load_cv_below_half(monkeypatch):
     cfg = _cfg(steps=300, batch_size=8, c_balance=0.1,
                identical_expert_init=True, freeze_experts_steps=300,
                router_warmup_steps=300, inter_lr_scale=10.0)
-    report = train(cfg)
-    assert set(report.expert_load_tail) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    for key, freqs in report.expert_load_tail.items():
+    tail = expert_load_tail(monkeypatch, cfg)
+    assert set(tail) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    for key, freqs in tail.items():
         assert np.std(freqs) / np.mean(freqs) < 0.5, (key, freqs)
